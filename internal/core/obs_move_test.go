@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"metachaos/internal/mpsim"
@@ -138,8 +137,7 @@ func TestMoveSpanTotalsMatchPhases(t *testing.T) {
 // TestMoveObsOffAllocFree pins the opt-in contract: with no tracer
 // attached, repeated schedule reuse moves allocate nothing.  A
 // single-process world makes the move a pure pack-free local copy with
-// no scheduler hand-offs, so the malloc counter isolates the move path
-// itself.
+// no scheduler hand-offs, so the count isolates the move path itself.
 func TestMoveObsOffAllocFree(t *testing.T) {
 	mpsim.RunSPMD(mpsim.Ideal(), 1, func(p *mpsim.Proc) {
 		ctx := NewCtx(p, p.Comm())
@@ -155,16 +153,11 @@ func TestMoveObsOffAllocFree(t *testing.T) {
 			t.Errorf("ComputeSchedule: %v", err)
 			return
 		}
-		sched.Move(src, dst) // warm-up: grows the schedule's reusable buffers
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 50; i++ {
-			sched.Move(src, dst)
-		}
-		runtime.ReadMemStats(&after)
-		if d := after.Mallocs - before.Mallocs; d != 0 {
-			t.Errorf("50 obs-off reuse moves performed %d allocations; want 0", d)
+		// AllocsPerRun makes its own warm-up call (growing the schedule's
+		// reusable buffers) and pins GOMAXPROCS to 1 while it counts, so
+		// other goroutines' allocations stay out of the figure.
+		if avg := testing.AllocsPerRun(50, func() { sched.Move(src, dst) }); avg != 0 {
+			t.Errorf("obs-off reuse moves average %v allocations; want 0", avg)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"metachaos/internal/mpsim"
@@ -16,7 +17,7 @@ import (
 // settle-time materialization and local lanes still copy.
 func TestMoveBytesCopiedDrop(t *testing.T) {
 	const nprocs, moves = 4, 4
-	var copied, sent, recv int64
+	var copied, sent, recv atomic.Int64 // ranks on different shards run in parallel
 	mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
 		ctx := NewCtx(p, p.Comm())
 		src := newTestObj(256, nprocs, 1, p.Rank())
@@ -34,21 +35,20 @@ func TestMoveBytesCopiedDrop(t *testing.T) {
 		before := p.LocalStats()
 		for i := 0; i < moves; i++ {
 			res := sched.Move(src, dst)
-			// Cooperative scheduling sequentializes bodies: no lock needed.
-			copied += int64(res.BytesCopied)
+			copied.Add(int64(res.BytesCopied))
 		}
 		after := p.LocalStats()
-		sent += after.BytesSent - before.BytesSent
-		recv += after.BytesRecv - before.BytesRecv
+		sent.Add(after.BytesSent - before.BytesSent)
+		recv.Add(after.BytesRecv - before.BytesRecv)
 	})
-	if sent == 0 || recv == 0 {
-		t.Fatalf("move exchanged no wire bytes (sent %d, recv %d); test is vacuous", sent, recv)
+	if sent.Load() == 0 || recv.Load() == 0 {
+		t.Fatalf("move exchanged no wire bytes (sent %d, recv %d); test is vacuous", sent.Load(), recv.Load())
 	}
-	oldCopied := sent + recv // the copy-based executor's pack + flatten
-	t.Logf("bytes copied %d vs copy-based executor's %d (wire: %d sent, %d recv)", copied, oldCopied, sent, recv)
-	if copied >= oldCopied {
+	oldCopied := sent.Load() + recv.Load() // the copy-based executor's pack + flatten
+	t.Logf("bytes copied %d vs copy-based executor's %d (wire: %d sent, %d recv)", copied.Load(), oldCopied, sent.Load(), recv.Load())
+	if copied.Load() >= oldCopied {
 		t.Errorf("zero-copy plane copied %d bytes over %d moves, not below the copy-based executor's %d",
-			copied, moves, oldCopied)
+			copied.Load(), moves, oldCopied)
 	}
 }
 

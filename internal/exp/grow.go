@@ -36,7 +36,7 @@ import (
 // server size — so a run that starts small and grows must end with
 // exactly the ResultHash of a run that had the full server from t=0.
 // TestElasticGrowBitIdentical asserts that, fault-free and under the
-// pinned "growth" chaos profile, serial and sharded.
+// pinned "growth" chaos profile, at one scheduler shard and at four.
 //
 // Coordination reuses elastic.go's slotted scheme.  Membership is a
 // pure function of virtual time (AbsentRanks), so all participants

@@ -12,7 +12,7 @@ import (
 // recomputing them collectively — must finish with exactly the
 // ResultHash of a fault-free run that had all 4 servers from t=0.
 // Checked fault-free and under the pinned "growth" chaos profile's
-// message faults, serial and sharded.
+// message faults, at one scheduler shard and at four.
 func TestElasticGrowBitIdentical(t *testing.T) {
 	cfg := ElasticGrowConfig{StartProcs: 2, GrowProcs: 2, Iters: 5, Seed: chaosSeed(t, 11)}
 	grown, clean := ElasticGrow(cfg)
@@ -59,7 +59,7 @@ func TestElasticGrowBitIdentical(t *testing.T) {
 			grown2.Grows, grown.Grows, grown2.Repaired, grown.Repaired)
 	}
 
-	// Sharded scheduler: bit-identical to serial.
+	// Four scheduler shards: bit-identical to one.
 	sharded := cfg
 	sharded.Shards = 4
 	grownN := runElasticGrow(sharded)
@@ -69,7 +69,7 @@ func TestElasticGrowBitIdentical(t *testing.T) {
 	}
 
 	// Under the pinned growth profile's message faults with reliable
-	// transport: still bit-identical, serial and sharded.
+	// transport: still bit-identical, at one shard and at four.
 	faulty := cfg
 	faulty.Fault = faultsim.Growth(cfg.Seed)
 	grownF := runElasticGrow(faulty)

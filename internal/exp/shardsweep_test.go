@@ -81,11 +81,12 @@ func TestShardedDeterminismSweep(t *testing.T) {
 	}
 }
 
-// TestFigure10GoldenUnshardedFallback pins the serial fallback: an
-// attached observability tracer forces the serial loop no matter what
-// MPSIM_SHARDS asks for, so the profiled Figure-10 run must still
-// reproduce the pre-sharding golden trace byte for byte.
-func TestFigure10GoldenUnshardedFallback(t *testing.T) {
+// TestFigure10GoldenTracerMeansOneShard pins the tracer rule: an
+// attached observability tracer gets the run one inline shard no matter
+// what MPSIM_SHARDS asks for, so the profiled Figure-10 run must still
+// reproduce the golden trace — recorded before the scheduler had
+// shards at all — byte for byte.
+func TestFigure10GoldenTracerMeansOneShard(t *testing.T) {
 	t.Setenv("MPSIM_SHARDS", "8")
 	assertFigure10GoldenTrace(t)
 }

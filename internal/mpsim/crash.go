@@ -1,6 +1,7 @@
 package mpsim
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -163,8 +164,7 @@ func (w *World) initCrash(plan CrashPlan, det *Detector, programs []ProgramSpec)
 // suspicion timer is armed.  Reaping eagerly — rather than waiting for
 // the victim's next scheduling turn — keeps the death's side effects
 // (live count, queue wipe, restart eligibility) at one well-defined
-// virtual position, which the sharded engine needs for
-// serial-equivalence.
+// virtual position, the same at every shard count.
 func (w *World) fireCrash(tm *timer) {
 	cs := w.crash
 	p := tm.p
@@ -192,23 +192,22 @@ func (w *World) fireCrash(tm *timer) {
 }
 
 // reap resumes a killed process so its goroutine unwinds immediately
-// (checkKilled panics at the top of every scheduling point, before the
-// resumed operation inspects anything).  The unwind posts the process's
-// done event to its scheduler channel; we consume it here so the crash
-// is fully settled — live count decremented, state stateDone — before
-// the timer that fired it returns.
+// (park panics before the resumed operation inspects anything).  The
+// unwind hands the process back on its shard's channel; we consume it
+// here so the death is fully settled — live count decremented, state
+// stateDone — before the timer that fired it returns.
 func (w *World) reap(p *Proc) {
+	s := p.shard
 	if p.heapIdx >= 0 {
 		// Runnable: pull it out of its run queue first.
-		w.removeFromRunq(p)
+		heap.Remove(&s.runq, p.heapIdx)
 	}
 	p.state = stateRunning
 	p.resume <- struct{}{}
-	ev := <-p.sched
-	if ev.p != p || p.state != stateDone {
+	if <-s.sched != p || p.state != stateDone {
 		panic("mpsim: internal error: reaped process did not unwind")
 	}
-	w.noteDone(p)
+	s.noteDone(p)
 }
 
 // fireDetect flips the global detection flag for a crashed rank and
@@ -329,11 +328,7 @@ func (w *World) restartProc(p *Proc, at float64) {
 	p.progComm.seq = 0
 	w.record(Event{Time: at, Rank: r, Kind: EvRestart, Peer: -1})
 	w.launchProc(p, cs.bodies[r])
-	if s := p.shard; s != nil {
-		s.live++
-	} else {
-		w.live++
-	}
+	p.shard.live++
 	w.wake(p)
 }
 

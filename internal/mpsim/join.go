@@ -15,7 +15,7 @@ import "sort"
 //   - The world is sized for its maximum membership up front; a join
 //     plan only chooses *when* each rank starts executing.  This keeps
 //     world ranks, node placement and the total event order stable
-//     across engines (serial and sharded), which is what makes grown
+//     across shard counts, which is what makes grown
 //     runs bit-identical to statically-sized ones once the application
 //     masks out absent ranks.
 //   - A dormant rank is invisible to the run: it executes nothing,
@@ -115,9 +115,9 @@ func (w *World) dormant(r int) bool {
 // fireJoin launches a dormant rank at its scheduled virtual time.  The
 // rank counted as live from t=0 (its eventual completion is part of
 // the run), so no live count changes here — the join only starts its
-// instruction stream.  In a sharded run the timer lives on the
-// coordinator's global heap and fires while every shard is quiesced,
-// so launching into the owning shard's run queue is safe.
+// instruction stream.  With several shards the timer lives on the
+// coordinator's heap and fires while every shard is quiesced, so
+// launching into the owning shard's run queue is safe.
 func (w *World) fireJoin(tm *timer) {
 	js := w.join
 	p := tm.p

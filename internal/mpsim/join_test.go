@@ -161,9 +161,10 @@ func TestJoinDormantRankCannotCrash(t *testing.T) {
 	}
 }
 
-func TestJoinDeterministicAcrossEngines(t *testing.T) {
-	// The join timer rides the same heap as every other event, so the
-	// serial and sharded engines must agree bit for bit.
+func TestJoinDeterministicAcrossShardCounts(t *testing.T) {
+	// The join timer takes its place in the same total order as every
+	// other event — in the lone shard's heap, or the coordinator's — so
+	// one shard and four must agree bit for bit.
 	run := func(shards int) *Stats {
 		return Run(Config{
 			Machine: AlphaFarmATM(),

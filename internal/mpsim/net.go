@@ -1,7 +1,6 @@
 package mpsim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -123,9 +122,9 @@ const (
 // timer is one pending virtual-time event.  Ties on the virtual time
 // break on (rank, seq): rank is the world rank that originated the
 // event and seq its per-rank registration counter, so the order is a
-// total order that does not depend on which scheduler (the serial loop
-// or a sharded one) registered the event — the invariant that makes
-// sharded runs bit-identical to serial ones.
+// total order that does not depend on which shard (or the coordinator)
+// registered the event — the invariant that makes runs bit-identical at
+// every shard count.
 type timer struct {
 	at   float64
 	rank int // originating world rank; canonical tiebreak
@@ -169,9 +168,8 @@ func (h *timerHeap) Pop() any {
 
 // timerCache recycles timer structs so the per-message delivery events
 // of the perfect-network path add no steady-state allocations.  Each
-// scheduler (the serial world, each shard) owns one; recycling across
-// owners is harmless because timers are compared by value, never by
-// identity.
+// shard owns one, and the coordinator a last; recycling across owners
+// is harmless because timers are compared by value, never by identity.
 type timerCache struct{ free *timer }
 
 func (c *timerCache) get() *timer {
@@ -196,17 +194,11 @@ func (w *World) stampTimer(tm *timer) {
 	tm.seq = w.tseq[tm.rank]
 }
 
-// addTimer registers a virtual-time event with the run's scheduler.
-// In a sharded run the event is routed to the heap that may fire it:
-// rank-local kinds (tWake, tMsg) go to the owning shard, everything
-// else to the coordinator's global heap.
+// addTimer registers a virtual-time event with the heap that may fire
+// it (see route).
 func (w *World) addTimer(tm *timer) {
 	w.stampTimer(tm)
-	if w.sh != nil {
-		w.sh.route(tm)
-		return
-	}
-	heap.Push(&w.timers, tm)
+	w.route(tm)
 }
 
 // fireTimer dispatches one due event and recycles the timer into c.
@@ -346,14 +338,14 @@ type netLayer struct {
 	inj      FaultInjector
 	reliable bool
 
-	// mu serializes shard-side entry points (send, NetPairStats) in a
-	// sharded run: two shards sending on different links concurrently
-	// would otherwise race on the links map, the injector's internal
-	// state and the pair counters.  Per-link behavior stays
-	// deterministic because each directed link has a single sending
-	// rank, hence a single sending shard.  The coordinator's event
-	// handlers never take it: they only run while every shard is
-	// quiesced at a window barrier.  Serial runs never take it either.
+	// mu serializes shard-side entry points (send, NetPairStats): two
+	// shards sending on different links concurrently would otherwise
+	// race on the links map, the injector's internal state and the pair
+	// counters.  Per-link behavior stays deterministic because each
+	// directed link has a single sending rank, hence a single sending
+	// shard.  The coordinator's event handlers never take it: they only
+	// run while every shard is quiesced at a window barrier (and a lone
+	// shard fires them itself, between its own sends).
 	mu sync.Mutex
 
 	rto        float64
@@ -387,12 +379,11 @@ func newNetLayer(w *World, inj FaultInjector, rel *Reliability) *netLayer {
 }
 
 // pair returns the directed link's network-fault counters.  These
-// always live in the coordinator-owned Stats.Pairs map: shard-side
-// callers (send, transmit) hold n.mu, and the coordinator only touches
-// the map while every shard is quiesced at a window barrier, so the
-// counters a mid-run NetPairStats reader sees are exactly the serial
-// engine's values for the coordinator-fired kinds (retransmits,
-// duplicate discards).
+// always live in the world's Stats.Pairs map: shard-side callers (send,
+// transmit) hold n.mu, and the coordinator only touches the map while
+// every shard is quiesced at a window barrier, so the counters a
+// mid-run NetPairStats reader sees for the coordinator-fired kinds
+// (retransmits, duplicate discards) do not depend on the shard count.
 func (n *netLayer) pair(from, to int) *PairStats {
 	return n.w.stats.pair(from, to)
 }
@@ -422,10 +413,8 @@ func (n *netLayer) rtoFor(xmit float64) float64 {
 // so the send-side cost model is identical to the perfect-network
 // path.
 func (n *netLayer) send(from, to, tag int, data []byte, pay *bufpool.Payload, xmit, depart float64) {
-	if n.w.sh != nil {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	pkt := &packet{from: from, to: to, tag: tag, data: data, pay: pay, xmit: xmit}
 	key := linkKey{from, to}
 	if n.reliable {

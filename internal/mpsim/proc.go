@@ -70,11 +70,7 @@ type Proc struct {
 	finalClock float64
 
 	resume chan struct{}
-	// sched is where the process reports scheduling events: the world's
-	// single channel in a serial run, the owning shard's channel in a
-	// sharded one.
-	sched chan schedEvent
-	state procState
+	state  procState
 	// heapIdx is the process's position in its run queue, -1 while not
 	// queued; maintained by procHeap so the scheduler can remove a
 	// killed process without draining the heap.
@@ -116,8 +112,7 @@ type Proc struct {
 	killed      bool
 	incarnation int
 
-	// shard is the scheduler shard owning this process, nil in a serial
-	// run (see shard.go).
+	// shard is the scheduler shard owning this process (see shard.go).
 	shard *shard
 }
 
@@ -302,11 +297,11 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 	sp.SetPeer(to).SetBytes(size)
 	m := p.world.machine
 	dst := p.world.procs[to]
-	if pay != nil && p.shard != nil && dst.shard != p.shard && !pay.Materialized() {
+	if pay != nil && dst.shard != p.shard && !pay.Materialized() {
 		// The destination shard reads the payload concurrently with this
 		// shard's later instructions; sever the views of live storage
-		// now.  Same-shard (and serial) deliveries stay zero-copy — the
-		// executor settles those at its own exit.
+		// now.  Same-shard deliveries stay zero-copy — the executor
+		// settles those at its own exit.
 		pay.Materialize()
 	}
 
@@ -344,7 +339,7 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 			}
 			arrival = start + xmit + m.Latency
 			msgXmit = xmit
-			remote = p.shard != nil && dst.shard != p.shard
+			remote = dst.shard != p.shard
 		} else {
 			// Same node, different process: shared-memory transfer.
 			arrival = start + float64(size)/m.LocalCopyBandwidth
@@ -371,11 +366,10 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 		// arrival: the destination shard observes it at a clock the
 		// LogGP latency floor bounds away from now, which is what lets
 		// shards run a lookahead window in parallel.  Every other path
-		// — all serial-run sends, and self, same-node, and intra-shard
-		// sends in a sharded run — bypasses the mailbox and enqueues
-		// immediately, exactly like the serial scheduler always has.
+		// — self, same-node, and intra-shard sends — bypasses the
+		// mailbox and enqueues immediately.
 		msg.sentAt = p.clock
-		tm := p.tcache().get()
+		tm := p.shard.tc.get()
 		tm.at, tm.rank, tm.kind, tm.msg, tm.dst = msg.arrival, p.worldRank, tMsg, msg, to
 		p.world.addTimer(tm)
 	} else {
@@ -392,7 +386,7 @@ func (p *Proc) recordSend(to, bytes int) {
 	st := &p.world.stats
 	st.PerRank[p.worldRank].MsgsSent++
 	st.PerRank[p.worldRank].BytesSent += int64(bytes)
-	p.world.recordPairFor(p, to, bytes)
+	p.shard.recordPair(p.worldRank, to, bytes)
 	p.world.record(Event{Time: p.clock, Rank: p.worldRank, Kind: EvSend, Peer: to, Bytes: bytes})
 }
 
@@ -430,9 +424,7 @@ func (p *Proc) recvMsg(from, tag int) ([]byte, *bufpool.Payload, int) {
 		}
 		p.checkBeforeBlock(from, nil)
 		p.wantSrc, p.wantTag = from, tag
-		p.state = stateBlocked
-		p.sched <- schedEvent{p: p}
-		<-p.resume
+		p.park(stateBlocked)
 		p.checkWakeErr()
 	}
 }
@@ -482,9 +474,7 @@ func (p *Proc) recvAny(wants []recvWant) (int, []byte, *bufpool.Payload, int) {
 		}
 		p.checkBeforeBlock(AnySource, wants)
 		p.wantsAny = wants
-		p.state = stateBlocked
-		p.sched <- schedEvent{p: p}
-		<-p.resume
+		p.park(stateBlocked)
 		p.wantsAny = nil
 		p.checkWakeErr()
 	}
@@ -578,7 +568,7 @@ func (p *Proc) WithTimeout(d float64, f func()) (err error) {
 		if prevAt > 0 && prevAt < at {
 			at = prevAt
 		}
-		tm := p.tcache().get()
+		tm := p.shard.tc.get()
 		tm.at, tm.rank, tm.kind, tm.p = at, p.worldRank, tWake, p
 		p.world.addTimer(tm)
 		tm.gen = tm.seq // registration id: globally unique, never reused
@@ -600,37 +590,31 @@ func (p *Proc) ReliableTransport() bool {
 // retransmit and duplicate counts around a data move.
 func (p *Proc) NetPairStats(from, to int) PairStats {
 	w := p.world
-	if sr := w.sh; sr != nil {
-		var out PairStats
-		if n := w.net; n != nil {
-			// The transport counters live in the coordinator's map;
-			// shard-side writers (send-path drops) hold mu, coordinator
-			// writers only run while shards are quiesced, and the window
-			// bound never outruns a pending transport event — so a
-			// mid-run read sees exactly the serial values.
-			n.mu.Lock()
-			if ps := w.stats.Pairs[PairKey{From: from, To: to}]; ps != nil {
-				out = *ps
-			}
-			n.mu.Unlock()
+	k := PairKey{From: from, To: to}
+	var out PairStats
+	if n := w.net; n != nil {
+		// The transport counters live in the world's map; shard-side
+		// writers (send-path drops) hold mu, coordinator writers only
+		// run while shards are quiesced, and the window bound never
+		// outruns a pending transport event — so a mid-run read sees the
+		// same values at every shard count.
+		n.mu.Lock()
+		if ps := w.stats.Pairs[k]; ps != nil {
+			out = *ps
 		}
-		// Payload Msgs/Bytes live in the sending rank's shard; only a
-		// same-shard read is race-free (and mid-window cross-shard
-		// values would not be serial-equivalent anyway).  Mid-run
-		// consumers (move recovery accounting) diff only the transport
-		// counters above; full pair totals are merged into Stats.Pairs
-		// when the run completes.
-		if s := sr.shardOf(from); s == p.shard {
-			if ps := s.pairs[PairKey{From: from, To: to}]; ps != nil {
-				out.Msgs, out.Bytes = ps.Msgs, ps.Bytes
-			}
+		n.mu.Unlock()
+	}
+	// Payload Msgs/Bytes live in the sending rank's shard; only a
+	// same-shard read is race-free (and a mid-window cross-shard value
+	// would depend on the shard count anyway).  Mid-run consumers (move
+	// recovery accounting) diff only the transport counters above; full
+	// pair totals are merged into Stats.Pairs when the run completes.
+	if s := w.procs[from].shard; s == p.shard {
+		if ps := s.pairs[k]; ps != nil {
+			out.Msgs, out.Bytes = ps.Msgs, ps.Bytes
 		}
-		return out
 	}
-	if ps := w.stats.Pairs[PairKey{From: from, To: to}]; ps != nil {
-		return *ps
-	}
-	return PairStats{}
+	return out
 }
 
 // deliver applies receive-side costs: inbound link occupancy on the
@@ -666,20 +650,17 @@ func (p *Proc) deliver(msg *message) {
 
 // yield hands control back to the scheduler with the process still
 // runnable, letting lower-clock processes run first.
-func (p *Proc) yield() {
-	p.state = stateRunnable
-	p.sched <- schedEvent{p: p}
+func (p *Proc) yield() { p.park(stateRunnable) }
+
+// park is the process's one scheduling point: it hands control to its
+// shard in the given state and blocks until resumed.  A process
+// claimed while parked (crash fault, abandoned run) unwinds here,
+// before the resumed operation inspects anything.
+func (p *Proc) park(st procState) {
+	p.state = st
+	p.shard.sched <- p
 	<-p.resume
 	p.checkKilled()
-}
-
-// tcache returns the timer freelist of the scheduler that owns this
-// process: the world's in a serial run, the owning shard's otherwise.
-func (p *Proc) tcache() *timerCache {
-	if p.shard != nil {
-		return &p.shard.tc
-	}
-	return &p.world.tc
 }
 
 func matches(m *message, src, tag int) bool {

@@ -10,40 +10,51 @@ import (
 	"strconv"
 )
 
-// Conservative parallel discrete-event scheduler.
+// The scheduler: a conservative parallel discrete-event engine, and the
+// only one.
 //
 // The world is partitioned into shards, each owning a contiguous,
 // node-aligned range of world ranks with its own run queue, timer heap
-// and timer freelist.  Shards advance together in lookahead windows:
-// the coordinator computes the globally earliest pending event M and a
-// window bound limit = min(M + lookahead, next global timer), and every
-// shard then executes — in parallel, using exactly the serial engine's
-// rules — all of its events that precede the bound in the run's total
-// event order.  The LogGP cost model makes this safe: any message a
-// shard sends while executing inside the window arrives no earlier
-// than its own position plus SendOverhead + Latency >= limit, so no
-// shard can be handed an event in its past.
+// and timer freelist.  A shard executes its events by one rule
+// (runWindow): fire every timer due at or before the earliest runnable
+// process's clock, then resume that process.  Shards advance together
+// in lookahead windows: the coordinator computes the globally earliest
+// pending event M and a window bound limit = min(M + lookahead, next
+// coordinator timer), and every shard then executes — in parallel —
+// all of its events that precede the bound in the run's total event
+// order.  The LogGP cost model makes this safe: any message a shard
+// sends while executing inside the window arrives no earlier than its
+// own position plus SendOverhead + Latency >= limit, so no shard can be
+// handed an event in its past.
+//
+// A one-shard run is the same engine with nothing to synchronize: the
+// coordinator is the calling goroutine, it runs shard 0's window
+// itself, every timer kind lives in that shard's heap (route), and the
+// window is unbounded — one run queue, one timer heap, one loop.
+// Worlds get one shard when small, when the machine has no latency
+// floor to derive a lookahead from, and when an obs.Tracer (single-
+// threaded by design) is attached.
 //
 // Determinism is an invariant, not best effort.  Every pending event
 // has a position in one total order — (virtual time, class, world
 // rank, per-rank sequence number), where class orders timers before
-// process resumptions at the same instant, exactly like the serial
-// loop's "fire due timers first" rule — and both engines execute
-// events in that order.  Cross-shard interactions are confined to
-// positions the window protocol has already synchronized on, so a
-// sharded run is bit-identical to the serial one: same virtual-time
+// process resumptions at the same instant — and every shard count
+// executes events in that order.  Cross-shard interactions are
+// confined to positions the window protocol has already synchronized
+// on, so runs are bit-identical at any shard count: same virtual-time
 // results, same trace streams, same stats.
 //
 // Context discipline (what makes the -race run clean):
 //
 //   - Shard state (runq, local timers, proc queues/clocks, per-shard
-//     trace buffer and pair map) is touched only by the owning shard's
-//     worker, or by the coordinator while every worker is quiesced at
-//     a window barrier (the cmd/done channels give happens-before).
-//   - The coordinator's global heap and stats are touched by the
-//     coordinator, or by shards under netLayer.mu (the reliable
-//     transport's send path), which the coordinator never contends
-//     with because it only runs while shards are parked.
+//     trace buffer and pair map) is touched only by the goroutine
+//     running the shard's window, or by the coordinator while every
+//     shard is quiesced at a window barrier (the cmd/done channels give
+//     happens-before).
+//   - The coordinator's heap and stats are touched by the coordinator,
+//     or by shards under netLayer.mu (the reliable transport's send
+//     path), which the coordinator never contends with because it only
+//     runs while shards are parked.
 //   - Cross-shard perfect-network messages are staged in the sending
 //     shard's outbox and moved into the destination shard's heap at
 //     the barrier.
@@ -51,20 +62,19 @@ import (
 //     viewing live application storage: sendImpl materializes any
 //     unmaterialized payload bound for another shard into its own
 //     pooled segment, so the destination shard only ever reads bytes
-//     the sending shard will never mutate again.  Same-shard and
-//     serial deliveries stay zero-copy.
+//     the sending shard will never mutate again.  Same-shard
+//     deliveries stay zero-copy.
 
 // autoShardWorlds is the world size at which a run with Config.Shards
-// == 0 and no MPSIM_SHARDS override starts sharding automatically.
-// Small worlds stay on the serial loop: the window barriers cost more
-// than the parallelism wins, and the gated perf benchmarks pin the
-// serial path's ns/op.
+// == 0 and no MPSIM_SHARDS override gets more than one shard.  Below
+// it the window barriers cost more than the parallelism wins, and the
+// gated perf benchmarks pin the one-shard ns/op.
 const autoShardWorlds = 256
 
 // evKey is one event's position in the run's total order.  cls is 0
-// for timers and 1 for process resumptions (the serial loop fires all
-// due timers before resuming an equal-clock process); the window bound
-// uses cls -1 so that a bound at time t excludes every event at t.
+// for timers and 1 for process resumptions (all due timers fire before
+// an equal-clock process resumes); the window bound uses cls -1 so
+// that a bound at time t excludes every event at t.
 type evKey struct {
 	t    float64
 	cls  int
@@ -91,20 +101,18 @@ func procKey(p *Proc) evKey    { return evKey{t: p.clock, cls: 1, rank: p.worldR
 var infKey = evKey{t: math.Inf(1)}
 
 // shard is one scheduler shard: a contiguous rank range with its own
-// run queue, timer heap, and freelist, advanced by one worker
-// goroutine.
+// run queue, timer heap, and freelist.  Shard 0's windows run on the
+// coordinator's goroutine, every other shard's on its own worker.
 type shard struct {
-	id     int
-	w      *World
-	lo, hi int // world-rank range [lo, hi)
+	w *World
 
 	runq   procHeap
 	timers timerHeap
 	tc     timerCache
 
-	// sched receives scheduling events from this shard's processes
-	// (and, during a crash reaping, from the coordinator's handshake).
-	sched chan schedEvent
+	// sched is where this shard's processes hand control back: each
+	// sends itself after setting the state it parks in.
+	sched chan *Proc
 
 	live     int
 	makespan float64
@@ -124,6 +132,8 @@ type shard struct {
 
 	failure *runFailure
 
+	// cmd hands a worker its next window bound (nil for shard 0, which
+	// has none).
 	cmd chan evKey
 }
 
@@ -136,6 +146,15 @@ func (s *shard) recordPair(from, to, bytes int) {
 	}
 	ps.Msgs++
 	ps.Bytes += int64(bytes)
+}
+
+// noteDone settles a finished (or unwound) process in its shard: live
+// count and makespan.
+func (s *shard) noteDone(p *Proc) {
+	s.live--
+	if p.finalClock > s.makespan {
+		s.makespan = p.finalClock
+	}
 }
 
 // nextKey is the position of the shard's earliest pending event.
@@ -161,9 +180,10 @@ func (s *shard) worker(done chan<- struct{}) {
 	}
 }
 
-// runWindow executes every shard event that precedes limit, using the
-// serial engine's exact rules: fire due timers (at <= next runnable
-// clock) first, then resume the earliest runnable process.
+// runWindow executes every shard event that precedes limit: fire due
+// timers (at <= next runnable clock) first, then resume the earliest
+// runnable process — smallest clock, ties broken by world rank, which
+// keeps link reservations in near-causal order.
 func (s *shard) runWindow(limit evKey) {
 	w := s.w
 	for {
@@ -177,62 +197,58 @@ func (s *shard) runWindow(limit evKey) {
 		p := heap.Pop(&s.runq).(*Proc)
 		p.state = stateRunning
 		p.resume <- struct{}{}
-		ev := <-s.sched
-		switch ev.p.state {
+		p = <-s.sched
+		switch p.state {
 		case stateDone:
-			w.noteDone(ev.p)
-			if s.failure != nil {
+			s.noteDone(p)
+			if s.failure != nil || s.live == 0 {
+				// Failed, or possibly over: whether the run goes on is the
+				// coordinator's call, and timers still pending here fire
+				// only if it does.
 				return
 			}
 		case stateRunnable:
-			heap.Push(&s.runq, ev.p)
+			heap.Push(&s.runq, p)
 		case stateBlocked:
-			// Parked until a matching message arrives.
+			// Parked until a matching message arrives; the sender moves
+			// it back to the run queue.
 		default:
 			panic("mpsim: internal error: yielded process in unexpected state")
 		}
 	}
 }
 
-// shardedRun is the parallel engine for one World.
-type shardedRun struct {
-	w         *World
-	shards    []*shard
-	byRank    []int // world rank -> shard index
-	lookahead float64
-	done      chan struct{}
-}
-
-func (sr *shardedRun) shardOf(rank int) *shard { return sr.shards[sr.byRank[rank]] }
-
 // route registers a freshly stamped timer with the heap that may fire
-// it.  tMsg fires at its destination's shard: pushed directly when the
-// sender owns it, staged in the sender's outbox otherwise.  tWake is
-// the target process's own registration.  Every other kind (transport
-// packets, crash plumbing) is global: shard-side creators hold
-// netLayer.mu, and the coordinator only touches the heap while shards
-// are quiesced.
-func (sr *shardedRun) route(tm *timer) {
-	switch tm.kind {
-	case tMsg:
-		src, dst := sr.byRank[tm.rank], sr.byRank[tm.dst]
-		if src == dst {
-			heap.Push(&sr.shards[dst].timers, tm)
+// it.  A lone shard owns every rank, so it fires every kind.  With
+// more, tMsg fires at its destination's shard (pushed directly when
+// the sender owns it, staged in the sender's outbox otherwise) and
+// tWake is the target process's own registration; every other kind
+// (transport packets, crash and join plumbing) touches state on both
+// sides of a shard boundary and goes to the coordinator, which fires
+// it while the shards are quiesced (shard-side creators hold
+// netLayer.mu).
+func (w *World) route(tm *timer) {
+	src := w.procs[tm.rank].shard
+	switch {
+	case len(w.shards) == 1:
+		heap.Push(&src.timers, tm)
+	case tm.kind == tMsg:
+		if dst := w.procs[tm.dst].shard; dst == src {
+			heap.Push(&dst.timers, tm)
 		} else {
-			s := sr.shards[src]
-			s.out = append(s.out, tm)
+			src.out = append(src.out, tm)
 		}
-	case tWake:
+	case tm.kind == tWake:
 		heap.Push(&tm.p.shard.timers, tm)
 	default:
-		heap.Push(&sr.w.timers, tm)
+		heap.Push(&w.timers, tm)
 	}
 }
 
 // shardBounds partitions world ranks into up to n contiguous ranges
 // aligned to node boundaries (a node's processes exchange zero-latency
 // shared-memory messages, so splitting one would void the lookahead).
-// Returns the range starts; len < 2 means sharding degenerated.
+// Returns the range starts.
 func shardBounds(w *World, n int) []int {
 	bounds := []int{0}
 	size := len(w.procs)
@@ -250,10 +266,10 @@ func shardBounds(w *World, n int) []int {
 
 // resolveShards picks the shard count for a run: Config.Shards, then
 // the MPSIM_SHARDS environment variable, then auto-sharding of large
-// worlds across min(GOMAXPROCS, nodes).  Returns 1 (serial) whenever
-// sharding cannot preserve behavior: an observability tracer is
-// attached (obs.Tracer is single-threaded by design), or the machine
-// has no latency floor to derive lookahead from.
+// worlds across min(GOMAXPROCS, nodes).  Returns 1 whenever more
+// cannot preserve behavior: an observability tracer is attached
+// (obs.Tracer is single-threaded by design), or the machine has no
+// latency floor to derive lookahead from.
 func (w *World) resolveShards(cfg Config) int {
 	// Validate the environment override before any early return: a
 	// typo'd MPSIM_SHARDS that was silently ignored would make every
@@ -291,7 +307,7 @@ func (w *World) resolveShards(cfg Config) int {
 // unset or empty variable reports envSet false; "0" explicitly
 // requests automatic resolution.  Anything that is not a non-negative
 // integer panics with a clear error — silently ignoring a typo would
-// leave the run on a scheduler the operator did not ask for.
+// leave the run on a shard count the operator did not ask for.
 func shardsFromEnv() (n int, envSet bool) {
 	env := os.Getenv("MPSIM_SHARDS")
 	if env == "" {
@@ -323,107 +339,70 @@ func (w *World) safeLookahead() float64 {
 	return m.SendOverhead + la
 }
 
-// effectiveLookahead applies the Config.Lookahead override, clamped to
-// the safe bound (a larger window would let a shard outrun messages
-// still in another shard's future).
-func (w *World) effectiveLookahead(override float64) float64 {
-	la := w.safeLookahead()
-	if override > 0 && override < la {
-		la = override
-	}
-	return la
-}
-
-// newShardedRun partitions the world and rebinds every process to its
-// shard.  Returns nil when partitioning degenerates to a single shard
-// (the caller falls back to the serial loop).
-func newShardedRun(w *World, n int, lookahead float64) *shardedRun {
+// partition splits the world into up to n shards and binds every
+// process to its own.
+func (w *World) partition(n int) {
 	bounds := shardBounds(w, n)
-	if len(bounds) < 2 {
-		return nil
-	}
-	sr := &shardedRun{
-		w:         w,
-		byRank:    make([]int, len(w.procs)),
-		lookahead: lookahead,
-		done:      make(chan struct{}, len(bounds)),
-	}
 	for i, lo := range bounds {
 		hi := len(w.procs)
 		if i+1 < len(bounds) {
 			hi = bounds[i+1]
 		}
 		s := &shard{
-			id:    i,
 			w:     w,
-			lo:    lo,
-			hi:    hi,
-			sched: make(chan schedEvent),
+			sched: make(chan *Proc),
 			pairs: make(map[PairKey]*PairStats),
-			cmd:   make(chan evKey),
+			// Dormant (not-yet-joined) ranks count as live from t=0: their
+			// eventual completion is part of the run, and counting them
+			// keeps it going until their join timers fire even if every
+			// launched process finishes first.
+			live: hi - lo,
 		}
-		for r := lo; r < hi; r++ {
-			p := w.procs[r]
+		for _, p := range w.procs[lo:hi] {
 			p.shard = s
-			p.sched = s.sched
-			sr.byRank[r] = i
 		}
-		sr.shards = append(sr.shards, s)
+		w.shards = append(w.shards, s)
 	}
-	// Move the serial run queue into the shard run queues.
-	for _, p := range w.procs {
-		p.heapIdx = -1
+	w.lookahead = w.safeLookahead()
+	if len(w.shards) == 1 {
+		w.lookahead = math.Inf(1)
 	}
-	w.runq = w.runq[:0]
-	for _, s := range sr.shards {
-		for r := s.lo; r < s.hi; r++ {
-			// Dormant (not-yet-joined) ranks are launched by their join
-			// timers; they still count as live (see World.schedule).
-			if w.dormant(r) {
-				continue
-			}
-			heap.Push(&s.runq, w.procs[r])
-		}
-		s.live = s.hi - s.lo
-	}
-	return sr
 }
 
-// run is the coordinator loop: drain due global timers while shards
-// are quiesced, hand out one lookahead window, barrier, move staged
-// cross-shard deliveries, repeat.
-func (sr *shardedRun) run() {
-	w := sr.w
-	for _, s := range sr.shards {
-		go s.worker(sr.done)
+// coordinate is the coordinator loop: fire due coordinator timers while
+// the shards are quiesced, hand out one lookahead window, barrier, move
+// staged cross-shard deliveries, repeat.  It returns the failure of
+// the run, if a process body panicked, after unwinding every other
+// process.
+func (w *World) coordinate() *runFailure {
+	done := make(chan struct{}, len(w.shards)-1)
+	for _, s := range w.shards[1:] {
+		s.cmd = make(chan evKey)
+		go s.worker(done)
 	}
 	defer func() {
-		for _, s := range sr.shards {
+		for _, s := range w.shards[1:] {
 			close(s.cmd)
 		}
 	}()
 	for {
-		if f := sr.collectFailure(); f != nil {
-			// Abandon the run; the panic in Run reports it.  Remaining
-			// process goroutines are simply never resumed again.
-			w.failure = f
-			return
+		if f := w.collectFailure(); f != nil {
+			w.abandon()
+			return f
 		}
 		live := 0
-		for _, s := range sr.shards {
-			live += s.live
-		}
-		if live == 0 {
-			break
-		}
 		minKey := infKey
-		for _, s := range sr.shards {
+		for _, s := range w.shards {
+			live += s.live
 			if k := s.nextKey(); k.less(minKey) {
 				minKey = k
 			}
 		}
-		// Fire global timers that precede every shard event.  Each fire
-		// may wake processes or create new timers, so recompute per
+		if live == 0 {
+			return nil
+		}
+		// Fire coordinator timers that precede every shard event.  Each
+		// fire may wake processes or create new timers, so recompute per
 		// iteration.
 		if len(w.timers) > 0 && timerKey(w.timers[0]).less(minKey) {
 			w.fireTimer(heap.Pop(&w.timers).(*timer), &w.tc)
@@ -432,43 +411,43 @@ func (sr *shardedRun) run() {
 		if math.IsInf(minKey.t, 1) {
 			w.panicDeadlock()
 		}
-		limit := evKey{t: minKey.t + sr.lookahead, cls: -1}
+		limit := evKey{t: minKey.t + w.lookahead, cls: -1}
 		if len(w.timers) > 0 {
 			if gk := timerKey(w.timers[0]); gk.less(limit) {
 				limit = gk
 			}
 		}
 		launched := 0
-		for _, s := range sr.shards {
+		for _, s := range w.shards[1:] {
 			if s.nextKey().less(limit) {
 				s.cmd <- limit
 				launched++
 			}
 		}
-		for i := 0; i < launched; i++ {
-			<-sr.done
+		w.shards[0].runWindow(limit)
+		for ; launched > 0; launched-- {
+			<-done
 		}
-		for _, s := range sr.shards {
+		for _, s := range w.shards {
 			for _, tm := range s.out {
-				heap.Push(&sr.shardOf(tm.dst).timers, tm)
+				heap.Push(&w.procs[tm.dst].shard.timers, tm)
 			}
 			s.out = s.out[:0]
 		}
 	}
-	sr.mergeStats()
 }
 
 // collectFailure returns the failure to report, preferring the one at
 // the earliest virtual position (then lowest rank) so the abort is
 // deterministic even if several shards failed in one window.
-func (sr *shardedRun) collectFailure() *runFailure {
-	f := sr.w.failure
+func (w *World) collectFailure() *runFailure {
+	var f *runFailure
 	fClock := math.Inf(1)
-	for _, s := range sr.shards {
+	for _, s := range w.shards {
 		if s.failure == nil {
 			continue
 		}
-		c := sr.w.procs[s.failure.rank].finalClock
+		c := w.procs[s.failure.rank].finalClock
 		if f == nil || c < fClock || (c == fClock && s.failure.rank < f.rank) {
 			f, fClock = s.failure, c
 		}
@@ -477,48 +456,46 @@ func (sr *shardedRun) collectFailure() *runFailure {
 }
 
 // mergeStats folds per-shard results into the world's stats after all
-// workers have quiesced for the last time.
-func (sr *shardedRun) mergeStats() {
-	w := sr.w
-	for _, s := range sr.shards {
+// shards have quiesced for the last time.
+func (w *World) mergeStats() {
+	for _, s := range w.shards {
 		if s.makespan > w.stats.MakespanSeconds {
 			w.stats.MakespanSeconds = s.makespan
 		}
+		// A directed pair's payload counters live in its sender's shard
+		// alone, so the shard maps are disjoint: adopt them, and fold in
+		// only where the transport already counted faults on the link.
+		if w.stats.Pairs == nil {
+			w.stats.Pairs = s.pairs
+			continue
+		}
 		for k, ps := range s.pairs {
-			t := w.stats.pair(k.From, k.To)
-			t.Msgs += ps.Msgs
-			t.Bytes += ps.Bytes
+			if t := w.stats.Pairs[k]; t != nil {
+				t.Msgs, t.Bytes = ps.Msgs, ps.Bytes
+			} else {
+				w.stats.Pairs[k] = ps
+			}
 		}
 	}
-	if w.trace != nil {
-		total := len(w.trace.Events)
-		for _, s := range sr.shards {
-			total += len(s.events)
-		}
-		evs := make([]Event, 0, total)
-		evs = append(evs, w.trace.Events...)
-		for _, s := range sr.shards {
+	if w.trace == nil {
+		return
+	}
+	// A lone shard's buffer is the run's execution order, and stays so.
+	evs := w.shards[0].events
+	if len(w.shards) > 1 {
+		for _, s := range w.shards[1:] {
 			evs = append(evs, s.events...)
 		}
 		// Per-rank subsequences are already in execution order (every
 		// rank's events land in one shard buffer), so a stable sort on
-		// (time, rank) yields the canonical stream: identical Timeline
-		// and ByRank views to a serial run.
+		// (time, rank) yields the canonical stream: the same Timeline and
+		// ByRank views at every shard count.
 		sort.SliceStable(evs, func(a, b int) bool {
 			if evs[a].Time != evs[b].Time {
 				return evs[a].Time < evs[b].Time
 			}
 			return evs[a].Rank < evs[b].Rank
 		})
-		w.trace.Events = evs
 	}
-}
-
-// Shards reports how many scheduler shards this run is using (1 for
-// the serial loop); harness code records it next to results.
-func (w *World) Shards() int {
-	if w.sh == nil {
-		return 1
-	}
-	return len(w.sh.shards)
+	w.trace.Events = evs
 }

@@ -1,6 +1,7 @@
 package mpsim
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -39,20 +40,21 @@ func ringConfig(shards int) Config {
 	}
 }
 
-// TestShardedMatchesSerialRing pins the core tentpole property on a
-// cross-shard-heavy workload: a sharded run produces the same virtual
-// makespan and the same trace timeline as the serial scheduler.
-func TestShardedMatchesSerialRing(t *testing.T) {
-	serial := Run(ringConfig(1))
-	sharded := Run(ringConfig(4))
-	if sharded.MakespanSeconds != serial.MakespanSeconds {
-		t.Errorf("makespan: sharded %v, serial %v", sharded.MakespanSeconds, serial.MakespanSeconds)
+// TestShardCountInvariantRing pins the engine's core property on a
+// cross-shard-heavy workload: four shards advancing in parallel
+// windows produce the same virtual makespan and the same trace
+// timeline as one shard run inline.
+func TestShardCountInvariantRing(t *testing.T) {
+	one := Run(ringConfig(1))
+	four := Run(ringConfig(4))
+	if four.MakespanSeconds != one.MakespanSeconds {
+		t.Errorf("makespan: four shards %v, one shard %v", four.MakespanSeconds, one.MakespanSeconds)
 	}
-	if got, want := sharded.Trace.Timeline(), serial.Trace.Timeline(); got != want {
-		t.Errorf("timelines diverge:\nsharded:\n%s\nserial:\n%s", got, want)
+	if got, want := four.Trace.Timeline(), one.Trace.Timeline(); got != want {
+		t.Errorf("timelines diverge:\nfour shards:\n%s\none shard:\n%s", got, want)
 	}
-	if sharded.TotalMsgs() != serial.TotalMsgs() {
-		t.Errorf("msgs: sharded %d, serial %d", sharded.TotalMsgs(), serial.TotalMsgs())
+	if four.TotalMsgs() != one.TotalMsgs() {
+		t.Errorf("msgs: four shards %d, one shard %d", four.TotalMsgs(), one.TotalMsgs())
 	}
 }
 
@@ -73,26 +75,32 @@ func TestShardedGOMAXPROCSIndependent(t *testing.T) {
 	}
 }
 
-// TestShardedTinyLookahead stresses the window protocol: an explicit
-// lookahead far below the machine's latency floor forces many tiny
-// windows, which must not change any result.
+// TestShardedTinyLookahead stresses the window protocol: a lookahead
+// far below the machine's latency floor forces many tiny windows,
+// which must not change any result.
 func TestShardedTinyLookahead(t *testing.T) {
-	serial := Run(ringConfig(1))
-	cfg := ringConfig(4)
-	cfg.Lookahead = 1e-7 // SP2 latency is ~40us; thousands of windows
-	tiny := Run(cfg)
-	if tiny.MakespanSeconds != serial.MakespanSeconds {
-		t.Errorf("makespan: tiny-lookahead %v, serial %v", tiny.MakespanSeconds, serial.MakespanSeconds)
+	one := Run(ringConfig(1))
+	w, err := newWorld(ringConfig(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := tiny.Trace.Timeline(), serial.Trace.Timeline(); got != want {
-		t.Error("tiny-lookahead timeline diverges from serial")
+	if len(w.shards) != 4 {
+		t.Fatalf("world has %d shards, want 4", len(w.shards))
+	}
+	w.lookahead = 1e-7 // SP2 latency is ~40us; thousands of windows
+	tiny := w.run()
+	if tiny.MakespanSeconds != one.MakespanSeconds {
+		t.Errorf("makespan: tiny-lookahead %v, one shard %v", tiny.MakespanSeconds, one.MakespanSeconds)
+	}
+	if got, want := tiny.Trace.Timeline(), one.Trace.Timeline(); got != want {
+		t.Error("tiny-lookahead timeline diverges from the one-shard run")
 	}
 }
 
 // TestIntraShardBypass pins the local-traffic fast path: a world of
 // independent per-program rings with no cross-program traffic maps
 // each program into (at most) one shard, so every message should take
-// the serial immediate-enqueue path and match the serial run exactly.
+// the immediate-enqueue path and match the one-shard run exactly.
 func TestIntraShardBypass(t *testing.T) {
 	mk := func(shards int) Config {
 		progs := make([]ProgramSpec, 4)
@@ -104,13 +112,13 @@ func TestIntraShardBypass(t *testing.T) {
 		}
 		return Config{Machine: SP2(), Programs: progs, Trace: true, Shards: shards}
 	}
-	serial := Run(mk(1))
-	sharded := Run(mk(4))
-	if sharded.MakespanSeconds != serial.MakespanSeconds {
-		t.Errorf("makespan: sharded %v, serial %v", sharded.MakespanSeconds, serial.MakespanSeconds)
+	one := Run(mk(1))
+	four := Run(mk(4))
+	if four.MakespanSeconds != one.MakespanSeconds {
+		t.Errorf("makespan: four shards %v, one shard %v", four.MakespanSeconds, one.MakespanSeconds)
 	}
-	if got, want := sharded.Trace.Timeline(), serial.Trace.Timeline(); got != want {
-		t.Error("intra-shard timeline diverges from serial")
+	if got, want := four.Trace.Timeline(), one.Trace.Timeline(); got != want {
+		t.Error("intra-shard timeline diverges from the one-shard run")
 	}
 }
 
@@ -118,7 +126,7 @@ func TestIntraShardBypass(t *testing.T) {
 func TestResolveShards(t *testing.T) {
 	w := &World{nodes: make([]*node, 16), procs: make([]*Proc, 16), machine: SP2()}
 	if got := w.resolveShards(Config{Shards: -1}); got != 1 {
-		t.Errorf("negative Shards: got %d, want 1 (serial)", got)
+		t.Errorf("negative Shards: got %d, want 1", got)
 	}
 	if got := w.resolveShards(Config{Shards: 8}); got != 8 {
 		t.Errorf("explicit Shards=8: got %d", got)
@@ -131,7 +139,7 @@ func TestResolveShards(t *testing.T) {
 		t.Errorf("MPSIM_SHARDS=3: got %d", got)
 	}
 	t.Setenv("MPSIM_SHARDS", "")
-	// Small world, no env: stays serial.
+	// Small world, no env: one shard.
 	if got := w.resolveShards(Config{}); got != 1 {
 		t.Errorf("small world auto: got %d, want 1", got)
 	}
@@ -145,7 +153,7 @@ func TestResolveShards(t *testing.T) {
 // TestResolveShardsRejectsBadEnv pins the fail-fast contract: a
 // non-integer or negative MPSIM_SHARDS panics with a clear error
 // instead of being silently ignored, even on runs that would have
-// stayed serial anyway.
+// had one shard anyway.
 func TestResolveShardsRejectsBadEnv(t *testing.T) {
 	w := &World{nodes: make([]*node, 16), procs: make([]*Proc, 16), machine: SP2()}
 	expectPanic := func(env, wantSub string) {
@@ -170,19 +178,28 @@ func TestResolveShardsRejectsBadEnv(t *testing.T) {
 }
 
 // TestSafeLookaheadFloor ensures the derived window is the LogGP
-// latency floor plus the send overhead, and that a larger explicit
-// override is clamped down to it.
+// latency floor plus the send overhead, that a reliable transport's
+// shorter RTO binds instead, and that a lone shard's window is
+// unbounded.
 func TestSafeLookaheadFloor(t *testing.T) {
 	w := &World{machine: SP2()}
-	safe := w.safeLookahead()
 	want := w.machine.SendOverhead + w.machine.Latency
-	if safe != want {
+	if safe := w.safeLookahead(); safe != want {
 		t.Errorf("safeLookahead: got %v, want %v", safe, want)
 	}
-	if got := w.effectiveLookahead(safe * 10); got != safe {
-		t.Errorf("oversized override not clamped: got %v, want %v", got, safe)
+	rto := w.machine.Latency / 4
+	w.net = newNetLayer(w, nil, &Reliability{RTO: rto})
+	if safe, want := w.safeLookahead(), w.machine.SendOverhead+rto; safe != want {
+		t.Errorf("safeLookahead under a short RTO: got %v, want %v", safe, want)
 	}
-	if got := w.effectiveLookahead(safe / 4); got != safe/4 {
-		t.Errorf("small override not honored: got %v", got)
+	for shards, bounded := range map[int]bool{1: false, 4: true} {
+		w, err := newWorld(ringConfig(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := !math.IsInf(w.lookahead, 1); got != bounded {
+			t.Errorf("%d shards: lookahead %v, bounded = %v, want %v", shards, w.lookahead, got, bounded)
+		}
+		w.run()
 	}
 }

@@ -76,12 +76,6 @@ func (s *Stats) pair(from, to int) *PairStats {
 	return ps
 }
 
-func (s *Stats) recordPair(from, to, bytes int) {
-	ps := s.pair(from, to)
-	ps.Msgs++
-	ps.Bytes += int64(bytes)
-}
-
 // TotalMsgs returns the total number of messages sent during the run.
 func (s *Stats) TotalMsgs() int64 {
 	var n int64

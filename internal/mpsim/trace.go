@@ -147,32 +147,17 @@ func (t *Trace) Sends() int {
 }
 
 // record appends an event if tracing is enabled, and mirrors it into
-// the observability layer if a tracer is attached.  In a sharded run
-// the event goes to the acting rank's shard-local buffer (coordinator
-// contexts append there too, which is safe: the coordinator only runs
-// while every shard is quiesced at a window barrier); the buffers are
-// merged into the trace when the run completes.
+// the observability layer if a tracer is attached.  The event goes to
+// the acting rank's shard-local buffer (coordinator contexts append
+// there too, which is safe: the coordinator only runs while every
+// shard is quiesced at a window barrier); the buffers are merged into
+// the trace when the run completes.
 func (w *World) record(e Event) {
 	if w.trace != nil {
-		if w.sh != nil {
-			s := w.sh.shardOf(e.Rank)
-			s.events = append(s.events, e)
-		} else {
-			w.trace.Events = append(w.trace.Events, e)
-		}
+		s := w.procs[e.Rank].shard
+		s.events = append(s.events, e)
 	}
 	if w.obs != nil {
 		w.obsEvent(e)
 	}
-}
-
-// recordPairFor charges one payload message from p to world rank to.
-// Sharded runs keep per-shard pair maps (merged post-run) because the
-// perfect-network send path does not hold the net-layer lock.
-func (w *World) recordPairFor(p *Proc, to, bytes int) {
-	if s := p.shard; s != nil {
-		s.recordPair(p.worldRank, to, bytes)
-		return
-	}
-	w.stats.recordPair(p.worldRank, to, bytes)
 }

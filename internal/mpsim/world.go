@@ -56,24 +56,20 @@ type Config struct {
 	// the plan start dormant and launch their program bodies at
 	// scheduled virtual times.  See join.go for the membership model.
 	Join JoinPlan
-	// Shards selects the scheduler: 1 (or negative) forces the serial
-	// loop, N > 1 requests N parallel scheduler shards, and 0 (the
-	// default) consults the MPSIM_SHARDS environment variable and then
-	// auto-shards worlds of >= 256 ranks across min(GOMAXPROCS,
-	// nodes).  Sharded runs are bit-identical to serial ones; see
-	// shard.go.
+	// Shards is how many scheduler shards the run asks for: 1 (or
+	// negative) is one shard, run inline on the calling goroutine; N > 1
+	// requests N shards advancing in parallel (clamped to the node
+	// count); 0 (the default) consults the MPSIM_SHARDS environment
+	// variable and then gives worlds of >= 256 ranks min(GOMAXPROCS,
+	// nodes) shards and smaller ones a single shard.  A machine with no
+	// latency floor or an attached Obs tracer always gets one shard.
+	// Results are bit-identical at every shard count; see shard.go.
 	Shards int
-	// Lookahead caps a sharded run's conservative lookahead window in
-	// virtual seconds.  Zero derives the largest safe window from the
-	// machine's latency floor; smaller explicit values are honored
-	// (useful for stressing the window protocol), larger ones are
-	// clamped to the safe bound.
-	Lookahead float64
 }
 
 // World is the simulated machine state for one run.  It owns every
-// simulated process, the per-node link reservations, and the cooperative
-// scheduler that sequentializes execution in virtual-time order.
+// simulated process, the per-node link reservations, and the scheduler
+// shards that execute them in virtual-time order (shard.go).
 type World struct {
 	machine   *Machine
 	procs     []*Proc
@@ -83,9 +79,12 @@ type World struct {
 	progNames []string
 	progRanks map[string][]int
 
-	runq    procHeap
-	resume  chan *Proc // scheduler -> proc handoff target (per-proc channel used instead)
-	toSched chan schedEvent
+	// shards partition the ranks among schedulers; always at least one.
+	shards []*shard
+	// lookahead is the conservative window the shards advance by, in
+	// virtual seconds (+Inf for a lone shard, which has no peer to
+	// outrun).
+	lookahead float64
 
 	// Observability (nil when Config.Obs was nil).  Counters are
 	// resolved once here so per-message accounting never hits the
@@ -93,15 +92,16 @@ type World struct {
 	obs  *obs.Tracer
 	obsC obsCounters
 
-	// Virtual-time events (deliveries, retransmissions, acks, receive
-	// deadlines), interleaved with process execution by the scheduler.
+	// timers is the coordinator's heap: the virtual-time events no
+	// single shard may fire (see route).  Empty throughout a one-shard
+	// run.
 	timers timerHeap
 	// tseq[r] is rank r's per-rank timer sequence counter: the third key
 	// of the event total order (time, rank, seq).  Each rank registers
-	// its timers in virtual-position order in both engines, so the
-	// numbering — and therefore every tie-break — is engine-invariant.
+	// its timers in virtual-position order at every shard count, so the
+	// numbering — and therefore every tie-break — does not depend on it.
 	tseq []int
-	// tc is the serial engine's timer freelist; shards carry their own.
+	// tc is the coordinator's timer freelist; shards carry their own.
 	tc  timerCache
 	net *netLayer
 
@@ -116,28 +116,16 @@ type World struct {
 	// forever; receivers overflow here and senders refill from here.
 	msgPool sync.Pool
 
-	// sh is the sharded parallel engine, nil for serial runs.
-	sh *shardedRun
-
 	// Crash-fault state (nil when Config.Crash was nil).
 	crash *crashState
 	// Elastic-growth state (nil when Config.Join was nil).
 	join *joinState
-	// live is the number of processes that have not finished (crashed
-	// processes leave it; restarts rejoin it).
-	live int
-
-	failure *runFailure
 }
 
 type runFailure struct {
 	rank int
 	prog string
 	err  any
-}
-
-type schedEvent struct {
-	p *Proc
 }
 
 type node struct {
@@ -166,18 +154,15 @@ func Run(cfg Config) *Stats {
 	if err != nil {
 		panic(err)
 	}
-	if n := w.resolveShards(cfg); n > 1 {
-		w.sh = newShardedRun(w, n, w.effectiveLookahead(cfg.Lookahead))
+	return w.run()
+}
+
+// run drives the world to completion and settles its statistics.
+func (w *World) run() *Stats {
+	if f := w.coordinate(); f != nil {
+		panic(fmt.Sprintf("mpsim: program %q rank %d panicked: %v", f.prog, f.rank, f.err))
 	}
-	if w.sh != nil {
-		w.sh.run()
-	} else {
-		w.schedule()
-	}
-	if w.failure != nil {
-		panic(fmt.Sprintf("mpsim: program %q rank %d panicked: %v",
-			w.failure.prog, w.failure.rank, w.failure.err))
-	}
+	w.mergeStats()
 	w.stats.Trace = w.trace
 	w.stats.Crashes = w.crashRecords()
 	w.stats.Joins = w.joinRecords()
@@ -208,7 +193,6 @@ func newWorld(cfg Config) (*World, error) {
 	}
 	w := &World{
 		machine:   cfg.Machine,
-		toSched:   make(chan schedEvent),
 		progRanks: make(map[string][]int),
 		pool:      bufpool.New(),
 	}
@@ -249,7 +233,6 @@ func newWorld(cfg Config) (*World, error) {
 				progName:  spec.Name,
 				node:      w.nodes[nid],
 				resume:    make(chan struct{}),
-				sched:     w.toSched,
 				state:     stateRunnable,
 				heapIdx:   -1,
 			}
@@ -281,6 +264,9 @@ func newWorld(cfg Config) (*World, error) {
 	}
 	w.stats.PerRank = make([]RankStats, len(w.procs))
 	w.tseq = make([]int, len(w.procs))
+	// The shards exist before anything arms a timer, so route places
+	// every event — crash and join plans included — by one rule.
+	w.partition(w.resolveShards(cfg))
 	if cfg.Crash != nil {
 		w.initCrash(cfg.Crash, cfg.Detect, cfg.Programs)
 	}
@@ -288,96 +274,54 @@ func newWorld(cfg Config) (*World, error) {
 		w.initJoin(cfg.Join, cfg.Programs)
 	}
 	// Launch every process goroutine; each immediately parks waiting for
-	// the scheduler to resume it.  Dormant ranks (pending joins) are
-	// launched by their join timers instead.
+	// its shard to resume it.  Dormant ranks (pending joins) are launched
+	// by their join timers instead.
 	for _, p := range w.procs {
 		if w.dormant(p.worldRank) {
 			continue
 		}
 		w.launchProc(p, cfg.Programs[p.progIndex].Body)
-	}
-	heap.Init(&w.runq)
-	for _, p := range w.procs {
-		if w.dormant(p.worldRank) {
-			continue
-		}
-		heap.Push(&w.runq, p)
+		heap.Push(&p.shard.runq, p)
 	}
 	return w, nil
 }
 
 // launchProc starts the goroutine executing body for p; it parks until
-// the scheduler first resumes it.  A crashPanic unwinding the body is a
-// clean fail-stop death, not a run failure.
+// its shard first resumes it.  A crashPanic unwinding the body is a
+// clean fail-stop death (or an abandoned run's poison), not a run
+// failure.
 func (w *World) launchProc(p *Proc, body func(p *Proc)) {
 	go func() {
 		<-p.resume
 		defer func() {
 			if r := recover(); r != nil {
-				if _, crashed := r.(crashPanic); !crashed {
-					f := &runFailure{rank: p.worldRank, prog: p.progName, err: r}
-					if s := p.shard; s != nil {
-						if s.failure == nil {
-							s.failure = f
-						}
-					} else if w.failure == nil {
-						w.failure = f
-					}
+				if _, crashed := r.(crashPanic); !crashed && p.shard.failure == nil {
+					p.shard.failure = &runFailure{rank: p.worldRank, prog: p.progName, err: r}
 				}
 			}
 			p.finalClock = p.clock
 			p.state = stateDone
-			p.sched <- schedEvent{p: p}
+			p.shard.sched <- p
 		}()
+		p.checkKilled() // claimed before its first instruction
 		body(p)
 	}()
 }
 
-// schedule is the cooperative scheduler loop.  It always resumes the
-// runnable process with the smallest virtual clock (ties broken by world
-// rank), which makes runs deterministic and keeps link reservations in
-// near-causal order.
-func (w *World) schedule() {
-	// Dormant (not-yet-joined) ranks count as live from t=0: their
-	// eventual completion is part of the run, and counting them keeps
-	// the loop alive until their join timers fire even if every launched
-	// process finishes first.
-	w.live = len(w.procs)
-	for w.live > 0 {
-		if w.failure != nil {
-			// Abandon the run: remaining processes are simply not
-			// resumed again.  Their goroutines leak for the lifetime of
-			// the test process, which is acceptable for a failed run
-			// that is about to panic anyway.
-			return
-		}
-		// Fire due virtual-time events first: every event at or before
-		// the next runnable process's clock, and all of them while no
-		// process is runnable (an event may wake one).
-		for len(w.timers) > 0 && (w.runq.Len() == 0 || w.timers[0].at <= w.runq[0].clock) {
-			w.fireTimer(heap.Pop(&w.timers).(*timer), &w.tc)
-		}
-		if w.runq.Len() == 0 {
-			w.panicDeadlock()
-		}
-		p := heap.Pop(&w.runq).(*Proc)
-		p.state = stateRunning
-		p.resume <- struct{}{}
-		ev := <-w.toSched
-		switch ev.p.state {
-		case stateDone:
-			w.noteDone(ev.p)
-		case stateRunnable:
-			heap.Push(&w.runq, ev.p)
-		case stateBlocked:
-			// Parked until a matching message arrives; a sender will
-			// move it back to the run queue.
-		default:
-			panic("mpsim: internal error: yielded process in unexpected state")
+// abandon unwinds every process that still holds a goroutine, so a run
+// that is about to panic leaves nothing parked behind it.  Only called
+// with every shard quiesced.
+func (w *World) abandon() {
+	for _, p := range w.procs {
+		if p.state != stateDone && !w.dormant(p.worldRank) {
+			p.killed = true
+			w.reap(p)
 		}
 	}
 }
 
+// panicDeadlock reports a run in which every live process is blocked
+// in Recv, after unwinding them.
 func (w *World) panicDeadlock() {
 	var desc []string
 	for _, p := range w.procs {
@@ -405,43 +349,14 @@ func (w *World) panicDeadlock() {
 			msg += fmt.Sprintf("  (%d messages were dropped by fault injection with no reliable transport; consider Config.Reliable)\n", dropped)
 		}
 	}
+	w.abandon()
 	panic(msg)
 }
 
-// wake moves a blocked process back to its run queue.
+// wake moves a blocked process back to its shard's run queue.
 func (w *World) wake(p *Proc) {
 	p.state = stateRunnable
-	if s := p.shard; s != nil {
-		heap.Push(&s.runq, p)
-		return
-	}
-	heap.Push(&w.runq, p)
-}
-
-// removeFromRunq pulls a queued process out of its run queue (crash
-// reaping).
-func (w *World) removeFromRunq(p *Proc) {
-	if s := p.shard; s != nil {
-		heap.Remove(&s.runq, p.heapIdx)
-		return
-	}
-	heap.Remove(&w.runq, p.heapIdx)
-}
-
-// noteDone settles a finished (or crash-unwound) process: live count
-// and makespan, in whichever scheduler owns it.
-func (w *World) noteDone(p *Proc) {
-	if s := p.shard; s != nil {
-		s.live--
-		if p.finalClock > s.makespan {
-			s.makespan = p.finalClock
-		}
-		return
-	}
-	w.live--
-	if p.finalClock > w.stats.MakespanSeconds {
-		w.stats.MakespanSeconds = p.finalClock
-	}
+	heap.Push(&p.shard.runq, p)
 }
 
 // procHeap orders runnable processes by (clock, worldRank).  It keeps

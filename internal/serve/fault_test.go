@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -60,6 +61,9 @@ func TestServeWorldRespawnReplays(t *testing.T) {
 	c := dialT(t, sock, "alice")
 	defer c.Close()
 	setupCoupling(t, c)
+	// One resident world is up.  Its replacement is the same shape, so
+	// once the dead one has let go of everything the count is back here.
+	goroutines := runtime.NumGoroutine()
 
 	kinds := []int{OpMove, OpMoveAdd, OpMoveAdd, OpMove, OpMoveReverse, OpMoveAdd, OpMove}
 	var script []ScriptOp
@@ -71,6 +75,13 @@ func TestServeWorldRespawnReplays(t *testing.T) {
 		}
 		got = append(got, st.Hash)
 		script = append(script, ScriptOp{Kind: k, Seed: int64(100 + i)})
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the respawn, %d before the world died: the dead world's ranks were not unwound",
+				runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	src, dst := testSpecs()

@@ -128,11 +128,12 @@ func newRunner(cfg runnerConfig) *runner {
 
 // run executes the world to completion, converting a simulation panic
 // into ErrWorldFailed for everyone waiting on this runner.  Shards is
-// left on automatic: small worlds run the serial scheduler, soak-scale
-// worlds (≥256 union ranks) shard — the leader blocking on the batch
+// left on automatic: small worlds get one scheduler shard, soak-scale
+// worlds (≥256 union ranks) several — the leader blocking on the batch
 // channel is safe either way, because a proc waiting on external input
-// is running (not Recv-blocked), so neither scheduler's deadlock
-// detector can trip on it.
+// is running (not Recv-blocked), so the deadlock detector cannot trip
+// on it.  mpsim unwinds every rank before it panics, so a dead world
+// leaves no goroutines behind for its replacement to pile onto.
 func (r *runner) run() {
 	defer close(r.done)
 	defer func() {
