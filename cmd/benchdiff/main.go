@@ -106,7 +106,7 @@ func main() {
 		fmt.Printf("WARNING: treat any ns/op delta below with suspicion and re-record the baseline\n")
 		fmt.Printf("WARNING: (scripts/bench.sh -f) before trusting this gate on the new host shape.\n")
 	}
-	fmt.Printf("baseline %s, gate: ns/op +%.0f%%, allocs/op +1ppm\n", *baseline, *maxRegress*100)
+	fmt.Printf("baseline %s, gate: ns/op +%.0f%%, allocs/op +runtime jitter (2e-4, at most 128)\n", *baseline, *maxRegress*100)
 	for _, c := range d.Compared {
 		fmt.Printf("  %-28s ns/op %12.0f -> %12.0f (%+6.1f%%)   allocs/op %8.0f -> %8.0f\n",
 			c.Name, c.BaseNs, c.NewNs, 100*(c.NewNs/c.BaseNs-1), c.BaseAllocs, c.NewAllocs)

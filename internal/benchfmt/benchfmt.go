@@ -273,22 +273,25 @@ type DiffResult struct {
 // OK reports whether the gate passes.
 func (d *DiffResult) OK() bool { return len(d.Regressions) == 0 && len(d.Missing) == 0 }
 
-// allocSlack is the allocs/op growth tolerated before the gate fires:
-// one allocation per million.  Workload allocations are deterministic,
-// but the runtime itself (GC bookkeeping, map growth timing) adds a
-// few tens of nondeterministic allocations to benchmarks that make
-// ~1e8 of them, so exact equality turns the gate flaky at that scale.
-// One-per-million rounds to zero for every small benchmark — there any
-// increase still fails — while a real leak on a big one adds at least
-// one alloc per op element, orders of magnitude above the slack.
-func allocSlack(base float64) float64 { return base * 1e-6 }
+// allocSlack is the allocs/op growth tolerated before the gate fires.
+// Workload allocations are deterministic, but a benchmark that spawns
+// simulated worlds sees a few tens of runtime-internal allocations
+// (goroutine stacks, sync.Pool refills, map growth timing) come and go
+// between identical runs — an additive jitter, whatever the workload's
+// own count.  Sized from 24 runs of the commit the baseline records:
+// ScheduleRepair/rebuild wandered 189254..189278 around its recorded
+// 189263 (spread 24, 1.3e-4) and Table5 91019528..91019605 (spread 77,
+// 8.5e-7).  The rate covers the first with margin and rounds to zero
+// below 5000 allocs/op — there any increase still fails — and the cap
+// keeps the big benchmarks' slack in the tens, orders of magnitude
+// below a real leak's one alloc per op element.
+func allocSlack(base float64) float64 { return min(base*2e-4, 128) }
 
 // Diff compares cur against base over the benchmarks whose name
 // matches match (nil matches all).  A benchmark regresses when its
 // ns/op exceeds the baseline by more than maxRatio (0.10 = +10%), or
 // when its allocs/op grows beyond the runtime-jitter slack (see
-// allocSlack) — for all but the very largest benchmarks that means
-// any increase at all.
+// allocSlack) — below 5000 allocs/op that means any increase at all.
 func Diff(base, cur *Report, match *regexp.Regexp, maxRatio float64) *DiffResult {
 	baseBest, curBest := base.Best(), cur.Best()
 	d := &DiffResult{}

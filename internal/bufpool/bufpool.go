@@ -10,7 +10,7 @@
 // Ownership rules (see DESIGN.md, "Zero-copy data plane"):
 //
 //   - A Segment or Payload starts with one reference, owned by the
-//     caller of GetSegment/GetPayload.  Retain adds a reference,
+//     caller of GetSegment/GetPayload/OwnPayload.  Retain adds a reference,
 //     Release drops one; the last Release returns the object to the
 //     pool for reuse.  Releasing below zero panics.
 //   - Bytes added with AddView are borrowed: whoever adds the view
@@ -20,6 +20,9 @@
 //     one pooled segment holding a copy of the bytes; callers use it
 //     before mutating borrowed storage, or before handing a payload to
 //     a reader on another scheduler shard.
+//   - Bytes wrapped with OwnPayload are given up to the payload, which
+//     is born materialized; Flatten hands them back uncopied only to
+//     the payload's last holder.
 //
 // A Pool is safe for concurrent use.  A Payload's reference count is
 // atomic, but its segment list must not be mutated (AddView,
@@ -41,9 +44,16 @@ const (
 	maxClassBits = 22
 	numClasses   = maxClassBits - minClassBits + 1
 
-	// Freelist caps keep an idle pool's footprint bounded.
+	// Freelist caps keep an idle pool's footprint bounded.  Every
+	// message is a payload, so the payload cap has to ride out a
+	// collective's burst — a 256-rank all-to-all has 65 280 messages in
+	// flight at once — or each phase would drop its payloads to the
+	// collector only for the next to allocate them again.
 	maxFreeSegsPerClass = 128
-	maxFreePayloads     = 1024
+	maxFreePayloads     = 1 << 16
+
+	// payloadSlab is how many payload structs one refill allocates.
+	payloadSlab = 64
 )
 
 // classFor maps a byte count to its size class, or -1 for oversize.
@@ -66,8 +76,8 @@ type Pool struct {
 	mu       sync.Mutex
 	segs     [numClasses][]*Segment
 	pays     []*Payload
+	livePays int64 // under mu, which every payload get and final release takes anyway
 	liveSegs atomic.Int64
-	livePays atomic.Int64
 }
 
 // New returns an empty pool.
@@ -79,7 +89,11 @@ func (p *Pool) LiveSegments() int64 { return p.liveSegs.Load() }
 
 // LivePayloads returns the number of payloads handed out and not yet
 // fully released.
-func (p *Pool) LivePayloads() int64 { return p.livePays.Load() }
+func (p *Pool) LivePayloads() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.livePays
+}
 
 // Segment is one refcounted pooled buffer.  Its backing array is fixed
 // at the size class's capacity; callers slice Bytes() as needed.
@@ -155,26 +169,48 @@ type Payload struct {
 	segs [][]byte
 	own  []*Segment
 	n    int
-	// materialized marks a payload whose bytes have been collapsed
-	// into pooled storage, so no borrowed views remain.
+	// seg0 is segs' first backing array: a one-segment payload (every
+	// flat message) never allocates a segment list.
+	seg0 [1][]byte
+	// materialized marks a payload with no borrowed views: collapsed
+	// into pooled storage by Materialize, or born owning its bytes
+	// (OwnPayload).
 	materialized bool
 }
 
 // GetPayload returns an empty payload with one reference owned by the
-// caller.
+// caller.  An empty freelist refills a slab at a time, the mempool
+// way, so a cold pool's first burst of messages costs one allocation
+// per payloadSlab payloads rather than one each.
 func (p *Pool) GetPayload() *Payload {
-	p.livePays.Add(1)
 	p.mu.Lock()
-	if l := p.pays; len(l) > 0 {
-		pl := l[len(l)-1]
-		p.pays = l[:len(l)-1]
-		p.mu.Unlock()
-		pl.refs.Store(1)
-		return pl
+	p.livePays++
+	if len(p.pays) == 0 {
+		slab := make([]Payload, payloadSlab)
+		for i := range slab {
+			pl := &slab[i]
+			pl.pool = p
+			pl.segs = pl.seg0[:0]
+			p.pays = append(p.pays, pl)
+		}
 	}
+	pl := p.pays[len(p.pays)-1]
+	p.pays = p.pays[:len(p.pays)-1]
 	p.mu.Unlock()
-	pl := &Payload{pool: p}
 	pl.refs.Store(1)
+	return pl
+}
+
+// OwnPayload returns a payload holding b as its only segment, with one
+// reference owned by the caller.  The caller gives b up: the payload
+// owns it outright (it is ordinary garbage-collected memory, not a
+// pooled segment), so the payload is born materialized — there is no
+// borrow to sever — and an unshared Flatten hands b back uncopied.
+// This is how a flat send's private copy enters the data plane.
+func (p *Pool) OwnPayload(b []byte) *Payload {
+	pl := p.GetPayload()
+	pl.AddView(b)
+	pl.materialized = true
 	return pl
 }
 
@@ -188,8 +224,8 @@ func (pl *Payload) Segments() [][]byte { return pl.segs }
 // Refs returns the current reference count.
 func (pl *Payload) Refs() int { return int(pl.refs.Load()) }
 
-// Materialized reports whether Materialize has run, i.e. no borrowed
-// views remain.
+// Materialized reports whether no borrowed views remain: Materialize
+// has run, or the payload was born owning its bytes.
 func (pl *Payload) Materialized() bool { return pl.materialized }
 
 // AddView appends borrowed bytes to the payload.  The caller
@@ -225,12 +261,13 @@ func (pl *Payload) Release() {
 		s.Release()
 	}
 	pl.own = pl.own[:0]
+	clear(pl.segs) // an idle payload must not keep a dead message's bytes alive
 	pl.segs = pl.segs[:0]
 	pl.n = 0
 	pl.materialized = false
 	p := pl.pool
-	p.livePays.Add(-1)
 	p.mu.Lock()
+	p.livePays--
 	if len(p.pays) < maxFreePayloads {
 		p.pays = append(p.pays, pl)
 	}
@@ -245,8 +282,17 @@ func (pl *Payload) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// Flatten returns a fresh flat copy of the payload's bytes.
+// Flatten returns the payload's bytes as one flat slice private to the
+// caller.  A payload that owns its bytes outright (OwnPayload) and has
+// no reference but the caller's gives them up without copying and is
+// left empty; anything shared, borrowed or pooled is copied.
 func (pl *Payload) Flatten() []byte {
+	if pl.materialized && len(pl.own) == 0 && len(pl.segs) == 1 && pl.refs.Load() == 1 {
+		b := pl.segs[0]
+		pl.segs[0] = nil
+		pl.segs, pl.n = pl.segs[:0], 0
+		return b
+	}
 	return pl.AppendTo(make([]byte, 0, pl.n))
 }
 

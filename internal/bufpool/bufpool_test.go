@@ -82,6 +82,45 @@ func TestPayloadViewsAndStaging(t *testing.T) {
 	checkNoLeaks(t, p)
 }
 
+// A payload that owns its bytes is born materialized, and gives those
+// bytes up uncopied only to its last holder; a pooled (Materialize'd)
+// segment is never handed out, because the pool will recycle it.
+func TestOwnPayloadFlatten(t *testing.T) {
+	p := New()
+	b := []byte("owned outright")
+	pl := p.OwnPayload(b)
+	if !pl.Materialized() || pl.Len() != len(b) || pl.Materialize() != 0 {
+		t.Fatalf("owned payload: materialized %v, len %d", pl.Materialized(), pl.Len())
+	}
+	pl.Retain() // a queued message still references it
+	shared := pl.Flatten()
+	if !bytes.Equal(shared, b) || &shared[0] == &b[0] {
+		t.Fatal("shared owned payload must flatten to a private copy")
+	}
+	pl.Release()
+	last := pl.Flatten()
+	if &last[0] != &b[0] || pl.Len() != 0 {
+		t.Fatalf("last holder did not get the owned bytes back uncopied (payload keeps %d bytes)", pl.Len())
+	}
+	pl.Release()
+
+	pooled := p.GetPayload()
+	pooled.AddView(b)
+	pooled.Materialize()
+	seg := pooled.Segments()[0]
+	if got := pooled.Flatten(); &got[0] == &seg[0] {
+		t.Fatal("flatten handed out a pooled segment")
+	}
+	pooled.Release()
+
+	empty := p.OwnPayload(nil)
+	if got := empty.Flatten(); len(got) != 0 {
+		t.Fatalf("empty owned payload flattened to %d bytes", len(got))
+	}
+	empty.Release()
+	checkNoLeaks(t, p)
+}
+
 func TestMaterializeSeversViews(t *testing.T) {
 	p := New()
 	src := []byte("0123456789")

@@ -1,8 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"strings"
 	"testing"
 
+	"metachaos/internal/bufpool"
+	"metachaos/internal/codec"
 	"metachaos/internal/mpsim"
 )
 
@@ -288,24 +295,132 @@ func TestComputeScheduleReliable(t *testing.T) {
 	}
 }
 
-// The checksum helpers must round-trip and reject corruption.
+// The segment-list checksum helpers must agree with FNV-1a over the
+// concatenated bytes however those bytes are split — a trailer
+// straddling two segments included — and must tell a flipped bit.
 func TestChecksumTrailer(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	framed := appendChecksum(append([]byte(nil), payload...))
+	h := fnv.New64a()
+	h.Write(payload)
+	want := h.Sum64()
+	framed := binary.LittleEndian.AppendUint64(append([]byte(nil), payload...), want)
 	if len(framed) != len(payload)+8 {
 		t.Fatalf("trailer size: %d", len(framed)-len(payload))
 	}
-	body := verifyChecksum(framed, 0)
-	for i := range payload {
-		if body[i] != payload[i] {
-			t.Fatal("verifyChecksum mangled the payload")
+	for i := 0; i <= len(framed); i++ {
+		for j := i; j <= len(framed); j++ {
+			segs := [][]byte{framed[:i], framed[i:j], framed[j:]}
+			if got := fnvOver(segs, len(payload)); got != want {
+				t.Fatalf("fnvOver split at %d,%d = %x, want %x", i, j, got, want)
+			}
+			if got := trailerOf(segs); got != want {
+				t.Fatalf("trailerOf split at %d,%d = %x, want %x", i, j, got, want)
+			}
 		}
 	}
 	framed[3] ^= 0x10
+	for i := 0; i <= len(framed); i++ {
+		segs := [][]byte{framed[:i], framed[i:]}
+		if fnvOver(segs, len(payload)) == trailerOf(segs) {
+			t.Fatalf("corrupted payload split at %d passed verification", i)
+		}
+	}
+}
+
+// laneWorld runs a two-rank world whose schedule is one lane, rank 0's
+// block to rank 1's.  Instead of executing its half of the move, rank 0
+// hands the lane's wire bytes (with the checksum trailer when framed)
+// to forge, which ships them by hand on the move's tag; rank 1 runs the
+// real Move and, if that returns, reports what landed in its block.
+func laneWorld(t *testing.T, cfg mpsim.Config, framed bool, forge func(p *mpsim.Proc, wire []byte) *bufpool.Payload) (sent, got []float64) {
+	t.Helper()
+	const global, nprocs = 16, 2
+	idx := seqIdx(0, global/nprocs, 1)
+	cfg.Machine = mpsim.SP2()
+	cfg.Programs = []mpsim.ProgramSpec{{Name: "spmd", Procs: nprocs, Body: func(p *mpsim.Proc) {
+		ctx := NewCtx(p, p.Comm())
+		src := newTestObj(global, nprocs, 1, p.Rank())
+		dst := newTestObj(global, nprocs, 1, p.Rank())
+		src.fillDistinct(1000)
+		dstIdx := seqIdx(global/nprocs, global/nprocs, 1)
+		sched, err := ComputeSchedule(SingleProgram(p.Comm()),
+			&Spec{Lib: testLib{}, Obj: src, Set: NewSetOfRegions(testRegion(idx)), Ctx: ctx},
+			&Spec{Lib: testLib{}, Obj: dst, Set: NewSetOfRegions(testRegion(dstIdx)), Ctx: ctx},
+			Cooperation)
+		if err != nil {
+			t.Errorf("ComputeSchedule: %v", err)
+			return
+		}
+		p.SleepUntil(1) // forgeries and injected faults start here, past the schedule exchange
+		if p.Rank() == 1 {
+			sched.Move(src, dst)
+			got = dst.data
+			return
+		}
+		sent = src.data
+		wire := codec.Float64sToBytes(src.data)
+		if framed {
+			wire = binary.LittleEndian.AppendUint64(wire, fnvOver([][]byte{wire}, len(wire)))
+		}
+		pay := forge(p, wire)
+		sched.union.SendPayload(sched.Sends[0].Peer, moveTag(sched.moveSeq), pay)
+		pay.Release()
+	}}}
+	mpsim.Run(cfg)
+	return sent, got
+}
+
+// A lane whose bytes do not match their trailer got past the transport
+// (whose own checksum was taken over the already-bad bytes): the
+// executor must halt the run rather than unpack it.
+func TestMoveChecksumMismatchPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("corrupted payload passed verification")
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "end-to-end checksum mismatch") {
+			t.Errorf("move of a lane with a flipped bit: recovered %v, want an end-to-end checksum panic", r)
 		}
 	}()
-	verifyChecksum(framed, 0)
+	laneWorld(t, mpsim.Config{Reliable: &mpsim.Reliability{}}, true, func(p *mpsim.Proc, wire []byte) *bufpool.Payload {
+		wire[3] ^= 0x10
+		return p.BufPool().OwnPayload(wire)
+	})
+}
+
+// flipBit corrupts one bit of every data transmission from virtual
+// second 1 on; stateless, so shards may consult it concurrently.
+type flipBit struct{ bit int }
+
+func (f flipBit) Decide(from, to, attempt, bytes int, now float64) mpsim.FaultDecision {
+	d := mpsim.FaultDecision{CorruptBit: -1}
+	if now >= 1 && attempt >= 0 && bytes > 0 {
+		d.CorruptBit = f.bit
+	}
+	return d
+}
+
+// On a raw (unreliable) faulted network nothing checks the bytes: a
+// corrupted delivery reaches the executor as a payload like any other
+// — the network's private copy with its bit flipped — and unpacks
+// through unpackSegs, landing exactly that one bit wrong.
+func TestMoveRawCorruptedDelivery(t *testing.T) {
+	const bit = 8*8*3 + 5 // element 3, bit 5
+	sent, got := laneWorld(t, mpsim.Config{Fault: flipBit{bit}}, false, func(p *mpsim.Proc, wire []byte) *bufpool.Payload {
+		// Two segments, so the delivered copy is seen to be re-segmented.
+		pay := p.BufPool().GetPayload()
+		pay.AddView(wire[:24])
+		pay.AddView(wire[24:])
+		return pay
+	})
+	if len(got) != len(sent) || len(got) == 0 {
+		t.Fatalf("moved %d elements, sent %d", len(got), len(sent))
+	}
+	for i := range got {
+		diff := math.Float64bits(got[i]) ^ math.Float64bits(sent[i])
+		want := uint64(0)
+		if i == bit/64 {
+			want = 1 << (bit % 64)
+		}
+		if diff != want {
+			t.Errorf("element %d: bits differ by %#x, want %#x", i, diff, want)
+		}
+	}
 }

@@ -388,41 +388,31 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			if i < 0 {
 				break
 			}
-			data, pay, _ := reqs[i].TakePayload()
+			pay, _ := reqs[i].TakePayload()
 			pl := &recvs[i]
 			spu := p.Span("move.unpack")
 			n := pl.Len()
 			want := s.elem.Bytes() * n
-			if pay != nil {
-				// Scatter-gather arrival: verify the trailer and decode
-				// straight from the segments into destination storage —
-				// the payload is never flattened.
-				body := pay.Len()
-				if rel {
-					p.ChargeCopy(body)
-					if body < 8 {
-						panic(fmt.Sprintf("core: move message from peer %d too short for checksum trailer", pl.Peer))
-					}
-					body -= 8
-					if fnvOver(pay.Segments(), body) != trailerOf(pay.Segments()) {
-						panic(fmt.Sprintf("core: end-to-end checksum mismatch on move payload from peer %d (corruption not caught by transport)", pl.Peer))
-					}
+			// Verify the trailer and decode straight from the segments
+			// into destination storage — the payload is never flattened.
+			body := pay.Len()
+			if rel {
+				p.ChargeCopy(body)
+				if body < 8 {
+					panic(fmt.Sprintf("core: move message from peer %d too short for checksum trailer", pl.Peer))
 				}
-				if body != want {
-					panic(fmt.Sprintf("core: move message carries %d bytes, schedule expects %d", body, want))
+				body -= 8
+				// A mismatch means corruption slipped past the transport: a
+				// protocol failure worth halting on, not degrading silently.
+				if fnvOver(pay.Segments(), body) != trailerOf(pay.Segments()) {
+					panic(fmt.Sprintf("core: end-to-end checksum mismatch on move payload from peer %d (corruption not caught by transport)", pl.Peer))
 				}
-				unpackSegs(local, pay.Segments(), pl.Runs, w, op)
-				pay.Release()
-			} else {
-				if rel {
-					p.ChargeCopy(len(data))
-					data = verifyChecksum(data, pl.Peer)
-				}
-				if len(data) != want {
-					panic(fmt.Sprintf("core: move message carries %d bytes, schedule expects %d", len(data), want))
-				}
-				unpackLanes(local, data, pl.Runs, w, op)
 			}
+			if body != want {
+				panic(fmt.Sprintf("core: move message carries %d bytes, schedule expects %d", body, want))
+			}
+			unpackSegs(local, pay.Segments(), pl.Runs, w, op)
+			pay.Release()
 			res.Elems += n
 			p.ChargeMemOps(n)
 			if op == opAdd {
@@ -564,9 +554,9 @@ func (s *Schedule) collectNet(res *MoveResult, sends, recvs []PeerList, packing,
 	}
 }
 
-// fnvOver is FNV-1a over the first n bytes of a segment list, equal to
-// fnv64 over the concatenated bytes — how a lane's end-to-end checksum
-// is computed without flattening the payload.
+// fnvOver is FNV-1a over the first n bytes of a segment list — how a
+// lane's end-to-end checksum is computed without flattening the
+// payload.
 func fnvOver(segs [][]byte, n int) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -607,46 +597,6 @@ func trailerOf(segs [][]byte) uint64 {
 		uint64(tr[4])<<32 | uint64(tr[5])<<40 | uint64(tr[6])<<48 | uint64(tr[7])<<56
 }
 
-// appendChecksum appends a flat payload's 8-byte FNV-1a trailer, the
-// same framing the segment path builds with fnvOver.
-func appendChecksum(buf []byte) []byte {
-	h := fnv64(buf)
-	return append(buf,
-		byte(h), byte(h>>8), byte(h>>16), byte(h>>24),
-		byte(h>>32), byte(h>>40), byte(h>>48), byte(h>>56))
-}
-
-// verifyChecksum strips and checks the trailer; a mismatch means
-// corruption slipped past the transport, which is a protocol failure
-// worth halting on rather than degrading silently.
-func verifyChecksum(data []byte, peer int) []byte {
-	if len(data) < 8 {
-		panic(fmt.Sprintf("core: move message from peer %d too short for checksum trailer", peer))
-	}
-	body, tr := data[:len(data)-8], data[len(data)-8:]
-	h := uint64(tr[0]) | uint64(tr[1])<<8 | uint64(tr[2])<<16 | uint64(tr[3])<<24 |
-		uint64(tr[4])<<32 | uint64(tr[5])<<40 | uint64(tr[6])<<48 | uint64(tr[7])<<56
-	if fnv64(body) != h {
-		panic(fmt.Sprintf("core: end-to-end checksum mismatch on move payload from peer %d (corruption not caught by transport)", peer))
-	}
-	return body
-}
-
-// fnv64 is FNV-1a, shared with nothing so the hot path stays inlined
-// and allocation-free.
-func fnv64(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
 // packRun appends the run's elements to buf in wire encoding; a
 // stride-1 run of k w-scalar elements is one bulk append instead of k
 // scalar copies.  The scalar kind is dispatched once per append, so
@@ -681,37 +631,14 @@ func appendUnits(buf []byte, m Mem, o, n int) []byte {
 	panic(fmt.Sprintf("core: packing unknown element kind %d", m.et.Kind))
 }
 
-// unpackLanes scatters a raw payload into local storage run by run,
-// decoding each run's bytes straight into the typed storage (no
-// staging buffer) with bulk decodes — or fused decode-and-add kernels
-// for accumulating moves — on stride-1 runs.
-func unpackLanes(m Mem, data []byte, runs []Run, w, op int) {
-	es := m.et.Kind.Size()
-	t := 0
-	for _, run := range runs {
-		checkRunBounds(run, m.Units(), w)
-		if run.Stride == 1 {
-			o := int(run.Start) * w
-			n := int(run.Count) * w
-			readUnits(m, o, data[t:t+n*es], op)
-			t += n * es
-			continue
-		}
-		for k := int32(0); k < run.Count; k++ {
-			o := int(run.At(k)) * w
-			readUnits(m, o, data[t:t+w*es], op)
-			t += w * es
-		}
-	}
-}
-
-// unpackSegs scatters a scatter-gather payload into local storage run
-// by run, decoding each piece straight from its segment with the same
-// typed kernels the flat path uses — the payload is never flattened.
-// Segment boundaries always fall on scalar-unit boundaries (views are
-// whole runs of units, staged bytes are whole units), so every piece
-// decodes cleanly; a checksum trailer beyond the runs' bytes is simply
-// never consumed.
+// unpackSegs scatters a payload into local storage run by run,
+// decoding each piece straight from its segment into the typed storage
+// (no staging buffer) with bulk decodes — or fused decode-and-add
+// kernels for accumulating moves — on stride-1 runs; the payload is
+// never flattened.  Segment boundaries always fall on scalar-unit
+// boundaries (views are whole runs of units, staged bytes are whole
+// units), so every piece decodes cleanly; a checksum trailer beyond the
+// runs' bytes is simply never consumed.
 func unpackSegs(m Mem, segs [][]byte, runs []Run, w, op int) {
 	es := m.et.Kind.Size()
 	si, so := 0, 0

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"metachaos/internal/bufpool"
 	"metachaos/internal/mpsim"
 	"metachaos/internal/obs"
 )
@@ -70,5 +71,81 @@ func TestMoveBytesCopiedCounter(t *testing.T) {
 	}
 	if got := tr.MetricsRegistry().Counter("move.bytes_copied").Value(); got != copied {
 		t.Errorf("move.bytes_copied counter = %d, summed MoveResult.BytesCopied = %d", got, copied)
+	}
+}
+
+// lateFaults leaves the schedule exchange alone and, from virtual
+// second 1 on, duplicates every data transmission (dup) or cuts the
+// link between ranks 0 and 1 (cut).  Stateless, so shards may consult
+// it concurrently.
+type lateFaults struct{ dup, cut bool }
+
+func (f lateFaults) Decide(from, to, attempt, bytes int, now float64) mpsim.FaultDecision {
+	d := mpsim.FaultDecision{CorruptBit: -1}
+	if now >= 1 {
+		d.Drop = f.cut && from+to == 1
+		d.Duplicate = f.dup && attempt >= 0
+	}
+	return d
+}
+
+// TestMovePlaneDrains holds the executor to the data plane's reference
+// discipline: after a Move / MoveAdd / MoveReverse round and
+// releaseScratch, every payload and pooled segment the round took is
+// back in the pool — on a perfect network, when the transport discards
+// duplicate deliveries, and when a lane's receive is cancelled because
+// its peer became unreachable.
+func TestMovePlaneDrains(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  mpsim.Config
+	}{
+		{"perfect", mpsim.Config{}},
+		{"duplicates", mpsim.Config{Fault: lateFaults{dup: true}, Reliable: &mpsim.Reliability{}}},
+		{"cancelled", mpsim.Config{Fault: lateFaults{cut: true}, Reliable: &mpsim.Reliability{MaxRetries: 2}}},
+	} {
+		const nprocs, global = 4, 256
+		var pool *bufpool.Pool
+		var failed atomic.Int64
+		cfg := tc.cfg
+		cfg.Machine = mpsim.SP2()
+		cfg.Programs = []mpsim.ProgramSpec{{Name: "spmd", Procs: nprocs, Body: func(p *mpsim.Proc) {
+			ctx := NewCtx(p, p.Comm())
+			src := newTestObj(global, nprocs, 1, p.Rank())
+			dst := newTestObj(global, nprocs, 1, p.Rank())
+			src.fillDistinct(1000)
+			// A strided source stages its runs in leased pool segments.
+			sched, err := ComputeSchedule(SingleProgram(p.Comm()),
+				&Spec{Lib: testLib{}, Obj: src, Set: NewSetOfRegions(testRegion(seqIdx(5, 120, 2))), Ctx: ctx},
+				&Spec{Lib: testLib{}, Obj: dst, Set: NewSetOfRegions(testRegion(seqIdx(40, 120, 1))), Ctx: ctx},
+				Cooperation)
+			if err != nil {
+				t.Errorf("%s: ComputeSchedule: %v", tc.name, err)
+				return
+			}
+			p.SleepUntil(1)
+			for _, move := range []func(src, dst DistObject) MoveResult{sched.Move, sched.MoveAdd, sched.MoveReverse} {
+				r := move(src, dst)
+				failed.Add(int64(len(r.FailedPeers)))
+			}
+			sched.releaseScratch()
+			if p.Rank() == 0 {
+				pool = p.BufPool()
+			}
+		}}}
+		st := mpsim.Run(cfg)
+		if lp, ls := pool.LivePayloads(), pool.LiveSegments(); lp != 0 || ls != 0 {
+			t.Errorf("%s: data plane did not drain: %d payloads, %d segments live", tc.name, lp, ls)
+		}
+		var dups int64
+		for _, rs := range st.PerRank {
+			dups += rs.DupsDiscarded
+		}
+		if (tc.name == "duplicates") != (dups > 0) {
+			t.Errorf("%s: transport discarded %d duplicates", tc.name, dups)
+		}
+		if (tc.name == "cancelled") != (failed.Load() > 0) {
+			t.Errorf("%s: moves reported %d failed lanes", tc.name, failed.Load())
+		}
 	}
 }

@@ -38,7 +38,7 @@ func (c *Comm) Barrier() {
 	sp := c.p.beginSpan("coll.barrier")
 	seq := c.nextSeq()
 	c.reduceBytes(0, seq, nil, nil)
-	c.bcastTree(0, seq, nil)
+	c.bcastBytes(0, seq, nil)
 	sp.End(c.p.clock)
 }
 
@@ -47,15 +47,12 @@ func (c *Comm) Barrier() {
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	c.require()
 	sp := c.p.beginSpan("coll.bcast")
-	seq := c.nextSeq()
-	var out []byte
+	var wire []byte
 	if c.myRank == root {
-		out = make([]byte, len(data))
-		copy(out, data)
-		c.bcastTree(root, seq, data)
-	} else {
-		out = c.bcastTree(root, seq, nil)
+		wire = make([]byte, len(data))
+		copy(wire, data)
 	}
+	out := c.bcastBytes(root, c.nextSeq(), wire)
 	sp.End(c.p.clock)
 	return out
 }
@@ -73,27 +70,32 @@ func (c *Comm) BcastPayload(root int, pay *bufpool.Payload) {
 		panic("mpsim: BcastPayload called by a non-root member; non-roots use Bcast(root, nil)")
 	}
 	sp := c.p.beginSpan("coll.bcast")
-	seq := c.nextSeq()
-	n := c.Size()
-	wire := c.collWire(seq, phBcast)
-	mask := 1
-	for mask < n {
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if mask < n {
-			dst := (mask + root) % n
-			c.p.sendPayload(c.ranks[dst], wire, pay)
-		}
-		mask >>= 1
-	}
+	c.bcastTree(root, c.nextSeq(), pay)
 	sp.End(c.p.clock)
 }
 
-// bcastTree runs a binomial-tree broadcast rooted at root and returns
-// the payload on every member.
-func (c *Comm) bcastTree(root, seq int, data []byte) []byte {
+// bcastBytes is bcastTree over flat bytes.  The root gives up own,
+// which goes down the tree as a payload owning it; every member gets
+// back bytes private to it — copied if a queued child message (or the
+// parent's other children) still references the payload, the payload's
+// own bytes if this member holds the last reference.
+func (c *Comm) bcastBytes(root, seq int, own []byte) []byte {
+	var pay *bufpool.Payload
+	if c.myRank == root {
+		pay = c.p.world.pool.OwnPayload(own)
+	}
+	pay = c.bcastTree(root, seq, pay)
+	out := pay.Flatten()
+	pay.Release()
+	return out
+}
+
+// bcastTree runs a binomial-tree broadcast rooted at root.  The root
+// passes the payload to distribute; every other member passes nil,
+// receives it from its parent and forwards that same payload to its
+// children by reference.  Each member ends up holding one reference on
+// the returned payload (the root's is the one it came in with).
+func (c *Comm) bcastTree(root, seq int, pay *bufpool.Payload) *bufpool.Payload {
 	n := c.Size()
 	rel := (c.myRank - root + n) % n
 	wire := c.collWire(seq, phBcast)
@@ -101,7 +103,7 @@ func (c *Comm) bcastTree(root, seq int, data []byte) []byte {
 	for mask < n {
 		if rel&mask != 0 {
 			src := ((rel &^ mask) + root) % n
-			data, _ = c.p.recv(c.ranks[src], wire)
+			pay, _ = c.p.recvMsg(c.ranks[src], wire)
 			break
 		}
 		mask <<= 1
@@ -110,11 +112,11 @@ func (c *Comm) bcastTree(root, seq int, data []byte) []byte {
 	for mask > 0 {
 		if rel+mask < n {
 			dst := ((rel + mask) + root) % n
-			c.p.send(c.ranks[dst], wire, data)
+			c.p.sendPayload(c.ranks[dst], wire, pay)
 		}
 		mask >>= 1
 	}
-	return data
+	return pay
 }
 
 // reduceBytes runs a binomial-tree reduction to root.  combine folds a
@@ -265,7 +267,7 @@ func (c *Comm) AllreduceFloat64(op ReduceOp, x float64) float64 {
 		binary.LittleEndian.PutUint64(acc, math.Float64bits(combineFloat64(op, a, b)))
 		return acc
 	})
-	acc = c.bcastTree(0, seq, acc)
+	acc = c.bcastBytes(0, seq, acc)
 	sp.End(c.p.clock)
 	return math.Float64frombits(binary.LittleEndian.Uint64(acc))
 }
@@ -284,7 +286,7 @@ func (c *Comm) AllreduceInt64(op ReduceOp, x int64) int64 {
 		binary.LittleEndian.PutUint64(acc, uint64(combineInt64(op, a, b)))
 		return acc
 	})
-	acc = c.bcastTree(0, seq, acc)
+	acc = c.bcastBytes(0, seq, acc)
 	sp.End(c.p.clock)
 	return int64(binary.LittleEndian.Uint64(acc))
 }

@@ -180,7 +180,7 @@ func (w *World) fireCrash(tm *timer) {
 	cs.recIdx[r] = len(cs.records)
 	cs.records = append(cs.records, CrashRecord{Rank: r, At: tm.at})
 	p.killed = true
-	w.record(Event{Time: tm.at, Rank: r, Kind: EvCrash, Peer: -1})
+	w.emit(Event{Time: tm.at, Rank: r, Kind: EvCrash, Peer: -1})
 	// Heartbeat model: the rank misses the first heartbeat after the
 	// crash; survivors suspect it SuspectAfter later.
 	beat := (float64(int(tm.at/cs.detect.Period)) + 1) * cs.detect.Period
@@ -224,7 +224,7 @@ func (w *World) fireDetect(tm *timer) {
 		cs.records[i].DetectedAt = tm.at
 	}
 	cs.incTimes = append(cs.incTimes, tm.at)
-	w.record(Event{Time: tm.at, Rank: r, Kind: EvCrashDetect, Peer: r})
+	w.emit(Event{Time: tm.at, Rank: r, Kind: EvCrashDetect, Peer: r})
 	for _, q := range w.procs {
 		if q.state != stateBlocked || q.worldRank == r {
 			continue
@@ -298,9 +298,7 @@ func (w *World) restartProc(p *Proc, at float64) {
 		for k, ls := range w.net.links {
 			if k.from == r || k.to == r {
 				for _, h := range ls.held {
-					if h.pay != nil {
-						h.pay.Release()
-					}
+					h.pay.Release()
 				}
 				delete(w.net.links, k)
 				delete(w.net.dead, k)
@@ -311,7 +309,7 @@ func (w *World) restartProc(p *Proc, at float64) {
 	// Wiping the dead incarnation's queue releases each undelivered
 	// message's payload reference.
 	for _, m := range p.queue {
-		m.releasePay()
+		m.pay.Release()
 	}
 	p.queue = nil
 	p.wantsAny = nil
@@ -326,7 +324,7 @@ func (w *World) restartProc(p *Proc, at float64) {
 	// application-level epoch resync (SetCollectiveEpoch).
 	p.worldComm.seq = 0
 	p.progComm.seq = 0
-	w.record(Event{Time: at, Rank: r, Kind: EvRestart, Peer: -1})
+	w.emit(Event{Time: at, Rank: r, Kind: EvRestart, Peer: -1})
 	w.launchProc(p, cs.bodies[r])
 	p.shard.live++
 	w.wake(p)

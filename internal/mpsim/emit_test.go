@@ -1,0 +1,219 @@
+package mpsim
+
+import (
+	"errors"
+	"testing"
+
+	"metachaos/internal/obs"
+)
+
+// ackDropCounter wraps a fault injector and counts the acknowledgements
+// it loses, per directed (acker -> sender) link.  The simulator judges
+// acks with attempt -1, which is the only thing that tells a lost ack
+// from a lost zero-byte message.
+type ackDropCounter struct {
+	inner FaultInjector
+	lost  map[PairKey]int64
+}
+
+func (a *ackDropCounter) Decide(from, to, attempt, bytes int, now float64) FaultDecision {
+	d := a.inner.Decide(from, to, attempt, bytes, now)
+	if attempt < 0 && d.Drop {
+		a.lost[PairKey{From: from, To: to}]++
+	}
+	return d
+}
+
+// emitSinks is what one emit adds to each of its sinks, per kind: the
+// acting rank's counter, the directed link's counter (and which way the
+// link runs relative to the event), and the obs counter.
+var emitSinks = []struct {
+	kind    EventKind
+	rank    func(*RankStats) int64 // nil: the kind has no per-rank counter
+	pair    func(*PairStats) int64 // nil: the kind has no per-link counter
+	reverse bool                   // the link runs Peer -> Rank (receiver-side events)
+	counter string
+}{
+	{kind: EvSend, counter: "mpsim.sends",
+		rank: func(r *RankStats) int64 { return r.MsgsSent },
+		pair: func(p *PairStats) int64 { return p.Msgs }},
+	{kind: EvRecv, counter: "mpsim.recvs",
+		rank: func(r *RankStats) int64 { return r.MsgsRecv }},
+	// The one asymmetry: a lost *ack* is an EvDrop charged to the acking
+	// rank's Drops and to no link.  The link column below is therefore
+	// checked net of the acks the injector was seen to lose.
+	{kind: EvDrop, counter: "mpsim.drops",
+		rank: func(r *RankStats) int64 { return r.Drops },
+		pair: func(p *PairStats) int64 { return p.Drops }},
+	{kind: EvRetransmit, counter: "mpsim.retransmits",
+		rank: func(r *RankStats) int64 { return r.Retransmits },
+		pair: func(p *PairStats) int64 { return p.Retransmits }},
+	{kind: EvDupDiscard, counter: "mpsim.dup_discards", reverse: true,
+		rank: func(r *RankStats) int64 { return r.DupsDiscarded },
+		pair: func(p *PairStats) int64 { return p.DupsDiscarded }},
+	{kind: EvCorruptDiscard, counter: "mpsim.corrupt_discards",
+		rank: func(r *RankStats) int64 { return r.CorruptDiscarded }},
+	{kind: EvAck, counter: "mpsim.acks"},
+	{kind: EvTimeout, counter: "mpsim.timeouts",
+		rank: func(r *RankStats) int64 { return r.Timeouts }},
+	{kind: EvPeerFail, counter: "mpsim.peer_fails",
+		rank: func(r *RankStats) int64 { return r.FailedSends }},
+	{kind: EvCrash, counter: "mpsim.crashes"},
+	{kind: EvCrashDetect, counter: "mpsim.crash_detects"},
+	{kind: EvRestart, counter: "mpsim.restarts"},
+	{kind: EvJoin, counter: "mpsim.joins"},
+}
+
+// recoveryConfig reaches the occurrences no golden workload does: both
+// ways a deadline expires (while parked, and already past when about to
+// park) and all three ways a send fails (link abandoned after its
+// retransmissions, link already abandoned, peer detected dead).
+func recoveryConfig(t *testing.T) func(shards int) Config {
+	want := func(err, target error) {
+		if !errors.Is(err, target) {
+			t.Errorf("recovery workload: got %v, want %v", err, target)
+		}
+	}
+	body := func(p *Proc) {
+		w := p.World()
+		switch p.Rank() {
+		case 0:
+			w.Send(1, 1, []byte("into the void"))
+			p.Sleep(1) // the link to rank 1 is abandoned, rank 3's crash detected
+			w.Send(1, 1, []byte("dropped at the source"))
+			want(p.WithTimeout(0, func() { w.Send(3, 1, nil) }), ErrPeerDead)
+		case 1:
+			_, _, err := w.RecvTimeout(0, 1, 1e-4)
+			want(err, ErrTimeout)
+			want(p.WithTimeout(1e-4, func() { p.Charge(1e-3); w.Recv(0, 1) }), ErrTimeout)
+			want(p.WithTimeout(0, func() { w.Recv(0, 1) }), ErrPeerUnreachable)
+		case 3:
+			idleUntilKilled(p)
+		}
+	}
+	return func(shards int) Config {
+		return Config{
+			Machine:  SP2(),
+			Fault:    &seeded{deadFrom: 0, deadTo: 1, deadEnd: 1e18},
+			Reliable: &Reliability{MaxRetries: 2},
+			Crash:    testPlan{{Rank: 3, At: 1e-3}},
+			Programs: []ProgramSpec{{Name: "spmd", Procs: 4, ProcsPerNode: 1, Body: body}},
+			Trace:    true,
+			Shards:   shards,
+		}
+	}
+}
+
+// TestEmitSinksAgree is the differential oracle for the one-emission
+// rule: Stats, the trace and the obs counters are three sinks of the
+// same emit calls, so over the golden workloads (and one that fails in
+// the ways they do not) each must be derivable from the others — per
+// rank, per link and in total.
+func TestEmitSinksAgree(t *testing.T) {
+	if len(emitSinks) != len(kinds) {
+		t.Fatalf("sink table has %d kinds, the simulator %d", len(emitSinks), len(kinds))
+	}
+	seen := make(map[EventKind]int64)
+	var acksLost int64
+	workloads := map[string]func(shards int) Config{"recovery": recoveryConfig(t)}
+	for name, mk := range goldenConfigs {
+		workloads[name] = mk
+	}
+	for name, mk := range workloads {
+		// A tracer pins the run to one shard, so the four-shard run
+		// checks Stats against the trace alone.
+		for _, shards := range []int{1, 4} {
+			cfg := mk(shards)
+			acks := &ackDropCounter{inner: cfg.Fault, lost: make(map[PairKey]int64)}
+			if cfg.Fault != nil {
+				cfg.Fault = acks
+			}
+			var reg *obs.Metrics
+			if shards == 1 {
+				cfg.Obs = obs.NewTracer()
+				reg = cfg.Obs.MetricsRegistry()
+			}
+			st := Run(cfg)
+			for _, n := range acks.lost {
+				acksLost += n
+			}
+			for _, row := range emitSinks {
+				perRank := make([]int64, len(st.PerRank))
+				perLink := make(map[PairKey]int64)
+				var total, bytes int64
+				for _, e := range st.Trace.Events {
+					if e.Kind != row.kind {
+						continue
+					}
+					total++
+					bytes += int64(e.Bytes)
+					perRank[e.Rank]++
+					link := PairKey{From: e.Rank, To: e.Peer}
+					if row.reverse {
+						link = PairKey{From: e.Peer, To: e.Rank}
+					}
+					perLink[link]++
+				}
+				seen[row.kind] += total
+				where := func() string { return name + "/" + row.kind.String() }
+				if row.rank != nil {
+					for r := range st.PerRank {
+						if got := row.rank(&st.PerRank[r]); got != perRank[r] {
+							t.Errorf("%s shards=%d rank %d: RankStats says %d, trace has %d", where(), shards, r, got, perRank[r])
+						}
+					}
+				}
+				if row.pair != nil {
+					if row.kind == EvDrop {
+						for k, n := range acks.lost {
+							perLink[k] -= n
+						}
+					}
+					for k, ps := range st.Pairs {
+						if got := row.pair(ps); got != perLink[k] {
+							t.Errorf("%s shards=%d link %v: PairStats says %d, trace has %d", where(), shards, k, got, perLink[k])
+						}
+						delete(perLink, k)
+					}
+					for k, n := range perLink {
+						if n != 0 {
+							t.Errorf("%s shards=%d link %v: trace has %d, Stats.Pairs has no entry", where(), shards, k, n)
+						}
+					}
+				}
+				if reg == nil {
+					continue
+				}
+				if got := reg.Counter(row.counter).Value(); got != total {
+					t.Errorf("%s: obs counter %s = %d, trace has %d", where(), row.counter, got, total)
+				}
+				switch row.kind {
+				case EvSend:
+					if got := reg.Counter("mpsim.bytes_sent").Value(); got != bytes || bytes != st.TotalBytes() {
+						t.Errorf("%s: bytes_sent counter %d, trace %d, Stats %d", where(), got, bytes, st.TotalBytes())
+					}
+					if got := reg.Histogram("mpsim.msg_bytes", nil).Count(); got != total {
+						t.Errorf("%s: msg_bytes histogram holds %d observations, trace has %d sends", where(), got, total)
+					}
+				case EvRecv:
+					var recvd int64
+					for r := range st.PerRank {
+						recvd += st.PerRank[r].BytesRecv
+					}
+					if got := reg.Counter("mpsim.bytes_recv").Value(); got != bytes || bytes != recvd {
+						t.Errorf("%s: bytes_recv counter %d, trace %d, Stats %d", where(), got, bytes, recvd)
+					}
+				}
+			}
+		}
+	}
+	// The oracle is only as good as what the workloads exercise.
+	for _, row := range emitSinks {
+		if seen[row.kind] == 0 {
+			t.Errorf("no workload produced a %v event; the oracle is vacuous for it", row.kind)
+		}
+	}
+	if acksLost == 0 {
+		t.Error("no workload lost an ack; the Drops asymmetry went unexercised")
+	}
+}

@@ -166,7 +166,16 @@ func TestSerialLoopFingerprints(t *testing.T) {
 			continue
 		}
 		for _, shards := range []int{1, 4} {
-			got := fingerprintOf(Run(mk(shards)))
+			w, err := newWorld(mk(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fingerprintOf(w.run())
+			// Every message is a payload, so a drained pool means every
+			// reference taken anywhere in the run was given back.
+			if lp, ls := w.pool.LivePayloads(), w.pool.LiveSegments(); lp != 0 || ls != 0 {
+				t.Errorf("%s at Shards=%d: data plane did not drain: %d payloads, %d segments live", name, shards, lp, ls)
+			}
 			if shards > 1 {
 				got.Events = want.Events
 			}

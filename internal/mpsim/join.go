@@ -131,7 +131,7 @@ func (w *World) fireJoin(tm *timer) {
 	if p.clock < tm.at {
 		p.clock = tm.at
 	}
-	w.record(Event{Time: tm.at, Rank: r, Kind: EvJoin, Peer: -1})
+	w.emit(Event{Time: tm.at, Rank: r, Kind: EvJoin, Peer: -1})
 	w.launchProc(p, js.bodies[r])
 	w.wake(p)
 }

@@ -154,6 +154,38 @@ func TestBcast(t *testing.T) {
 	})
 }
 
+// The broadcast tree forwards one payload by reference, but what Bcast
+// returns is private to each member: a member scribbling on its result
+// the moment it has it (while members further down the tree have yet to
+// receive), or the root on the buffer it passed in, must not be seen by
+// anyone else.
+func TestBcastResultsArePrivate(t *testing.T) {
+	const msg = "shared down the tree"
+	for _, n := range []int{1, 2, 5, 8} {
+		root := 1 % n
+		RunSPMD(SP2(), n, func(p *Proc) {
+			c := p.Comm()
+			var in []byte
+			if c.Rank() == root {
+				in = []byte(msg)
+			}
+			out := c.Bcast(root, in)
+			if string(out) != msg {
+				t.Errorf("n=%d rank %d got %q", n, c.Rank(), out)
+			}
+			for i := range out {
+				out[i] = byte(c.Rank())
+			}
+			for i := range in {
+				in[i] = 'x'
+			}
+			if got := c.AllreduceInt64(OpSum, int64(len(out))); got != int64(n*len(msg)) {
+				t.Errorf("n=%d rank %d: allreduce after bcast = %d", n, c.Rank(), got)
+			}
+		})
+	}
+}
+
 func TestGatherAndAllgather(t *testing.T) {
 	RunSPMD(Ideal(), 5, func(p *Proc) {
 		c := p.Comm()

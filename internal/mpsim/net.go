@@ -234,7 +234,7 @@ func (w *World) fireMsg(tm *timer) {
 	dst := w.procs[tm.dst]
 	if cs := w.crash; cs != nil {
 		if cs.dead[tm.dst] || tm.msg.sentAt < cs.restartPos[tm.dst] {
-			tm.msg.releasePay()
+			tm.msg.pay.Release()
 			return
 		}
 	}
@@ -256,8 +256,7 @@ func (w *World) fireWake(tm *timer) {
 	if p.wantsAny == nil && p.wantSrc != AnySource {
 		peer = p.wantSrc
 	}
-	w.stats.PerRank[p.worldRank].Timeouts++
-	w.record(Event{Time: tm.at, Rank: p.worldRank, Kind: EvTimeout, Peer: peer})
+	w.emit(Event{Time: tm.at, Rank: p.worldRank, Kind: EvTimeout, Peer: peer})
 	p.wakeErr = &NetError{Op: "wait", Rank: p.worldRank, Peer: peer, Err: ErrTimeout}
 	if p.clock < tm.at {
 		p.clock = tm.at // the process observed the deadline passing
@@ -270,8 +269,8 @@ type linkKey struct{ from, to int }
 
 // packet is one transport-level message of the reliable (or faulted)
 // network.  The sender retains it until acked, which is what makes
-// retransmission allocation-free.  Zero-copy sends carry a refcounted
-// payload (pay) instead of flat data; the reference discipline is:
+// retransmission allocation-free.  Its contents are a refcounted
+// payload; the reference discipline is:
 //
 //   - in reliable mode the packet itself holds one reference from send
 //     until ack or abandonment (released exactly once via releaseRef),
@@ -284,7 +283,6 @@ type linkKey struct{ from, to int }
 type packet struct {
 	from, to int
 	tag      int
-	data     []byte
 	pay      *bufpool.Payload
 	xmit     float64
 	seq      int    // per-link sequence number (reliable mode)
@@ -295,18 +293,10 @@ type packet struct {
 	released bool // sender-side payload reference dropped
 }
 
-// size returns the packet's byte length regardless of representation.
-func (pkt *packet) size() int {
-	if pkt.pay != nil {
-		return pkt.pay.Len()
-	}
-	return len(pkt.data)
-}
-
 // releaseRef drops the sender-side payload reference exactly once —
 // on ack or abandonment, whichever comes first.
 func (pkt *packet) releaseRef() {
-	if pkt.pay != nil && !pkt.released {
+	if !pkt.released {
 		pkt.released = true
 		pkt.pay.Release()
 	}
@@ -317,7 +307,6 @@ func (pkt *packet) releaseRef() {
 // payload reference, released when the entry drains or is wiped.
 type heldPacket struct {
 	tag  int
-	data []byte
 	pay  *bufpool.Payload
 	xmit float64
 }
@@ -378,16 +367,6 @@ func newNetLayer(w *World, inj FaultInjector, rel *Reliability) *netLayer {
 	return n
 }
 
-// pair returns the directed link's network-fault counters.  These
-// always live in the world's Stats.Pairs map: shard-side callers (send,
-// transmit) hold n.mu, and the coordinator only touches the map while
-// every shard is quiesced at a window barrier, so the counters a
-// mid-run NetPairStats reader sees for the coordinator-fired kinds
-// (retransmits, duplicate discards) do not depend on the shard count.
-func (n *netLayer) pair(from, to int) *PairStats {
-	return n.w.stats.pair(from, to)
-}
-
 func (n *netLayer) link(k linkKey) *linkState {
 	ls := n.links[k]
 	if ls == nil {
@@ -407,34 +386,28 @@ func (n *netLayer) rtoFor(xmit float64) float64 {
 	return 3*(n.w.machine.Latency+xmit) + 1e-3
 }
 
-// send accepts a remote transmission from a process.  data (if used)
-// is already the sender's private copy; a payload is carried by
-// reference.  xmit and depart come from the sender's link reservation,
-// so the send-side cost model is identical to the perfect-network
-// path.
-func (n *netLayer) send(from, to, tag int, data []byte, pay *bufpool.Payload, xmit, depart float64) {
+// send accepts a remote transmission from a process; the payload is
+// carried by reference.  xmit and depart come from the sender's link
+// reservation, so the send-side cost model is identical to the
+// perfect-network path.
+func (n *netLayer) send(from, to, tag int, pay *bufpool.Payload, xmit, depart float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	pkt := &packet{from: from, to: to, tag: tag, data: data, pay: pay, xmit: xmit}
+	pkt := &packet{from: from, to: to, tag: tag, pay: pay, xmit: xmit}
 	key := linkKey{from, to}
 	if n.reliable {
 		if n.dead[key] {
 			// The transport already declared this peer unreachable;
 			// further packets are dropped at the source (no reference
 			// was taken, so there is nothing to release).
-			n.w.stats.PerRank[from].FailedSends++
-			n.w.record(Event{Time: depart, Rank: from, Kind: EvPeerFail, Peer: to, Bytes: pkt.size()})
+			n.w.emit(Event{Time: depart, Rank: from, Kind: EvPeerFail, Peer: to, Bytes: pay.Len()})
 			return
 		}
 		ls := n.link(key)
 		pkt.seq = ls.nextSeq
 		ls.nextSeq++
-		if pay != nil {
-			pay.Retain() // the packet's reference, held until ack/abandon
-			pkt.sum = checksum64Pay(pay)
-		} else {
-			pkt.sum = checksum64(data)
-		}
+		pay.Retain() // the packet's reference, held until ack/abandon
+		pkt.sum = checksum64(pay)
 		pkt.rto = n.rtoFor(xmit)
 		ls.inflight[pkt.seq] = pkt
 	}
@@ -448,26 +421,20 @@ func (n *netLayer) transmit(pkt *packet, depart float64, attempt int) {
 	w := n.w
 	d := FaultDecision{CorruptBit: -1}
 	if n.inj != nil {
-		d = n.inj.Decide(pkt.from, pkt.to, attempt, pkt.size(), depart)
+		d = n.inj.Decide(pkt.from, pkt.to, attempt, pkt.pay.Len(), depart)
 	}
 	if n.reliable {
 		w.addTimer(&timer{at: depart + pkt.rto, rank: pkt.from, kind: tRetransmit, pkt: pkt})
 	}
 	if d.Drop {
-		w.stats.PerRank[pkt.from].Drops++
-		n.pair(pkt.from, pkt.to).Drops++
-		w.record(Event{Time: depart, Rank: pkt.from, Kind: EvDrop, Peer: pkt.to, Bytes: pkt.size()})
+		w.emit(Event{Time: depart, Rank: pkt.from, Kind: EvDrop, Peer: pkt.to, Bytes: pkt.pay.Len()})
 		return
 	}
 	arrival := depart + pkt.xmit + w.machine.Latency + d.ExtraDelay
-	if pkt.pay != nil {
-		pkt.pay.Retain() // the delivery timer's reference
-	}
+	pkt.pay.Retain() // the delivery timer's reference
 	w.addTimer(&timer{at: arrival, rank: pkt.from, kind: tDeliver, pkt: pkt, corruptBit: d.CorruptBit})
 	if d.Duplicate {
-		if pkt.pay != nil {
-			pkt.pay.Retain()
-		}
+		pkt.pay.Retain()
 		w.addTimer(&timer{at: arrival + w.machine.Latency + pkt.xmit, rank: pkt.from, kind: tDeliver, pkt: pkt, corruptBit: -1})
 	}
 }
@@ -478,9 +445,7 @@ func (n *netLayer) transmit(pkt *packet, depart float64, attempt int) {
 // messages) take their own.
 func (n *netLayer) fireDeliver(tm *timer) {
 	pkt := tm.pkt
-	if pkt.pay != nil {
-		defer pkt.pay.Release() // the delivery timer's reference
-	}
+	defer pkt.pay.Release() // the delivery timer's reference
 	w := n.w
 	if w.crash != nil && w.crash.dead[pkt.to] {
 		// The destination host is down: the wire delivers into the void,
@@ -488,43 +453,35 @@ func (n *netLayer) fireDeliver(tm *timer) {
 		// trying until the rank restarts or the link is abandoned.
 		return
 	}
-	data, pay := pkt.data, pkt.pay
-	if tm.corruptBit >= 0 && pkt.size() > 0 {
-		// Corruption flattens the copy it flips a bit in; the packet's
-		// own bytes stay pristine for retransmission.
-		var c []byte
-		if pay != nil {
-			c = pay.Flatten()
-		} else {
-			c = append([]byte(nil), data...)
-		}
+	pay := pkt.pay
+	if tm.corruptBit >= 0 && pay.Len() > 0 {
+		// Corruption flips its bit in a private copy, delivered as a
+		// payload of its own; the packet's bytes stay pristine for
+		// retransmission.
+		c := pay.AppendTo(make([]byte, 0, pay.Len()))
 		bit := tm.corruptBit % (len(c) * 8)
 		c[bit/8] ^= 1 << (bit % 8)
-		data, pay = c, nil
+		pay = w.pool.OwnPayload(c)
+		defer pay.Release() // the copy's birth reference
 	}
 	if !n.reliable {
 		// Raw faulted delivery: whatever survived the wire, in whatever
 		// order it arrived.
-		n.enqueue(pkt.from, pkt.to, pkt.tag, data, pay, pkt.xmit, tm.at)
+		n.enqueue(pkt.from, pkt.to, pkt.tag, pay, pkt.xmit, tm.at)
 		return
 	}
-	if wireSum(data, pay) != pkt.sum {
-		w.stats.PerRank[pkt.to].CorruptDiscarded++
-		w.record(Event{Time: tm.at, Rank: pkt.to, Kind: EvCorruptDiscard, Peer: pkt.from, Bytes: wireLen(data, pay)})
+	if checksum64(pay) != pkt.sum {
+		w.emit(Event{Time: tm.at, Rank: pkt.to, Kind: EvCorruptDiscard, Peer: pkt.from, Bytes: pay.Len()})
 		return // no ack: the sender's retransmission timer recovers
 	}
 	ls := n.link(linkKey{pkt.from, pkt.to})
 	if pkt.seq < ls.nextDeliver || ls.held[pkt.seq] != nil {
-		w.stats.PerRank[pkt.to].DupsDiscarded++
-		n.pair(pkt.from, pkt.to).DupsDiscarded++
-		w.record(Event{Time: tm.at, Rank: pkt.to, Kind: EvDupDiscard, Peer: pkt.from, Bytes: wireLen(data, pay)})
+		w.emit(Event{Time: tm.at, Rank: pkt.to, Kind: EvDupDiscard, Peer: pkt.from, Bytes: pay.Len()})
 		n.sendAck(pkt, tm.at) // the previous ack may have been lost; re-ack
 		return
 	}
-	if pay != nil {
-		pay.Retain() // the reassembly entry's reference
-	}
-	ls.held[pkt.seq] = &heldPacket{tag: pkt.tag, data: data, pay: pay, xmit: pkt.xmit}
+	pay.Retain() // the reassembly entry's reference
+	ls.held[pkt.seq] = &heldPacket{tag: pkt.tag, pay: pay, xmit: pkt.xmit}
 	for {
 		h := ls.held[ls.nextDeliver]
 		if h == nil {
@@ -532,10 +489,8 @@ func (n *netLayer) fireDeliver(tm *timer) {
 		}
 		delete(ls.held, ls.nextDeliver)
 		ls.nextDeliver++
-		n.enqueue(pkt.from, pkt.to, h.tag, h.data, h.pay, h.xmit, tm.at)
-		if h.pay != nil {
-			h.pay.Release() // the reassembly entry's reference
-		}
+		n.enqueue(pkt.from, pkt.to, h.tag, h.pay, h.xmit, tm.at)
+		h.pay.Release() // the reassembly entry's reference
 	}
 	n.sendAck(pkt, tm.at)
 }
@@ -543,16 +498,12 @@ func (n *netLayer) fireDeliver(tm *timer) {
 // enqueue hands a delivered payload to the destination process's
 // message queue, waking it if it is parked on a matching receive.  The
 // queued message takes its own payload reference.
-func (n *netLayer) enqueue(from, to, tag int, data []byte, pay *bufpool.Payload, xmit, arrival float64) {
+func (n *netLayer) enqueue(from, to, tag int, pay *bufpool.Payload, xmit, arrival float64) {
 	dst := n.w.procs[to]
 	msg := dst.getMsg()
 	msg.src, msg.tag, msg.arrival, msg.xmit = from, tag, arrival, xmit
-	if pay != nil {
-		pay.Retain()
-		msg.pay = pay
-	} else {
-		msg.data = data
-	}
+	pay.Retain()
+	msg.pay = pay
 	dst.queue = append(dst.queue, msg)
 	if dst.state == stateBlocked && dst.wantsMsg(msg) {
 		n.w.wake(dst)
@@ -568,8 +519,7 @@ func (n *netLayer) sendAck(pkt *packet, now float64) {
 	if n.inj != nil {
 		d := n.inj.Decide(pkt.to, pkt.from, -1, 0, now)
 		if d.Drop {
-			n.w.stats.PerRank[pkt.to].Drops++
-			n.w.record(Event{Time: now, Rank: pkt.to, Kind: EvDrop, Peer: pkt.from})
+			n.w.emit(Event{Time: now, Rank: pkt.to, Kind: evAckDrop, Peer: pkt.from})
 			return
 		}
 		delay = d.ExtraDelay
@@ -587,7 +537,7 @@ func (n *netLayer) fireAck(tm *timer) {
 	ls := n.link(linkKey{pkt.from, pkt.to})
 	delete(ls.inflight, pkt.seq)
 	pkt.releaseRef()
-	n.w.record(Event{Time: tm.at, Rank: pkt.from, Kind: EvAck, Peer: pkt.to})
+	n.w.emit(Event{Time: tm.at, Rank: pkt.from, Kind: EvAck, Peer: pkt.to})
 }
 
 // fireRetransmit re-launches an unacked packet, or abandons the link
@@ -610,9 +560,7 @@ func (n *netLayer) fireRetransmit(tm *timer) {
 	}
 	pkt.retries++
 	pkt.rto *= n.backoff
-	w.stats.PerRank[pkt.from].Retransmits++
-	n.pair(pkt.from, pkt.to).Retransmits++
-	w.record(Event{Time: tm.at, Rank: pkt.from, Kind: EvRetransmit, Peer: pkt.to, Bytes: pkt.size()})
+	w.emit(Event{Time: tm.at, Rank: pkt.from, Kind: EvRetransmit, Peer: pkt.to, Bytes: pkt.pay.Len()})
 	// The retransmission occupies the sender node's outbound link like
 	// any other transmission.
 	node := w.procs[pkt.from].node
@@ -632,11 +580,10 @@ func (n *netLayer) abandon(pkt *packet, now float64) {
 	key := linkKey{pkt.from, pkt.to}
 	ls := n.link(key)
 	delete(ls.inflight, pkt.seq)
-	pkt.releaseRef()
 	n.dead[key] = true
 	w := n.w
-	w.stats.PerRank[pkt.from].FailedSends++
-	w.record(Event{Time: now, Rank: pkt.from, Kind: EvPeerFail, Peer: pkt.to, Bytes: pkt.size()})
+	w.emit(Event{Time: now, Rank: pkt.from, Kind: EvPeerFail, Peer: pkt.to, Bytes: pkt.pay.Len()})
+	pkt.releaseRef() // after the last read of the payload it may recycle
 	dst := w.procs[pkt.to]
 	if dst.state == stateBlocked && dst.wantsMsg(&message{src: pkt.from, tag: pkt.tag}) {
 		dst.wakeErr = &NetError{Op: "recv", Rank: pkt.to, Peer: pkt.from, Err: ErrPeerUnreachable}
@@ -659,44 +606,15 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// checksumAdd folds data into a running FNV-1a hash.
-func checksumAdd(h uint64, data []byte) uint64 {
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// checksum64 is FNV-1a over a flat payload.
-func checksum64(data []byte) uint64 {
-	return checksumAdd(fnvOffset64, data)
-}
-
-// checksum64Pay is FNV-1a over a scatter-gather payload, computed
-// segment by segment without flattening; it equals checksum64 over the
-// concatenated bytes.
-func checksum64Pay(pay *bufpool.Payload) uint64 {
+// checksum64 is FNV-1a over a payload's bytes, computed segment by
+// segment without flattening.
+func checksum64(pay *bufpool.Payload) uint64 {
 	h := fnvOffset64
 	for _, s := range pay.Segments() {
-		h = checksumAdd(h, s)
+		for _, b := range s {
+			h ^= uint64(b)
+			h *= fnvPrime64
+		}
 	}
 	return h
-}
-
-// wireSum hashes whichever representation a delivery carries.
-func wireSum(data []byte, pay *bufpool.Payload) uint64 {
-	if pay != nil {
-		return checksum64Pay(pay)
-	}
-	return checksum64(data)
-}
-
-// wireLen is the byte length of whichever representation a delivery
-// carries.
-func wireLen(data []byte, pay *bufpool.Payload) int {
-	if pay != nil {
-		return pay.Len()
-	}
-	return len(data)
 }

@@ -5,111 +5,30 @@ import "metachaos/internal/obs"
 // Observability glue: when Config.Obs carries a tracer, the simulator
 // records one span per point-to-point operation (send and receive,
 // each nested under whatever collective or move phase the library
-// layer has open), one instant per network-recovery event, and a set
-// of counters resolved once here so the per-message path never touches
-// the registry maps.  Every hook sits behind a `w.obs != nil` check:
-// with observability off the only cost is that pointer comparison.
+// layer has open), and emit feeds it one instant per network-recovery
+// event and a set of counters resolved once here so the per-message
+// path never touches the registry maps.  Every hook sits behind a
+// `w.obs != nil` check: with observability off the only cost is that
+// pointer comparison.
 
-// obsCounters caches the simulator's counter and histogram handles.
+// obsCounters caches the simulator's metric handles: one counter per
+// event kind (named in the kinds table), plus the byte totals and the
+// size histogram that traffic feeds.
 type obsCounters struct {
-	sends       *obs.Counter
-	recvs       *obs.Counter
-	bytesSent   *obs.Counter
-	bytesRecv   *obs.Counter
-	drops       *obs.Counter
-	retransmits *obs.Counter
-	dups        *obs.Counter
-	corrupts    *obs.Counter
-	acks        *obs.Counter
-	timeouts    *obs.Counter
-	peerFails   *obs.Counter
-	crashes     *obs.Counter
-	detects     *obs.Counter
-	restarts    *obs.Counter
-	joins       *obs.Counter
-	msgBytes    *obs.Histogram
+	kind      [len(kinds)]*obs.Counter
+	bytesSent *obs.Counter
+	bytesRecv *obs.Counter
+	msgBytes  *obs.Histogram
 }
 
-// resolve binds the counters to a registry.
+// resolve binds the handles to a registry.
 func (c *obsCounters) resolve(m *obs.Metrics) {
-	c.sends = m.Counter("mpsim.sends")
-	c.recvs = m.Counter("mpsim.recvs")
+	for k := range kinds {
+		c.kind[k] = m.Counter(kinds[k].counter)
+	}
 	c.bytesSent = m.Counter("mpsim.bytes_sent")
 	c.bytesRecv = m.Counter("mpsim.bytes_recv")
-	c.drops = m.Counter("mpsim.drops")
-	c.retransmits = m.Counter("mpsim.retransmits")
-	c.dups = m.Counter("mpsim.dup_discards")
-	c.corrupts = m.Counter("mpsim.corrupt_discards")
-	c.acks = m.Counter("mpsim.acks")
-	c.timeouts = m.Counter("mpsim.timeouts")
-	c.peerFails = m.Counter("mpsim.peer_fails")
-	c.crashes = m.Counter("mpsim.crashes")
-	c.detects = m.Counter("mpsim.crash_detects")
-	c.restarts = m.Counter("mpsim.restarts")
-	c.joins = m.Counter("mpsim.joins")
 	c.msgBytes = m.Histogram("mpsim.msg_bytes", obs.DefBytesBuckets)
-}
-
-// obsEvent mirrors a trace event into the observability layer: traffic
-// events bump counters (their spans are opened at the call sites,
-// where the before-clock is known); network-recovery events, which
-// happen inside scheduler timers rather than on a process's own
-// instruction stream, surface as instants on the acting rank's
-// timeline.  Only called when w.obs != nil.
-func (w *World) obsEvent(e Event) {
-	switch e.Kind {
-	case EvSend:
-		w.obsC.sends.Inc()
-		w.obsC.bytesSent.Add(int64(e.Bytes))
-		w.obsC.msgBytes.Observe(float64(e.Bytes))
-	case EvRecv:
-		w.obsC.recvs.Inc()
-		w.obsC.bytesRecv.Add(int64(e.Bytes))
-	case EvDrop:
-		w.obsC.drops.Inc()
-		w.obsInstant(e)
-	case EvRetransmit:
-		w.obsC.retransmits.Inc()
-		w.obsInstant(e)
-	case EvDupDiscard:
-		w.obsC.dups.Inc()
-		w.obsInstant(e)
-	case EvCorruptDiscard:
-		w.obsC.corrupts.Inc()
-		w.obsInstant(e)
-	case EvAck:
-		w.obsC.acks.Inc()
-		w.obsInstant(e)
-	case EvTimeout:
-		w.obsC.timeouts.Inc()
-		w.obsInstant(e)
-	case EvPeerFail:
-		w.obsC.peerFails.Inc()
-		w.obsInstant(e)
-	case EvCrash:
-		w.obsC.crashes.Inc()
-		w.obsInstant(e)
-	case EvCrashDetect:
-		w.obsC.detects.Inc()
-		w.obsInstant(e)
-	case EvRestart:
-		w.obsC.restarts.Inc()
-		w.obsInstant(e)
-	case EvJoin:
-		w.obsC.joins.Inc()
-		w.obsInstant(e)
-	}
-}
-
-// obsInstant records a zero-duration event on the acting rank.
-func (w *World) obsInstant(e Event) {
-	sp := w.obs.Instant(e.Rank, e.Kind.String(), e.Time)
-	if e.Peer >= 0 {
-		sp.SetPeer(e.Peer)
-	}
-	if e.Bytes > 0 {
-		sp.SetBytes(e.Bytes)
-	}
 }
 
 // beginSpan opens a span on the process's own clock; the zero Span of

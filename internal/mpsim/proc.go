@@ -12,16 +12,12 @@ const (
 	AnyTag    = -1
 )
 
-// message is one in-flight point-to-point message.  Its contents are
-// either a flat private copy (data) or a refcounted scatter-gather
-// payload (pay) when the sender used the zero-copy path; exactly one
-// of the two is set for a non-empty message.  A payload message holds
-// one reference, released when the message is claimed (ownership
-// transfers to the receiver) or dropped.
+// message is one in-flight point-to-point message.  It holds one
+// reference on its payload, released when the message is claimed
+// (ownership transfers to the receiver) or dropped.
 type message struct {
 	src     int // world rank of sender
 	tag     int
-	data    []byte
 	pay     *bufpool.Payload
 	arrival float64 // virtual time the last byte clears the sender side + latency
 	xmit    float64 // wire occupancy, for receiver-side link reservation
@@ -29,26 +25,12 @@ type message struct {
 	local   bool    // self-send: skips link reservations
 }
 
-// size returns the message's byte length regardless of representation.
-func (m *message) size() int {
-	if m.pay != nil {
-		return m.pay.Len()
-	}
-	return len(m.data)
-}
-
-// releasePay drops the message's payload reference, if any, for paths
-// that discard a message without claiming it (crash wipes, stale
-// deliveries).
-func (m *message) releasePay() {
-	if m.pay != nil {
-		m.pay.Release()
-		m.pay = nil
-	}
-}
-
-// maxFreeMsgs caps a process's message-struct freelist.
-const maxFreeMsgs = 256
+// maxFreeMsgs caps a process's message-struct freelist; msgSlab is how
+// many structs one refill allocates.
+const (
+	maxFreeMsgs = 256
+	msgSlab     = 16
+)
 
 // Proc is one simulated process.  All of a process's interaction with
 // the simulated machine — messaging, collectives, clock charges — goes
@@ -216,17 +198,22 @@ func (p *Proc) ChargeCopy(bytes int) {
 }
 
 // getMsg pops a recycled message struct, refilling from the world's
-// shared overflow pool before allocating.
+// shared overflow pool and then a slab at a time, so a cold world's
+// first burst of sends costs one allocation per msgSlab messages.
 func (p *Proc) getMsg() *message {
-	if n := len(p.msgFree); n > 0 {
-		m := p.msgFree[n-1]
-		p.msgFree = p.msgFree[:n-1]
-		return m
+	if len(p.msgFree) == 0 {
+		if m, ok := p.world.msgPool.Get().(*message); ok {
+			return m
+		}
+		slab := make([]message, msgSlab)
+		for i := range slab {
+			p.msgFree = append(p.msgFree, &slab[i])
+		}
 	}
-	if m, ok := p.world.msgPool.Get().(*message); ok {
-		return m
-	}
-	return &message{}
+	n := len(p.msgFree)
+	m := p.msgFree[n-1]
+	p.msgFree = p.msgFree[:n-1]
+	return m
 }
 
 // putMsg recycles a claimed message struct onto this process's
@@ -257,47 +244,54 @@ func (p *Proc) Send(to, tag int, data []byte) {
 	p.send(to, tag, data)
 }
 
-func (p *Proc) send(to, tag int, data []byte) { p.sendImpl(to, tag, data, nil) }
+// send is the flat send: the private copy of data travels as a payload
+// that owns it, down the one path every message takes.  The message
+// takes over the payload's only reference, so on a perfect network the
+// receiver is its last holder and gets the copy itself.
+func (p *Proc) send(to, tag int, data []byte) {
+	buf := make([]byte, len(data))
+	copy(buf, data)
+	p.sendRef(to, tag, p.world.pool.OwnPayload(buf))
+}
 
-// sendPayload is the zero-copy send: the payload's bytes are NOT
-// copied — the transport takes its own reference and reads the
-// segments until every delivered copy is consumed.  The caller keeps
-// its reference and must not mutate storage the payload views until it
-// has either observed the payload fully released or materialized it.
-func (p *Proc) sendPayload(to, tag int, pay *bufpool.Payload) { p.sendImpl(to, tag, nil, pay) }
+// sendPayload sends pay by reference: its bytes are NOT copied — the
+// transport takes its own references and reads the segments until
+// every delivered copy is consumed.  The caller keeps its reference
+// and must not mutate storage the payload views until it has either
+// observed the payload fully released or materialized it.
+func (p *Proc) sendPayload(to, tag int, pay *bufpool.Payload) {
+	pay.Retain()
+	p.sendRef(to, tag, pay)
+}
 
-// sendImpl is the shared send path.  Exactly one of data (flat,
-// copied) and pay (scatter-gather, by reference) is used.  The
-// virtual-time cost model depends only on the byte length, so the two
-// representations are clock-identical.
-func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
-	size := len(data)
-	if pay != nil {
-		size = pay.Len()
-	}
-	if to < 0 || to >= len(p.world.procs) {
+// sendRef is the send path; it takes over one of pay's references.
+// The virtual-time cost model depends only on the byte length.
+func (p *Proc) sendRef(to, tag int, pay *bufpool.Payload) {
+	size := pay.Len()
+	w := p.world
+	if to < 0 || to >= len(w.procs) {
 		panic(fmt.Sprintf("mpsim: rank %d sends to invalid rank %d", p.worldRank, to))
 	}
-	if p.world.dormant(to) {
+	if w.dormant(to) {
 		// The destination has not joined the world yet; applications
 		// coordinate growth with AbsentRanks/LiveWorld, so a send here
 		// is a membership bug, caught deterministically.
 		panic(fmt.Sprintf("mpsim: rank %d sends to rank %d before it joined the world", p.worldRank, to))
 	}
-	if p.world.crash != nil {
+	if w.crash != nil {
 		p.checkKilled()
-		if p.world.deadDetected(to, p.clock) {
+		if w.deadDetected(to, p.clock) {
 			// Post-detection sends fail fast instead of vanishing.
-			p.world.stats.PerRank[p.worldRank].FailedSends++
-			p.world.record(Event{Time: p.clock, Rank: p.worldRank, Kind: EvPeerFail, Peer: to, Bytes: size})
+			w.emit(Event{Time: p.clock, Rank: p.worldRank, Kind: EvPeerFail, Peer: to, Bytes: size})
+			pay.Release()
 			panic(netPanic{&NetError{Op: "send", Rank: p.worldRank, Peer: to, Err: ErrPeerDead}})
 		}
 	}
 	sp := p.beginSpan("send")
 	sp.SetPeer(to).SetBytes(size)
-	m := p.world.machine
-	dst := p.world.procs[to]
-	if pay != nil && dst.shard != p.shard && !pay.Materialized() {
+	m := w.machine
+	dst := w.procs[to]
+	if dst.shard != p.shard && !pay.Materialized() {
 		// The destination shard reads the payload concurrently with this
 		// shard's later instructions; sever the views of live storage
 		// now.  Same-shard deliveries stay zero-copy — the executor
@@ -305,63 +299,47 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 		pay.Materialize()
 	}
 
-	remote := false
-	var arrival, msgXmit float64
-	localMsg := false
-	if to == p.worldRank {
+	// The send-side cost model: where the message departs, how long it
+	// occupies the wire, when its last byte lands.
+	var depart, xmit, arrival float64
+	local := true
+	switch {
+	case to == p.worldRank:
 		p.clock += float64(size) / m.LocalCopyBandwidth
 		arrival = p.clock
-		localMsg = true
-	} else {
+	case dst.node == p.node:
+		// Same node, different process: shared-memory transfer.
+		p.clock += m.SendOverhead + float64(size)*m.PerByteCPU
+		arrival = p.clock + float64(size)/m.LocalCopyBandwidth
+	default:
 		// CPU: per-message overhead plus packing the payload.
 		p.clock += m.SendOverhead + float64(size)*m.PerByteCPU
-		xmit := m.transmitTime(size)
-		start := p.clock
-		if dst.node != p.node && p.node.outFreeAt > start {
-			start = p.node.outFreeAt
-		}
-		if dst.node != p.node {
-			p.node.outFreeAt = start + xmit
-			if p.world.net != nil {
-				// Imperfect network: the send-side cost model above is
-				// unchanged, but delivery becomes a virtual-time event
-				// whose fate the fault injector decides.
-				p.recordSend(to, size)
-				var buf []byte
-				if pay == nil {
-					buf = make([]byte, len(data))
-					copy(buf, data)
-				}
-				p.world.net.send(p.worldRank, to, tag, buf, pay, xmit, start)
-				sp.End(p.clock)
-				p.yield()
-				return
-			}
-			arrival = start + xmit + m.Latency
-			msgXmit = xmit
-			remote = dst.shard != p.shard
-		} else {
-			// Same node, different process: shared-memory transfer.
-			arrival = start + float64(size)/m.LocalCopyBandwidth
-			localMsg = true
-		}
+		xmit = m.transmitTime(size)
+		depart = max(p.clock, p.node.outFreeAt)
+		p.node.outFreeAt = depart + xmit
+		arrival = depart + xmit + m.Latency
+		local = false
+	}
+	w.emit(Event{Time: p.clock, Rank: p.worldRank, Kind: EvSend, Peer: to, Bytes: size})
+
+	if !local && w.net != nil {
+		// Imperfect network: the send-side cost model above is
+		// unchanged, but delivery becomes a virtual-time event whose
+		// fate the fault injector decides.  The transport holds its own
+		// references from here on.
+		w.net.send(p.worldRank, to, tag, pay, xmit, depart)
+		pay.Release()
+		sp.End(p.clock)
+		p.yield()
+		return
 	}
 
 	msg := p.getMsg()
 	msg.src, msg.tag = p.worldRank, tag
-	msg.arrival, msg.xmit, msg.local = arrival, msgXmit, localMsg
-	if pay != nil {
-		pay.Retain()
-		msg.pay = pay
-	} else {
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		msg.data = buf
-	}
-
-	p.recordSend(to, size)
+	msg.arrival, msg.xmit, msg.local = arrival, xmit, local
+	msg.pay = pay
 	sp.End(p.clock)
-	if remote {
+	if !local && dst.shard != p.shard {
 		// Cross-shard delivery is a virtual-time event at the message's
 		// arrival: the destination shard observes it at a clock the
 		// LogGP latency floor bounds away from now, which is what lets
@@ -371,23 +349,14 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 		msg.sentAt = p.clock
 		tm := p.shard.tc.get()
 		tm.at, tm.rank, tm.kind, tm.msg, tm.dst = msg.arrival, p.worldRank, tMsg, msg, to
-		p.world.addTimer(tm)
+		w.addTimer(tm)
 	} else {
 		dst.queue = append(dst.queue, msg)
 		if dst.state == stateBlocked && dst.wantsMsg(msg) {
-			p.world.wake(dst)
+			w.wake(dst)
 		}
 	}
 	p.yield()
-}
-
-// recordSend charges the send to the sender's counters and trace.
-func (p *Proc) recordSend(to, bytes int) {
-	st := &p.world.stats
-	st.PerRank[p.worldRank].MsgsSent++
-	st.PerRank[p.worldRank].BytesSent += int64(bytes)
-	p.shard.recordPair(p.worldRank, to, bytes)
-	p.world.record(Event{Time: p.clock, Rank: p.worldRank, Kind: EvSend, Peer: to, Bytes: bytes})
 }
 
 // Recv blocks until a message matching (from, tag) is available and
@@ -402,18 +371,15 @@ func (p *Proc) Recv(from, tag int) ([]byte, int) {
 }
 
 func (p *Proc) recv(from, tag int) ([]byte, int) {
-	data, pay, src := p.recvMsg(from, tag)
-	if pay != nil {
-		data = pay.Flatten()
-		pay.Release()
-	}
+	pay, src := p.recvMsg(from, tag)
+	data := pay.Flatten()
+	pay.Release()
 	return data, src
 }
 
-// recvMsg is recv returning the claimed message's raw contents: flat
-// data, or a payload reference the caller now owns (exactly one is
-// non-nil for a non-empty message).
-func (p *Proc) recvMsg(from, tag int) ([]byte, *bufpool.Payload, int) {
+// recvMsg is recv returning the claimed message's payload, whose
+// reference the caller now owns.
+func (p *Proc) recvMsg(from, tag int) (*bufpool.Payload, int) {
 	for {
 		p.checkKilled()
 		for i, msg := range p.queue {
@@ -429,17 +395,16 @@ func (p *Proc) recvMsg(from, tag int) ([]byte, *bufpool.Payload, int) {
 	}
 }
 
-// claim removes queue[i], applies receive-side delivery costs,
-// extracts the contents (transferring the payload reference, if any,
-// to the caller), and recycles the message struct.
-func (p *Proc) claim(i int) ([]byte, *bufpool.Payload, int) {
+// claim removes queue[i], applies receive-side delivery costs, hands
+// the message's payload reference to the caller, and recycles the
+// message struct.
+func (p *Proc) claim(i int) (*bufpool.Payload, int) {
 	msg := p.queue[i]
 	p.queue = append(p.queue[:i], p.queue[i+1:]...)
 	p.deliver(msg)
-	data, pay, src := msg.data, msg.pay, msg.src
-	msg.pay = nil
+	pay, src := msg.pay, msg.src
 	p.putMsg(msg)
-	return data, pay, src
+	return pay, src
 }
 
 // recvAny blocks until a message matching any entry of wants is
@@ -449,7 +414,7 @@ func (p *Proc) claim(i int) ([]byte, *bufpool.Payload, int) {
 // per-(source, tag) FIFO order; claiming in arrival order is what lets
 // an overlapped executor unpack lanes as they land instead of idling
 // on a fixed peer order.
-func (p *Proc) recvAny(wants []recvWant) (int, []byte, *bufpool.Payload, int) {
+func (p *Proc) recvAny(wants []recvWant) (int, *bufpool.Payload, int) {
 	for {
 		p.checkKilled()
 		best, bestWant := -1, -1
@@ -469,8 +434,8 @@ func (p *Proc) recvAny(wants []recvWant) (int, []byte, *bufpool.Payload, int) {
 			}
 		}
 		if best >= 0 {
-			data, pay, src := p.claim(best)
-			return bestWant, data, pay, src
+			pay, src := p.claim(best)
+			return bestWant, pay, src
 		}
 		p.checkBeforeBlock(AnySource, wants)
 		p.wantsAny = wants
@@ -498,9 +463,7 @@ func (p *Proc) checkWakeErr() {
 // (AnySource when wants is used instead).
 func (p *Proc) checkBeforeBlock(from int, wants []recvWant) {
 	if p.deadlineAt > 0 && p.clock >= p.deadlineAt {
-		w := p.world
-		w.stats.PerRank[p.worldRank].Timeouts++
-		w.record(Event{Time: p.clock, Rank: p.worldRank, Kind: EvTimeout, Peer: -1})
+		p.world.emit(Event{Time: p.clock, Rank: p.worldRank, Kind: EvTimeout, Peer: -1})
 		panic(netPanic{&NetError{Op: "wait", Rank: p.worldRank, Peer: -1, Err: ErrTimeout}})
 	}
 	if p.world.crash != nil {
@@ -622,7 +585,7 @@ func (p *Proc) NetPairStats(from, to int) PairStats {
 // span starts on the pre-delivery clock, so any jump to the message's
 // arrival time (the receiver's wait) is inside the span.
 func (p *Proc) deliver(msg *message) {
-	size := msg.size()
+	size := msg.pay.Len()
 	sp := p.beginSpan("recv")
 	sp.SetPeer(msg.src).SetBytes(size)
 	m := p.world.machine
@@ -641,10 +604,7 @@ func (p *Proc) deliver(msg *message) {
 	if !msg.local {
 		p.clock += m.RecvOverhead + float64(size)*m.PerByteCPU
 	}
-	st := &p.world.stats
-	st.PerRank[p.worldRank].MsgsRecv++
-	st.PerRank[p.worldRank].BytesRecv += int64(size)
-	p.world.record(Event{Time: p.clock, Rank: p.worldRank, Kind: EvRecv, Peer: msg.src, Bytes: size})
+	p.world.emit(Event{Time: p.clock, Rank: p.worldRank, Kind: EvRecv, Peer: msg.src, Bytes: size})
 	sp.End(p.clock)
 }
 

@@ -262,6 +262,7 @@ func TestPeerUnreachable(t *testing.T) {
 		Machine:  SP2(),
 		Fault:    inj,
 		Reliable: &Reliability{MaxRetries: 3},
+		Trace:    true,
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 2, Body: func(p *Proc) {
 			if p.Rank() == 0 {
 				p.Send(1, 2, []byte("into the void"))
@@ -282,6 +283,13 @@ func TestPeerUnreachable(t *testing.T) {
 	}
 	if st.PerRank[0].Retransmits != 3 {
 		t.Errorf("sender retransmitted %d times, want exactly MaxRetries=3", st.PerRank[0].Retransmits)
+	}
+	// The abandonment is reported with the size of the message it gave up
+	// on, read before the packet's payload reference is dropped.
+	for _, e := range st.Trace.Events {
+		if e.Kind == EvPeerFail && e.Bytes != len("into the void") {
+			t.Errorf("abandoned send reported as %d bytes, want %d", e.Bytes, len("into the void"))
+		}
 	}
 }
 

@@ -18,13 +18,12 @@ import (
 type Request struct {
 	p    *Proc
 	done bool
-	data []byte
-	// pay holds a completed receive's scatter-gather contents when the
-	// sender used the zero-copy path; the request owns one reference
-	// until Wait flattens it, TakePayload hands it off, or Free/Cancel
-	// releases it.
-	pay *bufpool.Payload
-	src int
+	// pay holds a completed receive's contents; the request owns one
+	// reference until Wait flattens it into data, TakePayload hands it
+	// off, or Free/Cancel releases it.
+	pay  *bufpool.Payload
+	data []byte // Wait's cached flattened result
+	src  int
 
 	// Pending receive matcher.
 	isRecv  bool
@@ -89,59 +88,44 @@ func (c *Comm) Irecv(from, tag int) *Request {
 	return r
 }
 
-// Wait blocks until the request completes and returns the received
-// payload and the source's communicator rank is not tracked here — the
-// raw source world rank is returned (nil and -1 for sends).  Waiting
-// again returns the cached result.
-func (r *Request) Wait() ([]byte, int) {
-	if r.done {
-		if r.isRecv {
-			return r.flatten(), r.src
-		}
-		return nil, -1
+// complete claims a pending receive's message, blocking until one
+// matches; sends (always buffered) complete at once.
+func (r *Request) complete() {
+	if !r.done && r.isRecv {
+		r.pay, r.src = r.p.recvMsg(r.wantSrc, r.wantTag)
 	}
-	if !r.isRecv {
-		r.done = true
-		return nil, -1
-	}
-	data, pay, src := r.p.recvMsg(r.wantSrc, r.wantTag)
 	r.done = true
-	r.data, r.pay, r.src = data, pay, src
-	return r.flatten(), src
 }
 
-// flatten collapses a payload result into cached flat data, preserving
-// Wait's copy semantics for callers that do not speak segments.
-func (r *Request) flatten() []byte {
+// Wait blocks until the request completes and returns the received
+// bytes and the source's world rank (nil and -1 for sends).  Waiting
+// again returns the cached result.
+func (r *Request) Wait() ([]byte, int) {
+	r.complete()
+	if !r.isRecv {
+		return nil, -1
+	}
 	if r.pay != nil {
 		r.data = r.pay.Flatten()
 		r.pay.Release()
 		r.pay = nil
 	}
-	return r.data
+	return r.data, r.src
 }
 
 // TakePayload returns a completed receive's contents without
-// flattening: pay is non-nil when the sender used the zero-copy path,
-// and its reference now belongs to the caller (Release it after
-// reading); otherwise data holds the flat bytes.  It completes the
-// request like Wait if necessary, and transfers the payload only once.
-func (r *Request) TakePayload() (data []byte, pay *bufpool.Payload, src int) {
-	if !r.done {
-		if !r.isRecv {
-			r.done = true
-			return nil, nil, -1
-		}
-		d, py, s := r.p.recvMsg(r.wantSrc, r.wantTag)
-		r.done = true
-		r.data, r.pay, r.src = d, py, s
-	}
+// flattening; the payload's reference now belongs to the caller
+// (Release it after reading).  It completes the request like Wait if
+// necessary, and transfers the payload only once: a second call, a
+// cancelled receive or a send returns nil (and -1 for a send).
+func (r *Request) TakePayload() (*bufpool.Payload, int) {
+	r.complete()
 	if !r.isRecv {
-		return nil, nil, -1
+		return nil, -1
 	}
-	data, pay, src = r.data, r.pay, r.src
+	pay := r.pay
 	r.pay = nil
-	return data, pay, src
+	return pay, r.src
 }
 
 // Test reports whether the request could complete without blocking,
@@ -154,7 +138,7 @@ func (r *Request) Test() bool {
 	}
 	for i, msg := range r.p.queue {
 		if matches(msg, r.wantSrc, r.wantTag) {
-			r.data, r.pay, r.src = r.p.claim(i)
+			r.pay, r.src = r.p.claim(i)
 			r.done = true
 			return true
 		}
@@ -217,9 +201,9 @@ func Waitany(reqs []*Request) int {
 		}
 	}
 	p.wantBuf, p.wantIdx = wants, idx
-	wi, data, pay, src := p.recvAny(wants)
+	wi, pay, src := p.recvAny(wants)
 	r := reqs[idx[wi]]
-	r.done, r.data, r.pay, r.src = true, data, pay, src
+	r.done, r.pay, r.src = true, pay, src
 	return idx[wi]
 }
 
@@ -363,7 +347,7 @@ func (c *Comm) AllreduceFloat64s(op ReduceOp, xs []float64) []float64 {
 		}
 		return codec.Float64sToBytes(a)
 	})
-	acc = c.bcastTree(0, seq, acc)
+	acc = c.bcastBytes(0, seq, acc)
 	sp.End(c.p.clock)
 	return codec.BytesToFloat64s(acc)
 }

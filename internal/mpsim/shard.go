@@ -59,7 +59,7 @@ import (
 //     shard's outbox and moved into the destination shard's heap at
 //     the barrier.
 //   - Scatter-gather payloads never cross a shard boundary while still
-//     viewing live application storage: sendImpl materializes any
+//     viewing live application storage: sendRef materializes any
 //     unmaterialized payload bound for another shard into its own
 //     pooled segment, so the destination shard only ever reads bytes
 //     the sending shard will never mutate again.  Same-shard
@@ -137,15 +137,16 @@ type shard struct {
 	cmd chan evKey
 }
 
-func (s *shard) recordPair(from, to, bytes int) {
+// pair returns this shard's Msgs/Bytes counters for the directed (from,
+// to) link, creating them on first use.
+func (s *shard) pair(from, to int) *PairStats {
 	k := PairKey{From: from, To: to}
 	ps := s.pairs[k]
 	if ps == nil {
 		ps = &PairStats{}
 		s.pairs[k] = ps
 	}
-	ps.Msgs++
-	ps.Bytes += int64(bytes)
+	return ps
 }
 
 // noteDone settles a finished (or unwound) process in its shard: live

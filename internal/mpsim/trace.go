@@ -6,10 +6,12 @@ import (
 	"strings"
 )
 
-// Event tracing: when enabled on a Config, every send and receive is
-// recorded with its virtual timestamp.  Runs are deterministic, so a
-// trace is a reproducible artifact — useful for inspecting schedule
-// structure and for regression-testing communication patterns.
+// Events: everything the simulator reports — a send, a receive, a
+// drop, a crash — is one Event handed to emit, which books it in Stats
+// and, when enabled on a Config, records it in the trace with its
+// virtual timestamp.  Runs are deterministic, so a trace is a
+// reproducible artifact — useful for inspecting schedule structure and
+// for regression-testing communication patterns.
 
 // EventKind labels a trace event.
 type EventKind int
@@ -53,34 +55,32 @@ const (
 	EvJoin
 )
 
+// evAckDrop is EvDrop for a lost acknowledgement, a kind only emit sees:
+// the drop is charged to the acking (receiving) rank and to no link's
+// pair counters, and is traced and counted as an ordinary EvDrop.
+const evAckDrop EventKind = -1
+
+// kinds gives every EventKind its trace name and the obs counter it
+// feeds; what a kind adds to Stats is emit's switch.
+var kinds = [...]struct{ name, counter string }{
+	EvSend:           {"send", "mpsim.sends"},
+	EvRecv:           {"recv", "mpsim.recvs"},
+	EvDrop:           {"drop", "mpsim.drops"},
+	EvRetransmit:     {"rexmit", "mpsim.retransmits"},
+	EvDupDiscard:     {"dupdisc", "mpsim.dup_discards"},
+	EvCorruptDiscard: {"corrupt", "mpsim.corrupt_discards"},
+	EvAck:            {"ack", "mpsim.acks"},
+	EvTimeout:        {"timeout", "mpsim.timeouts"},
+	EvPeerFail:       {"peerfail", "mpsim.peer_fails"},
+	EvCrash:          {"crash", "mpsim.crashes"},
+	EvCrashDetect:    {"crashdetect", "mpsim.crash_detects"},
+	EvRestart:        {"restart", "mpsim.restarts"},
+	EvJoin:           {"join", "mpsim.joins"},
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EvSend:
-		return "send"
-	case EvRecv:
-		return "recv"
-	case EvDrop:
-		return "drop"
-	case EvRetransmit:
-		return "rexmit"
-	case EvDupDiscard:
-		return "dupdisc"
-	case EvCorruptDiscard:
-		return "corrupt"
-	case EvAck:
-		return "ack"
-	case EvTimeout:
-		return "timeout"
-	case EvPeerFail:
-		return "peerfail"
-	case EvCrash:
-		return "crash"
-	case EvCrashDetect:
-		return "crashdetect"
-	case EvRestart:
-		return "restart"
-	case EvJoin:
-		return "join"
+	if k >= 0 && int(k) < len(kinds) {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
@@ -146,18 +146,80 @@ func (t *Trace) Sends() int {
 	return n
 }
 
-// record appends an event if tracing is enabled, and mirrors it into
-// the observability layer if a tracer is attached.  The event goes to
-// the acting rank's shard-local buffer (coordinator contexts append
-// there too, which is safe: the coordinator only runs while every
-// shard is quiesced at a window barrier); the buffers are merged into
-// the trace when the run completes.
-func (w *World) record(e Event) {
+// emit books one occurrence, and is the only place anything is booked:
+// call sites say what happened once, and Stats, the trace and the
+// observability layer are its three sinks.
+//
+// Stats: the acting rank's counters, and the directed link's.  A
+// link's Msgs/Bytes live in the sending rank's shard (pair), merged
+// after the run; its fault counters live in Stats.Pairs itself, which
+// shard-side emitters reach only under netLayer.mu and the coordinator
+// only while every shard is quiesced — so the values a mid-run
+// NetPairStats reader sees do not depend on the shard count.
+//
+// Trace (Config.Trace): the acting rank's shard-local buffer.
+// Coordinator contexts append there too, which is safe for the same
+// reason; the buffers are merged when the run completes.
+//
+// Obs (Config.Obs): the kind's counter; traffic also feeds the byte
+// totals and the size histogram (its spans are opened at the call
+// sites, where the before-clock is known), and every other kind —
+// things that happen inside scheduler timers rather than on a process's
+// own instruction stream — surfaces as an instant on the acting rank's
+// timeline.
+func (w *World) emit(e Event) {
+	rs := &w.stats.PerRank[e.Rank]
+	switch e.Kind {
+	case EvSend:
+		rs.MsgsSent++
+		rs.BytesSent += int64(e.Bytes)
+		ps := w.procs[e.Rank].shard.pair(e.Rank, e.Peer)
+		ps.Msgs++
+		ps.Bytes += int64(e.Bytes)
+	case EvRecv:
+		rs.MsgsRecv++
+		rs.BytesRecv += int64(e.Bytes)
+	case EvDrop:
+		rs.Drops++
+		w.stats.pair(e.Rank, e.Peer).Drops++
+	case evAckDrop:
+		rs.Drops++
+		e.Kind = EvDrop
+	case EvRetransmit:
+		rs.Retransmits++
+		w.stats.pair(e.Rank, e.Peer).Retransmits++
+	case EvDupDiscard:
+		rs.DupsDiscarded++
+		w.stats.pair(e.Peer, e.Rank).DupsDiscarded++ // the link runs sender -> discarding receiver
+	case EvCorruptDiscard:
+		rs.CorruptDiscarded++
+	case EvTimeout:
+		rs.Timeouts++
+	case EvPeerFail:
+		rs.FailedSends++
+	}
 	if w.trace != nil {
 		s := w.procs[e.Rank].shard
 		s.events = append(s.events, e)
 	}
-	if w.obs != nil {
-		w.obsEvent(e)
+	if w.obs == nil {
+		return
+	}
+	c := &w.obsC
+	c.kind[e.Kind].Inc()
+	switch e.Kind {
+	case EvSend:
+		c.bytesSent.Add(int64(e.Bytes))
+		c.msgBytes.Observe(float64(e.Bytes))
+	case EvRecv:
+		c.bytesRecv.Add(int64(e.Bytes))
+	default:
+		sp := w.obs.Instant(e.Rank, e.Kind.String(), e.Time)
+		if e.Peer >= 0 {
+			sp.SetPeer(e.Peer)
+		}
+		if e.Bytes > 0 {
+			sp.SetBytes(e.Bytes)
+		}
 	}
 }

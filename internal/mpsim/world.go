@@ -163,6 +163,7 @@ func (w *World) run() *Stats {
 		panic(fmt.Sprintf("mpsim: program %q rank %d panicked: %v", f.prog, f.rank, f.err))
 	}
 	w.mergeStats()
+	w.drainPlane()
 	w.stats.Trace = w.trace
 	w.stats.Crashes = w.crashRecords()
 	w.stats.Joins = w.joinRecords()
@@ -170,6 +171,43 @@ func (w *World) run() *Stats {
 		w.obs.MetricsRegistry().Gauge("mpsim.makespan_seconds").Set(w.stats.MakespanSeconds)
 	}
 	return &w.stats
+}
+
+// drainPlane gives back the payload references a finished run leaves
+// parked: messages nobody received and, on an imperfect network,
+// packets whose delivery, ack or retransmission was still in the future
+// when the last process finished.  Nothing fires after this point, so
+// a pool that does not read zero afterwards is a reference leaked by
+// something that ran — which is what the drain assertions test.
+func (w *World) drainPlane() {
+	heaps := []timerHeap{w.timers}
+	for _, s := range w.shards {
+		heaps = append(heaps, s.timers)
+	}
+	for _, h := range heaps {
+		for _, tm := range h {
+			switch tm.kind {
+			case tMsg:
+				tm.msg.pay.Release()
+			case tDeliver:
+				tm.pkt.pay.Release()
+			case tRetransmit:
+				tm.pkt.releaseRef() // an unacked packet's own reference
+			}
+		}
+	}
+	for _, p := range w.procs {
+		for _, m := range p.queue {
+			m.pay.Release()
+		}
+	}
+	if w.net != nil {
+		for _, ls := range w.net.links {
+			for _, h := range ls.held {
+				h.pay.Release()
+			}
+		}
+	}
 }
 
 // RunSPMD is the common single-program case: n processes, one per node,
@@ -341,11 +379,7 @@ func (w *World) panicDeadlock() {
 		msg += d + "\n"
 	}
 	if w.net != nil && !w.net.reliable {
-		var dropped int64
-		for i := range w.stats.PerRank {
-			dropped += w.stats.PerRank[i].Drops
-		}
-		if dropped > 0 {
+		if dropped := w.stats.TotalDrops(); dropped > 0 {
 			msg += fmt.Sprintf("  (%d messages were dropped by fault injection with no reliable transport; consider Config.Reliable)\n", dropped)
 		}
 	}

@@ -319,11 +319,10 @@ func (r *runner) body(p *mpsim.Proc) {
 		var batch []*op
 		if leader {
 			batch = <-r.batches
-			// The encoded batch goes down the broadcast tree as a
-			// scatter-gather payload: one child-count's worth of sends
-			// reference the same bytes, no per-send flatten.
-			pay := p.BufPool().GetPayload()
-			pay.AddView(encodeBatch(batch))
+			// The encoded batch goes down the broadcast tree as a payload
+			// that owns it: every send on the way references the same
+			// bytes, no per-send flatten.
+			pay := p.BufPool().OwnPayload(encodeBatch(batch))
 			coupling.Union.BcastPayload(0, pay)
 			pay.Release()
 		} else {

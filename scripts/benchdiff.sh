@@ -2,8 +2,8 @@
 # CI perf-regression gate: re-run the gated benchmarks (Table5,
 # MovePack, MoveOverlap, ScheduleRepair) and compare against a committed BENCH_<date>.json
 # snapshot via cmd/benchdiff.  Fails on more than 10% ns/op growth or
-# allocs/op growth beyond runtime jitter (one per million) on a gated
-# benchmark.
+# allocs/op growth beyond runtime jitter (benchfmt.allocSlack: 2e-4 of
+# the baseline, capped at 128) on a gated benchmark.
 #
 # Usage:
 #   scripts/benchdiff.sh                        # newest BENCH_*.json
