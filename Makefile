@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check chaos bench benchdiff coverage report
+.PHONY: build test check chaos ab coverage report
 
 build:
 	$(GO) build ./...
@@ -18,16 +18,11 @@ check:
 chaos:
 	sh scripts/chaos.sh
 
-# Full benchmark suite with -benchmem, recorded as BENCH_<date>.json.
-# Refuses to overwrite an existing snapshot; use `make bench BENCH=-f`
-# (or scripts/bench.sh -f) to re-record.
-bench:
-	sh scripts/bench.sh $(BENCH)
-
-# Perf-regression gate: gated benchmarks vs the newest committed
-# BENCH_<date>.json (ns/op +10% or any allocs/op increase fails).
-benchdiff:
-	sh scripts/benchdiff.sh
+# Perf gate: ten alternating pairs of bench/run.sh between the merge
+# base with origin/main and this tree (~25 min).  For another base or
+# pair count run scripts/ab.sh <base-ref> [pairs].
+ab:
+	bash scripts/ab.sh "$$(git merge-base origin/main HEAD)"
 
 # Coverage gate: full-suite statement coverage vs the recorded baseline.
 coverage:

@@ -12,7 +12,6 @@ package metachaos_test
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	"metachaos"
@@ -200,9 +199,9 @@ func BenchmarkMovePack(b *testing.B) {
 	// once outside the timer and one warm-up move grows every reusable
 	// buffer (pool segments, message/request freelists), so allocs/op
 	// exposes any per-move allocation in pack/ship/unpack.  With the
-	// pooled data plane the steady state is 0 allocs/op — gated hard by
-	// cmd/benchdiff.  ns/op is the host cost of one collective move
-	// across all 4 processes.
+	// pooled data plane the steady state is 0 allocs/op, which
+	// internal/core's TestMovePackAllocFree asserts.  ns/op is the host
+	// cost of one collective move across all 4 processes.
 	b.ReportAllocs()
 	metachaos.RunSPMD(metachaos.Ideal(), 4, func(p *metachaos.Proc) {
 		ctx := metachaos.NewCtx(p, p.Comm())
@@ -245,9 +244,9 @@ func BenchmarkMoveOverlap(b *testing.B) {
 	// Block-to-cyclic 1-D redistribution over 8 processes: every process
 	// exchanges a strided lane with every other, the worst case for a
 	// fixed-order executor and the best case for arrival-order unpacking
-	// of overlapped receives.  Same warm-schedule shape as MovePack, so
-	// the 0 allocs/op gate also covers the strided staging path and the
-	// SP2 machine's timer-driven delivery.
+	// of overlapped receives.  Same warm-schedule shape as MovePack;
+	// TestMoveOverlapAllocFree asserts 0 allocs/op on the strided staging
+	// path and the SP2 machine's timer-driven delivery too.
 	const n = 1 << 15
 	b.ReportAllocs()
 	mpsim.RunSPMD(mpsim.SP2(), 8, func(p *mpsim.Proc) {
@@ -336,14 +335,14 @@ func BenchmarkScheduleRepair(b *testing.B) {
 	// every rank exchanges half its block with a neighbor.
 	shifted[0] = blk / 2
 	shifted[ranks-1] = blk + blk/2
-	rmOld, err := metachaos.BlockRoutes(even, shifted, world, world)
+	rmOld, err := core.BlockRoutes(even, shifted, world, world)
 	if err != nil {
 		b.Fatal(err)
 	}
 	moved := append([]int(nil), shifted...)
 	moved[17]--
 	moved[18]++
-	rmNew, err := metachaos.BlockRoutes(even, moved, world, world)
+	rmNew, err := core.BlockRoutes(even, moved, world, world)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -351,13 +350,13 @@ func BenchmarkScheduleRepair(b *testing.B) {
 	// A throwaway world supplies the union communicator the donor
 	// schedule binds to; the schedule itself assembles locally.
 	var donor *metachaos.Schedule
-	var view metachaos.RankView
+	var view core.RankView
 	metachaos.RunSPMD(metachaos.Ideal(), ranks, func(p *metachaos.Proc) {
 		if p.Rank() != 17 {
 			return
 		}
 		g := metachaos.SingleProgram(p.Comm())
-		s, err := metachaos.NewScheduleFromRoutes(g, rmOld, metachaos.Float64, p.WorldRank())
+		s, err := core.NewScheduleFromRoutes(g, rmOld, core.Float64, p.WorldRank())
 		if err != nil {
 			panic(err)
 		}
@@ -463,40 +462,35 @@ func BenchmarkExtensionMatrix(b *testing.B) {
 	}
 }
 
-// figure10ParallelBase stashes the GOMAXPROCS=1 cost of the scaling
-// benchmark so later -cpu variants in the same process can report
-// their speedup (go test runs -cpu variants sequentially).
-var figure10ParallelBase struct {
-	mu      sync.Mutex
-	nsPerOp float64
-}
-
 // BenchmarkFigure10Parallel is the sharded-scheduler scaling
 // benchmark: a 1152-rank (128-client, 1024-server) Figure-10-style
-// coupled matvec.  Shard count follows GOMAXPROCS (the world is large
-// enough to auto-shard), so running with -cpu 1,2,4 measures the
-// parallel speedup of the simulator itself; each multi-core variant
-// reports it as a speedup@N metric against the 1-cpu run.
+// coupled matvec, run with one shard and then with one shard per P at
+// the same GOMAXPROCS, so the two differ only in the engine's shard
+// count.  The second reports the ratio as speedup@P; run it at -cpu 2,4
+// on a host with that many CPUs.
 func BenchmarkFigure10Parallel(b *testing.B) {
-	cfg := exp.Figure10ScaleConfig{
-		ClientProcs: 128, ServerProcs: 1024, Vectors: 8, Rows: 96, Band: 192,
+	procs := runtime.GOMAXPROCS(0)
+	run := func(b *testing.B, shards int) {
+		cfg := exp.Figure10ScaleConfig{
+			ClientProcs: 128, ServerProcs: 1024, Vectors: 8, Rows: 96, Band: 192,
+			Shards: shards,
+		}
+		for i := 0; i < b.N; i++ {
+			r := exp.Figure10Scale(cfg)
+			b.ReportMetric(r.Makespan*1e3, "makespan-vms@1024srv")
+		}
 	}
-	var hash uint64
-	for i := 0; i < b.N; i++ {
-		r := exp.Figure10Scale(cfg)
-		hash = r.ResultHash
-		b.ReportMetric(r.Makespan*1e3, "makespan-vms@1024srv")
+	var oneShard float64 // ns/op of the last shards=1 run
+	b.Run("shards=1", func(b *testing.B) {
+		run(b, 1)
+		oneShard = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	})
+	if procs == 1 {
+		return
 	}
-	_ = hash
-	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	n := runtime.GOMAXPROCS(0)
-	figure10ParallelBase.mu.Lock()
-	if n == 1 {
-		figure10ParallelBase.nsPerOp = ns
-	}
-	base := figure10ParallelBase.nsPerOp
-	figure10ParallelBase.mu.Unlock()
-	if base > 0 {
-		b.ReportMetric(base/ns, fmt.Sprintf("speedup@%d", n))
-	}
+	b.Run("shards=P", func(b *testing.B) {
+		run(b, procs)
+		ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(oneShard/ns, fmt.Sprintf("speedup@%d", procs))
+	})
 }

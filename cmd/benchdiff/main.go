@@ -1,183 +1,284 @@
-// Command benchdiff compares a benchmark run against a committed
-// BENCH_<date>.json baseline and fails on performance regressions: a
-// gated benchmark more than -max-regress slower in ns/op, any
-// allocs/op increase (allocation counts are deterministic, so any
-// growth is a real change), or a gated benchmark missing from the new
-// run.  scripts/benchdiff.sh wires it into CI.
+// Command benchdiff compares paired runs of the repository's benchmark
+// (bench/run.sh) on two trees and says, per workload and end-to-end
+// metric, whether the head tree regressed.  scripts/ab.sh produces the
+// runs and calls it.
 //
-// The current run is read from a file argument or stdin ("-"), as
-// either mcbench JSON or raw `go test -bench -benchmem` text (sniffed
-// by the first byte):
+//	benchdiff BENCHMARK.json <runs-dir>
 //
-//	go test -run '^$' -bench 'Table5' -benchmem -count 3 . | benchdiff -baseline BENCH_2026-08-06.json -
-//	benchdiff -baseline BENCH_2026-08-06.json current.json
+// <runs-dir> holds the standard output of N alternating pairs of runs
+// as base-1.txt, head-1.txt, base-2.txt, head-2.txt, ….  The workloads,
+// the end-to-end metrics, which direction is better and the bound by
+// which each may worsen are read from BENCHMARK.json.
+//
+// A difference is resolved when at least nine tenths of the pairs agree
+// on its direction and the medians differ by more than the distance
+// between the quartiles of the base side's own runs.  A resolved
+// worsening beyond the bound is "regressed"; a resolved gain over at
+// least ten pairs is "improved"; a median within the bound on a metric whose base spread
+// is also within the bound is "unchanged"; everything else is
+// "unresolved" — the pairs run cannot tell.  The exit status is 1 when
+// a metric regressed, when a larger share of operations failed on the
+// head side, or when a run lacks a workload or a metric; 2 when the
+// input cannot be read.
 package main
 
 import (
 	"bufio"
-	"flag"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"regexp"
-	"runtime"
-
-	"metachaos/internal/benchfmt"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 )
 
+// spec is the part of BENCHMARK.json the comparison needs.
+type spec struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricSpec `json:"end_to_end"`
+}
+
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// run is one bench/run.sh output: workload -> metric -> value.
+type run map[string]map[string]float64
+
 func main() {
-	baseline := flag.String("baseline", "", "committed baseline snapshot (required)")
-	filter := flag.String("filter", "Table5|MovePack|MoveOverlap", "regexp naming the gated benchmarks")
-	maxRegress := flag.Float64("max-regress", 0.10, "allowed fractional ns/op growth before failing")
-	zeroAlloc := flag.String("zero-alloc", "MovePack$|MoveOverlap$",
-		"regexp naming benchmarks whose allocs/op must be exactly 0 (the pooled data plane's hard gate); empty disables")
-	flag.Parse()
-
-	if *baseline == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -baseline is required")
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff BENCHMARK.json <runs-dir>")
 		os.Exit(2)
 	}
-	match, err := regexp.Compile(*filter)
+	sp, err := readSpec(os.Args[1])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: bad -filter: %v\n", err)
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	var zeroMatch *regexp.Regexp
-	if *zeroAlloc != "" {
-		if zeroMatch, err = regexp.Compile(*zeroAlloc); err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: bad -zero-alloc: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	base, err := benchfmt.ReadFile(*baseline)
+	base, head, err := readPairs(os.Args[2])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-
-	var in io.Reader
-	switch arg := flag.Arg(0); arg {
-	case "", "-":
-		in = os.Stdin
-	default:
-		f, err := os.Open(arg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		in = f
-	}
-	cur, err := readCurrent(in)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: reading current run: %v\n", err)
-		os.Exit(2)
-	}
-	if len(cur.Results) == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: current run has no benchmark results")
-		os.Exit(2)
-	}
-
-	d := benchfmt.Diff(base, cur, match, *maxRegress)
-	if len(d.Compared) == 0 && len(d.Missing) == 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: filter %q matches nothing in %s — an empty gate gates nothing\n", *filter, *baseline)
-		os.Exit(2)
-	}
-	if base.CPU != "" && cur.CPU != "" && base.CPU != cur.CPU {
-		fmt.Printf("note: baseline CPU %q != current CPU %q; ns/op comparison is cross-machine\n", base.CPU, cur.CPU)
-	}
-	if base.HostCPUs != 0 {
-		fmt.Printf("baseline host: %d cpus, mpsim shards %s\n", base.HostCPUs, orAuto(base.MpsimShards))
-	}
-	if cur.HostCPUs != 0 && (cur.HostCPUs != base.HostCPUs || cur.MpsimShards != base.MpsimShards) {
-		fmt.Printf("current host:  %d cpus, mpsim shards %s\n", cur.HostCPUs, orAuto(cur.MpsimShards))
-	}
-	// Raw go-test text carries no host metadata, so fall back to the
-	// machine benchdiff itself is running on — the same machine that
-	// just ran the benchmarks in every CI and local workflow.
-	curCPUs := cur.HostCPUs
-	if curCPUs == 0 {
-		curCPUs = runtime.NumCPU()
-	}
-	if base.HostCPUs != 0 && base.HostCPUs != curCPUs {
-		fmt.Printf("WARNING: baseline %s was recorded on a %d-cpu host but this run is on %d cpus.\n",
-			*baseline, base.HostCPUs, curCPUs)
-		fmt.Printf("WARNING: virtual-time costs are host-independent, but wall-clock ns/op is not;\n")
-		fmt.Printf("WARNING: treat any ns/op delta below with suspicion and re-record the baseline\n")
-		fmt.Printf("WARNING: (scripts/bench.sh -f) before trusting this gate on the new host shape.\n")
-	}
-	fmt.Printf("baseline %s, gate: ns/op +%.0f%%, allocs/op +runtime jitter (2e-4, at most 128)\n", *baseline, *maxRegress*100)
-	for _, c := range d.Compared {
-		fmt.Printf("  %-28s ns/op %12.0f -> %12.0f (%+6.1f%%)   allocs/op %8.0f -> %8.0f\n",
-			c.Name, c.BaseNs, c.NewNs, 100*(c.NewNs/c.BaseNs-1), c.BaseAllocs, c.NewAllocs)
-	}
-	for _, name := range d.Missing {
-		fmt.Printf("  %-28s MISSING from current run\n", name)
-	}
-	// The pooled-move benchmarks carry a hard absolute gate on top of
-	// the baseline diff: steady-state moves must allocate NOTHING.  A
-	// baseline recorded with a leak must not grandfather it in.
-	var zeroViolations []string
-	if zeroMatch != nil {
-		matched := false
-		for name, r := range cur.Best() {
-			if !zeroMatch.MatchString(name) {
-				continue
-			}
-			matched = true
-			if r.AllocsPerOp != 0 {
-				zeroViolations = append(zeroViolations,
-					fmt.Sprintf("%s: allocs/op = %v, want exactly 0 (zero-alloc gate)", name, r.AllocsPerOp))
-			} else {
-				fmt.Printf("  %-28s allocs/op 0 (zero-alloc gate ok)\n", name)
-			}
-		}
-		if !matched {
-			zeroViolations = append(zeroViolations,
-				fmt.Sprintf("no current benchmark matches -zero-alloc %q — an empty gate gates nothing", *zeroAlloc))
-		}
-	}
-	if !d.OK() || len(zeroViolations) > 0 {
-		fmt.Println("FAIL: performance regressions:")
-		for _, g := range d.Regressions {
-			fmt.Printf("  %s\n", g)
-		}
-		for _, name := range d.Missing {
-			fmt.Printf("  %s: gated benchmark missing from current run\n", name)
-		}
-		for _, v := range zeroViolations {
-			fmt.Printf("  %s\n", v)
-		}
+	if !compare(os.Stdout, sp, base, head) {
 		os.Exit(1)
 	}
-	fmt.Println("OK: no regressions")
 }
 
-// orAuto renders the MPSIM_SHARDS setting, "" meaning automatic.
-func orAuto(s string) string {
-	if s == "" {
-		return "auto"
+func readSpec(path string) (*spec, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	return s
+	sp := &spec{}
+	if err := json.Unmarshal(b, sp); err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if len(sp.Workloads) == 0 || len(sp.EndToEnd) == 0 {
+		return nil, fmt.Errorf("%s names no workloads or no end_to_end metrics", path)
+	}
+	for _, m := range sp.EndToEnd {
+		if m.Better != "lower" && m.Better != "higher" {
+			return nil, fmt.Errorf("%s: metric %s: better is %q, want lower or higher", path, m.Name, m.Better)
+		}
+	}
+	return sp, nil
 }
 
-// readCurrent sniffs JSON (an mcbench snapshot) vs text (raw go test
-// output) by the first non-space byte.
-func readCurrent(r io.Reader) (*benchfmt.Report, error) {
-	br := bufio.NewReader(r)
-	for {
-		b, err := br.Peek(1)
+// readPairs loads base-K.txt and head-K.txt for K = 1, 2, … until a
+// base file is missing.
+func readPairs(dir string) (base, head []run, err error) {
+	for k := 1; ; k++ {
+		b, err := readRun(filepath.Join(dir, fmt.Sprintf("base-%d.txt", k)))
+		if os.IsNotExist(err) && k > 1 {
+			return base, head, nil
+		}
 		if err != nil {
-			return nil, fmt.Errorf("empty input: %w", err)
+			return nil, nil, err
 		}
-		switch b[0] {
-		case ' ', '\t', '\n', '\r':
-			br.Discard(1)
-			continue
-		case '{':
-			return benchfmt.Read(br)
-		default:
-			return benchfmt.ParseGotest(br)
+		h, err := readRun(filepath.Join(dir, fmt.Sprintf("head-%d.txt", k)))
+		if err != nil {
+			return nil, nil, err
+		}
+		base, head = append(base, b), append(head, h)
+	}
+}
+
+func readRun(path string) (run, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	r, err := parseRun(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
+}
+
+// parseRun reads the `workload <name> …` and `metric <name> <value>
+// <unit>` lines of one run; every other line is commentary.
+func parseRun(r io.Reader) (run, error) {
+	out := run{}
+	var cur map[string]float64
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		switch {
+		case len(f) >= 2 && f[0] == "workload":
+			cur = map[string]float64{}
+			out[f[1]] = cur
+		case len(f) == 4 && f[0] == "metric":
+			v, err := strconv.ParseFloat(f[2], 64)
+			if err != nil {
+				return nil, fmt.Errorf("metric %s: %w", f[1], err)
+			}
+			if cur == nil {
+				return nil, fmt.Errorf("metric %s before any workload line", f[1])
+			}
+			cur[f[1]] = v
 		}
 	}
+	return out, sc.Err()
+}
+
+// compare prints the table and reports whether the head side passes.
+func compare(w io.Writer, sp *spec, base, head []run) bool {
+	n := len(base)
+	ok := true
+	fmt.Fprintf(w, "%d pairs; a difference is resolved when >= %d of them agree and the medians differ by more than the base side's quartile distance\n\n",
+		n, needed(n))
+	fmt.Fprintf(w, "%-18s %-16s %-34s %-34s %8s  %-16s %s\n",
+		"workload", "metric", "base median [q1, q3]", "head median [q1, q3]", "delta", "worse", "verdict")
+	for _, wl := range sp.Workloads {
+		for _, m := range sp.EndToEnd {
+			b, bad := column(base, wl.Name, m.Name)
+			h, hbad := column(head, wl.Name, m.Name)
+			if bad+hbad > 0 {
+				fmt.Fprintf(w, "%-18s %-16s missing from %d base and %d head runs\n", wl.Name, m.Name, bad, hbad)
+				ok = false
+				continue
+			}
+			v := judge(m, b, h)
+			fmt.Fprintf(w, "%-18s %-16s %-34s %-34s %+7.1f%%  %-16s %s\n", wl.Name, m.Name,
+				spread(b), spread(h), 100*v.delta, fmt.Sprintf("in %d of %d", v.worse, n), v.verdict)
+			if v.verdict == "regressed" {
+				ok = false
+			}
+		}
+		bf, ba := sum(base, wl.Name, "run.ops_failed"), sum(base, wl.Name, "run.ops_attempted")
+		hf, ha := sum(head, wl.Name, "run.ops_failed"), sum(head, wl.Name, "run.ops_attempted")
+		// Cross-multiplied so that a side with nothing attempted
+		// compares as a share of zero, not NaN.
+		if hf*ba > bf*ha {
+			fmt.Fprintf(w, "%-18s %-16s failed %g of %g on base, %g of %g on head: a larger share fails\n",
+				wl.Name, "run.ops_failed", bf, ba, hf, ha)
+			ok = false
+		}
+	}
+	return ok
+}
+
+// needed is the number of pairs that must agree: nine tenths of those
+// run, rounded up.
+func needed(n int) int { return (9*n + 9) / 10 }
+
+// minGainPairs is the fewest pairs a gain is read from.  A regression
+// must also exceed its bound, which a few pairs of noise rarely do; a
+// gain has no such floor, and two or three pairs agree by chance.
+const minGainPairs = 10
+
+type verdict struct {
+	delta   float64 // (head median - base median) / base median
+	worse   int     // pairs in which head is strictly worse than base
+	verdict string
+}
+
+func judge(m metricSpec, base, head []float64) verdict {
+	n := len(base)
+	worse, better := 0, 0
+	for i := range base {
+		d := head[i] - base[i]
+		if m.Better == "higher" {
+			d = -d
+		}
+		switch {
+		case d > 0:
+			worse++
+		case d < 0:
+			better++
+		}
+	}
+	bq1, bmed, bq3 := quartiles(base)
+	_, hmed, _ := quartiles(head)
+	diff := hmed - bmed
+	v := verdict{delta: diff / bmed, worse: worse}
+	worsening := v.delta
+	if m.Better == "higher" {
+		worsening = -worsening
+	}
+	beyondSpread := math.Abs(diff) > bq3-bq1
+	switch {
+	case worse >= needed(n) && beyondSpread && worsening > m.Bound:
+		v.verdict = "regressed"
+	case n >= minGainPairs && better >= needed(n) && beyondSpread:
+		v.verdict = "improved"
+	case worsening <= m.Bound && bq3-bq1 <= m.Bound*math.Abs(bmed):
+		v.verdict = "unchanged"
+	default:
+		v.verdict = "unresolved"
+	}
+	return v
+}
+
+// column collects one metric of one workload over the runs and counts
+// the runs that lack it.
+func column(runs []run, workload, metric string) (vals []float64, missing int) {
+	for _, r := range runs {
+		v, ok := r[workload][metric]
+		if !ok {
+			missing++
+		}
+		vals = append(vals, v)
+	}
+	return vals, missing
+}
+
+func sum(runs []run, workload, metric string) float64 {
+	vals, _ := column(runs, workload, metric)
+	t := 0.0
+	for _, v := range vals {
+		t += v
+	}
+	return t
+}
+
+// quartiles are the 25th, 50th and 75th percentiles, interpolated
+// linearly between order statistics.
+func quartiles(vals []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+func spread(vals []float64) string {
+	q1, med, q3 := quartiles(vals)
+	return fmt.Sprintf("%.6g [%.6g, %.6g]", med, q1, q3)
 }

@@ -30,9 +30,53 @@ import (
 	"sync"
 	"time"
 
-	"metachaos/internal/benchfmt"
 	"metachaos/internal/serve"
 )
+
+// ServeSummary is one run against a live mcserved daemon, the object
+// -json prints.
+type ServeSummary struct {
+	// Tenants is the number of concurrent client sessions.
+	Tenants int `json:"tenants"`
+	// Couplings is how many couplings each tenant cycled through.
+	Couplings int `json:"couplings"`
+	// Moves is the total moves executed across all tenants.
+	Moves int64 `json:"moves"`
+	// MovesPerSec is wall-clock throughput (real time, not virtual).
+	MovesPerSec float64 `json:"moves_per_sec"`
+	// CacheHitRate is the daemon's schedule-cache hit rate over
+	// coupling opens: warm opens / total opens.
+	CacheHitRate float64 `json:"cache_hit_rate"`
+	// Backpressure counts moves the daemon refused under admission
+	// control (mcload retries them).
+	Backpressure int64 `json:"backpressure"`
+	// Verified is true when every tenant's result hashes matched a
+	// standalone replay of its coupling scripts.
+	Verified bool `json:"verified"`
+	// Reconnects and OpRetries count client-side fault recovery during
+	// the run: sessions re-established after a lost connection, and ops
+	// resent after a world respawn.  Zero in a fault-free run; nonzero
+	// only under -chaos or real failures.
+	Reconnects int64 `json:"reconnects,omitempty"`
+	OpRetries  int64 `json:"op_retries,omitempty"`
+	// MoveLatency is each tenant's virtual-time move-latency profile
+	// (the daemon leader's per-op cost, serve.MoveStats.Cost), one
+	// entry per tenant in tenant order.
+	MoveLatency []TenantMoveLatency `json:"move_latency,omitempty"`
+}
+
+// TenantMoveLatency summarizes one tenant's move latencies in virtual
+// seconds: nearest-rank percentiles over the daemon-reported cost of
+// every move the tenant executed.  Virtual time makes the numbers
+// host-independent — two runs disagree here only if scheduling or
+// batching actually changed.
+type TenantMoveLatency struct {
+	Tenant int     `json:"tenant"`
+	Moves  int64   `json:"moves"`
+	P50    float64 `json:"p50_vsec"`
+	P95    float64 `json:"p95_vsec"`
+	P99    float64 `json:"p99_vsec"`
+}
 
 // pair is one catalog entry: a coupling both sides of which every
 // tenant declares identically (identical declarations are what make
@@ -120,8 +164,7 @@ func main() {
 		catName   = flag.String("catalog", "std", "coupling catalog: std or big (soak-scale 256-rank sharded worlds)")
 		chaos     = flag.Float64("chaos", 0, "wire-chaos fault rate per I/O (drops, torn writes, lost replies, stalls)")
 		chaosSeed = flag.Uint64("chaos-seed", 1, "base seed for deterministic chaos (per-tenant streams derive from it)")
-		jsonOut   = flag.Bool("json", false, "print the summary as benchfmt.ServeSummary JSON")
-		snapshot  = flag.String("snapshot", "", "merge the summary into this BENCH_<date>.json snapshot")
+		jsonOut   = flag.Bool("json", false, "print the summary as ServeSummary JSON")
 	)
 	flag.Parse()
 	if *profile != "steady" && *profile != "churn" {
@@ -189,7 +232,7 @@ func main() {
 		verified = true
 	}
 
-	sum := benchfmt.ServeSummary{
+	sum := ServeSummary{
 		Tenants:      *tenants,
 		Couplings:    *couplings,
 		Moves:        total,
@@ -215,13 +258,6 @@ func main() {
 			fmt.Printf("mcload: tenant %d move latency (vsec): p50=%.6f p95=%.6f p99=%.6f over %d moves\n",
 				tl.Tenant, tl.P50, tl.P95, tl.P99, tl.Moves)
 		}
-	}
-	if *snapshot != "" {
-		if err := mergeSnapshot(*snapshot, &sum); err != nil {
-			fmt.Fprintf(os.Stderr, "mcload: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mcload: recorded serve summary in %s\n", *snapshot)
 	}
 }
 
@@ -348,8 +384,8 @@ func verify(results []tenantResult) error {
 
 // tenantLatency folds one tenant's per-move virtual-time costs into
 // nearest-rank percentiles.
-func tenantLatency(t int, costs []float64) benchfmt.TenantMoveLatency {
-	tl := benchfmt.TenantMoveLatency{Tenant: t, Moves: int64(len(costs))}
+func tenantLatency(t int, costs []float64) TenantMoveLatency {
+	tl := TenantMoveLatency{Tenant: t, Moves: int64(len(costs))}
 	if len(costs) == 0 {
 		return tl
 	}
@@ -378,19 +414,4 @@ func fetchStats(network, addr string) (hitRate float64, backpressure int64) {
 		return 0, 0
 	}
 	return stats["serve_cache_hit_rate"], int64(stats["serve_backpressure_total"])
-}
-
-// mergeSnapshot attaches the summary to an existing benchfmt snapshot.
-func mergeSnapshot(path string, sum *benchfmt.ServeSummary) error {
-	rep, err := benchfmt.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	rep.Serve = sum
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return rep.Write(f)
 }

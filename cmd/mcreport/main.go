@@ -1,23 +1,120 @@
-// Command mcreport regenerates EXPERIMENTS.md: it runs every table,
-// figure and ablation and emits a markdown report of paper-vs-measured
-// results.
+// Command mcreport runs the paper's evaluation on the simulated
+// machines.  With no flags it regenerates EXPERIMENTS.md: every table,
+// figure and ablation as a markdown report of paper-vs-measured
+// results.  With -only it runs one experiment and prints its tables in
+// the chosen -format.
 //
 //	go run ./cmd/mcreport > EXPERIMENTS.md
+//	go run ./cmd/mcreport -only table5 -format json
+//	go run ./cmd/mcreport -only figure10 -format plot
+//	go run ./cmd/mcreport -only ablations
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
 	"metachaos/internal/exp"
 )
 
-func main() {
-	fmt.Println(`# EXPERIMENTS — paper vs reproduction
+const (
+	experimentNames = "table1..5, figure10..15, ablations, matrix, app"
+	formatNames     = "text, csv, json, plot"
+)
 
-Regenerated with ` + "`go run ./cmd/mcreport > EXPERIMENTS.md`" + `
-(equivalently: ` + "`go run ./cmd/mctables`" + `, ` + "`go run ./cmd/mcfigures`" + `,
-` + "`go run ./cmd/mctables -ablations`" + `).
+// experiments are the names -only accepts.
+var experiments = map[string]func() []*exp.Table{
+	"table1": one(exp.Table1),
+	"table2": one(exp.Table2),
+	"table3": func() []*exp.Table { t3, _ := exp.Tables34(); return []*exp.Table{t3} },
+	"table4": func() []*exp.Table { _, t4 := exp.Tables34(); return []*exp.Table{t4} },
+	"table5": one(exp.Table5),
+
+	"figure10": one(exp.Figure10),
+	"figure11": one(exp.Figure11),
+	"figure12": one(exp.Figure12),
+	"figure13": one(exp.Figure13),
+	"figure14": one(exp.Figure14),
+	"figure15": one(exp.Figure15),
+
+	"ablations": ablations,
+	"matrix":    func() []*exp.Table { a, b := exp.ExtensionMatrix(); return []*exp.Table{a, b} },
+	"app":       one(exp.Figure1Application),
+}
+
+// formats are the renderings -format accepts.
+var formats = map[string]func(*exp.Table) string{
+	"text": (*exp.Table).Format,
+	"csv":  (*exp.Table).CSV,
+	"json": (*exp.Table).JSON,
+	"plot": (*exp.Table).Plot,
+}
+
+func one(f func() *exp.Table) func() []*exp.Table {
+	return func() []*exp.Table { return []*exp.Table{f()} }
+}
+
+// ablations are the design choices DESIGN.md calls out, each against
+// its alternative.
+func ablations() []*exp.Table {
+	return []*exp.Table{
+		exp.AblationAggregation(),
+		exp.AblationTTable(),
+		exp.AblationScheduleReuse(),
+		exp.AblationRLE(),
+		exp.AblationReliability(),
+		exp.AblationDtype(),
+	}
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "run one experiment: "+experimentNames)
+	format := fs.String("format", "text", "with -only, how to print its tables: "+formatNames)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "mcreport: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	render, ok := formats[*format]
+	if !ok {
+		fmt.Fprintf(stderr, "mcreport: no -format %q (have %s)\n", *format, formatNames)
+		return 2
+	}
+	if *only == "" {
+		if *format != "text" {
+			fmt.Fprintln(stderr, "mcreport: -format applies to -only; the whole report is markdown")
+			return 2
+		}
+		report(stdout)
+		return 0
+	}
+	tables, ok := experiments[*only]
+	if !ok {
+		fmt.Fprintf(stderr, "mcreport: no experiment %q (have %s)\n", *only, experimentNames)
+		return 2
+	}
+	for _, t := range tables() {
+		fmt.Fprintln(stdout, render(t))
+	}
+	return 0
+}
+
+// report writes EXPERIMENTS.md.
+func report(w io.Writer) {
+	fmt.Fprintln(w, `# EXPERIMENTS — paper vs reproduction
+
+Regenerated with `+"`go run ./cmd/mcreport > EXPERIMENTS.md`"+`
+(one experiment at a time: `+"`go run ./cmd/mcreport -only table5`"+`,
+`+"`-only figure10 -format plot`"+`, `+"`-only ablations`"+`).
 
 All measurements are **virtual milliseconds** on the simulated machines
 described in DESIGN.md (an IBM SP2 profile for Tables 1-5, a DEC Alpha
@@ -28,20 +125,20 @@ who wins, by roughly what factor, how times scale with processes, and
 where crossovers fall.  Each section lists the qualitative claims the
 paper makes about its table or figure and how the reproduction bears
 them out.`)
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	section := func(t *exp.Table, claims ...string) {
-		fmt.Printf("## %s\n\n", t.ID)
-		fmt.Println("```")
-		fmt.Print(t.Format())
-		fmt.Println("```")
+		fmt.Fprintf(w, "## %s\n\n", t.ID)
+		fmt.Fprintln(w, "```")
+		fmt.Fprint(w, t.Format())
+		fmt.Fprintln(w, "```")
 		if len(claims) > 0 {
-			fmt.Println("\nPaper claims checked:")
+			fmt.Fprintln(w, "\nPaper claims checked:")
 			for _, c := range claims {
-				fmt.Printf("- %s\n", c)
+				fmt.Fprintf(w, "- %s\n", c)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	section(exp.Table1(),
@@ -79,47 +176,40 @@ them out.`)
 		"a handful of matrix-vector multiplies amortize the server overhead for a sequential client [holds: 3-6 vectors]",
 		"no break-even exists for a two-process client with a two-process server [holds: marked '-']")
 
-	fmt.Println("## Ablations")
-	fmt.Println()
-	fmt.Println("Design choices DESIGN.md calls out, each against its alternative.")
-	fmt.Println()
-	for _, t := range []*exp.Table{
-		exp.AblationAggregation(),
-		exp.AblationTTable(),
-		exp.AblationScheduleReuse(),
-		exp.AblationRLE(),
-		exp.AblationReliability(),
-		exp.AblationDtype(),
-	} {
-		fmt.Printf("### %s\n\n```\n%s```\n\n", t.ID, t.Format())
+	fmt.Fprintln(w, "## Ablations")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Design choices DESIGN.md calls out, each against its alternative.")
+	fmt.Fprintln(w)
+	for _, t := range ablations() {
+		fmt.Fprintf(w, "### %s\n\n```\n%s```\n\n", t.ID, t.Format())
 	}
 
-	fmt.Println("## Extension: cross-library cost matrix")
-	fmt.Println()
-	fmt.Println("Beyond the paper: every pairing of the five bound libraries")
-	fmt.Println("(including the post-paper LPARX analogue) moving the same payload.")
-	fmt.Println()
+	fmt.Fprintln(w, "## Extension: cross-library cost matrix")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Beyond the paper: every pairing of the five bound libraries")
+	fmt.Fprintln(w, "(including the post-paper LPARX analogue) moving the same payload.")
+	fmt.Fprintln(w)
 	e1a, e1b := exp.ExtensionMatrix()
-	fmt.Printf("```\n%s```\n\n```\n%s```\n\n", e1a.Format(), e1b.Format())
+	fmt.Fprintf(w, "```\n%s```\n\n```\n%s```\n\n", e1a.Format(), e1b.Format())
 
-	fmt.Println("## Extension: elastic recovery under fail-stop crashes")
-	fmt.Println()
-	fmt.Println("Beyond the paper: a server rank is killed mid-run; the virtual-time")
-	fmt.Println("failure detector notices, the coupling shrinks to the survivors, state")
-	fmt.Println("restores from a coordinated checkpoint, and the run finishes with a")
-	fmt.Println("result bit-identical to the fault-free one.")
-	fmt.Println()
+	fmt.Fprintln(w, "## Extension: elastic recovery under fail-stop crashes")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Beyond the paper: a server rank is killed mid-run; the virtual-time")
+	fmt.Fprintln(w, "failure detector notices, the coupling shrinks to the survivors, state")
+	fmt.Fprintln(w, "restores from a coordinated checkpoint, and the run finishes with a")
+	fmt.Fprintln(w, "result bit-identical to the fault-free one.")
+	fmt.Fprintln(w)
 	et := exp.ElasticTable()
-	fmt.Printf("```\n%s```\n\n", et.Format())
+	fmt.Fprintf(w, "```\n%s```\n\n", et.Format())
 
-	fmt.Println("## Extension: the whole Figure 1 application")
-	fmt.Println()
-	fmt.Println("End-to-end cost profile of the motivating coupled program: what")
-	fmt.Println("share of a complete time step the Meta-Chaos interaction costs.")
-	fmt.Println()
-	fmt.Printf("```\n%s```\n\n", exp.Figure1Application().Format())
+	fmt.Fprintln(w, "## Extension: the whole Figure 1 application")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "End-to-end cost profile of the motivating coupled program: what")
+	fmt.Fprintln(w, "share of a complete time step the Meta-Chaos interaction costs.")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "```\n%s```\n\n", exp.Figure1Application().Format())
 
-	fmt.Println(strings.TrimSpace(`
+	fmt.Fprintln(w, strings.TrimSpace(`
 ## Known deviations
 
 - Absolute times run 2-5x below the paper's SP2 numbers: the dominant

@@ -1,7 +1,6 @@
 // Package exp implements the paper's evaluation: one function per
-// table and figure, each returning a structured result that the
-// cmd/mctables and cmd/mcfigures binaries print and the root
-// benchmarks re-run.  Workload sizes, machine profiles and process
+// table and figure, each returning a structured result that
+// cmd/mcreport prints and the root benchmarks re-run.  Workload sizes, machine profiles and process
 // counts follow Section 5 of the paper; the tables embed the paper's
 // published numbers so the output shows paper-vs-measured side by
 // side.
