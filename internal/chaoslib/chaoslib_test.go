@@ -117,7 +117,7 @@ func TestTTableWithExplicitOffsets(t *testing.T) {
 			return
 		}
 		locs := tt.Lookup(ctx, []int32{0, 1, 2, 3})
-		want := []core.Loc{{Proc: 0, Off: 10}, {Proc: 0, Off: 20}, {Proc: 1, Off: 30}, {Proc: 1, Off: 40}}
+		want := []Loc{{Proc: 0, Off: 10}, {Proc: 0, Off: 20}, {Proc: 1, Off: 30}, {Proc: 1, Off: 40}}
 		for i := range want {
 			if locs[i] != want[i] {
 				t.Errorf("lookup(%d)=%+v want %+v", i, locs[i], want[i])
@@ -358,8 +358,8 @@ func TestOwnedPositionsConsistency(t *testing.T) {
 	mpsim.RunSPMD(mpsim.Ideal(), nprocs, func(p *mpsim.Proc) {
 		ctx := core.NewCtx(p, p.Comm())
 		a, _ := NewArray(ctx, splitPerm(11, n, nprocs, p.Rank()))
-		locs := Library.DerefRange(ctx, a, set, 0, set.Size())
-		owned := Library.OwnedPositions(ctx, a, set)
+		locs := expand(Library.DerefRange(ctx, a, set, 0, set.Size()))
+		owned := expandOwned(Library.OwnedPositions(ctx, a, set))
 		seen := map[int32]int32{}
 		last := int32(-1)
 		for _, pl := range owned {

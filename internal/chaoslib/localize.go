@@ -65,7 +65,7 @@ func Localize(ctx *core.Ctx, a *Array, indices []int32) *Localized {
 		slot int32
 		off  int32
 	}
-	ghostOf := map[core.Loc]int32{}
+	ghostOf := map[Loc]int32{}
 	perOwner := map[int32][]remote{}
 	var ownerOrder []int32
 	for i, loc := range locs {

@@ -40,45 +40,66 @@ func (Lib) region(set *core.SetOfRegions, i int) IndexRegion {
 // DerefRange returns the locations of set positions [lo, hi).
 // Collective: a single translation-table lookup round serves the whole
 // range.
-func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.Loc {
-	tt := tableOf(o)
-	indices := make([]int32, 0, hi-lo)
-	for _, span := range set.SplitRange(lo, hi) {
-		indices = append(indices, l.region(set, span.Index)[span.Lo:span.Hi]...)
-	}
-	return tt.Lookup(ctx, indices)
+func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.LocRun {
+	at := []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}}
+	return locRuns(tableOf(o).Lookup(ctx, l.indices(set, at)), at)
 }
 
-// DerefAt returns the locations of the given set positions.
-func (l Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, positions []int32) []core.Loc {
-	tt := tableOf(o)
-	indices := make([]int32, len(positions))
-	for i, pos := range positions {
-		ri, inner := set.RegionOf(int(pos))
-		indices[i] = l.region(set, ri)[inner]
+// DerefAt returns the locations of the positions in the given
+// intervals.
+func (l Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
+	indices := l.indices(set, at)
+	ctx.P.ChargeMemOps(len(indices))
+	return locRuns(tableOf(o).Lookup(ctx, indices), at)
+}
+
+// indices lists the global indices at the positions in at, in order.
+func (l Lib) indices(set *core.SetOfRegions, at []core.PosRange) []int32 {
+	out := make([]int32, 0, core.RangesLen(at))
+	for _, iv := range at {
+		for lo, hi := int(iv.Lo), int(iv.Hi); lo < hi; {
+			span := set.SpanAt(lo, hi)
+			out = append(out, l.region(set, span.Index)[span.Lo:span.Hi]...)
+			lo = span.Base + span.Hi
+		}
 	}
-	ctx.P.ChargeMemOps(len(positions))
-	return tt.Lookup(ctx, indices)
+	return out
+}
+
+// locRuns pairs the table entries of the positions in at, in order,
+// with those positions.  The table answers element by element; entries
+// fuse into runs only where the distribution happens to be regular.
+func locRuns(locs []Loc, at []core.PosRange) []core.LocRun {
+	out := make([]core.LocRun, 0, len(locs))
+	k := 0
+	for _, iv := range at {
+		for pos := iv.Lo; pos < iv.Hi; pos++ {
+			out = core.AppendLoc(out, pos, locs[k].Proc, locs[k].Off)
+			k++
+		}
+	}
+	return out
 }
 
 // OwnedPositions chunks the set's positions over the program, looks
 // each chunk up, and routes every (position, offset) pair to its
 // owner: cost one lookup round plus one all-to-all, the same pattern
 // the original library used to invert a distribution.
-func (l Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.PosLoc {
+func (l Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.LocRun {
 	comm := ctx.Comm
 	p := ctx.P
 	n := set.Size()
 	nP := comm.Size()
 	me := comm.Rank()
 	lo, hi := me*n/nP, (me+1)*n/nP
-	locs := l.DerefRange(ctx, o, set, lo, hi)
 
 	bufs := make([]codec.Writer, nP)
-	for k, loc := range locs {
-		w := &bufs[loc.Proc]
-		w.PutInt32(int32(lo + k))
-		w.PutInt32(loc.Off)
+	for _, run := range l.DerefRange(ctx, o, set, lo, hi) {
+		w := &bufs[run.Proc]
+		for k := int32(0); k < run.Count; k++ {
+			w.PutInt32(run.Pos + k)
+			w.PutInt32(run.Off + k*run.Stride)
+		}
 	}
 	p.ChargeMemOps(hi - lo)
 	outs := make([][]byte, nP)
@@ -86,16 +107,18 @@ func (l Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfReg
 		outs[r] = bufs[r].Bytes()
 	}
 	parts := comm.Alltoall(outs)
-	var out []core.PosLoc
+	var out []core.LocRun
+	owned := 0
 	// Chunks arrive in increasing producer rank, and produce increasing
 	// positions, so concatenation keeps the list sorted by position.
 	for _, part := range parts {
 		r := codec.NewReader(part)
 		for r.Remaining() > 0 {
-			out = append(out, core.PosLoc{Pos: r.Int32(), Off: r.Int32()})
+			out = core.AppendLoc(out, r.Int32(), int32(me), r.Int32())
+			owned++
 		}
 	}
-	p.ChargeMemOps(len(out))
+	p.ChargeMemOps(owned)
 	return out
 }
 

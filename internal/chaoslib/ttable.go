@@ -21,6 +21,13 @@ const (
 	tagCopy    = 0x32000
 )
 
+// Loc is one translation-table entry: the process that stores an
+// element and the element's offset in that process's local storage.
+type Loc struct {
+	Proc int32
+	Off  int32
+}
+
 // TTable is the translation table for one irregular distribution.  In
 // its normal (distributed) form each process stores one page of
 // entries — dereferencing a global index requires asking the page's
@@ -35,11 +42,11 @@ type TTable struct {
 	page   int // entries per page: ceil(n/nprocs)
 
 	// Distributed form: entries [pageLo, pageHi) of the table.
-	local  []core.Loc
+	local  []Loc
 	pageLo int
 
 	// Replicated form: all n entries; nil in the distributed form.
-	full []core.Loc
+	full []Loc
 }
 
 // BuildTTable constructs the distributed translation table for an
@@ -65,9 +72,9 @@ func BuildTTable(ctx *core.Ctx, indices []int32, offsets []int32) (*TTable, erro
 		page:   (n + comm.Size() - 1) / comm.Size(),
 	}
 	tt.pageLo = comm.Rank() * tt.page
-	tt.local = make([]core.Loc, tt.pageCount(comm.Rank()))
+	tt.local = make([]Loc, tt.pageCount(comm.Rank()))
 	for i := range tt.local {
-		tt.local[i] = core.Loc{Proc: -1}
+		tt.local[i] = Loc{Proc: -1}
 	}
 
 	// Validate locally, then agree on validity collectively so every
@@ -111,7 +118,7 @@ func BuildTTable(ctx *core.Ctx, indices []int32, offsets []int32) (*TTable, erro
 				duplicates++
 				continue
 			}
-			tt.local[slot] = core.Loc{Proc: int32(src), Off: off}
+			tt.local[slot] = Loc{Proc: int32(src), Off: off}
 			p.ChargeMemOps(1)
 		}
 	}
@@ -158,12 +165,12 @@ func (tt *TTable) pageCount(rank int) int {
 // ctx.Comm in the distributed form (every process must call, even with
 // an empty list), local in the replicated form.  The result is in
 // request order.
-func (tt *TTable) Lookup(ctx *core.Ctx, indices []int32) []core.Loc {
+func (tt *TTable) Lookup(ctx *core.Ctx, indices []int32) []Loc {
 	p := ctx.P
 	if tt.full != nil {
 		// Replicated tables answer with a direct array index, far
 		// cheaper than a distributed (hashed, remote) dereference.
-		out := make([]core.Loc, len(indices))
+		out := make([]Loc, len(indices))
 		for i, g := range indices {
 			out[i] = tt.full[g]
 		}
@@ -213,9 +220,9 @@ func (tt *TTable) Lookup(ctx *core.Ctx, indices []int32) []core.Loc {
 	for r := range readers {
 		readers[r] = codec.NewReader(answers[r])
 	}
-	out := make([]core.Loc, len(indices))
+	out := make([]Loc, len(indices))
 	for i, o := range owners {
-		out[i] = core.Loc{Proc: readers[o].Int32(), Off: readers[o].Int32()}
+		out[i] = Loc{Proc: readers[o].Int32(), Off: readers[o].Int32()}
 	}
 	p.ChargeMemOps(len(indices))
 	return out
@@ -240,13 +247,13 @@ func (tt *TTable) Replicate(ctx *core.Ctx) *TTable {
 	return &TTable{n: tt.n, nprocs: tt.nprocs, page: tt.page, full: full}
 }
 
-func assembleFull(n int, parts [][]byte) []core.Loc {
-	full := make([]core.Loc, n)
+func assembleFull(n int, parts [][]byte) []Loc {
+	full := make([]Loc, n)
 	for _, part := range parts {
 		r := codec.NewReader(part)
 		lo := int(r.Int32())
 		for i := lo; r.Remaining() > 0; i++ {
-			full[i] = core.Loc{Proc: r.Int32(), Off: r.Int32()}
+			full[i] = Loc{Proc: r.Int32(), Off: r.Int32()}
 		}
 	}
 	return full
@@ -273,9 +280,9 @@ func decodeFull(data []byte) (*TTable, error) {
 		return nil, fmt.Errorf("chaoslib: corrupt table descriptor (n=%d, nprocs=%d)", n, nprocs)
 	}
 	tt := &TTable{n: n, nprocs: nprocs, page: (n + nprocs - 1) / nprocs}
-	tt.full = make([]core.Loc, n)
+	tt.full = make([]Loc, n)
 	for i := 0; i < n; i++ {
-		tt.full[i] = core.Loc{Proc: r.Int32(), Off: r.Int32()}
+		tt.full[i] = Loc{Proc: r.Int32(), Off: r.Int32()}
 	}
 	return tt, nil
 }

@@ -23,23 +23,24 @@ func (w *Writer) Len() int { return len(w.buf) }
 
 // PutInt32 appends one int32.
 func (w *Writer) PutInt32(v int32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(v))
-	w.buf = append(w.buf, b[:]...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v))
+}
+
+// SetInt32 overwrites the int32 written at byte offset at (a value of
+// Len taken before that PutInt32), for counts known only once the
+// items they head are written.
+func (w *Writer) SetInt32(at int, v int32) {
+	binary.LittleEndian.PutUint32(w.buf[at:at+4], uint32(v))
 }
 
 // PutInt64 appends one int64.
 func (w *Writer) PutInt64(v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	w.buf = append(w.buf, b[:]...)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
 }
 
 // PutFloat64 appends one float64.
 func (w *Writer) PutFloat64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.buf = append(w.buf, b[:]...)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
 // PutInt32s appends a length-prefixed int32 slice.

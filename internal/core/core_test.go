@@ -64,45 +64,51 @@ type testRegion []int32
 
 func (r testRegion) Size() int { return len(r) }
 
-func (o *testObj) locate(g int32) Loc {
+// locate returns the owner and local offset of global element g.
+func (o *testObj) locate(g int32) (proc, off int32) {
 	b := int32(o.block())
-	return Loc{Proc: g / b, Off: g % b}
+	return g / b, g % b
 }
 
-func (testLib) DerefRange(ctx *Ctx, obj DistObject, set *SetOfRegions, lo, hi int) []Loc {
+func (testLib) DerefRange(ctx *Ctx, obj DistObject, set *SetOfRegions, lo, hi int) []LocRun {
 	o := obj.(*testObj)
-	out := make([]Loc, 0, hi-lo)
+	var out []LocRun
 	for _, span := range set.SplitRange(lo, hi) {
 		r := set.Region(span.Index).(testRegion)
-		for _, g := range r[span.Lo:span.Hi] {
-			out = append(out, o.locate(g))
+		for k := span.Lo; k < span.Hi; k++ {
+			proc, off := o.locate(r[k])
+			out = AppendLoc(out, int32(span.Base+k), proc, off)
 		}
 	}
 	ctx.P.ChargeDeref(hi - lo)
 	return out
 }
 
-func (testLib) DerefAt(ctx *Ctx, obj DistObject, set *SetOfRegions, positions []int32) []Loc {
+func (testLib) DerefAt(ctx *Ctx, obj DistObject, set *SetOfRegions, at []PosRange) []LocRun {
 	o := obj.(*testObj)
-	out := make([]Loc, len(positions))
-	for i, pos := range positions {
-		ri, inner := set.RegionOf(int(pos))
-		out[i] = o.locate(set.Region(ri).(testRegion)[inner])
+	var out []LocRun
+	n := 0
+	for _, iv := range at {
+		for pos := iv.Lo; pos < iv.Hi; pos++ {
+			ri, inner := set.RegionOf(int(pos))
+			proc, off := o.locate(set.Region(ri).(testRegion)[inner])
+			out = AppendLoc(out, pos, proc, off)
+			n++
+		}
 	}
-	ctx.P.ChargeDeref(len(positions))
+	ctx.P.ChargeDeref(n)
 	return out
 }
 
-func (testLib) OwnedPositions(ctx *Ctx, obj DistObject, set *SetOfRegions) []PosLoc {
+func (testLib) OwnedPositions(ctx *Ctx, obj DistObject, set *SetOfRegions) []LocRun {
 	o := obj.(*testObj)
-	var out []PosLoc
+	var out []LocRun
 	pos := 0
 	for i := 0; i < set.Len(); i++ {
 		r := set.Region(i).(testRegion)
 		for _, g := range r {
-			loc := o.locate(g)
-			if int(loc.Proc) == o.rank {
-				out = append(out, PosLoc{Pos: int32(pos), Off: loc.Off})
+			if proc, off := o.locate(g); int(proc) == o.rank {
+				out = AppendLoc(out, int32(pos), proc, off)
 			}
 			pos++
 		}
@@ -139,13 +145,13 @@ func (testLib) DecodeRegion(data []byte) (Region, error) {
 type noCodecLib struct{}
 
 func (noCodecLib) Name() string { return "testlib-nocodec" }
-func (noCodecLib) DerefRange(ctx *Ctx, o DistObject, set *SetOfRegions, lo, hi int) []Loc {
+func (noCodecLib) DerefRange(ctx *Ctx, o DistObject, set *SetOfRegions, lo, hi int) []LocRun {
 	return testLib{}.DerefRange(ctx, o, set, lo, hi)
 }
-func (noCodecLib) DerefAt(ctx *Ctx, o DistObject, set *SetOfRegions, positions []int32) []Loc {
-	return testLib{}.DerefAt(ctx, o, set, positions)
+func (noCodecLib) DerefAt(ctx *Ctx, o DistObject, set *SetOfRegions, at []PosRange) []LocRun {
+	return testLib{}.DerefAt(ctx, o, set, at)
 }
-func (noCodecLib) OwnedPositions(ctx *Ctx, o DistObject, set *SetOfRegions) []PosLoc {
+func (noCodecLib) OwnedPositions(ctx *Ctx, o DistObject, set *SetOfRegions) []LocRun {
 	return testLib{}.OwnedPositions(ctx, o, set)
 }
 

@@ -11,8 +11,9 @@ import (
 	"metachaos/internal/mpsim"
 )
 
-// steadyMoveAllocs runs warm-up collective moves in an nprocs world,
-// then counts the heap allocations of the whole process over 50 more.
+// steadyMoveAllocs runs warm-up collective steps (moves, for most
+// callers) in an nprocs world, then counts the heap allocations of the
+// whole process over 50 more.
 // Rank 0 counts while the other ranks keep step, so the figure covers
 // every rank's pack, ship and unpack.  AllocsPerRun pins GOMAXPROCS to 1
 // while it counts; one shard keeps the engine on the inline path
@@ -96,5 +97,37 @@ func TestMoveOverlapAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state redistribution moves average %v allocations; want 0", avg)
+	}
+}
+
+// TestScheduleBuildAllocsFollowRuns holds the inspector to O(runs): a
+// cold ComputeSchedule between an HPF and a Multiblock Parti array,
+// both (BLOCK, BLOCK) over 4 processes, may allocate for the rows a
+// section has but never for its elements.  A 96×96 section has 16 times
+// the elements of a 24×24 one and 4 times the rows; with growing slices
+// that is a few more allocations, not a multiple.
+func TestScheduleBuildAllocsFollowRuns(t *testing.T) {
+	build := func(method core.Method, edge int) float64 {
+		return steadyMoveAllocs(mpsim.Ideal(), 4, 20, func(p *mpsim.Proc) func() {
+			ctx := core.NewCtx(p, p.Comm())
+			dist := distarray.MustBlock2D(edge+8, edge+8, 4)
+			src := &core.Spec{Lib: hpfrt.Library, Obj: hpfrt.NewArray(dist, p.Rank()), Ctx: ctx,
+				Set: core.NewSetOfRegions(gidx.NewSection([]int{1, 3}, []int{1 + edge, 3 + edge}))}
+			dst := &core.Spec{Lib: mbparti.Library, Obj: mbparti.MustNewArray(dist, p.Rank(), 1), Ctx: ctx,
+				Set: core.NewSetOfRegions(gidx.NewSection([]int{5, 0}, []int{5 + edge, edge}))}
+			coupling := core.SingleProgram(p.Comm())
+			return func() {
+				if _, err := core.ComputeSchedule(coupling, src, dst, method); err != nil {
+					panic(err)
+				}
+			}
+		})
+	}
+	for _, method := range []core.Method{core.Cooperation, core.Duplication} {
+		small, large := build(method, 24), build(method, 96)
+		t.Logf("%v: %.0f allocations per build at 24×24, %.0f at 96×96", method, small, large)
+		if large > 1.5*small {
+			t.Errorf("%v: a 96×96 section build allocates %.0f times, a 24×24 one %.0f; want at most 1.5x", method, large, small)
+		}
 	}
 }

@@ -103,6 +103,15 @@ func (s *SetOfRegions) SplitRange(lo, hi int) []Span {
 	return spans
 }
 
+// SpanAt returns the first per-region span of the set-level position
+// range [lo, hi): the part of it inside the region holding position lo.
+// A caller walks a range without allocating by resuming at
+// span.Base+span.Hi until it reaches hi.
+func (s *SetOfRegions) SpanAt(lo, hi int) Span {
+	i, inner := s.RegionOf(lo)
+	return Span{Index: i, Lo: inner, Hi: min(hi, s.base[i+1]) - s.base[i], Base: s.base[i]}
+}
+
 // RegionOf maps a set-level position to (region index, position within
 // region) by walking the base table.
 func (s *SetOfRegions) RegionOf(pos int) (index, inner int) {
@@ -122,21 +131,6 @@ func (s *SetOfRegions) RegionOf(pos int) (index, inner int) {
 	return lo, pos - s.base[lo]
 }
 
-// Loc is the physical location of one element: the program rank of the
-// owning process and the element offset into that process's local
-// storage for the distributed object.
-type Loc struct {
-	Proc int32
-	Off  int32
-}
-
-// PosLoc pairs a set-linearization position with a local element
-// offset on the calling process.
-type PosLoc struct {
-	Pos int32
-	Off int32
-}
-
 // DistObject is one process's handle on a distributed data structure:
 // the element geometry plus this process's local element storage.
 // Elements are fixed-size groups of scalars described by an ElemType —
@@ -149,18 +143,4 @@ type DistObject interface {
 	// Elem().Words scalar units per locally owned element.
 	// Descriptor-only remote views return a nil Mem (IsNil true).
 	LocalMem() Mem
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

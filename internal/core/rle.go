@@ -3,67 +3,131 @@ package core
 import "metachaos/internal/codec"
 
 // Run-length encoding for schedule wire formats.  The cooperation
-// method ships per-element location and offset lists between
-// processes; for regular array sections these lists are long
-// arithmetic progressions (consecutive offsets with a fixed stride),
-// so encoding maximal runs keeps the schedule messages small — the
-// reason the paper's cooperation build on two regular meshes costs
-// milliseconds, not a data-sized transfer.  Irregular lists fall back
-// to literal blocks.
+// method ships location and offset lists between processes; for
+// regular array sections these lists are long arithmetic progressions
+// (consecutive offsets with a fixed stride), so encoding maximal runs
+// keeps the schedule messages small — the reason the paper's
+// cooperation build on two regular meshes costs milliseconds, not a
+// data-sized transfer.  Irregular lists fall back to literal blocks.
 //
-// Token stream: an int32 header per token.  header > 0: a literal
-// block of that many pairs follows (2 int32 each).  header < 0: an
-// arithmetic run of -header pairs follows as (a0, da, b0, db).
+// Token stream: an int32 pair count, then an int32 header per token.
+// header > 0: a literal block of that many pairs follows (2 int32
+// each).  header < 0: an arithmetic run of -header pairs follows as
+// (a0, da, b0, db).
+//
+// The stream is a function of the pair sequence alone: scanning left
+// to right, the longest progression starting at the current pair
+// becomes a run token if it has at least minRun pairs, and otherwise
+// its first pair becomes a literal and the scan resumes at the next.
+// Message sizes are virtual time, so pairEncoder reproduces exactly
+// that stream however its input is cut into runs.
 
 // minRun is the shortest progression worth a run token (a run costs 5
 // words; literals cost 2 per pair).
 const minRun = 4
 
-// encodePairs writes the parallel arrays (as, bs) with run
-// compression.  Both arrays must have equal length.
-func encodePairs(w *codec.Writer, as, bs []int32) {
-	w.PutInt32(int32(len(as)))
-	i := 0
-	litStart := 0
-	flushLits := func(end int) {
-		if end > litStart {
-			w.PutInt32(int32(end - litStart))
-			for k := litStart; k < end; k++ {
-				w.PutInt32(as[k])
-				w.PutInt32(bs[k])
-			}
-		}
-	}
-	n := len(as)
-	for i < n {
-		// Measure the arithmetic run starting at i.
-		j := i + 1
-		if j < n {
-			da, db := as[j]-as[i], bs[j]-bs[i]
-			for j+1 < n && as[j+1]-as[j] == da && bs[j+1]-bs[j] == db {
-				j++
-			}
-			if runLen := j - i + 1; runLen >= minRun {
-				flushLits(i)
-				w.PutInt32(int32(-runLen))
-				w.PutInt32(as[i])
-				w.PutInt32(da)
-				w.PutInt32(bs[i])
-				w.PutInt32(db)
-				i = j + 1
-				litStart = i
-				continue
-			}
-		}
-		i++
-	}
-	flushLits(n)
+// pairEncoder writes one stream onto w.  Its state is the scan's
+// current candidate progression — n pairs starting at (a0, b0) with
+// steps (da, db), none of them written yet — plus the literal block
+// being filled.
+type pairEncoder struct {
+	w       codec.Writer
+	totalAt int // where the pair count goes
+	total   int32
+	litAt   int // where the open literal block's header goes, or -1
+	lits    int32
+
+	a0, b0, da, db, n int32
 }
 
-// decodePairsRuns reads a stream written by encodePairs, calling lit
-// for every literal pair and run once per arithmetic-run token — the
-// entry point for consumers that keep the run structure (schedule
-// assembly appends a whole wire run as one in-memory Run).
+// begin starts the stream, after whatever w already holds.
+func (e *pairEncoder) begin() {
+	e.totalAt, e.litAt = e.w.Len(), -1
+	e.w.PutInt32(0)
+}
+
+// put feeds one pair.
+func (e *pairEncoder) put(a, b int32) {
+	e.total++
+	switch {
+	case e.n == 0:
+		e.a0, e.b0, e.n = a, b, 1
+	case e.n == 1:
+		e.da, e.db, e.n = a-e.a0, b-e.b0, 2
+	case a == e.a0+e.n*e.da && b == e.b0+e.n*e.db:
+		e.n++
+	case e.n >= minRun:
+		e.writeRun()
+		e.a0, e.b0, e.n = a, b, 1
+	default:
+		// A candidate of two or three pairs is too short wherever the
+		// scan restarts inside it, so all but its last pair are literals,
+		// and the last opens the next candidate together with (a, b).
+		for k := int32(0); k < e.n-1; k++ {
+			e.writeLit(e.a0+k*e.da, e.b0+k*e.db)
+		}
+		la, lb := e.a0+(e.n-1)*e.da, e.b0+(e.n-1)*e.db
+		e.a0, e.b0, e.da, e.db, e.n = la, lb, a-la, b-lb, 2
+	}
+}
+
+// putRun feeds the count pairs (a0+k*da, b0+k*db).  Whatever came
+// before, once three pairs of one progression have gone through put the
+// candidate ends with them and has their steps, so the rest only
+// lengthen it.
+func (e *pairEncoder) putRun(a0, da, b0, db, count int32) {
+	k := int32(0)
+	for ; k < count && k < 3; k++ {
+		e.put(a0+k*da, b0+k*db)
+	}
+	e.n += count - k
+	e.total += count - k
+}
+
+func (e *pairEncoder) writeLit(a, b int32) {
+	if e.litAt < 0 {
+		e.litAt = e.w.Len()
+		e.w.PutInt32(0)
+	}
+	e.w.PutInt32(a)
+	e.w.PutInt32(b)
+	e.lits++
+}
+
+func (e *pairEncoder) closeLits() {
+	if e.litAt >= 0 {
+		e.w.SetInt32(e.litAt, e.lits)
+		e.litAt, e.lits = -1, 0
+	}
+}
+
+func (e *pairEncoder) writeRun() {
+	e.closeLits()
+	e.w.PutInt32(-e.n)
+	e.w.PutInt32(e.a0)
+	e.w.PutInt32(e.da)
+	e.w.PutInt32(e.b0)
+	e.w.PutInt32(e.db)
+}
+
+// finish ends the stream and returns w's bytes.
+func (e *pairEncoder) finish() []byte {
+	if e.n >= minRun {
+		e.writeRun()
+	} else {
+		for k := int32(0); k < e.n; k++ {
+			e.writeLit(e.a0+k*e.da, e.b0+k*e.db)
+		}
+		e.closeLits()
+	}
+	e.w.SetInt32(e.totalAt, e.total)
+	return e.w.Bytes()
+}
+
+// decodePairsRuns reads one stream, calling lit for every literal pair
+// and run once per arithmetic-run token, so consumers keep the run
+// structure (schedule assembly appends a whole wire run as one
+// in-memory Run).
 func decodePairsRuns(r *codec.Reader, lit func(a, b int32), run func(a0, da, b0, db, count int32)) {
 	total := int(r.Int32())
 	seen := 0
@@ -80,72 +144,5 @@ func decodePairsRuns(r *codec.Reader, lit func(a, b int32), run func(a0, da, b0,
 		b0, db := r.Int32(), r.Int32()
 		run(a0, da, b0, db, -h)
 		seen += int(-h)
-	}
-}
-
-// decodePairs reads a stream written by encodePairs, calling f for
-// every pair in order.
-func decodePairs(r *codec.Reader, f func(a, b int32)) {
-	decodePairsRuns(r, f, func(a0, da, b0, db, count int32) {
-		for k := int32(0); k < count; k++ {
-			f(a0+k*da, b0+k*db)
-		}
-	})
-}
-
-// encodeInts and decodeInts are the single-array forms.
-func encodeInts(w *codec.Writer, vs []int32) {
-	w.PutInt32(int32(len(vs)))
-	i := 0
-	litStart := 0
-	flushLits := func(end int) {
-		if end > litStart {
-			w.PutInt32(int32(end - litStart))
-			for k := litStart; k < end; k++ {
-				w.PutInt32(vs[k])
-			}
-		}
-	}
-	n := len(vs)
-	for i < n {
-		j := i + 1
-		if j < n {
-			d := vs[j] - vs[i]
-			for j+1 < n && vs[j+1]-vs[j] == d {
-				j++
-			}
-			if runLen := j - i + 1; runLen >= minRun {
-				flushLits(i)
-				w.PutInt32(int32(-runLen))
-				w.PutInt32(vs[i])
-				w.PutInt32(d)
-				i = j + 1
-				litStart = i
-				continue
-			}
-		}
-		i++
-	}
-	flushLits(n)
-}
-
-func decodeInts(r *codec.Reader, f func(v int32)) {
-	total := int(r.Int32())
-	seen := 0
-	for seen < total {
-		h := r.Int32()
-		if h > 0 {
-			for k := int32(0); k < h; k++ {
-				f(r.Int32())
-			}
-			seen += int(h)
-			continue
-		}
-		count := int(-h)
-		v0, d := r.Int32(), r.Int32()
-		for k := int32(0); k < int32(count); k++ {
-			f(v0 + k*d)
-		}
-		seen += count
 	}
 }

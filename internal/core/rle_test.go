@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -79,30 +80,6 @@ func TestRLEPairsRunBoundaries(t *testing.T) {
 	}
 }
 
-func TestRLEInts(t *testing.T) {
-	cases := [][]int32{
-		nil,
-		{42},
-		{1, 2, 3, 4, 5, 6, 7, 8},
-		{5, 5, 5, 5, 9, 1, 8, 2, 7},
-		{10, 8, 6, 4, 2, 0, -2},
-	}
-	for _, vs := range cases {
-		var w codec.Writer
-		encodeInts(&w, vs)
-		var got []int32
-		decodeInts(codec.NewReader(w.Bytes()), func(v int32) { got = append(got, v) })
-		if len(got) != len(vs) {
-			t.Fatalf("%v: decoded %d values", vs, len(got))
-		}
-		for i := range vs {
-			if got[i] != vs[i] {
-				t.Fatalf("%v: value %d = %d", vs, i, got[i])
-			}
-		}
-	}
-}
-
 func TestQuickRLEPairsRoundTrip(t *testing.T) {
 	f := func(seed int64, n8 uint8, runs bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -134,23 +111,116 @@ func TestQuickRLEPairsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickRLEIntsRoundTrip(t *testing.T) {
-	f := func(vs []int32) bool {
-		var w codec.Writer
-		encodeInts(&w, vs)
-		var got []int32
-		decodeInts(codec.NewReader(w.Bytes()), func(v int32) { got = append(got, v) })
-		if len(got) != len(vs) {
-			return false
+// pairRun is count pairs in arithmetic progression: the k-th is
+// (a0+k*da, b0+k*db).
+type pairRun struct {
+	a0, da, b0, db, count int32
+}
+
+// encodePairRuns writes the pairs of runs, in order, as one stream.
+func encodePairRuns(runs []pairRun) []byte {
+	var e pairEncoder
+	e.begin()
+	for _, r := range runs {
+		e.putRun(r.a0, r.da, r.b0, r.db, r.count)
+	}
+	return e.finish()
+}
+
+// expandPairRuns lists the pairs of runs, in order.
+func expandPairRuns(runs []pairRun) (as, bs []int32) {
+	for _, r := range runs {
+		for k := int32(0); k < r.count; k++ {
+			as = append(as, r.a0+k*r.da)
+			bs = append(bs, r.b0+k*r.db)
 		}
-		for i := range vs {
-			if got[i] != vs[i] {
-				return false
+	}
+	return as, bs
+}
+
+// checkRunFed requires the run-fed encoder to write, for runs, the
+// bytes the element-wise scan writes for their expansion.
+func checkRunFed(t *testing.T, name string, runs []pairRun) {
+	t.Helper()
+	as, bs := expandPairRuns(runs)
+	var want codec.Writer
+	encodePairs(&want, as, bs)
+	if got := encodePairRuns(runs); !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("%s: runs %v\n expand to a=%v b=%v\n run-fed bytes      %v\n element-wise bytes %v",
+			name, runs, as, bs, got, want.Bytes())
+	}
+}
+
+// TestRLERunFedHandCases are the inputs that break naive run-fed
+// encoders: whether pairs fuse into a token must not depend on where
+// the input happened to be cut into runs.
+func TestRLERunFedHandCases(t *testing.T) {
+	long := pairRun{3, 0, 100, 2, 50}
+	cases := map[string][]pairRun{
+		"empty":               nil,
+		"one short run":       {{3, 0, 7, 1, 3}},
+		"one run of minRun":   {{3, 0, 7, 1, minRun}},
+		"singleton then long": {{3, 0, 98, 0, 1}, long},
+		"pair then long":      {{3, 0, 96, 2, 2}, long},
+		"triple then long":    {{3, 0, 94, 2, 3}, long},
+		"long then singleton": {long, {3, 0, 200, 0, 1}},
+		"long then pair":      {long, {3, 0, 200, 2, 2}},
+		"long then triple":    {long, {3, 0, 200, 2, 3}},
+		// The step across the boundary equals the stride: one token.
+		"two runs that fuse":     {{3, 0, 0, 2, 10}, {3, 0, 20, 2, 10}},
+		"three singletons fuse":  {{3, 0, 0, 0, 1}, {3, 0, 5, 0, 1}, {3, 0, 10, 0, 1}, {3, 0, 15, 0, 1}},
+		"boundary step differs":  {{3, 0, 0, 2, 10}, {3, 0, 21, 2, 10}},
+		"same step, other peer":  {{3, 0, 0, 2, 10}, {4, 0, 20, 2, 10}},
+		"literal then run":       {{3, 0, 0, 0, 1}, {3, 0, 10, 1, 20}},
+		"two literals then run":  {{3, 0, 0, 0, 1}, {3, 0, 50, 0, 1}, {3, 0, 10, 1, 20}},
+		"run absorbs next start": {{3, 0, 0, 1, 6}, {3, 0, 6, 5, 4}},
+		// A short candidate whose tail starts the next progression.
+		"short, tail restarts":   {{3, 0, 0, 7, 3}, {3, 0, 15, 1, 8}},
+		"peer progression":       {{0, 1, 5, 0, 4}, {0, 1, 6, 0, 4}},
+		"peers deal round robin": {{0, 0, 0, 0, 1}, {1, 0, 0, 0, 1}, {2, 0, 0, 0, 1}, {3, 0, 0, 0, 1}, {0, 0, 1, 0, 1}, {1, 0, 1, 0, 1}},
+		"both sides step":        {{0, 2, 9, -3, 7}, {14, 2, -12, -3, 7}},
+		// The next pair sits where the candidate would be after as many
+		// of the *new* run's steps, not its own: it must not extend it.
+		"coincident restart": {{0, 0, 0, 5, 2}, {0, 0, 6, 3, 5}},
+	}
+	for name, runs := range cases {
+		checkRunFed(t, name, runs)
+	}
+}
+
+// TestQuickRLERunFedByteIdentical draws run lists from small values, so
+// boundaries line up by accident as often as not, and cuts each one
+// into runs a second way: the bytes depend on the pairs alone.
+func TestQuickRLERunFedByteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20000; i++ {
+		var runs []pairRun
+		for n := rng.Intn(7); n > 0; n-- {
+			r := pairRun{int32(rng.Intn(3)), int32(rng.Intn(3) - 1), int32(rng.Intn(12)), int32(rng.Intn(5) - 2), int32(1 + rng.Intn(9))}
+			if len(runs) > 0 && rng.Intn(2) == 0 {
+				// Continue the previous run's progression, exactly or off
+				// by one.
+				p := runs[len(runs)-1]
+				r.a0, r.b0 = p.a0+p.count*p.da, p.b0+p.count*p.db+int32(rng.Intn(3)/2)
+				if rng.Intn(2) == 0 {
+					r.da, r.db = p.da, p.db
+				}
+			}
+			runs = append(runs, r)
+		}
+		checkRunFed(t, "drawn", runs)
+
+		var recut []pairRun
+		for _, r := range runs {
+			for r.count > 0 {
+				n := 1 + int32(rng.Intn(int(r.count)))
+				recut = append(recut, pairRun{r.a0, r.da, r.b0, r.db, n})
+				r.a0, r.b0, r.count = r.a0+n*r.da, r.b0+n*r.db, r.count-n
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+		checkRunFed(t, "recut", recut)
+		if t.Failed() {
+			t.Fatalf("iteration %d", i)
+		}
 	}
 }

@@ -73,6 +73,20 @@ func appendRouteRun(runs []RouteRun, pos, srcRank, srcOff, dstRank, dstOff int32
 	return append(runs, RouteRun{Pos: pos, Count: 1, SrcRank: srcRank, DstRank: dstRank, SrcOff: srcOff, DstOff: dstOff})
 }
 
+// appendRouteRuns appends every position of seg and leaves exactly the
+// list seg.Count calls of appendRouteRun would, in O(1), the way
+// appendOffsetRuns does.
+func appendRouteRuns(runs []RouteRun, seg *RouteRun) []RouteRun {
+	k := int32(0)
+	for ; k < seg.Count && k < 3; k++ {
+		runs = appendRouteRun(runs, seg.Pos+k, seg.SrcRank, seg.srcAt(k), seg.DstRank, seg.dstAt(k))
+	}
+	if k < seg.Count {
+		runs[len(runs)-1].Count += seg.Count - k
+	}
+	return runs
+}
+
 // ComputeRoutes derives the transfer's route map locally, by
 // dereferencing both sides over the full position range.  Unlike
 // ComputeSchedule it is not collective — but it requires both
@@ -85,18 +99,23 @@ func ComputeRoutes(c *Coupling, src, dst *Spec) (*RouteMap, error) {
 	if src == nil || dst == nil {
 		return nil, fmt.Errorf("core: route computation needs both descriptors locally")
 	}
-	n := src.Set.Size()
-	if dn := dst.Set.Size(); dn != n {
-		return nil, fmt.Errorf("core: source set has %d elements, destination %d", n, dn)
+	n, err := transferSize(sizeInt32(src), sizeInt32(dst))
+	if err != nil {
+		return nil, err
 	}
-	srcLocs := src.Lib.DerefRange(src.Ctx, src.Obj, src.Set, 0, n)
-	dstLocs := dst.Lib.DerefRange(dst.Ctx, dst.Obj, dst.Set, 0, n)
+	srcRuns := src.Lib.DerefRange(src.Ctx, src.Obj, src.Set, 0, n)
+	dstRuns := runCursor{runs: dst.Lib.DerefRange(dst.Ctx, dst.Obj, dst.Set, 0, n)}
 	rm := &RouteMap{Elems: n}
-	for i := 0; i < n; i++ {
-		sw := int32(c.Union.WorldRank(c.SrcRanks[srcLocs[i].Proc]))
-		dw := int32(c.Union.WorldRank(c.DstRanks[dstLocs[i].Proc]))
-		rm.Runs = appendRouteRun(rm.Runs, int32(i), sw, srcLocs[i].Off, dw, dstLocs[i].Off)
+	var seg RouteRun
+	for _, s := range srcRuns {
+		for s.Count > 0 {
+			dstRuns.cut(&s, &seg)
+			seg.SrcRank = int32(c.Union.WorldRank(c.SrcRanks[seg.SrcRank]))
+			seg.DstRank = int32(c.Union.WorldRank(c.DstRanks[seg.DstRank]))
+			rm.Runs = appendRouteRuns(rm.Runs, &seg)
+		}
 	}
+	dstRuns.done()
 	return rm, nil
 }
 

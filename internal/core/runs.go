@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Arithmetic-run representation of schedule element lists.  The
 // cooperation wire format (rle.go) already compresses offset lists into
 // runs for transport; this file keeps that structure alive in memory:
@@ -47,6 +49,22 @@ func appendOffsetRun(runs []Run, off int32) []Run {
 		}
 	}
 	return append(runs, Run{Start: off, Count: 1})
+}
+
+// appendOffsetRuns appends the count offsets start, start+stride, ...
+// and leaves exactly the list count calls of appendOffsetRun would, in
+// O(1).  Whatever the list held, once three offsets of one progression
+// have gone in one at a time its last run ends with them and has their
+// stride, so the rest only lengthen it.
+func appendOffsetRuns(runs []Run, start, stride, count int32) []Run {
+	k := int32(0)
+	for ; k < count && k < 3; k++ {
+		runs = appendOffsetRun(runs, start+k*stride)
+	}
+	if k < count {
+		runs[len(runs)-1].Count += count - k
+	}
+	return runs
 }
 
 // appendWholeRun appends a complete progression (as decoded from a wire
@@ -114,6 +132,19 @@ func appendLocalRun(runs []LocalRun, src, dst int32) []LocalRun {
 	return append(runs, LocalRun{Src: src, Dst: dst, Count: 1})
 }
 
+// appendLocalRuns is appendOffsetRuns for (src, dst) pairs: the list
+// count calls of appendLocalRun would leave, in O(1).
+func appendLocalRuns(runs []LocalRun, src, srcStride, dst, dstStride, count int32) []LocalRun {
+	k := int32(0)
+	for ; k < count && k < 3; k++ {
+		runs = appendLocalRun(runs, src+k*srcStride, dst+k*dstStride)
+	}
+	if k < count {
+		runs[len(runs)-1].Count += count - k
+	}
+	return runs
+}
+
 // appendWholeLocalRun appends a complete pair progression in O(1),
 // fusing with the tail when both sides line up.
 func appendWholeLocalRun(runs []LocalRun, src, srcStride, dst, dstStride, count int32) []LocalRun {
@@ -137,4 +168,62 @@ func appendWholeLocalRun(runs []LocalRun, src, srcStride, dst, dstStride, count 
 		}
 	}
 	return append(runs, LocalRun{Src: src, Dst: dst, SrcStride: srcStride, DstStride: dstStride, Count: count})
+}
+
+// runCursor reads one inquiry answer in position order while the
+// caller walks the other side's answer over the same positions — the
+// join of a transfer's source and destination locations.
+type runCursor struct {
+	runs []LocRun
+	i    int   // the run being read
+	k    int32 // how much of it is used up
+}
+
+// cut takes from the front of s, a source-side run, the stretch that
+// also lies inside the cursor's current destination-side run, describes
+// it in seg (ranks are the answers' program ranks) and moves both s and
+// the cursor past it.  Answers that do not cover the same positions
+// break the Library contract and panic.
+func (c *runCursor) cut(s *LocRun, seg *RouteRun) {
+	if c.i == len(c.runs) {
+		panic(fmt.Sprintf("core: inquiry answers cover different positions: the destination side ends before %d", s.Pos))
+	}
+	d := &c.runs[c.i]
+	if d.Pos+c.k != s.Pos {
+		panic(fmt.Sprintf("core: inquiry answers cover different positions: %d on the source side, %d on the destination side", s.Pos, d.Pos+c.k))
+	}
+	n := d.Count - c.k
+	if s.Count < n {
+		n = s.Count
+	}
+	*seg = RouteRun{
+		Pos: s.Pos, Count: n,
+		SrcRank: s.Proc, SrcOff: s.Off, SrcStride: s.Stride,
+		DstRank: d.Proc, DstOff: d.Off + c.k*d.Stride, DstStride: d.Stride,
+	}
+	s.Pos, s.Off, s.Count = s.Pos+n, s.Off+n*s.Stride, s.Count-n
+	if c.k += n; c.k == d.Count {
+		c.i, c.k = c.i+1, 0
+	}
+}
+
+// done checks that the walk used the cursor's answer up.
+func (c *runCursor) done() {
+	if c.i != len(c.runs) {
+		panic(fmt.Sprintf("core: inquiry answers cover different positions: the source side ends before %d", c.runs[c.i].Pos+c.k))
+	}
+}
+
+// rangesOf returns the position intervals runs cover, adjacent runs
+// merged.
+func rangesOf(runs []LocRun) []PosRange {
+	var out []PosRange
+	for _, r := range runs {
+		if n := len(out); n > 0 && out[n-1].Hi == r.Pos {
+			out[n-1].Hi = r.End()
+		} else {
+			out = append(out, PosRange{Lo: r.Pos, Hi: r.End()})
+		}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"metachaos/internal/bufpool"
 	"metachaos/internal/codec"
@@ -259,31 +260,26 @@ func computeSchedule(c *Coupling, src, dst *Spec, method Method, p *mpsim.Proc) 
 	msp := p.Span("sched.meta")
 	var mySrcMeta, myDstMeta []byte
 	if src != nil && src.Ctx.Comm.Rank() == 0 {
-		var w codec.Writer
-		w.PutInt64(int64(src.Set.Size()))
-		w.PutInt32(PackElem(src.Obj.Elem()))
-		mySrcMeta = w.Bytes()
+		mySrcMeta = encodeMeta(src)
 	}
 	if dst != nil && dst.Ctx.Comm.Rank() == 0 {
-		var w codec.Writer
-		w.PutInt64(int64(dst.Set.Size()))
-		w.PutInt32(PackElem(dst.Obj.Elem()))
-		myDstMeta = w.Bytes()
+		myDstMeta = encodeMeta(dst)
 	}
 	srcMeta := c.Union.Bcast(c.SrcRanks[0], mySrcMeta)
 	dstMeta := c.Union.Bcast(c.DstRanks[0], myDstMeta)
 	sr, dr := codec.NewReader(srcMeta), codec.NewReader(dstMeta)
-	nSrc, eSrc := int(sr.Int64()), UnpackElem(sr.Int32())
-	nDst, eDst := int(dr.Int64()), UnpackElem(dr.Int32())
+	nSrc, eSrc := sr.Int64(), UnpackElem(sr.Int32())
+	nDst, eDst := dr.Int64(), UnpackElem(dr.Int32())
 	msp.End(p.Clock())
-	if nSrc != nDst {
-		return nil, fmt.Errorf("core: source set has %d elements, destination %d", nSrc, nDst)
+	n, err := transferSize(nSrc, nDst)
+	if err != nil {
+		return nil, err
 	}
 	if eSrc != eDst {
 		return nil, fmt.Errorf("core: source elements are %v, destination %v", eSrc, eDst)
 	}
 
-	sched := &Schedule{union: c.Union, elems: nSrc, elem: eSrc}
+	sched := &Schedule{union: c.Union, elems: n, elem: eSrc}
 	switch method {
 	case Cooperation:
 		buildCooperation(c, src, dst, sched)
@@ -297,6 +293,51 @@ func computeSchedule(c *Coupling, src, dst *Spec, method Method, p *mpsim.Proc) 
 	return nil, fmt.Errorf("core: unknown schedule method %v", method)
 }
 
+// sizeInt32 is the element count a side announces: its set size, or,
+// when some process's local storage is beyond int32 offsets, minus that
+// storage's element count.
+func sizeInt32(sp *Spec) int64 {
+	local := sp.Obj.LocalMem().Elems()
+	if b, ok := sp.Lib.(LocalBounder); ok {
+		local = b.MaxLocalElems(sp.Obj)
+	}
+	if local > math.MaxInt32 {
+		return -int64(local)
+	}
+	return int64(sp.Set.Size())
+}
+
+// transferSize turns the two sides' announcements into the transfer's
+// element count.  Set positions and local offsets are int32 in every
+// inquiry answer, schedule and wire format, so an announcement past
+// either limit is the same error on every process that hears it.
+func transferSize(nSrc, nDst int64) (int, error) {
+	for _, side := range []struct {
+		name string
+		size int64
+	}{{"source", nSrc}, {"destination", nDst}} {
+		switch {
+		case side.size < 0:
+			return 0, fmt.Errorf("core: %s object stores %d elements on one process; local offsets are int32", side.name, -side.size)
+		case side.size > math.MaxInt32:
+			return 0, fmt.Errorf("core: %s set has %d elements; set positions are int32", side.name, side.size)
+		}
+	}
+	if nSrc != nDst {
+		return 0, fmt.Errorf("core: source set has %d elements, destination %d", nSrc, nDst)
+	}
+	return int(nSrc), nil
+}
+
+// encodeMeta is the announcement a program's root broadcasts in
+// sched.meta.
+func encodeMeta(sp *Spec) []byte {
+	var w codec.Writer
+	w.PutInt64(sizeInt32(sp))
+	w.PutInt32(PackElem(sp.Obj.Elem()))
+	return w.Bytes()
+}
+
 // chunk splits n positions over parts workers: worker i handles
 // [lo, hi).
 func chunk(n, parts, i int) (lo, hi int) {
@@ -308,9 +349,10 @@ func chunk(n, parts, i int) (lo, hi int) {
 // source processes for the source dereference, rerouted into chunks
 // over the destination processes, matched there, and the finished
 // send/receive lists are routed to their owners with one all-to-all.
-// Wire formats are run-length compressed (see rle.go), so regular
-// transfers ship a handful of arithmetic runs rather than per-element
-// records.
+// Every step works on runs: a regular transfer is never expanded to
+// per-element lists between dereference and execution, and the wire
+// formats are run-length compressed (see rle.go), so it ships a
+// handful of arithmetic runs rather than per-element records.
 func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 	n := sched.elems
 	nS, nD := len(c.SrcRanks), len(c.DstRanks)
@@ -318,93 +360,108 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 
 	// Phase 1: source processes dereference their chunk of positions.
 	sp := p.Span("sched.deref")
-	var srcLocs []Loc
+	var srcRuns []LocRun
 	var srcLo, srcHi int
 	if src != nil {
 		srcLo, srcHi = chunk(n, nS, src.Ctx.Comm.Rank())
-		srcLocs = src.Lib.DerefRange(src.Ctx, src.Obj, src.Set, srcLo, srcHi)
+		srcRuns = src.Lib.DerefRange(src.Ctx, src.Obj, src.Set, srcLo, srcHi)
 	}
 	sp.End(p.Clock())
 
 	// Phase 2: route source locations to the destination processes
-	// responsible for each position chunk.
+	// responsible for each position chunk, slicing the runs by position.
 	sp = p.Span("sched.route")
 	bufs := make([][]byte, c.Union.Size())
 	if src != nil {
-		procs := make([]int32, 0, len(srcLocs))
-		offs := make([]int32, 0, len(srcLocs))
-		for _, loc := range srcLocs {
-			procs = append(procs, loc.Proc)
-			offs = append(offs, loc.Off)
-		}
+		i := 0 // the first run that reaches into the current chunk
 		for j := 0; j < nD; j++ {
 			dLo, dHi := chunk(n, nD, j)
 			a, b := max(srcLo, dLo), min(srcHi, dHi)
 			if a >= b {
 				continue
 			}
-			var w codec.Writer
-			w.PutInt64(int64(a))
-			encodePairs(&w, procs[a-srcLo:b-srcLo], offs[a-srcLo:b-srcLo])
-			bufs[c.DstRanks[j]] = w.Bytes()
+			var e pairEncoder
+			e.w.PutInt64(int64(a))
+			e.begin()
+			for i < len(srcRuns) && int(srcRuns[i].Pos) < b {
+				r := &srcRuns[i]
+				k0 := int32(max(a, int(r.Pos))) - r.Pos
+				k1 := int32(min(b, int(r.End()))) - r.Pos
+				e.putRun(r.Proc, 0, r.Off+k0*r.Stride, r.Stride, k1-k0)
+				if int(r.End()) > b {
+					break
+				}
+				i++
+			}
+			if int(e.total) != b-a {
+				panic(fmt.Sprintf("core: %s dereferenced %d of positions [%d,%d)", src.Lib.Name(), e.total, a, b))
+			}
+			bufs[c.DstRanks[j]] = e.finish()
 		}
 	}
 	parts := c.Union.Alltoall(bufs)
 	sp.End(p.Clock())
 
 	// Phase 3: destination processes dereference their chunk and join
-	// it with the received source locations; phase 4: accumulate the
-	// schedule fragments each owning process needs.
+	// it with the received source locations over position intervals;
+	// phase 4: the joined stretches go straight into the fragment
+	// streams of the processes that own their two ends.
 	sp = p.Span("sched.join")
 	frag := make([]*fragAccum, c.Union.Size())
-	fragOf := func(u int) *fragAccum {
+	fragOf := func(u int32) *fragAccum {
 		if frag[u] == nil {
-			frag[u] = &fragAccum{}
+			frag[u] = newFragAccum()
 		}
 		return frag[u]
 	}
 	if dst != nil {
 		dLo, dHi := chunk(n, nD, dst.Ctx.Comm.Rank())
-		dstLocs := dst.Lib.DerefRange(dst.Ctx, dst.Obj, dst.Set, dLo, dHi)
-		srcForChunk := make([]Loc, dHi-dLo)
-		filled := 0
-		for _, part := range parts {
-			if len(part) == 0 {
-				continue
-			}
-			r := codec.NewReader(part)
-			for r.Remaining() > 0 {
-				a := int(r.Int64())
-				k := 0
-				decodePairs(r, func(proc, off int32) {
-					srcForChunk[a-dLo+k] = Loc{Proc: proc, Off: off}
-					k++
-				})
-				filled += k
+		dstRuns := runCursor{runs: dst.Lib.DerefRange(dst.Ctx, dst.Obj, dst.Set, dLo, dHi)}
+		var seg RouteRun
+		join := func(s LocRun) {
+			for s.Count > 0 {
+				dstRuns.cut(&s, &seg)
+				sU := int32(c.SrcRanks[seg.SrcRank])
+				dU := int32(c.DstRanks[seg.DstRank])
+				if sU == dU {
+					fragOf(sU).loc.putRun(seg.SrcOff, seg.SrcStride, seg.DstOff, seg.DstStride, seg.Count)
+				} else {
+					fragOf(sU).send.putRun(dU, 0, seg.SrcOff, seg.SrcStride, seg.Count)
+					fragOf(dU).recv.putRun(sU, 0, seg.DstOff, seg.DstStride, seg.Count)
+				}
 			}
 		}
-		if filled != dHi-dLo {
+		// Source chunks ascend with source rank, so taking the parts in
+		// that order reads the chunk's source locations in position order.
+		pos := int32(dLo)
+		for _, u := range c.SrcRanks {
+			r := codec.NewReader(parts[u])
+			for r.Remaining() > 0 {
+				if a := r.Int64(); a != int64(pos) {
+					panic(fmt.Sprintf("core: cooperation join received source locations from position %d, expected %d", a, pos))
+				}
+				decodePairsRuns(r,
+					func(proc, off int32) {
+						join(LocRun{Pos: pos, Proc: proc, Off: off, Count: 1})
+						pos++
+					},
+					func(p0, dp, o0, do, count int32) {
+						if dp == 0 {
+							join(LocRun{Pos: pos, Proc: p0, Off: o0, Stride: do, Count: count})
+						} else {
+							for k := int32(0); k < count; k++ {
+								join(LocRun{Pos: pos + k, Proc: p0 + k*dp, Off: o0 + k*do, Count: 1})
+							}
+						}
+						pos += count
+					})
+			}
+		}
+		if filled := int(pos) - dLo; filled != dHi-dLo {
 			panic(fmt.Sprintf("core: cooperation join received %d of %d source locations", filled, dHi-dLo))
 		}
+		dstRuns.done()
 		dst.Ctx.P.ChargeSectionOps(2 * (dHi - dLo))
-		for k := dLo; k < dHi; k++ {
-			s := srcForChunk[k-dLo]
-			d := dstLocs[k-dLo]
-			sU := int32(c.SrcRanks[s.Proc])
-			dU := int32(c.DstRanks[d.Proc])
-			if sU == dU {
-				f := fragOf(int(sU))
-				f.locSrc = append(f.locSrc, s.Off)
-				f.locDst = append(f.locDst, d.Off)
-			} else {
-				fs := fragOf(int(sU))
-				fs.sendPeer = append(fs.sendPeer, dU)
-				fs.sendOff = append(fs.sendOff, s.Off)
-				fd := fragOf(int(dU))
-				fd.recvPeer = append(fd.recvPeer, sU)
-				fd.recvOff = append(fd.recvOff, d.Off)
-			}
-		}
 	}
 
 	sp.End(p.Clock())
@@ -418,46 +475,29 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 	fragBufs := make([][]byte, c.Union.Size())
 	for u, f := range frag {
 		if f != nil {
-			var w codec.Writer
-			encodePairs(&w, f.sendPeer, f.sendOff)
-			encodePairs(&w, f.recvPeer, f.recvOff)
-			encodePairs(&w, f.locSrc, f.locDst)
-			fragBufs[u] = w.Bytes()
+			fragBufs[u] = f.bytes()
 		}
 	}
 	mine := c.Union.Alltoall(fragBufs)
 
-	sendMap := map[int]*PeerList{}
-	recvMap := map[int]*PeerList{}
-	var sendOrder, recvOrder []int
+	var sends, recvs lanes
 	total := 0
-	laneOf := func(m map[int]*PeerList, order *[]int, peer int) *PeerList {
-		pl := m[peer]
-		if pl == nil {
-			pl = &PeerList{Peer: peer}
-			m[peer] = pl
-			*order = append(*order, peer)
-		}
-		return pl
-	}
 	// Wire run tokens become in-memory runs directly: a (peer, offset)
-	// run with constant peer lands as one Run on that peer's lane, so a
-	// regular transfer never expands to per-element lists at any point
-	// between dereference and execution.
-	laneLit := func(m map[int]*PeerList, order *[]int) func(peer, off int32) {
+	// run with constant peer lands as one Run on that peer's lane.
+	laneLit := func(l *lanes) func(peer, off int32) {
 		return func(peer, off int32) {
-			laneOf(m, order, int(peer)).Append(off)
+			l.of(int(peer)).Append(off)
 			total++
 		}
 	}
-	laneRun := func(m map[int]*PeerList, order *[]int) func(p0, dp, o0, do, count int32) {
+	laneRun := func(l *lanes) func(p0, dp, o0, do, count int32) {
 		return func(p0, dp, o0, do, count int32) {
 			if dp == 0 {
-				pl := laneOf(m, order, int(p0))
+				pl := l.of(int(p0))
 				pl.Runs = appendWholeRun(pl.Runs, o0, do, count)
 			} else {
 				for k := int32(0); k < count; k++ {
-					laneOf(m, order, int(p0+k*dp)).Append(o0 + k*do)
+					l.of(int(p0 + k*dp)).Append(o0 + k*do)
 				}
 			}
 			total += int(count)
@@ -468,8 +508,8 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 			continue
 		}
 		r := codec.NewReader(part)
-		decodePairsRuns(r, laneLit(sendMap, &sendOrder), laneRun(sendMap, &sendOrder))
-		decodePairsRuns(r, laneLit(recvMap, &recvOrder), laneRun(recvMap, &recvOrder))
+		decodePairsRuns(r, laneLit(&sends), laneRun(&sends))
+		decodePairsRuns(r, laneLit(&recvs), laneRun(&recvs))
 		decodePairsRuns(r,
 			func(so, do int32) {
 				sched.appendLocal(so, do)
@@ -481,21 +521,59 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 			})
 	}
 	p.ChargeSectionOps(total)
-	for _, peer := range sendOrder {
-		sched.Sends = append(sched.Sends, *sendMap[peer])
-	}
-	for _, peer := range recvOrder {
-		sched.Recvs = append(sched.Recvs, *recvMap[peer])
-	}
+	sched.Sends, sched.Recvs = sends.list(), recvs.list()
 	sp.End(p.Clock())
 }
 
-// fragAccum gathers one owning process's schedule fragments before
-// run-length encoding.
+// fragAccum is the schedule fragment one joining process holds for one
+// owning process, as three streams: (peer, offset) for the owner's
+// sends and for its receives, (source offset, destination offset) for
+// its local copies.
 type fragAccum struct {
-	sendPeer, sendOff []int32
-	recvPeer, recvOff []int32
-	locSrc, locDst    []int32
+	send, recv, loc pairEncoder
+}
+
+func newFragAccum() *fragAccum {
+	f := &fragAccum{}
+	f.send.begin()
+	f.recv.begin()
+	f.loc.begin()
+	return f
+}
+
+// bytes ends the three streams and returns them one after another.
+func (f *fragAccum) bytes() []byte {
+	out := f.send.finish()
+	out = append(out, f.recv.finish()...)
+	return append(out, f.loc.finish()...)
+}
+
+// lanes collects per-peer lists, kept in the order their peers first
+// appear.
+type lanes struct {
+	byPeer map[int]*PeerList
+	order  []int
+}
+
+func (l *lanes) of(peer int) *PeerList {
+	pl := l.byPeer[peer]
+	if pl == nil {
+		if l.byPeer == nil {
+			l.byPeer = map[int]*PeerList{}
+		}
+		pl = &PeerList{Peer: peer}
+		l.byPeer[peer] = pl
+		l.order = append(l.order, peer)
+	}
+	return pl
+}
+
+func (l *lanes) list() []PeerList {
+	var out []PeerList
+	for _, peer := range l.order {
+		out = append(out, *l.byPeer[peer])
+	}
+	return out
 }
 
 // buildDuplication implements the paper's duplication method: every
@@ -518,36 +596,28 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 		}
 	}
 	myUnion := c.Union.Rank()
+	var seg RouteRun
 
 	// Pass one: build send lists from the elements I own on the source
-	// side.
+	// side, joined run to run with where the destination keeps them.
 	sp := p.Span("sched.deref")
 	if !src.Obj.LocalMem().IsNil() {
 		owned := src.Lib.OwnedPositions(src.Ctx, src.Obj, src.Set)
-		positions := make([]int32, len(owned))
-		for i, pl := range owned {
-			positions[i] = pl.Pos
-		}
-		dLocs := dst.Lib.DerefAt(dst.Ctx, dst.Obj, dst.Set, positions)
-		sendMap := map[int]*PeerList{}
-		var order []int
-		for i, pl := range owned {
-			dU := c.DstRanks[dLocs[i].Proc]
-			if dU == myUnion {
-				sched.appendLocal(pl.Off, dLocs[i].Off)
-				continue
+		dLocs := runCursor{runs: dst.Lib.DerefAt(dst.Ctx, dst.Obj, dst.Set, rangesOf(owned))}
+		var sends lanes
+		for _, s := range owned {
+			for s.Count > 0 {
+				dLocs.cut(&s, &seg)
+				if dU := c.DstRanks[seg.DstRank]; dU == myUnion {
+					sched.Local = appendLocalRuns(sched.Local, seg.SrcOff, seg.SrcStride, seg.DstOff, seg.DstStride, seg.Count)
+				} else {
+					l := sends.of(dU)
+					l.Runs = appendOffsetRuns(l.Runs, seg.SrcOff, seg.SrcStride, seg.Count)
+				}
 			}
-			l := sendMap[dU]
-			if l == nil {
-				l = &PeerList{Peer: dU}
-				sendMap[dU] = l
-				order = append(order, dU)
-			}
-			l.Append(pl.Off)
 		}
-		for _, peer := range order {
-			sched.Sends = append(sched.Sends, *sendMap[peer])
-		}
+		dLocs.done()
+		sched.Sends = sends.list()
 	}
 	sp.End(p.Clock())
 
@@ -555,30 +625,21 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 	// destination side.
 	sp = p.Span("sched.deref")
 	if !dst.Obj.LocalMem().IsNil() {
-		owned := dst.Lib.OwnedPositions(dst.Ctx, dst.Obj, dst.Set)
-		positions := make([]int32, len(owned))
-		for i, pl := range owned {
-			positions[i] = pl.Pos
-		}
-		sLocs := src.Lib.DerefAt(src.Ctx, src.Obj, src.Set, positions)
-		recvMap := map[int]*PeerList{}
-		var order []int
-		for i, pl := range owned {
-			sU := c.SrcRanks[sLocs[i].Proc]
-			if sU == myUnion {
-				continue // already recorded as a local pair in pass one
+		owned := runCursor{runs: dst.Lib.OwnedPositions(dst.Ctx, dst.Obj, dst.Set)}
+		var recvs lanes
+		for _, s := range src.Lib.DerefAt(src.Ctx, src.Obj, src.Set, rangesOf(owned.runs)) {
+			for s.Count > 0 {
+				owned.cut(&s, &seg)
+				// Elements I also own on the source side are already
+				// recorded as local pairs in pass one.
+				if sU := c.SrcRanks[seg.SrcRank]; sU != myUnion {
+					l := recvs.of(sU)
+					l.Runs = appendOffsetRuns(l.Runs, seg.DstOff, seg.DstStride, seg.Count)
+				}
 			}
-			l := recvMap[sU]
-			if l == nil {
-				l = &PeerList{Peer: sU}
-				recvMap[sU] = l
-				order = append(order, sU)
-			}
-			l.Append(pl.Off)
 		}
-		for _, peer := range order {
-			sched.Recvs = append(sched.Recvs, *recvMap[peer])
-		}
+		owned.done()
+		sched.Recvs = recvs.list()
 	}
 	sp.End(p.Clock())
 	return nil

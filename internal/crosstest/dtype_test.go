@@ -51,8 +51,11 @@ type typedSide struct {
 	set    *core.SetOfRegions
 	elemAt []int32
 	mem    core.Mem
-	owned  []core.PosLoc
+	owned  []posLoc
 }
+
+// posLoc is one owned element: its set position and local offset.
+type posLoc struct{ Pos, Off int32 }
 
 // buildTypedSide mirrors buildSide with typed constructors.  The
 // returned side's owned list maps global element id -> local storage
@@ -168,7 +171,11 @@ func buildTypedSide(t *testing.T, rng *rand.Rand, kind string, ctx *core.Ctx, p 
 	if s.mem.Elem() != et {
 		t.Fatalf("%s object carries %v, want %v", kind, s.mem.Elem(), et)
 	}
-	s.owned = s.lib.OwnedPositions(ctx, s.obj, full)
+	for _, r := range s.lib.OwnedPositions(ctx, s.obj, full) {
+		for k := int32(0); k < r.Count; k++ {
+			s.owned = append(s.owned, posLoc{Pos: r.Pos + k, Off: r.Off + k*r.Stride})
+		}
+	}
 	return s
 }
 

@@ -51,6 +51,10 @@ type Dist struct {
 	// blockSize[d] is ceil(shape[d]/grid[d]) for Block dims, the
 	// CYCLIC(k) parameter for BlockCyclic dims, unused for Cyclic.
 	blockSize []int
+	// extents[d][g] is how many indices of dimension d grid coordinate
+	// g owns: the tile extents, computed once because a Dist never
+	// changes and every index translation needs them.
+	extents [][]int
 }
 
 // NewDist validates and builds a distribution of shape over a process
@@ -108,6 +112,13 @@ func NewDistParams(shape gidx.Shape, grid []int, kinds []Kind, params []int) (*D
 			}
 		}
 	}
+	dist.extents = make([][]int, len(shape))
+	for d := range shape {
+		dist.extents[d] = make([]int, grid[d])
+		for g := range dist.extents[d] {
+			dist.extents[d][g] = dist.localCountDim(d, g)
+		}
+	}
 	return dist, nil
 }
 
@@ -162,35 +173,6 @@ func (d *Dist) GridCoords(rank int) []int {
 	return gidx.Shape(d.grid).Coords(rank, nil)
 }
 
-// gridRank is the inverse of GridCoords.
-func (d *Dist) gridRank(gcoords []int) int {
-	return gidx.Shape(d.grid).Linear(gcoords)
-}
-
-// ownerDim returns the grid coordinate owning global index c in dim d.
-func (d *Dist) ownerDim(dim, c int) int {
-	switch d.kinds[dim] {
-	case Cyclic:
-		return c % d.grid[dim]
-	case BlockCyclic:
-		return (c / d.blockSize[dim]) % d.grid[dim]
-	}
-	return c / d.blockSize[dim]
-}
-
-// localDim returns the local index of global index c in dim d.
-func (d *Dist) localDim(dim, c int) int {
-	switch d.kinds[dim] {
-	case Cyclic:
-		return c / d.grid[dim]
-	case BlockCyclic:
-		b, p := d.blockSize[dim], d.grid[dim]
-		localBlock := c / b / p
-		return localBlock*b + c%b
-	}
-	return c - (c/d.blockSize[dim])*d.blockSize[dim]
-}
-
 // localCountDim returns how many indices of dim d the grid coordinate g
 // owns.
 func (d *Dist) localCountDim(dim, g int) int {
@@ -228,21 +210,48 @@ func (d *Dist) localCountDim(dim, g int) int {
 	return hi - lo
 }
 
+// Chunk locates global index c of dimension dim: the grid coordinate
+// that owns it, its local index there, and the end of the stretch of
+// global indices around c that the same coordinate stores contiguously
+// (the block for BLOCK and CYCLIC(k), c alone for CYCLIC).  Walking a
+// row chunk by chunk is how a regular section is dereferenced in runs.
+func (d *Dist) Chunk(dim, c int) (owner, local, end int) {
+	if c < 0 || c >= d.shape[dim] {
+		panic(fmt.Sprintf("distarray: coord %d out of range in dim %d (extent %d)", c, dim, d.shape[dim]))
+	}
+	switch d.kinds[dim] {
+	case Cyclic:
+		return c % d.grid[dim], c / d.grid[dim], c + 1
+	case BlockCyclic:
+		b, p := d.blockSize[dim], d.grid[dim]
+		blk := c / b
+		return blk % p, blk/p*b + c%b, (blk + 1) * b
+	}
+	b := d.blockSize[dim]
+	owner = c / b
+	return owner, c - owner*b, (owner + 1) * b
+}
+
+// TileExtent returns how many indices of dimension dim grid coordinate
+// g owns.
+func (d *Dist) TileExtent(dim, g int) int { return d.extents[dim][g] }
+
 // OwnerOf returns the rank owning the element at global coords.
 func (d *Dist) OwnerOf(coords []int) int {
-	g := make([]int, len(coords))
+	rank := 0
 	for dim, c := range coords {
-		g[dim] = d.ownerDim(dim, c)
+		g, _, _ := d.Chunk(dim, c)
+		rank = rank*d.grid[dim] + g
 	}
-	return d.gridRank(g)
+	return rank
 }
 
 // LocalCounts returns the per-dimension extent of rank's local tile.
 func (d *Dist) LocalCounts(rank int) []int {
-	g := d.GridCoords(rank)
 	out := make([]int, len(d.shape))
-	for dim := range d.shape {
-		out[dim] = d.localCountDim(dim, g[dim])
+	for dim := len(d.shape) - 1; dim >= 0; dim-- {
+		out[dim] = d.extents[dim][rank%d.grid[dim]]
+		rank /= d.grid[dim]
 	}
 	return out
 }
@@ -250,8 +259,9 @@ func (d *Dist) LocalCounts(rank int) []int {
 // LocalSize returns the number of elements rank owns.
 func (d *Dist) LocalSize(rank int) int {
 	n := 1
-	for _, c := range d.LocalCounts(rank) {
-		n *= c
+	for dim := len(d.shape) - 1; dim >= 0; dim-- {
+		n *= d.extents[dim][rank%d.grid[dim]]
+		rank /= d.grid[dim]
 	}
 	return n
 }
@@ -259,18 +269,10 @@ func (d *Dist) LocalSize(rank int) int {
 // Locate returns the owning rank and the row-major offset into that
 // rank's local tile for the element at global coords.
 func (d *Dist) Locate(coords []int) (rank, offset int) {
-	g := make([]int, len(coords))
 	for dim, c := range coords {
-		if c < 0 || c >= d.shape[dim] {
-			panic(fmt.Sprintf("distarray: coord %d out of range in dim %d (extent %d)",
-				c, dim, d.shape[dim]))
-		}
-		g[dim] = d.ownerDim(dim, c)
-	}
-	rank = d.gridRank(g)
-	offset = 0
-	for dim, c := range coords {
-		offset = offset*d.localCountDim(dim, g[dim]) + d.localDim(dim, c)
+		g, local, _ := d.Chunk(dim, c)
+		rank = rank*d.grid[dim] + g
+		offset = offset*d.extents[dim][g] + local
 	}
 	return rank, offset
 }
@@ -281,12 +283,12 @@ func (d *Dist) LocalCoords(coords []int, local []int) (rank int, out []int) {
 	if local == nil {
 		local = make([]int, len(coords))
 	}
-	g := make([]int, len(coords))
 	for dim, c := range coords {
-		g[dim] = d.ownerDim(dim, c)
-		local[dim] = d.localDim(dim, c)
+		var g int
+		g, local[dim], _ = d.Chunk(dim, c)
+		rank = rank*d.grid[dim] + g
 	}
-	return d.gridRank(g), local
+	return rank, local
 }
 
 // LocalBox returns the half-open global box owned by rank, which exists
@@ -313,23 +315,59 @@ func (d *Dist) LocalBox(rank int) (lo, hi []int, ok bool) {
 	return lo, hi, true
 }
 
+// globalDim maps local index lc of grid coordinate g back to the global
+// index of dimension dim, the inverse of Chunk.
+func (d *Dist) globalDim(dim, g, lc int) int {
+	switch d.kinds[dim] {
+	case Cyclic:
+		return g + lc*d.grid[dim]
+	case BlockCyclic:
+		b := d.blockSize[dim]
+		return (lc/b*d.grid[dim]+g)*b + lc%b
+	}
+	return g*d.blockSize[dim] + lc
+}
+
 // GlobalOf maps rank-local tile coordinates back to global coordinates,
 // the inverse of Locate's per-dimension translation.
 func (d *Dist) GlobalOf(rank int, local []int) []int {
 	g := d.GridCoords(rank)
 	out := make([]int, len(d.shape))
 	for dim, lc := range local {
-		switch d.kinds[dim] {
-		case Cyclic:
-			out[dim] = g[dim] + lc*d.grid[dim]
-		case BlockCyclic:
-			b := d.blockSize[dim]
-			out[dim] = (lc/b*d.grid[dim]+g[dim])*b + lc%b
-		default:
-			out[dim] = g[dim]*d.blockSize[dim] + lc
-		}
+		out[dim] = d.globalDim(dim, g[dim], lc)
 	}
 	return out
+}
+
+// EachOwned calls f with the local tile coordinates and the global
+// coordinates of every element rank owns, in the tile's row-major
+// storage order.  Both slices are reused between calls.
+func (d *Dist) EachOwned(rank int, f func(local, coords []int)) {
+	if d.LocalSize(rank) == 0 {
+		return
+	}
+	g := d.GridCoords(rank)
+	local := make([]int, len(g))
+	coords := make([]int, len(g))
+	for dim := range coords {
+		coords[dim] = d.globalDim(dim, g[dim], 0)
+	}
+	for {
+		f(local, coords)
+		dim := len(local) - 1
+		for ; dim >= 0; dim-- {
+			local[dim]++
+			if local[dim] < d.extents[dim][g[dim]] {
+				break
+			}
+			local[dim] = 0
+			coords[dim] = d.globalDim(dim, g[dim], 0)
+		}
+		if dim < 0 {
+			return
+		}
+		coords[dim] = d.globalDim(dim, g[dim], local[dim])
+	}
 }
 
 // Array is one process's portion of a distributed array: the shared
@@ -401,24 +439,13 @@ func (a *Array) Set(coords []int, v float64) {
 // global definition without communication.  Multi-word elements have
 // every scalar set to the same value.
 func (a *Array) FillGlobal(f func(coords []int) float64) {
-	counts := a.dist.LocalCounts(a.rank)
-	n := a.mem.Elems()
-	if n == 0 {
-		return
-	}
 	w := a.mem.Elem().Words
-	local := make([]int, len(counts))
-	for off := 0; off < n; off++ {
-		v := f(a.dist.GlobalOf(a.rank, local))
+	off := 0
+	a.dist.EachOwned(a.rank, func(_, coords []int) {
+		v := f(coords)
 		for j := 0; j < w; j++ {
-			a.mem.SetF(off*w+j, v)
+			a.mem.SetF(off+j, v)
 		}
-		for d := len(local) - 1; d >= 0; d-- {
-			local[d]++
-			if local[d] < counts[d] {
-				break
-			}
-			local[d] = 0
-		}
-	}
+		off += w
+	})
 }

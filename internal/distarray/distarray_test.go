@@ -133,9 +133,8 @@ func TestGlobalOfInvertsLocate(t *testing.T) {
 		d := mustDist(t, gidx.Shape{9, 11}, []int{2, 3}, kinds)
 		for i := 0; i < 9; i++ {
 			for j := 0; j < 11; j++ {
-				rank, _ := d.Locate([]int{i, j})
+				rank, local := d.LocalCoords([]int{i, j}, nil)
 				g := d.GridCoords(rank)
-				local := []int{d.localDim(0, i), d.localDim(1, j)}
 				back := d.GlobalOf(rank, local)
 				if back[0] != i || back[1] != j {
 					t.Fatalf("kinds %v: (%d,%d) -> rank %d grid %v local %v -> %v",
@@ -269,4 +268,53 @@ func TestAccessorsAndStrings(t *testing.T) {
 		}()
 		NewArray(d, 99)
 	}()
+}
+
+// A Dist never changes, so its index translations work from tile
+// extents computed once and allocate nothing.
+func TestIndexTranslationAllocFree(t *testing.T) {
+	d, err := NewDistParams(gidx.Shape{40, 30, 7}, []int{2, 3, 1}, []Kind{Block, BlockCyclic, Cyclic}, []int{1, 4, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coords, local := []int{17, 22, 5}, make([]int, 3)
+	sink := 0
+	if n := testing.AllocsPerRun(100, func() {
+		r, off := d.Locate(coords)
+		r2, _ := d.LocalCoords(coords, local)
+		sink += r + off + r2 + d.OwnerOf(coords) + d.LocalSize(4)
+	}); n != 0 {
+		t.Errorf("Locate, LocalCoords, OwnerOf and LocalSize allocate %v times a call; want 0", n)
+	}
+
+	// FillGlobal walks the tile's global coordinates without asking
+	// GlobalOf for a fresh slice per element.
+	a := NewArray(d, 4)
+	per := testing.AllocsPerRun(10, func() { a.FillGlobal(func(c []int) float64 { return float64(c[0]) }) })
+	if per > 8 {
+		t.Errorf("FillGlobal over %d elements allocates %v times; want a handful", d.LocalSize(4), per)
+	}
+}
+
+func TestEachOwnedMatchesGlobalOf(t *testing.T) {
+	d, err := NewDistParams(gidx.Shape{9, 11}, []int{2, 3}, []Kind{BlockCyclic, Cyclic}, []int{2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := 0; rank < d.NProcs(); rank++ {
+		n := 0
+		d.EachOwned(rank, func(local, coords []int) {
+			want := d.GlobalOf(rank, local)
+			if want[0] != coords[0] || want[1] != coords[1] {
+				t.Fatalf("rank %d local %v: coords %v, GlobalOf says %v", rank, local, coords, want)
+			}
+			if r, off := d.Locate(coords); r != rank || off != n {
+				t.Fatalf("rank %d: element %d at %v locates to rank %d offset %d", rank, n, coords, r, off)
+			}
+			n++
+		})
+		if n != d.LocalSize(rank) {
+			t.Errorf("rank %d: EachOwned visited %d elements of %d", rank, n, d.LocalSize(rank))
+		}
+	}
 }

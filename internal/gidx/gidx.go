@@ -182,13 +182,13 @@ func (s Section) PointAt(k int, out []int) []int {
 	if out == nil {
 		out = make([]int, len(s.Lo))
 	}
-	counts := s.Counts()
-	for d := len(counts) - 1; d >= 0; d-- {
-		if counts[d] == 0 {
+	for d := len(s.Lo) - 1; d >= 0; d-- {
+		n := s.countDim(d)
+		if n == 0 {
 			panic("gidx: PointAt on empty section")
 		}
-		out[d] = s.Lo[d] + (k%counts[d])*s.Step[d]
-		k /= counts[d]
+		out[d] = s.Lo[d] + (k%n)*s.Step[d]
+		k /= n
 	}
 	if k != 0 {
 		panic("gidx: PointAt index out of range")
@@ -199,11 +199,10 @@ func (s Section) PointAt(k int, out []int) []int {
 // IndexOf returns the linearization position of the given point, which
 // must lie on the section (check with Contains first if unsure).
 func (s Section) IndexOf(coords []int) int {
-	counts := s.Counts()
 	idx := 0
 	for d := range coords {
 		i := (coords[d] - s.Lo[d]) / s.Step[d]
-		idx = idx*counts[d] + i
+		idx = idx*s.countDim(d) + i
 	}
 	return idx
 }

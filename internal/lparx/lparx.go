@@ -13,6 +13,7 @@ package lparx
 
 import (
 	"fmt"
+	"sort"
 
 	"metachaos/internal/codec"
 	"metachaos/internal/core"
@@ -54,6 +55,11 @@ type Decomposition struct {
 	// base[i] is the element offset of patch i within its owner's
 	// local storage.
 	base []int
+	// local[r] is the number of points rank r stores.
+	local []int
+	// owned[r] lists rank r's patches by ascending Lo in the last
+	// dimension, the order in which they cross any one row.
+	owned [][]int
 }
 
 // NewDecomposition validates the patch list.  Patches are stored in
@@ -64,8 +70,7 @@ func NewDecomposition(nprocs int, patches []Patch) (*Decomposition, error) {
 		return nil, fmt.Errorf("lparx: decomposition needs at least one patch")
 	}
 	rank := len(patches[0].Lo)
-	d := &Decomposition{rank: rank, nprocs: nprocs}
-	perOwner := make([]int, nprocs)
+	d := &Decomposition{rank: rank, nprocs: nprocs, local: make([]int, nprocs)}
 	for i, pt := range patches {
 		if len(pt.Lo) != rank || len(pt.Hi) != rank {
 			return nil, fmt.Errorf("lparx: patch %d has rank %d/%d, want %d", i, len(pt.Lo), len(pt.Hi), rank)
@@ -83,10 +88,18 @@ func NewDecomposition(nprocs int, patches []Patch) (*Decomposition, error) {
 				return nil, fmt.Errorf("lparx: patches %d and %d overlap", j, i)
 			}
 		}
-		d.base = append(d.base, perOwner[pt.Owner])
-		perOwner[pt.Owner] += pt.Size()
+		d.base = append(d.base, d.local[pt.Owner])
+		d.local[pt.Owner] += pt.Size()
 	}
 	d.patches = append([]Patch(nil), patches...)
+	d.owned = make([][]int, nprocs)
+	for i, pt := range patches {
+		d.owned[pt.Owner] = append(d.owned[pt.Owner], i)
+	}
+	last := rank - 1
+	for _, mine := range d.owned {
+		sort.SliceStable(mine, func(a, b int) bool { return patches[mine[a]].Lo[last] < patches[mine[b]].Lo[last] })
+	}
 	return d, nil
 }
 
@@ -109,32 +122,27 @@ func (d *Decomposition) NumPatches() int { return len(d.patches) }
 func (d *Decomposition) Patch(i int) Patch { return d.patches[i] }
 
 // LocalSize returns the number of points rank owns.
-func (d *Decomposition) LocalSize(rank int) int {
-	n := 0
-	for _, pt := range d.patches {
-		if pt.Owner == rank {
-			n += pt.Size()
-		}
+func (d *Decomposition) LocalSize(rank int) int { return d.local[rank] }
+
+// offsetIn returns the element offset, within its owner's storage, of
+// the point at coords, which patch i must contain.
+func (d *Decomposition) offsetIn(i int, coords []int) int {
+	pt := &d.patches[i]
+	inner := 0
+	for dim := range coords {
+		inner = inner*(pt.Hi[dim]-pt.Lo[dim]) + coords[dim] - pt.Lo[dim]
 	}
-	return n
+	return d.base[i] + inner
 }
 
-// locate resolves global coords to (owner, local element offset), or
-// ok=false when no patch covers the point.
-func (d *Decomposition) locate(coords []int) (core.Loc, bool) {
-	for i, pt := range d.patches {
-		if pt.contains(coords) {
-			off := d.base[i]
-			stride := 1
-			inner := 0
-			for dim := d.rank - 1; dim >= 0; dim-- {
-				inner += (coords[dim] - pt.Lo[dim]) * stride
-				stride *= pt.Hi[dim] - pt.Lo[dim]
-			}
-			return core.Loc{Proc: int32(pt.Owner), Off: int32(off + inner)}, true
+// patchAt returns the index of the patch covering coords, or -1.
+func (d *Decomposition) patchAt(coords []int) int {
+	for i := range d.patches {
+		if d.patches[i].contains(coords) {
+			return i
 		}
 	}
-	return core.Loc{}, false
+	return -1
 }
 
 // Grid is one process's storage for a decomposed grid.  Grids default
@@ -174,11 +182,11 @@ func (g *Grid) Local() []float64 { return g.data }
 
 // unitOf locates the first storage unit of a locally owned point.
 func (g *Grid) unitOf(coords []int) int {
-	loc, ok := g.dec.locate(coords)
-	if !ok || int(loc.Proc) != g.rank {
-		panic(fmt.Sprintf("lparx: rank %d addressing %v (owned=%v)", g.rank, coords, ok))
+	i := g.dec.patchAt(coords)
+	if i < 0 || g.dec.patches[i].Owner != g.rank {
+		panic(fmt.Sprintf("lparx: rank %d addressing %v (owned=%v)", g.rank, coords, i >= 0))
 	}
-	return int(loc.Off) * g.mem.Elem().Words
+	return g.dec.offsetIn(i, coords) * g.mem.Elem().Words
 }
 
 // Get reads a locally owned point (its first scalar, converted to
@@ -262,89 +270,99 @@ func region(set *core.SetOfRegions, i int) BoxRegion {
 	return r
 }
 
-// DerefRange returns the locations of set positions [lo, hi): a patch
-// lookup per point against the replicated decomposition.
-func (Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.Loc {
+// DerefRange returns the locations of set positions [lo, hi).
+func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.LocRun {
+	return l.DerefAt(ctx, o, set, []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}})
+}
+
+// DerefAt returns the locations of the positions in the given
+// intervals: a patch lookup against the replicated decomposition,
+// charged per point.  A row of a box crosses patches one after another,
+// and inside a patch the storage is contiguous along the row, so every
+// crossing is one run.
+func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
 	dec := decOf(o)
-	out := make([]core.Loc, 0, hi-lo)
+	last := dec.rank - 1
 	coords := make([]int, dec.rank)
-	for _, span := range set.SplitRange(lo, hi) {
-		sec := region(set, span.Index).section()
-		for k := span.Lo; k < span.Hi; k++ {
-			sec.PointAt(k, coords)
-			loc, ok := dec.locate(coords)
-			if !ok {
-				panic(fmt.Sprintf("lparx: region point %v not covered by any patch", coords))
+	var out []core.LocRun
+	// Consecutive intervals mostly fall in one region; its section is
+	// built once.
+	cur, sec := -1, gidx.Section{}
+	for _, iv := range at {
+		for lo, hi := int(iv.Lo), int(iv.Hi); lo < hi; {
+			span := set.SpanAt(lo, hi)
+			if span.Index != cur {
+				cur, sec = span.Index, region(set, span.Index).section()
 			}
-			out = append(out, loc)
+			for pos := span.Lo; pos < span.Hi; {
+				sec.PointAt(pos, coords)
+				i := dec.patchAt(coords)
+				if i < 0 {
+					panic(fmt.Sprintf("lparx: region point %v not covered by any patch", coords))
+				}
+				// To the end of the patch, of the box's row, or of the span.
+				n := min(span.Hi-pos, min(dec.patches[i].Hi[last], sec.Hi[last])-coords[last])
+				out = append(out, core.LocRun{
+					Pos:    int32(span.Base + pos),
+					Proc:   int32(dec.patches[i].Owner),
+					Off:    int32(dec.offsetIn(i, coords)),
+					Stride: 1,
+					Count:  int32(n),
+				})
+				pos += n
+			}
+			lo = span.Base + span.Hi
 		}
 	}
-	ctx.P.ChargeSectionOps((hi - lo) * dec.NumPatches())
+	ctx.P.ChargeSectionOps(core.RangesLen(at) * dec.NumPatches())
 	return out
 }
 
-// DerefAt returns the locations of the given set positions.
-func (l Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, positions []int32) []core.Loc {
-	dec := decOf(o)
-	out := make([]core.Loc, len(positions))
-	coords := make([]int, dec.rank)
-	for i, pos := range positions {
-		ri, inner := set.RegionOf(int(pos))
-		region(set, ri).section().PointAt(inner, coords)
-		loc, ok := dec.locate(coords)
-		if !ok {
-			panic(fmt.Sprintf("lparx: region point %v not covered by any patch", coords))
-		}
-		out[i] = loc
-	}
-	ctx.P.ChargeSectionOps(len(positions) * dec.NumPatches())
-	return out
-}
-
-// OwnedPositions intersects each region box with the caller's patches.
-func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.PosLoc {
+// OwnedPositions intersects each row of each region box with the
+// caller's patches.
+func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.LocRun {
 	dec := decOf(o)
 	me := ctx.Comm.Rank()
-	var out []core.PosLoc
+	last := dec.rank - 1
+	coords := make([]int, dec.rank)
+	var out []core.LocRun
 	work := 0
-	for i := 0; i < set.Len(); i++ {
-		sec := region(set, i).section()
-		base := set.Base(i)
-		for pi, pt := range dec.patches {
-			if pt.Owner != me {
-				continue
-			}
-			sub, ok := sec.IntersectBox(pt.Lo, pt.Hi)
-			if !ok {
-				continue
-			}
-			pbase := dec.base[pi]
-			psec := gidx.NewSection(pt.Lo, pt.Hi)
-			sub.ForEach(func(_ int, coords []int) {
-				out = append(out, core.PosLoc{
-					Pos: int32(base + sec.IndexOf(coords)),
-					Off: int32(pbase + psec.IndexOf(coords)),
+	for ri := 0; ri < set.Len(); ri++ {
+		sec := region(set, ri).section()
+		base, width := set.Base(ri), sec.Hi[last]-sec.Lo[last]
+		for pos := 0; pos < sec.Size(); pos += width {
+			sec.PointAt(pos, coords)
+			for _, i := range dec.owned[me] {
+				pt := &dec.patches[i]
+				a, b := max(sec.Lo[last], pt.Lo[last]), min(sec.Hi[last], pt.Hi[last])
+				if a >= b {
+					continue
+				}
+				if coords[last] = a; !pt.contains(coords) {
+					continue
+				}
+				out = append(out, core.LocRun{
+					Pos:    int32(base + pos + a - sec.Lo[last]),
+					Proc:   int32(me),
+					Off:    int32(dec.offsetIn(i, coords)),
+					Stride: 1,
+					Count:  int32(b - a),
 				})
-				work++
-			})
+				work += b - a
+			}
 		}
 	}
-	// Positions accumulate per (region, patch) pair; sort by position
-	// to satisfy the interface contract.
-	insertionSortPosLocs(out)
 	ctx.P.ChargeSectionOps(work + set.Len()*dec.NumPatches())
 	return out
 }
 
-// insertionSortPosLocs sorts by Pos; the input is a concatenation of
-// sorted runs, which insertion sort handles in near-linear time for
-// typical patch counts.
-func insertionSortPosLocs(a []core.PosLoc) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j].Pos < a[j-1].Pos; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+// MaxLocalElems returns the largest share of points any rank stores.
+func (Lib) MaxLocalElems(o core.DistObject) int {
+	n := 0
+	for _, local := range decOf(o).local {
+		n = max(n, local)
 	}
+	return n
 }
 
 // EncodeDescriptor serializes the patch list; compact (patch counts
@@ -401,5 +419,6 @@ var (
 	_ core.Library         = Lib{}
 	_ core.DescriptorCodec = Lib{}
 	_ core.RegionCodec     = Lib{}
+	_ core.LocalBounder    = Lib{}
 	_ core.DistObject      = (*Grid)(nil)
 )

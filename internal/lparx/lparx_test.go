@@ -114,7 +114,7 @@ func TestDerefConsistency(t *testing.T) {
 		ctx := core.NewCtx(p, p.Comm())
 		g := NewGrid(dec, p.Rank())
 		n := set.Size()
-		locs := Library.DerefRange(ctx, g, set, 0, n)
+		locs := expand(Library.DerefRange(ctx, g, set, 0, n))
 		if len(locs) != n {
 			t.Fatalf("deref returned %d locs", len(locs))
 		}
@@ -122,13 +122,13 @@ func TestDerefConsistency(t *testing.T) {
 		for i := range positions {
 			positions[i] = int32(i)
 		}
-		at := Library.DerefAt(ctx, g, set, positions)
+		at := expand(Library.DerefAt(ctx, g, set, points(positions)))
 		for i := range locs {
 			if locs[i] != at[i] {
 				t.Fatalf("DerefRange/DerefAt disagree at %d", i)
 			}
 		}
-		owned := Library.OwnedPositions(ctx, g, set)
+		owned := expandOwned(Library.OwnedPositions(ctx, g, set))
 		last := int32(-1)
 		count := 0
 		for _, pl := range owned {

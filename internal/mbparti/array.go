@@ -115,11 +115,16 @@ func (a *Array) offsetLocal(local []int) int {
 // OffsetOf returns the storage offset of the element at global coords,
 // which must be owned locally.
 func (a *Array) OffsetOf(global []int) int {
-	rank, local := a.dist.LocalCoords(global, nil)
+	rank, off := 0, 0
+	for d, c := range global {
+		g, local, _ := a.dist.Chunk(d, c)
+		rank = rank*a.dist.Grid()[d] + g
+		off = off*a.gshape[d] + local + a.halo
+	}
 	if rank != a.rank {
 		panic(fmt.Sprintf("mbparti: rank %d addressing element %v owned by rank %d", a.rank, global, rank))
 	}
-	return a.offsetLocal(local)
+	return off
 }
 
 // Get reads a locally owned element (its first scalar, converted to
@@ -143,30 +148,14 @@ func (a *Array) GetPadded(local []int) float64 {
 // FillGlobal sets every locally owned interior element to
 // f(globalCoords); multi-word elements have every scalar set.
 func (a *Array) FillGlobal(f func(coords []int) float64) {
-	if a.interiorSize() == 0 {
-		return
-	}
 	w := a.mem.Elem().Words
-	local := make([]int, len(a.counts))
-	for {
-		v := f(a.dist.GlobalOf(a.rank, local))
+	a.dist.EachOwned(a.rank, func(local, coords []int) {
+		v := f(coords)
 		off := a.offsetLocal(local) * w
 		for j := 0; j < w; j++ {
 			a.mem.SetF(off+j, v)
 		}
-		if !incr(local, a.counts) {
-			return
-		}
-	}
-}
-
-// interiorSize returns the number of interior (owned) elements.
-func (a *Array) interiorSize() int {
-	n := 1
-	for _, c := range a.counts {
-		n *= c
-	}
-	return n
+	})
 }
 
 // incr advances local coordinates row-major; it reports false after

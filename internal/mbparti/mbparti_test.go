@@ -17,17 +17,10 @@ func gatherGlobal(c *mpsim.Comm, a *Array) []float64 {
 	shape := a.dist.Shape()
 	out := make([]float64, shape.Size())
 	var mine codec.Writer
-	if a.interiorSize() > 0 {
-		local := make([]int, len(shape))
-		for {
-			g := a.dist.GlobalOf(a.rank, local)
-			mine.PutInt32(int32(shape.Linear(g)))
-			mine.PutFloat64(a.data[a.offsetLocal(local)])
-			if !incr(local, a.dist.LocalCounts(a.rank)) {
-				break
-			}
-		}
-	}
+	a.dist.EachOwned(a.rank, func(local, g []int) {
+		mine.PutInt32(int32(shape.Linear(g)))
+		mine.PutFloat64(a.data[a.offsetLocal(local)])
+	})
 	for _, part := range c.Allgather(mine.Bytes()) {
 		r := codec.NewReader(part)
 		for r.Remaining() > 0 {
@@ -348,7 +341,7 @@ func TestSeclibDerefConsistency(t *testing.T) {
 		a := MustNewArray(d, p.Rank(), 1)
 		ctx := core.NewCtx(p, p.Comm())
 		n := set.Size()
-		locs := Library.DerefRange(ctx, a, set, 0, n)
+		locs := expand(Library.DerefRange(ctx, a, set, 0, n))
 		if len(locs) != n {
 			t.Fatalf("DerefRange returned %d locs, want %d", len(locs), n)
 		}
@@ -356,13 +349,13 @@ func TestSeclibDerefConsistency(t *testing.T) {
 		for i := range positions {
 			positions[i] = int32(i)
 		}
-		locsAt := Library.DerefAt(ctx, a, set, positions)
+		locsAt := expand(Library.DerefAt(ctx, a, set, points(positions)))
 		for i := range locs {
 			if locs[i] != locsAt[i] {
 				t.Fatalf("DerefRange and DerefAt disagree at %d: %v vs %v", i, locs[i], locsAt[i])
 			}
 		}
-		owned := Library.OwnedPositions(ctx, a, set)
+		owned := expandOwned(Library.OwnedPositions(ctx, a, set))
 		seen := map[int32]int32{}
 		for _, pl := range owned {
 			seen[pl.Pos] = pl.Off

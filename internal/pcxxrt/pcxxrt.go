@@ -142,39 +142,38 @@ func reg(set *core.SetOfRegions, i int) RangeRegion {
 	return r
 }
 
-// DerefRange returns the locations of set positions [lo, hi): pure
-// round-robin arithmetic.
-func (Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.Loc {
-	c := coll(o)
-	out := make([]core.Loc, 0, hi-lo)
-	for _, span := range set.SplitRange(lo, hi) {
-		r := reg(set, span.Index)
-		for k := span.Lo; k < span.Hi; k++ {
-			i := r.At(k)
-			out = append(out, core.Loc{Proc: int32(c.Owner(i)), Off: int32(c.Slot(i))})
-		}
-	}
-	ctx.P.ChargeSectionOps(hi - lo)
-	return out
+// DerefRange returns the locations of set positions [lo, hi).
+func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.LocRun {
+	return l.DerefAt(ctx, o, set, []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}})
 }
 
-// DerefAt returns the locations of the given set positions.
-func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, positions []int32) []core.Loc {
+// DerefAt returns the locations of the positions in the given
+// intervals: pure round-robin arithmetic, one element at a time;
+// consecutive positions fuse into a run only where a range's step keeps
+// them on one process.
+func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
 	c := coll(o)
-	out := make([]core.Loc, len(positions))
-	for k, pos := range positions {
-		ri, inner := set.RegionOf(int(pos))
-		i := reg(set, ri).At(inner)
-		out[k] = core.Loc{Proc: int32(c.Owner(i)), Off: int32(c.Slot(i))}
+	n := core.RangesLen(at)
+	out := make([]core.LocRun, 0, n)
+	for _, iv := range at {
+		for lo, hi := int(iv.Lo), int(iv.Hi); lo < hi; {
+			span := set.SpanAt(lo, hi)
+			r := reg(set, span.Index)
+			for k := span.Lo; k < span.Hi; k++ {
+				i := r.At(k)
+				out = core.AppendLoc(out, int32(span.Base+k), int32(c.Owner(i)), int32(c.Slot(i)))
+			}
+			lo = span.Base + span.Hi
+		}
 	}
-	ctx.P.ChargeSectionOps(len(positions))
+	ctx.P.ChargeSectionOps(n)
 	return out
 }
 
 // OwnedPositions walks each range's residue class owned by the caller.
-func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.PosLoc {
+func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.LocRun {
 	c := coll(o)
-	var out []core.PosLoc
+	var out []core.LocRun
 	work := 0
 	for ri := 0; ri < set.Len(); ri++ {
 		r := reg(set, ri)
@@ -182,7 +181,7 @@ func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegio
 		for k := 0; k < r.Size(); k++ {
 			i := r.At(k)
 			if c.Owner(i) == c.rank {
-				out = append(out, core.PosLoc{Pos: int32(base + k), Off: int32(c.Slot(i))})
+				out = core.AppendLoc(out, int32(base+k), int32(c.rank), int32(c.Slot(i)))
 			}
 			work++
 		}

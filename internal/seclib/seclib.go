@@ -8,6 +8,7 @@ package seclib
 
 import (
 	"fmt"
+	"math"
 
 	"metachaos/internal/codec"
 	"metachaos/internal/core"
@@ -55,104 +56,132 @@ func (l *Lib) section(set *core.SetOfRegions, i int) gidx.Section {
 	return sec
 }
 
-// offsetOf computes the element offset of global coords within the
-// halo-padded local tile of obj's owner.
-func offsetOf(dist *distarray.Dist, halo int, rank int, local []int) int {
-	counts := dist.LocalCounts(rank)
-	off := 0
-	for d, lc := range local {
-		off = off*(counts[d]+2*halo) + lc + halo
-	}
-	return off
+// walker dereferences sections of one object in closed form: a row of
+// a section crosses the distribution's chunks (see distarray.Chunk) one
+// after another, and within a chunk the owner is fixed and the local
+// index advances with the section's step, so every chunk crossing is
+// one run.  Nothing is computed or allocated per element.
+type walker struct {
+	dist *distarray.Dist
+	halo int
+	// only restricts the answer to one rank's elements; -1 keeps all.
+	only   int
+	coords []int
+	out    []core.LocRun
+	elems  int // how many elements out covers
 }
 
-// locate resolves global coords to a Loc in the halo-padded layout.
-func locate(dist *distarray.Dist, halo int, coords []int, localBuf []int) core.Loc {
-	rank, local := dist.LocalCoords(coords, localBuf)
-	return core.Loc{Proc: int32(rank), Off: int32(offsetOf(dist, halo, rank, local))}
+func (l *Lib) walker(o core.DistObject, only int) *walker {
+	so := l.object(o)
+	dist := so.SecDist()
+	return &walker{dist: dist, halo: so.Halo(), only: only, coords: make([]int, len(dist.Shape()))}
+}
+
+// span appends the runs of positions [lo, hi) of sec, whose first
+// position in the set is base.
+func (w *walker) span(sec gidx.Section, base, lo, hi int) {
+	dist, halo, grid := w.dist, w.halo, w.dist.Grid()
+	last := len(grid) - 1
+	step := sec.Step[last]
+	for pos := lo; pos < hi; {
+		// One row fragment: from the point at pos to the row's end, or hi.
+		coords := sec.PointAt(pos, w.coords)
+		c := coords[last]
+		n := min(hi-pos, (sec.Hi[last]-c+step-1)/step)
+		// The leading dimensions fix the row's owners and the leading
+		// terms of the offset into the owner's halo-padded tile.
+		rank, off := 0, 0
+		for d := 0; d < last; d++ {
+			g, local, _ := dist.Chunk(d, coords[d])
+			rank = rank*grid[d] + g
+			off = off*(dist.TileExtent(d, g)+2*halo) + local + halo
+		}
+		rank *= grid[last]
+		if w.only >= 0 && rank != w.only-w.only%grid[last] {
+			pos += n
+			continue
+		}
+		for n > 0 {
+			g, local, end := dist.Chunk(last, c)
+			count := min(n, (end-c+step-1)/step)
+			if w.only < 0 || rank+g == w.only {
+				w.out = append(w.out, core.LocRun{
+					Pos:    int32(base + pos),
+					Proc:   int32(rank + g),
+					Off:    int32(off*(dist.TileExtent(last, g)+2*halo) + local + halo),
+					Stride: int32(step),
+					Count:  int32(count),
+				})
+				w.elems += count
+			}
+			pos, c, n = pos+count, c+count*step, n-count
+		}
+	}
 }
 
 // DerefRange returns the locations of set positions [lo, hi).  Pure
 // arithmetic: regular distributions dereference without communication.
-func (l *Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.Loc {
-	so := l.object(o)
-	dist, halo := so.SecDist(), so.Halo()
-	out := make([]core.Loc, 0, hi-lo)
-	coords := make([]int, len(dist.Shape()))
-	local := make([]int, len(dist.Shape()))
-	for _, span := range set.SplitRange(lo, hi) {
-		sec := l.section(set, span.Index)
-		for k := span.Lo; k < span.Hi; k++ {
-			sec.PointAt(k, coords)
-			out = append(out, locate(dist, halo, coords, local))
+func (l *Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.LocRun {
+	return l.DerefAt(ctx, o, set, []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}})
+}
+
+// DerefAt returns the locations of the positions in the given
+// intervals.
+func (l *Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
+	w := l.walker(o, -1)
+	for _, iv := range at {
+		for lo, hi := int(iv.Lo), int(iv.Hi); lo < hi; {
+			span := set.SpanAt(lo, hi)
+			w.span(l.section(set, span.Index), span.Base, span.Lo, span.Hi)
+			lo = span.Base + span.Hi
 		}
 	}
-	ctx.P.ChargeSectionOps(hi - lo)
-	return out
+	ctx.P.ChargeSectionOps(core.RangesLen(at))
+	return w.out
 }
 
-// DerefAt returns the locations of the given (sorted) set positions.
-func (l *Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, positions []int32) []core.Loc {
-	so := l.object(o)
-	dist, halo := so.SecDist(), so.Halo()
-	out := make([]core.Loc, len(positions))
-	coords := make([]int, len(dist.Shape()))
-	local := make([]int, len(dist.Shape()))
-	for i, pos := range positions {
-		ri, inner := set.RegionOf(int(pos))
-		l.section(set, ri).PointAt(inner, coords)
-		out[i] = locate(dist, halo, coords, local)
-	}
-	ctx.P.ChargeSectionOps(len(positions))
-	return out
-}
-
-// OwnedPositions intersects each section with the caller's tile box,
-// so the cost is proportional to the number of owned elements rather
-// than the whole set.  Distributions with a cyclic dimension have no
-// box and fall back to scanning the set.
-func (l *Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.PosLoc {
-	so := l.object(o)
-	dist, halo := so.SecDist(), so.Halo()
-	me := ctx.Comm.Rank()
-	var out []core.PosLoc
-	local := make([]int, len(dist.Shape()))
+// OwnedPositions returns the caller's share of every section.  Where
+// every dimension is BLOCK the original library intersected each
+// section with the caller's tile box, at a cost proportional to the
+// elements owned; with a cyclic dimension there is no box and it
+// scanned the set.  The charges keep to that.
+func (l *Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.LocRun {
+	w := l.walker(o, ctx.Comm.Rank())
+	_, _, haveBox := w.dist.LocalBox(w.only)
 	work := 0
-
-	boxLo, boxHi, haveBox := dist.LocalBox(me)
 	for i := 0; i < set.Len(); i++ {
 		sec := l.section(set, i)
-		base := set.Base(i)
-		if haveBox {
-			sub, ok := sec.IntersectBox(boxLo, boxHi)
-			if !ok {
-				work++
-				continue
-			}
-			sub.ForEach(func(_ int, coords []int) {
-				pos := sec.IndexOf(coords)
-				_, lc := dist.LocalCoords(coords, local)
-				out = append(out, core.PosLoc{
-					Pos: int32(base + pos),
-					Off: int32(offsetOf(dist, halo, me, lc)),
-				})
-				work++
-			})
-		} else {
-			sec.ForEach(func(pos int, coords []int) {
-				rank, lc := dist.LocalCoords(coords, local)
-				if rank == me {
-					out = append(out, core.PosLoc{
-						Pos: int32(base + pos),
-						Off: int32(offsetOf(dist, halo, me, lc)),
-					})
-				}
-				work++
-			})
+		before := w.elems
+		w.span(sec, set.Base(i), 0, sec.Size())
+		switch owned := w.elems - before; {
+		case !haveBox:
+			work += sec.Size()
+		case owned == 0:
+			work++
+		default:
+			work += owned
 		}
 	}
 	ctx.P.ChargeSectionOps(work)
-	return out
+	return w.out
+}
+
+// MaxLocalElems returns the size of the largest halo-padded tile.
+func (l *Lib) MaxLocalElems(o core.DistObject) int {
+	so := l.object(o)
+	dist, n := so.SecDist(), 1
+	for d, p := range dist.Grid() {
+		ext := 0
+		for g := 0; g < p; g++ {
+			ext = max(ext, dist.TileExtent(d, g))
+		}
+		// Stop at the first product past any bound a caller checks;
+		// further factors are at least 1 and could overflow.
+		if n *= ext + 2*so.Halo(); n > math.MaxInt32 {
+			break
+		}
+	}
+	return n
 }
 
 // EncodeDescriptor serializes the distribution descriptor (shape, grid,

@@ -48,7 +48,7 @@ func TestHaloOffsetsStayInsidePaddedTile(t *testing.T) {
 			[]distarray.Kind{distarray.Block, distarray.Block}, p.Rank(), 2, 1)
 		ctx := core.NewCtx(p, p.Comm())
 		set := core.NewSetOfRegions(gidx.FullSection(gidx.Shape{10, 10}))
-		locs := testLib.DerefRange(ctx, o, set, 0, set.Size())
+		locs := expand(testLib.DerefRange(ctx, o, set, 0, set.Size()))
 		counts := o.dist.LocalCounts(p.Rank())
 		padded := (counts[0] + 4) * (counts[1] + 4)
 		for i, loc := range locs {
@@ -70,8 +70,8 @@ func TestCyclicDistributionFallsBackToScan(t *testing.T) {
 			[]distarray.Kind{distarray.Cyclic}, p.Rank(), 0, 1)
 		ctx := core.NewCtx(p, p.Comm())
 		set := core.NewSetOfRegions(gidx.Section{Lo: []int{1}, Hi: []int{17}, Step: []int{2}})
-		locs := testLib.DerefRange(ctx, o, set, 0, set.Size())
-		owned := testLib.OwnedPositions(ctx, o, set)
+		locs := expand(testLib.DerefRange(ctx, o, set, 0, set.Size()))
+		owned := expandOwned(testLib.OwnedPositions(ctx, o, set))
 		count := 0
 		for i, loc := range locs {
 			if int(loc.Proc) == p.Rank() {
@@ -163,8 +163,8 @@ func TestQuickDerefRangeConsistent(t *testing.T) {
 			total := set.Size()
 			lo := int(lo8) % total
 			hi := lo + int(n8)%(total-lo+1)
-			full := testLib.DerefRange(ctx, o, set, 0, total)
-			part := testLib.DerefRange(ctx, o, set, lo, hi)
+			full := expand(testLib.DerefRange(ctx, o, set, 0, total))
+			part := expand(testLib.DerefRange(ctx, o, set, lo, hi))
 			for i := range part {
 				if part[i] != full[lo+i] {
 					ok = false
@@ -187,9 +187,9 @@ func TestDerefAtMatchesRange(t *testing.T) {
 			gidx.NewSection([]int{0, 0}, []int{4, 4}),
 			gidx.NewSection([]int{5, 1}, []int{9, 3}),
 		)
-		full := testLib.DerefRange(ctx, o, set, 0, set.Size())
+		full := expand(testLib.DerefRange(ctx, o, set, 0, set.Size()))
 		positions := []int32{0, 3, 7, 15, int32(set.Size() - 1)}
-		at := testLib.DerefAt(ctx, o, set, positions)
+		at := expand(testLib.DerefAt(ctx, o, set, points(positions)))
 		for i, pos := range positions {
 			if at[i] != full[pos] {
 				t.Fatalf("DerefAt(%d)=%+v want %+v", pos, at[i], full[pos])
@@ -242,7 +242,7 @@ func TestOwnedPositionsEmptyIntersection(t *testing.T) {
 		o := newTestObject(t, gidx.Shape{8}, []int{2}, []distarray.Kind{distarray.Block}, p.Rank(), 0, 1)
 		ctx := core.NewCtx(p, p.Comm())
 		set := core.NewSetOfRegions(gidx.NewSection([]int{0}, []int{4})) // rank 0 only
-		owned := testLib.OwnedPositions(ctx, o, set)
+		owned := expandOwned(testLib.OwnedPositions(ctx, o, set))
 		if p.Rank() == 0 && len(owned) != 4 {
 			t.Errorf("rank 0 owns %d", len(owned))
 		}

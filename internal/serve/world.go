@@ -622,13 +622,13 @@ func buildSide(spec *DistSpec, rank int) (side, error) {
 		shape := gidx.Shape(spec.Shape)
 		sd.set = core.NewSetOfRegions(gidx.FullSection(shape))
 		sd.fill = func(v func(pos, wd int) float64) {
-			eachOwnedCoord(dist, rank, func(coords []int) {
+			dist.EachOwned(rank, func(_, coords []int) {
 				set(coords, v(shape.Linear(coords), 0))
 			})
 		}
 		sd.read = func(f func(pos int, vals []float64)) {
 			var one [1]float64
-			eachOwnedCoord(dist, rank, func(coords []int) {
+			dist.EachOwned(rank, func(_, coords []int) {
 				one[0] = get(coords)
 				f(shape.Linear(coords), one[:])
 			})
@@ -654,30 +654,6 @@ func distFor(spec *DistSpec) (*distarray.Dist, error) {
 		return distarray.MustBlock2D(spec.Shape[0], spec.Shape[1], spec.Procs), nil
 	}
 	return nil, fmt.Errorf("%w: layout %q", ErrBadSpec, spec.Layout)
-}
-
-// eachOwnedCoord walks rank's owned global coordinates in local
-// row-major order (the same order distarray.FillGlobal uses).
-func eachOwnedCoord(d *distarray.Dist, rank int, f func(coords []int)) {
-	counts := d.LocalCounts(rank)
-	n := 1
-	for _, c := range counts {
-		n *= c
-	}
-	if n == 0 {
-		return
-	}
-	local := make([]int, len(counts))
-	for k := 0; k < n; k++ {
-		f(d.GlobalOf(rank, local))
-		for dim := len(local) - 1; dim >= 0; dim-- {
-			local[dim]++
-			if local[dim] < counts[dim] {
-				break
-			}
-			local[dim] = 0
-		}
-	}
 }
 
 // fillValue is the deterministic element generator clients and the
