@@ -11,6 +11,7 @@ package metachaos_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -266,6 +267,54 @@ func BenchmarkMoveOverlap(b *testing.B) {
 			&core.Spec{Lib: mbparti.Library, Obj: src, Set: all, Ctx: ctx},
 			&core.Spec{Lib: mbparti.Library, Obj: dst, Set: all, Ctx: ctx},
 			core.Duplication)
+		if err != nil {
+			panic(err)
+		}
+		sched.Move(src, dst) // warm-up
+		p.Comm().Barrier()
+		if p.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			sched.Move(src, dst)
+		}
+		p.Comm().Barrier()
+		if p.Rank() == 0 {
+			b.StopTimer()
+		}
+	})
+}
+
+func BenchmarkMoveElementRuns(b *testing.B) {
+	// HPF block vector -> CHAOS array over 8 processes, ownership and
+	// linearization both seed-permuted: nearly every schedule run is a
+	// single element, so pack and unpack take their strided per-element
+	// paths — the coupling MovePack and MoveOverlap never exercise, and
+	// the one where per-element descriptor copies show.
+	const n, np = 8192, 8
+	rng := rand.New(rand.NewSource(7))
+	owners, region := rng.Perm(n), rng.Perm(n)
+	idx := func(perm []int) []int32 {
+		out := make([]int32, len(perm))
+		for i, v := range perm {
+			out[i] = int32(v)
+		}
+		return out
+	}
+	b.ReportAllocs()
+	metachaos.RunSPMD(metachaos.SP2(), np, func(p *metachaos.Proc) {
+		ctx := metachaos.NewCtx(p, p.Comm())
+		src := metachaos.NewHPFArray(metachaos.BlockVector(n, np), p.Rank())
+		dst, err := metachaos.NewChaosArray(ctx, idx(owners[p.Rank()*n/np:(p.Rank()+1)*n/np]))
+		if err != nil {
+			panic(err)
+		}
+		sched, err := metachaos.ComputeSchedule(metachaos.SingleProgram(p.Comm()),
+			&metachaos.Spec{Lib: metachaos.HPF, Obj: src,
+				Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{0}, []int{n})), Ctx: ctx},
+			&metachaos.Spec{Lib: metachaos.Chaos, Obj: dst,
+				Set: metachaos.NewSetOfRegions(metachaos.IndexRegion(idx(region))), Ctx: ctx},
+			metachaos.Cooperation)
 		if err != nil {
 			panic(err)
 		}

@@ -10,7 +10,9 @@ import "fmt"
 //
 // The executor works on the typed slice of the active kind directly;
 // generic code (reference executors, generic fills) uses the GetF/SetF
-// unit accessors, which convert through float64.
+// unit accessors, which convert through float64.  Those do not inline,
+// so they take a pointer: by value the descriptor — an ElemType and
+// five slice headers, 136 bytes — would be copied on every call.
 type Mem struct {
 	et  ElemType
 	f64 []float64
@@ -110,21 +112,10 @@ func (m Mem) IsNil() bool {
 }
 
 // Units returns the storage length in scalars of the element kind
-// (ElemType.Words units per element).
+// (ElemType.Words units per element).  Only the active kind's slice is
+// ever set, so the sum is that slice's length, without a branch.
 func (m Mem) Units() int {
-	switch m.et.Kind {
-	case KindFloat64:
-		return len(m.f64)
-	case KindFloat32:
-		return len(m.f32)
-	case KindInt64:
-		return len(m.i64)
-	case KindInt32:
-		return len(m.i32)
-	case KindByte:
-		return len(m.by)
-	}
-	return 0
+	return len(m.f64) + len(m.f32) + len(m.i64) + len(m.i32) + len(m.by)
 }
 
 // Elems returns the number of locally stored elements.
@@ -148,7 +139,7 @@ func (m Mem) Int32s() []int32 { return m.i32 }
 func (m Mem) Bytes() []byte { return m.by }
 
 // GetF reads scalar unit u converted to float64.
-func (m Mem) GetF(u int) float64 {
+func (m *Mem) GetF(u int) float64 {
 	switch m.et.Kind {
 	case KindFloat64:
 		return m.f64[u]
@@ -166,7 +157,7 @@ func (m Mem) GetF(u int) float64 {
 
 // SetF stores v into scalar unit u, converting from float64 (integer
 // kinds truncate).
-func (m Mem) SetF(u int, v float64) {
+func (m *Mem) SetF(u int, v float64) {
 	switch m.et.Kind {
 	case KindFloat64:
 		m.f64[u] = v
@@ -214,7 +205,7 @@ func (m Mem) CopyFrom(src Mem) {
 // (little-endian scalars, the same encoding move lanes use), for
 // checkpoint serialization.
 func (m Mem) AppendTo(buf []byte) []byte {
-	return appendUnits(buf, m, 0, m.Units())
+	return appendUnits(buf, &m, 0, m.Units())
 }
 
 // SetFromWire overwrites the whole storage by decoding b, the inverse
@@ -224,11 +215,11 @@ func (m Mem) SetFromWire(b []byte) {
 	if len(b) != want {
 		panic(fmt.Sprintf("core: SetFromWire payload is %d bytes, storage wants %d", len(b), want))
 	}
-	readUnits(m, 0, b, opCopy)
+	readUnits(&m, 0, b, opCopy)
 }
 
 // AddF adds v into scalar unit u in the storage's native arithmetic.
-func (m Mem) AddF(u int, v float64) {
+func (m *Mem) AddF(u int, v float64) {
 	switch m.et.Kind {
 	case KindFloat64:
 		m.f64[u] += v

@@ -25,7 +25,7 @@ var hostLE = func() bool {
 // only when hostLE is true (KindByte is endian-free but gated the same
 // way for simplicity).  The caller must not let the view outlive the
 // storage, and must not mutate the storage while readers hold the view.
-func viewUnits(m Mem, o, n int) []byte {
+func viewUnits(m *Mem, o, n int) []byte {
 	if n == 0 {
 		return nil
 	}
@@ -44,48 +44,15 @@ func viewUnits(m Mem, o, n int) []byte {
 	panic(fmt.Sprintf("core: viewing unknown element kind %d", m.et.Kind))
 }
 
-// memSpan returns the storage's base address and byte length, (0, 0)
-// for empty storage.
-func memSpan(m Mem) (uintptr, int) {
-	switch m.et.Kind {
-	case KindFloat64:
-		if len(m.f64) == 0 {
-			return 0, 0
-		}
-		return uintptr(unsafe.Pointer(&m.f64[0])), len(m.f64) * 8
-	case KindFloat32:
-		if len(m.f32) == 0 {
-			return 0, 0
-		}
-		return uintptr(unsafe.Pointer(&m.f32[0])), len(m.f32) * 4
-	case KindInt64:
-		if len(m.i64) == 0 {
-			return 0, 0
-		}
-		return uintptr(unsafe.Pointer(&m.i64[0])), len(m.i64) * 8
-	case KindInt32:
-		if len(m.i32) == 0 {
-			return 0, 0
-		}
-		return uintptr(unsafe.Pointer(&m.i32[0])), len(m.i32) * 4
-	case KindByte:
-		if len(m.by) == 0 {
-			return 0, 0
-		}
-		return uintptr(unsafe.Pointer(&m.by[0])), len(m.by)
-	}
-	return 0, 0
-}
-
 // memOverlaps reports whether two storages share any bytes.  A move
 // whose pack source overlaps its unpack destination must not hand out
 // views: in-place unpacking would mutate bytes a payload still
 // references.
 func memOverlaps(a, b Mem) bool {
-	pa, na := memSpan(a)
-	pb, nb := memSpan(b)
-	if na == 0 || nb == 0 {
+	va, vb := viewUnits(&a, 0, a.Units()), viewUnits(&b, 0, b.Units())
+	if len(va) == 0 || len(vb) == 0 {
 		return false
 	}
-	return pa < pb+uintptr(nb) && pb < pa+uintptr(na)
+	pa, pb := uintptr(unsafe.Pointer(&va[0])), uintptr(unsafe.Pointer(&vb[0]))
+	return pa < pb+uintptr(len(vb)) && pb < pa+uintptr(len(va))
 }

@@ -108,36 +108,36 @@ func (r *MoveResult) OK() bool { return len(r.FailedPeers) == 0 }
 // single program; every process of the program calls it with both
 // objects.
 func (s *Schedule) Move(srcObj, dstObj DistObject) MoveResult {
-	return s.move(srcObj, dstObj, false)
+	return s.moveOp(srcObj, dstObj, false, opCopy)
 }
 
 // MoveReverse copies data destination-to-source using the same
 // schedule, exploiting its symmetry; arguments keep their original
 // roles from ComputeSchedule.
 func (s *Schedule) MoveReverse(srcObj, dstObj DistObject) MoveResult {
-	return s.move(srcObj, dstObj, true)
+	return s.moveOp(srcObj, dstObj, true, opCopy)
 }
 
 // MoveSend is the source program's half of an inter-program copy.
 func (s *Schedule) MoveSend(obj DistObject) MoveResult {
-	return s.move(obj, nil, false)
+	return s.moveOp(obj, nil, false, opCopy)
 }
 
 // MoveRecv is the destination program's half of an inter-program copy.
 func (s *Schedule) MoveRecv(obj DistObject) MoveResult {
-	return s.move(nil, obj, false)
+	return s.moveOp(nil, obj, false, opCopy)
 }
 
 // MoveReverseSend is called by the destination program to send data
 // back to the source program through the same schedule.
 func (s *Schedule) MoveReverseSend(obj DistObject) MoveResult {
-	return s.move(nil, obj, true)
+	return s.moveOp(nil, obj, true, opCopy)
 }
 
 // MoveReverseRecv is called by the source program to receive data sent
 // with MoveReverseSend.
 func (s *Schedule) MoveReverseRecv(obj DistObject) MoveResult {
-	return s.move(obj, nil, true)
+	return s.moveOp(obj, nil, true, opCopy)
 }
 
 // MoveAdd accumulates instead of copying: every destination element
@@ -165,10 +165,6 @@ const (
 	opCopy = iota
 	opAdd
 )
-
-func (s *Schedule) move(srcObj, dstObj DistObject, reverse bool) MoveResult {
-	return s.moveOp(srcObj, dstObj, reverse, opCopy)
-}
 
 // tagMoveSpan is how many consecutive moves get distinct tags before
 // the tag space wraps: the whole user tag range above tagMoveBase
@@ -270,6 +266,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			s.lease = s.pool.NewLease()
 		}
 		local := packObj.LocalMem()
+		units := local.Units()
 		// Stride-1 runs go on the wire as views of the source storage —
 		// no pack copy — when the host's native byte order is the wire
 		// order and the unpack destination does not alias the pack
@@ -302,13 +299,13 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 				stage = seg.Bytes()[:0]
 			}
 			for _, run := range pl.Runs {
+				checkRunBounds(run, units, w)
 				if run.Stride == 1 && canView {
-					checkRunBounds(run, local.Units(), w)
-					pay.AddView(viewUnits(local, int(run.Start)*w, int(run.Count)*w))
+					pay.AddView(viewUnits(&local, int(run.Start)*w, int(run.Count)*w))
 					continue
 				}
 				mark := len(stage)
-				stage = packRun(stage, local, run, w)
+				stage = packRun(stage, &local, run, w)
 				pay.AddView(stage[mark:])
 			}
 			p.ChargeMemOps(pl.Len())
@@ -411,7 +408,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			if body != want {
 				panic(fmt.Sprintf("core: move message carries %d bytes, schedule expects %d", body, want))
 			}
-			unpackSegs(local, pay.Segments(), pl.Runs, w, op)
+			unpackSegs(&local, pay.Segments(), pl.Runs, w, op)
 			pay.Release()
 			res.Elems += n
 			p.ChargeMemOps(n)
@@ -600,9 +597,13 @@ func trailerOf(segs [][]byte) uint64 {
 // packRun appends the run's elements to buf in wire encoding; a
 // stride-1 run of k w-scalar elements is one bulk append instead of k
 // scalar copies.  The scalar kind is dispatched once per append, so
-// the per-kind codec kernels keep their bulk fast paths.
-func packRun(buf []byte, m Mem, run Run, w int) []byte {
-	checkRunBounds(run, m.Units(), w)
+// the per-kind codec kernels keep their bulk fast paths.  The caller
+// has checked the run against m's bounds.
+//
+// The kernels from here down take *Mem for the reason its accessors
+// do: by value the descriptor is copied per call, which on a strided
+// run is per element.
+func packRun(buf []byte, m *Mem, run Run, w int) []byte {
 	if run.Stride == 1 {
 		o := int(run.Start) * w
 		return appendUnits(buf, m, o, int(run.Count)*w)
@@ -615,7 +616,7 @@ func packRun(buf []byte, m Mem, run Run, w int) []byte {
 
 // appendUnits appends n scalar units starting at unit o of m to buf in
 // wire encoding.
-func appendUnits(buf []byte, m Mem, o, n int) []byte {
+func appendUnits(buf []byte, m *Mem, o, n int) []byte {
 	switch m.et.Kind {
 	case KindFloat64:
 		return codec.AppendFloat64s(buf, m.f64[o:o+n])
@@ -639,8 +640,8 @@ func appendUnits(buf []byte, m Mem, o, n int) []byte {
 // boundaries (views are whole runs of units, staged bytes are whole
 // units), so every piece decodes cleanly; a checksum trailer beyond the
 // runs' bytes is simply never consumed.
-func unpackSegs(m Mem, segs [][]byte, runs []Run, w, op int) {
-	es := m.et.Kind.Size()
+func unpackSegs(m *Mem, segs [][]byte, runs []Run, w, op int) {
+	es, units := m.et.Kind.Size(), m.Units()
 	si, so := 0, 0
 	take := func(o, n int) { // decode n scalar units at unit offset o
 		for n > 0 {
@@ -662,7 +663,7 @@ func unpackSegs(m Mem, segs [][]byte, runs []Run, w, op int) {
 		}
 	}
 	for _, run := range runs {
-		checkRunBounds(run, m.Units(), w)
+		checkRunBounds(run, units, w)
 		if run.Stride == 1 {
 			take(int(run.Start)*w, int(run.Count)*w)
 			continue
@@ -675,7 +676,7 @@ func unpackSegs(m Mem, segs [][]byte, runs []Run, w, op int) {
 
 // readUnits decodes the payload slice b into m starting at unit o,
 // either overwriting or accumulating.
-func readUnits(m Mem, o int, b []byte, op int) {
+func readUnits(m *Mem, o int, b []byte, op int) {
 	switch m.et.Kind {
 	case KindFloat64:
 		dst := m.f64[o : o+len(b)/8]

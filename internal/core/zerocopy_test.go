@@ -149,3 +149,33 @@ func TestMovePlaneDrains(t *testing.T) {
 		}
 	}
 }
+
+// TestMemOverlaps pins the guard that turns views off for an in-place
+// move: storages sharing any byte overlap, whatever slice of the
+// backing array each one is; adjacent, empty and nil ones do not.
+func TestMemOverlaps(t *testing.T) {
+	back := make([]float64, 16)
+	f := func(lo, hi int) Mem { return Float64Mem(1, back[lo:hi]) }
+	by := make([]byte, 8)
+	for _, c := range []struct {
+		name string
+		a, b Mem
+		want bool
+	}{
+		{"same storage", f(0, 16), f(0, 16), true},
+		{"nested", f(0, 16), f(4, 6), true},
+		{"one shared element", f(0, 9), f(8, 16), true},
+		{"adjacent", f(0, 8), f(8, 16), false},
+		{"empty inside", f(0, 16), f(4, 4), false},
+		{"nil", f(0, 16), NilMem(ElemType{Kind: KindFloat64, Words: 1}), false},
+		{"other kind, other array", f(0, 16), ByteMem(1, by), false},
+		{"bytes, shared", ByteMem(1, by[:5]), ByteMem(2, by[4:]), true},
+	} {
+		if got := memOverlaps(c.a, c.b); got != c.want {
+			t.Errorf("%s: memOverlaps = %v, want %v", c.name, got, c.want)
+		}
+		if got := memOverlaps(c.b, c.a); got != c.want {
+			t.Errorf("%s (swapped): memOverlaps = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

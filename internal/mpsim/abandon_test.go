@@ -9,8 +9,8 @@ import (
 )
 
 // settleGoroutines waits for the goroutine count to come back down to
-// base: an unwound rank has handed itself to its shard but may not have
-// finished exiting when Run panics.
+// base: a finished coroutine is gone by the time next returns, but the
+// shard workers of a multi-shard run exit asynchronously once told to.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -20,7 +20,7 @@ import (
 // Failure model (see DESIGN.md "The failure model"):
 //
 //   - Crashes are fail-stop: a killed process executes no further
-//     instructions after its next scheduling point, and its goroutine
+//     instructions after its next scheduling point, and its coroutine
 //     unwinds cleanly (deferred functions run, no leaked senders or
 //     receivers).  In-flight messages to it are lost.
 //   - Detection is modeled, not messaged: a heartbeat protocol with
@@ -86,10 +86,11 @@ type CrashRecord struct {
 	RestartAt float64
 }
 
-// crashPanic unwinds a killed process's goroutine.  Unlike netPanic it
+// crashPanic unwinds a killed process's coroutine.  Unlike netPanic it
 // is NOT recovered by WithTimeout — death propagates through every
-// deadline scope — only by the process goroutine's top-level wrapper,
-// which treats it as a clean exit rather than a run failure.
+// deadline scope — only by the coroutine's top-level wrapper
+// (launchProc), which treats it as a clean exit rather than a run
+// failure.
 type crashPanic struct{ rank int }
 
 // crashState is the per-world crash bookkeeping, allocated only when a
@@ -160,7 +161,7 @@ func (w *World) initCrash(plan CrashPlan, det *Detector, programs []ProgramSpec)
 
 // fireCrash kills a rank at the timer's virtual time: the process is
 // marked dead immediately (messages stop being delivered to it), its
-// goroutine is unwound on the spot, and the failure detector's
+// coroutine is unwound on the spot, and the failure detector's
 // suspicion timer is armed.  Reaping eagerly — rather than waiting for
 // the victim's next scheduling turn — keeps the death's side effects
 // (live count, queue wipe, restart eligibility) at one well-defined
@@ -191,20 +192,21 @@ func (w *World) fireCrash(tm *timer) {
 	w.reap(p)
 }
 
-// reap resumes a killed process so its goroutine unwinds immediately
-// (park panics before the resumed operation inspects anything).  The
-// unwind hands the process back on its shard's channel; we consume it
-// here so the death is fully settled — live count decremented, state
-// stateDone — before the timer that fired it returns.
+// reap resumes a killed process so its coroutine unwinds on the spot:
+// park panics before the resumed operation inspects anything, and one
+// never started dies before its body's first instruction.  next
+// returns once the unwind has run to the coroutine's end, so the death
+// is fully settled — live count decremented, state stateDone — before
+// the timer that fired it returns.
 func (w *World) reap(p *Proc) {
 	s := p.shard
 	if p.heapIdx >= 0 {
 		// Runnable: pull it out of its run queue first.
 		heap.Remove(&s.runq, p.heapIdx)
 	}
-	p.state = stateRunning
-	p.resume <- struct{}{}
-	if <-s.sched != p || p.state != stateDone {
+	p.state = stateRunnable // never stateBlocked while running: the unwind may send to itself
+	p.next()
+	if p.state != stateDone {
 		panic("mpsim: internal error: reaped process did not unwind")
 	}
 	s.noteDone(p)
@@ -261,7 +263,7 @@ func (w *World) hopelessWants(wantsAny []recvWant, wantSrc int, now float64) (in
 }
 
 // fireRestart relaunches a crashed rank with a fresh incarnation.  The
-// crash that killed it reaped the old goroutine synchronously, so the
+// crash that killed it reaped the old coroutine synchronously, so the
 // process is always stateDone here.
 func (w *World) fireRestart(tm *timer) {
 	cs := w.crash

@@ -3,10 +3,10 @@
 // It plays the role that MPI, PVM and IBM's MPL played for the original
 // Meta-Chaos system: a point-to-point message passing substrate with
 // communicators and collective operations.  Every simulated processor is
-// a goroutine, but execution is sequentialized by a cooperative scheduler
-// that always resumes the runnable processor with the smallest virtual
-// clock, so a run is fully deterministic and produces meaningful virtual
-// timings even on a single-core host.
+// a coroutine, and a cooperative scheduler always resumes the runnable
+// processor with the smallest virtual clock, so a run is fully
+// deterministic and produces meaningful virtual timings even on a
+// single-core host.
 //
 // The cost model is LogGP-flavoured: a message costs the sender a fixed
 // overhead plus a per-byte packing cost, occupies the sender node's

@@ -51,8 +51,12 @@ type Proc struct {
 	clock      float64
 	finalClock float64
 
-	resume chan struct{}
-	state  procState
+	// The process body runs as a coroutine (launchProc): next runs it
+	// until it parks or finishes, suspend is its own half, handing control
+	// back to whoever called next.  state is what it parked as.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
+	state   procState
 	// heapIdx is the process's position in its run queue, -1 while not
 	// queued; maintained by procHeap so the scheduler can remove a
 	// killed process without draining the heap.
@@ -612,14 +616,14 @@ func (p *Proc) deliver(msg *message) {
 // runnable, letting lower-clock processes run first.
 func (p *Proc) yield() { p.park(stateRunnable) }
 
-// park is the process's one scheduling point: it hands control to its
-// shard in the given state and blocks until resumed.  A process
-// claimed while parked (crash fault, abandoned run) unwinds here,
-// before the resumed operation inspects anything.
+// park is the process's one scheduling point: it records the state it
+// parks in and switches straight back to the next() call that resumed
+// it, returning when the process is next resumed.  A process claimed
+// while parked (crash fault, abandoned run) unwinds here, before the
+// resumed operation inspects anything.
 func (p *Proc) park(st procState) {
 	p.state = st
-	p.shard.sched <- p
-	<-p.resume
+	p.suspend(struct{}{})
 	p.checkKilled()
 }
 

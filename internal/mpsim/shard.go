@@ -51,6 +51,12 @@ import (
 //     running the shard's window, or by the coordinator while every
 //     shard is quiesced at a window barrier (the cmd/done channels give
 //     happens-before).
+//   - A process is a coroutine (launchProc), not a goroutine of its
+//     own: p.next() runs it on the caller's thread until its next park,
+//     so process code counts as the calling context above.  Only those
+//     two contexts may call it — runWindow for the process it popped,
+//     and reap (crash timers, abandon) from the window's goroutine for
+//     its own ranks or from the quiesced coordinator for anyone's.
 //   - The coordinator's heap and stats are touched by the coordinator,
 //     or by shards under netLayer.mu (the reliable transport's send
 //     path), which the coordinator never contends with because it only
@@ -109,10 +115,6 @@ type shard struct {
 	runq   procHeap
 	timers timerHeap
 	tc     timerCache
-
-	// sched is where this shard's processes hand control back: each
-	// sends itself after setting the state it parks in.
-	sched chan *Proc
 
 	live     int
 	makespan float64
@@ -196,9 +198,7 @@ func (s *shard) runWindow(limit evKey) {
 			return
 		}
 		p := heap.Pop(&s.runq).(*Proc)
-		p.state = stateRunning
-		p.resume <- struct{}{}
-		p = <-s.sched
+		p.next()
 		switch p.state {
 		case stateDone:
 			s.noteDone(p)
@@ -213,8 +213,6 @@ func (s *shard) runWindow(limit evKey) {
 		case stateBlocked:
 			// Parked until a matching message arrives; the sender moves
 			// it back to the run queue.
-		default:
-			panic("mpsim: internal error: yielded process in unexpected state")
 		}
 	}
 }
@@ -351,7 +349,6 @@ func (w *World) partition(n int) {
 		}
 		s := &shard{
 			w:     w,
-			sched: make(chan *Proc),
 			pairs: make(map[PairKey]*PairStats),
 			// Dormant (not-yet-joined) ranks count as live from t=0: their
 			// eventual completion is part of the run, and counting them

@@ -125,7 +125,7 @@ type World struct {
 type runFailure struct {
 	rank int
 	prog string
-	err  any
+	err  any // the panic value; nil when the body called runtime.Goexit (launchProc)
 }
 
 type node struct {
@@ -139,16 +139,20 @@ type node struct {
 type procState int
 
 const (
-	stateRunnable procState = iota
-	stateRunning
-	stateBlocked // waiting in Recv with no matching message
+	stateRunnable procState = iota // queued to run, or running
+	stateBlocked                   // waiting in Recv with no matching message
 	stateDone
 )
 
 // Run executes the configured programs to completion and returns the
 // accumulated statistics.  It panics with a descriptive error if any
 // process body panics or if the run deadlocks (every live process is
-// blocked in Recv).
+// blocked in Recv).  A body that calls runtime.Goexit — in a test,
+// t.FailNow, t.Fatal or t.Skip — fails the run the same way, except
+// that once every other rank is unwound the exit carries on in the
+// goroutine that called Run (its deferred calls run, Run never
+// returns), at every shard count: a t.Fatal inside a Body ends the
+// test that called Run.
 func Run(cfg Config) *Stats {
 	w, err := newWorld(cfg)
 	if err != nil {
@@ -160,6 +164,9 @@ func Run(cfg Config) *Stats {
 // run drives the world to completion and settles its statistics.
 func (w *World) run() *Stats {
 	if f := w.coordinate(); f != nil {
+		if f.err == nil {
+			w.procs[f.rank].next() // finishes the parked runtime.Goexit here; does not return
+		}
 		panic(fmt.Sprintf("mpsim: program %q rank %d panicked: %v", f.prog, f.rank, f.err))
 	}
 	w.mergeStats()
@@ -270,7 +277,6 @@ func newWorld(cfg Config) (*World, error) {
 				progIndex: pi,
 				progName:  spec.Name,
 				node:      w.nodes[nid],
-				resume:    make(chan struct{}),
 				state:     stateRunnable,
 				heapIdx:   -1,
 			}
@@ -311,9 +317,9 @@ func newWorld(cfg Config) (*World, error) {
 	if cfg.Join != nil {
 		w.initJoin(cfg.Join, cfg.Programs)
 	}
-	// Launch every process goroutine; each immediately parks waiting for
-	// its shard to resume it.  Dormant ranks (pending joins) are launched
-	// by their join timers instead.
+	// Every process gets its coroutine, started by its shard's first
+	// resume.  Dormant ranks (pending joins) are launched by their join
+	// timers instead.
 	for _, p := range w.procs {
 		if w.dormant(p.worldRank) {
 			continue
@@ -324,30 +330,39 @@ func newWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// launchProc starts the goroutine executing body for p; it parks until
-// its shard first resumes it.  A crashPanic unwinding the body is a
-// clean fail-stop death (or an abandoned run's poison), not a run
-// failure.
+// launchProc makes body p's coroutine; nothing of it runs until the
+// first p.next(), from runWindow or reap.  The coroutine always runs to
+// its end — body returns, panics, or is unwound by a crashPanic at a
+// scheduling point — and settles p as stateDone on the way out, where
+// next's caller reads it.  A crashPanic is a clean fail-stop death (or
+// an abandoned run's poison), not a run failure.
 func (w *World) launchProc(p *Proc, body func(p *Proc)) {
-	go func() {
-		<-p.resume
+	p.next = newCoroutine(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		returned := false
 		defer func() {
-			if r := recover(); r != nil {
-				if _, crashed := r.(crashPanic); !crashed && p.shard.failure == nil {
-					p.shard.failure = &runFailure{rank: p.worldRank, prog: p.progName, err: r}
-				}
+			r := recover()
+			if _, crashed := r.(crashPanic); !returned && !crashed && p.shard.failure == nil {
+				p.shard.failure = &runFailure{rank: p.worldRank, prog: p.progName, err: r}
 			}
 			p.finalClock = p.clock
 			p.state = stateDone
-			p.shard.sched <- p
+			if !returned && r == nil {
+				// runtime.Goexit is unwinding body, and left to finish would take
+				// next's caller — whichever goroutine runs this shard — with it.
+				// Park as a failed rank instead; run resumes the exit from Run's
+				// caller once every other rank is unwound.
+				suspend(struct{}{})
+			}
 		}()
 		p.checkKilled() // claimed before its first instruction
 		body(p)
-	}()
+		returned = true
+	})
 }
 
-// abandon unwinds every process that still holds a goroutine, so a run
-// that is about to panic leaves nothing parked behind it.  Only called
+// abandon unwinds every process whose coroutine has not finished, so a
+// run that is about to panic leaves nothing parked behind it.  Only called
 // with every shard quiesced.
 func (w *World) abandon() {
 	for _, p := range w.procs {
