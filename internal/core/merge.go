@@ -21,23 +21,12 @@ func MergeSchedules(scheds ...*Schedule) (*Schedule, error) {
 	if first == nil {
 		return nil, fmt.Errorf("core: merging nil schedule (index 0)")
 	}
-	merged := &Schedule{
-		union: first.union,
-		elem:  first.elem,
-	}
-	sendMap := map[int]*PeerList{}
-	recvMap := map[int]*PeerList{}
-	var sendOrder, recvOrder []int
-	appendLanes := func(lanes []PeerList, m map[int]*PeerList, order *[]int) {
-		for _, pl := range lanes {
-			dst := m[pl.Peer]
-			if dst == nil {
-				dst = &PeerList{Peer: pl.Peer}
-				m[pl.Peer] = dst
-				*order = append(*order, pl.Peer)
-			}
+	merged := &Schedule{union: first.union, elem: first.elem}
+	var sends, recvs lanes
+	appendLanes := func(l *lanes, pls []PeerList) {
+		for _, pl := range pls {
 			for _, r := range pl.Runs {
-				dst.Runs = appendWholeRun(dst.Runs, r.Start, r.Stride, r.Count)
+				l.add(pl.Peer, r)
 			}
 		}
 	}
@@ -53,17 +42,12 @@ func MergeSchedules(scheds ...*Schedule) (*Schedule, error) {
 				i, s.elem, first.elem)
 		}
 		merged.elems += s.elems
-		appendLanes(s.Sends, sendMap, &sendOrder)
-		appendLanes(s.Recvs, recvMap, &recvOrder)
+		appendLanes(&sends, s.Sends)
+		appendLanes(&recvs, s.Recvs)
 		for _, lr := range s.Local {
-			merged.Local = appendWholeLocalRun(merged.Local, lr.Src, lr.SrcStride, lr.Dst, lr.DstStride, lr.Count)
+			merged.Local = appendLocalRuns(merged.Local, lr)
 		}
 	}
-	for _, peer := range sendOrder {
-		merged.Sends = append(merged.Sends, *sendMap[peer])
-	}
-	for _, peer := range recvOrder {
-		merged.Recvs = append(merged.Recvs, *recvMap[peer])
-	}
+	merged.Sends, merged.Recvs = sends.list, recvs.list
 	return merged, nil
 }

@@ -122,7 +122,7 @@ func buildSchedFromPerm(comm *mpsim.Comm, slotsPer int, elem ElemType, perm []in
 		dp, do := d/slotsPer, int32(d%slotsPer)
 		switch {
 		case sp == rank && dp == rank:
-			s.appendLocal(so, do)
+			s.Local = appendLocalRun(s.Local, so, do)
 		case sp == rank:
 			pl := sendMap[dp]
 			if pl == nil {
@@ -130,7 +130,7 @@ func buildSchedFromPerm(comm *mpsim.Comm, slotsPer int, elem ElemType, perm []in
 				sendMap[dp] = pl
 				sendOrder = append(sendOrder, dp)
 			}
-			pl.Append(so)
+			pl.Runs = appendOffsetRun(pl.Runs, so)
 		case dp == rank:
 			pl := recvMap[sp]
 			if pl == nil {
@@ -138,7 +138,7 @@ func buildSchedFromPerm(comm *mpsim.Comm, slotsPer int, elem ElemType, perm []in
 				recvMap[sp] = pl
 				recvOrder = append(recvOrder, sp)
 			}
-			pl.Append(do)
+			pl.Runs = appendOffsetRun(pl.Runs, do)
 		}
 	}
 	for _, peer := range sendOrder {

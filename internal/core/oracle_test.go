@@ -207,25 +207,15 @@ func refBuildCooperation(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 	}
 	mine := c.Union.Alltoall(fragBufs)
 
+	// One offset, one pair at a time: a list is a function of its
+	// element sequence, so this must leave what production's run-wise
+	// appends leave.
 	var sends, recvs lanes
 	total := 0
-	laneLit := func(l *lanes) func(peer, off int32) {
+	lane := func(l *lanes) func(peer, off int32) {
 		return func(peer, off int32) {
-			l.of(int(peer)).Append(off)
+			l.add(int(peer), Run{Start: off, Count: 1})
 			total++
-		}
-	}
-	laneRun := func(l *lanes) func(p0, dp, o0, do, count int32) {
-		return func(p0, dp, o0, do, count int32) {
-			if dp == 0 {
-				pl := l.of(int(p0))
-				pl.Runs = appendWholeRun(pl.Runs, o0, do, count)
-			} else {
-				for k := int32(0); k < count; k++ {
-					l.of(int(p0 + k*dp)).Append(o0 + k*do)
-				}
-			}
-			total += int(count)
 		}
 	}
 	for _, part := range mine {
@@ -233,20 +223,15 @@ func refBuildCooperation(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 			continue
 		}
 		r := codec.NewReader(part)
-		decodePairsRuns(r, laneLit(&sends), laneRun(&sends))
-		decodePairsRuns(r, laneLit(&recvs), laneRun(&recvs))
-		decodePairsRuns(r,
-			func(so, do int32) {
-				sched.appendLocal(so, do)
-				total++
-			},
-			func(s0, ds, d0, dd, count int32) {
-				sched.Local = appendWholeLocalRun(sched.Local, s0, ds, d0, dd, count)
-				total += int(count)
-			})
+		decodePairs(r, lane(&sends))
+		decodePairs(r, lane(&recvs))
+		decodePairs(r, func(so, do int32) {
+			sched.Local = appendLocalRun(sched.Local, so, do)
+			total++
+		})
 	}
 	c.Union.Proc().ChargeSectionOps(total)
-	sched.Sends, sched.Recvs = sends.list(), recvs.list()
+	sched.Sends, sched.Recvs = sends.list, recvs.list
 }
 
 func refBuildDuplication(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
@@ -265,12 +250,12 @@ func refBuildDuplication(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 		for i, pl := range owned {
 			dU := c.DstRanks[dLocs[i].Proc]
 			if dU == myUnion {
-				sched.appendLocal(pl.Off, dLocs[i].Off)
+				sched.Local = appendLocalRun(sched.Local, pl.Off, dLocs[i].Off)
 				continue
 			}
-			sends.of(dU).Append(pl.Off)
+			sends.add(dU, Run{Start: pl.Off, Count: 1})
 		}
-		sched.Sends = sends.list()
+		sched.Sends = sends.list
 	}
 
 	// Pass two: build receive lists from the elements I own on the
@@ -288,9 +273,9 @@ func refBuildDuplication(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 			if sU == myUnion {
 				continue // already recorded as a local pair in pass one
 			}
-			recvs.of(sU).Append(pl.Off)
+			recvs.add(sU, Run{Start: pl.Off, Count: 1})
 		}
-		sched.Recvs = recvs.list()
+		sched.Recvs = recvs.list
 	}
 }
 
@@ -352,9 +337,21 @@ func encodePairs(w *codec.Writer, as, bs []int32) {
 // decodePairs reads a stream written by encodePairs, calling f for
 // every pair in order.
 func decodePairs(r *codec.Reader, f func(a, b int32)) {
-	decodePairsRuns(r, f, func(a0, da, b0, db, count int32) {
-		for k := int32(0); k < count; k++ {
+	total := int(r.Int32())
+	for seen := 0; seen < total; {
+		h := int(r.Int32())
+		if h > 0 {
+			for k := 0; k < h; k++ {
+				f(r.Int32(), r.Int32())
+			}
+			seen += h
+			continue
+		}
+		a0, da := r.Int32(), r.Int32()
+		b0, db := r.Int32(), r.Int32()
+		for k := int32(0); k < int32(-h); k++ {
 			f(a0+k*da, b0+k*db)
 		}
-	})
+		seen -= h
+	}
 }

@@ -35,12 +35,9 @@ type RecoveryHooks struct {
 	// on the old schedule and from this hook — recovery tries an
 	// incremental repair before falling back to the collective
 	// recompute: rebuild on the first round, repair on later shrinks
-	// whose delta stays within policy.  The hook must be deterministic
+	// whose delta stays small enough.  The hook must be deterministic
 	// over SPMD-replicated state so every survivor takes the same path.
 	Routes func(g *Coupling, src, dst *Spec) (*RouteMap, error)
-	// Repair bounds the repair-vs-rebuild decision; the zero value uses
-	// the default policy.
-	Repair RepairPolicy
 }
 
 // Recovered reports how a MoveWithRecovery call completed.
@@ -152,11 +149,10 @@ func MoveWithRecovery(c *Coupling, sched *Schedule, method Method, run func(*Sch
 		spr := p.Span("move.retry")
 		// Repair-first: when the old schedule carries routes and the
 		// Routes hook can derive the survivors' routing locally, a
-		// within-policy delta patches a clone of the old schedule with
+		// small enough delta patches a clone of the old schedule with
 		// no collective at all; RepairOrRebuild falls back to the
-		// reliable collective recompute otherwise.  Both the routes and
-		// the policy are SPMD-replicated, so every survivor branches
-		// the same way.
+		// reliable collective recompute otherwise.  The routes are
+		// SPMD-replicated, so every survivor branches the same way.
 		var newRoutes *RouteMap
 		if hooks.Routes != nil && sched.HasRoutes() {
 			if newRoutes, err = hooks.Routes(g, src, dst); err != nil {
@@ -174,7 +170,7 @@ func MoveWithRecovery(c *Coupling, sched *Schedule, method Method, run func(*Sch
 			return ns, err
 		}
 		var repaired bool
-		sched, repaired, err = RepairOrRebuild(sched, newRoutes, g.View(), hooks.Repair, rebuild)
+		sched, repaired, err = RepairOrRebuild(sched, newRoutes, g.View(), rebuild)
 		if repaired {
 			sched.Rebind(g.Union)
 		}

@@ -12,17 +12,17 @@ import (
 // (AttachRoutes) can be patched when the distribution changes by a
 // small delta — a rank joined, a block migrated, a boundary shifted —
 // instead of paying the collective O(world) recompute: Diff the old
-// and new route maps (O(runs)), and if the changed fraction is within
-// policy, reassemble the per-process lists locally from the new map
+// and new route maps (O(runs)), and if the changed fraction is small
+// enough, reassemble the per-process lists locally from the new map
 // (O(runs), no communication, no dereference).  RepairOrRebuild is the
 // policy wrapper recovery and the coupling service call; it falls back
 // to a full rebuild when no routes are attached or the delta is too
 // large for a patch to be worth it.
 //
-// Every input to the repair decision (cached routes, new routes,
-// policy) is SPMD-replicated state, so all processes of a coupling
-// take the same branch — a cache that repaired on some ranks and
-// rebuilt on others would desynchronize the collective rebuild.
+// Every input to the repair decision (cached routes, new routes) is
+// SPMD-replicated state, so all processes of a coupling take the same
+// branch — a cache that repaired on some ranks and rebuilt on others
+// would desynchronize the collective rebuild.
 
 // RankView translates a world rank to the current union communicator's
 // rank.  Route maps store world ranks (stable across membership
@@ -93,10 +93,7 @@ func NewScheduleFromRoutes(g *Coupling, rm *RouteMap, et ElemType, myWorld int) 
 	if rm == nil {
 		return nil, fmt.Errorf("core: building schedule from nil route map")
 	}
-	s := &Schedule{union: g.Union, elems: rm.Elems, elem: et}
-	if err := s.AttachRoutes(rm, myWorld); err != nil {
-		return nil, err
-	}
+	s := &Schedule{union: g.Union, elems: rm.Elems, elem: et, routes: rm, myWorld: myWorld}
 	if err := s.assembleFromRoutes(g.View()); err != nil {
 		return nil, err
 	}
@@ -112,52 +109,34 @@ func (s *Schedule) Rebind(union *mpsim.Comm) { s.union = union }
 
 // assembleFromRoutes rebuilds the schedule's send/receive/local lists
 // for world rank s.myWorld from its route map, translating peer world
-// ranks through view.  Lanes come out in first-encounter order over
-// the position-sorted runs — the same order both collective builders
-// produce, since their fragments arrive in position order too.
+// ranks through view — whose union may be larger than s.union when the
+// repair comes before the Rebind.  Lanes come out in first-encounter
+// order over the position-sorted runs, and every list is the one its
+// element sequence defines (runs.go), so the result is DeepEqual to what
+// both collective builders produce.
 func (s *Schedule) assembleFromRoutes(view RankView) error {
-	s.Sends, s.Recvs, s.Local = nil, nil, nil
+	var sends, recvs lanes
+	s.Local = nil
 	my := int32(s.myWorld)
-	laneIdx := map[int]int{}
-	lane := func(lanes *[]PeerList, peerWorld int32) (*PeerList, error) {
-		u, ok := view(int(peerWorld))
-		if !ok {
-			return nil, fmt.Errorf("core: route peer world rank %d is not in the union", peerWorld)
-		}
-		// Send and receive peers share the index map: a rank never both
-		// sends to and receives from the same peer within one schedule
-		// direction (a position routes one way), except through distinct
-		// lanes keyed by list identity — so key on (list, peer).
-		key := u*2 + 1
-		if lanes == &s.Sends {
-			key = u * 2
-		}
-		if i, ok := laneIdx[key]; ok {
-			return &(*lanes)[i], nil
-		}
-		laneIdx[key] = len(*lanes)
-		*lanes = append(*lanes, PeerList{Peer: u})
-		return &(*lanes)[len(*lanes)-1], nil
-	}
 	for i := range s.routes.Runs {
 		r := &s.routes.Runs[i]
+		l, peer, side := &sends, r.DstRank, r.offs().src()
 		switch {
-		case r.SrcRank == my && r.DstRank == my:
-			s.Local = appendWholeLocalRun(s.Local, r.SrcOff, r.SrcStride, r.DstOff, r.DstStride, r.Count)
-		case r.SrcRank == my:
-			pl, err := lane(&s.Sends, r.DstRank)
-			if err != nil {
-				return err
-			}
-			pl.Runs = appendWholeRun(pl.Runs, r.SrcOff, r.SrcStride, r.Count)
+		case r.SrcRank != my && r.DstRank != my:
+			continue
+		case r.SrcRank == r.DstRank:
+			s.Local = appendLocalRuns(s.Local, r.offs())
+			continue
 		case r.DstRank == my:
-			pl, err := lane(&s.Recvs, r.SrcRank)
-			if err != nil {
-				return err
-			}
-			pl.Runs = appendWholeRun(pl.Runs, r.DstOff, r.DstStride, r.Count)
+			l, peer, side = &recvs, r.SrcRank, r.offs().dst()
 		}
+		u, ok := view(int(peer))
+		if !ok {
+			return fmt.Errorf("core: route peer world rank %d is not in the union", peer)
+		}
+		l.add(u, side)
 	}
+	s.Sends, s.Recvs = sends.list, recvs.list
 	return nil
 }
 
@@ -186,34 +165,22 @@ func (s *Schedule) Repair(delta *RouteDelta, view RankView) error {
 	return nil
 }
 
-// RepairPolicy bounds when an incremental repair is preferred over a
-// full rebuild.
-type RepairPolicy struct {
-	// MaxDeltaFrac is the largest changed fraction of the transfer a
-	// repair accepts; above it the patch would touch most lanes anyway
-	// and the collective rebuild's better constants win.  Zero means
-	// the default, 0.25.
-	MaxDeltaFrac float64
-}
-
-func (pol RepairPolicy) maxFrac() float64 {
-	if pol.MaxDeltaFrac <= 0 {
-		return 0.25
-	}
-	return pol.MaxDeltaFrac
-}
+// maxRepairFrac is the largest changed fraction of the transfer a
+// repair accepts; above it the patch would touch most lanes anyway and
+// the collective rebuild's better constants win.
+const maxRepairFrac = 0.25
 
 // RepairOrRebuild returns a schedule for the new routing: when cached
-// carries routes and the diff against next is within policy, it
+// carries routes and the diff against next is within maxRepairFrac, it
 // returns a repaired clone (purely local — the collective rebuild is
 // skipped entirely); otherwise it falls back to rebuild.  The boolean
 // reports which path ran.  The decision is a pure function of
 // SPMD-replicated inputs, so every process of the coupling takes the
 // same branch.
-func RepairOrRebuild(cached *Schedule, next *RouteMap, view RankView, pol RepairPolicy, rebuild func() (*Schedule, error)) (*Schedule, bool, error) {
+func RepairOrRebuild(cached *Schedule, next *RouteMap, view RankView, rebuild func() (*Schedule, error)) (*Schedule, bool, error) {
 	if cached != nil && cached.routes != nil && next != nil && cached.elems == next.Elems {
 		delta := cached.routes.Diff(next)
-		if delta.Frac() <= pol.maxFrac() {
+		if delta.Frac() <= maxRepairFrac {
 			repaired := cached.Clone()
 			if err := repaired.Repair(delta, view); err == nil {
 				return repaired, true, nil
@@ -231,22 +198,19 @@ func RepairOrRebuild(cached *Schedule, next *RouteMap, view RankView, pol Repair
 // routing semantics: element count and type, send and receive lanes
 // sorted by peer with offsets fully expanded, and local pairs in
 // order.  Two schedules with equal Canonical forms move exactly the
-// same bytes between the same endpoints in the same per-lane order —
-// even when their run-compressed representations chose different run
-// boundaries (the online and whole-run coalescers legitimately
-// differ).  Equivalence tests compare these forms.
+// same bytes between the same endpoints in the same per-lane order,
+// whatever order their lanes are stored in.  The builders' lists are a
+// function of those offset sequences (runs.go), so schedules that also
+// agree on lane order are DeepEqual; a hand-built one need not be.
 func (s *Schedule) Canonical() []byte {
 	var w codec.Writer
 	w.PutInt64(int64(s.elems))
 	w.PutInt32(PackElem(s.elem))
 	lanes := func(pls []PeerList) {
-		idx := make([]int, len(pls))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return pls[idx[a]].Peer < pls[idx[b]].Peer })
+		pls = append([]PeerList(nil), pls...)
+		sort.Slice(pls, func(a, b int) bool { return pls[a].Peer < pls[b].Peer })
 		w.PutInt32(int32(len(pls)))
-		for _, i := range idx {
+		for i := range pls {
 			pl := &pls[i]
 			w.PutInt32(int32(pl.Peer))
 			w.PutInt32(int32(pl.Len()))

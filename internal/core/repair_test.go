@@ -149,9 +149,42 @@ func TestRepairMatchesRebuild(t *testing.T) {
 	})
 }
 
+// TestRepairBeforeRebind is the elastic grow order (exp/grow.go): a
+// schedule built over three ranks is repaired through the four-rank
+// view while it is still bound to the three-rank union, and only then
+// rebound.  Assembly must take its peers from the view, not size
+// anything from the union it is about to leave.
+func TestRepairBeforeRebind(t *testing.T) {
+	mpsim.RunSPMD(mpsim.SP2(), 4, func(p *mpsim.Proc) {
+		big := SingleProgram(p.Comm())
+		src := []int{20, 20, 20}
+		rmOld, _ := BlockRoutes(src, []int{24, 24, 12}, []int{0, 1, 2}, []int{0, 1, 2})
+		rmNew, _ := BlockRoutes(src, []int{15, 15, 15, 15}, []int{0, 1, 2}, []int{0, 1, 2, 3})
+		want, err := NewScheduleFromRoutes(big, rmNew, Float64, p.WorldRank())
+		if err != nil {
+			panic(err)
+		}
+		if p.Rank() == 3 {
+			return // the joiner has nothing to repair
+		}
+		small := SingleProgram(p.Comm().Sub([]int{0, 1, 2}))
+		got, err := NewScheduleFromRoutes(small, rmOld, Float64, p.WorldRank())
+		if err != nil {
+			panic(err)
+		}
+		if err := got.Repair(rmOld.Diff(rmNew), big.View()); err != nil {
+			panic(err)
+		}
+		got.Rebind(big.Union)
+		if !bytes.Equal(got.Canonical(), want.Canonical()) {
+			panic(fmt.Sprintf("rank %d: schedule repaired through the grown view diverges from a fresh build", p.Rank()))
+		}
+	})
+}
+
 // TestRepairOrRebuildPolicy pins the fallback decision: a small delta
 // repairs (no rebuild call), an identical map repairs with zero
-// changes, and a delta above MaxDeltaFrac falls back to the rebuild.
+// changes, and a delta above maxRepairFrac falls back to the rebuild.
 func TestRepairOrRebuildPolicy(t *testing.T) {
 	// 8 ranks: a one-element boundary shift re-offsets one downstream
 	// part, so the changed fraction is ~1/8 — comfortably under the
@@ -179,7 +212,7 @@ func TestRepairOrRebuildPolicy(t *testing.T) {
 			}
 		}
 
-		s, repaired, err := RepairOrRebuild(cached, rmNear, g.View(), RepairPolicy{}, rebuildFor(rmNear))
+		s, repaired, err := RepairOrRebuild(cached, rmNear, g.View(), rebuildFor(rmNear))
 		if err != nil {
 			panic(err)
 		}
@@ -193,7 +226,7 @@ func TestRepairOrRebuildPolicy(t *testing.T) {
 
 		// Zero delta still counts as a repair — and leaves the routing
 		// untouched.
-		s, repaired, err = RepairOrRebuild(cached, rmEven, g.View(), RepairPolicy{}, rebuildFor(rmEven))
+		s, repaired, err = RepairOrRebuild(cached, rmEven, g.View(), rebuildFor(rmEven))
 		if err != nil || !repaired {
 			panic(fmt.Sprintf("identical routing: repaired=%v err=%v", repaired, err))
 		}
@@ -202,7 +235,7 @@ func TestRepairOrRebuildPolicy(t *testing.T) {
 		}
 
 		// Above the policy threshold the collective rebuild wins.
-		s, repaired, err = RepairOrRebuild(cached, rmFar, g.View(), RepairPolicy{}, rebuildFor(rmFar))
+		s, repaired, err = RepairOrRebuild(cached, rmFar, g.View(), rebuildFor(rmFar))
 		if err != nil {
 			panic(err)
 		}
@@ -215,7 +248,7 @@ func TestRepairOrRebuildPolicy(t *testing.T) {
 		}
 
 		// A cold cache (nil schedule) always rebuilds.
-		_, repaired, err = RepairOrRebuild(nil, rmNear, g.View(), RepairPolicy{}, rebuildFor(rmNear))
+		_, repaired, err = RepairOrRebuild(nil, rmNear, g.View(), rebuildFor(rmNear))
 		if err != nil || repaired {
 			panic(fmt.Sprintf("nil cached entry reported a repair (err=%v)", err))
 		}

@@ -71,17 +71,16 @@ func (e *pairEncoder) put(a, b int32) {
 	}
 }
 
-// putRun feeds the count pairs (a0+k*da, b0+k*db).  Whatever came
-// before, once three pairs of one progression have gone through put the
-// candidate ends with them and has their steps, so the rest only
-// lengthen it.
-func (e *pairEncoder) putRun(a0, da, b0, db, count int32) {
+// putRun feeds the pairs of r.  Whatever came before, once three pairs
+// of one progression have gone through put the candidate ends with them
+// and has their steps, so the rest only lengthen it.
+func (e *pairEncoder) putRun(r LocalRun) {
 	k := int32(0)
-	for ; k < count && k < 3; k++ {
-		e.put(a0+k*da, b0+k*db)
+	for ; k < r.Count && k < 3; k++ {
+		e.put(r.Src+k*r.SrcStride, r.Dst+k*r.DstStride)
 	}
-	e.n += count - k
-	e.total += count - k
+	e.n += r.Count - k
+	e.total += r.Count - k
 }
 
 func (e *pairEncoder) writeLit(a, b int32) {
@@ -124,25 +123,42 @@ func (e *pairEncoder) finish() []byte {
 	return e.w.Bytes()
 }
 
-// decodePairsRuns reads one stream, calling lit for every literal pair
-// and run once per arithmetic-run token, so consumers keep the run
-// structure (schedule assembly appends a whole wire run as one
-// in-memory Run).
-func decodePairsRuns(r *codec.Reader, lit func(a, b int32), run func(a0, da, b0, db, count int32)) {
-	total := int(r.Int32())
-	seen := 0
-	for seen < total {
+// decodePairsRuns reads one stream, calling run once per token — a
+// literal pair is a run of one — and returns the stream's pair count.
+// Consumers append through the bulk appenders (runs.go), so what they
+// build depends on the pairs alone, not on how the encoder cut them.
+func decodePairsRuns(r *codec.Reader, run func(LocalRun)) int {
+	total := r.Int32()
+	for seen := int32(0); seen < total; {
 		h := r.Int32()
-		if h > 0 {
-			for k := int32(0); k < h; k++ {
-				lit(r.Int32(), r.Int32())
-			}
-			seen += int(h)
+		if h < 0 {
+			t := LocalRun{Count: -h}
+			t.Src, t.SrcStride = r.Int32(), r.Int32()
+			t.Dst, t.DstStride = r.Int32(), r.Int32()
+			run(t)
+			seen += t.Count
 			continue
 		}
-		a0, da := r.Int32(), r.Int32()
-		b0, db := r.Int32(), r.Int32()
-		run(a0, da, b0, db, -h)
-		seen += int(-h)
+		for k := int32(0); k < h; k++ {
+			run(LocalRun{Src: r.Int32(), Dst: r.Int32(), Count: 1})
+		}
+		seen += h
 	}
+	return int(total)
+}
+
+// decodeKeyedRuns reads a stream whose pairs are (key, offset) — a
+// process or peer rank and an offset there — calling run for every
+// stretch of offsets under one key and returning the pair count.  A
+// token whose key moves is as many stretches of one.
+func decodeKeyedRuns(r *codec.Reader, run func(key int, offs Run)) int {
+	return decodePairsRuns(r, func(t LocalRun) {
+		if t.SrcStride == 0 {
+			run(int(t.Src), t.dst())
+			return
+		}
+		for k := int32(0); k < t.Count; k++ {
+			run(int(t.Src+k*t.SrcStride), Run{Start: t.Dst + k*t.DstStride, Count: 1})
+		}
+	})
 }

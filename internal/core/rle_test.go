@@ -122,7 +122,7 @@ func encodePairRuns(runs []pairRun) []byte {
 	var e pairEncoder
 	e.begin()
 	for _, r := range runs {
-		e.putRun(r.a0, r.da, r.b0, r.db, r.count)
+		e.putRun(LocalRun{Src: r.a0, SrcStride: r.da, Dst: r.b0, DstStride: r.db, Count: r.count})
 	}
 	return e.finish()
 }

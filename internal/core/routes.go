@@ -44,6 +44,11 @@ func (r *RouteRun) srcAt(k int32) int32 { return r.SrcOff + k*r.SrcStride }
 // dstAt returns the destination offset of the k-th position of the run.
 func (r *RouteRun) dstAt(k int32) int32 { return r.DstOff + k*r.DstStride }
 
+// offs returns the run's (source offset, destination offset) pairs.
+func (r *RouteRun) offs() LocalRun {
+	return LocalRun{Src: r.SrcOff, Dst: r.DstOff, SrcStride: r.SrcStride, DstStride: r.DstStride, Count: r.Count}
+}
+
 // RouteMap is a transfer's complete routing: runs sorted by position,
 // disjoint, covering [0, Elems).
 type RouteMap struct {

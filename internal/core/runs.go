@@ -10,6 +10,11 @@ import "fmt"
 // section transfer costs a handful of runs per peer no matter how many
 // elements it moves, ScheduleCache entries stay small, and the executor
 // (move.go) can pack and unpack whole runs with bulk copies.
+//
+// A list is a function of its element sequence alone: the one-element
+// appenders define it, and the bulk appenders are their O(1) shortcut,
+// so every builder that feeds the same sequence leaves the same list
+// however it cut the sequence into runs.
 
 // Run is an arithmetic progression of element offsets: Start,
 // Start+Stride, ..., Count elements in total.  A singleton has Count 1
@@ -51,45 +56,20 @@ func appendOffsetRun(runs []Run, off int32) []Run {
 	return append(runs, Run{Start: off, Count: 1})
 }
 
-// appendOffsetRuns appends the count offsets start, start+stride, ...
-// and leaves exactly the list count calls of appendOffsetRun would, in
-// O(1).  Whatever the list held, once three offsets of one progression
-// have gone in one at a time its last run ends with them and has their
-// stride, so the rest only lengthen it.
-func appendOffsetRuns(runs []Run, start, stride, count int32) []Run {
+// appendOffsetRuns appends every offset of r and leaves exactly the
+// list r.Count calls of appendOffsetRun would, in O(1).  Whatever the
+// list held, once three offsets of one progression have gone in one at
+// a time its last run ends with them and has their stride, so the rest
+// only lengthen it.
+func appendOffsetRuns(runs []Run, r Run) []Run {
 	k := int32(0)
-	for ; k < count && k < 3; k++ {
-		runs = appendOffsetRun(runs, start+k*stride)
+	for ; k < r.Count && k < 3; k++ {
+		runs = appendOffsetRun(runs, r.At(k))
 	}
-	if k < count {
-		runs[len(runs)-1].Count += count - k
+	if k < r.Count {
+		runs[len(runs)-1].Count += r.Count - k
 	}
 	return runs
-}
-
-// appendWholeRun appends a complete progression (as decoded from a wire
-// run token) in O(1), fusing it with the tail when the progressions
-// line up.
-func appendWholeRun(runs []Run, start, stride, count int32) []Run {
-	if count <= 0 {
-		return runs
-	}
-	if count == 1 {
-		return appendOffsetRun(runs, start)
-	}
-	if n := len(runs); n > 0 {
-		last := &runs[n-1]
-		switch {
-		case last.Count == 1 && start-last.Start == stride:
-			last.Stride = stride
-			last.Count = 1 + count
-			return runs
-		case last.Count > 1 && last.Stride == stride && start == last.Start+stride*last.Count:
-			last.Count += count
-			return runs
-		}
-	}
-	return append(runs, Run{Start: start, Stride: stride, Count: count})
 }
 
 // runsLen sums the element counts of a run list.
@@ -102,12 +82,18 @@ func runsLen(runs []Run) int {
 }
 
 // LocalRun is a run of same-process element copies: the k-th pair is
-// (Src + k*SrcStride, Dst + k*DstStride).
+// (Src + k*SrcStride, Dst + k*DstStride).  It is also the run token of
+// the pair streams in rle.go, whatever the two sides of a pair mean
+// there.
 type LocalRun struct {
 	Src, Dst             int32
 	SrcStride, DstStride int32
 	Count                int32
 }
+
+// src and dst return the run's two sides as offset runs.
+func (r LocalRun) src() Run { return Run{r.Src, r.SrcStride, r.Count} }
+func (r LocalRun) dst() Run { return Run{r.Dst, r.DstStride, r.Count} }
 
 // appendLocalRun extends runs with one more (src, dst) pair, with the
 // same online coalescing as appendOffsetRun applied to both sides.
@@ -133,41 +119,16 @@ func appendLocalRun(runs []LocalRun, src, dst int32) []LocalRun {
 }
 
 // appendLocalRuns is appendOffsetRuns for (src, dst) pairs: the list
-// count calls of appendLocalRun would leave, in O(1).
-func appendLocalRuns(runs []LocalRun, src, srcStride, dst, dstStride, count int32) []LocalRun {
+// r.Count calls of appendLocalRun would leave, in O(1).
+func appendLocalRuns(runs []LocalRun, r LocalRun) []LocalRun {
 	k := int32(0)
-	for ; k < count && k < 3; k++ {
-		runs = appendLocalRun(runs, src+k*srcStride, dst+k*dstStride)
+	for ; k < r.Count && k < 3; k++ {
+		runs = appendLocalRun(runs, r.Src+k*r.SrcStride, r.Dst+k*r.DstStride)
 	}
-	if k < count {
-		runs[len(runs)-1].Count += count - k
+	if k < r.Count {
+		runs[len(runs)-1].Count += r.Count - k
 	}
 	return runs
-}
-
-// appendWholeLocalRun appends a complete pair progression in O(1),
-// fusing with the tail when both sides line up.
-func appendWholeLocalRun(runs []LocalRun, src, srcStride, dst, dstStride, count int32) []LocalRun {
-	if count <= 0 {
-		return runs
-	}
-	if count == 1 {
-		return appendLocalRun(runs, src, dst)
-	}
-	if n := len(runs); n > 0 {
-		last := &runs[n-1]
-		switch {
-		case last.Count == 1 && src-last.Src == srcStride && dst-last.Dst == dstStride:
-			last.SrcStride, last.DstStride = srcStride, dstStride
-			last.Count = 1 + count
-			return runs
-		case last.Count > 1 && last.SrcStride == srcStride && last.DstStride == dstStride &&
-			src == last.Src+srcStride*last.Count && dst == last.Dst+dstStride*last.Count:
-			last.Count += count
-			return runs
-		}
-	}
-	return append(runs, LocalRun{Src: src, Dst: dst, SrcStride: srcStride, DstStride: dstStride, Count: count})
 }
 
 // runCursor reads one inquiry answer in position order while the

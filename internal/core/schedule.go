@@ -63,9 +63,6 @@ type PeerList struct {
 // Len returns the number of elements in the lane.
 func (pl *PeerList) Len() int { return runsLen(pl.Runs) }
 
-// Append adds one offset to the lane, coalescing runs.
-func (pl *PeerList) Append(off int32) { pl.Runs = appendOffsetRun(pl.Runs, off) }
-
 // Each calls f for every offset of the lane in packing order.
 func (pl *PeerList) Each(f func(off int32)) {
 	for _, r := range pl.Runs {
@@ -149,10 +146,6 @@ func (s *Schedule) releaseScratch() {
 	}
 }
 
-// appendLocal records one same-process (src, dst) element pair,
-// coalescing runs.
-func (s *Schedule) appendLocal(src, dst int32) { s.Local = appendLocalRun(s.Local, src, dst) }
-
 // EachLocal calls f for every same-process (src, dst) element pair in
 // schedule order.
 func (s *Schedule) EachLocal(f func(src, dst int32)) {
@@ -175,19 +168,15 @@ func (s *Schedule) Elem() ElemType { return s.elem }
 func (s *Schedule) ElemWords() int { return s.elem.Words }
 
 // SendCount returns the number of elements this process sends remotely.
-func (s *Schedule) SendCount() int {
-	n := 0
-	for _, pl := range s.Sends {
-		n += pl.Len()
-	}
-	return n
-}
+func (s *Schedule) SendCount() int { return lanesLen(s.Sends) }
 
 // RecvCount returns the number of elements this process receives
 // remotely.
-func (s *Schedule) RecvCount() int {
+func (s *Schedule) RecvCount() int { return lanesLen(s.Recvs) }
+
+func lanesLen(pls []PeerList) int {
 	n := 0
-	for _, pl := range s.Recvs {
+	for _, pl := range pls {
 		n += pl.Len()
 	}
 	return n
@@ -387,7 +376,7 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 				r := &srcRuns[i]
 				k0 := int32(max(a, int(r.Pos))) - r.Pos
 				k1 := int32(min(b, int(r.End()))) - r.Pos
-				e.putRun(r.Proc, 0, r.Off+k0*r.Stride, r.Stride, k1-k0)
+				e.putRun(LocalRun{Src: r.Proc, Dst: r.Off + k0*r.Stride, DstStride: r.Stride, Count: k1 - k0})
 				if int(r.End()) > b {
 					break
 				}
@@ -424,10 +413,10 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 				sU := int32(c.SrcRanks[seg.SrcRank])
 				dU := int32(c.DstRanks[seg.DstRank])
 				if sU == dU {
-					fragOf(sU).loc.putRun(seg.SrcOff, seg.SrcStride, seg.DstOff, seg.DstStride, seg.Count)
+					fragOf(sU).loc.putRun(seg.offs())
 				} else {
-					fragOf(sU).send.putRun(dU, 0, seg.SrcOff, seg.SrcStride, seg.Count)
-					fragOf(dU).recv.putRun(sU, 0, seg.DstOff, seg.DstStride, seg.Count)
+					fragOf(sU).send.putRun(LocalRun{Src: dU, Dst: seg.SrcOff, DstStride: seg.SrcStride, Count: seg.Count})
+					fragOf(dU).recv.putRun(LocalRun{Src: sU, Dst: seg.DstOff, DstStride: seg.DstStride, Count: seg.Count})
 				}
 			}
 		}
@@ -440,21 +429,10 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 				if a := r.Int64(); a != int64(pos) {
 					panic(fmt.Sprintf("core: cooperation join received source locations from position %d, expected %d", a, pos))
 				}
-				decodePairsRuns(r,
-					func(proc, off int32) {
-						join(LocRun{Pos: pos, Proc: proc, Off: off, Count: 1})
-						pos++
-					},
-					func(p0, dp, o0, do, count int32) {
-						if dp == 0 {
-							join(LocRun{Pos: pos, Proc: p0, Off: o0, Stride: do, Count: count})
-						} else {
-							for k := int32(0); k < count; k++ {
-								join(LocRun{Pos: pos + k, Proc: p0 + k*dp, Off: o0 + k*do, Count: 1})
-							}
-						}
-						pos += count
-					})
+				decodeKeyedRuns(r, func(proc int, offs Run) {
+					join(LocRun{Pos: pos, Proc: int32(proc), Off: offs.Start, Stride: offs.Stride, Count: offs.Count})
+					pos += offs.Count
+				})
 			}
 		}
 		if filled := int(pos) - dLo; filled != dHi-dLo {
@@ -482,46 +460,17 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 
 	var sends, recvs lanes
 	total := 0
-	// Wire run tokens become in-memory runs directly: a (peer, offset)
-	// run with constant peer lands as one Run on that peer's lane.
-	laneLit := func(l *lanes) func(peer, off int32) {
-		return func(peer, off int32) {
-			l.of(int(peer)).Append(off)
-			total++
-		}
-	}
-	laneRun := func(l *lanes) func(p0, dp, o0, do, count int32) {
-		return func(p0, dp, o0, do, count int32) {
-			if dp == 0 {
-				pl := l.of(int(p0))
-				pl.Runs = appendWholeRun(pl.Runs, o0, do, count)
-			} else {
-				for k := int32(0); k < count; k++ {
-					l.of(int(p0 + k*dp)).Append(o0 + k*do)
-				}
-			}
-			total += int(count)
-		}
-	}
 	for _, part := range mine {
 		if len(part) == 0 {
 			continue
 		}
 		r := codec.NewReader(part)
-		decodePairsRuns(r, laneLit(&sends), laneRun(&sends))
-		decodePairsRuns(r, laneLit(&recvs), laneRun(&recvs))
-		decodePairsRuns(r,
-			func(so, do int32) {
-				sched.appendLocal(so, do)
-				total++
-			},
-			func(s0, ds, d0, dd, count int32) {
-				sched.Local = appendWholeLocalRun(sched.Local, s0, ds, d0, dd, count)
-				total += int(count)
-			})
+		total += decodeKeyedRuns(r, sends.add)
+		total += decodeKeyedRuns(r, recvs.add)
+		total += decodePairsRuns(r, func(t LocalRun) { sched.Local = appendLocalRuns(sched.Local, t) })
 	}
 	p.ChargeSectionOps(total)
-	sched.Sends, sched.Recvs = sends.list(), recvs.list()
+	sched.Sends, sched.Recvs = sends.list, recvs.list
 	sp.End(p.Clock())
 }
 
@@ -548,32 +497,24 @@ func (f *fragAccum) bytes() []byte {
 	return append(out, f.loc.finish()...)
 }
 
-// lanes collects per-peer lists, kept in the order their peers first
-// appear.
+// lanes assembles per-peer lists, kept in the order their peers first
+// appear.  The zero value is ready to use.
 type lanes struct {
-	byPeer map[int]*PeerList
-	order  []int
+	list []PeerList
+	at   []int32 // at[peer]-1 indexes list; 0 means no lane yet
 }
 
-func (l *lanes) of(peer int) *PeerList {
-	pl := l.byPeer[peer]
-	if pl == nil {
-		if l.byPeer == nil {
-			l.byPeer = map[int]*PeerList{}
-		}
-		pl = &PeerList{Peer: peer}
-		l.byPeer[peer] = pl
-		l.order = append(l.order, peer)
+// add appends the offsets of r to the lane of union rank peer.
+func (l *lanes) add(peer int, r Run) {
+	if peer >= len(l.at) {
+		l.at = append(l.at, make([]int32, peer+1-len(l.at))...)
 	}
-	return pl
-}
-
-func (l *lanes) list() []PeerList {
-	var out []PeerList
-	for _, peer := range l.order {
-		out = append(out, *l.byPeer[peer])
+	if l.at[peer] == 0 {
+		l.list = append(l.list, PeerList{Peer: peer})
+		l.at[peer] = int32(len(l.list))
 	}
-	return out
+	pl := &l.list[l.at[peer]-1]
+	pl.Runs = appendOffsetRuns(pl.Runs, r)
 }
 
 // buildDuplication implements the paper's duplication method: every
@@ -609,15 +550,14 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 			for s.Count > 0 {
 				dLocs.cut(&s, &seg)
 				if dU := c.DstRanks[seg.DstRank]; dU == myUnion {
-					sched.Local = appendLocalRuns(sched.Local, seg.SrcOff, seg.SrcStride, seg.DstOff, seg.DstStride, seg.Count)
+					sched.Local = appendLocalRuns(sched.Local, seg.offs())
 				} else {
-					l := sends.of(dU)
-					l.Runs = appendOffsetRuns(l.Runs, seg.SrcOff, seg.SrcStride, seg.Count)
+					sends.add(dU, seg.offs().src())
 				}
 			}
 		}
 		dLocs.done()
-		sched.Sends = sends.list()
+		sched.Sends = sends.list
 	}
 	sp.End(p.Clock())
 
@@ -633,13 +573,12 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 				// Elements I also own on the source side are already
 				// recorded as local pairs in pass one.
 				if sU := c.SrcRanks[seg.SrcRank]; sU != myUnion {
-					l := recvs.of(sU)
-					l.Runs = appendOffsetRuns(l.Runs, seg.DstOff, seg.DstStride, seg.Count)
+					recvs.add(sU, seg.offs().dst())
 				}
 			}
 		}
 		owned.done()
-		sched.Recvs = recvs.list()
+		sched.Recvs = recvs.list
 	}
 	sp.End(p.Clock())
 	return nil

@@ -158,11 +158,11 @@ func growRoutes(ctx *core.Ctx, g *core.Coupling, srcDist, dstDist *distarray.Dis
 // communication: an incumbent's stale entry is claimed as a donor and
 // repaired; a process with no donor (the joiner, or anyone's first
 // setup) assembles from the map directly.  Repair is applied for any
-// delta size here — it reassembles fully from the new map, so it is
-// correct regardless; the delta-fraction policy (RepairPolicy) is a
-// performance heuristic for callers whose fallback is a collective,
-// which the grow path deliberately never takes so that joiners and
-// incumbents stay in lockstep without one.
+// delta size (core.RepairOrRebuild's threshold only matters to callers
+// whose fallback is a collective, which the grow path never takes so
+// that joiners and incumbents stay in lockstep without one), through
+// the grown coupling's view while the donor is still bound to the old,
+// smaller union; Rebind follows.
 func growResolve(cache *core.ScheduleCache, g *core.Coupling, key string, rm *core.RouteMap, myWorld int, repaired *int) *core.Schedule {
 	s, err := cache.Get(key, core.Float64, func() (*core.Schedule, error) {
 		if donor := cache.TakeStale(key, core.Float64); donor != nil {

@@ -471,7 +471,7 @@ func execOpen(p *mpsim.Proc, ctx *core.Ctx, coupling *core.Coupling,
 		}
 		if rm != nil {
 			if don := findDonor(*donors, o.src.elem(), rm.Elems); don != nil {
-				s, rep, err := core.RepairOrRebuild(don.sched, rm, coupling.View(), core.RepairPolicy{}, collective)
+				s, rep, err := core.RepairOrRebuild(don.sched, rm, coupling.View(), collective)
 				repaired = rep
 				return s, err
 			}
