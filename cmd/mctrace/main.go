@@ -1,37 +1,41 @@
-// Command mctrace runs a representative workload and prints its
-// communication structure: the process-pair message matrix, per-rank
-// traffic, and the virtual makespan.  It is the quickest way to see
-// what a Meta-Chaos schedule actually puts on the wire.
+// Command mctrace runs a named workload on the simulator and prints
+// one view of the run.  Runs are deterministic, so the same invocation
+// always produces byte-identical output.
 //
-// With -fault the run goes over a deterministically faulty network;
-// add -reliable to let the retransmitting transport recover, and the
-// report grows drop/retransmit/duplicate/corruption counters.
+// Workloads: section is the Table-5 structured-mesh section copy (-n,
+// -iters); remap an irregular remap (translation-table traffic);
+// clientserver the Figure-10 client/server matvec (-vectors), also
+// reachable as figure10; elastic the crash-recovery experiment, where
+// a server rank dies at a -seed-pinned site and the timeline carries
+// the crash.detect, group.shrink, ckpt.save/restore and move.retry
+// spans of the recovery path.
 //
-// With -crash rank@time (or a crash-scheduling profile such as
-// -fault crashy) a process suffers a fail-stop fault mid-run: the
-// virtual-time heartbeat detector declares it dead, survivors' blocked
-// operations fail fast, and the report grows the crash history with
-// detection lags plus each survivor's outcome.
-//
-// With -phases the run carries the virtual-time observability layer
-// and the report ends with the per-phase breakdown (schedule build,
-// pack, ship, wait, unpack, ...) that cmd/mcprof exports as timelines.
+// Formats: traffic is what the schedule put on the wire — the
+// process-pair message matrix, per-rank traffic, the virtual makespan
+// and, under -fault / -crash, the reliability counters, detection lags
+// and each survivor's outcome.  phases is the per-phase virtual-time
+// breakdown (schedule build, pack, ship, wait, unpack, ...) with
+// counters and histograms; chrome is trace-event JSON for
+// chrome://tracing / Perfetto / speedscope; collapsed is collapsed
+// stacks for flamegraph.pl / inferno.
 //
 // Usage:
 //
 //	mctrace -workload remap|section|clientserver [-procs N]
 //	mctrace -workload section -fault lossy -seed 7 -reliable
 //	mctrace -workload section -crash 2@0.004 -reliable
-//	mctrace -workload remap -fault crashy -seed 3 -reliable
-//	mctrace -workload section -phases
+//	mctrace -workload section -procs 8 -iters 10 -format collapsed | flamegraph.pl > flame.svg
+//	mctrace -workload figure10 -procs 8 -format chrome -o trace.json
+//	mctrace -workload elastic -procs 4 -seed 7 -format phases
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"metachaos"
@@ -43,34 +47,75 @@ import (
 	"metachaos/internal/obs"
 )
 
-func main() {
-	workload := flag.String("workload", "section", "workload to trace: section, remap or clientserver")
-	procs := flag.Int("procs", 4, "process count (per program for clientserver)")
-	fault := flag.String("fault", "none", "fault profile: none, mild, lossy, random, crashy or flaky")
-	seed := flag.Uint64("seed", 1, "fault profile seed")
-	reliable := flag.Bool("reliable", false, "enable the retransmitting reliable transport")
-	crash := flag.String("crash", "", "schedule fail-stop crashes: rank@time[,rank@time...], e.g. 2@0.004")
-	phases := flag.Bool("phases", false, "attach the observability layer and print per-phase virtual-time totals")
-	flag.Parse()
+const (
+	workloadNames = "section, remap, clientserver, figure10, elastic"
+	formatNames   = "traffic, phases, chrome, collapsed"
+)
+
+// views are the formats that render a tracer; traffic renders the
+// run's statistics instead and attaches none.
+var views = map[string]func(*obs.Tracer, io.Writer) error{
+	"traffic":   nil,
+	"phases":    (*obs.Tracer).WriteReport,
+	"chrome":    (*obs.Tracer).WriteChromeTrace,
+	"collapsed": (*obs.Tracer).WriteCollapsed,
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mctrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "section", "workload to run: "+workloadNames)
+	procs := fs.Int("procs", 4, "process count (server processes for clientserver, figure10 and elastic)")
+	size := fs.Int("n", 256, "mesh dimension (section)")
+	iters := fs.Int("iters", 4, "schedule reuses (section) or solver iterations (elastic)")
+	vectors := fs.Int("vectors", 1, "vectors shipped through the coupling (clientserver, figure10)")
+	fault := fs.String("fault", "none", "fault profile: none, mild, lossy, random, crashy or flaky")
+	seed := fs.Uint64("seed", 1, "fault profile seed; crash-site seed for elastic")
+	reliable := fs.Bool("reliable", false, "enable the retransmitting reliable transport")
+	crash := fs.String("crash", "", "schedule fail-stop crashes: rank@time[,rank@time...], e.g. 2@0.004")
+	format := fs.String("format", "traffic", "view to print: "+formatNames)
+	out := fs.String("o", "", "output file (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "mctrace: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q", fs.Arg(0))
+	}
+	view, ok := views[*format]
+	if !ok {
+		return usage("no -format %q (have %s)", *format, formatNames)
+	}
+	var tr *obs.Tracer
+	if view != nil {
+		tr = obs.NewTracer()
+	}
 
 	prof, err := faultsim.ByName(*fault, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mctrace: %v\n", err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
 	if *crash != "" {
 		if prof == nil {
 			prof = &faultsim.Profile{Seed: *seed}
 		}
 		for _, spec := range strings.Split(*crash, ",") {
-			rank, at, err := parseCrash(spec)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mctrace: -crash %q: %v\n", spec, err)
-				os.Exit(2)
+			var rank int
+			var at float64
+			// The newline anchors the match: trailing junk is an error.
+			if _, err := fmt.Sscanf(spec+"\n", "%d@%g\n", &rank, &at); err != nil || rank < 0 || at < 0 {
+				return usage("-crash %q: want rank@time (virtual seconds)", spec)
 			}
 			prof = prof.WithCrash(rank, at)
 		}
 	}
+	// A nil *Profile must stay a nil interface, or the net layer would
+	// call Decide on a nil receiver.
 	var inj mpsim.FaultInjector
 	if prof != nil {
 		inj = prof
@@ -79,30 +124,22 @@ func main() {
 	if *reliable {
 		rel = &mpsim.Reliability{}
 	}
-	var tr *obs.Tracer
-	if *phases {
-		tr = obs.NewTracer()
-	}
 	crashes := prof.HasCrashes()
-	if crashes && *workload == "clientserver" {
-		fmt.Fprintln(os.Stderr, "mctrace: the clientserver workload does not take crash faults; see the elastic experiment (mcprof -workload elastic)")
-		os.Exit(2)
-	}
 	var outcomes []string
-	runSPMD := func(nprocs int, body func(p *mpsim.Proc)) *mpsim.Stats {
-		wrapped := body
+	runSPMD := func(body func(p *mpsim.Proc)) *mpsim.Stats {
 		if crashes {
 			// Under fail-stop faults a survivor's blocked operation
 			// panics with a peer-death error; run each rank's workload
 			// in a deadline scope so the trace completes and reports
 			// every rank's outcome instead of aborting.
-			outcomes = make([]string, nprocs)
-			wrapped = func(p *mpsim.Proc) {
-				r := p.Rank()
-				if err := p.WithTimeout(0.5, func() { body(p) }); err != nil {
-					outcomes[r] = err.Error()
+			outcomes = make([]string, *procs)
+			inner := body
+			body = func(p *mpsim.Proc) {
+				// A rank that crashes never gets here: no outcome.
+				if err := p.WithTimeout(0.5, func() { inner(p) }); err != nil {
+					outcomes[p.Rank()] = err.Error()
 				} else {
-					outcomes[r] = "completed"
+					outcomes[p.Rank()] = "completed"
 				}
 			}
 		}
@@ -112,107 +149,131 @@ func main() {
 			Reliable: rel,
 			Crash:    prof.CrashPlan(),
 			Obs:      tr,
-			Programs: []mpsim.ProgramSpec{{Name: "spmd", Procs: nprocs, Body: wrapped}},
+			Programs: []mpsim.ProgramSpec{{Name: "spmd", Procs: *procs, Body: body}},
 		})
 	}
 
 	var stats *metachaos.Stats
 	switch *workload {
 	case "section":
-		stats = traceSection(runSPMD, *procs)
+		stats = runSPMD(exp.ProfileSection(*size, *iters))
 	case "remap":
-		stats = traceRemap(runSPMD, *procs)
-	case "clientserver":
+		stats = runSPMD(remap)
+	case "clientserver", "figure10":
+		if crashes {
+			return usage("the %s workload does not take crash faults; see -workload elastic", *workload)
+		}
 		stats = exp.RunClientServerStats(exp.CSConfig{
-			ClientProcs: 1, ServerProcs: *procs, Vectors: 1,
+			ClientProcs: 1, ServerProcs: *procs, Vectors: *vectors,
 			Fault: inj, Reliable: *reliable, Obs: tr,
 		})
+	case "elastic":
+		if view == nil || prof != nil || *reliable {
+			return usage("the elastic workload schedules its own crash from -seed and has no traffic view: " +
+				"pick -format phases, chrome or collapsed and drop -fault, -crash and -reliable")
+		}
+		res := exp.ProfileElastic(tr, *procs, *iters, *seed)
+		for _, c := range res.Crashes {
+			fmt.Fprintf(stderr, "mctrace: rank %d died at %.3fms, detected at %.3fms; %d shrink(s), %d restore(s), %d server(s) finished\n",
+				c.Rank, c.At*1000, c.DetectedAt*1000, res.Shrinks, res.Restores, res.Survivors)
+		}
 	default:
-		fmt.Fprintf(os.Stderr, "mctrace: unknown workload %q\n", *workload)
-		os.Exit(2)
+		return usage("no workload %q (have %s)", *workload, workloadNames)
 	}
-	report(stats)
-	reportCrashes(stats, outcomes)
-	if tr != nil {
-		fmt.Println()
-		if err := tr.WriteReport(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mctrace: %v\n", err)
-			os.Exit(1)
+
+	// Spans a scheduled crash cut short stay open; anywhere else an open
+	// span is an instrumentation bug.
+	if n := tr.OpenSpans(); n != 0 && !crashes {
+		fmt.Fprintf(stderr, "mctrace: %d spans left open after the run\n", n)
+		return 1
+	}
+
+	w, file := stdout, (*os.File)(nil)
+	if *out != "" {
+		if file, err = os.Create(*out); err != nil {
+			fmt.Fprintf(stderr, "mctrace: %v\n", err)
+			return 1
+		}
+		w = file
+	}
+	bw := bufio.NewWriter(w)
+	if view != nil {
+		err = view(tr, bw)
+	} else {
+		report(bw, stats)
+		reportCrashes(bw, stats, outcomes)
+	}
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	if file != nil {
+		// A failed close is a failed write: the file may be short.
+		if cerr := file.Close(); err == nil {
+			err = cerr
 		}
 	}
+	if err != nil {
+		fmt.Fprintf(stderr, "mctrace: %v\n", err)
+		return 1
+	}
+	if file != nil {
+		fmt.Fprintf(stderr, "mctrace: wrote %s (%d spans)\n", *out, tr.SpanCount())
+	}
+	return 0
 }
 
-type runner func(nprocs int, body func(p *mpsim.Proc)) *mpsim.Stats
-
-// traceSection runs a regular section copy between two block arrays.
-func traceSection(run runner, nprocs int) *metachaos.Stats {
-	const n = 64
-	return run(nprocs, func(p *mpsim.Proc) {
-		ctx := metachaos.NewCtx(p, p.Comm())
-		src := metachaos.NewHPFArray(metachaos.Block2D(n, n, nprocs), p.Rank())
-		dst := metachaos.NewHPFArray(metachaos.Block2D(n, n, nprocs), p.Rank())
-		src.FillGlobal(func(c []int) float64 { return float64(c[0]) })
-		sched, err := metachaos.ComputeSchedule(metachaos.SingleProgram(p.Comm()),
-			&metachaos.Spec{Lib: metachaos.HPF, Obj: src,
-				Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{0, 0}, []int{n / 2, n})), Ctx: ctx},
-			&metachaos.Spec{Lib: metachaos.HPF, Obj: dst,
-				Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{n / 2, 0}, []int{n, n})), Ctx: ctx},
-			metachaos.Cooperation)
-		if err != nil {
-			panic(err)
-		}
-		sched.Move(src, dst)
-	})
-}
-
-// traceRemap runs an irregular remap (translation-table traffic).
-func traceRemap(run runner, nprocs int) *metachaos.Stats {
+// remap is the irregular-remap workload: a stride permutation as the
+// "bad" initial distribution, remapped to contiguous blocks.
+func remap(p *mpsim.Proc) {
 	const n = 1024
-	return run(nprocs, func(p *mpsim.Proc) {
-		ctx := core.NewCtx(p, p.Comm())
-		// Stride permutation as the "bad" initial distribution.
-		var mine []int32
-		for g := p.Rank(); g < n; g += nprocs {
-			mine = append(mine, int32((g*7)%n))
-		}
-		x, err := metachaos.NewChaosArray(ctx, mine)
-		if err != nil {
-			panic(err)
-		}
-		lo, hi := p.Rank()*n/nprocs, (p.Rank()+1)*n/nprocs
-		contiguous := make([]int32, hi-lo)
-		for g := lo; g < hi; g++ {
-			contiguous[g-lo] = int32(g)
-		}
-		if _, err := chaoslib.Remap(ctx, x, contiguous); err != nil {
-			panic(err)
-		}
-	})
+	nprocs := p.Size()
+	ctx := core.NewCtx(p, p.Comm())
+	var mine []int32
+	for g := p.Rank(); g < n; g += nprocs {
+		mine = append(mine, int32((g*7)%n))
+	}
+	x, err := metachaos.NewChaosArray(ctx, mine)
+	if err != nil {
+		panic(err)
+	}
+	lo, hi := p.Rank()*n/nprocs, (p.Rank()+1)*n/nprocs
+	contiguous := make([]int32, hi-lo)
+	for g := lo; g < hi; g++ {
+		contiguous[g-lo] = int32(g)
+	}
+	if _, err := chaoslib.Remap(ctx, x, contiguous); err != nil {
+		panic(err)
+	}
 }
 
-func report(st *metachaos.Stats) {
-	fmt.Printf("machine: %s\n", st.Machine)
-	fmt.Printf("virtual makespan: %.3f ms\n", st.MakespanSeconds*1000)
-	fmt.Printf("total: %d messages, %d bytes\n\n", st.TotalMsgs(), st.TotalBytes())
+// report prints the traffic view.
+func report(w io.Writer, st *metachaos.Stats) {
+	fmt.Fprintf(w, "machine: %s\n", st.Machine)
+	fmt.Fprintf(w, "virtual makespan: %.3f ms\n", st.MakespanSeconds*1000)
+	fmt.Fprintf(w, "total: %d messages, %d bytes\n\n", st.TotalMsgs(), st.TotalBytes())
 
-	fmt.Println("per-rank traffic:")
+	// Any reliability activity, including runs where everything was
+	// clean but discarded, earns the per-rank reliability block.
+	var touched int64
+	fmt.Fprintln(w, "per-rank traffic:")
 	for r := range st.PerRank {
 		rs := st.PerRank[r]
-		fmt.Printf("  rank %2d: sent %5d msgs / %8d B   recv %5d msgs / %8d B\n",
+		fmt.Fprintf(w, "  rank %2d: sent %5d msgs / %8d B   recv %5d msgs / %8d B\n",
 			r, rs.MsgsSent, rs.BytesSent, rs.MsgsRecv, rs.BytesRecv)
+		touched += rs.Drops + rs.Retransmits + rs.DupsDiscarded + rs.CorruptDiscarded + rs.Timeouts + rs.FailedSends
 	}
 
-	if st.TotalDrops()+st.TotalRetransmits() > 0 || reliabilityTouched(st) {
-		fmt.Println("\nreliability (per rank):")
+	if touched > 0 {
+		fmt.Fprintln(w, "\nreliability (per rank):")
 		for r := range st.PerRank {
 			rs := st.PerRank[r]
-			fmt.Printf("  rank %2d: drops %4d  rexmit %4d  dup-disc %4d  corrupt-disc %4d  timeouts %3d  failed-sends %3d\n",
+			fmt.Fprintf(w, "  rank %2d: drops %4d  rexmit %4d  dup-disc %4d  corrupt-disc %4d  timeouts %3d  failed-sends %3d\n",
 				r, rs.Drops, rs.Retransmits, rs.DupsDiscarded, rs.CorruptDiscarded, rs.Timeouts, rs.FailedSends)
 		}
-		fmt.Printf("  total: %d drops, %d retransmits\n", st.TotalDrops(), st.TotalRetransmits())
+		fmt.Fprintf(w, "  total: %d drops, %d retransmits\n", st.TotalDrops(), st.TotalRetransmits())
 	}
 
-	fmt.Println("\nmessage matrix (from -> to: msgs/bytes):")
+	fmt.Fprintln(w, "\nmessage matrix (from -> to: msgs/bytes):")
 	keys := make([]metachaos.PairKey, 0, len(st.Pairs))
 	for k := range st.Pairs {
 		keys = append(keys, k)
@@ -226,71 +287,44 @@ func report(st *metachaos.Stats) {
 	for _, k := range keys {
 		ps := st.Pairs[k]
 		if ps.Drops+ps.Retransmits+ps.DupsDiscarded > 0 {
-			fmt.Printf("  %2d -> %2d: %4d msgs %8d B   (drops %d, rexmit %d, dup-disc %d)\n",
+			fmt.Fprintf(w, "  %2d -> %2d: %4d msgs %8d B   (drops %d, rexmit %d, dup-disc %d)\n",
 				k.From, k.To, ps.Msgs, ps.Bytes, ps.Drops, ps.Retransmits, ps.DupsDiscarded)
 			continue
 		}
-		fmt.Printf("  %2d -> %2d: %4d msgs %8d B\n", k.From, k.To, ps.Msgs, ps.Bytes)
+		fmt.Fprintf(w, "  %2d -> %2d: %4d msgs %8d B\n", k.From, k.To, ps.Msgs, ps.Bytes)
 	}
-}
-
-// parseCrash parses one "rank@time" crash spec.
-func parseCrash(spec string) (rank int, at float64, err error) {
-	r, t, ok := strings.Cut(strings.TrimSpace(spec), "@")
-	if !ok {
-		return 0, 0, fmt.Errorf("want rank@time")
-	}
-	if rank, err = strconv.Atoi(r); err != nil || rank < 0 {
-		return 0, 0, fmt.Errorf("bad rank %q", r)
-	}
-	if at, err = strconv.ParseFloat(t, 64); err != nil || at < 0 {
-		return 0, 0, fmt.Errorf("bad time %q (virtual seconds)", t)
-	}
-	return rank, at, nil
 }
 
 // reportCrashes prints the run's fail-stop history: who died and when,
 // how long the heartbeat detector took to notice, restarts, and what
 // each rank's workload came to.
-func reportCrashes(st *metachaos.Stats, outcomes []string) {
+func reportCrashes(w io.Writer, st *metachaos.Stats, outcomes []string) {
 	if len(st.Crashes) == 0 {
 		return
 	}
-	fmt.Println("\ncrash faults:")
+	fmt.Fprintln(w, "\ncrash faults:")
 	for _, c := range st.Crashes {
-		fmt.Printf("  rank %2d died at %.3f ms", c.Rank, c.At*1000)
+		fmt.Fprintf(w, "  rank %2d died at %.3f ms", c.Rank, c.At*1000)
 		if c.DetectedAt > 0 {
-			fmt.Printf(", detected at %.3f ms (lag %.3f ms)", c.DetectedAt*1000, (c.DetectedAt-c.At)*1000)
+			fmt.Fprintf(w, ", detected at %.3f ms (lag %.3f ms)", c.DetectedAt*1000, (c.DetectedAt-c.At)*1000)
 		} else {
-			fmt.Printf(", not detected before the run ended")
+			fmt.Fprintf(w, ", not detected before the run ended")
 		}
 		if c.RestartAt > 0 {
-			fmt.Printf(", restarted at %.3f ms", c.RestartAt*1000)
+			fmt.Fprintf(w, ", restarted at %.3f ms", c.RestartAt*1000)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	var timeouts, failedSends int64
 	for r := range st.PerRank {
 		timeouts += st.PerRank[r].Timeouts
 		failedSends += st.PerRank[r].FailedSends
 	}
-	fmt.Printf("  detector: %d crash(es) recorded; %d timeouts, %d abandoned sends across ranks\n",
+	fmt.Fprintf(w, "  detector: %d crash(es) recorded; %d timeouts, %d abandoned sends across ranks\n",
 		len(st.Crashes), timeouts, failedSends)
 	for r, o := range outcomes {
 		if o != "" {
-			fmt.Printf("  rank %2d outcome: %s\n", r, o)
+			fmt.Fprintf(w, "  rank %2d outcome: %s\n", r, o)
 		}
 	}
-}
-
-// reliabilityTouched reports whether any rank recorded reliability
-// activity (covers runs where everything was clean but discarded).
-func reliabilityTouched(st *metachaos.Stats) bool {
-	for r := range st.PerRank {
-		rs := st.PerRank[r]
-		if rs.Drops+rs.Retransmits+rs.DupsDiscarded+rs.CorruptDiscarded+rs.Timeouts+rs.FailedSends > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -43,10 +43,6 @@ func NewSession(p *mpsim.Proc) *Session {
 	return &Session{p: p, ctx: core.NewCtx(p, p.Comm())}
 }
 
-// Ctx exposes the session's library context for constructing
-// distributed objects.
-func (s *Session) Ctx() *core.Ctx { return s.ctx }
-
 // CreateRegion_HPF builds an HPF/Parti array-section region from
 // Fortran-style inclusive bounds: the region covers left[d]..right[d]
 // in every dimension d (1-based callers should subtract one, as the
@@ -60,24 +56,6 @@ func (s *Session) CreateRegion_HPF(rank int, left, right []int) (RegionID, error
 		hi[d] = right[d] + 1 // inclusive -> half-open
 	}
 	s.regs = append(s.regs, gidx.NewSection(left, hi))
-	return RegionID(len(s.regs) - 1), nil
-}
-
-// CreateRegion_HPFStrided is the strided variant (lo:hi:step,
-// inclusive hi).
-func (s *Session) CreateRegion_HPFStrided(rank int, left, right, step []int) (RegionID, error) {
-	if len(left) != rank || len(right) != rank || len(step) != rank {
-		return 0, fmt.Errorf("compat: rank %d with %d/%d/%d bounds", rank, len(left), len(right), len(step))
-	}
-	hi := make([]int, rank)
-	for d := range right {
-		hi[d] = right[d] + 1
-	}
-	s.regs = append(s.regs, gidx.Section{
-		Lo:   append([]int(nil), left...),
-		Hi:   hi,
-		Step: append([]int(nil), step...),
-	})
 	return RegionID(len(s.regs) - 1), nil
 }
 
@@ -201,18 +179,6 @@ func (s *Session) MC_DataMoveRecv(id ScheduleID, obj core.DistObject) error {
 	}
 	sched.MoveRecv(obj)
 	return nil
-}
-
-// MC_SchedElemType returns the element type a schedule was built for.
-// Data moves verify the objects they are handed carry exactly this
-// type, so a caller coupling mixed-precision programs can inquire
-// before moving.
-func (s *Session) MC_SchedElemType(id ScheduleID) (core.ElemType, error) {
-	sched, err := s.schedule(id)
-	if err != nil {
-		return core.ElemType{}, err
-	}
-	return sched.Elem(), nil
 }
 
 // MC_FreeSched releases a schedule handle.

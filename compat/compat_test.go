@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"metachaos/internal/chaoslib"
-	"metachaos/internal/core"
 	"metachaos/internal/distarray"
 	"metachaos/internal/gidx"
 	"metachaos/internal/hpfrt"
@@ -29,20 +28,6 @@ func TestCreateRegionHPFInclusiveBounds(t *testing.T) {
 	})
 }
 
-func TestCreateRegionHPFStrided(t *testing.T) {
-	mpsim.RunSPMD(mpsim.Ideal(), 1, func(p *mpsim.Proc) {
-		mc := NewSession(p)
-		// a(0:8:2) inclusive -> 0,2,4,6,8 = 5 elements.
-		id, err := mc.CreateRegion_HPFStrided(1, []int{0}, []int{8}, []int{2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := mc.regs[id].Size(); got != 5 {
-			t.Errorf("region size %d, want 5", got)
-		}
-	})
-}
-
 func TestSetAssemblyAndIntraProgramMove(t *testing.T) {
 	const n, nprocs = 12, 2
 	mpsim.RunSPMD(mpsim.Ideal(), nprocs, func(p *mpsim.Proc) {
@@ -53,7 +38,7 @@ func TestSetAssemblyAndIntraProgramMove(t *testing.T) {
 		for g := p.Rank(); g < n; g += nprocs {
 			mine = append(mine, int32(g))
 		}
-		dst, err := chaoslib.NewArray(mc.Ctx(), mine)
+		dst, err := chaoslib.NewArray(mc.ctx, mine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,9 +66,6 @@ func TestSetAssemblyAndIntraProgramMove(t *testing.T) {
 		sched, err := mc.MC_ComputeSched("hpf", src, srcSet, "chaos", dst, dstSet)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if et, err := mc.MC_SchedElemType(sched); err != nil || et != core.Float64 {
-			t.Errorf("MC_SchedElemType = %v, %v", et, err)
 		}
 		if err := mc.MC_DataMove(sched, src, dst); err != nil {
 			t.Fatal(err)

@@ -78,10 +78,6 @@ func (a *Array) Local() []float64 { return a.data }
 // float64).
 func (a *Array) GetLocal(k int) float64 { return a.mem.GetF(k * a.mem.Elem().Words) }
 
-// SetLocal writes local slot k (its first scalar, converted from
-// float64).
-func (a *Array) SetLocal(k int, v float64) { a.mem.SetF(k*a.mem.Elem().Words, v) }
-
 // FillGlobal sets each local element to f(globalIndex); multi-word
 // elements have every scalar set.
 func (a *Array) FillGlobal(f func(g int32) float64) {

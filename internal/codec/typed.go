@@ -139,21 +139,11 @@ func AddBytes(dst []byte, b []byte) int {
 	return n
 }
 
-// Float32sToBytes encodes a bare float32 slice (no length prefix).
-func Float32sToBytes(vs []float32) []byte {
-	return AppendFloat32s(nil, vs)
-}
-
 // BytesToFloat32s decodes a bare float32 payload.
 func BytesToFloat32s(b []byte) []float32 {
 	out := make([]float32, len(b)/4)
 	Float32sInto(out, b)
 	return out
-}
-
-// Int64sToBytes encodes a bare int64 slice (no length prefix).
-func Int64sToBytes(vs []int64) []byte {
-	return AppendInt64s(nil, vs)
 }
 
 // BytesToInt64s decodes a bare int64 payload.

@@ -102,46 +102,6 @@ func (c *Coupling) Shrink(deadWorldRanks []int) (*Coupling, error) {
 	return out, nil
 }
 
-// Grow returns the coupling enlarged by newly joined world ranks — the
-// inverse of Shrink.  srcAdd and dstAdd are appended to the respective
-// side's program-rank order (joiners take the highest program ranks),
-// and the union communicator expands to include them (with a fresh
-// context and collective sequence space, see mpsim.Comm.Expand).
-// Every existing member calling Grow with the same lists derives an
-// identical coupling; a joiner, which has no old coupling, derives the
-// same one with NewCoupling over the full per-side world-rank lists in
-// the same order.
-func (c *Coupling) Grow(srcAdd, dstAdd []int) (*Coupling, error) {
-	add := append(append([]int(nil), srcAdd...), dstAdd...)
-	union := c.Union.Expand(add)
-	pos := make(map[int]int, union.Size())
-	for i := 0; i < union.Size(); i++ {
-		pos[union.WorldRank(i)] = i
-	}
-	out := &Coupling{Union: union}
-	for _, ur := range c.SrcRanks {
-		out.SrcRanks = append(out.SrcRanks, pos[c.Union.WorldRank(ur)])
-	}
-	for _, wr := range srcAdd {
-		ur, ok := pos[wr]
-		if !ok {
-			return nil, fmt.Errorf("core: grown union lost world rank %d", wr)
-		}
-		out.SrcRanks = append(out.SrcRanks, ur)
-	}
-	for _, ur := range c.DstRanks {
-		out.DstRanks = append(out.DstRanks, pos[c.Union.WorldRank(ur)])
-	}
-	for _, wr := range dstAdd {
-		ur, ok := pos[wr]
-		if !ok {
-			return nil, fmt.Errorf("core: grown union lost world rank %d", wr)
-		}
-		out.DstRanks = append(out.DstRanks, ur)
-	}
-	return out, nil
-}
-
 // CoupleByName builds the coupling between two named programs of the
 // simulated world, using the world's static program layout.
 func CoupleByName(p *mpsim.Proc, srcProgram, dstProgram string) (*Coupling, error) {

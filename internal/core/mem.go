@@ -54,24 +54,6 @@ func Float64Mem(words int, data []float64) Mem {
 	return Mem{et: ElemType{Kind: KindFloat64, Words: words}, f64: data}
 }
 
-// Float32Mem wraps an existing float32 slice as words-float32 element
-// storage.
-func Float32Mem(words int, data []float32) Mem {
-	return Mem{et: ElemType{Kind: KindFloat32, Words: words}, f32: data}
-}
-
-// Int64Mem wraps an existing int64 slice as words-int64 element
-// storage.
-func Int64Mem(words int, data []int64) Mem {
-	return Mem{et: ElemType{Kind: KindInt64, Words: words}, i64: data}
-}
-
-// Int32Mem wraps an existing int32 slice as words-int32 element
-// storage.
-func Int32Mem(words int, data []int32) Mem {
-	return Mem{et: ElemType{Kind: KindInt32, Words: words}, i32: data}
-}
-
 // ByteMem wraps an existing byte slice as words-byte element storage.
 func ByteMem(words int, data []byte) Mem {
 	return Mem{et: ElemType{Kind: KindByte, Words: words}, by: data}

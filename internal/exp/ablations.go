@@ -4,8 +4,6 @@ import (
 	"metachaos/internal/chaoslib"
 	"metachaos/internal/codec"
 	"metachaos/internal/core"
-	"metachaos/internal/distarray"
-	"metachaos/internal/gidx"
 	"metachaos/internal/mbparti"
 	"metachaos/internal/mpsim"
 )
@@ -20,38 +18,12 @@ import (
 // element.
 func AblationAggregation() *Table {
 	procs := []int{2, 4, 8}
-	agg := make([]float64, len(procs))
-	scalar := make([]float64, len(procs))
-	// A 1-D layout keeps the halves on different processes at every
-	// process count, so the copy always crosses the network.
-	srcSec := gidx.NewSection([]int{0}, []int{8192})
-	dstSec := gidx.NewSection([]int{8192}, []int{16384})
-	for i, nprocs := range procs {
-		var tAgg, tScalar float64
-		mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
-			ctx := core.NewCtx(p, p.Comm())
-			dist, err0 := distarray.NewDist(gidx.Shape{16384}, []int{nprocs}, []distarray.Kind{distarray.Block})
-			if err0 != nil {
-				panic(err0)
-			}
-			src := mbparti.MustNewArray(dist, p.Rank(), 0)
-			dst := mbparti.MustNewArray(dist, p.Rank(), 0)
-			sched, err := core.ComputeSchedule(core.SingleProgram(p.Comm()),
-				&core.Spec{Lib: mbparti.Library, Obj: src, Set: core.NewSetOfRegions(srcSec), Ctx: ctx},
-				&core.Spec{Lib: mbparti.Library, Obj: dst, Set: core.NewSetOfRegions(dstSec), Ctx: ctx},
-				core.Duplication)
-			if err != nil {
-				panic(err)
-			}
-			at := timePhase(p, p.Comm(), func() { sched.Move(src, dst) })
-			sc := timePhase(p, p.Comm(), func() { unaggregatedMove(p, p.Comm(), sched, src, dst) })
-			if p.Rank() == 0 {
-				tAgg, tScalar = at, sc
-			}
-		})
-		agg[i] = ms(tAgg)
-		scalar[i] = ms(tScalar)
-	}
+	v := sweepSP2(procs, 2, func(p *mpsim.Proc) []float64 {
+		sched, src, dst := halfCopy(p, core.Float64, core.Duplication)
+		agg := timePhase(p, p.Comm(), func() { sched.Move(src, dst) })
+		scalar := timePhase(p, p.Comm(), func() { unaggregatedMove(p, p.Comm(), sched, src, dst) })
+		return []float64{agg, scalar}
+	})
 	return &Table{
 		ID:        "Ablation A1",
 		Title:     "Message aggregation: one message per processor pair vs one per element (8192-element section copy)",
@@ -59,8 +31,8 @@ func AblationAggregation() *Table {
 		ColHeader: "processors",
 		Cols:      colLabels(procs),
 		Rows: []Row{
-			{Label: "aggregated (Meta-Chaos)", Values: agg},
-			{Label: "per-element messages", Values: scalar},
+			{Label: "aggregated (Meta-Chaos)", Values: v[0]},
+			{Label: "per-element messages", Values: v[1]},
 		},
 		Notes: []string{"aggregation is the paper's claim that Meta-Chaos sends exactly the hand-crafted message set"},
 	}
@@ -98,34 +70,19 @@ func unaggregatedMove(p *mpsim.Proc, comm *mpsim.Comm, s *core.Schedule, src, ds
 func AblationTTable() *Table {
 	const points = 16384
 	procs := []int{2, 4, 8}
-	pagedT := make([]float64, len(procs))
-	replT := make([]float64, len(procs))
-	replBuild := make([]float64, len(procs))
-	for i, nprocs := range procs {
-		var tPaged, tRepl, tBuild float64
-		mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
-			ctx := core.NewCtx(p, p.Comm())
-			mine := densePerm(points, nprocs, p.Rank())
-			tt, err := chaoslib.BuildTTable(ctx, mine, nil)
-			if err != nil {
-				panic(err)
-			}
-			req := make([]int32, points/nprocs)
-			for k := range req {
-				req[k] = int32((k*7 + p.Rank()) % points)
-			}
-			pt := timePhase(p, p.Comm(), func() { tt.Lookup(ctx, req) })
-			var rep *chaoslib.TTable
-			bt := timePhase(p, p.Comm(), func() { rep = tt.Replicate(ctx) })
-			rt := timePhase(p, p.Comm(), func() { rep.Lookup(ctx, req) })
-			if p.Rank() == 0 {
-				tPaged, tBuild, tRepl = pt, bt, rt
-			}
-		})
-		pagedT[i] = ms(tPaged)
-		replT[i] = ms(tRepl)
-		replBuild[i] = ms(tBuild)
-	}
+	v := sweepSP2(procs, 3, func(p *mpsim.Proc) []float64 {
+		ctx := core.NewCtx(p, p.Comm())
+		tt := must(chaoslib.BuildTTable(ctx, densePerm(points, p.Size(), p.Rank()), nil))
+		req := make([]int32, points/p.Size())
+		for k := range req {
+			req[k] = int32((k*7 + p.Rank()) % points)
+		}
+		paged := timePhase(p, p.Comm(), func() { tt.Lookup(ctx, req) })
+		var rep *chaoslib.TTable
+		build := timePhase(p, p.Comm(), func() { rep = tt.Replicate(ctx) })
+		repl := timePhase(p, p.Comm(), func() { rep.Lookup(ctx, req) })
+		return []float64{paged, repl, build}
+	})
 	return &Table{
 		ID:        "Ablation A2",
 		Title:     "Translation table: paged (distributed) vs replicated lookups, 16384-point distribution, one lookup per point",
@@ -133,9 +90,9 @@ func AblationTTable() *Table {
 		ColHeader: "processors",
 		Cols:      colLabels(procs),
 		Rows: []Row{
-			{Label: "paged lookup", Values: pagedT},
-			{Label: "replicated lookup", Values: replT},
-			{Label: "replication (one-time)", Values: replBuild},
+			{Label: "paged lookup", Values: v[0]},
+			{Label: "replicated lookup", Values: v[1]},
+			{Label: "replication (one-time)", Values: v[2]},
 		},
 		Notes: []string{"replication trades a data-sized broadcast and table-sized memory for local lookups — the duplication method's bargain"},
 	}
@@ -149,43 +106,19 @@ func AblationReliability() *Table {
 	procs := []int{2, 4, 8}
 	raw := make([]float64, len(procs))
 	reliable := make([]float64, len(procs))
-	srcSec := gidx.NewSection([]int{0}, []int{8192})
-	dstSec := gidx.NewSection([]int{8192}, []int{16384})
+	// The row is the ten moves' total, not a per-move figure.
 	run := func(nprocs int, rel *mpsim.Reliability) float64 {
-		var tMove float64
-		mpsim.Run(mpsim.Config{
-			Machine:  mpsim.SP2(),
-			Reliable: rel,
-			Programs: []mpsim.ProgramSpec{{Name: "spmd", Procs: nprocs, Body: func(p *mpsim.Proc) {
-				ctx := core.NewCtx(p, p.Comm())
-				dist, err0 := distarray.NewDist(gidx.Shape{16384}, []int{nprocs}, []distarray.Kind{distarray.Block})
-				if err0 != nil {
-					panic(err0)
-				}
-				src := mbparti.MustNewArray(dist, p.Rank(), 0)
-				dst := mbparti.MustNewArray(dist, p.Rank(), 0)
-				sched, err := core.ComputeSchedule(core.SingleProgram(p.Comm()),
-					&core.Spec{Lib: mbparti.Library, Obj: src, Set: core.NewSetOfRegions(srcSec), Ctx: ctx},
-					&core.Spec{Lib: mbparti.Library, Obj: dst, Set: core.NewSetOfRegions(dstSec), Ctx: ctx},
-					core.Cooperation)
-				if err != nil {
-					panic(err)
-				}
-				mt := timePhase(p, p.Comm(), func() {
-					for it := 0; it < executorIters; it++ {
-						sched.Move(src, dst)
-					}
-				})
-				if p.Rank() == 0 {
-					tMove = mt
-				}
-			}}},
+		cfg := sp2()
+		cfg.Reliable = rel
+		v, _ := measure(cfg, nprocs, func(p *mpsim.Proc) []float64 {
+			sched, src, dst := halfCopy(p, core.Float64, core.Cooperation)
+			return []float64{timeIters(p, p.Comm(), executorIters, func() { sched.Move(src, dst) })}
 		})
-		return tMove
+		return ms(v[0])
 	}
 	for i, nprocs := range procs {
-		raw[i] = ms(run(nprocs, nil))
-		reliable[i] = ms(run(nprocs, &mpsim.Reliability{}))
+		raw[i] = run(nprocs, nil)
+		reliable[i] = run(nprocs, &mpsim.Reliability{})
 	}
 	return &Table{
 		ID:        "Ablation A5",
@@ -212,44 +145,16 @@ func AblationDtype() *Table {
 	const nprocs = 4
 	moveT := make([]float64, len(dtypes))
 	wire := make([]float64, len(dtypes))
-	srcSec := gidx.NewSection([]int{0}, []int{8192})
-	dstSec := gidx.NewSection([]int{8192}, []int{16384})
 	// Wire bytes are isolated by differencing a build-only run from a
 	// build-plus-moves run; the schedule build traffic is identical for
-	// every element type.
+	// every element type.  The time is the moves' total (and moves may
+	// be 0), so timeIters, not perIter.
 	run := func(et core.ElemType, moves int) (float64, int64) {
-		var tMove float64
-		st := mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
-			ctx := core.NewCtx(p, p.Comm())
-			dist, err0 := distarray.NewDist(gidx.Shape{16384}, []int{nprocs}, []distarray.Kind{distarray.Block})
-			if err0 != nil {
-				panic(err0)
-			}
-			src, err := mbparti.NewArrayTyped(dist, p.Rank(), 0, et)
-			if err != nil {
-				panic(err)
-			}
-			dst, err := mbparti.NewArrayTyped(dist, p.Rank(), 0, et)
-			if err != nil {
-				panic(err)
-			}
-			sched, err := core.ComputeSchedule(core.SingleProgram(p.Comm()),
-				&core.Spec{Lib: mbparti.Library, Obj: src, Set: core.NewSetOfRegions(srcSec), Ctx: ctx},
-				&core.Spec{Lib: mbparti.Library, Obj: dst, Set: core.NewSetOfRegions(dstSec), Ctx: ctx},
-				core.Cooperation)
-			if err != nil {
-				panic(err)
-			}
-			mt := timePhase(p, p.Comm(), func() {
-				for it := 0; it < moves; it++ {
-					sched.Move(src, dst)
-				}
-			})
-			if p.Rank() == 0 {
-				tMove = mt
-			}
+		v, st := measure(sp2(), nprocs, func(p *mpsim.Proc) []float64 {
+			sched, src, dst := halfCopy(p, et, core.Cooperation)
+			return []float64{timeIters(p, p.Comm(), moves, func() { sched.Move(src, dst) })}
 		})
-		return tMove, st.TotalBytes()
+		return v[0], st.TotalBytes()
 	}
 	for i, et := range dtypes {
 		_, buildBytes := run(et, 0)
@@ -294,47 +199,17 @@ func densePerm(n, nprocs, rank int) []int32 {
 func AblationScheduleReuse() *Table {
 	perm := meshPerm()
 	procs := []int{2, 4, 8}
-	reuse := make([]float64, len(procs))
-	rebuild := make([]float64, len(procs))
-	regSet, irrSet := meshMapping(perm)
-	for i, nprocs := range procs {
-		var tReuse, tRebuild float64
-		mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
-			ctx := core.NewCtx(p, p.Comm())
-			dist := distarray.MustBlock2D(regN, regN, nprocs)
-			a := mbparti.MustNewArray(dist, p.Rank(), 0)
-			x, err := chaoslib.NewArray(ctx, irregOwned(perm, nprocs, p.Rank()))
-			if err != nil {
-				panic(err)
-			}
-			build := func() *core.Schedule {
-				s, err := core.ComputeSchedule(core.SingleProgram(p.Comm()),
-					&core.Spec{Lib: mbparti.Library, Obj: a, Set: regSet, Ctx: ctx},
-					&core.Spec{Lib: chaoslib.Library, Obj: x, Set: irrSet, Ctx: ctx},
-					core.Cooperation)
-				if err != nil {
-					panic(err)
-				}
-				return s
-			}
-			ru := timePhase(p, p.Comm(), func() {
-				s := build()
-				for it := 0; it < executorIters; it++ {
-					s.Move(a, x)
-				}
-			})
-			rb := timePhase(p, p.Comm(), func() {
-				for it := 0; it < executorIters; it++ {
-					build().Move(a, x)
-				}
-			})
-			if p.Rank() == 0 {
-				tReuse, tRebuild = ru, rb
+	v := sweepSP2(procs, 2, func(p *mpsim.Proc) []float64 {
+		a, x, build := meshRemap(p, perm)
+		reuse := timePhase(p, p.Comm(), func() {
+			s := build()
+			for it := 0; it < executorIters; it++ {
+				s.Move(a, x)
 			}
 		})
-		reuse[i] = ms(tReuse)
-		rebuild[i] = ms(tRebuild)
-	}
+		rebuild := timeIters(p, p.Comm(), executorIters, func() { build().Move(a, x) })
+		return []float64{reuse, rebuild}
+	})
 	return &Table{
 		ID:        "Ablation A3",
 		Title:     "Schedule reuse over 10 iterations of the regular/irregular remap vs rebuilding every iteration",
@@ -342,8 +217,8 @@ func AblationScheduleReuse() *Table {
 		ColHeader: "processors",
 		Cols:      colLabels(procs),
 		Rows: []Row{
-			{Label: "build once, reuse", Values: reuse},
-			{Label: "rebuild every iteration", Values: rebuild},
+			{Label: "build once, reuse", Values: v[0]},
+			{Label: "rebuild every iteration", Values: v[1]},
 		},
 		Notes: []string{"amortizing the inspector is what makes Meta-Chaos overhead acceptable in iterative codes (Section 4.1.4)"},
 	}
@@ -357,56 +232,17 @@ func AblationRLE() *Table {
 	// Table 2's mesh remap at 4 processes.  Reported as schedule-build
 	// time; the alternative (no compression) is approximated by the
 	// bytes shipped, reported in the notes via message statistics.
-	var regBytes, irrBytes int64
-	srcSec := gidx.NewSection([]int{0, 0}, []int{t5N / 2, t5N})
-	dstSec := gidx.NewSection([]int{t5N / 2, 0}, []int{t5N, t5N})
-	regT := 0.0
-	st := mpsim.RunSPMD(mpsim.SP2(), 4, func(p *mpsim.Proc) {
-		ctx := core.NewCtx(p, p.Comm())
-		dist := distarray.MustBlock2D(t5N, t5N, 4)
-		src := mbparti.MustNewArray(dist, p.Rank(), 0)
-		dst := mbparti.MustNewArray(dist, p.Rank(), 0)
-		rt := timePhase(p, p.Comm(), func() {
-			_, err := core.ComputeSchedule(core.SingleProgram(p.Comm()),
-				&core.Spec{Lib: mbparti.Library, Obj: src, Set: core.NewSetOfRegions(srcSec), Ctx: ctx},
-				&core.Spec{Lib: mbparti.Library, Obj: dst, Set: core.NewSetOfRegions(dstSec), Ctx: ctx},
-				core.Cooperation)
-			if err != nil {
-				panic(err)
-			}
-		})
-		if p.Rank() == 0 {
-			regT = rt
-		}
+	reg, regSt := measure(sp2(), 4, func(p *mpsim.Proc) []float64 {
+		src, dst, srcSec, dstSec := meshHalves(p, t5N)
+		return []float64{timePhase(p, p.Comm(), func() {
+			sectionSchedule(p, src, srcSec, dst, dstSec, core.Cooperation)
+		})}
 	})
-	regBytes = st.TotalBytes()
-
 	perm := meshPerm()
-	regSet, irrSet := meshMapping(perm)
-	irrT := 0.0
-	st = mpsim.RunSPMD(mpsim.SP2(), 4, func(p *mpsim.Proc) {
-		ctx := core.NewCtx(p, p.Comm())
-		dist := distarray.MustBlock2D(regN, regN, 4)
-		a := mbparti.MustNewArray(dist, p.Rank(), 0)
-		x, err := chaoslib.NewArray(ctx, irregOwned(perm, 4, p.Rank()))
-		if err != nil {
-			panic(err)
-		}
-		it := timePhase(p, p.Comm(), func() {
-			_, err := core.ComputeSchedule(core.SingleProgram(p.Comm()),
-				&core.Spec{Lib: mbparti.Library, Obj: a, Set: regSet, Ctx: ctx},
-				&core.Spec{Lib: chaoslib.Library, Obj: x, Set: irrSet, Ctx: ctx},
-				core.Cooperation)
-			if err != nil {
-				panic(err)
-			}
-		})
-		if p.Rank() == 0 {
-			irrT = it
-		}
+	irr, irrSt := measure(sp2(), 4, func(p *mpsim.Proc) []float64 {
+		_, _, build := meshRemap(p, perm)
+		return []float64{timePhase(p, p.Comm(), func() { build() })}
 	})
-	irrBytes = st.TotalBytes()
-
 	return &Table{
 		ID:        "Ablation A4",
 		Title:     "Run-length compression of cooperation schedule messages (4 processes)",
@@ -414,8 +250,8 @@ func AblationRLE() *Table {
 		ColHeader: "workload",
 		Cols:      []string{"regular 500k", "irregular 65k"},
 		Rows: []Row{
-			{Label: "schedule build (msec)", Values: []float64{ms(regT), ms(irrT)}},
-			{Label: "bytes on the wire", Values: []float64{float64(regBytes), float64(irrBytes)}},
+			{Label: "schedule build (msec)", Values: []float64{ms(reg[0]), ms(irr[0])}},
+			{Label: "bytes on the wire", Values: []float64{float64(regSt.TotalBytes()), float64(irrSt.TotalBytes())}},
 		},
 		Notes: []string{
 			"regular sections compress to a few arithmetic runs (bytes << 12B/element); irregular mappings stay literal",

@@ -110,35 +110,22 @@ func runClientServer(cfg CSConfig) (CSBreakdown, *mpsim.Stats) {
 				a.FillGlobal(func(c []int) float64 { return float64((c[0]*7+c[1]*3)%11) - 5 })
 				x.FillGlobal(func(c []int) float64 { return float64(c[0]%5) + 0.5 })
 
-				coupling, err := core.CoupleByName(p, "client", "server")
-				if err != nil {
-					panic(err)
-				}
+				coupling := must(core.CoupleByName(p, "client", "server"))
 				var matSched, vecSched *core.Schedule
 				tSched := timePhase(p, coupling.Union, func() {
-					matSched, err = core.ComputeSchedule(coupling,
+					matSched = mustSchedule(coupling,
 						&core.Spec{Lib: mbparti.Library, Obj: a, Set: core.NewSetOfRegions(matSec), Ctx: ctx},
 						nil, core.Cooperation)
-					if err != nil {
-						panic(err)
-					}
-					vecSched, err = core.ComputeSchedule(coupling,
+					vecSched = mustSchedule(coupling,
 						&core.Spec{Lib: mbparti.Library, Obj: x, Set: core.NewSetOfRegions(vecSec), Ctx: ctx},
 						nil, core.Cooperation)
-					if err != nil {
-						panic(err)
-					}
 				})
-				tMat := timePhase(p, coupling.Union, func() {
-					matSched.MoveSend(a)
-				})
-				tLoop := timePhase(p, coupling.Union, func() {
-					for v := 0; v < cfg.Vectors; v++ {
-						vecSched.MoveSend(x)
-						// The symmetric vector schedule carries the result
-						// back (server x and y share a distribution).
-						vecSched.MoveReverseRecv(y)
-					}
+				tMat := timePhase(p, coupling.Union, func() { matSched.MoveSend(a) })
+				tLoop := timeIters(p, coupling.Union, cfg.Vectors, func() {
+					vecSched.MoveSend(x)
+					// The symmetric vector schedule carries the result
+					// back (server x and y share a distribution).
+					vecSched.MoveReverseRecv(y)
 				})
 				// Fingerprint the final result vector: each client
 				// process contributes its block, gathered in rank order.
@@ -179,39 +166,24 @@ func runClientServer(cfg CSConfig) (CSBreakdown, *mpsim.Stats) {
 				x := hpfrt.NewArray(hpfrt.BlockVector(csN, sp), p.Rank())
 				y := hpfrt.NewArray(hpfrt.BlockVector(csN, sp), p.Rank())
 
-				coupling, err := core.CoupleByName(p, "client", "server")
-				if err != nil {
-					panic(err)
-				}
+				coupling := must(core.CoupleByName(p, "client", "server"))
 				var matSched, vecSched *core.Schedule
 				timePhase(p, coupling.Union, func() {
-					matSched, err = core.ComputeSchedule(coupling, nil,
+					matSched = mustSchedule(coupling, nil,
 						&core.Spec{Lib: hpfrt.Library, Obj: a, Set: core.NewSetOfRegions(matSec), Ctx: ctx},
 						core.Cooperation)
-					if err != nil {
-						panic(err)
-					}
-					vecSched, err = core.ComputeSchedule(coupling, nil,
+					vecSched = mustSchedule(coupling, nil,
 						&core.Spec{Lib: hpfrt.Library, Obj: x, Set: core.NewSetOfRegions(vecSec), Ctx: ctx},
 						core.Cooperation)
-					if err != nil {
-						panic(err)
-					}
 				})
-				timePhase(p, coupling.Union, func() {
-					matSched.MoveRecv(a)
-				})
+				timePhase(p, coupling.Union, func() { matSched.MoveRecv(a) })
 				serverT := 0.0
-				timePhase(p, coupling.Union, func() {
-					for v := 0; v < cfg.Vectors; v++ {
-						vecSched.MoveRecv(x)
-						t0 := p.Clock()
-						if err := hpfrt.MatVec(ctx, a, x, y); err != nil {
-							panic(err)
-						}
-						serverT += p.Clock() - t0
-						vecSched.MoveReverseSend(y)
-					}
+				timeIters(p, coupling.Union, cfg.Vectors, func() {
+					vecSched.MoveRecv(x)
+					t0 := p.Clock()
+					check(hpfrt.MatVec(ctx, a, x, y))
+					serverT += p.Clock() - t0
+					vecSched.MoveReverseSend(y)
 				})
 				// Every server process computed in lockstep; rank 0's
 				// measurement stands for the program.
@@ -230,24 +202,14 @@ func runClientServer(cfg CSConfig) (CSBreakdown, *mpsim.Stats) {
 // product itself (the Figure 15 baseline): per-vector seconds on the
 // given number of client processes.
 func RunClientLocal(clientProcs, vectors int) float64 {
-	var perVec float64
-	mpsim.RunSPMD(mpsim.AlphaFarmATM(), clientProcs, func(p *mpsim.Proc) {
+	v, _ := measure(mpsim.Config{Machine: mpsim.AlphaFarmATM()}, clientProcs, func(p *mpsim.Proc) []float64 {
 		ctx := core.NewCtx(p, p.Comm())
 		a := hpfrt.NewArray(hpfrt.RowBlockMatrix(csN, csN, clientProcs), p.Rank())
 		x := hpfrt.NewArray(hpfrt.BlockVector(csN, clientProcs), p.Rank())
 		y := hpfrt.NewArray(hpfrt.BlockVector(csN, clientProcs), p.Rank())
 		a.FillGlobal(func(c []int) float64 { return 1 })
 		x.FillGlobal(func(c []int) float64 { return 1 })
-		t := timePhase(p, p.Comm(), func() {
-			for v := 0; v < vectors; v++ {
-				if err := hpfrt.MatVec(ctx, a, x, y); err != nil {
-					panic(err)
-				}
-			}
-		})
-		if p.Rank() == 0 {
-			perVec = t / float64(vectors)
-		}
+		return []float64{perIter(p, p.Comm(), vectors, func() { check(hpfrt.MatVec(ctx, a, x, y)) })}
 	})
-	return perVec
+	return v[0]
 }

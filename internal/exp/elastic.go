@@ -120,10 +120,6 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 		panic("exp: elastic run needs at least 1 iteration")
 	}
 	var out ElasticResult
-	n := elasticN
-	matSec := gidx.FullSection(gidx.Shape{n, n})
-	vecSec := gidx.FullSection(gidx.Shape{n})
-	boundary := func(slot int) float64 { return elasticSetup + float64(slot)*elasticSlot }
 	// The attempt budget ends two detector lags before the boundary,
 	// so a failed attempt never leaks past the slot whose boundary
 	// will judge it.
@@ -137,31 +133,15 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 		Programs: []mpsim.ProgramSpec{
 			{Name: "client", Procs: 1, ProcsPerNode: 1, Body: func(p *mpsim.Proc) {
 				ctx := core.NewCtx(p, p.Comm())
-				a := hpfrt.NewArray(hpfrt.RowBlockMatrix(n, n, 1), 0)
-				x := hpfrt.NewArray(hpfrt.BlockVector(n, 1), 0)
-				y := hpfrt.NewArray(hpfrt.BlockVector(n, 1), 0)
-				a.FillGlobal(func(c []int) float64 { return float64((c[0]*13+c[1]*7)%17) - 8 })
-				x.FillGlobal(func(c []int) float64 { return 1 + float64(c[0]%7)/8 })
-
-				coupling, err := core.CoupleByName(p, "client", "server")
-				if err != nil {
-					panic(err)
-				}
+				a, x, y := elasticClientArrays()
+				coupling := must(core.CoupleByName(p, "client", "server"))
 				store := ckpt.NewStore()
 				cache := core.NewScheduleCache()
 				var matSched, vecSched *core.Schedule
 				setup := func() {
 					cache.SetIncarnation(p.GroupIncarnation())
-					matSched = mustCached(cache, "mat", func() (*core.Schedule, error) {
-						return core.ComputeSchedule(coupling,
-							&core.Spec{Lib: hpfrt.Library, Obj: a, Set: core.NewSetOfRegions(matSec), Ctx: ctx},
-							nil, core.Cooperation)
-					})
-					vecSched = mustCached(cache, "vec", func() (*core.Schedule, error) {
-						return core.ComputeSchedule(coupling,
-							&core.Spec{Lib: hpfrt.Library, Obj: x, Set: core.NewSetOfRegions(vecSec), Ctx: ctx},
-							nil, core.Cooperation)
-					})
+					matSched = elasticSchedule(cache, "mat", coupling, elasticSpec(ctx, a, elasticMat), nil)
+					vecSched = elasticSchedule(cache, "vec", coupling, elasticSpec(ctx, x, elasticVec), nil)
 					matSched.MoveSend(a)
 				}
 				setup()
@@ -169,7 +149,7 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 
 				it, slot, knownDead, attempted := 0, 0, 0, false
 				for {
-					p.SleepUntil(boundary(slot))
+					p.SleepUntil(elasticBoundary(slot))
 					slot++
 					dead := p.DeadRanks()
 					if len(dead) != knownDead {
@@ -179,13 +159,8 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 						knownDead = len(dead)
 						attempted = false
 						out.Shrinks++
-						coupling, err = coupling.Shrink(dead)
-						if err != nil {
-							panic(err)
-						}
-						if err := store.Restore(p, it, ckpt.Named{Name: "x", Obj: x}); err != nil {
-							panic(err)
-						}
+						coupling = must(coupling.Shrink(dead))
+						check(store.Restore(p, it, ckpt.Named{Name: "x", Obj: x}))
 						out.Restores++
 						setup()
 						continue
@@ -201,15 +176,7 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 					if it >= cfg.Iters {
 						break
 					}
-					werr := p.WithTimeout(budget, func() {
-						r1 := vecSched.MoveSend(x)
-						r2 := vecSched.MoveReverseRecv(y)
-						if !r1.OK() || !r2.OK() {
-							panic(&mpsim.NetError{Op: "elastic", Rank: p.WorldRank(),
-								Peer: firstFailed(r1, r2), Err: mpsim.ErrPeerDead})
-						}
-					})
-					attempted = werr == nil
+					attempted = p.WithTimeout(budget, func() { elasticClientStep(p, "elastic", vecSched, x, y) }) == nil
 				}
 				out.ResultHash = hashVector(x)
 				out.Survivors = coupling.Union.Size() - 1
@@ -218,35 +185,21 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 				srvComm := p.Comm()
 				ns, me := srvComm.Size(), srvComm.Rank()
 				ctx := core.NewCtx(p, srvComm)
-				a := hpfrt.NewArray(hpfrt.RowBlockMatrix(n, n, ns), me)
-				x := hpfrt.NewArray(hpfrt.BlockVector(n, ns), me)
-				y := hpfrt.NewArray(hpfrt.BlockVector(n, ns), me)
-
-				coupling, err := core.CoupleByName(p, "client", "server")
-				if err != nil {
-					panic(err)
-				}
+				a, x, y := elasticServerArrays(ns, me)
+				coupling := must(core.CoupleByName(p, "client", "server"))
 				cache := core.NewScheduleCache()
 				var matSched, vecSched *core.Schedule
 				setup := func() {
 					cache.SetIncarnation(p.GroupIncarnation())
-					matSched = mustCached(cache, "mat", func() (*core.Schedule, error) {
-						return core.ComputeSchedule(coupling, nil,
-							&core.Spec{Lib: hpfrt.Library, Obj: a, Set: core.NewSetOfRegions(matSec), Ctx: ctx},
-							core.Cooperation)
-					})
-					vecSched = mustCached(cache, "vec", func() (*core.Schedule, error) {
-						return core.ComputeSchedule(coupling, nil,
-							&core.Spec{Lib: hpfrt.Library, Obj: x, Set: core.NewSetOfRegions(vecSec), Ctx: ctx},
-							core.Cooperation)
-					})
+					matSched = elasticSchedule(cache, "mat", coupling, nil, elasticSpec(ctx, a, elasticMat))
+					vecSched = elasticSchedule(cache, "vec", coupling, nil, elasticSpec(ctx, x, elasticVec))
 					matSched.MoveRecv(a)
 				}
 				setup()
 
 				it, slot, knownDead, attempted := 0, 0, 0, false
 				for {
-					p.SleepUntil(boundary(slot))
+					p.SleepUntil(elasticBoundary(slot))
 					slot++
 					dead := p.DeadRanks()
 					if len(dead) != knownDead {
@@ -260,13 +213,8 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 						srvComm = srvComm.Exclude(dead)
 						ns, me = srvComm.Size(), srvComm.Rank()
 						ctx = core.NewCtx(p, srvComm)
-						a = hpfrt.NewArray(hpfrt.RowBlockMatrix(n, n, ns), me)
-						x = hpfrt.NewArray(hpfrt.BlockVector(n, ns), me)
-						y = hpfrt.NewArray(hpfrt.BlockVector(n, ns), me)
-						coupling, err = coupling.Shrink(dead)
-						if err != nil {
-							panic(err)
-						}
+						a, x, y = elasticServerArrays(ns, me)
+						coupling = must(coupling.Shrink(dead))
 						setup()
 						continue
 					}
@@ -277,17 +225,7 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 					if it >= cfg.Iters {
 						break
 					}
-					werr := p.WithTimeout(budget, func() {
-						if r := vecSched.MoveRecv(x); !r.OK() {
-							panic(&mpsim.NetError{Op: "elastic", Rank: p.WorldRank(),
-								Peer: r.FailedPeers[0], Err: mpsim.ErrPeerDead})
-						}
-						if err := hpfrt.MatVec(ctx, a, x, y); err != nil {
-							panic(err)
-						}
-						vecSched.MoveReverseSend(y)
-					})
-					attempted = werr == nil
+					attempted = p.WithTimeout(budget, func() { elasticServerStep(ctx, "elastic", vecSched, a, x, y) }) == nil
 				}
 			}},
 		},
@@ -328,36 +266,76 @@ func hashVector(x *hpfrt.Array) uint64 {
 	return h.Sum64()
 }
 
-// mustCached wraps ScheduleCache.Get for schedules that cannot fail
-// once the coupling is consistent.
-func mustCached(cache *core.ScheduleCache, key string, build func() (*core.Schedule, error)) *core.Schedule {
-	s, err := cache.Get(key, core.Float64, build)
-	if err != nil {
-		panic(err)
-	}
-	return s
+// The pieces runElastic and runElasticGrow share: the power
+// iteration's sections, slot boundaries, arrays and per-slot steps.
+// Their slot loops stay apart — a crash voids the slot it lands in and
+// a join never does, so one loop would branch on its caller.
+var (
+	elasticMat = gidx.FullSection(gidx.Shape{elasticN, elasticN})
+	elasticVec = gidx.FullSection(gidx.Shape{elasticN})
+)
+
+// elasticSpec names section sec of this side's HPF array.
+func elasticSpec(ctx *core.Ctx, obj *hpfrt.Array, sec gidx.Section) *core.Spec {
+	return &core.Spec{Lib: hpfrt.Library, Obj: obj, Set: core.NewSetOfRegions(sec), Ctx: ctx}
 }
 
-// firstFailed picks the peer to blame in a degraded move pair.
-func firstFailed(rs ...core.MoveResult) int {
-	for _, r := range rs {
-		if len(r.FailedPeers) > 0 {
-			return r.FailedPeers[0]
+// elasticSchedule is this side's half of a client/server schedule,
+// computed once per group incarnation and served from cache after.
+func elasticSchedule(cache *core.ScheduleCache, key string, g *core.Coupling, src, dst *core.Spec) *core.Schedule {
+	return must(cache.Get(key, core.Float64, func() (*core.Schedule, error) {
+		return core.ComputeSchedule(g, src, dst, core.Cooperation)
+	}))
+}
+
+// elasticBoundary is the virtual time at which slot begins.
+func elasticBoundary(slot int) float64 { return elasticSetup + float64(slot)*elasticSlot }
+
+// elasticServerArrays allocates process me's tiles of the matrix,
+// operand and result over an ns-process server.
+func elasticServerArrays(ns, me int) (a, x, y *hpfrt.Array) {
+	return hpfrt.NewArray(hpfrt.RowBlockMatrix(elasticN, elasticN, ns), me),
+		hpfrt.NewArray(hpfrt.BlockVector(elasticN, ns), me),
+		hpfrt.NewArray(hpfrt.BlockVector(elasticN, ns), me)
+}
+
+// elasticClientArrays is the one-process client's pristine matrix and
+// starting operand (plus the result vector they produce).
+func elasticClientArrays() (a, x, y *hpfrt.Array) {
+	a, x, y = elasticServerArrays(1, 0)
+	a.FillGlobal(func(c []int) float64 { return float64((c[0]*13+c[1]*7)%17) - 8 })
+	x.FillGlobal(func(c []int) float64 { return 1 + float64(c[0]%7)/8 })
+	return a, x, y
+}
+
+// elasticClientStep is the client's half of one iteration attempt:
+// ship the operand, collect the product.  A degraded move panics with
+// the peer-death error WithTimeout turns into a failed attempt.
+func elasticClientStep(p *mpsim.Proc, op string, vec *core.Schedule, x, y *hpfrt.Array) {
+	for _, r := range []core.MoveResult{vec.MoveSend(x), vec.MoveReverseRecv(y)} {
+		if !r.OK() {
+			panic(&mpsim.NetError{Op: op, Rank: p.WorldRank(), Peer: r.FailedPeers[0], Err: mpsim.ErrPeerDead})
 		}
 	}
-	return -1
 }
 
-// ProfileElastic runs the crashy half of the elastic experiment with
-// tracing enabled, returning the tracer and the result — the
-// crash.detect, group.shrink, ckpt.save/restore and move.retry spans
-// land on the virtual timeline alongside the move phases.
-func ProfileElastic(serverProcs, iters int, seed uint64) (*obs.Tracer, ElasticResult) {
-	tr := obs.NewTracer()
+// elasticServerStep is a server process's half: receive the operand,
+// multiply, return this process's block of the product.
+func elasticServerStep(ctx *core.Ctx, op string, vec *core.Schedule, a, x, y *hpfrt.Array) {
+	if r := vec.MoveRecv(x); !r.OK() {
+		panic(&mpsim.NetError{Op: op, Rank: ctx.P.WorldRank(), Peer: r.FailedPeers[0], Err: mpsim.ErrPeerDead})
+	}
+	check(hpfrt.MatVec(ctx, a, x, y))
+	vec.MoveReverseSend(y)
+}
+
+// ProfileElastic runs the crashy half of the elastic experiment under
+// tr — the crash.detect, group.shrink, ckpt.save/restore and move.retry
+// spans land on its virtual timeline alongside the move phases.
+func ProfileElastic(tr *obs.Tracer, serverProcs, iters int, seed uint64) ElasticResult {
 	c := ElasticCrash(seed, serverProcs)
 	prof := (&faultsim.Profile{Seed: seed}).WithCrash(c.Rank, c.At)
-	res := runElastic(ElasticConfig{ServerProcs: serverProcs, Iters: iters, Seed: seed, Obs: tr}, prof.CrashPlan())
-	return tr, res
+	return runElastic(ElasticConfig{ServerProcs: serverProcs, Iters: iters, Seed: seed, Obs: tr}, prof.CrashPlan())
 }
 
 // ElasticTable summarizes the elastic-recovery experiment for the

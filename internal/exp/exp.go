@@ -4,14 +4,23 @@
 // counts follow Section 5 of the paper; the tables embed the paper's
 // published numbers so the output shows paper-vs-measured side by
 // side.
+//
+// Every experiment is the same measurement — build a schedule once,
+// time it, reuse it N times, time that — written in harness.go's
+// helpers: timePhase / timeIters / perIter between barriers, must and
+// mustSchedule for constructors that cannot fail on a static
+// configuration, and sweepSP2 to repeat an SPMD body over process
+// counts.  A sweep guarantees three things: rank 0 alone publishes the
+// body's values (no shared write under the sharded scheduler), the
+// series come back in msec, and each process count is an independent
+// deterministic simulation, so neither the order of runs nor anything
+// run before them can change a number.
 package exp
 
 import (
 	"encoding/json"
 	"fmt"
 	"strings"
-
-	"metachaos/internal/mpsim"
 )
 
 // Table is one reproduced table or figure series.
@@ -171,27 +180,4 @@ func formatVal(v float64) string {
 	default:
 		return fmt.Sprintf("%.2f", v)
 	}
-}
-
-// ms converts seconds to milliseconds.
-func ms(s float64) float64 { return s * 1000 }
-
-// timePhase measures f between barriers, returning elapsed virtual
-// seconds; with the closing barrier the result approximates the
-// slowest process's time on every rank.
-func timePhase(p *mpsim.Proc, comm *mpsim.Comm, f func()) float64 {
-	comm.Barrier()
-	t0 := p.Clock()
-	f()
-	comm.Barrier()
-	return p.Clock() - t0
-}
-
-// colLabels renders integer column labels.
-func colLabels(vals []int) []string {
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = fmt.Sprint(v)
-	}
-	return out
 }

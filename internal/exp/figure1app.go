@@ -2,10 +2,7 @@ package exp
 
 import (
 	"metachaos/internal/core"
-	"metachaos/internal/mbparti"
 	"metachaos/internal/mpsim"
-
-	"metachaos/internal/chaoslib"
 )
 
 // Extension experiment A5: the complete Figure 1 application.  The
@@ -23,52 +20,29 @@ import (
 func Figure1Application() *Table {
 	perm := meshPerm()
 	ia, ib := meshEdges(perm)
-	regSet, irrSet := meshMapping(perm)
-
+	body := func(p *mpsim.Proc) []float64 {
+		m := newCoupledMeshes(p, p.Comm(), perm, ia, ib)
+		var sched *core.Schedule
+		insp := timePhase(p, p.Comm(), func() {
+			m.inspector(p, p.Comm())
+			sched = remapSchedule(m.ctx, m.a, m.x, perm, core.Cooperation)
+		})
+		sweep := perIter(p, p.Comm(), executorIters, func() { m.executor(p) })
+		cpy := perIter(p, p.Comm(), executorIters, func() {
+			sched.Move(m.a, m.x)        // Loop 2
+			sched.MoveReverse(m.a, m.x) // Loop 4
+		})
+		return []float64{insp, sweep, cpy}
+	}
+	// Not sweepSP2: the share row is a ratio of seconds, not a time.
 	inspector := make([]float64, len(table1Procs))
 	sweepT := make([]float64, len(table1Procs))
 	copyT := make([]float64, len(table1Procs))
 	share := make([]float64, len(table1Procs))
-
 	for i, nprocs := range table1Procs {
-		var tInsp, tSweep, tCopy float64
-		mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
-			m := newCoupledMeshes(p, p.Comm(), perm, ia, ib)
-			var sched *core.Schedule
-			// Phase times land on rank 0 only: every rank measures the
-			// same barrier-to-barrier spans, and single-writer keeps the
-			// body race-free under the sharded scheduler.
-			rep := p.Rank() == 0
-			insp := timePhase(p, p.Comm(), func() {
-				m.inspector(p, p.Comm())
-				var err error
-				sched, err = core.ComputeSchedule(core.SingleProgram(p.Comm()),
-					&core.Spec{Lib: mbparti.Library, Obj: m.a, Set: regSet, Ctx: m.ctx},
-					&core.Spec{Lib: chaoslib.Library, Obj: m.x, Set: irrSet, Ctx: m.ctx},
-					core.Cooperation)
-				if err != nil {
-					panic(err)
-				}
-			})
-			sweep := timePhase(p, p.Comm(), func() {
-				for it := 0; it < executorIters; it++ {
-					m.executor(p)
-				}
-			}) / executorIters
-			cpy := timePhase(p, p.Comm(), func() {
-				for it := 0; it < executorIters; it++ {
-					sched.Move(m.a, m.x)        // Loop 2
-					sched.MoveReverse(m.a, m.x) // Loop 4
-				}
-			}) / executorIters
-			if rep {
-				tInsp, tSweep, tCopy = insp, sweep, cpy
-			}
-		})
-		inspector[i] = ms(tInsp)
-		sweepT[i] = ms(tSweep)
-		copyT[i] = ms(tCopy)
-		share[i] = 100 * tCopy / (tSweep + tCopy)
+		v, _ := measure(sp2(), nprocs, body)
+		inspector[i], sweepT[i], copyT[i] = ms(v[0]), ms(v[1]), ms(v[2])
+		share[i] = 100 * v[2] / (v[1] + v[2])
 	}
 	return &Table{
 		ID:        "Extension A5",

@@ -8,39 +8,30 @@ import (
 // csServerSweep is the server process counts of Figures 10-13.
 var csServerSweep = []int{1, 2, 4, 8, 12, 16}
 
-// figureCS runs the client/server sweep over server process counts and
-// returns the stacked breakdown (one column per server size).
+// csTable runs one client/server configuration per column and returns
+// the five-row stacked breakdown of Figures 10-14.
+func csTable(id, title, colHeader string, cols []int, notes []string, cfgAt func(col int) CSConfig) *Table {
+	rows := []Row{
+		{Label: "compute schedule"},
+		{Label: "send matrix"},
+		{Label: "HPF program"},
+		{Label: "send/recv vector"},
+		{Label: "total"},
+	}
+	for _, col := range cols {
+		b := RunClientServer(cfgAt(col))
+		for k, v := range []float64{b.Schedule, b.SendMatrix, b.Server, b.Vector, b.Total()} {
+			rows[k].Values = append(rows[k].Values, ms(v))
+		}
+	}
+	return &Table{ID: id, Title: title, Unit: "msec", ColHeader: colHeader, Cols: colLabels(cols), Rows: rows, Notes: notes}
+}
+
+// figureCS is the sweep over server process counts of Figures 10-13.
 func figureCS(id, title string, clientProcs, vectors int, notes []string) *Table {
-	rows := map[string][]float64{
-		"compute schedule": make([]float64, len(csServerSweep)),
-		"send matrix":      make([]float64, len(csServerSweep)),
-		"HPF program":      make([]float64, len(csServerSweep)),
-		"send/recv vector": make([]float64, len(csServerSweep)),
-		"total":            make([]float64, len(csServerSweep)),
-	}
-	for i, sp := range csServerSweep {
-		b := RunClientServer(CSConfig{ClientProcs: clientProcs, ServerProcs: sp, Vectors: vectors})
-		rows["compute schedule"][i] = ms(b.Schedule)
-		rows["send matrix"][i] = ms(b.SendMatrix)
-		rows["HPF program"][i] = ms(b.Server)
-		rows["send/recv vector"][i] = ms(b.Vector)
-		rows["total"][i] = ms(b.Total())
-	}
-	return &Table{
-		ID:        id,
-		Title:     title,
-		Unit:      "msec",
-		ColHeader: "server processes",
-		Cols:      colLabels(csServerSweep),
-		Rows: []Row{
-			{Label: "compute schedule", Values: rows["compute schedule"]},
-			{Label: "send matrix", Values: rows["send matrix"]},
-			{Label: "HPF program", Values: rows["HPF program"]},
-			{Label: "send/recv vector", Values: rows["send/recv vector"]},
-			{Label: "total", Values: rows["total"]},
-		},
-		Notes: notes,
-	}
+	return csTable(id, title, "server processes", csServerSweep, notes, func(sp int) CSConfig {
+		return CSConfig{ClientProcs: clientProcs, ServerProcs: sp, Vectors: vectors}
+	})
 }
 
 // Figure10 reproduces Figure 10: total time for a sequential client,
@@ -93,36 +84,11 @@ func Figure13() *Table {
 // Figure14 reproduces Figure 14: total time against the number of
 // vectors for a sequential client and the best (eight-process) server.
 func Figure14() *Table {
-	counts := []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
-	rows := map[string][]float64{}
-	for _, k := range []string{"compute schedule", "send matrix", "HPF program", "send/recv vector", "total"} {
-		rows[k] = make([]float64, len(counts))
-	}
-	for i, v := range counts {
-		b := RunClientServer(CSConfig{ClientProcs: 1, ServerProcs: 8, Vectors: v})
-		rows["compute schedule"][i] = ms(b.Schedule)
-		rows["send matrix"][i] = ms(b.SendMatrix)
-		rows["HPF program"][i] = ms(b.Server)
-		rows["send/recv vector"][i] = ms(b.Vector)
-		rows["total"][i] = ms(b.Total())
-	}
-	return &Table{
-		ID:        "Figure 14",
-		Title:     "Total time vs number of vectors, sequential client, 8-process server, Alpha farm + ATM",
-		Unit:      "msec",
-		ColHeader: "vectors",
-		Cols:      colLabels(counts),
-		Rows: []Row{
-			{Label: "compute schedule", Values: rows["compute schedule"]},
-			{Label: "send matrix", Values: rows["send matrix"]},
-			{Label: "HPF program", Values: rows["HPF program"]},
-			{Label: "send/recv vector", Values: rows["send/recv vector"]},
-			{Label: "total", Values: rows["total"]},
-		},
-		Notes: []string{
+	return csTable("Figure 14",
+		"Total time vs number of vectors, sequential client, 8-process server, Alpha farm + ATM",
+		"vectors", []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}, []string{
 			"expected shape: schedule and matrix-send components constant; per-vector components grow linearly",
-		},
-	}
+		}, func(v int) CSConfig { return CSConfig{ClientProcs: 1, ServerProcs: 8, Vectors: v} })
 }
 
 // Figure15 reproduces Figure 15: the number of vectors that must be

@@ -147,11 +147,7 @@ func growRoutes(ctx *core.Ctx, g *core.Coupling, srcDist, dstDist *distarray.Dis
 			Ctx: ctx,
 		}
 	}
-	rm, err := core.ComputeRoutes(g, mk(srcDist), mk(dstDist))
-	if err != nil {
-		panic(err)
-	}
-	return rm
+	return must(core.ComputeRoutes(g, mk(srcDist), mk(dstDist)))
 }
 
 // growResolve obtains a schedule for the new route map without any
@@ -164,7 +160,7 @@ func growRoutes(ctx *core.Ctx, g *core.Coupling, srcDist, dstDist *distarray.Dis
 // the grown coupling's view while the donor is still bound to the old,
 // smaller union; Rebind follows.
 func growResolve(cache *core.ScheduleCache, g *core.Coupling, key string, rm *core.RouteMap, myWorld int, repaired *int) *core.Schedule {
-	s, err := cache.Get(key, core.Float64, func() (*core.Schedule, error) {
+	return must(cache.Get(key, core.Float64, func() (*core.Schedule, error) {
 		if donor := cache.TakeStale(key, core.Float64); donor != nil {
 			patched := donor.Clone()
 			if err := patched.Repair(donor.Routes().Diff(rm), g.View()); err != nil {
@@ -177,11 +173,7 @@ func growResolve(cache *core.ScheduleCache, g *core.Coupling, key string, rm *co
 			return patched, nil
 		}
 		return core.NewScheduleFromRoutes(g, rm, core.Float64, myWorld)
-	})
-	if err != nil {
-		panic(err)
-	}
-	return s
+	}))
 }
 
 // runElasticGrow executes one scale-out run.
@@ -195,9 +187,6 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 	var out ElasticGrowResult
 	n := elasticN
 	total := cfg.StartProcs + cfg.GrowProcs
-	matSec := gidx.FullSection(gidx.Shape{n, n})
-	vecSec := gidx.FullSection(gidx.Shape{n})
-	boundary := func(slot int) float64 { return elasticSetup + float64(slot)*elasticSlot }
 	joins := &faultsim.Profile{Seed: cfg.Seed, Joins: ElasticJoins(cfg.Seed, cfg.StartProcs, cfg.GrowProcs)}
 	// A nil *Profile must stay a nil interface, or the net layer would
 	// call Decide on a nil receiver.
@@ -218,32 +207,23 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 		Programs: []mpsim.ProgramSpec{
 			{Name: "client", Procs: 1, ProcsPerNode: 1, Body: func(p *mpsim.Proc) {
 				ctx := core.NewCtx(p, p.Comm())
-				a := hpfrt.NewArray(hpfrt.RowBlockMatrix(n, n, 1), 0)
-				x := hpfrt.NewArray(hpfrt.BlockVector(n, 1), 0)
-				y := hpfrt.NewArray(hpfrt.BlockVector(n, 1), 0)
-				a.FillGlobal(func(c []int) float64 { return float64((c[0]*13+c[1]*7)%17) - 8 })
-				x.FillGlobal(func(c []int) float64 { return 1 + float64(c[0]%7)/8 })
-
+				a, x, y := elasticClientArrays()
 				cache := core.NewScheduleCache()
 				var coupling *core.Coupling
 				var matSched, vecSched *core.Schedule
 				setup := func() {
 					srv := liveProgramRanks(p, "server")
-					var err error
-					coupling, err = core.NewCoupling(p, p.ProgramRanks("client"), srv)
-					if err != nil {
-						panic(err)
-					}
+					coupling = must(core.NewCoupling(p, p.ProgramRanks("client"), srv))
 					// Move the previous incarnation's entries to the
 					// stale set so growResolve can repair them; the
 					// joiner-side first call is a plain SetIncarnation.
 					cache.AdvanceIncarnation(p.GroupIncarnation())
 					ns := len(srv)
 					matSched = growResolve(cache, coupling, "mat",
-						growRoutes(ctx, coupling, hpfrt.RowBlockMatrix(n, n, 1), hpfrt.RowBlockMatrix(n, n, ns), matSec),
+						growRoutes(ctx, coupling, hpfrt.RowBlockMatrix(n, n, 1), hpfrt.RowBlockMatrix(n, n, ns), elasticMat),
 						p.WorldRank(), &out.Repaired)
 					vecSched = growResolve(cache, coupling, "vec",
-						growRoutes(ctx, coupling, hpfrt.BlockVector(n, 1), hpfrt.BlockVector(n, ns), vecSec),
+						growRoutes(ctx, coupling, hpfrt.BlockVector(n, 1), hpfrt.BlockVector(n, ns), elasticVec),
 						p.WorldRank(), &out.Repaired)
 					matSched.MoveSend(a)
 				}
@@ -253,7 +233,7 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 
 				it, slot, known, attempted := 0, 0, len(p.AbsentRanks()), false
 				for {
-					p.SleepUntil(boundary(slot))
+					p.SleepUntil(elasticBoundary(slot))
 					slot++
 					if attempted {
 						// A join never voids a slot — no peer the move
@@ -271,12 +251,7 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 					if it >= cfg.Iters {
 						break
 					}
-					r1 := vecSched.MoveSend(x)
-					r2 := vecSched.MoveReverseRecv(y)
-					if !r1.OK() || !r2.OK() {
-						panic(&mpsim.NetError{Op: "grow", Rank: p.WorldRank(),
-							Peer: firstFailed(r1, r2), Err: mpsim.ErrPeerDead})
-					}
+					elasticClientStep(p, "grow", vecSched, x, y)
 					attempted = true
 				}
 				out.ResultHash = hashVector(x)
@@ -298,20 +273,14 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 					srvComm = p.World().Sub(srv)
 					ns, me := srvComm.Size(), srvComm.Rank()
 					ctx = core.NewCtx(p, srvComm)
-					a = hpfrt.NewArray(hpfrt.RowBlockMatrix(n, n, ns), me)
-					x = hpfrt.NewArray(hpfrt.BlockVector(n, ns), me)
-					y = hpfrt.NewArray(hpfrt.BlockVector(n, ns), me)
-					var err error
-					coupling, err = core.NewCoupling(p, p.ProgramRanks("client"), srv)
-					if err != nil {
-						panic(err)
-					}
+					a, x, y = elasticServerArrays(ns, me)
+					coupling = must(core.NewCoupling(p, p.ProgramRanks("client"), srv))
 					cache.AdvanceIncarnation(p.GroupIncarnation())
 					matSched = growResolve(cache, coupling, "mat",
-						growRoutes(ctx, coupling, hpfrt.RowBlockMatrix(n, n, 1), hpfrt.RowBlockMatrix(n, n, ns), matSec),
+						growRoutes(ctx, coupling, hpfrt.RowBlockMatrix(n, n, 1), hpfrt.RowBlockMatrix(n, n, ns), elasticMat),
 						p.WorldRank(), nil)
 					vecSched = growResolve(cache, coupling, "vec",
-						growRoutes(ctx, coupling, hpfrt.BlockVector(n, 1), hpfrt.BlockVector(n, ns), vecSec),
+						growRoutes(ctx, coupling, hpfrt.BlockVector(n, 1), hpfrt.BlockVector(n, ns), elasticVec),
 						p.WorldRank(), nil)
 					matSched.MoveRecv(a)
 				}
@@ -322,7 +291,7 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 					// force the membership branch there, so this rank's
 					// first setup runs in lockstep with the incumbents'
 					// regrow in the same slot.
-					for boundary(slot) <= p.Clock() {
+					for elasticBoundary(slot) <= p.Clock() {
 						slot++
 					}
 					known = -1
@@ -348,7 +317,7 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 							it++
 							attempted = false
 						}
-						if a := absentAt(boundary(j)); a != prev {
+						if a := absentAt(elasticBoundary(j)); a != prev {
 							prev = a
 							continue
 						}
@@ -362,7 +331,7 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 					setup()
 				}
 				for {
-					p.SleepUntil(boundary(slot))
+					p.SleepUntil(elasticBoundary(slot))
 					slot++
 					if attempted {
 						it++
@@ -376,14 +345,7 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 					if it >= cfg.Iters {
 						break
 					}
-					if r := vecSched.MoveRecv(x); !r.OK() {
-						panic(&mpsim.NetError{Op: "grow", Rank: p.WorldRank(),
-							Peer: r.FailedPeers[0], Err: mpsim.ErrPeerDead})
-					}
-					if err := hpfrt.MatVec(ctx, a, x, y); err != nil {
-						panic(err)
-					}
-					vecSched.MoveReverseSend(y)
+					elasticServerStep(ctx, "grow", vecSched, a, x, y)
 					attempted = true
 				}
 			}},

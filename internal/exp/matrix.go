@@ -70,33 +70,20 @@ func ExtensionMatrix() (sched, copyT *Table) {
 
 // runMatrixCell measures one (src, dst) pairing.
 func runMatrixCell(srcKind, dstKind string, nprocs int) (schedT, copyT float64) {
-	mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
+	v, _ := measure(sp2(), nprocs, func(p *mpsim.Proc) []float64 {
 		ctx := core.NewCtx(p, p.Comm())
 		srcObj, srcSet := matrixSide(ctx, p, srcKind)
 		dstObj, dstSet := matrixSide(ctx, p, dstKind)
-		srcLib, _ := core.LookupLibrary(srcKind)
-		dstLib, _ := core.LookupLibrary(dstKind)
 		var s *core.Schedule
 		st := timePhase(p, p.Comm(), func() {
-			var err error
-			s, err = core.ComputeSchedule(core.SingleProgram(p.Comm()),
-				&core.Spec{Lib: srcLib, Obj: srcObj, Set: srcSet, Ctx: ctx},
-				&core.Spec{Lib: dstLib, Obj: dstObj, Set: dstSet, Ctx: ctx},
+			s = mustSchedule(core.SingleProgram(p.Comm()),
+				&core.Spec{Lib: must(core.LookupLibrary(srcKind)), Obj: srcObj, Set: srcSet, Ctx: ctx},
+				&core.Spec{Lib: must(core.LookupLibrary(dstKind)), Obj: dstObj, Set: dstSet, Ctx: ctx},
 				core.Cooperation)
-			if err != nil {
-				panic(err)
-			}
 		})
-		ct := timePhase(p, p.Comm(), func() {
-			for it := 0; it < 4; it++ {
-				s.Move(srcObj, dstObj)
-			}
-		}) / 4
-		if p.Rank() == 0 {
-			schedT, copyT = st, ct
-		}
+		return []float64{st, perIter(p, p.Comm(), 4, func() { s.Move(srcObj, dstObj) })}
 	})
-	return schedT, copyT
+	return v[0], v[1]
 }
 
 // matrixSide builds a matrixN-element structure of the given flavour
@@ -112,16 +99,10 @@ func matrixSide(ctx *core.Ctx, p *mpsim.Proc, kind string) (core.DistObject, *co
 		return a, core.NewSetOfRegions(gidx.FullSection(gidx.Shape{matrixN}))
 	case "chaos":
 		perm := meshPerm() // 65536-entry permutation, reused
-		a, err := chaoslib.NewArray(ctx, irregOwned(perm, nprocs, p.Rank()))
-		if err != nil {
-			panic(err)
-		}
+		a := must(chaoslib.NewArray(ctx, irregOwned(perm, nprocs, p.Rank())))
 		return a, core.NewSetOfRegions(chaoslib.IndexRegion(identity32(matrixN)))
 	case "pcxx":
-		c, err := pcxxrt.NewCollection(matrixN, nprocs, 1, p.Rank())
-		if err != nil {
-			panic(err)
-		}
+		c := must(pcxxrt.NewCollection(matrixN, nprocs, 1, p.Rank()))
 		return c, core.NewSetOfRegions(pcxxrt.RangeRegion{Lo: 0, Hi: matrixN, Step: 1})
 	case "lparx":
 		// Uneven strips: each process owns one patch, sized in a
@@ -137,11 +118,7 @@ func matrixSide(ctx *core.Ctx, p *mpsim.Proc, kind string) (core.DistObject, *co
 			patches = append(patches, lparx.Patch{Lo: []int{at}, Hi: []int{at + size}, Owner: r})
 			at += size
 		}
-		dec, err := lparx.NewDecomposition(nprocs, patches)
-		if err != nil {
-			panic(err)
-		}
-		return lparx.NewGrid(dec, p.Rank()),
+		return lparx.NewGrid(must(lparx.NewDecomposition(nprocs, patches)), p.Rank()),
 			core.NewSetOfRegions(lparx.BoxRegion{Lo: []int{0}, Hi: []int{matrixN}})
 	}
 	panic("unknown kind " + kind)

@@ -98,10 +98,7 @@ func newCoupledMeshes(p *mpsim.Proc, comm *mpsim.Comm, perm, ia, ib []int32) *co
 	dist := distarray.MustBlock2D(regN, regN, comm.Size())
 	a := mbparti.MustNewArray(dist, comm.Rank(), 1)
 	a.FillGlobal(func(c []int) float64 { return float64(c[0]*regN + c[1]) })
-	x, err := chaoslib.NewArray(ctx, irregOwned(perm, comm.Size(), comm.Rank()))
-	if err != nil {
-		panic(err)
-	}
+	x := must(chaoslib.NewArray(ctx, irregOwned(perm, comm.Size(), comm.Rank())))
 	y := chaoslib.NewAligned(x)
 	x.FillGlobal(func(g int32) float64 { return float64(g) })
 	return &coupledMeshes{
@@ -117,11 +114,7 @@ func newCoupledMeshes(p *mpsim.Proc, comm *mpsim.Comm, perm, ia, ib []int32) *co
 // for the structured sweep and the CHAOS localization for the
 // unstructured sweep.
 func (m *coupledMeshes) inspector(p *mpsim.Proc, comm *mpsim.Comm) {
-	gs, err := mbparti.BuildGhostSchedule(p, comm, m.a)
-	if err != nil {
-		panic(err)
-	}
-	m.gs = gs
+	m.gs = must(mbparti.BuildGhostSchedule(p, comm, m.a))
 	m.lz = chaoslib.Localize(m.ctx, m.x, m.ends)
 	m.ghX = make([]float64, m.lz.NGhost())
 	m.ghY = make([]float64, m.lz.NGhost())

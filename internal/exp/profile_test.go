@@ -8,6 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"metachaos/internal/mpsim"
+	"metachaos/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -25,7 +28,8 @@ func TestFigure10ChromeTraceGolden(t *testing.T) {
 // Shared with the sharding fallback regression test.
 func assertFigure10GoldenTrace(t *testing.T) {
 	t.Helper()
-	tr, b := ProfileFigure10(2, 1)
+	tr := obs.NewTracer()
+	b := RunClientServer(CSConfig{ClientProcs: 1, ServerProcs: 2, Vectors: 1, Obs: tr})
 	if b.Total() <= 0 {
 		t.Fatalf("profiled run reports non-positive total time %g", b.Total())
 	}
@@ -99,7 +103,8 @@ func assertFigure10GoldenTrace(t *testing.T) {
 func TestFigure10ProfileIsDeterministic(t *testing.T) {
 	var bufs [2]bytes.Buffer
 	for i := range bufs {
-		tr, _ := ProfileFigure10(2, 1)
+		tr := obs.NewTracer()
+		RunClientServer(CSConfig{ClientProcs: 1, ServerProcs: 2, Vectors: 1, Obs: tr})
 		if err := tr.WriteChromeTrace(&bufs[i]); err != nil {
 			t.Fatalf("WriteChromeTrace: %v", err)
 		}
@@ -113,7 +118,12 @@ func TestFigure10ProfileIsDeterministic(t *testing.T) {
 // the simulator's own accounting: the makespan gauge must equal the
 // run's virtual end time, and every span must fit inside it.
 func TestProfileSectionPhaseTotalsMatchMakespan(t *testing.T) {
-	tr := ProfileSection(64, 4, 2)
+	tr := obs.NewTracer()
+	mpsim.Run(mpsim.Config{
+		Machine:  mpsim.SP2(),
+		Obs:      tr,
+		Programs: []mpsim.ProgramSpec{{Name: "spmd", Procs: 4, Body: ProfileSection(64, 2)}},
+	})
 	if n := tr.OpenSpans(); n != 0 {
 		t.Fatalf("%d spans left open after the run", n)
 	}

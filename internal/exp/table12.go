@@ -3,7 +3,6 @@ package exp
 import (
 	"metachaos/internal/chaoslib"
 	"metachaos/internal/core"
-	"metachaos/internal/mbparti"
 	"metachaos/internal/mpsim"
 )
 
@@ -18,28 +17,12 @@ const executorIters = 10
 func Table1() *Table {
 	perm := meshPerm()
 	ia, ib := meshEdges(perm)
-	insp := make([]float64, len(table1Procs))
-	exec := make([]float64, len(table1Procs))
-	for i, nprocs := range table1Procs {
-		var tInsp, tExec float64
-		mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
-			m := newCoupledMeshes(p, p.Comm(), perm, ia, ib)
-			// Every rank measures the same barrier-to-barrier spans;
-			// rank 0 alone publishes them (concurrent ranks must not
-			// share a write under the sharded scheduler).
-			insp := timePhase(p, p.Comm(), func() { m.inspector(p, p.Comm()) })
-			exec := timePhase(p, p.Comm(), func() {
-				for it := 0; it < executorIters; it++ {
-					m.executor(p)
-				}
-			}) / executorIters
-			if p.Rank() == 0 {
-				tInsp, tExec = insp, exec
-			}
-		})
-		insp[i] = ms(tInsp)
-		exec[i] = ms(tExec)
-	}
+	v := sweepSP2(table1Procs, 2, func(p *mpsim.Proc) []float64 {
+		m := newCoupledMeshes(p, p.Comm(), perm, ia, ib)
+		insp := timePhase(p, p.Comm(), func() { m.inspector(p, p.Comm()) })
+		exec := perIter(p, p.Comm(), executorIters, func() { m.executor(p) })
+		return []float64{insp, exec}
+	})
 	return &Table{
 		ID:        "Table 1",
 		Title:     "Inspector (total) and executor (per iteration) times for regular and irregular meshes in one program, IBM SP2",
@@ -47,8 +30,8 @@ func Table1() *Table {
 		ColHeader: "processors",
 		Cols:      colLabels(table1Procs),
 		Rows: []Row{
-			{Label: "inspector", Values: insp, Paper: []float64{1533, 1340, 667, 684}},
-			{Label: "executor", Values: exec, Paper: []float64{91, 66, 65, 53}},
+			{Label: "inspector", Values: v[0], Paper: []float64{1533, 1340, 667, 684}},
+			{Label: "executor", Values: v[1], Paper: []float64{91, 66, 65, 53}},
 		},
 		Notes: []string{
 			"expected shape: both fall with more processors; executor scaling flattens as communication grows",
@@ -63,83 +46,39 @@ func Table1() *Table {
 func Table2() *Table {
 	perm := meshPerm()
 	ia, ib := meshEdges(perm)
-	kinds := []string{"chaos", "cooperation", "duplication"}
-	sched := map[string][]float64{}
-	copyT := map[string][]float64{}
-	for _, k := range kinds {
-		sched[k] = make([]float64, len(table1Procs))
-		copyT[k] = make([]float64, len(table1Procs))
-	}
-
-	for i, nprocs := range table1Procs {
-		for _, kind := range kinds {
-			kind := kind
-			var tSched, tCopy float64
-			mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
-				m := newCoupledMeshes(p, p.Comm(), perm, ia, ib)
-				regSet, irrSet := meshMapping(perm)
-				switch kind {
-				case "chaos":
-					// Native CHAOS: the regular mesh is wrapped in a
-					// replicated pointwise translation table (storing the
-					// correspondence explicitly — the memory cost the
-					// paper criticises).  Creating that table is data
-					// distribution, done before the timed schedule build.
-					regIdx, regOffs := partiPointwise(m)
-					regTT, err := chaoslib.BuildTTable(m.ctx, regIdx, regOffs)
-					if err != nil {
-						panic(err)
-					}
-					regRep := regTT.Replicate(m.ctx)
-					linear := identity32(irrPoints)
-					var cs *chaoslib.CopySchedule
-					st := timePhase(p, p.Comm(), func() {
-						cs, err = chaoslib.BuildCopySchedule(m.ctx, regRep, m.x.Table(), linear, perm)
-						if err != nil {
-							panic(err)
-						}
-					})
-					ct := timePhase(p, p.Comm(), func() {
-						for it := 0; it < executorIters; it++ {
-							cs.Execute(m.a.Local(), m.x.Local())
-							cs.ExecuteReverse(m.x.Local(), m.a.Local())
-						}
-					}) / executorIters
-					if p.Rank() == 0 {
-						tSched, tCopy = st, ct
-					}
-				default:
-					method := core.Cooperation
-					if kind == "duplication" {
-						method = core.Duplication
-					}
-					var s *core.Schedule
-					st := timePhase(p, p.Comm(), func() {
-						var err error
-						s, err = core.ComputeSchedule(core.SingleProgram(p.Comm()),
-							&core.Spec{Lib: mbparti.Library, Obj: m.a, Set: regSet, Ctx: m.ctx},
-							&core.Spec{Lib: chaoslib.Library, Obj: m.x, Set: irrSet, Ctx: m.ctx},
-							method)
-						if err != nil {
-							panic(err)
-						}
-					})
-					ct := timePhase(p, p.Comm(), func() {
-						for it := 0; it < executorIters; it++ {
-							s.Move(m.a, m.x)
-							s.MoveReverse(m.a, m.x)
-						}
-					}) / executorIters
-					if p.Rank() == 0 {
-						tSched, tCopy = st, ct
-					}
-				}
+	chaos := sweepSP2(table1Procs, 2, func(p *mpsim.Proc) []float64 {
+		m := newCoupledMeshes(p, p.Comm(), perm, ia, ib)
+		// Native CHAOS: the regular mesh is wrapped in a replicated
+		// pointwise translation table (storing the correspondence
+		// explicitly — the memory cost the paper criticises).  Creating
+		// that table is data distribution, done before the timed
+		// schedule build.
+		regIdx, regOffs := partiPointwise(m)
+		regRep := must(chaoslib.BuildTTable(m.ctx, regIdx, regOffs)).Replicate(m.ctx)
+		linear := identity32(irrPoints)
+		var cs *chaoslib.CopySchedule
+		st := timePhase(p, p.Comm(), func() {
+			cs = must(chaoslib.BuildCopySchedule(m.ctx, regRep, m.x.Table(), linear, perm))
+		})
+		ct := perIter(p, p.Comm(), executorIters, func() {
+			cs.Execute(m.a.Local(), m.x.Local())
+			cs.ExecuteReverse(m.x.Local(), m.a.Local())
+		})
+		return []float64{st, ct}
+	})
+	metaChaos := func(method core.Method) [][]float64 {
+		return sweepSP2(table1Procs, 2, func(p *mpsim.Proc) []float64 {
+			m := newCoupledMeshes(p, p.Comm(), perm, ia, ib)
+			var s *core.Schedule
+			st := timePhase(p, p.Comm(), func() { s = remapSchedule(m.ctx, m.a, m.x, perm, method) })
+			ct := perIter(p, p.Comm(), executorIters, func() {
+				s.Move(m.a, m.x)
+				s.MoveReverse(m.a, m.x)
 			})
-			i2 := i
-			sched[kind][i2] = ms(tSched)
-			copyT[kind][i2] = ms(tCopy)
-		}
+			return []float64{st, ct}
+		})
 	}
+	coop, dup := metaChaos(core.Cooperation), metaChaos(core.Duplication)
 	return &Table{
 		ID:        "Table 2",
 		Title:     "Schedule build (total) and data copy (per iteration) between regular and irregular meshes in one program, IBM SP2",
@@ -147,12 +86,12 @@ func Table2() *Table {
 		ColHeader: "processors",
 		Cols:      colLabels(table1Procs),
 		Rows: []Row{
-			{Label: "Chaos schedule", Values: sched["chaos"], Paper: []float64{1099, 830, 437, 215}},
-			{Label: "Chaos copy", Values: copyT["chaos"], Paper: []float64{64, 52, 38, 33}},
-			{Label: "Meta-Chaos coop schedule", Values: sched["cooperation"], Paper: []float64{1509, 832, 436, 215}},
-			{Label: "Meta-Chaos coop copy", Values: copyT["cooperation"], Paper: []float64{71, 50, 32, 21}},
-			{Label: "Meta-Chaos dup schedule", Values: sched["duplication"], Paper: []float64{2768, 1645, 1025, 745}},
-			{Label: "Meta-Chaos dup copy", Values: copyT["duplication"], Paper: []float64{70, 50, 33, 21}},
+			{Label: "Chaos schedule", Values: chaos[0], Paper: []float64{1099, 830, 437, 215}},
+			{Label: "Chaos copy", Values: chaos[1], Paper: []float64{64, 52, 38, 33}},
+			{Label: "Meta-Chaos coop schedule", Values: coop[0], Paper: []float64{1509, 832, 436, 215}},
+			{Label: "Meta-Chaos coop copy", Values: coop[1], Paper: []float64{71, 50, 32, 21}},
+			{Label: "Meta-Chaos dup schedule", Values: dup[0], Paper: []float64{2768, 1645, 1025, 745}},
+			{Label: "Meta-Chaos dup copy", Values: dup[1], Paper: []float64{70, 50, 33, 21}},
 		},
 		Notes: []string{
 			"expected shape: cooperation schedule ~ Chaos schedule (both dominated by one distributed dereference of the irregular side)",

@@ -78,53 +78,32 @@ func runCoupledPrograms(perm []int32, nReg, nIrr int) (schedT, copyT float64) {
 				ctx := core.NewCtx(p, p.Comm())
 				a := mbparti.MustNewArray(regDist(nReg), p.Rank(), 1)
 				a.FillGlobal(func(c []int) float64 { return float64(c[0]*regN + c[1]) })
-				coupling, err := core.CoupleByName(p, "Preg", "Pirreg")
-				if err != nil {
-					panic(err)
-				}
+				coupling := must(core.CoupleByName(p, "Preg", "Pirreg"))
 				var sched *core.Schedule
 				st := timePhase(p, coupling.Union, func() {
-					sched, err = core.ComputeSchedule(coupling,
-						&core.Spec{Lib: mbparti.Library, Obj: a, Set: regSet, Ctx: ctx},
-						nil, core.Cooperation)
-					if err != nil {
-						panic(err)
-					}
+					sched = mustSchedule(coupling,
+						&core.Spec{Lib: mbparti.Library, Obj: a, Set: regSet, Ctx: ctx}, nil, core.Cooperation)
 				})
-				ct := timePhase(p, coupling.Union, func() {
-					for it := 0; it < executorIters; it++ {
-						sched.MoveSend(a)
-						sched.MoveReverseRecv(a)
-					}
-				}) / executorIters
+				ct := perIter(p, coupling.Union, executorIters, func() {
+					sched.MoveSend(a)
+					sched.MoveReverseRecv(a)
+				})
 				if p.Rank() == 0 {
 					schedT, copyT = st, ct
 				}
 			}},
 			{Name: "Pirreg", Procs: nIrr, Body: func(p *mpsim.Proc) {
 				ctx := core.NewCtx(p, p.Comm())
-				x, err := chaoslib.NewArray(ctx, irregOwned(perm, nIrr, p.Rank()))
-				if err != nil {
-					panic(err)
-				}
-				coupling, err := core.CoupleByName(p, "Preg", "Pirreg")
-				if err != nil {
-					panic(err)
-				}
+				x := must(chaoslib.NewArray(ctx, irregOwned(perm, nIrr, p.Rank())))
+				coupling := must(core.CoupleByName(p, "Preg", "Pirreg"))
 				var sched *core.Schedule
 				timePhase(p, coupling.Union, func() {
-					sched, err = core.ComputeSchedule(coupling, nil,
-						&core.Spec{Lib: chaoslib.Library, Obj: x, Set: irrSet, Ctx: ctx},
-						core.Cooperation)
-					if err != nil {
-						panic(err)
-					}
+					sched = mustSchedule(coupling, nil,
+						&core.Spec{Lib: chaoslib.Library, Obj: x, Set: irrSet, Ctx: ctx}, core.Cooperation)
 				})
-				timePhase(p, coupling.Union, func() {
-					for it := 0; it < executorIters; it++ {
-						sched.MoveRecv(x)
-						sched.MoveReverseSend(x)
-					}
+				timeIters(p, coupling.Union, executorIters, func() {
+					sched.MoveRecv(x)
+					sched.MoveReverseSend(x)
 				})
 			}},
 		},

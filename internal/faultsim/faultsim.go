@@ -160,13 +160,6 @@ func (f *Profile) WithCrash(rank int, at float64) *Profile {
 	return f
 }
 
-// WithRestart returns the profile with a crash-and-restart added: rank
-// dies at virtual time at and restarts at restartAt.
-func (f *Profile) WithRestart(rank int, at, restartAt float64) *Profile {
-	f.Crashes = append(f.Crashes, Crash{Rank: rank, At: at, RestartAt: restartAt})
-	return f
-}
-
 // HasCrashes reports whether the profile schedules any crash faults,
 // so harnesses know to wire it as mpsim.Config.Crash.
 func (f *Profile) HasCrashes() bool { return f != nil && len(f.Crashes) > 0 }
@@ -202,13 +195,6 @@ func (f *Profile) CrashPlan() mpsim.CrashPlan {
 type crashPlan struct{ f *Profile }
 
 func (cp crashPlan) Crashes(worldSize int) []mpsim.CrashEvent { return cp.f.plan(worldSize) }
-
-// WithJoin returns the profile with an elastic-growth event added:
-// rank starts dormant and joins the world at virtual time at.
-func (f *Profile) WithJoin(rank int, at float64) *Profile {
-	f.Joins = append(f.Joins, Join{Rank: rank, At: at})
-	return f
-}
 
 // HasJoins reports whether the profile schedules any growth events, so
 // harnesses know to wire it as mpsim.Config.Join.

@@ -213,16 +213,6 @@ func (c *Comm) RecvTimeout(from, tag int, timeout float64) (data []byte, src int
 	return data, src, nil
 }
 
-// BarrierTimeout is Barrier bounded by a virtual-time deadline,
-// returning a typed error instead of hanging when a member never
-// arrives.  A member that times out abandons the barrier; survivors
-// may observe the same or complete normally, so after an error the
-// communicator's collective state should be resynchronized (see
-// SetCollectiveEpoch) before further collectives.
-func (c *Comm) BarrierTimeout(timeout float64) error {
-	return c.p.WithTimeout(timeout, func() { c.Barrier() })
-}
-
 // SetCollectiveEpoch resets the communicator's collective sequence
 // counter to a per-epoch base.  Collectives tag their messages with a
 // per-comm sequence number; if members abort a collective at different

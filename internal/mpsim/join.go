@@ -166,10 +166,6 @@ func (p *Proc) AbsentRanks() []int {
 	return absent
 }
 
-// JoinFaults reports whether this run carries a join plan; harnesses
-// use it to switch onto membership-aware paths.
-func (p *Proc) JoinFaults() bool { return p.world.join != nil }
-
 // LiveWorld returns the world communicator restricted to the ranks
 // that have joined and that the failure detector has not declared dead
 // — the elastic group's current membership.  Every member calling it

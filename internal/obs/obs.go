@@ -13,8 +13,8 @@
 // spans at the same virtual times.
 //
 // Exports: Chrome about://tracing JSON (WriteChromeTrace) and a
-// collapsed-stack flamegraph format (WriteCollapsed); cmd/mcprof is
-// the command-line front end.
+// collapsed-stack flamegraph format (WriteCollapsed); cmd/mctrace
+// -format is the command-line front end.
 package obs
 
 import (

@@ -70,7 +70,7 @@ type (
 	ProgramSpec = mpsim.ProgramSpec
 )
 
-// Virtual-time observability (see internal/obs, cmd/mcprof and the
+// Virtual-time observability (see internal/obs, cmd/mctrace and the
 // observability section of DESIGN.md).  Attach a Tracer through
 // Config.Obs; a nil Tracer keeps the whole layer off at the cost of a
 // pointer comparison per instrumented point.

@@ -41,6 +41,9 @@ go test -race ./...
 # change (longer fuzzing runs use `go test -fuzz=Fuzz ./internal/codec/`
 # or the CI fuzz-smoke job).
 go test -run '^Fuzz' ./internal/codec/
+# EXPERIMENTS.md is what cmd/mcreport prints; virtual time is
+# deterministic, so any difference is a stale file or a changed result.
+go run ./cmd/mcreport | diff - EXPERIMENTS.md
 # The non-test line counts ROADMAP's budgets quote, so CI logs them.
 sh scripts/loc.sh
 echo "check: OK"

@@ -2,11 +2,15 @@
 # Non-test Go line counts of the packages ROADMAP's line budgets quote,
 # counted the same way each time.
 set -eu
-cd "$(dirname "$0")/../internal"
+cd "$(dirname "$0")/.."
 loc() { for d in "$@"; do ls "$d"/*.go; done | grep -v _test | xargs cat | wc -l; }
-echo "core      $(loc core)"
-insp=$(loc core seclib distarray gidx lparx pcxxrt)
-echo "inspector $((insp + $(wc -l <chaoslib/mclib.go)))"
+echo "core      $(cd internal && loc core)"
+insp=$(cd internal && loc core seclib distarray gidx lparx pcxxrt)
+echo "inspector $((insp + $(wc -l <internal/chaoslib/mclib.go)))"
 for p in mpsim serve exp; do
-	printf '%-9s %s\n' "$p" "$(loc "$p")"
+	printf '%-9s %s\n' "$p" "$(cd internal && loc "$p")"
 done
+# The reporting surface: every binary's non-test source, and the
+# paper-API shim.
+echo "cmd       $(loc cmd/*)"
+echo "compat    $(loc compat)"
