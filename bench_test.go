@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"metachaos"
+	"metachaos/internal/chaoslib"
 	"metachaos/internal/core"
 	"metachaos/internal/distarray"
 	"metachaos/internal/exp"
@@ -294,18 +295,11 @@ func BenchmarkMoveElementRuns(b *testing.B) {
 	const n, np = 8192, 8
 	rng := rand.New(rand.NewSource(7))
 	owners, region := rng.Perm(n), rng.Perm(n)
-	idx := func(perm []int) []int32 {
-		out := make([]int32, len(perm))
-		for i, v := range perm {
-			out[i] = int32(v)
-		}
-		return out
-	}
 	b.ReportAllocs()
 	metachaos.RunSPMD(metachaos.SP2(), np, func(p *metachaos.Proc) {
 		ctx := metachaos.NewCtx(p, p.Comm())
 		src := metachaos.NewHPFArray(metachaos.BlockVector(n, np), p.Rank())
-		dst, err := metachaos.NewChaosArray(ctx, idx(owners[p.Rank()*n/np:(p.Rank()+1)*n/np]))
+		dst, err := metachaos.NewChaosArray(ctx, int32s(owners[p.Rank()*n/np:(p.Rank()+1)*n/np]))
 		if err != nil {
 			panic(err)
 		}
@@ -313,7 +307,7 @@ func BenchmarkMoveElementRuns(b *testing.B) {
 			&metachaos.Spec{Lib: metachaos.HPF, Obj: src,
 				Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{0}, []int{n})), Ctx: ctx},
 			&metachaos.Spec{Lib: metachaos.Chaos, Obj: dst,
-				Set: metachaos.NewSetOfRegions(metachaos.IndexRegion(idx(region))), Ctx: ctx},
+				Set: metachaos.NewSetOfRegions(metachaos.IndexRegion(int32s(region))), Ctx: ctx},
 			metachaos.Cooperation)
 		if err != nil {
 			panic(err)
@@ -331,6 +325,111 @@ func BenchmarkMoveElementRuns(b *testing.B) {
 			b.StopTimer()
 		}
 	})
+}
+
+func BenchmarkNativeVsMC(b *testing.B) {
+	// The paper's executor claim with a host clock beside the virtual
+	// one: a warm Meta-Chaos move against the native library's own
+	// executor on the same copy, 8 processes of the SP2, schedules built
+	// outside the timer.  section is Table 5's shape (Multiblock Parti,
+	// top half of a 2-D mesh onto the bottom half), indexed is Table 4's
+	// (CHAOS, seed-permuted ownership and index lists on both sides).
+	// ns/byte is host time per collective copy over the payload bytes
+	// (elements moved x 8); the mc sides run at 0 allocs/op.
+	const np, n = 8, 256
+	secElems, idxElems := n/2*n, 1<<14
+	rng := rand.New(rand.NewSource(7))
+	perm32 := func() []int32 { return int32s(rng.Perm(idxElems)) }
+	srcOwned, dstOwned, srcIdx, dstIdx := perm32(), perm32(), perm32(), perm32()
+
+	// section returns both arrays and sections of the half-mesh copy.
+	section := func(p *mpsim.Proc) (src, dst *mbparti.Array, srcSec, dstSec gidx.Section) {
+		dist := distarray.MustBlock2D(n, n, np)
+		return mbparti.MustNewArray(dist, p.Rank(), 0), mbparti.MustNewArray(dist, p.Rank(), 0),
+			gidx.NewSection([]int{0, 0}, []int{n / 2, n}), gidx.NewSection([]int{n / 2, 0}, []int{n, n})
+	}
+	// indexed returns both irregularly distributed arrays.
+	indexed := func(ctx *core.Ctx, p *mpsim.Proc) (src, dst *chaoslib.Array) {
+		lo, hi := p.Rank()*idxElems/np, (p.Rank()+1)*idxElems/np
+		src, err := chaoslib.NewArray(ctx, srcOwned[lo:hi])
+		if err != nil {
+			panic(err)
+		}
+		dst, err = chaoslib.NewArray(ctx, dstOwned[lo:hi])
+		if err != nil {
+			panic(err)
+		}
+		return src, dst
+	}
+	mcSchedule := func(ctx *core.Ctx, lib core.Library, src, dst core.DistObject, srcSet, dstSet *core.SetOfRegions) *core.Schedule {
+		sched, err := core.ComputeSchedule(core.SingleProgram(ctx.Comm),
+			&core.Spec{Lib: lib, Obj: src, Set: srcSet, Ctx: ctx},
+			&core.Spec{Lib: lib, Obj: dst, Set: dstSet, Ctx: ctx}, core.Cooperation)
+		if err != nil {
+			panic(err)
+		}
+		return sched
+	}
+
+	for _, c := range []struct {
+		name  string
+		elems int
+		setup func(p *mpsim.Proc) (copyOnce func())
+	}{
+		{"section/native", secElems, func(p *mpsim.Proc) func() {
+			src, dst, srcSec, dstSec := section(p)
+			cs, err := mbparti.BuildCopySchedule(p, p.Comm(), src, srcSec, dst, dstSec)
+			if err != nil {
+				panic(err)
+			}
+			return func() { cs.Execute(p, src, dst) }
+		}},
+		{"section/mc", secElems, func(p *mpsim.Proc) func() {
+			src, dst, srcSec, dstSec := section(p)
+			sched := mcSchedule(core.NewCtx(p, p.Comm()), mbparti.Library, src, dst,
+				core.NewSetOfRegions(srcSec), core.NewSetOfRegions(dstSec))
+			return func() { sched.Move(src, dst) }
+		}},
+		{"indexed/native", idxElems, func(p *mpsim.Proc) func() {
+			ctx := core.NewCtx(p, p.Comm())
+			src, dst := indexed(ctx, p)
+			cs, err := chaoslib.BuildCopySchedule(ctx, src.Table(), dst.Table(), srcIdx, dstIdx)
+			if err != nil {
+				panic(err)
+			}
+			return func() { cs.Execute(src.Local(), dst.Local()) }
+		}},
+		{"indexed/mc", idxElems, func(p *mpsim.Proc) func() {
+			ctx := core.NewCtx(p, p.Comm())
+			src, dst := indexed(ctx, p)
+			sched := mcSchedule(ctx, chaoslib.Library, src, dst,
+				core.NewSetOfRegions(chaoslib.IndexRegion(srcIdx)), core.NewSetOfRegions(chaoslib.IndexRegion(dstIdx)))
+			return func() { sched.Move(src, dst) }
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			mpsim.RunSPMD(mpsim.SP2(), np, func(p *mpsim.Proc) {
+				copyOnce := c.setup(p)
+				// Warm-up and per-copy barrier as in BenchmarkMovePack.
+				for m := 0; m < 300; m++ {
+					copyOnce()
+					p.Comm().Barrier()
+				}
+				if p.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					copyOnce()
+					p.Comm().Barrier()
+				}
+				if p.Rank() == 0 {
+					b.StopTimer()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(8*c.elems), "ns/byte")
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkMoveObsOff(b *testing.B) {

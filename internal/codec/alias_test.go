@@ -1,112 +1,146 @@
 package codec
 
 import (
+	"bytes"
+	"slices"
 	"testing"
-	"unsafe"
 )
 
 // The zero-copy data plane decodes payload segments that can be views
 // of element storage; the one aliasing case the executor permits to
 // reach the kernels is in-place decode, where the payload bytes ARE the
 // destination's backing bytes.  These tests pin the kernels' behavior
-// under exact aliasing (identity for *Into, element doubling for Add*)
+// under exact aliasing (identity for Into, element doubling for Add)
 // and forward overlap (memmove-down semantics: each element is read
-// before any write can clobber it, because the kernels iterate
-// ascending and the source sits ahead of the destination).
+// before any write can clobber it, because the source sits ahead of the
+// destination), for every scalar kind.
 //
 // The views only equal the wire encoding on a little-endian host, like
 // the executor's own view path; big-endian hosts skip.
 
-func hostLittleEndian() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}
-
 func requireLE(t *testing.T) {
 	t.Helper()
-	if !hostLittleEndian() {
+	if !hostLE {
 		t.Skip("in-place views equal the wire encoding only on little-endian hosts")
 	}
 }
 
-func f64bytes(vs []float64) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 8*len(vs)) }
-func f32bytes(vs []float32) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 4*len(vs)) }
-func i64bytes(vs []int64) []byte   { return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 8*len(vs)) }
-func i32bytes(vs []int32) []byte   { return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 4*len(vs)) }
+// ramp returns n distinct values of T, the first two negative (wrapped,
+// for byte).
+func ramp[T Scalar](n int) []T {
+	vs := make([]T, n)
+	for i := range vs {
+		vs[i] = T(3*i) - 5
+	}
+	return vs
+}
+
+func aliasedIdentity[T Scalar](t *testing.T, vs []T) {
+	t.Helper()
+	want := slices.Clone(vs)
+	if n := Into(vs, View(vs)); n != len(want) {
+		t.Errorf("aliased Into[%T] decoded %d values, want %d", want[0], n, len(want))
+	}
+	if !slices.Equal(vs, want) {
+		t.Errorf("aliased Into[%T] mutated its own source: %v", want[0], vs)
+	}
+}
 
 func TestIntoKernelsAliasedIdentity(t *testing.T) {
 	requireLE(t)
-	f64 := []float64{1.5, -2.25, 3.75, 0, 5e300}
-	if n := Float64sInto(f64, f64bytes(f64)); n != 5 {
-		t.Errorf("Float64sInto decoded %d values, want 5", n)
+	aliasedIdentity(t, ramp[float64](5))
+	aliasedIdentity(t, ramp[float32](5))
+	aliasedIdentity(t, ramp[int64](5))
+	aliasedIdentity(t, ramp[int32](5))
+	aliasedIdentity(t, ramp[byte](5))
+}
+
+func aliasedDouble[T Scalar](t *testing.T, vs []T) {
+	t.Helper()
+	want := slices.Clone(vs)
+	for i := range want {
+		want[i] += want[i]
 	}
-	if f64[0] != 1.5 || f64[4] != 5e300 {
-		t.Errorf("aliased Float64sInto mutated its own source: %v", f64)
-	}
-	f32 := []float32{1.5, -2.25, 3.75, 0}
-	Float32sInto(f32, f32bytes(f32))
-	if f32[0] != 1.5 || f32[2] != 3.75 {
-		t.Errorf("aliased Float32sInto mutated its own source: %v", f32)
-	}
-	i64 := []int64{1, -2, 1 << 40, 0}
-	Int64sInto(i64, i64bytes(i64))
-	if i64[1] != -2 || i64[2] != 1<<40 {
-		t.Errorf("aliased Int64sInto mutated its own source: %v", i64)
-	}
-	i32 := []int32{1, -2, 1 << 20, 0}
-	Int32sInto(i32, i32bytes(i32))
-	if i32[1] != -2 || i32[2] != 1<<20 {
-		t.Errorf("aliased Int32sInto mutated its own source: %v", i32)
+	Add(vs, View(vs))
+	if !slices.Equal(vs, want) {
+		t.Errorf("aliased Add[%T] = %v, want doubled %v", want[0], vs, want)
 	}
 }
 
 func TestAddKernelsAliasedDouble(t *testing.T) {
 	requireLE(t)
-	f64 := []float64{1.5, -2.25, 0, 100}
-	AddFloat64s(f64, f64bytes(f64))
-	for i, want := range []float64{3, -4.5, 0, 200} {
-		if f64[i] != want {
-			t.Errorf("aliased AddFloat64s[%d] = %v, want %v", i, f64[i], want)
-		}
-	}
-	f32 := []float32{1.5, -2.25, 0}
-	AddFloat32s(f32, f32bytes(f32))
-	if f32[0] != 3 || f32[1] != -4.5 {
-		t.Errorf("aliased AddFloat32s = %v, want doubled", f32)
-	}
-	i64 := []int64{7, -3, 1 << 40}
-	AddInt64s(i64, i64bytes(i64))
-	if i64[0] != 14 || i64[2] != 1<<41 {
-		t.Errorf("aliased AddInt64s = %v, want doubled", i64)
-	}
-	i32 := []int32{7, -3, 1 << 20}
-	AddInt32s(i32, i32bytes(i32))
-	if i32[0] != 14 || i32[2] != 1<<21 {
-		t.Errorf("aliased AddInt32s = %v, want doubled", i32)
-	}
-	by := []byte{1, 200, 0}
-	AddBytes(by, by)
-	if by[0] != 2 || by[1] != 144 /* 400 mod 256 */ || by[2] != 0 {
-		t.Errorf("aliased AddBytes = %v, want mod-256 doubled", by)
+	aliasedDouble(t, ramp[float64](5))
+	aliasedDouble(t, ramp[float32](5))
+	aliasedDouble(t, ramp[int64](5))
+	aliasedDouble(t, ramp[int32](5))
+	aliasedDouble(t, ramp[byte](100)) // 3*i-5 passes 128: doubling wraps mod 256
+}
+
+// forwardShift decodes the bytes of vs[1:] into vs[:n-1]: the source
+// stays ahead of the writes, so the result is a clean shift-down.
+func forwardShift[T Scalar](t *testing.T, vs []T) {
+	t.Helper()
+	want := append(slices.Clone(vs[1:]), vs[len(vs)-1])
+	Into(vs[:len(vs)-1], View(vs[1:]))
+	if !slices.Equal(vs, want) {
+		t.Errorf("forward-overlap Into[%T] = %v, want %v", want[0], vs, want)
 	}
 }
 
 func TestIntoKernelsForwardOverlapShift(t *testing.T) {
 	requireLE(t)
-	// Decode the bytes of vs[1:] into vs[:n-1]: the source stays ahead
-	// of the writes, so the result is a clean shift-down, like memmove.
-	f64 := []float64{10, 20, 30, 40}
-	Float64sInto(f64[:3], f64bytes(f64[1:]))
-	for i, want := range []float64{20, 30, 40, 40} {
-		if f64[i] != want {
-			t.Errorf("forward-overlap Float64sInto[%d] = %v, want %v", i, f64[i], want)
+	forwardShift(t, ramp[float64](6))
+	forwardShift(t, ramp[float32](6))
+	forwardShift(t, ramp[int64](6))
+	forwardShift(t, ramp[int32](6))
+	forwardShift(t, ramp[byte](6))
+}
+
+// TestPortableBranchMatchesFast runs the branch of Append and Into no
+// little-endian host otherwise executes: with hostLE flipped off they
+// must produce the bytes and values the memmove branch does, and those
+// bytes must be little-endian.
+func TestPortableBranchMatchesFast(t *testing.T) {
+	requireLE(t)
+	run := func() []portableResult {
+		return []portableResult{
+			portableCase(ramp[float64](7)),
+			portableCase(ramp[float32](7)),
+			portableCase(ramp[int64](7)),
+			portableCase(ramp[int32](7)),
+			portableCase(ramp[byte](7)),
+			portableCase([]int32{0x01020304}),
+			portableCase([]float64{1}),
 		}
 	}
-	i32 := []int32{10, 20, 30, 40, 50}
-	Int32sInto(i32[:4], i32bytes(i32[1:]))
-	for i, want := range []int32{20, 30, 40, 50, 50} {
-		if i32[i] != want {
-			t.Errorf("forward-overlap Int32sInto[%d] = %v, want %v", i, i32[i], want)
+	fast := run()
+	hostLE = false
+	t.Cleanup(func() { hostLE = true })
+	portable := run()
+	for i := range fast {
+		if !bytes.Equal(fast[i].wire, portable[i].wire) {
+			t.Errorf("case %d: portable Append wrote % x, fast % x", i, portable[i].wire, fast[i].wire)
+		}
+		if !bytes.Equal(fast[i].back, portable[i].back) {
+			t.Errorf("case %d: portable Into decoded % x, fast % x", i, portable[i].back, fast[i].back)
 		}
 	}
+	if want := []byte{0xab, 4, 3, 2, 1}; !bytes.Equal(portable[5].wire, want) {
+		t.Errorf("int32 0x01020304 on the wire = % x, want % x", portable[5].wire, want)
+	}
+	if want := []byte{0xab, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}; !bytes.Equal(portable[6].wire, want) {
+		t.Errorf("float64 1 on the wire = % x, want % x", portable[6].wire, want)
+	}
+}
+
+// portableResult is the wire bytes of one encode and the native bytes
+// of the values decoded back from them.
+type portableResult struct{ wire, back []byte }
+
+// portableCase encodes vs after a one-byte prefix and decodes it back.
+func portableCase[T Scalar](vs []T) portableResult {
+	wire := Append([]byte{0xab}, vs)
+	back := make([]T, len(vs))
+	Into(back, wire[1:])
+	return portableResult{wire, View(back)}
 }

@@ -159,82 +159,3 @@ func (r *Reader) Bytes() []byte {
 	n := int(r.Int32())
 	return append([]byte(nil), r.need(n)...)
 }
-
-// Float64sToBytes encodes a bare float64 slice (no length prefix), the
-// layout used for raw element payloads.
-func Float64sToBytes(vs []float64) []byte {
-	out := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
-}
-
-// AppendFloat64s appends the bare encoding of vs to dst and returns the
-// extended buffer, the reuse-friendly form of Float64sToBytes: callers
-// that keep the returned buffer across calls encode without allocating
-// once the buffer has grown to its working size.
-func AppendFloat64s(dst []byte, vs []float64) []byte {
-	off := len(dst)
-	need := off + 8*len(vs)
-	if cap(dst) < need {
-		grown := make([]byte, off, max(need, 2*cap(dst)))
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(dst[off+i*8:], math.Float64bits(v))
-	}
-	return dst
-}
-
-// Float64sInto decodes a bare float64 payload into dst, which must hold
-// at least len(b)/8 values, and returns the number of values decoded.
-// The allocation-free counterpart of BytesToFloat64s.
-func Float64sInto(dst []float64, b []byte) int {
-	if len(b)%8 != 0 {
-		panic(fmt.Sprintf("codec: float64 payload of %d bytes", len(b)))
-	}
-	n := len(b) / 8
-	if len(dst) < n {
-		panic(fmt.Sprintf("codec: decoding %d float64s into a buffer of %d", n, len(dst)))
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return n
-}
-
-// BytesToFloat64s decodes a bare float64 payload.
-func BytesToFloat64s(b []byte) []float64 {
-	if len(b)%8 != 0 {
-		panic(fmt.Sprintf("codec: float64 payload of %d bytes", len(b)))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-// Int32sToBytes encodes a bare int32 slice (no length prefix).
-func Int32sToBytes(vs []int32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(out[i*4:], uint32(v))
-	}
-	return out
-}
-
-// BytesToInt32s decodes a bare int32 payload.
-func BytesToInt32s(b []byte) []int32 {
-	if len(b)%4 != 0 {
-		panic(fmt.Sprintf("codec: int32 payload of %d bytes", len(b)))
-	}
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}

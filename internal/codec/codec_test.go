@@ -79,16 +79,12 @@ func TestBarePayloads(t *testing.T) {
 	if got := BytesToFloat64s(Float64sToBytes(fs)); !reflect.DeepEqual(got, fs) {
 		t.Errorf("float64 round trip: %v", got)
 	}
-	is := []int32{0, -1, math.MaxInt32, math.MinInt32}
-	if got := BytesToInt32s(Int32sToBytes(is)); !reflect.DeepEqual(got, is) {
-		t.Errorf("int32 round trip: %v", got)
-	}
 }
 
 func TestBarePayloadSizeMismatchPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { BytesToFloat64s(make([]byte, 7)) },
-		func() { BytesToInt32s(make([]byte, 5)) },
+		func() { Into(make([]int32, 2), make([]byte, 5)) },
 	} {
 		func() {
 			defer func() {
@@ -108,12 +104,12 @@ func TestAppendFloat64s(t *testing.T) {
 		for i := range vs {
 			vs[i] = float64(i)*1.5 - 3
 		}
-		got := AppendFloat64s(nil, vs)
+		got := Append(nil, vs)
 		if !reflect.DeepEqual(got, Float64sToBytes(vs)) && n > 0 {
-			t.Errorf("n=%d: AppendFloat64s(nil) != Float64sToBytes", n)
+			t.Errorf("n=%d: Append(nil) != Float64sToBytes", n)
 		}
 		prefix := []byte{0xab, 0xcd}
-		withPrefix := AppendFloat64s(append([]byte(nil), prefix...), vs)
+		withPrefix := Append(append([]byte(nil), prefix...), vs)
 		if len(withPrefix) != 2+8*n {
 			t.Fatalf("n=%d: appended length %d", n, len(withPrefix))
 		}
@@ -128,10 +124,10 @@ func TestAppendFloat64s(t *testing.T) {
 
 func TestAppendFloat64sReusesBuffer(t *testing.T) {
 	vs := []float64{1, 2, 3, 4, 5}
-	buf := AppendFloat64s(nil, vs)
+	buf := Append(nil, vs)
 	grown := buf
 	for i := 0; i < 10; i++ {
-		grown = AppendFloat64s(grown[:0], vs)
+		grown = Append(grown[:0], vs)
 	}
 	if &grown[0] != &buf[0] {
 		t.Error("same-size re-encode reallocated the buffer")
@@ -152,7 +148,7 @@ func TestFloat64sInto(t *testing.T) {
 		for i := range dst {
 			dst[i] = -99
 		}
-		if got := Float64sInto(dst, b); got != n {
+		if got := Into(dst, b); got != n {
 			t.Fatalf("n=%d: decoded %d values", n, got)
 		}
 		if !reflect.DeepEqual(dst[:n], vs) && n > 0 {
@@ -166,8 +162,8 @@ func TestFloat64sInto(t *testing.T) {
 
 func TestFloat64sIntoPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"misaligned payload": func() { Float64sInto(make([]float64, 4), make([]byte, 9)) },
-		"short destination":  func() { Float64sInto(make([]float64, 1), make([]byte, 16)) },
+		"misaligned payload": func() { Into(make([]float64, 4), make([]byte, 9)) },
+		"short destination":  func() { Into(make([]float64, 1), make([]byte, 16)) },
 	} {
 		func() {
 			defer func() {
@@ -182,11 +178,11 @@ func TestFloat64sIntoPanics(t *testing.T) {
 
 func TestQuickAppendFloat64sRoundTrip(t *testing.T) {
 	f := func(prefix []float64, vs []float64) bool {
-		buf := AppendFloat64s(nil, prefix)
-		buf = AppendFloat64s(buf, vs)
+		buf := Append(nil, prefix)
+		buf = Append(buf, vs)
 		all := append(append([]float64(nil), prefix...), vs...)
 		dst := make([]float64, len(all))
-		if Float64sInto(dst, buf) != len(all) {
+		if Into(dst, buf) != len(all) {
 			return false
 		}
 		for i := range all {

@@ -1,8 +1,10 @@
 package codec
 
 import (
+	"bytes"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // FuzzWireRoundTrip drives the Writer with one value of every scalar
@@ -10,16 +12,14 @@ import (
 // pattern so NaN payloads round-trip exactly, the property the move
 // executor's pack/unpack path relies on.
 func FuzzWireRoundTrip(f *testing.F) {
-	f.Add(int32(0), int64(0), 0.0, float32(0), "", []byte(nil))
-	f.Add(int32(-5), int64(1<<40), 3.25, float32(-1.5), "hello", []byte{1, 2, 3})
-	f.Add(int32(math.MaxInt32), int64(math.MinInt64), math.Inf(-1),
-		float32(math.NaN()), "\x00\xff", []byte{0xde, 0xad})
-	f.Fuzz(func(t *testing.T, i32 int32, i64 int64, fv float64, f32v float32, s string, raw []byte) {
+	f.Add(int32(0), int64(0), 0.0, "", []byte(nil))
+	f.Add(int32(-5), int64(1<<40), 3.25, "hello", []byte{1, 2, 3})
+	f.Add(int32(math.MaxInt32), int64(math.MinInt64), math.NaN(), "\x00\xff", []byte{0xde, 0xad})
+	f.Fuzz(func(t *testing.T, i32 int32, i64 int64, fv float64, s string, raw []byte) {
 		var w Writer
 		w.PutInt32(i32)
 		w.PutInt64(i64)
 		w.PutFloat64(fv)
-		w.PutFloat32(f32v)
 		w.PutString(s)
 		w.PutBytes(raw)
 		r := NewReader(w.Bytes())
@@ -31,9 +31,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		if got := r.Float64(); math.Float64bits(got) != math.Float64bits(fv) {
 			t.Fatalf("Float64 = %x, want %x", math.Float64bits(got), math.Float64bits(fv))
-		}
-		if got := r.Float32(); math.Float32bits(got) != math.Float32bits(f32v) {
-			t.Fatalf("Float32 = %x, want %x", math.Float32bits(got), math.Float32bits(f32v))
 		}
 		if got := r.String(); got != s {
 			t.Fatalf("String = %q, want %q", got, s)
@@ -53,104 +50,91 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzTypedKernelRoundTrip exercises every typed bulk kernel the move
+// FuzzTypedKernelRoundTrip exercises every typed kernel the move
 // executor packs and unpacks with: raw fuzz bytes are reinterpreted as
-// a scalar slice of the selected kind, encoded with the bare
-// AppendXxx kernel, decoded with XxxInto, and compared bit-for-bit;
-// the fused AddXxx kernel is then checked against decode-then-add.
+// a scalar slice of the selected kind (sel%5), encoded with Append,
+// decoded with Into, and compared bit for bit; the fused Add is checked
+// against decode-then-add; and a strided Put gather (stride sel/5%4+1)
+// must write the bytes Append writes for the same values, and scatter
+// back through Get to the values it took.
 func FuzzTypedKernelRoundTrip(f *testing.F) {
 	f.Add([]byte(nil), byte(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, byte(1))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0x80, 0x7f}, byte(2))
 	f.Add([]byte{0x01, 0x00, 0x00, 0xc0, 0x7f, 0xaa, 0xbb, 0xcc, 0xdd, 0xee}, byte(3))
+	f.Add([]byte{0, 0xff, 0x80, 0x7f, 1}, byte(4+5))
+	f.Add([]byte{0, 0, 0xc0, 0x7f, 1, 0, 0x80, 0xff, 9, 9, 9, 9, 0, 0, 0, 0x80, 7, 7, 7, 7}, byte(1+10))
 	f.Fuzz(func(t *testing.T, raw []byte, sel byte) {
-		switch sel % 4 {
-		case 0: // float64
-			vs := BytesToFloat64s(raw[:len(raw)/8*8])
-			b := AppendFloat64s(nil, vs)
-			back := make([]float64, len(vs))
-			Float64sInto(back, b)
-			for i := range vs {
-				if math.Float64bits(back[i]) != math.Float64bits(vs[i]) {
-					t.Fatalf("float64[%d]: %x != %x", i, math.Float64bits(back[i]), math.Float64bits(vs[i]))
-				}
-			}
-			acc := make([]float64, len(vs))
-			want := make([]float64, len(vs))
-			for i := range acc {
-				acc[i] = float64(i) - 2.5
-				want[i] = acc[i] + vs[i]
-			}
-			AddFloat64s(acc, b)
-			for i := range acc {
-				if math.Float64bits(acc[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("AddFloat64s[%d]: %g != %g", i, acc[i], want[i])
-				}
-			}
-		case 1: // float32
-			vs := BytesToFloat32s(raw[:len(raw)/4*4])
-			b := AppendFloat32s(nil, vs)
-			back := make([]float32, len(vs))
-			Float32sInto(back, b)
-			for i := range vs {
-				if math.Float32bits(back[i]) != math.Float32bits(vs[i]) {
-					t.Fatalf("float32[%d]: %x != %x", i, math.Float32bits(back[i]), math.Float32bits(vs[i]))
-				}
-			}
-			acc := make([]float32, len(vs))
-			want := make([]float32, len(vs))
-			for i := range acc {
-				acc[i] = float32(i) * 0.5
-				want[i] = acc[i] + vs[i]
-			}
-			AddFloat32s(acc, b)
-			for i := range acc {
-				if math.Float32bits(acc[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("AddFloat32s[%d]: %g != %g", i, acc[i], want[i])
-				}
-			}
-		case 2: // int64
-			vs := BytesToInt64s(raw[:len(raw)/8*8])
-			b := AppendInt64s(nil, vs)
-			back := make([]int64, len(vs))
-			Int64sInto(back, b)
-			for i := range vs {
-				if back[i] != vs[i] {
-					t.Fatalf("int64[%d]: %d != %d", i, back[i], vs[i])
-				}
-			}
-			acc := make([]int64, len(vs))
-			for i := range acc {
-				acc[i] = int64(i) - 7
-			}
-			AddInt64s(acc, b)
-			for i := range acc {
-				if want := int64(i) - 7 + vs[i]; acc[i] != want {
-					t.Fatalf("AddInt64s[%d]: %d != %d", i, acc[i], want)
-				}
-			}
-		case 3: // int32
-			vs := BytesToInt32s(raw[:len(raw)/4*4])
-			b := AppendInt32s(nil, vs)
-			back := make([]int32, len(vs))
-			Int32sInto(back, b)
-			for i := range vs {
-				if back[i] != vs[i] {
-					t.Fatalf("int32[%d]: %d != %d", i, back[i], vs[i])
-				}
-			}
-			acc := make([]int32, len(vs))
-			for i := range acc {
-				acc[i] = int32(i) * 3
-			}
-			AddInt32s(acc, b)
-			for i := range acc {
-				if want := int32(i)*3 + vs[i]; acc[i] != want {
-					t.Fatalf("AddInt32s[%d]: %d != %d", i, acc[i], want)
-				}
-			}
+		stride := int(sel/5%4) + 1
+		switch sel % 5 {
+		case 0:
+			typedRoundTrip[float64](t, raw, stride)
+		case 1:
+			typedRoundTrip[float32](t, raw, stride)
+		case 2:
+			typedRoundTrip[int64](t, raw, stride)
+		case 3:
+			typedRoundTrip[int32](t, raw, stride)
+		case 4:
+			typedRoundTrip[byte](t, raw, stride)
 		}
 	})
+}
+
+// fromRaw reinterprets raw's whole units as scalars of kind T.
+func fromRaw[T Scalar](raw []byte) []T {
+	vs := make([]T, len(raw)/int(unsafe.Sizeof(*new(T))))
+	Into(vs, raw[:len(View(vs))])
+	return vs
+}
+
+// sameBits reports whether two scalar slices are bit-for-bit equal (NaN
+// payloads included).
+func sameBits[T Scalar](a, b []T) bool { return bytes.Equal(View(a), View(b)) }
+
+func typedRoundTrip[T Scalar](t *testing.T, raw []byte, stride int) {
+	vs := fromRaw[T](raw)
+	b := Append(nil, vs)
+	if len(b) != len(View(vs)) || !bytes.Equal(b, raw[:len(b)]) {
+		t.Fatalf("Append[%T] re-encoded % x as % x", vs, raw[:len(View(vs))], b)
+	}
+	back := make([]T, len(vs))
+	if n := Into(back, b); n != len(vs) || !sameBits(back, vs) {
+		t.Fatalf("Into[%T] decoded %d values %v, want %v", vs, n, back, vs)
+	}
+
+	acc, want := make([]T, len(vs)), make([]T, len(vs))
+	for i := range acc {
+		acc[i] = T(i) - 3
+		want[i] = acc[i] + vs[i]
+	}
+	Add(acc, b)
+	if !sameBits(acc, want) {
+		t.Fatalf("Add[%T] = %v, want %v", vs, acc, want)
+	}
+
+	// Gather every stride-th value with Put, as a strided run packs.
+	var picked []T
+	for i := 0; i < len(vs); i += stride {
+		picked = append(picked, vs[i])
+	}
+	size := int(unsafe.Sizeof(*new(T)))
+	gathered := make([]byte, len(picked)*size)
+	for k, i := 0, 0; i < len(vs); k, i = k+1, i+stride {
+		Put(gathered[k*size:], vs[i])
+	}
+	if !bytes.Equal(gathered, Append(nil, picked)) {
+		t.Fatalf("Put[%T] gather at stride %d wrote % x, Append % x", vs, stride, gathered, Append(nil, picked))
+	}
+	scattered := make([]T, len(vs))
+	for k, i := 0, 0; i < len(vs); k, i = k+1, i+stride {
+		scattered[i] = Get[T](gathered[k*size:])
+	}
+	for k, i := 0, 0; i < len(vs); k, i = k+1, i+stride {
+		if !sameBits(scattered[i:i+1], picked[k:k+1]) {
+			t.Fatalf("Get[%T] scatter at stride %d: element %d = %v, want %v", vs, stride, i, scattered[i], vs[i])
+		}
+	}
 }
 
 // FuzzSliceWireRoundTrip round-trips the length-prefixed slice puts
@@ -160,45 +144,19 @@ func FuzzSliceWireRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0xff, 0x7f, 0xc0, 0xff, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		f64 := BytesToFloat64s(raw[:len(raw)/8*8])
-		i64 := BytesToInt64s(raw[:len(raw)/8*8])
-		i32 := BytesToInt32s(raw[:len(raw)/4*4])
-		f32 := BytesToFloat32s(raw[:len(raw)/4*4])
+		f64 := fromRaw[float64](raw)
+		i32 := fromRaw[int32](raw)
 		var w Writer
 		w.PutFloat64s(f64)
-		w.PutInt64s(i64)
 		w.PutInt32s(i32)
-		w.PutFloat32s(f32)
 		r := NewReader(w.Bytes())
 		gotF64 := r.Float64s()
-		gotI64 := r.Int64s()
 		gotI32 := r.Int32s()
-		gotF32 := r.Float32s()
-		if len(gotF64) != len(f64) || len(gotI64) != len(i64) ||
-			len(gotI32) != len(i32) || len(gotF32) != len(f32) {
-			t.Fatalf("slice lengths changed: %d/%d %d/%d %d/%d %d/%d",
-				len(gotF64), len(f64), len(gotI64), len(i64),
-				len(gotI32), len(i32), len(gotF32), len(f32))
+		if !sameBits(gotF64, f64) {
+			t.Fatalf("Float64s = %v, want %v", gotF64, f64)
 		}
-		for i := range f64 {
-			if math.Float64bits(gotF64[i]) != math.Float64bits(f64[i]) {
-				t.Fatalf("Float64s[%d] bits differ", i)
-			}
-		}
-		for i := range i64 {
-			if gotI64[i] != i64[i] {
-				t.Fatalf("Int64s[%d]: %d != %d", i, gotI64[i], i64[i])
-			}
-		}
-		for i := range i32 {
-			if gotI32[i] != i32[i] {
-				t.Fatalf("Int32s[%d]: %d != %d", i, gotI32[i], i32[i])
-			}
-		}
-		for i := range f32 {
-			if math.Float32bits(gotF32[i]) != math.Float32bits(f32[i]) {
-				t.Fatalf("Float32s[%d] bits differ", i)
-			}
+		if !sameBits(gotI32, i32) {
+			t.Fatalf("Int32s = %v, want %v", gotI32, i32)
 		}
 		if r.Remaining() != 0 {
 			t.Fatalf("%d bytes left over", r.Remaining())

@@ -1,202 +1,149 @@
-// Typed bulk kernels for raw element payloads: the float32/int64/int32
-// counterparts of AppendFloat64s/Float64sInto, plus fused decode-and-add
-// kernels for accumulating moves.  All layouts are bare little-endian
-// with no length prefix, like the float64 kernels in codec.go.
+// Typed kernels for raw element payloads: bare little-endian scalars
+// with no length prefix, the layout move lanes and checkpoints use.
+// Each kernel is one generic function over the Scalar constraint, so a
+// caller resolves the element kind once — by picking the typed slice —
+// and the loop it then runs is specialized to that type.  On a
+// little-endian host a scalar slice's own bytes already are its wire
+// encoding, so the bulk Append and Into are a memmove through View; the
+// portable per-scalar loop is the other branch of the same functions.
 
 package codec
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+	"unsafe"
 )
 
-// ensure grows dst to hold n more bytes with the same doubling policy
-// as AppendFloat64s and returns the extended buffer plus the write
-// offset.
-func ensure(dst []byte, n int) ([]byte, int) {
+// Scalar is the set of storage types elements are built from.
+type Scalar interface {
+	~float64 | ~float32 | ~int64 | ~int32 | ~byte
+}
+
+// hostLE reports whether the host stores scalars little-endian, i.e.
+// whether native storage bytes equal the wire encoding.  A variable so
+// the in-package test can run the portable branch on any host.
+var hostLE = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// HostLE reports whether View(vs) is the wire encoding of vs.
+func HostLE() bool { return hostLE }
+
+// View returns the backing bytes of vs, no copy.  They are the wire
+// encoding only when HostLE is true (bytes are endian-free).  The
+// caller must not let the view outlive vs.
+func View[T Scalar](vs []T) []byte {
+	if len(vs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*int(unsafe.Sizeof(vs[0])))
+}
+
+// Put stores v's wire encoding in the first Sizeof(v) bytes of b.  The
+// value is reinterpreted as the unsigned integer of its size; the
+// switch folds away in each instantiation.
+func Put[T Scalar](b []byte, v T) {
+	switch unsafe.Sizeof(v) {
+	case 8:
+		binary.LittleEndian.PutUint64(b, *(*uint64)(unsafe.Pointer(&v)))
+	case 4:
+		binary.LittleEndian.PutUint32(b, *(*uint32)(unsafe.Pointer(&v)))
+	default:
+		b[0] = *(*byte)(unsafe.Pointer(&v))
+	}
+}
+
+// Get decodes the scalar whose wire encoding starts b.
+func Get[T Scalar](b []byte) (v T) {
+	switch unsafe.Sizeof(v) {
+	case 8:
+		*(*uint64)(unsafe.Pointer(&v)) = binary.LittleEndian.Uint64(b)
+	case 4:
+		*(*uint32)(unsafe.Pointer(&v)) = binary.LittleEndian.Uint32(b)
+	default:
+		*(*byte)(unsafe.Pointer(&v)) = b[0]
+	}
+	return v
+}
+
+// Append appends the bare encoding of vs to dst and returns the
+// extended buffer.  Growth doubles, so callers that keep the returned
+// buffer across calls encode without allocating once it has reached its
+// working size.
+func Append[T Scalar](dst []byte, vs []T) []byte {
+	var z T
+	size := int(unsafe.Sizeof(z))
 	off := len(dst)
-	need := off + n
+	need := off + size*len(vs)
 	if cap(dst) < need {
 		grown := make([]byte, off, max(need, 2*cap(dst)))
 		copy(grown, dst)
 		dst = grown
 	}
-	return dst[:need], off
-}
-
-// AppendFloat32s appends the bare encoding of vs to dst.
-func AppendFloat32s(dst []byte, vs []float32) []byte {
-	dst, off := ensure(dst, 4*len(vs))
+	dst = dst[:need]
+	if hostLE {
+		copy(dst[off:], View(vs))
+		return dst
+	}
 	for i, v := range vs {
-		binary.LittleEndian.PutUint32(dst[off+i*4:], math.Float32bits(v))
+		Put(dst[off+i*size:], v)
 	}
 	return dst
 }
 
-// AppendInt64s appends the bare encoding of vs to dst.
-func AppendInt64s(dst []byte, vs []int64) []byte {
-	dst, off := ensure(dst, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(dst[off+i*8:], uint64(v))
+// checkPayload returns how many size-byte scalars b holds, panicking
+// unless that is a whole number dst can take.
+func checkPayload[T Scalar](dst []T, b []byte) (n, size int) {
+	var z T
+	size = int(unsafe.Sizeof(z))
+	if len(b)%size != 0 {
+		panic(fmt.Sprintf("codec: %T payload of %d bytes", z, len(b)))
 	}
-	return dst
+	n = len(b) / size
+	if len(dst) < n {
+		panic(fmt.Sprintf("codec: decoding %d %Ts into a buffer of %d", n, z, len(dst)))
+	}
+	return n, size
 }
 
-// AppendInt32s appends the bare encoding of vs to dst.
-func AppendInt32s(dst []byte, vs []int32) []byte {
-	dst, off := ensure(dst, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(dst[off+i*4:], uint32(v))
+// Into decodes a bare payload into dst, which must hold at least
+// len(b)/Sizeof(T) values, and returns the number of values decoded.
+// b may alias dst's own bytes at or ahead of the write position (an
+// in-place decode of a storage view): the result is then what memmove
+// gives.
+func Into[T Scalar](dst []T, b []byte) int {
+	n, size := checkPayload(dst, b)
+	if hostLE {
+		copy(View(dst[:n]), b)
+		return n
 	}
-	return dst
-}
-
-func checkPayload(kind string, blen, size, n int) int {
-	if blen%size != 0 {
-		panic(fmt.Sprintf("codec: %s payload of %d bytes", kind, blen))
-	}
-	vals := blen / size
-	if n < vals {
-		panic(fmt.Sprintf("codec: decoding %d %ss into a buffer of %d", vals, kind, n))
-	}
-	return vals
-}
-
-// Float32sInto decodes a bare float32 payload into dst and returns the
-// number of values decoded.
-func Float32sInto(dst []float32, b []byte) int {
-	n := checkPayload("float32", len(b), 4, len(dst))
 	for i := 0; i < n; i++ {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+		dst[i] = Get[T](b[i*size:])
 	}
 	return n
 }
 
-// Int64sInto decodes a bare int64 payload into dst and returns the
-// number of values decoded.
-func Int64sInto(dst []int64, b []byte) int {
-	n := checkPayload("int64", len(b), 8, len(dst))
+// Add decodes a bare payload and adds each value into dst, the fused
+// accumulate kernel (no staging buffer).  Always the ascending loop, so
+// a payload that is dst's own bytes doubles every element.
+func Add[T Scalar](dst []T, b []byte) int {
+	n, size := checkPayload(dst, b)
 	for i := 0; i < n; i++ {
-		dst[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+		dst[i] += Get[T](b[i*size:])
 	}
 	return n
 }
 
-// Int32sInto decodes a bare int32 payload into dst and returns the
-// number of values decoded.
-func Int32sInto(dst []int32, b []byte) int {
-	n := checkPayload("int32", len(b), 4, len(dst))
-	for i := 0; i < n; i++ {
-		dst[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return n
+// Float64sToBytes encodes a bare float64 slice into a fresh buffer.
+func Float64sToBytes(vs []float64) []byte {
+	return Append(make([]byte, 0, 8*len(vs)), vs)
 }
 
-// AddFloat64s decodes a bare float64 payload and adds each value into
-// dst, the fused accumulate kernel (no staging buffer).
-func AddFloat64s(dst []float64, b []byte) int {
-	n := checkPayload("float64", len(b), 8, len(dst))
-	for i := 0; i < n; i++ {
-		dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return n
-}
-
-// AddFloat32s decodes a bare float32 payload and adds into dst.
-func AddFloat32s(dst []float32, b []byte) int {
-	n := checkPayload("float32", len(b), 4, len(dst))
-	for i := 0; i < n; i++ {
-		dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return n
-}
-
-// AddInt64s decodes a bare int64 payload and adds into dst.
-func AddInt64s(dst []int64, b []byte) int {
-	n := checkPayload("int64", len(b), 8, len(dst))
-	for i := 0; i < n; i++ {
-		dst[i] += int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return n
-}
-
-// AddInt32s decodes a bare int32 payload and adds into dst.
-func AddInt32s(dst []int32, b []byte) int {
-	n := checkPayload("int32", len(b), 4, len(dst))
-	for i := 0; i < n; i++ {
-		dst[i] += int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return n
-}
-
-// AddBytes adds a bare byte payload into dst (mod-256 arithmetic).
-func AddBytes(dst []byte, b []byte) int {
-	n := checkPayload("byte", len(b), 1, len(dst))
-	for i := 0; i < n; i++ {
-		dst[i] += b[i]
-	}
-	return n
-}
-
-// BytesToFloat32s decodes a bare float32 payload.
-func BytesToFloat32s(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	Float32sInto(out, b)
-	return out
-}
-
-// BytesToInt64s decodes a bare int64 payload.
-func BytesToInt64s(b []byte) []int64 {
-	out := make([]int64, len(b)/8)
-	Int64sInto(out, b)
-	return out
-}
-
-// PutFloat32 appends one float32.
-func (w *Writer) PutFloat32(v float32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-	w.buf = append(w.buf, b[:]...)
-}
-
-// PutFloat32s appends a length-prefixed float32 slice.
-func (w *Writer) PutFloat32s(vs []float32) {
-	w.PutInt32(int32(len(vs)))
-	for _, v := range vs {
-		w.PutFloat32(v)
-	}
-}
-
-// PutInt64s appends a length-prefixed int64 slice.
-func (w *Writer) PutInt64s(vs []int64) {
-	w.PutInt32(int32(len(vs)))
-	for _, v := range vs {
-		w.PutInt64(v)
-	}
-}
-
-// Float32 decodes one float32.
-func (r *Reader) Float32() float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(r.need(4)))
-}
-
-// Float32s decodes a length-prefixed float32 slice.
-func (r *Reader) Float32s() []float32 {
-	n := int(r.Int32())
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = r.Float32()
-	}
-	return out
-}
-
-// Int64s decodes a length-prefixed int64 slice.
-func (r *Reader) Int64s() []int64 {
-	n := int(r.Int32())
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.Int64()
-	}
+// BytesToFloat64s decodes a bare float64 payload into a fresh slice.
+func BytesToFloat64s(b []byte) []float64 {
+	out := make([]float64, len(b)/8)
+	Into(out, b)
 	return out
 }

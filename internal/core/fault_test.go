@@ -400,7 +400,7 @@ func (f flipBit) Decide(from, to, attempt, bytes int, now float64) mpsim.FaultDe
 // On a raw (unreliable) faulted network nothing checks the bytes: a
 // corrupted delivery reaches the executor as a payload like any other
 // — the network's private copy with its bit flipped — and unpacks
-// through unpackSegs, landing exactly that one bit wrong.
+// through unpackLane, landing exactly that one bit wrong.
 func TestMoveRawCorruptedDelivery(t *testing.T) {
 	const bit = 8*8*3 + 5 // element 3, bit 5
 	sent, got := laneWorld(t, mpsim.Config{Fault: flipBit{bit}}, false, func(p *mpsim.Proc, wire []byte) *bufpool.Payload {

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"metachaos/internal/codec"
+)
 
 // Mem is one process's local element storage for a distributed object:
 // a slice of the element type's scalar kind, tagged with the type.  It
@@ -187,7 +191,19 @@ func (m Mem) CopyFrom(src Mem) {
 // (little-endian scalars, the same encoding move lanes use), for
 // checkpoint serialization.
 func (m Mem) AppendTo(buf []byte) []byte {
-	return appendUnits(buf, &m, 0, m.Units())
+	switch m.et.Kind {
+	case KindFloat64:
+		return codec.Append(buf, m.f64)
+	case KindFloat32:
+		return codec.Append(buf, m.f32)
+	case KindInt64:
+		return codec.Append(buf, m.i64)
+	case KindInt32:
+		return codec.Append(buf, m.i32)
+	case KindByte:
+		return codec.Append(buf, m.by)
+	}
+	panic(fmt.Sprintf("core: AppendTo on unknown element kind %d", m.et.Kind))
 }
 
 // SetFromWire overwrites the whole storage by decoding b, the inverse
@@ -197,7 +213,20 @@ func (m Mem) SetFromWire(b []byte) {
 	if len(b) != want {
 		panic(fmt.Sprintf("core: SetFromWire payload is %d bytes, storage wants %d", len(b), want))
 	}
-	readUnits(&m, 0, b, opCopy)
+	switch m.et.Kind {
+	case KindFloat64:
+		codec.Into(m.f64, b)
+	case KindFloat32:
+		codec.Into(m.f32, b)
+	case KindInt64:
+		codec.Into(m.i64, b)
+	case KindInt32:
+		codec.Into(m.i32, b)
+	case KindByte:
+		codec.Into(m.by, b)
+	default:
+		panic(fmt.Sprintf("core: SetFromWire on unknown element kind %d", m.et.Kind))
+	}
 }
 
 // AddF adds v into scalar unit u in the storage's native arithmetic.

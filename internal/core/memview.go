@@ -3,43 +3,31 @@ package core
 import (
 	"fmt"
 	"unsafe"
+
+	"metachaos/internal/codec"
 )
 
 // Zero-copy views of element storage.  Move lanes encode scalars
-// little-endian on the wire; on a little-endian host the native bytes
-// of a stride-1 run already ARE the wire encoding, so the executor can
-// hand the transport a view of the source storage instead of packing a
-// copy.  Big-endian hosts fall back to the staging path (packRun does
-// the byte swap); correctness never depends on the view path being
-// taken.
+// little-endian on the wire; on a little-endian host (codec.HostLE) the
+// native bytes of a stride-1 run already ARE the wire encoding, so the
+// executor hands the transport a codec.View of the source storage
+// instead of packing a copy.  Big-endian hosts stage every run instead
+// (codec.Append's portable branch does the byte swap); correctness
+// never depends on the view path being taken.
 
-// hostLE reports whether the host stores scalars little-endian, i.e.
-// whether native storage bytes equal the wire encoding.
-var hostLE = func() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// viewUnits returns a byte view of n scalar units starting at unit o of
-// m — the storage's own backing bytes, no copy.  Valid as wire encoding
-// only when hostLE is true (KindByte is endian-free but gated the same
-// way for simplicity).  The caller must not let the view outlive the
-// storage, and must not mutate the storage while readers hold the view.
-func viewUnits(m *Mem, o, n int) []byte {
-	if n == 0 {
-		return nil
-	}
+// storageBytes returns m's whole backing storage as bytes, no copy.
+func storageBytes(m *Mem) []byte {
 	switch m.et.Kind {
 	case KindFloat64:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&m.f64[o])), n*8)
+		return codec.View(m.f64)
 	case KindFloat32:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&m.f32[o])), n*4)
+		return codec.View(m.f32)
 	case KindInt64:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&m.i64[o])), n*8)
+		return codec.View(m.i64)
 	case KindInt32:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&m.i32[o])), n*4)
+		return codec.View(m.i32)
 	case KindByte:
-		return m.by[o : o+n]
+		return m.by
 	}
 	panic(fmt.Sprintf("core: viewing unknown element kind %d", m.et.Kind))
 }
@@ -49,7 +37,7 @@ func viewUnits(m *Mem, o, n int) []byte {
 // views: in-place unpacking would mutate bytes a payload still
 // references.
 func memOverlaps(a, b Mem) bool {
-	va, vb := viewUnits(&a, 0, a.Units()), viewUnits(&b, 0, b.Units())
+	va, vb := storageBytes(&a), storageBytes(&b)
 	if len(va) == 0 || len(vb) == 0 {
 		return false
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
+	"metachaos/internal/bufpool"
 	"metachaos/internal/codec"
 	"metachaos/internal/mpsim"
 )
@@ -21,8 +23,12 @@ import (
 // posted before the first send so messages flow straight into pending
 // requests; local copies proceed while messages are in flight; and
 // incoming lanes are unpacked in arrival order (mpsim.Waitany) rather
-// than fixed peer order.  Pack and unpack buffers are cached on the
-// Schedule, so a reused schedule moves data without allocating.
+// than fixed peer order.  A lane's scalar kind is resolved once, into a
+// kernel generic over the typed storage slice (packRuns, unpackRuns),
+// and consecutive staged runs travel as one view of the staging
+// segment, so the receiver crosses a segment boundary per staged
+// stretch rather than per run.  Pack and unpack buffers are cached on
+// the Schedule, so a reused schedule moves data without allocating.
 
 // PeerNet is one peer's network-recovery accounting for a single move
 // on a reliable transport (all counters stay zero on a perfect
@@ -187,21 +193,25 @@ func (s *Schedule) checkElem(obj DistObject) {
 	}
 }
 
-// checkRunBounds panics when a run's offsets fall outside the object's
-// local storage (units scalar units long), which means the wrong
-// object was passed to Move.
-func checkRunBounds(run Run, units, w int) {
+// runInBounds reports whether every offset of run lies inside local
+// storage units scalar units long.  Small enough to inline into the
+// per-run loops; panicRunBounds is its cold half.
+func runInBounds(run Run, units, w int) bool {
 	lo, hi := run.Start, run.Last()
 	if hi < lo {
 		lo, hi = hi, lo
 	}
-	if lo < 0 || int(hi)*w+w > units {
-		bad := run.Start
-		if int(hi)*w+w > units {
-			bad = hi
-		}
-		panic(fmt.Sprintf("core: schedule offset %d outside local storage of %d elements; wrong object passed to Move?", bad, units/max(w, 1)))
+	return lo >= 0 && int(hi)*w+w <= units
+}
+
+// panicRunBounds reports a run outside the object's local storage,
+// which means the wrong object was passed to Move.
+func panicRunBounds(run Run, units, w int) {
+	bad := min(run.Start, run.Last())
+	if bad >= 0 {
+		bad = max(run.Start, run.Last())
 	}
+	panic(fmt.Sprintf("core: schedule offset %d outside local storage of %d elements; wrong object passed to Move?", bad, units/max(w, 1)))
 }
 
 func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveResult {
@@ -266,12 +276,11 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			s.lease = s.pool.NewLease()
 		}
 		local := packObj.LocalMem()
-		units := local.Units()
 		// Stride-1 runs go on the wire as views of the source storage —
 		// no pack copy — when the host's native byte order is the wire
 		// order and the unpack destination does not alias the pack
 		// source (in-place unpacking would mutate viewed bytes).
-		canView := hostLE
+		canView := codec.HostLE()
 		if canView && unpackObj != nil && memOverlaps(local, unpackObj.LocalMem()) {
 			canView = false
 		}
@@ -298,16 +307,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 				pay.AttachSegment(seg)
 				stage = seg.Bytes()[:0]
 			}
-			for _, run := range pl.Runs {
-				checkRunBounds(run, units, w)
-				if run.Stride == 1 && canView {
-					pay.AddView(viewUnits(&local, int(run.Start)*w, int(run.Count)*w))
-					continue
-				}
-				mark := len(stage)
-				stage = packRun(stage, &local, run, w)
-				pay.AddView(stage[mark:])
-			}
+			stage = packLane(pay, stage, &local, pl.Runs, w, canView)
 			p.ChargeMemOps(pl.Len())
 			if rel {
 				h := fnvOver(pay.Segments(), pay.Len())
@@ -408,7 +408,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			if body != want {
 				panic(fmt.Sprintf("core: move message carries %d bytes, schedule expects %d", body, want))
 			}
-			unpackSegs(&local, pay.Segments(), pl.Runs, w, op)
+			unpackLane(&local, pay.Segments(), pl.Runs, w, op)
 			pay.Release()
 			res.Elems += n
 			p.ChargeMemOps(n)
@@ -594,135 +594,170 @@ func trailerOf(segs [][]byte) uint64 {
 		uint64(tr[4])<<32 | uint64(tr[5])<<40 | uint64(tr[6])<<48 | uint64(tr[7])<<56
 }
 
-// packRun appends the run's elements to buf in wire encoding; a
-// stride-1 run of k w-scalar elements is one bulk append instead of k
-// scalar copies.  The scalar kind is dispatched once per append, so
-// the per-kind codec kernels keep their bulk fast paths.  The caller
-// has checked the run against m's bounds.
-//
-// The kernels from here down take *Mem for the reason its accessors
-// do: by value the descriptor is copied per call, which on a strided
-// run is per element.
-func packRun(buf []byte, m *Mem, run Run, w int) []byte {
-	if run.Stride == 1 {
-		o := int(run.Start) * w
-		return appendUnits(buf, m, o, int(run.Count)*w)
-	}
-	for k := int32(0); k < run.Count; k++ {
-		buf = appendUnits(buf, m, int(run.At(k))*w, w)
-	}
-	return buf
-}
-
-// appendUnits appends n scalar units starting at unit o of m to buf in
-// wire encoding.
-func appendUnits(buf []byte, m *Mem, o, n int) []byte {
+// packLane adds one send lane's bytes to pay, in run order and wire
+// encoding.  The scalar kind is resolved here, once per lane; the loop
+// over the runs is packRuns on the typed slice.  It returns stage
+// extended by what it staged.
+func packLane(pay *bufpool.Payload, stage []byte, m *Mem, runs []Run, w int, canView bool) []byte {
 	switch m.et.Kind {
 	case KindFloat64:
-		return codec.AppendFloat64s(buf, m.f64[o:o+n])
+		return packRuns(pay, stage, m.f64, runs, w, canView)
 	case KindFloat32:
-		return codec.AppendFloat32s(buf, m.f32[o:o+n])
+		return packRuns(pay, stage, m.f32, runs, w, canView)
 	case KindInt64:
-		return codec.AppendInt64s(buf, m.i64[o:o+n])
+		return packRuns(pay, stage, m.i64, runs, w, canView)
 	case KindInt32:
-		return codec.AppendInt32s(buf, m.i32[o:o+n])
+		return packRuns(pay, stage, m.i32, runs, w, canView)
 	case KindByte:
-		return append(buf, m.by[o:o+n]...)
+		return packRuns(pay, stage, m.by, runs, w, canView)
 	}
 	panic(fmt.Sprintf("core: packing unknown element kind %d", m.et.Kind))
 }
 
-// unpackSegs scatters a payload into local storage run by run,
-// decoding each piece straight from its segment into the typed storage
-// (no staging buffer) with bulk decodes — or fused decode-and-add
-// kernels for accumulating moves — on stride-1 runs; the payload is
-// never flattened.  Segment boundaries always fall on scalar-unit
-// boundaries (views are whole runs of units, staged bytes are whole
-// units), so every piece decodes cleanly; a checksum trailer beyond the
-// runs' bytes is simply never consumed.
-func unpackSegs(m *Mem, segs [][]byte, runs []Run, w, op int) {
-	es, units := m.et.Kind.Size(), m.Units()
-	si, so := 0, 0
-	take := func(o, n int) { // decode n scalar units at unit offset o
-		for n > 0 {
-			for so >= len(segs[si]) {
-				si++
-				so = 0
-			}
-			k := (len(segs[si]) - so) / es
-			if k > n {
-				k = n
-			}
-			if k == 0 {
-				panic("core: move payload segment not aligned to scalar units")
-			}
-			readUnits(m, o, segs[si][so:so+k*es], op)
-			so += k * es
-			o += k
-			n -= k
-		}
-	}
+// packRuns is the typed pack kernel.  A stride-1 run is a borrowed view
+// of vs when canView, else one bulk append to stage; a strided run of
+// one-scalar elements is a gather loop writing stage in place; wider
+// strided elements are a bulk append each.  Consecutive staged runs
+// form one stretch of stage and reach pay as one view, added before the
+// next borrowed view (and at the end) so the lane's bytes stay in run
+// order.  stage must have capacity for everything staged: views into it
+// are already out, so it may not move.
+func packRuns[T codec.Scalar](pay *bufpool.Payload, stage []byte, vs []T, runs []Run, w int, canView bool) []byte {
+	var z T
+	es := int(unsafe.Sizeof(z))
+	mark := len(stage) // start of the staged stretch not yet in pay
 	for _, run := range runs {
-		checkRunBounds(run, units, w)
-		if run.Stride == 1 {
-			take(int(run.Start)*w, int(run.Count)*w)
-			continue
+		if !runInBounds(run, len(vs), w) {
+			panicRunBounds(run, len(vs), w)
 		}
-		for k := int32(0); k < run.Count; k++ {
-			take(int(run.At(k))*w, w)
+		o, n := int(run.Start)*w, int(run.Count)*w
+		switch {
+		case run.Stride == 1 && canView:
+			pay.AddView(stage[mark:])
+			mark = len(stage)
+			pay.AddView(codec.View(vs[o : o+n]))
+		case run.Stride == 1:
+			stage = codec.Append(stage, vs[o:o+n])
+		case w == 1:
+			at := len(stage)
+			stage = stage[:at+n*es]
+			st := int(run.Stride)
+			for b := stage[at:]; len(b) > 0; b = b[es:] {
+				codec.Put(b, vs[o])
+				o += st
+			}
+		default:
+			for k := int32(0); k < run.Count; k++ {
+				o = int(run.At(k)) * w
+				stage = codec.Append(stage, vs[o:o+w])
+			}
 		}
 	}
+	pay.AddView(stage[mark:])
+	return stage
 }
 
-// readUnits decodes the payload slice b into m starting at unit o,
-// either overwriting or accumulating.
-func readUnits(m *Mem, o int, b []byte, op int) {
+// unpackLane scatters an arrived lane's segments into local storage
+// run by run, overwriting or accumulating; the kind is resolved once
+// and unpackRuns does the work.
+func unpackLane(m *Mem, segs [][]byte, runs []Run, w, op int) {
 	switch m.et.Kind {
 	case KindFloat64:
-		dst := m.f64[o : o+len(b)/8]
-		if op == opAdd {
-			codec.AddFloat64s(dst, b)
-		} else {
-			codec.Float64sInto(dst, b)
-		}
+		unpackRuns(m.f64, segs, runs, w, op)
 	case KindFloat32:
-		dst := m.f32[o : o+len(b)/4]
-		if op == opAdd {
-			codec.AddFloat32s(dst, b)
-		} else {
-			codec.Float32sInto(dst, b)
-		}
+		unpackRuns(m.f32, segs, runs, w, op)
 	case KindInt64:
-		dst := m.i64[o : o+len(b)/8]
-		if op == opAdd {
-			codec.AddInt64s(dst, b)
-		} else {
-			codec.Int64sInto(dst, b)
-		}
+		unpackRuns(m.i64, segs, runs, w, op)
 	case KindInt32:
-		dst := m.i32[o : o+len(b)/4]
-		if op == opAdd {
-			codec.AddInt32s(dst, b)
-		} else {
-			codec.Int32sInto(dst, b)
-		}
+		unpackRuns(m.i32, segs, runs, w, op)
 	case KindByte:
-		dst := m.by[o : o+len(b)]
-		if op == opAdd {
-			codec.AddBytes(dst, b)
-		} else {
-			copy(dst, b)
-		}
+		unpackRuns(m.by, segs, runs, w, op)
 	default:
 		panic(fmt.Sprintf("core: unpacking unknown element kind %d", m.et.Kind))
 	}
 }
 
-// scalar is the set of storage types elements are built from; the
-// compiler specializes the local-copy kernels per type, so the float64
-// path compiles to the same code the pre-ElemType executor had.
-type scalar interface {
-	~float64 | ~float32 | ~int64 | ~int32 | ~byte
+// segCursor reads a payload's segment list front to back in whole
+// scalar units; the payload is never flattened.
+type segCursor struct {
+	segs [][]byte // segments not yet started
+	rest []byte   // unread remainder of the current one
+}
+
+// chunk returns the next unread bytes of the current segment: whole
+// es-byte units, at most n of them, at least one.  Segment boundaries
+// always fall on unit boundaries (views are whole runs of units, staged
+// stretches are whole units), so a segment with a partial unit left is
+// a protocol bug.
+func (c *segCursor) chunk(n, es int) []byte {
+	for len(c.rest) == 0 {
+		c.rest, c.segs = c.segs[0], c.segs[1:]
+	}
+	k := min(len(c.rest)/es, n)
+	if k == 0 {
+		panic("core: move payload segment not aligned to scalar units")
+	}
+	b := c.rest[:k*es]
+	c.rest = c.rest[k*es:]
+	return b
+}
+
+// unpackRuns is the typed unpack kernel: it decodes each piece straight
+// from its segment into vs (no staging buffer), with bulk decodes — or
+// the fused decode-and-add — on stride-1 runs and wide elements, and a
+// scatter loop per chunk on strided runs of one-scalar elements.  Bytes
+// beyond the runs' (a checksum trailer) are never consumed.
+func unpackRuns[T codec.Scalar](vs []T, segs [][]byte, runs []Run, w, op int) {
+	var z T
+	es := int(unsafe.Sizeof(z))
+	c := segCursor{segs: segs}
+	for _, run := range runs {
+		if !runInBounds(run, len(vs), w) {
+			panicRunBounds(run, len(vs), w)
+		}
+		switch {
+		case run.Stride == 1:
+			unpackUnits(vs[int(run.Start)*w:], &c, int(run.Count)*w, op)
+		case w == 1:
+			o, st := int(run.Start), int(run.Stride)
+			for n := int(run.Count); n > 0; {
+				b := c.chunk(n, es)
+				n -= len(b) / es
+				if op == opAdd {
+					for ; len(b) > 0; b = b[es:] {
+						vs[o] += codec.Get[T](b)
+						o += st
+					}
+				} else {
+					for ; len(b) > 0; b = b[es:] {
+						vs[o] = codec.Get[T](b)
+						o += st
+					}
+				}
+			}
+		default:
+			for k := int32(0); k < run.Count; k++ {
+				unpackUnits(vs[int(run.At(k))*w:], &c, w, op)
+			}
+		}
+	}
+}
+
+// unpackUnits decodes the next n contiguous units into the front of dst.
+func unpackUnits[T codec.Scalar](dst []T, c *segCursor, n, op int) {
+	var z T
+	es := int(unsafe.Sizeof(z))
+	for n > 0 {
+		b := c.chunk(n, es)
+		k := len(b) / es
+		if op == opAdd {
+			codec.Add(dst[:k], b)
+		} else {
+			codec.Into(dst[:k], b)
+		}
+		dst = dst[k:]
+		n -= k
+	}
 }
 
 // moveLocal executes the same-process runs, with bulk copies when both
@@ -755,7 +790,7 @@ func (s *Schedule) moveLocal(srcObj, dstObj DistObject, reverse bool, op int) in
 }
 
 // localRuns is the typed local-copy kernel behind moveLocal.
-func localRuns[T scalar](from, to []T, local []LocalRun, w int, reverse bool, op int) int {
+func localRuns[T codec.Scalar](from, to []T, local []LocalRun, w int, reverse bool, op int) int {
 	elems := 0
 	for _, lr := range local {
 		elems += int(lr.Count)

@@ -129,19 +129,6 @@ func (s Span) SetBytes(n int) Span {
 	return s
 }
 
-// AddBytes accumulates payload bytes on the span (for spans covering
-// several buffers).
-func (s Span) AddBytes(n int) Span {
-	if s.t != nil {
-		rec := &s.t.spans[s.idx]
-		if rec.bytes < 0 {
-			rec.bytes = 0
-		}
-		rec.bytes += int64(n)
-	}
-	return s
-}
-
 // SetElem tags the span with an element-type label.
 func (s Span) SetElem(elem string) Span {
 	if s.t != nil {

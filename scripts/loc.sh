@@ -5,6 +5,9 @@ set -eu
 cd "$(dirname "$0")/.."
 loc() { for d in "$@"; do ls "$d"/*.go; done | grep -v _test | xargs cat | wc -l; }
 echo "core      $(cd internal && loc core)"
+# The executor's line budget is core + codec: the codec's typed kernels
+# are the other half of every move.
+echo "codec     $(cd internal && loc codec)"
 insp=$(cd internal && loc core seclib distarray gidx lparx pcxxrt)
 echo "inspector $((insp + $(wc -l <internal/chaoslib/mclib.go)))"
 for p in mpsim serve exp; do
