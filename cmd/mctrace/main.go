@@ -7,8 +7,8 @@
 // clientserver the Figure-10 client/server matvec (-vectors), also
 // reachable as figure10; elastic the crash-recovery experiment, where
 // a server rank dies at a -seed-pinned site and the timeline carries
-// the crash.detect, group.shrink, ckpt.save/restore and move.retry
-// spans of the recovery path.
+// the crash and crashdetect instants and the ckpt.save/ckpt.restore
+// spans of the recovery path beside its schedule and move phases.
 //
 // Formats: traffic is what the schedule put on the wire — the
 // process-pair message matrix, per-rank traffic, the virtual makespan

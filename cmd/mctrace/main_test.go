@@ -11,7 +11,7 @@ import (
 // The goldens were captured from the two binaries this one replaced
 // (this tool's predecessor and the separate profiler, "prof" below),
 // built at their last commit (8e28a78), each by the command in its
-// row.  Virtual time is deterministic, so they match byte for byte on
+// row; elastic.phases came later, from this tool at ce41760.  Virtual time is deterministic, so they match byte for byte on
 // any host.
 func TestViewsMatchGoldens(t *testing.T) {
 	for _, tc := range []struct {
@@ -26,6 +26,10 @@ func TestViewsMatchGoldens(t *testing.T) {
 		{[]string{"-workload", "remap"}, "remap.traffic"},
 		// mctrace -workload clientserver -procs 2
 		{[]string{"-workload", "clientserver", "-procs", "2"}, "clientserver.traffic"},
+		// mctrace -workload elastic -procs 4 -seed 7 -format phases: the
+		// crash-recovery timeline, captured before a second, never-run
+		// recovery protocol was deleted from core.
+		{[]string{"-workload", "elastic", "-procs", "4", "-seed", "7", "-format", "phases"}, "elastic.phases"},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {

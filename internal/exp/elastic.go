@@ -330,8 +330,9 @@ func elasticServerStep(ctx *core.Ctx, op string, vec *core.Schedule, a, x, y *hp
 }
 
 // ProfileElastic runs the crashy half of the elastic experiment under
-// tr — the crash.detect, group.shrink, ckpt.save/restore and move.retry
-// spans land on its virtual timeline alongside the move phases.
+// tr — the crash and crashdetect instants and the ckpt.save and
+// ckpt.restore spans land on its virtual timeline alongside the
+// schedule and move phases.
 func ProfileElastic(tr *obs.Tracer, serverProcs, iters int, seed uint64) ElasticResult {
 	c := ElasticCrash(seed, serverProcs)
 	prof := (&faultsim.Profile{Seed: seed}).WithCrash(c.Rank, c.At)

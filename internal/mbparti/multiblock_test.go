@@ -10,9 +10,9 @@ import (
 )
 
 // The multiblock reference: two n x n blocks side by side forming an
-// n x 2n domain.  Block 0's right edge drives block 1's left edge and
-// vice versa (overlapping one-cell interfaces), as a multiblock CFD
-// code would couple them.
+// n x 2n domain.  A multiblock code couples them the way the examples
+// do — one ghost schedule per block, one copy schedule per inter-block
+// interface, all built once and reused every step.
 
 func TestMultiblockInterfaceUpdate(t *testing.T) {
 	const n, nprocs = 8, 4
@@ -23,50 +23,37 @@ func TestMultiblockInterfaceUpdate(t *testing.T) {
 		b0.FillGlobal(func(c []int) float64 { return float64(100 + c[0]*10 + c[1]) })
 		b1.FillGlobal(func(c []int) float64 { return float64(900 + c[0]*10 + c[1]) })
 
-		mb := NewMultiblock(p.Comm())
-		id0, err := mb.AddBlockArray(b0)
+		// Block 0's right column drives block 1's left column, and block
+		// 1's second column drives block 0's right column.
+		right := gidx.NewSection([]int{0, n - 1}, []int{n, n})
+		left := gidx.NewSection([]int{0, 0}, []int{n, 1})
+		c01, err := BuildCopySchedule(p, p.Comm(), b0, right, b1, left)
 		if err != nil {
 			t.Errorf("%v", err)
 			return
 		}
-		id1, _ := mb.AddBlockArray(b1)
-		if mb.NumBlocks() != 2 {
-			t.Errorf("NumBlocks=%d", mb.NumBlocks())
-		}
-		// Block 0's right column -> block 1's left column, and block
-		// 1's second column -> block 0's right... keep one direction
-		// per interface, both directions registered.
-		right := gidx.NewSection([]int{0, n - 1}, []int{n, n})
-		left := gidx.NewSection([]int{0, 0}, []int{n, 1})
-		if err := mb.AddInterface(id0, right, id1, left); err != nil {
+		c10, err := BuildCopySchedule(p, p.Comm(), b1, gidx.NewSection([]int{0, 1}, []int{n, 2}), b0, right)
+		if err != nil {
 			t.Errorf("%v", err)
 			return
 		}
-		if err := mb.AddInterface(id1, gidx.NewSection([]int{0, 1}, []int{n, 2}), id0, right); err != nil {
-			t.Errorf("%v", err)
-			return
-		}
-		if err := mb.BuildSchedules(p); err != nil {
-			t.Errorf("BuildSchedules: %v", err)
-			return
-		}
-		mb.UpdateInterfaces(p)
+		c01.Execute(p, b0, b1)
+		c10.Execute(p, b1, b0)
 
 		// After the updates: b1's left column holds b0's original right
 		// column, and b0's right column holds b1's ORIGINAL second
-		// column (interfaces execute in order; the first update only
-		// touched b1's column 0).
+		// column (the first update only touched b1's column 0).
 		lo, hi, _ := d.LocalBox(p.Rank())
 		for i := lo[0]; i < hi[0]; i++ {
 			if lo[1] == 0 { // I own column 0 of b1
 				want := float64(100 + i*10 + (n - 1))
-				if got := mb.Block(id1).Get([]int{i, 0}); got != want {
+				if got := b1.Get([]int{i, 0}); got != want {
 					t.Errorf("b1[%d,0]=%g want %g", i, got, want)
 				}
 			}
 			if hi[1] == n { // I own column n-1 of b0
 				want := float64(900 + i*10 + 1)
-				if got := mb.Block(id0).Get([]int{i, n - 1}); got != want {
+				if got := b0.Get([]int{i, n - 1}); got != want {
 					t.Errorf("b0[%d,%d]=%g want %g", i, n-1, got, want)
 				}
 			}
@@ -75,9 +62,9 @@ func TestMultiblockInterfaceUpdate(t *testing.T) {
 }
 
 func TestMultiblockGhostsAndSweep(t *testing.T) {
-	// Two coupled blocks must evolve exactly like one combined domain
-	// swept sequentially, when the interface carries a one-cell overlap
-	// each way before every step.
+	// Two blocks, each with its own ghost schedule, swept in lockstep
+	// with the interface columns treated as frozen boundary: each block
+	// must evolve exactly like its half of the domain swept sequentially.
 	const n, nprocs, steps = 8, 2, 3
 	combined := make([]float64, n*2*n) // n rows, 2n columns
 	for i := 0; i < n; i++ {
@@ -94,41 +81,29 @@ func TestMultiblockGhostsAndSweep(t *testing.T) {
 		b0.FillGlobal(func(c []int) float64 { return combined[c[0]*2*n+c[1]] })
 		b1.FillGlobal(func(c []int) float64 { return combined[c[0]*2*n+n+c[1]] })
 
-		mb := NewMultiblock(p.Comm())
-		id0, _ := mb.AddBlockArray(b0)
-		id1, _ := mb.AddBlockArray(b1)
-		// One-cell overlap: block 0's column n-2 is the "true" value of
-		// block 1's ghost-ish column... to keep the domains equivalent
-		// we mirror the shared columns both ways before each sweep:
-		// b1[:,0] <- b0[:,n-1] and b0[:,n-1] <- ... no: the combined
-		// domain's stencil at column n-1 needs column n (b1's column
-		// 0).  We exchange the adjacent edge columns into dedicated
-		// halo columns by copying AFTER each sweep and re-mirroring the
-		// edges, which works because the interface columns' stencil
-		// values are recomputed identically on both sides only if both
-		// sides see the same neighbours.  For this test we simply treat
-		// the two interface columns as boundary (not updated), matching
-		// a sequential reference that also freezes them.
-		_ = id0
-		_ = id1
-		if err := mb.BuildSchedules(p); err != nil {
+		g0, err := BuildGhostSchedule(p, p.Comm(), b0)
+		if err != nil {
+			t.Errorf("%v", err)
+			return
+		}
+		g1, err := BuildGhostSchedule(p, p.Comm(), b1)
+		if err != nil {
 			t.Errorf("%v", err)
 			return
 		}
 		for s := 0; s < steps; s++ {
-			mb.ExchangeGhosts(p)
-			Stencil5(p, mb.Block(id0))
-			Stencil5(p, mb.Block(id1))
+			g0.Exchange(p, b0)
+			g1.Exchange(p, b1)
+			Stencil5(p, b0)
+			Stencil5(p, b1)
 		}
-		g0 := gatherGlobal(p.Comm(), mb.Block(id0))
-		g1 := gatherGlobal(p.Comm(), mb.Block(id1))
+		a0 := gatherGlobal(p.Comm(), b0)
+		a1 := gatherGlobal(p.Comm(), b1)
 		if p.Rank() == 0 {
-			got0, got1 = g0, g1
+			got0, got1 = a0, a1
 		}
 	})
 
-	// Sequential reference: each block independently swept (interfaces
-	// frozen -> the blocks do not interact in this variant).
 	ref0 := make([]float64, n*n)
 	ref1 := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -148,63 +123,19 @@ func TestMultiblockGhostsAndSweep(t *testing.T) {
 	}
 }
 
-func TestMultiblockErrors(t *testing.T) {
-	const n, nprocs = 4, 2
-	mpsim.RunSPMD(mpsim.Ideal(), nprocs, func(p *mpsim.Proc) {
-		d := distarray.MustBlock2D(n, n, nprocs)
-		a := MustNewArray(d, p.Rank(), 0)
-		mb := NewMultiblock(p.Comm())
-		id, _ := mb.AddBlockArray(a)
-
-		// Unknown block.
-		if err := mb.AddInterface(id, gidx.FullSection(gidx.Shape{n, n}), 5,
-			gidx.FullSection(gidx.Shape{n, n})); err == nil {
-			t.Error("unknown block accepted")
-		}
-		// Size mismatch.
-		if err := mb.AddInterface(id, gidx.NewSection([]int{0, 0}, []int{1, 1}), id,
-			gidx.NewSection([]int{0, 0}, []int{2, 2})); err == nil {
-			t.Error("mismatched interface accepted")
-		}
-		if err := mb.BuildSchedules(p); err != nil {
-			t.Errorf("BuildSchedules: %v", err)
-		}
-		if err := mb.BuildSchedules(p); err == nil {
-			t.Error("double build accepted")
-		}
-		if _, err := mb.AddBlockArray(a); err == nil {
-			t.Error("post-build AddBlockArray accepted")
-		}
-	})
-}
-
-func TestMultiblockExecutorBeforeBuildPanics(t *testing.T) {
-	mpsim.RunSPMD(mpsim.Ideal(), 1, func(p *mpsim.Proc) {
-		mb := NewMultiblock(p.Comm())
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-		}()
-		mb.ExchangeGhosts(p)
-	})
-}
-
-func ExampleMultiblock() {
-	// Compiles-and-runs documentation for the multiblock flow.
+func ExampleBuildCopySchedule() {
+	// An inter-block interface: block l's right column drives block r's
+	// left column.
 	mpsim.RunSPMD(mpsim.Ideal(), 1, func(p *mpsim.Proc) {
 		d := distarray.MustBlock2D(4, 4, 1)
-		left := MustNewArray(d, 0, 1)
-		rightBlk := MustNewArray(d, 0, 1)
-		left.FillGlobal(func(c []int) float64 { return 1 })
-		mb := NewMultiblock(p.Comm())
-		l, _ := mb.AddBlockArray(left)
-		r, _ := mb.AddBlockArray(rightBlk)
-		mb.AddInterface(l, gidx.NewSection([]int{0, 3}, []int{4, 4}),
+		l := MustNewArray(d, 0, 1)
+		r := MustNewArray(d, 0, 1)
+		l.FillGlobal(func(c []int) float64 { return 1 })
+		cs, _ := BuildCopySchedule(p, p.Comm(),
+			l, gidx.NewSection([]int{0, 3}, []int{4, 4}),
 			r, gidx.NewSection([]int{0, 0}, []int{4, 1}))
-		mb.BuildSchedules(p)
-		mb.UpdateInterfaces(p)
-		fmt.Println(mb.Block(r).Get([]int{2, 0}))
+		cs.Execute(p, l, r)
+		fmt.Println(r.Get([]int{2, 0}))
 	})
 	// Output: 1
 }

@@ -125,28 +125,6 @@ func subCtx(world []int) int {
 	return 16 + int(h.Sum32()%493) // keep clear of the base contexts
 }
 
-// Merged creates a communicator spanning the union of two communicators'
-// groups, ordered by world rank.  It is how two coupled programs build
-// the group over which Meta-Chaos exchanges schedules and data.
-func Merged(a, b *Comm) *Comm {
-	seen := make(map[int]bool, a.Size()+b.Size())
-	var world []int
-	for _, wr := range a.ranks {
-		if !seen[wr] {
-			seen[wr] = true
-			world = append(world, wr)
-		}
-	}
-	for _, wr := range b.ranks {
-		if !seen[wr] {
-			seen[wr] = true
-			world = append(world, wr)
-		}
-	}
-	sort.Ints(world)
-	return newComm(a.p, world, subCtx(world))
-}
-
 func (c *Comm) userWire(tag int) int {
 	if tag < 0 || tag >= maxUserTag {
 		panic(fmt.Sprintf("mpsim: tag %d outside [0, %d)", tag, maxUserTag))
@@ -211,18 +189,6 @@ func (c *Comm) RecvTimeout(from, tag int, timeout float64) (data []byte, src int
 		return nil, -1, err
 	}
 	return data, src, nil
-}
-
-// SetCollectiveEpoch resets the communicator's collective sequence
-// counter to a per-epoch base.  Collectives tag their messages with a
-// per-comm sequence number; if members abort a collective at different
-// points (timeouts under faults), their counters diverge and later
-// collectives would mismatch.  Every member calling
-// SetCollectiveEpoch(e) with the same e re-aligns them — the
-// retry-loop idiom is to bump the epoch at the top of each attempt.
-// Each epoch gives room for 256 collectives.
-func (c *Comm) SetCollectiveEpoch(epoch int) {
-	c.seq = epoch * 256
 }
 
 // Split partitions the communicator by color, MPI_Comm_split style:

@@ -11,7 +11,7 @@ import (
 // layer makes the *processors* mortal: a crash plan kills ranks at
 // chosen virtual times (with optional restart), a virtual-time
 // heartbeat failure detector lets survivors agree on the dead set, and
-// communicator shrinking (Comm.Exclude / Proc.ShrinkWorld) gives the
+// communicator shrinking (Comm.Exclude of DeadRanks) gives the
 // layers above a group to continue on.  Everything rides the existing
 // timer heap, so crashy runs stay bit-for-bit deterministic, and every
 // hook sits behind a `w.crash != nil` check so fault-free runs pay
@@ -104,8 +104,6 @@ type crashState struct {
 	// is dropped at delivery — the restart wiped the queue it would
 	// have joined.
 	restartPos []float64
-	// crashedAt[r] is the live crash's time, -1 when alive.
-	crashedAt []float64
 	// detectedAt[r] is when the detector declared r dead, -1 before.
 	detectedAt []float64
 	// recIdx[r] indexes the rank's open record in records, -1 if none.
@@ -131,13 +129,11 @@ func (w *World) initCrash(plan CrashPlan, det *Detector, programs []ProgramSpec)
 		detect:     det,
 		dead:       make([]bool, len(w.procs)),
 		restartPos: make([]float64, len(w.procs)),
-		crashedAt:  make([]float64, len(w.procs)),
 		detectedAt: make([]float64, len(w.procs)),
 		recIdx:     make([]int, len(w.procs)),
 		bodies:     make([]func(p *Proc), len(w.procs)),
 	}
 	for r := range w.procs {
-		cs.crashedAt[r] = -1
 		cs.detectedAt[r] = -1
 		cs.recIdx[r] = -1
 		cs.bodies[r] = programs[w.procs[r].progIndex].Body
@@ -177,7 +173,6 @@ func (w *World) fireCrash(tm *timer) {
 		return // not yet joined: a rank that never existed cannot crash
 	}
 	cs.dead[r] = true
-	cs.crashedAt[r] = tm.at
 	cs.recIdx[r] = len(cs.records)
 	cs.records = append(cs.records, CrashRecord{Rank: r, At: tm.at})
 	p.killed = true
@@ -283,7 +278,6 @@ func (w *World) restartProc(p *Proc, at float64) {
 	cs := w.crash
 	r := p.worldRank
 	cs.dead[r] = false
-	cs.crashedAt[r] = -1
 	cs.detectedAt[r] = -1
 	if i := cs.recIdx[r]; i >= 0 {
 		cs.records[i].RestartAt = at
@@ -322,8 +316,9 @@ func (w *World) restartProc(p *Proc, at float64) {
 		p.clock = at
 	}
 	// The restarted incarnation starts its collective sequence spaces
-	// from zero; rejoining survivors mid-collective-history requires an
-	// application-level epoch resync (SetCollectiveEpoch).
+	// from zero; rejoining survivors mid-collective-history means
+	// deriving a fresh communicator (Comm.Sub or Exclude), whose
+	// sequence space starts at zero on every member.
 	p.worldComm.seq = 0
 	p.progComm.seq = 0
 	w.emit(Event{Time: at, Rank: r, Kind: EvRestart, Peer: -1})
@@ -355,18 +350,6 @@ func (p *Proc) checkKilled() {
 // layers use it to switch moves onto the guarded (abortable) paths.
 func (p *Proc) CrashFaults() bool { return p.world.crash != nil }
 
-// DetectionLag returns the failure detector's worst-case lag
-// (Period+SuspectAfter), or 0 when the run has no crash plan.
-// Recovery protocols sleep at least this long before trusting
-// DeadRanks to reflect a suspected failure.
-func (p *Proc) DetectionLag() float64 {
-	cs := p.world.crash
-	if cs == nil {
-		return 0
-	}
-	return cs.detect.Period + cs.detect.SuspectAfter
-}
-
 // DeadRanks returns the world ranks the failure detector has declared
 // dead as of this process's clock, in increasing order.  All survivors
 // calling it at the same virtual time see the same set — the agreement
@@ -383,17 +366,6 @@ func (p *Proc) DeadRanks() []int {
 		}
 	}
 	return dead
-}
-
-// DeadSince returns the virtual time world rank r crashed, if the
-// detector has declared it dead by this process's clock, and -1
-// otherwise.  Recovery uses it to pick the last checkpoint that
-// completed before the failure.
-func (p *Proc) DeadSince(r int) float64 {
-	if !p.world.deadDetected(r, p.clock) {
-		return -1
-	}
-	return p.world.crash.crashedAt[r]
 }
 
 // Incarnation returns how many times this process has been restarted
@@ -444,14 +416,6 @@ func (p *Proc) SleepUntil(t float64) {
 		p.clock = t
 	}
 	p.yield()
-}
-
-// ShrinkWorld returns the world communicator restricted to the ranks
-// the failure detector has not declared dead — the World.Shrink
-// operation of elastic-group runtimes.  Every survivor calling it at
-// the same virtual time derives an identical communicator.
-func (p *Proc) ShrinkWorld() *Comm {
-	return p.worldComm.Exclude(p.DeadRanks())
 }
 
 // Exclude returns a communicator over this communicator's members

@@ -22,8 +22,8 @@ import "sort"
 //     receives nothing, and sending to it panics (deterministically) —
 //     the rank does not exist yet, exactly as a connect to an unbooted
 //     node would fail.  Applications coordinate growth at aligned
-//     virtual times using AbsentRanks/LiveWorld, mirroring how
-//     DeadRanks/ShrinkWorld coordinate shrink.
+//     virtual times using AbsentRanks, mirroring how DeadRanks
+//     coordinates shrink.
 //   - Each join is a group-membership change: it appends to the
 //     incarnation clock (GroupIncarnation), so schedule caches keyed on
 //     the incarnation invalidate across growth exactly as they do
@@ -164,47 +164,6 @@ func (p *Proc) AbsentRanks() []int {
 		}
 	}
 	return absent
-}
-
-// LiveWorld returns the world communicator restricted to the ranks
-// that have joined and that the failure detector has not declared dead
-// — the elastic group's current membership.  Every member calling it
-// at the same aligned virtual time derives an identical communicator.
-func (p *Proc) LiveWorld() *Comm {
-	excl := p.DeadRanks()
-	excl = append(excl, p.AbsentRanks()...)
-	if len(excl) == 0 {
-		return p.worldComm
-	}
-	return p.worldComm.Exclude(excl)
-}
-
-// Expand returns a communicator over this communicator's members plus
-// the given world ranks, ordered by world rank — the inverse of
-// Exclude.  Every member (including each joiner, via
-// p.World().Sub of the same list) calling Expand with the same rank
-// list derives an identical communicator: the context is a
-// deterministic hash of the member list, and the fresh collective
-// sequence space is the epoch resync that lets an enlarged group run
-// collectives immediately even though old members and joiners have
-// disjoint collective histories.
-func (c *Comm) Expand(newWorldRanks []int) *Comm {
-	seen := make(map[int]bool, len(c.ranks)+len(newWorldRanks))
-	world := make([]int, 0, len(c.ranks)+len(newWorldRanks))
-	for _, wr := range c.ranks {
-		if !seen[wr] {
-			seen[wr] = true
-			world = append(world, wr)
-		}
-	}
-	for _, wr := range newWorldRanks {
-		if !seen[wr] {
-			seen[wr] = true
-			world = append(world, wr)
-		}
-	}
-	sort.Ints(world)
-	return newComm(c.p, world, subCtx(world))
 }
 
 // joinRecords returns the run's join history (for Stats); the slice is

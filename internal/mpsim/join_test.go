@@ -35,8 +35,8 @@ func TestJoinLaunchesDormantRank(t *testing.T) {
 			if got := p.AbsentRanks(); len(got) != 1 || got[0] != 2 {
 				panic(fmt.Sprintf("AbsentRanks = %v at t=0, want [2]", got))
 			}
-			if n := p.LiveWorld().Size(); n != 2 {
-				panic(fmt.Sprintf("LiveWorld size %d before the join, want 2", n))
+			if n := p.World().Exclude(p.AbsentRanks()).Size(); n != 2 {
+				panic(fmt.Sprintf("live world size %d before the join, want 2", n))
 			}
 			if g := p.GroupIncarnation(); g != 0 {
 				panic(fmt.Sprintf("GroupIncarnation = %d before the join, want 0", g))
@@ -46,8 +46,8 @@ func TestJoinLaunchesDormantRank(t *testing.T) {
 			if got := p.AbsentRanks(); len(got) != 0 {
 				panic(fmt.Sprintf("AbsentRanks = %v after the join, want none", got))
 			}
-			if n := p.LiveWorld().Size(); n != 3 {
-				panic(fmt.Sprintf("LiveWorld size %d after the join, want 3", n))
+			if n := p.World().Exclude(p.AbsentRanks()).Size(); n != 3 {
+				panic(fmt.Sprintf("live world size %d after the join, want 3", n))
 			}
 			if g := p.GroupIncarnation(); g != 1 {
 				panic(fmt.Sprintf("GroupIncarnation = %d after the join, want 1", g))
@@ -63,29 +63,27 @@ func TestJoinLaunchesDormantRank(t *testing.T) {
 }
 
 func TestJoinExpandMatchesLiveWorld(t *testing.T) {
-	// The incumbents' Sub(live) before the join, Expand across it, and
-	// every member's post-join LiveWorld must all agree — the
+	// The incumbents' live world before the join, their grown group
+	// across it, and the joiner's group must all agree — the
 	// communication-free agreement elastic protocols build on.
+	// Incumbents and joiner derive the grown group the same way, with
+	// World().Sub over the live ranks.
 	const joinAt = 0.005
 	Run(Config{
 		Machine: SP2(),
 		Join:    testJoinPlan{{Rank: 3, At: joinAt}},
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 4, Body: func(p *Proc) {
 			if p.Rank() != 3 {
-				small := p.World().Sub([]int{0, 1, 2})
-				if small.Size() != 3 {
-					panic("pre-join Sub has the wrong size")
+				if small := p.World().Exclude(p.AbsentRanks()); small.Size() != 3 {
+					panic("pre-join live world has the wrong size")
 				}
-				grown := small.Expand([]int{3})
-				if grown.Size() != 4 {
-					panic("Expand did not add the joiner")
-				}
+				grown := p.World().Sub([]int{0, 1, 2, 3})
 				p.SleepUntil(2 * joinAt)
 				if u, ok := grown.RankOf(3); !ok || u != 3 {
-					panic(fmt.Sprintf("Expand ranks the joiner %d, want 3", u))
+					panic(fmt.Sprintf("grown group ranks the joiner %d, want 3", u))
 				}
-				// A message round over the expanded communicator
-				// reaches the joiner.
+				// A message round over the grown communicator reaches
+				// the joiner.
 				if p.Rank() == 0 {
 					grown.Send(3, 7, []byte("welcome"))
 				}

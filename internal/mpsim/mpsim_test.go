@@ -484,12 +484,18 @@ func TestChargeNegativePanics(t *testing.T) {
 	})
 }
 
+// Two programs' union group — World().Sub of both programs' ranks, as
+// core.NewCoupling builds it — runs collectives across the program
+// boundary.
 func TestMergedComm(t *testing.T) {
+	union := func(p *Proc) *Comm {
+		return p.World().Sub(append(p.ProgramRanks("a"), p.ProgramRanks("b")...))
+	}
 	Run(Config{
 		Machine: Ideal(),
 		Programs: []ProgramSpec{
 			{Name: "a", Procs: 2, Body: func(p *Proc) {
-				m := Merged(p.Comm(), p.World().Sub([]int{2, 3}))
+				m := union(p)
 				if m.Size() != 4 {
 					t.Errorf("merged size=%d want 4", m.Size())
 				}
@@ -499,7 +505,7 @@ func TestMergedComm(t *testing.T) {
 				}
 			}},
 			{Name: "b", Procs: 2, Body: func(p *Proc) {
-				m := Merged(p.World().Sub([]int{0, 1}), p.Comm())
+				m := union(p)
 				sum := m.AllreduceInt64(OpSum, 1)
 				if sum != 4 {
 					t.Errorf("merged allreduce=%d want 4", sum)

@@ -278,7 +278,7 @@ func (p *Proc) sendRef(to, tag int, pay *bufpool.Payload) {
 	}
 	if w.dormant(to) {
 		// The destination has not joined the world yet; applications
-		// coordinate growth with AbsentRanks/LiveWorld, so a send here
+		// coordinate growth with AbsentRanks, so a send here
 		// is a membership bug, caught deterministically.
 		panic(fmt.Sprintf("mpsim: rank %d sends to rank %d before it joined the world", p.worldRank, to))
 	}

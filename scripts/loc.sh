@@ -10,7 +10,8 @@ echo "core      $(cd internal && loc core)"
 echo "codec     $(cd internal && loc codec)"
 insp=$(cd internal && loc core seclib distarray gidx lparx pcxxrt)
 echo "inspector $((insp + $(wc -l <internal/chaoslib/mclib.go)))"
-for p in mpsim serve exp; do
+# hpfrt and mbparti are libraries the inspector line leaves out.
+for p in mpsim serve exp hpfrt mbparti; do
 	printf '%-9s %s\n' "$p" "$(cd internal && loc "$p")"
 done
 # The reporting surface: every binary's non-test source, and the
