@@ -10,6 +10,7 @@
 package metachaos_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -464,60 +465,63 @@ func BenchmarkMoveObsOff(b *testing.B) {
 
 func BenchmarkScheduleRepair(b *testing.B) {
 	// O(delta) incremental schedule repair against the collective
-	// recompute it replaces: a 256-rank block redistribution whose
-	// rank-17/18 boundary shifts by one element.  repair diffs the two
-	// route maps and patches a cloned donor schedule — pure local work,
-	// no world; rebuild pays the full 256-process inspector collective
-	// for the same class of transfer.
+	// recompute it replaces: a 256-rank block-to-block copy whose
+	// rank-17/18 destination boundary then shifts by one element.
+	// repair is RepairOrRebuild on rank 17's schedule, built and routed
+	// the way the coupling service builds a donor — diff the two route
+	// maps and patch a clone, pure local work, no world; rebuild pays
+	// the full 256-process inspector collective for the same transfer.
 	const ranks = 256
 	const blk = 64
 	const n = ranks * blk
 
 	even := make([]int, ranks)
 	world := make([]int, ranks)
-	shifted := make([]int, ranks)
 	for i := range even {
-		even[i], world[i], shifted[i] = blk, i, blk
+		even[i], world[i] = blk, i
 	}
-	// Destination boundaries sit half a block off the source's, so
-	// every rank exchanges half its block with a neighbor.
-	shifted[0] = blk / 2
-	shifted[ranks-1] = blk + blk/2
-	rmOld, err := core.BlockRoutes(even, shifted, world, world)
-	if err != nil {
-		b.Fatal(err)
-	}
-	moved := append([]int(nil), shifted...)
+	moved := append([]int(nil), even...)
 	moved[17]--
 	moved[18]++
 	rmNew, err := core.BlockRoutes(even, moved, world, world)
 	if err != nil {
 		b.Fatal(err)
 	}
+	specs := func(p *metachaos.Proc) (src, dst *metachaos.Spec) {
+		ctx := metachaos.NewCtx(p, p.Comm())
+		full := metachaos.NewSetOfRegions(metachaos.NewSection([]int{0}, []int{n}))
+		return &metachaos.Spec{Lib: metachaos.HPF, Obj: metachaos.NewHPFArray(metachaos.BlockVector(n, ranks), p.Rank()), Set: full, Ctx: ctx},
+			&metachaos.Spec{Lib: metachaos.HPF, Obj: metachaos.NewHPFArray(metachaos.BlockVector(n, ranks), p.Rank()), Set: full, Ctx: ctx}
+	}
 
-	// A throwaway world supplies the union communicator the donor
-	// schedule binds to; the schedule itself assembles locally.
 	var donor *metachaos.Schedule
+	var rmOld *core.RouteMap
 	var view core.RankView
 	metachaos.RunSPMD(metachaos.Ideal(), ranks, func(p *metachaos.Proc) {
-		if p.Rank() != 17 {
-			return
-		}
 		g := metachaos.SingleProgram(p.Comm())
-		s, err := core.NewScheduleFromRoutes(g, rmOld, core.Float64, p.WorldRank())
+		src, dst := specs(p)
+		s, err := metachaos.ComputeSchedule(g, src, dst, metachaos.Cooperation)
 		if err != nil {
 			panic(err)
 		}
-		donor, view = s, g.View()
+		rm, err := core.ComputeRoutes(g, src, dst)
+		if err == nil {
+			err = s.AttachRoutes(rm, p.WorldRank())
+		}
+		if err != nil {
+			panic(err)
+		}
+		if p.Rank() == 17 {
+			donor, rmOld, view = s, rm, g.View()
+		}
 	})
+	rebuild := func() (*metachaos.Schedule, error) { return nil, errors.New("delta too large to repair") }
 
 	b.Run("repair", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			delta := rmOld.Diff(rmNew)
-			patched := donor.Clone()
-			if err := patched.Repair(delta, view); err != nil {
-				b.Fatal(err)
+			if _, repaired, err := core.RepairOrRebuild(donor, rmNew, view, rebuild); !repaired || err != nil {
+				b.Fatalf("repaired=%v err=%v", repaired, err)
 			}
 		}
 		b.ReportMetric(rmOld.Diff(rmNew).Frac(), "delta-frac")
@@ -525,18 +529,10 @@ func BenchmarkScheduleRepair(b *testing.B) {
 
 	b.Run("rebuild", func(b *testing.B) {
 		metachaos.RunSPMD(metachaos.Ideal(), ranks, func(p *metachaos.Proc) {
-			ctx := metachaos.NewCtx(p, p.Comm())
 			g := metachaos.SingleProgram(p.Comm())
-			src := metachaos.NewHPFArray(metachaos.BlockVector(n, ranks), p.Rank())
-			dst := metachaos.NewHPFArray(metachaos.BlockVector(n, ranks), p.Rank())
+			src, dst := specs(p)
 			for i := 0; i < b.N; i++ {
-				_, err := metachaos.ComputeSchedule(g,
-					&metachaos.Spec{Lib: metachaos.HPF, Obj: src,
-						Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{0}, []int{n - blk/2})), Ctx: ctx},
-					&metachaos.Spec{Lib: metachaos.HPF, Obj: dst,
-						Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{blk / 2}, []int{n})), Ctx: ctx},
-					metachaos.Cooperation)
-				if err != nil {
+				if _, err := metachaos.ComputeSchedule(g, src, dst, metachaos.Cooperation); err != nil {
 					panic(err)
 				}
 			}

@@ -189,7 +189,3 @@ func (cs *CopySchedule) run(fromData, toData []float64, reverse bool) {
 		p.ChargeCopy(8 * len(ln.offsets))
 	}
 }
-
-// MsgCount returns how many messages one Execute sends from this
-// process.
-func (cs *CopySchedule) MsgCount() int { return len(cs.sends) }

@@ -47,10 +47,6 @@ type Localized struct {
 // ScatterAdd.
 func (lz *Localized) NGhost() int { return lz.nGhost }
 
-// MsgCount returns how many messages one Gather sends from this
-// process.
-func (lz *Localized) MsgCount() int { return len(lz.outLanes) }
-
 // Localize is the inspector: collective over ctx.Comm, it translates
 // each process's global index list against a's distribution.
 func Localize(ctx *core.Ctx, a *Array, indices []int32) *Localized {

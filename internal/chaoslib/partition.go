@@ -96,12 +96,3 @@ func PartIndices(assign []int, part int) []int32 {
 	}
 	return out
 }
-
-// PartSizes tallies how many points each of nparts parts received.
-func PartSizes(assign []int, nparts int) []int {
-	sizes := make([]int, nparts)
-	for _, p := range assign {
-		sizes[p]++
-	}
-	return sizes
-}

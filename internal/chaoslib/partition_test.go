@@ -21,6 +21,15 @@ func gridCoords(n int) [][]float64 {
 	return [][]float64{xs, ys}
 }
 
+// partSizes tallies how many points each of nparts parts received.
+func partSizes(assign []int, nparts int) []int {
+	sizes := make([]int, nparts)
+	for _, p := range assign {
+		sizes[p]++
+	}
+	return sizes
+}
+
 func TestRCBBalance(t *testing.T) {
 	coords := gridCoords(16) // 256 points
 	for _, nparts := range []int{2, 3, 4, 7, 8} {
@@ -28,7 +37,7 @@ func TestRCBBalance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("nparts=%d: %v", nparts, err)
 		}
-		sizes := PartSizes(assign, nparts)
+		sizes := partSizes(assign, nparts)
 		lo, hi := sizes[0], sizes[0]
 		for _, s := range sizes {
 			if s < lo {
@@ -198,7 +207,7 @@ func TestQuickRCBPartition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sizes := PartSizes(assign, nparts)
+		sizes := partSizes(assign, nparts)
 		total, lo, hi := 0, n, 0
 		for _, s := range sizes {
 			total += s

@@ -138,9 +138,6 @@ func BuildTTable(ctx *core.Ctx, indices []int32, offsets []int32) (*TTable, erro
 // N returns the number of elements in the distribution.
 func (tt *TTable) N() int { return tt.n }
 
-// Replicated reports whether lookups are answered locally.
-func (tt *TTable) Replicated() bool { return tt.full != nil }
-
 func (tt *TTable) pageOwner(g int32) int {
 	o := int(g) / tt.page
 	if o >= tt.nprocs {

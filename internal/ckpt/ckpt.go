@@ -6,21 +6,16 @@
 // it.
 //
 // The store is process-local by design — the simulator's fail-stop
-// model loses a dead rank's memory, so recovery protocols built on it
-// either shrink the group to processes that still hold their
-// snapshots (the elastic experiment's path) or keep a remote copy via
-// SaveFile/LoadFile.  Consistency across processes comes from the
-// caller: SaveCoordinated brackets the snapshot in a barrier so every
-// member checkpoints the same version at the same point of the
-// computation.
+// model loses a dead rank's memory, so a recovery protocol built on it
+// shrinks the group to processes that still hold their snapshots (the
+// elastic experiment's path).  Consistency across processes comes from
+// the caller: every member checkpoints the same version at the same
+// point of the computation.
 package ckpt
 
 import (
 	"fmt"
-	"os"
-	"sort"
 
-	"metachaos/internal/codec"
 	"metachaos/internal/core"
 	"metachaos/internal/mpsim"
 )
@@ -87,18 +82,6 @@ func (st *Store) Save(p *mpsim.Proc, version int, objs ...Named) {
 	sp.SetBytes(total).End(p.Clock())
 }
 
-// SaveCoordinated is Save bracketed by barriers on comm: the entry
-// barrier makes the snapshot a consistency point (no member
-// checkpoints until every member has quiesced its in-flight moves),
-// and the exit barrier keeps a fast member from racing ahead and
-// mutating state other members still reference.  Every member of comm
-// must call it with the same version.
-func (st *Store) SaveCoordinated(p *mpsim.Proc, comm *mpsim.Comm, version int, objs ...Named) {
-	comm.Barrier()
-	st.Save(p, version, objs...)
-	comm.Barrier()
-}
-
 // Restore replays version's snapshots into the objects: each named
 // object's local storage is overwritten with the checkpointed bytes
 // after the checksum and shape are re-verified.  Objects whose
@@ -135,24 +118,6 @@ func (st *Store) Restore(p *mpsim.Proc, version int, objs ...Named) error {
 	return nil
 }
 
-// Has reports whether a checkpoint of name exists at version.
-func (st *Store) Has(name string, version int) bool {
-	_, ok := st.snaps[key{name, version}]
-	return ok
-}
-
-// Latest returns the highest version name is checkpointed at, and
-// false when name was never saved.
-func (st *Store) Latest(name string) (int, bool) {
-	best, found := 0, false
-	for k := range st.snaps {
-		if k.name == name && (!found || k.version > best) {
-			best, found = k.version, true
-		}
-	}
-	return best, found
-}
-
 // Drop removes every object's snapshot at version, bounding the
 // store's memory in long checkpoint loops.
 func (st *Store) Drop(version int) {
@@ -168,78 +133,6 @@ func (st *Store) Counters() (saves, restores int) { return st.saves, st.restores
 
 // Len returns the number of stored snapshots across all versions.
 func (st *Store) Len() int { return len(st.snaps) }
-
-const fileMagic = "mckpt1"
-
-// SaveFile serializes the whole store to path, the durable complement
-// to the in-memory store for restart-from-disk recovery flows.  The
-// encoding is deterministic (snapshots sorted by name then version).
-func (st *Store) SaveFile(path string) error {
-	var w codec.Writer
-	w.PutString(fileMagic)
-	keys := make([]key, 0, len(st.snaps))
-	for k := range st.snaps {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].name != keys[b].name {
-			return keys[a].name < keys[b].name
-		}
-		return keys[a].version < keys[b].version
-	})
-	w.PutInt64(int64(len(keys)))
-	for _, k := range keys {
-		snap := st.snaps[k]
-		w.PutString(k.name)
-		w.PutInt64(int64(k.version))
-		w.PutInt32(int32(snap.elem.Kind))
-		w.PutInt32(int32(snap.elem.Words))
-		w.PutInt64(int64(snap.units))
-		w.PutInt64(int64(snap.sum))
-		w.PutBytes(snap.wire)
-	}
-	if err := os.WriteFile(path, w.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("ckpt: writing store: %w", err)
-	}
-	return nil
-}
-
-// LoadFile deserializes a store written by SaveFile, replacing the
-// receiver's snapshots.  Checksums are verified per snapshot at
-// Restore time, not here, so a corrupt file loads but fails loudly on
-// use.
-func (st *Store) LoadFile(path string) (err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("ckpt: reading store: %w", err)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("ckpt: %s is not a checkpoint store: %v", path, r)
-		}
-	}()
-	r := codec.NewReader(data)
-	if magic := r.String(); magic != fileMagic {
-		return fmt.Errorf("ckpt: %s is not a checkpoint store (magic %q)", path, magic)
-	}
-	n := int(r.Int64())
-	snaps := make(map[key]snapshot, n)
-	for i := 0; i < n; i++ {
-		name := r.String()
-		version := int(r.Int64())
-		snap := snapshot{
-			elem: core.ElemType{Kind: core.ElemKind(r.Int32()), Words: int(r.Int32())},
-		}
-		snap.units = int(r.Int64())
-		snap.sum = uint64(r.Int64())
-		if wire := r.Bytes(); len(wire) > 0 {
-			snap.wire = wire
-		}
-		snaps[key{name, version}] = snap
-	}
-	st.snaps = snaps
-	return nil
-}
 
 // fnv64a is the FNV-1a checksum guarding snapshots against bit rot.
 func fnv64a(b []byte) uint64 {

@@ -46,21 +46,43 @@ func TestScheduleCacheHitsAndMisses(t *testing.T) {
 		if cache.Len() != 1 {
 			t.Errorf("Len=%d", cache.Len())
 		}
-		cache.Invalidate("loop-17")
+		// A membership change drops the entry; the next Get rebuilds.
+		cache.SetIncarnation(1)
 		if cache.Len() != 0 {
-			t.Error("Invalidate did not drop the entry")
+			t.Error("SetIncarnation did not drop the entry")
 		}
 		if _, err := cache.Get("loop-17", Float64, build); err != nil {
-			t.Errorf("rebuild after invalidate: %v", err)
+			t.Errorf("rebuild after a new incarnation: %v", err)
 		}
 		if builds != 2 {
 			t.Errorf("builds=%d want 2", builds)
 		}
-		cache.Clear()
-		if cache.Len() != 0 {
-			t.Error("Clear left entries")
-		}
 	})
+}
+
+// TestScheduleCacheBuildRaces pins what Get does when the cache moves
+// while a build runs outside its lock: a membership change hands the
+// build to its caller without caching it, and an entry another caller
+// inserted first wins.
+func TestScheduleCacheBuildRaces(t *testing.T) {
+	cache := NewScheduleCache()
+	s, err := cache.Get("k", Float64, func() (*Schedule, error) {
+		cache.SetIncarnation(1)
+		return &Schedule{elem: Float64}, nil
+	})
+	if err != nil || s == nil || cache.Len() != 0 {
+		t.Fatalf("build across a new incarnation: s=%p err=%v Len=%d, want returned but not cached", s, err, cache.Len())
+	}
+	first := &Schedule{elem: Float64}
+	s, err = cache.Get("k", Float64, func() (*Schedule, error) {
+		if err := cache.Put("k", Float64, first); err != nil {
+			t.Fatal(err)
+		}
+		return &Schedule{elem: Float64}, nil
+	})
+	if err != nil || s != first {
+		t.Fatalf("lost insert race: got %p err=%v, want the first insert %p", s, err, first)
+	}
 }
 
 func TestScheduleCacheDoesNotCacheFailures(t *testing.T) {
@@ -126,11 +148,6 @@ func TestScheduleCacheKeyedByElemType(t *testing.T) {
 	if cache.Len() != 2 {
 		t.Errorf("mismatch was cached: Len=%d", cache.Len())
 	}
-	// Invalidate drops the key's entries for every element type.
-	cache.Invalidate("loop-3")
-	if cache.Len() != 0 {
-		t.Errorf("Invalidate left %d entries", cache.Len())
-	}
 }
 
 // TestScheduleCachePut pins the explicit-insert path: a Put schedule
@@ -158,8 +175,8 @@ func TestScheduleCachePut(t *testing.T) {
 }
 
 // TestScheduleCacheConcurrent hammers one cache from many goroutines —
-// Get (hit and miss), Put, Invalidate, SetIncarnation, Clear and the
-// read-side accessors all interleave.  The coupling service shares a
+// Get (hit and miss), Put, SetIncarnation, SetLimit and the read-side
+// accessors all interleave.  The coupling service shares a
 // cache across tenant sessions, so this must be provably clean under
 // the race detector before the service can stand on it.  The test
 // asserts no race, no lost schedule (every Get returns a schedule of
@@ -185,13 +202,10 @@ func TestScheduleCacheConcurrent(t *testing.T) {
 						return
 					}
 				case 7:
-					switch g % 3 {
-					case 0:
-						cache.Invalidate(key)
-					case 1:
+					if g%2 == 0 {
 						cache.SetIncarnation(i % 5)
-					default:
-						cache.Clear()
+					} else {
+						cache.SetLimit(i % 4) // 0 lifts the bound
 					}
 				default:
 					s, err := cache.Get(key, et, func() (*Schedule, error) {
@@ -208,7 +222,7 @@ func TestScheduleCacheConcurrent(t *testing.T) {
 				}
 				cache.Len()
 				cache.Counters()
-				cache.Incarnation()
+				cache.Evictions()
 			}
 		}(g)
 	}

@@ -245,7 +245,6 @@ func TestMoveGracefulDegradation(t *testing.T) {
 			// decided yet when the flag flips.
 			p.Comm().Barrier()
 			inj.killed = true
-			sched.SetMoveTimeout(30) // generous; peer failure should fire first
 			r := sched.Move(src, dst)
 			if p.Rank() == 2 {
 				deadReport = append([]int(nil), r.FailedPeers...)

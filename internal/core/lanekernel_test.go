@@ -10,7 +10,7 @@ import (
 
 // The lane kernels driven directly, without a world: packLane and
 // unpackLane (so packRuns/unpackRuns of every kind) against a reference
-// that moves one scalar unit at a time through GetF/SetF/AddF.
+// that moves one scalar unit at a time through GetF/SetF/addUnit.
 
 // laneElems is the local storage size, in elements, of both test sides.
 const laneElems = 24
@@ -131,7 +131,7 @@ func TestLaneKernelsMatchReference(t *testing.T) {
 				want := filled(et, 2)
 				for k, u := range to {
 					if op == opAdd {
-						want.AddF(u, lin.GetF(k))
+						addUnit(&want, u, lin.GetF(k))
 					} else {
 						want.SetF(u, lin.GetF(k))
 					}

@@ -169,14 +169,3 @@ func LookupLibrary(name string) (Library, error) {
 	}
 	return lib, nil
 }
-
-// RegisteredLibraries returns the sorted names of all registered
-// libraries.
-func RegisteredLibraries() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

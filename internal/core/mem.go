@@ -51,32 +51,8 @@ func MakeMem(et ElemType, elems int) Mem {
 // but owning no elements (IsNil reports true).
 func NilMem(et ElemType) Mem { return Mem{et: et} }
 
-// Float64Mem wraps an existing float64 slice as storage for
-// words-float64 elements, the adapter that lets the pre-ElemType
-// libraries keep their []float64 backing arrays.
-func Float64Mem(words int, data []float64) Mem {
-	return Mem{et: ElemType{Kind: KindFloat64, Words: words}, f64: data}
-}
-
-// ByteMem wraps an existing byte slice as words-byte element storage.
-func ByteMem(words int, data []byte) Mem {
-	return Mem{et: ElemType{Kind: KindByte, Words: words}, by: data}
-}
-
 // Elem returns the element type the storage holds.
 func (m Mem) Elem() ElemType { return m.et }
-
-// Clone returns a Mem backed by a fresh copy of the storage (a nil Mem
-// clones to a nil Mem).
-func (m Mem) Clone() Mem {
-	out := m
-	out.f64 = append([]float64(nil), m.f64...)
-	out.f32 = append([]float32(nil), m.f32...)
-	out.i64 = append([]int64(nil), m.i64...)
-	out.i32 = append([]int32(nil), m.i32...)
-	out.by = append([]byte(nil), m.by...)
-	return out
-}
 
 // IsNil reports whether the Mem owns no storage at all — the
 // descriptor-only remote-view case.  An allocated zero-length slice is
@@ -108,21 +84,9 @@ func (m Mem) Units() int {
 func (m Mem) Elems() int { return m.Units() / max(m.et.Words, 1) }
 
 // Float64s returns the underlying slice of a KindFloat64 Mem, nil for
-// any other kind.  The typed accessors exist so library-native code
-// paths keep working on their natural slice type.
+// any other kind, so the float64-native libraries keep working on
+// their natural slice type.
 func (m Mem) Float64s() []float64 { return m.f64 }
-
-// Float32s returns the underlying slice of a KindFloat32 Mem.
-func (m Mem) Float32s() []float32 { return m.f32 }
-
-// Int64s returns the underlying slice of a KindInt64 Mem.
-func (m Mem) Int64s() []int64 { return m.i64 }
-
-// Int32s returns the underlying slice of a KindInt32 Mem.
-func (m Mem) Int32s() []int32 { return m.i32 }
-
-// Bytes returns the underlying slice of a KindByte Mem.
-func (m Mem) Bytes() []byte { return m.by }
 
 // GetF reads scalar unit u converted to float64.
 func (m *Mem) GetF(u int) float64 {
@@ -157,33 +121,6 @@ func (m *Mem) SetF(u int, v float64) {
 		m.by[u] = byte(v)
 	default:
 		panic(fmt.Sprintf("core: SetF on unknown element kind %d", m.et.Kind))
-	}
-}
-
-// CopyFrom overwrites m's storage with src's, which must have the same
-// element type and unit count.  The copy is typed and exact — no
-// float64 round trip — so checkpoint restores preserve int64 values
-// beyond 2^53 bit-for-bit.
-func (m Mem) CopyFrom(src Mem) {
-	if m.et != src.et {
-		panic(fmt.Sprintf("core: CopyFrom between element types %v and %v", m.et, src.et))
-	}
-	if m.Units() != src.Units() {
-		panic(fmt.Sprintf("core: CopyFrom between storages of %d and %d units", m.Units(), src.Units()))
-	}
-	switch m.et.Kind {
-	case KindFloat64:
-		copy(m.f64, src.f64)
-	case KindFloat32:
-		copy(m.f32, src.f32)
-	case KindInt64:
-		copy(m.i64, src.i64)
-	case KindInt32:
-		copy(m.i32, src.i32)
-	case KindByte:
-		copy(m.by, src.by)
-	default:
-		panic(fmt.Sprintf("core: CopyFrom on unknown element kind %d", m.et.Kind))
 	}
 }
 
@@ -226,23 +163,5 @@ func (m Mem) SetFromWire(b []byte) {
 		codec.Into(m.by, b)
 	default:
 		panic(fmt.Sprintf("core: SetFromWire on unknown element kind %d", m.et.Kind))
-	}
-}
-
-// AddF adds v into scalar unit u in the storage's native arithmetic.
-func (m *Mem) AddF(u int, v float64) {
-	switch m.et.Kind {
-	case KindFloat64:
-		m.f64[u] += v
-	case KindFloat32:
-		m.f32[u] += float32(v)
-	case KindInt64:
-		m.i64[u] += int64(v)
-	case KindInt32:
-		m.i32[u] += int32(v)
-	case KindByte:
-		m.by[u] += byte(v)
-	default:
-		panic(fmt.Sprintf("core: AddF on unknown element kind %d", m.et.Kind))
 	}
 }

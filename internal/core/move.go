@@ -80,8 +80,9 @@ func (ph *MovePhases) Total() float64 {
 // cost to accomplish it.  On a perfect network (or with reliability
 // disabled) it is all zeros with nil slices — the fast path allocates
 // nothing.  FailedPeers is non-empty only when the reliable transport
-// declared peers unreachable or the move's deadline expired: the
-// move completed every other lane, and the caller decides how to
+// declared peers unreachable, the failure detector declared them dead,
+// or a deadline the caller opened with WithTimeout expired: the move
+// completed every other lane, and the caller decides how to
 // degrade (the elements of failed lanes keep their previous values).
 type MoveResult struct {
 	// Elems is the number of elements this process unpacked or copied
@@ -364,7 +365,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			var i int
 			if guarded {
 				var werr error
-				i, werr = mpsim.WaitanyTimeout(reqs, s.timeout)
+				i, werr = mpsim.WaitanyTimeout(reqs, 0)
 				if werr != nil {
 					now = p.Clock()
 					spw.End(now)
@@ -461,7 +462,8 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 // lanes were cancelled — the reliable transport abandoned it
 // (ErrPeerUnreachable) or the failure detector declared it dead
 // (ErrPeerDead) — so the caller keeps draining the others, and false
-// on a deadline expiry, which abandons every pending lane.
+// on any other failure, such as the expiry of a deadline the caller
+// opened around the move, which abandons every pending lane.
 func (s *Schedule) cancelFailed(res *MoveResult, reqs []*mpsim.Request, recvs []PeerList, werr error) bool {
 	var ne *mpsim.NetError
 	if errors.As(werr, &ne) &&

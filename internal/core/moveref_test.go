@@ -37,12 +37,12 @@ func refMoveOp(s *Schedule, srcObj, dstObj DistObject, reverse bool, op int, tag
 		for i := range sends {
 			pl := &sends[i]
 			vals := make([]float64, 0, pl.Len()*w)
-			for _, off := range pl.ExpandOffsets() {
+			pl.Each(func(off int32) {
 				o := int(off) * w
 				for j := 0; j < w; j++ {
 					vals = append(vals, local.GetF(o+j))
 				}
-			}
+			})
 			s.union.Send(pl.Peer, tag, codec.Float64sToBytes(vals))
 		}
 	}
@@ -53,7 +53,7 @@ func refMoveOp(s *Schedule, srcObj, dstObj DistObject, reverse bool, op int, tag
 			for j := 0; j < w; j++ {
 				switch {
 				case op == opAdd:
-					to.AddF(b+j, from.GetF(a+j))
+					addUnit(&to, b+j, from.GetF(a+j))
 				case reverse:
 					from.SetF(a+j, to.GetF(b+j))
 				default:
@@ -69,18 +69,35 @@ func refMoveOp(s *Schedule, srcObj, dstObj DistObject, reverse bool, op int, tag
 			data, _ := s.union.Recv(pl.Peer, tag)
 			vals := codec.BytesToFloat64s(data)
 			t := 0
-			for _, off := range pl.ExpandOffsets() {
+			pl.Each(func(off int32) {
 				o := int(off) * w
 				for j := 0; j < w; j++ {
 					if op == opAdd {
-						local.AddF(o+j, vals[t])
+						addUnit(&local, o+j, vals[t])
 					} else {
 						local.SetF(o+j, vals[t])
 					}
 					t++
 				}
-			}
+			})
 		}
+	}
+}
+
+// addUnit adds v into scalar unit u in the storage's native
+// arithmetic (integer kinds wrap), the reference for MoveAdd.
+func addUnit(m *Mem, u int, v float64) {
+	switch m.et.Kind {
+	case KindFloat64:
+		m.f64[u] += v
+	case KindFloat32:
+		m.f32[u] += float32(v)
+	case KindInt64:
+		m.i64[u] += int64(v)
+	case KindInt32:
+		m.i32[u] += int32(v)
+	case KindByte:
+		m.by[u] += byte(v)
 	}
 }
 
@@ -91,7 +108,7 @@ type refObj struct {
 }
 
 func (o *refObj) Elem() ElemType { return Float64Elems(o.words) }
-func (o *refObj) LocalMem() Mem  { return Float64Mem(o.words, o.data) }
+func (o *refObj) LocalMem() Mem  { return Mem{et: o.Elem(), f64: o.data} }
 
 func (o *refObj) clone() *refObj {
 	return &refObj{words: o.words, data: append([]float64(nil), o.data...)}
@@ -103,7 +120,11 @@ type memObj struct{ mem Mem }
 func (o *memObj) Elem() ElemType { return o.mem.Elem() }
 func (o *memObj) LocalMem() Mem  { return o.mem }
 
-func (o *memObj) clone() *memObj { return &memObj{mem: o.mem.Clone()} }
+func (o *memObj) clone() *memObj {
+	m := MakeMem(o.mem.Elem(), o.mem.Elems())
+	m.SetFromWire(o.mem.AppendTo(nil))
+	return &memObj{mem: m}
+}
 
 // buildSchedFromPerm constructs one process's Schedule directly from a
 // global slot bijection: global source slot i (process i/slotsPer,
@@ -191,8 +212,12 @@ func TestMoveMatchesReferenceExecutor(t *testing.T) {
 		mpsim.RunSPMD(mpsim.Ideal(), nprocs, func(p *mpsim.Proc) {
 			comm := p.Comm()
 			sched := buildSchedFromPerm(comm, slotsPer, Float64Elems(words), perm)
-			if regular && sched.RunCount() > 3*nprocs {
-				t.Errorf("trial %d: regular schedule kept %d runs for %d lanes", trial, sched.RunCount(), nprocs)
+			runs := len(sched.Local)
+			for _, pl := range append(sched.Sends, sched.Recvs...) {
+				runs += len(pl.Runs)
+			}
+			if regular && runs > 3*nprocs {
+				t.Errorf("trial %d: regular schedule kept %d runs for %d lanes", trial, runs, nprocs)
 			}
 			src := &refObj{words: words, data: make([]float64, slotsPer*words)}
 			dst := &refObj{words: words, data: make([]float64, slotsPer*words)}

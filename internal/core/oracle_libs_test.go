@@ -39,7 +39,9 @@ func (refSec) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegion
 	out := make([]core.Loc, 0, hi-lo)
 	coords := make([]int, len(so.SecDist().Shape()))
 	local := make([]int, len(so.SecDist().Shape()))
-	for _, span := range set.SplitRange(lo, hi) {
+	for at := lo; at < hi; {
+		span := set.SpanAt(at, hi)
+		at = span.Base + span.Hi
 		sec := set.Region(span.Index).(gidx.Section)
 		for k := span.Lo; k < span.Hi; k++ {
 			sec.PointAt(k, coords)
@@ -139,7 +141,9 @@ func boxSection(r core.Region) gidx.Section {
 func (l refLparx) DerefRange(ctx *core.Ctx, _ core.DistObject, set *core.SetOfRegions, lo, hi int) []core.Loc {
 	out := make([]core.Loc, 0, hi-lo)
 	coords := make([]int, l.dec.Rank())
-	for _, span := range set.SplitRange(lo, hi) {
+	for at := lo; at < hi; {
+		span := set.SpanAt(at, hi)
+		at = span.Base + span.Hi
 		sec := boxSection(set.Region(span.Index))
 		for k := span.Lo; k < span.Hi; k++ {
 			sec.PointAt(k, coords)
@@ -210,7 +214,9 @@ type refPcxx struct{}
 func (refPcxx) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.Loc {
 	c := o.(*pcxxrt.Collection)
 	out := make([]core.Loc, 0, hi-lo)
-	for _, span := range set.SplitRange(lo, hi) {
+	for at := lo; at < hi; {
+		span := set.SpanAt(at, hi)
+		at = span.Base + span.Hi
 		r := set.Region(span.Index).(pcxxrt.RangeRegion)
 		for k := span.Lo; k < span.Hi; k++ {
 			i := r.At(k)
@@ -277,7 +283,9 @@ func (l refChaos) lookup(ctx *core.Ctx, o core.DistObject, indices []int32) []co
 
 func (l refChaos) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.Loc {
 	indices := make([]int32, 0, hi-lo)
-	for _, span := range set.SplitRange(lo, hi) {
+	for at := lo; at < hi; {
+		span := set.SpanAt(at, hi)
+		at = span.Base + span.Hi
 		indices = append(indices, set.Region(span.Index).(chaoslib.IndexRegion)[span.Lo:span.Hi]...)
 	}
 	return l.lookup(ctx, o, indices)

@@ -76,31 +76,12 @@ func (s *SetOfRegions) Size() int {
 func (s *SetOfRegions) Base(i int) int { return s.base[i] }
 
 // Span is a contiguous range of one region's linearization produced by
-// splitting a set-level position range: positions [Lo, Hi) of region
-// Index, whose set-level positions start at Base+Lo.
+// splitting a set-level position range (see SpanAt): positions [Lo, Hi)
+// of region Index, whose set-level positions start at Base+Lo.
 type Span struct {
 	Index  int
 	Lo, Hi int
 	Base   int
-}
-
-// SplitRange decomposes the set-level position range [lo, hi) into
-// per-region spans.  Libraries use it to implement set-level
-// dereferencing with a uniform number of collective steps on every
-// process.
-func (s *SetOfRegions) SplitRange(lo, hi int) []Span {
-	if lo < 0 || hi > s.Size() || lo > hi {
-		panic(fmt.Sprintf("core: SplitRange [%d,%d) outside set of %d elements", lo, hi, s.Size()))
-	}
-	var spans []Span
-	for i := range s.regions {
-		rLo, rHi := s.base[i], s.base[i+1]
-		a, b := max(lo, rLo), min(hi, rHi)
-		if a < b {
-			spans = append(spans, Span{Index: i, Lo: a - rLo, Hi: b - rLo, Base: rLo})
-		}
-	}
-	return spans
 }
 
 // SpanAt returns the first per-region span of the set-level position

@@ -5,19 +5,19 @@ import (
 	"sort"
 
 	"metachaos/internal/codec"
-	"metachaos/internal/mpsim"
 )
 
 // Incremental schedule repair.  A Schedule carrying its RouteMap
 // (AttachRoutes) can be patched when the distribution changes by a
-// small delta — a rank joined, a block migrated, a boundary shifted —
-// instead of paying the collective O(world) recompute: Diff the old
-// and new route maps (O(runs)), and if the changed fraction is small
-// enough, reassemble the per-process lists locally from the new map
-// (O(runs), no communication, no dereference).  RepairOrRebuild is the
-// policy wrapper recovery and the coupling service call; it falls back
-// to a full rebuild when no routes are attached or the delta is too
-// large for a patch to be worth it.
+// small delta — a block migrated, a boundary shifted — instead of
+// paying the collective O(world) recompute: Diff the old and new route
+// maps (O(runs)), and if the changed fraction is small enough,
+// reassemble the per-process lists locally from the new map (O(runs),
+// no communication, no dereference).  RepairOrRebuild is the policy
+// wrapper the coupling service calls when a newly opened pair has a
+// donor schedule (internal/serve); it falls back to a full rebuild
+// when no routes are attached or the delta is too large for a patch to
+// be worth it.
 //
 // Every input to the repair decision (cached routes, new routes) is
 // SPMD-replicated state, so all processes of a coupling take the same
@@ -54,19 +54,15 @@ func (s *Schedule) AttachRoutes(rm *RouteMap, myWorld int) error {
 // therefore repairable.
 func (s *Schedule) HasRoutes() bool { return s.routes != nil }
 
-// Routes returns the attached route map, or nil.
-func (s *Schedule) Routes() *RouteMap { return s.routes }
-
 // Clone returns a deep copy of the schedule's routing state (lists,
-// route map reference, union binding, timeout) with fresh executor
-// scratch.  The coupling service clones a donor tenant's schedule
-// before repairing it so the donor's cached entry stays intact.
+// route map reference, union binding) with fresh executor scratch.
+// RepairOrRebuild patches a clone so the donor's cached entry stays
+// intact.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{
 		union:   s.union,
 		elems:   s.elems,
 		elem:    s.elem,
-		timeout: s.timeout,
 		routes:  s.routes,
 		myWorld: s.myWorld,
 	}
@@ -82,35 +78,9 @@ func (s *Schedule) Clone() *Schedule {
 	return c
 }
 
-// NewScheduleFromRoutes assembles a process's schedule directly from a
-// route map, with no communication at all — the joiner's half of
-// elastic grow: a rank that just entered the world holds no cached
-// schedule to repair, but given the (SPMD-replicated) route map it
-// derives the same lists every incumbent's repair produces, because
-// both endpoints of every lane enumerate the same positions in the
-// same order.  myWorld is the calling process's world rank.
-func NewScheduleFromRoutes(g *Coupling, rm *RouteMap, et ElemType, myWorld int) (*Schedule, error) {
-	if rm == nil {
-		return nil, fmt.Errorf("core: building schedule from nil route map")
-	}
-	s := &Schedule{union: g.Union, elems: rm.Elems, elem: et, routes: rm, myWorld: myWorld}
-	if err := s.assembleFromRoutes(g.View()); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Rebind points the schedule at a different union communicator — the
-// fresh-context, fresh-sequence-space group a grow or shrink derived —
-// without touching its lists.  Use it together with Repair when the
-// membership changed; the repair's view must translate into the same
-// union.
-func (s *Schedule) Rebind(union *mpsim.Comm) { s.union = union }
-
 // assembleFromRoutes rebuilds the schedule's send/receive/local lists
 // for world rank s.myWorld from its route map, translating peer world
-// ranks through view — whose union may be larger than s.union when the
-// repair comes before the Rebind.  Lanes come out in first-encounter
+// ranks through view.  Lanes come out in first-encounter
 // order over the position-sorted runs, and every list is the one its
 // element sequence defines (runs.go), so the result is DeepEqual to what
 // both collective builders produce.
@@ -144,8 +114,7 @@ func (s *Schedule) assembleFromRoutes(view RankView) error {
 // route map is swapped, the per-process lists are reassembled locally
 // (O(runs) — no communication, no dereference), and the executor
 // scratch is reset so the next move restages.  The caller is
-// responsible for the policy decision (see RepairOrRebuild) and for
-// Rebind when the union changed.
+// responsible for the policy decision (see RepairOrRebuild).
 func (s *Schedule) Repair(delta *RouteDelta, view RankView) error {
 	if delta == nil || delta.Next == nil {
 		return fmt.Errorf("core: repairing with nil delta")

@@ -15,7 +15,7 @@ import "fmt"
 // reassembly instead of a collective O(world) recompute.
 //
 // Ranks in a RouteMap are *world* ranks, not union ranks.  Union ranks
-// are renumbered by every grow or shrink (the union communicator is
+// are renumbered by every shrink (the union communicator is
 // sorted by world rank), so a route map keyed on union ranks would rot
 // at each membership change; world ranks are stable for the life of
 // the simulated world, and assembly translates them through the
@@ -130,8 +130,8 @@ func ComputeRoutes(c *Coupling, src, dst *Spec) (*RouteMap, error) {
 // side holds srcCounts[i] consecutive positions (offsets 0..count-1
 // locally) on world rank srcWorld[i]; likewise for the destination.
 // It is the O(delta)-friendly constructor for the common "a boundary
-// shifted / a rank joined" case, and the harness-side generator for
-// repair benchmarks and tests.
+// shifted" case, and the harness-side generator for repair benchmarks
+// and tests.
 func BlockRoutes(srcCounts, dstCounts, srcWorld, dstWorld []int) (*RouteMap, error) {
 	if len(srcCounts) != len(srcWorld) || len(dstCounts) != len(dstWorld) {
 		return nil, fmt.Errorf("core: block routes: counts and world-rank lists disagree (%d/%d source, %d/%d destination)",

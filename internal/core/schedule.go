@@ -72,14 +72,6 @@ func (pl *PeerList) Each(f func(off int32)) {
 	}
 }
 
-// ExpandOffsets materializes the lane's offsets as a fresh slice, for
-// debugging and reference executors; the hot paths work on Runs.
-func (pl *PeerList) ExpandOffsets() []int32 {
-	out := make([]int32, 0, pl.Len())
-	pl.Each(func(off int32) { out = append(out, off) })
-	return out
-}
-
 // Schedule is one process's portion of a communication schedule.  It is
 // symmetric: the same schedule copies data source-to-destination with
 // Move/MoveSend/MoveRecv or destination-to-source with the Reverse
@@ -100,11 +92,6 @@ type Schedule struct {
 	myWorld int
 
 	moveSeq int
-
-	// timeout bounds each move's receive phase in virtual seconds when
-	// the run uses the reliable transport; 0 means no deadline (moves
-	// still fail fast on peers the transport abandoned).
-	timeout float64
 
 	// Executor scratch, cached across moves so a reused schedule packs,
 	// ships and unpacks without allocating (see move.go).  A Schedule is
@@ -128,12 +115,6 @@ type Schedule struct {
 	netBefore []mpsim.PairStats
 	perPeer   []PeerNet
 }
-
-// SetMoveTimeout bounds every subsequent move's receive phase by d
-// virtual seconds (reliable-transport runs only); peers that miss the
-// deadline are reported in MoveResult.FailedPeers instead of hanging
-// the move.  d = 0 removes the deadline.
-func (s *Schedule) SetMoveTimeout(d float64) { s.timeout = d }
 
 // releaseScratch returns the schedule's pooled staging segments to the
 // buffer pool.  The schedule cache calls it when it evicts an entry;
@@ -167,42 +148,12 @@ func (s *Schedule) Elem() ElemType { return s.elem }
 // built for.
 func (s *Schedule) ElemWords() int { return s.elem.Words }
 
-// SendCount returns the number of elements this process sends remotely.
-func (s *Schedule) SendCount() int { return lanesLen(s.Sends) }
-
-// RecvCount returns the number of elements this process receives
-// remotely.
-func (s *Schedule) RecvCount() int { return lanesLen(s.Recvs) }
-
-func lanesLen(pls []PeerList) int {
-	n := 0
-	for _, pl := range pls {
-		n += pl.Len()
-	}
-	return n
-}
-
 // LocalCount returns the number of elements this process copies
 // locally.
 func (s *Schedule) LocalCount() int {
 	n := 0
 	for _, lr := range s.Local {
 		n += int(lr.Count)
-	}
-	return n
-}
-
-// RunCount returns the total number of stored runs across the send,
-// receive and local lists — the schedule's in-memory footprint in
-// list entries (a regular transfer keeps this tiny no matter how many
-// elements move, which is what makes ScheduleCache entries cheap).
-func (s *Schedule) RunCount() int {
-	n := len(s.Local)
-	for _, pl := range s.Sends {
-		n += len(pl.Runs)
-	}
-	for _, pl := range s.Recvs {
-		n += len(pl.Runs)
 	}
 	return n
 }

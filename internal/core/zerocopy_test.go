@@ -155,8 +155,9 @@ func TestMovePlaneDrains(t *testing.T) {
 // backing array each one is; adjacent, empty and nil ones do not.
 func TestMemOverlaps(t *testing.T) {
 	back := make([]float64, 16)
-	f := func(lo, hi int) Mem { return Float64Mem(1, back[lo:hi]) }
+	f := func(lo, hi int) Mem { return Mem{et: Float64, f64: back[lo:hi]} }
 	by := make([]byte, 8)
+	b := func(words int, data []byte) Mem { return Mem{et: ElemType{Kind: KindByte, Words: words}, by: data} }
 	for _, c := range []struct {
 		name string
 		a, b Mem
@@ -168,8 +169,8 @@ func TestMemOverlaps(t *testing.T) {
 		{"adjacent", f(0, 8), f(8, 16), false},
 		{"empty inside", f(0, 16), f(4, 4), false},
 		{"nil", f(0, 16), NilMem(ElemType{Kind: KindFloat64, Words: 1}), false},
-		{"other kind, other array", f(0, 16), ByteMem(1, by), false},
-		{"bytes, shared", ByteMem(1, by[:5]), ByteMem(2, by[4:]), true},
+		{"other kind, other array", f(0, 16), b(1, by), false},
+		{"bytes, shared", b(1, by[:5]), b(2, by[4:]), true},
 	} {
 		if got := memOverlaps(c.a, c.b); got != c.want {
 			t.Errorf("%s: memOverlaps = %v, want %v", c.name, got, c.want)

@@ -130,7 +130,8 @@ func TestChaosCrosstestSweep(t *testing.T) {
 		}
 		// One transient partition early in the run: rank 0 is cut off
 		// long enough to force retransmission-driven recovery.
-		return prof.WithPartition(0.002, 0.010, 0)
+		prof.Partitions = append(prof.Partitions, faultsim.Partition{Start: 0.002, End: 0.010, Ranks: []int{0}})
+		return prof
 	}
 	var drops, retransmits int64
 	ops := []string{"copy", "add", "reverse"}

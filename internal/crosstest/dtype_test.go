@@ -423,7 +423,8 @@ func TestChaosDtypeSweep(t *testing.T) {
 		if prof == nil {
 			t.Skipf("CHAOS_PROFILE=%s injects nothing", profName)
 		}
-		return prof.WithPartition(0.002, 0.010, 0)
+		prof.Partitions = append(prof.Partitions, faultsim.Partition{Start: 0.002, End: 0.010, Ranks: []int{0}})
+		return prof
 	}
 	var drops, retransmits int64
 	ops := []string{"copy", "add", "reverse"}

@@ -42,14 +42,8 @@ func TestBlockCyclicGlobalOfInverts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 23; i++ {
-		for j := 0; j < 9; j++ {
-			rank, local := d.LocalCoords([]int{i, j}, nil)
-			back := d.GlobalOf(rank, local)
-			if back[0] != i || back[1] != j {
-				t.Fatalf("(%d,%d) -> rank %d local %v -> %v", i, j, rank, local, back)
-			}
-		}
+	if !ownedRoundTrips(d) {
+		t.Fatal("LocalCoords does not invert the owned tiles")
 	}
 }
 
@@ -104,11 +98,9 @@ func TestQuickBlockCyclicPartition(t *testing.T) {
 			}
 			seen[key] = true
 			total++
-			// round trip
-			_, local := d.LocalCoords([]int{i}, nil)
-			if d.GlobalOf(rank, local)[0] != i {
-				return false
-			}
+		}
+		if !ownedRoundTrips(d) {
+			return false
 		}
 		sum := 0
 		for r := 0; r < g; r++ {

@@ -328,17 +328,6 @@ func (d *Dist) globalDim(dim, g, lc int) int {
 	return g*d.blockSize[dim] + lc
 }
 
-// GlobalOf maps rank-local tile coordinates back to global coordinates,
-// the inverse of Locate's per-dimension translation.
-func (d *Dist) GlobalOf(rank int, local []int) []int {
-	g := d.GridCoords(rank)
-	out := make([]int, len(d.shape))
-	for dim, lc := range local {
-		out[dim] = d.globalDim(dim, g[dim], lc)
-	}
-	return out
-}
-
 // EachOwned calls f with the local tile coordinates and the global
 // coordinates of every element rank owns, in the tile's row-major
 // storage order.  Both slices are reused between calls.

@@ -27,17 +27,14 @@ func TestThreeDimensionalBlockDist(t *testing.T) {
 				}
 				seen[key] = true
 				total++
-				// GlobalOf inverts.
-				_, local := d.LocalCoords([]int{i, j, k}, nil)
-				back := d.GlobalOf(rank, local)
-				if back[0] != i || back[1] != j || back[2] != k {
-					t.Fatalf("GlobalOf(%v)=%v", local, back)
-				}
 			}
 		}
 	}
 	if total != 120 {
 		t.Fatalf("visited %d elements", total)
+	}
+	if !ownedRoundTrips(d) {
+		t.Fatal("LocalCoords does not invert the owned tiles")
 	}
 	sum := 0
 	for r := 0; r < 4; r++ {

@@ -2,11 +2,27 @@ package distarray
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"metachaos/internal/gidx"
 )
+
+// ownedRoundTrips reports whether every element EachOwned enumerates
+// maps back through LocalCoords to its own rank and local coordinates,
+// and the tiles together hold every element of the shape once.
+func ownedRoundTrips(d *Dist) bool {
+	ok, total := true, 0
+	for rank := 0; rank < d.NProcs(); rank++ {
+		d.EachOwned(rank, func(local, coords []int) {
+			r, back := d.LocalCoords(coords, nil)
+			ok = ok && r == rank && slices.Equal(back, local)
+			total++
+		})
+	}
+	return ok && total == d.Shape().Size()
+}
 
 func mustDist(t *testing.T, shape gidx.Shape, grid []int, kinds []Kind) *Dist {
 	t.Helper()
@@ -131,16 +147,8 @@ func TestGlobalOfInvertsLocate(t *testing.T) {
 		{Cyclic, Cyclic},
 	} {
 		d := mustDist(t, gidx.Shape{9, 11}, []int{2, 3}, kinds)
-		for i := 0; i < 9; i++ {
-			for j := 0; j < 11; j++ {
-				rank, local := d.LocalCoords([]int{i, j}, nil)
-				g := d.GridCoords(rank)
-				back := d.GlobalOf(rank, local)
-				if back[0] != i || back[1] != j {
-					t.Fatalf("kinds %v: (%d,%d) -> rank %d grid %v local %v -> %v",
-						kinds, i, j, rank, g, local, back)
-				}
-			}
+		if !ownedRoundTrips(d) {
+			t.Fatalf("kinds %v: LocalCoords does not invert the owned tiles", kinds)
 		}
 	}
 }
@@ -287,8 +295,8 @@ func TestIndexTranslationAllocFree(t *testing.T) {
 		t.Errorf("Locate, LocalCoords, OwnerOf and LocalSize allocate %v times a call; want 0", n)
 	}
 
-	// FillGlobal walks the tile's global coordinates without asking
-	// GlobalOf for a fresh slice per element.
+	// FillGlobal walks the tile's global coordinates without a fresh
+	// slice per element.
 	a := NewArray(d, 4)
 	per := testing.AllocsPerRun(10, func() { a.FillGlobal(func(c []int) float64 { return float64(c[0]) }) })
 	if per > 8 {
@@ -304,9 +312,8 @@ func TestEachOwnedMatchesGlobalOf(t *testing.T) {
 	for rank := 0; rank < d.NProcs(); rank++ {
 		n := 0
 		d.EachOwned(rank, func(local, coords []int) {
-			want := d.GlobalOf(rank, local)
-			if want[0] != coords[0] || want[1] != coords[1] {
-				t.Fatalf("rank %d local %v: coords %v, GlobalOf says %v", rank, local, coords, want)
+			if r, back := d.LocalCoords(coords, nil); r != rank || !slices.Equal(back, local) {
+				t.Fatalf("rank %d local %v: coords %v map back to rank %d local %v", rank, local, coords, r, back)
 			}
 			if r, off := d.Locate(coords); r != rank || off != n {
 				t.Fatalf("rank %d: element %d at %v locates to rank %d offset %d", rank, n, coords, r, off)

@@ -6,6 +6,14 @@ import (
 	"metachaos/internal/faultsim"
 )
 
+// mildCut is the mild profile plus a partition that cuts rank 0 off
+// early in the run.
+func mildCut() *faultsim.Profile {
+	f := faultsim.Mild(42)
+	f.Partitions = []faultsim.Partition{{Start: 0.01, End: 0.05, Ranks: []int{0}}}
+	return f
+}
+
 // TestChaosFigure10Workload runs the Section 5.4 client/server
 // experiment on a faulty Alpha-farm network with reliable transport
 // and checks that the client's result vector is bit-identical to the
@@ -19,7 +27,7 @@ func TestChaosFigure10Workload(t *testing.T) {
 	}
 
 	faulty := base
-	faulty.Fault = faultsim.Mild(42).WithPartition(0.01, 0.05, 0)
+	faulty.Fault = mildCut()
 	faulty.Reliable = true
 	got, st := runClientServer(faulty)
 	if got.ResultHash != clean.ResultHash {
@@ -35,7 +43,7 @@ func TestChaosFigure10Workload(t *testing.T) {
 
 	// Fresh injector, same seed: identical virtual-time outcome.
 	replay := base
-	replay.Fault = faultsim.Mild(42).WithPartition(0.01, 0.05, 0)
+	replay.Fault = mildCut()
 	replay.Reliable = true
 	got2, st2 := runClientServer(replay)
 	if got2.ResultHash != got.ResultHash ||

@@ -176,7 +176,7 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 					if it >= cfg.Iters {
 						break
 					}
-					attempted = p.WithTimeout(budget, func() { elasticClientStep(p, "elastic", vecSched, x, y) }) == nil
+					attempted = p.WithTimeout(budget, func() { elasticClientStep(p, vecSched, x, y) }) == nil
 				}
 				out.ResultHash = hashVector(x)
 				out.Survivors = coupling.Union.Size() - 1
@@ -225,7 +225,7 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 					if it >= cfg.Iters {
 						break
 					}
-					attempted = p.WithTimeout(budget, func() { elasticServerStep(ctx, "elastic", vecSched, a, x, y) }) == nil
+					attempted = p.WithTimeout(budget, func() { elasticServerStep(ctx, vecSched, a, x, y) }) == nil
 				}
 			}},
 		},
@@ -266,10 +266,8 @@ func hashVector(x *hpfrt.Array) uint64 {
 	return h.Sum64()
 }
 
-// The pieces runElastic and runElasticGrow share: the power
-// iteration's sections, slot boundaries, arrays and per-slot steps.
-// Their slot loops stay apart — a crash voids the slot it lands in and
-// a join never does, so one loop would branch on its caller.
+// The power iteration's sections, slot boundaries, arrays and
+// per-slot steps, shared by the client's and the server's slot loops.
 var (
 	elasticMat = gidx.FullSection(gidx.Shape{elasticN, elasticN})
 	elasticVec = gidx.FullSection(gidx.Shape{elasticN})
@@ -311,19 +309,19 @@ func elasticClientArrays() (a, x, y *hpfrt.Array) {
 // elasticClientStep is the client's half of one iteration attempt:
 // ship the operand, collect the product.  A degraded move panics with
 // the peer-death error WithTimeout turns into a failed attempt.
-func elasticClientStep(p *mpsim.Proc, op string, vec *core.Schedule, x, y *hpfrt.Array) {
+func elasticClientStep(p *mpsim.Proc, vec *core.Schedule, x, y *hpfrt.Array) {
 	for _, r := range []core.MoveResult{vec.MoveSend(x), vec.MoveReverseRecv(y)} {
 		if !r.OK() {
-			panic(&mpsim.NetError{Op: op, Rank: p.WorldRank(), Peer: r.FailedPeers[0], Err: mpsim.ErrPeerDead})
+			panic(&mpsim.NetError{Op: "elastic", Rank: p.WorldRank(), Peer: r.FailedPeers[0], Err: mpsim.ErrPeerDead})
 		}
 	}
 }
 
 // elasticServerStep is a server process's half: receive the operand,
 // multiply, return this process's block of the product.
-func elasticServerStep(ctx *core.Ctx, op string, vec *core.Schedule, a, x, y *hpfrt.Array) {
+func elasticServerStep(ctx *core.Ctx, vec *core.Schedule, a, x, y *hpfrt.Array) {
 	if r := vec.MoveRecv(x); !r.OK() {
-		panic(&mpsim.NetError{Op: op, Rank: ctx.P.WorldRank(), Peer: r.FailedPeers[0], Err: mpsim.ErrPeerDead})
+		panic(&mpsim.NetError{Op: "elastic", Rank: ctx.P.WorldRank(), Peer: r.FailedPeers[0], Err: mpsim.ErrPeerDead})
 	}
 	check(hpfrt.MatVec(ctx, a, x, y))
 	vec.MoveReverseSend(y)

@@ -54,7 +54,7 @@ func TestShardedDeterminismSweep(t *testing.T) {
 			b, st := runClientServer(CSConfig{
 				ClientProcs: 2, ServerProcs: 8, Vectors: 4,
 				Fingerprint: true, Shards: shards,
-				Fault:    faultsim.Mild(42).WithPartition(0.01, 0.05, 0),
+				Fault:    mildCut(),
 				Reliable: true,
 			})
 			return sweepOutcome{b.ResultHash, st.MakespanSeconds}

@@ -72,20 +72,12 @@ type Crash struct {
 	RestartAt float64
 }
 
-// Join is one scheduled elastic-growth event: world rank Rank
-// (reduced modulo the world size at run time) starts dormant and
-// joins the running world at virtual time At.
-type Join struct {
-	Rank int
-	At   float64
-}
-
 // Profile is a deterministic fault injector implementing
-// mpsim.FaultInjector (message faults), mpsim.CrashPlan (fail-stop
-// crash faults) and, through JoinPlan, mpsim's elastic growth.  The
-// zero value injects nothing; populate Base, PerLink, Partitions,
-// Crashes and Joins (or start from a preset) and pass it as
-// mpsim.Config.Fault, Config.Crash and/or Config.Join.
+// mpsim.FaultInjector (message faults) and, through CrashPlan,
+// mpsim.CrashPlan (fail-stop crash faults).  The zero value injects
+// nothing; populate Base, PerLink, Partitions and Crashes (or start
+// from a preset) and pass it as mpsim.Config.Fault and/or
+// Config.Crash.
 type Profile struct {
 	// Seed selects the pseudo-random fault pattern.
 	Seed uint64
@@ -100,9 +92,6 @@ type Profile struct {
 	// when the profile is passed as mpsim.Config.Crash — wiring the
 	// same profile as Config.Fault alone never kills a rank.
 	Crashes []Crash
-	// Joins are scheduled elastic-growth events.  They take effect
-	// only when the profile is passed as mpsim.Config.Join.
-	Joins []Join
 
 	// calls counts decisions per link, the deterministic per-link
 	// stream position (retransmissions advance it too, so a retry's
@@ -144,13 +133,6 @@ func (f *Profile) Decide(from, to, attempt, bytes int, now float64) mpsim.FaultD
 		d.ExtraDelay = r.Jitter * roll(f.Seed, link, k, 5)
 	}
 	return d
-}
-
-// WithPartition returns the profile with a transient partition added,
-// for chaining onto a preset.
-func (f *Profile) WithPartition(start, end float64, ranks ...int) *Profile {
-	f.Partitions = append(f.Partitions, Partition{Start: start, End: end, Ranks: ranks})
-	return f
 }
 
 // WithCrash returns the profile with a permanent crash added: rank
@@ -195,37 +177,6 @@ func (f *Profile) CrashPlan() mpsim.CrashPlan {
 type crashPlan struct{ f *Profile }
 
 func (cp crashPlan) Crashes(worldSize int) []mpsim.CrashEvent { return cp.f.plan(worldSize) }
-
-// HasJoins reports whether the profile schedules any growth events, so
-// harnesses know to wire it as mpsim.Config.Join.
-func (f *Profile) HasJoins() bool { return f != nil && len(f.Joins) > 0 }
-
-// JoinPlan returns the profile's growth schedule as an mpsim.JoinPlan,
-// or nil when the profile (or its join list) is empty — nil is what
-// mpsim.Config.Join expects for "fixed membership", so the result can
-// be assigned unconditionally.
-func (f *Profile) JoinPlan() mpsim.JoinPlan {
-	if !f.HasJoins() {
-		return nil
-	}
-	return joinPlan{f}
-}
-
-// joinPlan adapts a Profile to mpsim.JoinPlan; like crashPlan, a
-// separate type because the Joins *field* occupies the method name.
-type joinPlan struct{ f *Profile }
-
-func (jp joinPlan) Joins(worldSize int) []mpsim.JoinEvent {
-	evs := make([]mpsim.JoinEvent, 0, len(jp.f.Joins))
-	for _, j := range jp.f.Joins {
-		r := j.Rank % worldSize
-		if r < 0 {
-			r += worldSize
-		}
-		evs = append(evs, mpsim.JoinEvent{Rank: r, At: j.At})
-	}
-	return evs
-}
 
 // Mild models an occasionally lossy shared link: about 1% drops with
 // light duplication, corruption and reordering.
@@ -278,23 +229,9 @@ func Flaky(seed uint64) *Profile {
 	return f
 }
 
-// Growth is Mild's message faults plus two seed-derived elastic joins:
-// two ranks (chosen modulo the world size at run time) start dormant
-// and enter the running world at seed-derived virtual times early in
-// the run, exercising the grow/repair path under message chaos.
-func Growth(seed uint64) *Profile {
-	f := Mild(seed)
-	u := func(salt uint64) float64 { return unit(mix(seed, salt, 0x9107)) }
-	f.Joins = append(f.Joins,
-		Join{Rank: int(mix(seed, 0x9107, 1) % 1024), At: 0.002 + 0.006*u(2)},
-		Join{Rank: int(mix(seed, 0x9107, 3) % 1024), At: 0.004 + 0.008*u(4)},
-	)
-	return f
-}
-
 // ByName maps a profile name ("none", "mild", "lossy", "random",
-// "crashy", "flaky", "growth") to its constructor, the command-line
-// and CI entry point.
+// "crashy", "flaky") to its constructor, the command-line and CI entry
+// point.
 func ByName(name string, seed uint64) (*Profile, error) {
 	switch name {
 	case "", "none":
@@ -309,10 +246,8 @@ func ByName(name string, seed uint64) (*Profile, error) {
 		return Crashy(seed), nil
 	case "flaky":
 		return Flaky(seed), nil
-	case "growth":
-		return Growth(seed), nil
 	}
-	return nil, fmt.Errorf("faultsim: unknown profile %q (want none, mild, lossy, random, crashy, flaky or growth)", name)
+	return nil, fmt.Errorf("faultsim: unknown profile %q (want none, mild, lossy, random, crashy or flaky)", name)
 }
 
 // mix is a splitmix64-style avalanche of (seed, stream, position),

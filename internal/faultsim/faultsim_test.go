@@ -93,8 +93,7 @@ func TestRatesRealized(t *testing.T) {
 // Partitions drop everything crossing the cut during the window, in
 // both directions, and nothing outside it.
 func TestPartitionWindow(t *testing.T) {
-	f := &Profile{Seed: 1}
-	f.WithPartition(1.0, 2.0, 0, 1)
+	f := &Profile{Seed: 1, Partitions: []Partition{{Start: 1.0, End: 2.0, Ranks: []int{0, 1}}}}
 	cases := []struct {
 		from, to int
 		now      float64

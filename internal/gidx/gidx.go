@@ -40,18 +40,6 @@ func (s Shape) Size() int {
 	return n
 }
 
-// Strides returns row-major strides: the linear distance between
-// consecutive indices of each dimension.
-func (s Shape) Strides() []int {
-	st := make([]int, len(s))
-	acc := 1
-	for d := len(s) - 1; d >= 0; d-- {
-		st[d] = acc
-		acc *= s[d]
-	}
-	return st
-}
-
 // Linear returns the row-major linear index of coords.
 func (s Shape) Linear(coords []int) int {
 	if len(coords) != len(s) {
@@ -136,15 +124,6 @@ func (s Section) Validate(shape Shape) error {
 	return nil
 }
 
-// Counts returns the number of points per dimension.
-func (s Section) Counts() []int {
-	c := make([]int, len(s.Lo))
-	for d := range s.Lo {
-		c[d] = s.countDim(d)
-	}
-	return c
-}
-
 func (s Section) countDim(d int) int {
 	if s.Hi[d] <= s.Lo[d] {
 		return 0
@@ -160,9 +139,6 @@ func (s Section) Size() int {
 	}
 	return n
 }
-
-// Empty reports whether the section contains no points.
-func (s Section) Empty() bool { return s.Size() == 0 }
 
 // Contains reports whether the global coordinates lie on the section's
 // lattice.

@@ -12,8 +12,14 @@ func TestShape3D(t *testing.T) {
 	if s.Size() != 24 {
 		t.Fatalf("Size=%d", s.Size())
 	}
-	if got := s.Strides(); !reflect.DeepEqual(got, []int{12, 4, 1}) {
-		t.Errorf("Strides=%v", got)
+	// Row-major: a unit step in dimension d moves the linear index by
+	// the product of the later extents.
+	for d, want := range []int{12, 4, 1} {
+		unit := make([]int, 3)
+		unit[d] = 1
+		if got := s.Linear(unit); got != want {
+			t.Errorf("stride of dim %d = %d, want %d", d, got, want)
+		}
 	}
 	coords := make([]int, 3)
 	for lin := 0; lin < 24; lin++ {

@@ -14,8 +14,14 @@ func TestShapeBasics(t *testing.T) {
 	if s.Size() != 60 {
 		t.Errorf("Size=%d want 60", s.Size())
 	}
-	if got := s.Strides(); !reflect.DeepEqual(got, []int{20, 5, 1}) {
-		t.Errorf("Strides=%v", got)
+	// Row-major: a unit step in dimension d moves the linear index by
+	// the product of the later extents.
+	for d, want := range []int{20, 5, 1} {
+		unit := make([]int, 3)
+		unit[d] = 1
+		if got := s.Linear(unit); got != want {
+			t.Errorf("stride of dim %d = %d, want %d", d, got, want)
+		}
 	}
 	if s.String() != "[3 4 5]" {
 		t.Errorf("String=%q", s.String())
@@ -68,14 +74,14 @@ func TestSectionSizeAndCounts(t *testing.T) {
 		t.Errorf("Size=%d want 3", s.Size())
 	}
 	s2 := Section{Lo: []int{1, 2}, Hi: []int{4, 9}, Step: []int{1, 3}}
-	if got := s2.Counts(); !reflect.DeepEqual(got, []int{3, 3}) {
-		t.Errorf("Counts=%v", got)
+	if got := []int{s2.countDim(0), s2.countDim(1)}; !reflect.DeepEqual(got, []int{3, 3}) {
+		t.Errorf("counts=%v", got)
 	}
 	if s2.Size() != 9 {
 		t.Errorf("Size=%d want 9", s2.Size())
 	}
 	empty := Section{Lo: []int{5}, Hi: []int{5}, Step: []int{1}}
-	if !empty.Empty() {
+	if empty.Size() != 0 {
 		t.Error("empty section not reported empty")
 	}
 }

@@ -165,10 +165,3 @@ func (cs *CopySchedule) Execute(p *mpsim.Proc, src, dst *Array) {
 		p.ChargeMemOps(len(pl.offsets))
 	}
 }
-
-// MsgCount returns how many messages one Execute sends from this
-// process (self-staged elements use none).
-func (cs *CopySchedule) MsgCount() int { return len(cs.sends) }
-
-// SelfCount returns how many elements are staged locally.
-func (cs *CopySchedule) SelfCount() int { return len(cs.selfSrc) }

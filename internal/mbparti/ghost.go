@@ -160,10 +160,6 @@ func (gs *GhostSchedule) Exchange(p *mpsim.Proc, a *Array) {
 	}
 }
 
-// MsgCount returns how many messages one Exchange sends from this
-// process.
-func (gs *GhostSchedule) MsgCount() int { return len(gs.sends) }
-
 func max(a, b int) int {
 	if a > b {
 		return a

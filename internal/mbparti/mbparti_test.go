@@ -217,8 +217,8 @@ func TestCopyScheduleSelfStagingSingleProc(t *testing.T) {
 			t.Errorf("%v", err)
 			return
 		}
-		if cs.MsgCount() != 0 || cs.SelfCount() != 50 {
-			t.Errorf("msgs=%d self=%d, want 0/50", cs.MsgCount(), cs.SelfCount())
+		if len(cs.sends) != 0 || len(cs.selfSrc) != 50 {
+			t.Errorf("msgs=%d self=%d, want 0/50", len(cs.sends), len(cs.selfSrc))
 		}
 		cs.Execute(p, src, dst)
 		if got := dst.Get([]int{7, 3}); got != float64(2+3) {

@@ -37,7 +37,7 @@ func (c *Comm) Barrier() {
 	c.require()
 	sp := c.p.beginSpan("coll.barrier")
 	seq := c.nextSeq()
-	c.reduceBytes(0, seq, nil, nil)
+	c.reduceBytes(seq, nil, nil)
 	c.bcastBytes(0, seq, nil)
 	sp.End(c.p.clock)
 }
@@ -119,27 +119,25 @@ func (c *Comm) bcastTree(root, seq int, pay *bufpool.Payload) *bufpool.Payload {
 	return pay
 }
 
-// reduceBytes runs a binomial-tree reduction to root.  combine folds a
-// received contribution into the accumulator and returns the new
+// reduceBytes runs a binomial-tree reduction to rank 0.  combine folds
+// a received contribution into the accumulator and returns the new
 // accumulator; nil combines are used by Barrier where only the message
-// pattern matters.  The accumulated value is returned at root.
-func (c *Comm) reduceBytes(root, seq int, acc []byte, combine func(acc, in []byte) []byte) []byte {
+// pattern matters.  The accumulated value is returned at rank 0.
+func (c *Comm) reduceBytes(seq int, acc []byte, combine func(acc, in []byte) []byte) []byte {
 	n := c.Size()
-	rel := (c.myRank - root + n) % n
 	wire := c.collWire(seq, phReduce)
 	mask := 1
 	for mask < n {
-		if rel&mask == 0 {
-			partner := rel | mask
+		if c.myRank&mask == 0 {
+			partner := c.myRank | mask
 			if partner < n {
-				in, _ := c.p.recv(c.ranks[(partner+root)%n], wire)
+				in, _ := c.p.recv(c.ranks[partner], wire)
 				if combine != nil {
 					acc = combine(acc, in)
 				}
 			}
 		} else {
-			partner := rel &^ mask
-			c.p.send(c.ranks[(partner+root)%n], wire, acc)
+			c.p.send(c.ranks[c.myRank&^mask], wire, acc)
 			return nil
 		}
 		mask <<= 1
@@ -223,27 +221,6 @@ func (c *Comm) Alltoall(bufs [][]byte) [][]byte {
 	return out
 }
 
-// ReduceFloat64 combines one float64 per member with op at root; the
-// result is only meaningful on root (others receive 0).
-func (c *Comm) ReduceFloat64(root int, op ReduceOp, x float64) float64 {
-	c.require()
-	sp := c.p.beginSpan("coll.reduce")
-	seq := c.nextSeq()
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
-	acc := c.reduceBytes(root, seq, buf, func(acc, in []byte) []byte {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(acc))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(in))
-		binary.LittleEndian.PutUint64(acc, math.Float64bits(combineFloat64(op, a, b)))
-		return acc
-	})
-	sp.End(c.p.clock)
-	if c.myRank != root {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(acc))
-}
-
 // ReduceOp selects the combining operation for reductions.
 type ReduceOp int
 
@@ -261,7 +238,7 @@ func (c *Comm) AllreduceFloat64(op ReduceOp, x float64) float64 {
 	seq := c.nextSeq()
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
-	acc := c.reduceBytes(0, seq, buf, func(acc, in []byte) []byte {
+	acc := c.reduceBytes(seq, buf, func(acc, in []byte) []byte {
 		a := math.Float64frombits(binary.LittleEndian.Uint64(acc))
 		b := math.Float64frombits(binary.LittleEndian.Uint64(in))
 		binary.LittleEndian.PutUint64(acc, math.Float64bits(combineFloat64(op, a, b)))
@@ -280,7 +257,7 @@ func (c *Comm) AllreduceInt64(op ReduceOp, x int64) int64 {
 	seq := c.nextSeq()
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, uint64(x))
-	acc := c.reduceBytes(0, seq, buf, func(acc, in []byte) []byte {
+	acc := c.reduceBytes(seq, buf, func(acc, in []byte) []byte {
 		a := int64(binary.LittleEndian.Uint64(acc))
 		b := int64(binary.LittleEndian.Uint64(in))
 		binary.LittleEndian.PutUint64(acc, uint64(combineInt64(op, a, b)))

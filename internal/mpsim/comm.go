@@ -95,9 +95,6 @@ func (c *Comm) RankOf(worldRank int) (int, bool) { return c.rankOf(worldRank) }
 // Proc returns the process this communicator handle belongs to.
 func (c *Comm) Proc() *Proc { return c.p }
 
-// Member reports whether the calling process belongs to the group.
-func (c *Comm) Member() bool { return c.myRank >= 0 }
-
 // Sub creates a communicator for the subset of this communicator's
 // members listed in ranks (communicator ranks, in the order given).
 // Every member of the subset must call Sub with the same rank list for
@@ -174,21 +171,6 @@ func (c *Comm) Recv(from, tag int) ([]byte, int) {
 		panic("mpsim: received message from outside the communicator group")
 	}
 	return data, crank
-}
-
-// RecvTimeout is Recv bounded by a virtual-time deadline: it returns a
-// *NetError wrapping ErrTimeout if no matching message lands within
-// timeout seconds, or wrapping ErrPeerUnreachable if the reliable
-// transport abandoned the sender.  timeout <= 0 waits forever but
-// still converts transport failures into errors.
-func (c *Comm) RecvTimeout(from, tag int, timeout float64) (data []byte, src int, err error) {
-	err = c.p.WithTimeout(timeout, func() {
-		data, src = c.Recv(from, tag)
-	})
-	if err != nil {
-		return nil, -1, err
-	}
-	return data, src, nil
 }
 
 // Split partitions the communicator by color, MPI_Comm_split style:

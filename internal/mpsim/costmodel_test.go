@@ -108,21 +108,3 @@ func TestBcastScalesLogarithmically(t *testing.T) {
 		t.Errorf("bcast(16)=%.6fs not slower than bcast(4)=%.6fs", t16, t4)
 	}
 }
-
-func TestReduceFloat64RootOnly(t *testing.T) {
-	RunSPMD(Ideal(), 5, func(p *Proc) {
-		c := p.Comm()
-		got := c.ReduceFloat64(2, OpSum, float64(c.Rank()+1))
-		if c.Rank() == 2 {
-			if got != 15 {
-				t.Errorf("root got %g, want 15", got)
-			}
-		} else if got != 0 {
-			t.Errorf("non-root got %g", got)
-		}
-		max := c.ReduceFloat64(0, OpMax, float64(c.Rank()))
-		if c.Rank() == 0 && max != 4 {
-			t.Errorf("max=%g", max)
-		}
-	})
-}

@@ -169,9 +169,6 @@ func (w *World) fireCrash(tm *timer) {
 	if cs.dead[r] || p.state == stateDone {
 		return // already dead, or the program finished first
 	}
-	if w.dormant(r) {
-		return // not yet joined: a rank that never existed cannot crash
-	}
 	cs.dead[r] = true
 	cs.recIdx[r] = len(cs.records)
 	cs.records = append(cs.records, CrashRecord{Rank: r, At: tm.at})
@@ -311,7 +308,6 @@ func (w *World) restartProc(p *Proc, at float64) {
 	p.wantsAny = nil
 	p.wakeErr = nil
 	p.deadlineAt, p.deadlineGen = 0, 0
-	p.incarnation++
 	if p.clock < at {
 		p.clock = at
 	}
@@ -368,26 +364,14 @@ func (p *Proc) DeadRanks() []int {
 	return dead
 }
 
-// Incarnation returns how many times this process has been restarted
-// by a crash plan (0 for the first launch).
-func (p *Proc) Incarnation() int { return p.incarnation }
-
 // GroupIncarnation counts the group-membership changes (crash
-// detections, restarts, and elastic joins) visible at this process's
-// clock.  It is the schedule-cache invalidation key: any cached
-// communication schedule computed under an older incarnation may name
-// dead ranks or miss joined ones.
+// detections and restarts) visible at this process's clock.  It is the
+// schedule-cache invalidation key: any cached communication schedule
+// computed under an older incarnation may name dead ranks.
 func (p *Proc) GroupIncarnation() int {
 	n := 0
 	if cs := p.world.crash; cs != nil {
 		for _, t := range cs.incTimes {
-			if t <= p.clock {
-				n++
-			}
-		}
-	}
-	if js := p.world.join; js != nil {
-		for _, t := range js.incTimes {
 			if t <= p.clock {
 				n++
 			}

@@ -14,6 +14,13 @@ func (tp testPlan) Crashes(int) []CrashEvent { return tp }
 
 // idleUntilKilled parks a rank in short sleeps until a crash fault
 // claims it (the sleeps bound how far past the crash time it dies).
+// recvTimeout is Recv bounded by a virtual-time deadline, returning
+// the error WithTimeout converts a deadline or a dead peer into.
+func recvTimeout(c *Comm, from, tag int, timeout float64) (data []byte, err error) {
+	err = c.p.WithTimeout(timeout, func() { data, _ = c.Recv(from, tag) })
+	return data, err
+}
+
 func idleUntilKilled(p *Proc) {
 	for {
 		p.Sleep(1e-3)
@@ -86,7 +93,7 @@ func TestCrashWakesBlockedReceiver(t *testing.T) {
 				// Block with no deadline on a message the crashed rank
 				// will never send; detection must wake us with
 				// ErrPeerDead rather than leaving the run deadlocked.
-				_, _, gotErr = p.World().RecvTimeout(2, 5, 0)
+				_, gotErr = recvTimeout(p.World(), 2, 5, 0)
 			}
 		}}},
 	})
@@ -118,8 +125,9 @@ func TestCrashWaitanyAndWaitallMidWait(t *testing.T) {
 				firstIdx, anyErr = WaitanyTimeout(reqs, 0)
 				if anyErr == nil {
 					// The remaining receive is bound to the crashed rank:
-					// Waitall blocks mid-wait until detection fails it.
-					allErr = WaitallTimeout(reqs, 0)
+					// waiting for the rest blocks mid-wait until detection
+					// fails it.
+					_, allErr = WaitanyTimeout(reqs, 0)
 				}
 			}
 		}}},
@@ -128,7 +136,7 @@ func TestCrashWaitanyAndWaitallMidWait(t *testing.T) {
 		t.Fatalf("Waitany = (%d, %v), want live peer's request 0", firstIdx, anyErr)
 	}
 	if !errors.Is(allErr, ErrPeerDead) {
-		t.Fatalf("Waitall mid-wait: err = %v, want ErrPeerDead", allErr)
+		t.Fatalf("draining the rest mid-wait: err = %v, want ErrPeerDead", allErr)
 	}
 }
 
@@ -143,9 +151,9 @@ func TestCrashRecvTimeoutRace(t *testing.T) {
 			}
 			// Deadline shorter than the detection lag: the crash already
 			// happened but is not yet detected, so the timeout wins.
-			_, _, early = p.World().RecvTimeout(1, 5, 2e-4)
+			_, early = recvTimeout(p.World(), 1, 5, 2e-4)
 			// No deadline: detection wins and names the dead peer.
-			_, _, late = p.World().RecvTimeout(1, 5, 0)
+			_, late = recvTimeout(p.World(), 1, 5, 0)
 		}}},
 	})
 	if !errors.Is(early, ErrTimeout) {
@@ -216,22 +224,23 @@ func TestCrashShrinkWorldCollectives(t *testing.T) {
 func TestCrashRestartIncarnation(t *testing.T) {
 	const crashAt, restartAt = 0.005, 0.02
 	var greeting string
-	var secondLife int
+	var secondLife float64
 	st := Run(Config{
 		Machine: SP2(),
 		Crash:   testPlan{{Rank: 1, At: crashAt, RestartAt: restartAt}},
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 2, Body: func(p *Proc) {
 			w := p.World()
 			if p.Rank() == 1 {
-				if p.Incarnation() == 0 {
+				// A fresh incarnation's body starts at the restart time.
+				if p.Clock() == 0 {
 					idleUntilKilled(p)
 				}
-				secondLife = p.Incarnation()
+				secondLife = p.Clock()
 				w.Send(0, 7, []byte("back"))
 				return
 			}
 			for {
-				data, _, err := w.RecvTimeout(1, 7, 0)
+				data, err := recvTimeout(w, 1, 7, 0)
 				if err == nil {
 					greeting = string(data)
 					return
@@ -248,8 +257,8 @@ func TestCrashRestartIncarnation(t *testing.T) {
 	if greeting != "back" {
 		t.Fatalf("survivor received %q, want the restarted rank's message", greeting)
 	}
-	if secondLife != 1 {
-		t.Errorf("restarted incarnation = %d, want 1", secondLife)
+	if secondLife != restartAt {
+		t.Errorf("restarted incarnation began at %g, want %g", secondLife, restartAt)
 	}
 	if len(st.Crashes) != 1 || st.Crashes[0].RestartAt != restartAt {
 		t.Errorf("Crashes = %+v, want RestartAt %g", st.Crashes, restartAt)

@@ -61,7 +61,6 @@ var emitSinks = []struct {
 	{kind: EvCrash, counter: "mpsim.crashes"},
 	{kind: EvCrashDetect, counter: "mpsim.crash_detects"},
 	{kind: EvRestart, counter: "mpsim.restarts"},
-	{kind: EvJoin, counter: "mpsim.joins"},
 }
 
 // recoveryConfig reaches the occurrences no golden workload does: both
@@ -83,7 +82,7 @@ func recoveryConfig(t *testing.T) func(shards int) Config {
 			w.Send(1, 1, []byte("dropped at the source"))
 			want(p.WithTimeout(0, func() { w.Send(3, 1, nil) }), ErrPeerDead)
 		case 1:
-			_, _, err := w.RecvTimeout(0, 1, 1e-4)
+			_, err := recvTimeout(w, 0, 1, 1e-4)
 			want(err, ErrTimeout)
 			want(p.WithTimeout(1e-4, func() { p.Charge(1e-3); w.Recv(0, 1) }), ErrTimeout)
 			want(p.WithTimeout(0, func() { w.Recv(0, 1) }), ErrPeerUnreachable)

@@ -53,7 +53,7 @@ func fingerprintOf(st *Stats) fingerprint {
 func survivorRing(p *Proc) {
 	w := p.World()
 	if p.Rank() == 1 {
-		if p.Incarnation() == 0 {
+		if p.Clock() == 0 { // the first incarnation; the restart begins later
 			idleUntilKilled(p)
 		}
 		w.Send(0, 7, []byte("back"))
@@ -74,7 +74,7 @@ func survivorRing(p *Proc) {
 		p.Sleep(2e-3)
 	}
 	for p.Rank() == 0 {
-		_, _, err := w.RecvTimeout(1, 7, 0)
+		_, err := recvTimeout(w, 1, 7, 0)
 		if err == nil {
 			return
 		}
@@ -131,18 +131,12 @@ var goldenConfigs = map[string]func(shards int) Config{
 			Shards:   shards,
 		}
 	},
-	"join-sp2": func(shards int) Config {
-		return Config{
-			Machine: SP2(),
-			Join:    testJoinPlan{{Rank: 3, At: 0.003}, {Rank: 2, At: 0.006}},
-			Programs: []ProgramSpec{{Name: "spmd", Procs: 4, ProcsPerNode: 1, Body: func(p *Proc) {
-				p.SleepUntil(0.01)
-				ringBody(6, 64)(p)
-			}}},
-			Trace:  true,
-			Shards: shards,
-		}
-	},
+}
+
+// retiredGoldens are entries the serial loop recorded for features
+// since deleted; the file stays as it was recorded.
+var retiredGoldens = map[string]string{
+	"join-sp2": "elastic scale-out (mpsim join plans) was deleted",
 }
 
 // TestSerialLoopFingerprints holds the one engine to the deleted serial
@@ -156,8 +150,8 @@ func TestSerialLoopFingerprints(t *testing.T) {
 	if err := json.Unmarshal(raw, &golden); err != nil {
 		t.Fatal(err)
 	}
-	if len(golden) != len(goldenConfigs) {
-		t.Fatalf("golden file has %d entries, want %d", len(golden), len(goldenConfigs))
+	if len(golden) != len(goldenConfigs)+len(retiredGoldens) {
+		t.Fatalf("golden file has %d entries, want %d", len(golden), len(goldenConfigs)+len(retiredGoldens))
 	}
 	for name, mk := range goldenConfigs {
 		want, ok := golden[name]

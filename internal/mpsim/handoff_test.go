@@ -49,24 +49,18 @@ func TestKilledBeforeFirstResume(t *testing.T) {
 
 // TestCompletedRunLeavesNoGoroutines: after a run that returns, every
 // coroutine has finished — none is left parked — including a crashed
-// rank's first incarnation, its restart, and a late joiner.
+// rank's first incarnation and its restart.
 func TestCompletedRunLeavesNoGoroutines(t *testing.T) {
-	const crashAt, restartAt, joinAt = 0.004, 0.012, 0.008
+	const crashAt, restartAt = 0.004, 0.012
 	runs := map[string]Config{
 		"normal": {Programs: []ProgramSpec{{Name: "ring", Procs: 16, Body: ringBody(8, 64)}}},
 		"crash+restart": {
 			Crash: testPlan{{Rank: 13, At: crashAt, RestartAt: restartAt}},
 			Programs: []ProgramSpec{{Name: "spmd", Procs: 16, Body: func(p *Proc) {
-				if p.Rank() == 13 && p.Incarnation() == 0 {
+				if p.Rank() == 13 && p.Clock() == 0 {
 					idleUntilKilled(p)
 				}
 				p.SleepUntil(2 * restartAt)
-			}}},
-		},
-		"late join": {
-			Join: testJoinPlan{{Rank: 15, At: joinAt}},
-			Programs: []ProgramSpec{{Name: "spmd", Procs: 16, Body: func(p *Proc) {
-				p.SleepUntil(2 * joinAt)
 			}}},
 		},
 	}
@@ -78,9 +72,6 @@ func TestCompletedRunLeavesNoGoroutines(t *testing.T) {
 				st := Run(cfg)
 				if name == "crash+restart" && (len(st.Crashes) != 1 || st.Crashes[0].RestartAt != restartAt) {
 					t.Errorf("Crashes = %+v, want one restarted at %g", st.Crashes, restartAt)
-				}
-				if name == "late join" && len(st.Joins) != 1 {
-					t.Errorf("Joins = %+v, want one", st.Joins)
 				}
 				settleGoroutines(t, base) // shard workers exit asynchronously
 			})
@@ -109,7 +100,7 @@ func TestCoordinatorReapsAcrossShards(t *testing.T) {
 			case 14:
 				idleUntilKilled(p) // killed while runnable
 			case 0:
-				_, _, gotErr = p.World().RecvTimeout(14, 5, 0)
+				_, gotErr = recvTimeout(p.World(), 14, 5, 0)
 			default: // keep every shard's windows busy around the crash
 				for i := 0; i < 20; i++ {
 					p.Sleep(float64(p.Rank()+1) * 1e-4)

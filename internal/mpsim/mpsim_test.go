@@ -247,15 +247,21 @@ func TestSubCommunicator(t *testing.T) {
 	RunSPMD(Ideal(), 6, func(p *Proc) {
 		c := p.Comm()
 		evens := c.Sub([]int{0, 2, 4})
+		if r, ok := evens.RankOf(c.WorldRank(4)); !ok || r != 2 {
+			t.Errorf("RankOf(world rank of 4) = %d, %v; want 2, true", r, ok)
+		}
+		if _, ok := evens.RankOf(c.WorldRank(1)); ok {
+			t.Error("RankOf found a world rank outside the subcomm")
+		}
 		if c.Rank()%2 == 0 {
-			if !evens.Member() {
+			if evens.Rank() < 0 {
 				t.Fatalf("rank %d should be in the even subcomm", c.Rank())
 			}
 			sum := evens.AllreduceInt64(OpSum, int64(c.Rank()))
 			if sum != 6 {
 				t.Errorf("even subcomm sum=%d want 6", sum)
 			}
-		} else if evens.Member() {
+		} else if evens.Rank() >= 0 {
 			t.Errorf("odd rank %d claims membership in even subcomm", c.Rank())
 		}
 	})
@@ -458,10 +464,10 @@ func TestNodePlacement(t *testing.T) {
 		Machine: Ideal(),
 		Programs: []ProgramSpec{
 			{Name: "a", Procs: 4, ProcsPerNode: 2, Body: func(p *Proc) {
-				nodes[p.WorldRank()] = p.Node()
+				nodes[p.WorldRank()] = p.node.id
 			}},
 			{Name: "b", Procs: 2, ProcsPerNode: 1, Body: func(p *Proc) {
-				nodes[p.WorldRank()] = p.Node()
+				nodes[p.WorldRank()] = p.node.id
 			}},
 		},
 	})
@@ -548,13 +554,13 @@ func TestCommSplitOptOut(t *testing.T) {
 		}
 		sub := c.Split(color, c.Rank())
 		if c.Rank() == 3 {
-			if sub.Member() {
+			if sub.Rank() >= 0 {
 				t.Error("opted-out rank is a member")
 			}
 			return
 		}
-		if sub.Size() != 3 || !sub.Member() {
-			t.Errorf("rank %d: size=%d member=%v", c.Rank(), sub.Size(), sub.Member())
+		if sub.Size() != 3 || sub.Rank() < 0 {
+			t.Errorf("rank %d: size=%d rank=%d", c.Rank(), sub.Size(), sub.Rank())
 		}
 		sub.Barrier()
 	})

@@ -116,7 +116,6 @@ const (
 	tCrash   // kill a rank (crash plan)
 	tDetect  // failure detector declares a crashed rank dead
 	tRestart // relaunch a crashed rank
-	tJoin    // launch a dormant rank (join plan)
 )
 
 // timer is one pending virtual-time event.  Ties on the virtual time
@@ -137,7 +136,7 @@ type timer struct {
 	msg *message // tMsg
 	dst int      // tMsg: destination world rank
 
-	p   *Proc // tWake, tCrash, tDetect, tRestart, tJoin
+	p   *Proc // tWake, tCrash, tDetect, tRestart
 	gen int
 
 	free *timer // timerCache freelist link
@@ -220,8 +219,6 @@ func (w *World) fireTimer(tm *timer, c *timerCache) {
 		w.fireDetect(tm)
 	case tRestart:
 		w.fireRestart(tm)
-	case tJoin:
-		w.fireJoin(tm)
 	}
 	c.put(tm)
 }

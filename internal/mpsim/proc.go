@@ -94,9 +94,7 @@ type Proc struct {
 
 	// Crash-fault state (see crash.go).  killed marks a process claimed
 	// by a crash fault; it unwinds at its next scheduling point.
-	// incarnation counts restarts.
-	killed      bool
-	incarnation int
+	killed bool
 
 	// shard is the scheduler shard owning this process (see shard.go).
 	shard *shard
@@ -134,9 +132,6 @@ func (p *Proc) WorldSize() int { return len(p.world.procs) }
 
 // Program returns the name of the program this process belongs to.
 func (p *Proc) Program() string { return p.progName }
-
-// Node returns the identifier of the node hosting this process.
-func (p *Proc) Node() int { return p.node.id }
 
 // Comm returns the communicator spanning the process's own program.
 func (p *Proc) Comm() *Comm { return p.progComm }
@@ -275,12 +270,6 @@ func (p *Proc) sendRef(to, tag int, pay *bufpool.Payload) {
 	w := p.world
 	if to < 0 || to >= len(w.procs) {
 		panic(fmt.Sprintf("mpsim: rank %d sends to invalid rank %d", p.worldRank, to))
-	}
-	if w.dormant(to) {
-		// The destination has not joined the world yet; applications
-		// coordinate growth with AbsentRanks, so a send here
-		// is a membership bug, caught deterministically.
-		panic(fmt.Sprintf("mpsim: rank %d sends to rank %d before it joined the world", p.worldRank, to))
 	}
 	if w.crash != nil {
 		p.checkKilled()

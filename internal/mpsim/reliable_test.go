@@ -140,9 +140,9 @@ func TestReliableCollectivesUnderFaults(t *testing.T) {
 				if len(got) != 4 || got[3] != byte(iter) {
 					t.Errorf("rank %d iter %d: bad bcast payload %v", p.Rank(), iter, got)
 				}
-				sum := c.AllreduceFloat64s(OpSum, []float64{float64(p.Rank())})
-				if want := float64(procs*(procs-1)) / 2; sum[0] != want {
-					t.Errorf("rank %d iter %d: allreduce %g, want %g", p.Rank(), iter, sum[0], want)
+				sum := c.AllreduceFloat64(OpSum, float64(p.Rank()))
+				if want := float64(procs*(procs-1)) / 2; sum != want {
+					t.Errorf("rank %d iter %d: allreduce %g, want %g", p.Rank(), iter, sum, want)
 				}
 			}
 		}}},
@@ -342,7 +342,7 @@ func TestUnreliableDropsObservable(t *testing.T) {
 			if p.Rank() == 0 {
 				p.Send(1, 1, []byte("lost"))
 			} else {
-				_, _, gotErr = p.Comm().RecvTimeout(0, 1, 0.05)
+				_, gotErr = recvTimeout(p.Comm(), 0, 1, 0.05)
 			}
 		}}},
 	})

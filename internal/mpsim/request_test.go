@@ -26,16 +26,19 @@ func TestIrecvWait(t *testing.T) {
 	})
 }
 
+// Sends are buffered: a send completes without its receiver having
+// posted anything, so the sender's clock moves on while the receiver is
+// still busy.
 func TestIsendCompletesImmediately(t *testing.T) {
 	RunSPMD(Ideal(), 2, func(p *Proc) {
 		c := p.Comm()
 		if c.Rank() == 0 {
-			r := c.Isend(1, 1, []byte("x"))
-			if !r.Test() {
-				t.Error("Isend request not complete")
+			c.Send(1, 1, []byte("x"))
+			if p.Clock() >= 1 {
+				t.Errorf("send returned at %g, after the receiver posted", p.Clock())
 			}
-			r.Wait()
 		} else {
+			p.Charge(1) // busy before receiving
 			data, _ := c.Recv(0, 1)
 			if string(data) != "x" {
 				t.Errorf("got %q", data)
@@ -49,8 +52,8 @@ func TestRequestTest(t *testing.T) {
 		c := p.Comm()
 		if c.Rank() == 0 {
 			r := c.Irecv(1, 2)
-			if r.Test() {
-				t.Error("Test true before any send")
+			if r.Done() {
+				t.Error("Done true before any send")
 			}
 			c.Send(1, 1, nil) // release the peer
 			// Wait for the message to arrive.
@@ -58,8 +61,8 @@ func TestRequestTest(t *testing.T) {
 			if string(data) != "now" {
 				t.Errorf("got %q", data)
 			}
-			if !r.Test() {
-				t.Error("Test false after completion")
+			if !r.Done() {
+				t.Error("Done false after completion")
 			}
 		} else {
 			c.Recv(0, 1)
@@ -68,15 +71,17 @@ func TestRequestTest(t *testing.T) {
 	})
 }
 
+// Draining a request set with Waitany until it reports -1 completes
+// every request, each holding its own payload.
 func TestWaitAll(t *testing.T) {
 	RunSPMD(Ideal(), 3, func(p *Proc) {
 		c := p.Comm()
 		if c.Rank() == 0 {
-			r1 := c.Irecv(1, 3)
-			r2 := c.Irecv(2, 3)
-			WaitAll(r1, r2)
-			d1, _ := r1.Wait()
-			d2, _ := r2.Wait()
+			reqs := []*Request{c.Irecv(1, 3), c.Irecv(2, 3)}
+			for Waitany(reqs) >= 0 {
+			}
+			d1, _ := reqs[0].Wait()
+			d2, _ := reqs[1].Wait()
 			if string(d1) != "a" || string(d2) != "b" {
 				t.Errorf("got %q/%q", d1, d2)
 			}
@@ -126,19 +131,18 @@ func TestWaitanyArrivalOrder(t *testing.T) {
 	})
 }
 
+// A drain over receives from several peers, one of which sends only
+// after hearing from the receiver, completes without deadlock.
 func TestWaitallSliceForm(t *testing.T) {
 	RunSPMD(Ideal(), 4, func(p *Proc) {
 		c := p.Comm()
 		if c.Rank() == 0 {
-			reqs := []*Request{
-				c.Isend(1, 8, []byte("out")), // send completes immediately
-				c.Irecv(1, 8),
-				c.Irecv(2, 8),
-				c.Irecv(3, 8),
+			c.Send(1, 8, []byte("out"))
+			reqs := []*Request{c.Irecv(1, 8), c.Irecv(2, 8), c.Irecv(3, 8)}
+			for Waitany(reqs) >= 0 {
 			}
-			Waitall(reqs)
 			sum := 0
-			for _, r := range reqs[1:] {
+			for _, r := range reqs {
 				d, _ := r.Wait()
 				sum += int(d[0])
 			}
@@ -154,79 +158,22 @@ func TestWaitallSliceForm(t *testing.T) {
 	})
 }
 
+// Waitany never returns a request that is already complete.
 func TestWaitanySendCompletesImmediately(t *testing.T) {
 	RunSPMD(Ideal(), 2, func(p *Proc) {
 		c := p.Comm()
 		if c.Rank() == 0 {
-			reqs := []*Request{c.Irecv(1, 9), c.Isend(1, 9, []byte("ping"))}
-			if i := Waitany(reqs); i != 1 {
-				t.Errorf("Waitany picked %d, want the completed send (1)", i)
-			}
+			reqs := []*Request{c.Irecv(1, 9), c.Irecv(1, 10)}
+			reqs[1].Wait()
 			if i := Waitany(reqs); i != 0 {
-				t.Errorf("Waitany picked %d, want the receive (0)", i)
+				t.Errorf("Waitany picked %d, want the pending receive (0)", i)
+			}
+			if i := Waitany(reqs); i != -1 {
+				t.Errorf("Waitany picked %d, want -1 once both are complete", i)
 			}
 		} else {
-			c.Recv(0, 9)
-			c.Send(0, 9, []byte("pong"))
-		}
-	})
-}
-
-func TestProbe(t *testing.T) {
-	RunSPMD(Ideal(), 2, func(p *Proc) {
-		c := p.Comm()
-		if c.Rank() == 0 {
-			if c.Probe(1, 4) {
-				t.Error("Probe true before send")
-			}
-			c.Send(1, 1, nil)
-			c.Recv(1, 2) // sync: peer has sent tag-4 message by now
-			if !c.Probe(1, 4) {
-				t.Error("Probe false after send")
-			}
-			if !c.Probe(AnySource, 4) {
-				t.Error("AnySource Probe false")
-			}
-			c.Recv(1, 4)
-			if c.Probe(1, 4) {
-				t.Error("Probe true after consume")
-			}
-		} else {
-			c.Recv(0, 1)
-			c.Send(0, 4, []byte("probe-me"))
-			c.Send(0, 2, nil)
-		}
-	})
-}
-
-func TestScatter(t *testing.T) {
-	RunSPMD(Ideal(), 4, func(p *Proc) {
-		c := p.Comm()
-		var bufs [][]byte
-		if c.Rank() == 1 {
-			bufs = make([][]byte, 4)
-			for i := range bufs {
-				bufs[i] = []byte{byte(i * 3)}
-			}
-		}
-		got := c.Scatter(1, bufs)
-		if len(got) != 1 || int(got[0]) != c.Rank()*3 {
-			t.Errorf("rank %d got %v", c.Rank(), got)
-		}
-	})
-}
-
-func TestAllreduceFloat64s(t *testing.T) {
-	RunSPMD(Ideal(), 3, func(p *Proc) {
-		c := p.Comm()
-		xs := []float64{float64(c.Rank()), 1, float64(-c.Rank())}
-		sum := c.AllreduceFloat64s(OpSum, xs)
-		if sum[0] != 3 || sum[1] != 3 || sum[2] != -3 {
-			t.Errorf("sum=%v", sum)
-		}
-		max := c.AllreduceFloat64s(OpMax, xs)
-		if max[0] != 2 || max[2] != 0 {
-			t.Errorf("max=%v", max)
+			c.Send(0, 10, []byte("first"))
+			c.Send(0, 9, []byte("second"))
 		}
 	})
 }

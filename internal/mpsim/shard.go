@@ -222,7 +222,7 @@ func (s *shard) runWindow(limit evKey) {
 // more, tMsg fires at its destination's shard (pushed directly when
 // the sender owns it, staged in the sender's outbox otherwise) and
 // tWake is the target process's own registration; every other kind
-// (transport packets, crash and join plumbing) touches state on both
+// (transport packets, crash plumbing) touches state on both
 // sides of a shard boundary and goes to the coordinator, which fires
 // it while the shards are quiesced (shard-side creators hold
 // netLayer.mu).
@@ -350,11 +350,7 @@ func (w *World) partition(n int) {
 		s := &shard{
 			w:     w,
 			pairs: make(map[PairKey]*PairStats),
-			// Dormant (not-yet-joined) ranks count as live from t=0: their
-			// eventual completion is part of the run, and counting them
-			// keeps it going until their join timers fire even if every
-			// launched process finishes first.
-			live: hi - lo,
+			live:  hi - lo,
 		}
 		for _, p := range w.procs[lo:hi] {
 			p.shard = s
@@ -487,7 +483,7 @@ func (w *World) mergeStats() {
 		// Per-rank subsequences are already in execution order (every
 		// rank's events land in one shard buffer), so a stable sort on
 		// (time, rank) yields the canonical stream: the same Timeline and
-		// ByRank views at every shard count.
+		// per-rank event order at every shard count.
 		sort.SliceStable(evs, func(a, b int) bool {
 			if evs[a].Time != evs[b].Time {
 				return evs[a].Time < evs[b].Time

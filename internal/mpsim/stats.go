@@ -56,9 +56,6 @@ type Stats struct {
 	// Crashes is the run's crash-fault history (Config.Crash), ordered
 	// by crash time; empty without a crash plan.
 	Crashes []CrashRecord
-	// Joins is the run's elastic-growth history (Config.Join), ordered
-	// by join time; empty without a join plan.
-	Joins []JoinRecord
 }
 
 // pair returns the counters for the ordered (from, to) link, creating

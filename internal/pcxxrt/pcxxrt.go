@@ -81,18 +81,6 @@ func (c *Collection) Owner(i int) int { return i % c.nprocs }
 // Slot returns element i's local slot on its owner.
 func (c *Collection) Slot(i int) int { return i / c.nprocs }
 
-// ElemData returns the local float64 storage of global element i,
-// which must be owned by this process; it is only usable on float64
-// collections.
-func (c *Collection) ElemData(i int) []float64 {
-	if c.Owner(i) != c.rank {
-		panic(fmt.Sprintf("pcxxrt: rank %d accessing element %d owned by rank %d", c.rank, i, c.Owner(i)))
-	}
-	w := c.mem.Elem().Words
-	s := c.Slot(i) * w
-	return c.data[s : s+w]
-}
-
 // ForEachOwned iterates the locally owned elements of a float64
 // collection, passing the global element index and its storage.
 func (c *Collection) ForEachOwned(f func(i int, elem []float64)) {

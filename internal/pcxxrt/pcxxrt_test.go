@@ -47,16 +47,6 @@ func TestCollectionValidation(t *testing.T) {
 	}
 }
 
-func TestElemAccessPanicsOnRemote(t *testing.T) {
-	c, _ := NewCollection(10, 2, 1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.ElemData(1)
-}
-
 func TestRangeRegionSize(t *testing.T) {
 	cases := []struct {
 		r RangeRegion

@@ -17,11 +17,11 @@ type testObject struct {
 	dist  *distarray.Dist
 	halo  int
 	words int
-	data  []float64
+	mem   core.Mem
 }
 
 func (o *testObject) Elem() core.ElemType      { return core.Float64Elems(o.words) }
-func (o *testObject) LocalMem() core.Mem       { return core.Float64Mem(o.words, o.data) }
+func (o *testObject) LocalMem() core.Mem       { return o.mem }
 func (o *testObject) SecDist() *distarray.Dist { return o.dist }
 func (o *testObject) Halo() int                { return o.halo }
 
@@ -31,12 +31,11 @@ func newTestObject(t *testing.T, shape gidx.Shape, grid []int, kinds []distarray
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := words
-	for i, c := range d.LocalCounts(rank) {
-		_ = i
-		size *= c + 2*halo
+	elems := 1
+	for _, c := range d.LocalCounts(rank) {
+		elems *= c + 2*halo
 	}
-	return &testObject{dist: d, halo: halo, words: words, data: make([]float64, size)}
+	return &testObject{dist: d, halo: halo, words: words, mem: core.MakeMem(core.Float64Elems(words), elems)}
 }
 
 var testLib = New("seclib-test")

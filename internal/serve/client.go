@@ -114,13 +114,6 @@ func DialWith(opts DialOptions) (*Client, error) {
 	return nil, fmt.Errorf("serve: dial gave up after %d attempts: %w", o.MaxAttempts, lastErr)
 }
 
-// Token returns the session's resume token (for diagnostics).
-func (c *Client) Token() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.token
-}
-
 // Lease returns the server-granted session lease (0 = no expiry).
 func (c *Client) Lease() time.Duration {
 	c.mu.Lock()
@@ -311,17 +304,6 @@ func (c *Client) Move(id, kind int, seed int64) (MoveStats, error) {
 	return c.move(id, kind, seed, nil, false)
 }
 
-// MoveData is Move but also returns the landing side's global values.
-func (c *Client) MoveData(id, kind int, seed int64) (MoveStats, error) {
-	return c.move(id, kind, seed, nil, true)
-}
-
-// MovePayload executes a move whose sending side is filled from
-// explicit global values (length elems × words, position-major).
-func (c *Client) MovePayload(id, kind int, values []float64, wantData bool) (MoveStats, error) {
-	return c.move(id, kind, 0, values, wantData)
-}
-
 func (c *Client) move(id, kind int, seed int64, values []float64, wantData bool) (MoveStats, error) {
 	flags := 0
 	if wantData {
@@ -360,12 +342,6 @@ func (c *Client) CloseCoupling(id int) error {
 	var w codec.Writer
 	w.PutInt32(int32(id))
 	_, err := c.do(msgCloseCoupling, w.Bytes(), msgOK)
-	return err
-}
-
-// Ping refreshes the session lease without doing any work.
-func (c *Client) Ping() error {
-	_, err := c.do(msgPing, nil, msgOK)
 	return err
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -24,8 +25,12 @@ func startServer(t *testing.T, opts Options) (*Server, string) {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "mc.sock")
 	srv := NewServer(opts)
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("unix", sock) }()
+	go func() { errc <- srv.Serve(ln) }()
 	// Wait for the listener to come up.
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Addr() == nil {
@@ -136,7 +141,7 @@ func TestServeDataCorrectness(t *testing.T) {
 	for i := range payload {
 		payload[i] = float64(3*i - 7)
 	}
-	st, err := c.MovePayload(1, OpMove, payload, true)
+	st, err := c.move(1, OpMove, 0, payload, true)
 	if err != nil {
 		t.Fatalf("payload move: %v", err)
 	}
@@ -149,7 +154,7 @@ func TestServeDataCorrectness(t *testing.T) {
 		}
 	}
 
-	st, err = c.MoveData(1, OpMove, 55)
+	st, err = c.move(1, OpMove, 55, nil, true)
 	if err != nil {
 		t.Fatalf("seeded move: %v", err)
 	}
@@ -177,7 +182,7 @@ func TestServeMultiWordCollection(t *testing.T) {
 	if _, _, err := c.OpenCoupling(1, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.MoveData(1, OpMove, 9)
+	st, err := c.move(1, OpMove, 9, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +348,7 @@ func TestServeTypedErrors(t *testing.T) {
 	if _, _, err := c.OpenCoupling(1, 1, 2); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("reopening a live coupling id: %v, want ErrBadSpec", err)
 	}
-	if _, err := c.MovePayload(1, OpMove, []float64{1, 2, 3}, false); !errors.Is(err, ErrBadSpec) {
+	if _, err := c.move(1, OpMove, 0, []float64{1, 2, 3}, false); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("short payload: %v, want ErrBadSpec", err)
 	}
 }
@@ -351,8 +356,12 @@ func TestServeTypedErrors(t *testing.T) {
 // TestServeTCP runs the same coupling over a TCP loopback socket.
 func TestServeTCP(t *testing.T) {
 	srv := NewServer(Options{FlushWindow: -1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("tcp", "127.0.0.1:0") }()
+	go func() { errc <- srv.Serve(ln) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Addr() == nil {
 		if time.Now().After(deadline) {

@@ -157,7 +157,7 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// NewServer builds a server; call Serve or ListenAndServe to run it.
+// NewServer builds a server; call Serve to run it.
 func NewServer(opts Options) *Server {
 	s := &Server{
 		opts:       opts.withDefaults(),
@@ -176,16 +176,6 @@ func NewServer(opts Options) *Server {
 		close(s.sweepDone)
 	}
 	return s
-}
-
-// ListenAndServe listens on network ("tcp" or "unix") and address and
-// runs the accept loop until Close.
-func (s *Server) ListenAndServe(network, addr string) error {
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve runs the accept loop on ln until Close; it returns nil after a

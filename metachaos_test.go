@@ -151,7 +151,10 @@ func TestPublicAPIScheduleIntrospection(t *testing.T) {
 		}
 		// Rank 0 owns sources 0-4, rank 1 owns destinations 5-9: one
 		// lane each way.
-		mine := sched.SendCount() + sched.RecvCount() + sched.LocalCount()
+		mine := sched.LocalCount()
+		for _, pl := range append(sched.Sends, sched.Recvs...) {
+			mine += pl.Len()
+		}
 		total := int(p.Comm().AllreduceInt64(metachaos.OpSum, int64(mine)))
 		if total != 10 { // 5 sends counted on rank 0 + 5 recvs on rank 1
 			t.Errorf("total lane entries %d, want 10", total)

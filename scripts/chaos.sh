@@ -4,16 +4,13 @@
 # bit-identical results against fault-free runs.  The crashy and flaky
 # profiles add fail-stop faults: the crash sweep and the elastic
 # recovery experiment assert detection, group shrink and deterministic
-# degraded replay on top.  The growth profile adds elastic joins: the
-# scale-out experiment asserts O(delta) schedule repair and
-# bit-identical results while ranks enter the running world.
+# degraded replay on top.
 #
 # Usage:
 #   scripts/chaos.sh                     # default seed 1, lossy profile
 #   scripts/chaos.sh -seed 7 -profile mild
 #   scripts/chaos.sh -seed 3 -profile random -v
 #   scripts/chaos.sh -seed 7 -profile crashy
-#   scripts/chaos.sh -seed 7 -profile growth
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -35,7 +32,7 @@ while [ $# -gt 0 ]; do
 		shift
 		;;
 	*)
-		echo "usage: scripts/chaos.sh [-seed N] [-profile mild|lossy|random|crashy|flaky|growth] [-v]" >&2
+		echo "usage: scripts/chaos.sh [-seed N] [-profile mild|lossy|random|crashy|flaky] [-v]" >&2
 		exit 2
 		;;
 	esac

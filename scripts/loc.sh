@@ -10,11 +10,15 @@ echo "core      $(cd internal && loc core)"
 echo "codec     $(cd internal && loc codec)"
 insp=$(cd internal && loc core seclib distarray gidx lparx pcxxrt)
 echo "inspector $((insp + $(wc -l <internal/chaoslib/mclib.go)))"
-# hpfrt and mbparti are libraries the inspector line leaves out.
-for p in mpsim serve exp hpfrt mbparti; do
+# hpfrt and mbparti are libraries the inspector line leaves out; ckpt
+# and faultsim are the recovery and fault-injection support.
+for p in mpsim serve exp hpfrt mbparti ckpt faultsim; do
 	printf '%-9s %s\n' "$p" "$(cd internal && loc "$p")"
 done
 # The reporting surface: every binary's non-test source, and the
 # paper-API shim.
 echo "cmd       $(loc cmd/*)"
 echo "compat    $(loc compat)"
+# Every non-test Go line outside the benchmark module, so a PR's net
+# change reads straight off the log.
+echo "all       $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | wc -l)"
