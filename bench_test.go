@@ -10,7 +10,6 @@
 package metachaos_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -460,83 +459,6 @@ func BenchmarkMoveObsOff(b *testing.B) {
 			sched.Move(src, dst)
 		}
 		b.StopTimer()
-	})
-}
-
-func BenchmarkScheduleRepair(b *testing.B) {
-	// O(delta) incremental schedule repair against the collective
-	// recompute it replaces: a 256-rank block-to-block copy whose
-	// rank-17/18 destination boundary then shifts by one element.
-	// repair is RepairOrRebuild on rank 17's schedule, built and routed
-	// the way the coupling service builds a donor — diff the two route
-	// maps and patch a clone, pure local work, no world; rebuild pays
-	// the full 256-process inspector collective for the same transfer.
-	const ranks = 256
-	const blk = 64
-	const n = ranks * blk
-
-	even := make([]int, ranks)
-	world := make([]int, ranks)
-	for i := range even {
-		even[i], world[i] = blk, i
-	}
-	moved := append([]int(nil), even...)
-	moved[17]--
-	moved[18]++
-	rmNew, err := core.BlockRoutes(even, moved, world, world)
-	if err != nil {
-		b.Fatal(err)
-	}
-	specs := func(p *metachaos.Proc) (src, dst *metachaos.Spec) {
-		ctx := metachaos.NewCtx(p, p.Comm())
-		full := metachaos.NewSetOfRegions(metachaos.NewSection([]int{0}, []int{n}))
-		return &metachaos.Spec{Lib: metachaos.HPF, Obj: metachaos.NewHPFArray(metachaos.BlockVector(n, ranks), p.Rank()), Set: full, Ctx: ctx},
-			&metachaos.Spec{Lib: metachaos.HPF, Obj: metachaos.NewHPFArray(metachaos.BlockVector(n, ranks), p.Rank()), Set: full, Ctx: ctx}
-	}
-
-	var donor *metachaos.Schedule
-	var rmOld *core.RouteMap
-	var view core.RankView
-	metachaos.RunSPMD(metachaos.Ideal(), ranks, func(p *metachaos.Proc) {
-		g := metachaos.SingleProgram(p.Comm())
-		src, dst := specs(p)
-		s, err := metachaos.ComputeSchedule(g, src, dst, metachaos.Cooperation)
-		if err != nil {
-			panic(err)
-		}
-		rm, err := core.ComputeRoutes(g, src, dst)
-		if err == nil {
-			err = s.AttachRoutes(rm, p.WorldRank())
-		}
-		if err != nil {
-			panic(err)
-		}
-		if p.Rank() == 17 {
-			donor, rmOld, view = s, rm, g.View()
-		}
-	})
-	rebuild := func() (*metachaos.Schedule, error) { return nil, errors.New("delta too large to repair") }
-
-	b.Run("repair", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, repaired, err := core.RepairOrRebuild(donor, rmNew, view, rebuild); !repaired || err != nil {
-				b.Fatalf("repaired=%v err=%v", repaired, err)
-			}
-		}
-		b.ReportMetric(rmOld.Diff(rmNew).Frac(), "delta-frac")
-	})
-
-	b.Run("rebuild", func(b *testing.B) {
-		metachaos.RunSPMD(metachaos.Ideal(), ranks, func(p *metachaos.Proc) {
-			g := metachaos.SingleProgram(p.Comm())
-			src, dst := specs(p)
-			for i := 0; i < b.N; i++ {
-				if _, err := metachaos.ComputeSchedule(g, src, dst, metachaos.Cooperation); err != nil {
-					panic(err)
-				}
-			}
-		})
 	})
 }
 

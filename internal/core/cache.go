@@ -31,7 +31,7 @@ type ScheduleCache struct {
 	misses  int
 	// limit bounds len(entries); 0 (the default) is unbounded.  At the
 	// limit an insert evicts the least-recently-used entry (see
-	// SetLimit) — eviction order is a pure function of the Get/Put
+	// SetLimit) — eviction order is a pure function of the Get
 	// stream, so SPMD callers issuing identical streams evict
 	// identically on every rank.
 	limit     int
@@ -104,22 +104,13 @@ func (c *ScheduleCache) Get(key string, et ElemType, build func() (*Schedule, er
 		// schedule so every caller shares one executor scratch.
 		return prev.s, nil
 	}
-	c.insertLocked(full, s)
-	return s, nil
-}
-
-// insertLocked stores s under the full (key|elem) string, evicting the
-// least-recently-used entries first when a limit is set; callers hold
-// mu.
-func (c *ScheduleCache) insertLocked(full string, s *Schedule) {
 	if c.entries == nil {
 		c.entries = make(map[string]*cacheEntry)
 	}
-	if _, replacing := c.entries[full]; !replacing {
-		c.evictDownToLocked(c.limit - 1)
-	}
+	c.evictDownToLocked(c.limit - 1)
 	c.tick++
 	c.entries[full] = &cacheEntry{s: s, tick: c.tick}
+	return s, nil
 }
 
 // evictDownToLocked drops least-recently-used entries until at most n
@@ -166,23 +157,6 @@ func (c *ScheduleCache) Evictions() int {
 	return c.evictions
 }
 
-// Put inserts an already-built schedule under key, the explicit-insert
-// counterpart of Get for callers that computed the schedule before
-// deciding to share it.  Inserting over an existing entry replaces it;
-// a schedule whose element type disagrees with et is rejected.
-func (c *ScheduleCache) Put(key string, et ElemType, s *Schedule) error {
-	if s == nil {
-		return fmt.Errorf("core: caching nil schedule under key %q", key)
-	}
-	if s.elem != et {
-		return fmt.Errorf("core: schedule cached under key %q moves %v elements, caller declared %v", key, s.elem, et)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertLocked(key+"|"+et.String(), s)
-	return nil
-}
-
 // SetIncarnation keys the whole cache on the group-membership
 // generation (mpsim.Proc.GroupIncarnation): when n differs from the
 // cache's current incarnation every entry is dropped, because a
@@ -199,13 +173,6 @@ func (c *ScheduleCache) SetIncarnation(n int) {
 		}
 		c.entries = nil
 	}
-}
-
-// Len returns the number of cached schedules.
-func (c *ScheduleCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Counters returns the accumulated hit and miss counts.

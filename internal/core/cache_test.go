@@ -9,6 +9,13 @@ import (
 	"metachaos/internal/mpsim"
 )
 
+// cacheLen is the number of cached schedules.
+func cacheLen(c *ScheduleCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 func TestScheduleCacheHitsAndMisses(t *testing.T) {
 	mpsim.RunSPMD(mpsim.SP2(), 2, func(p *mpsim.Proc) {
 		ctx := NewCtx(p, p.Comm())
@@ -43,12 +50,12 @@ func TestScheduleCacheHitsAndMisses(t *testing.T) {
 		if hits != 4 || misses != 1 {
 			t.Errorf("hits=%d misses=%d", hits, misses)
 		}
-		if cache.Len() != 1 {
-			t.Errorf("Len=%d", cache.Len())
+		if cacheLen(cache) != 1 {
+			t.Errorf("Len=%d", cacheLen(cache))
 		}
 		// A membership change drops the entry; the next Get rebuilds.
 		cache.SetIncarnation(1)
-		if cache.Len() != 0 {
+		if cacheLen(cache) != 0 {
 			t.Error("SetIncarnation did not drop the entry")
 		}
 		if _, err := cache.Get("loop-17", Float64, build); err != nil {
@@ -70,12 +77,12 @@ func TestScheduleCacheBuildRaces(t *testing.T) {
 		cache.SetIncarnation(1)
 		return &Schedule{elem: Float64}, nil
 	})
-	if err != nil || s == nil || cache.Len() != 0 {
-		t.Fatalf("build across a new incarnation: s=%p err=%v Len=%d, want returned but not cached", s, err, cache.Len())
+	if err != nil || s == nil || cacheLen(cache) != 0 {
+		t.Fatalf("build across a new incarnation: s=%p err=%v Len=%d, want returned but not cached", s, err, cacheLen(cache))
 	}
 	first := &Schedule{elem: Float64}
 	s, err = cache.Get("k", Float64, func() (*Schedule, error) {
-		if err := cache.Put("k", Float64, first); err != nil {
+		if _, err := cache.Get("k", Float64, func() (*Schedule, error) { return first, nil }); err != nil {
 			t.Fatal(err)
 		}
 		return &Schedule{elem: Float64}, nil
@@ -101,7 +108,7 @@ func TestScheduleCacheDoesNotCacheFailures(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("failed build cached: %d calls", calls)
 	}
-	if cache.Len() != 0 {
+	if cacheLen(cache) != 0 {
 		t.Error("failure left an entry")
 	}
 }
@@ -131,8 +138,8 @@ func TestScheduleCacheKeyedByElemType(t *testing.T) {
 	if f == i {
 		t.Fatal("float64 and int64 transfers shared one cached schedule")
 	}
-	if builds != 2 || cache.Len() != 2 {
-		t.Errorf("builds=%d Len=%d, want 2 entries", builds, cache.Len())
+	if builds != 2 || cacheLen(cache) != 2 {
+		t.Errorf("builds=%d Len=%d, want 2 entries", builds, cacheLen(cache))
 	}
 	// Hits stay per-type.
 	if s, _ := cache.Get("loop-3", Float64, buildFor(Float64)); s != f {
@@ -145,37 +152,13 @@ func TestScheduleCacheKeyedByElemType(t *testing.T) {
 	if _, err := cache.Get("bad", Float32, buildFor(Int32)); err == nil {
 		t.Error("mismatched element type accepted into the cache")
 	}
-	if cache.Len() != 2 {
-		t.Errorf("mismatch was cached: Len=%d", cache.Len())
-	}
-}
-
-// TestScheduleCachePut pins the explicit-insert path: a Put schedule
-// is served by Get without a build, and a Put whose schedule
-// contradicts the declared element type is rejected.
-func TestScheduleCachePut(t *testing.T) {
-	cache := NewScheduleCache()
-	s := &Schedule{elem: Float64}
-	if err := cache.Put("warm", Float64, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cache.Get("warm", Float64, func() (*Schedule, error) {
-		t.Error("Get rebuilt a schedule Put already inserted")
-		return nil, errors.New("unreachable")
-	})
-	if err != nil || got != s {
-		t.Fatalf("Get after Put: got %p err %v, want the Put schedule", got, err)
-	}
-	if err := cache.Put("bad", Float32, &Schedule{elem: Int64}); err == nil {
-		t.Error("Put accepted a schedule whose element type contradicts the key")
-	}
-	if err := cache.Put("nil", Float64, nil); err == nil {
-		t.Error("Put accepted a nil schedule")
+	if cacheLen(cache) != 2 {
+		t.Errorf("mismatch was cached: Len=%d", cacheLen(cache))
 	}
 }
 
 // TestScheduleCacheConcurrent hammers one cache from many goroutines —
-// Get (hit and miss), Put, SetIncarnation, SetLimit and the read-side
+// Get (hit and miss), SetIncarnation, SetLimit and the read-side
 // accessors all interleave.  The coupling service shares a
 // cache across tenant sessions, so this must be provably clean under
 // the race detector before the service can stand on it.  The test
@@ -196,11 +179,6 @@ func TestScheduleCacheConcurrent(t *testing.T) {
 				key := keys[(g+i)%len(keys)]
 				et := elems[(g*7+i)%len(elems)]
 				switch i % 8 {
-				case 6:
-					if err := cache.Put(key, et, &Schedule{elem: et}); err != nil {
-						t.Errorf("Put: %v", err)
-						return
-					}
 				case 7:
 					if g%2 == 0 {
 						cache.SetIncarnation(i % 5)
@@ -220,7 +198,7 @@ func TestScheduleCacheConcurrent(t *testing.T) {
 						return
 					}
 				}
-				cache.Len()
+				cacheLen(cache)
 				cache.Counters()
 				cache.Evictions()
 			}
@@ -231,9 +209,9 @@ func TestScheduleCacheConcurrent(t *testing.T) {
 	if hits+misses == 0 {
 		t.Error("no lookups were counted")
 	}
-	if cache.Len() > len(keys)*len(elems) {
+	if cacheLen(cache) > len(keys)*len(elems) {
 		t.Errorf("cache holds %d entries, more than the %d possible keys",
-			cache.Len(), len(keys)*len(elems))
+			cacheLen(cache), len(keys)*len(elems))
 	}
 }
 
@@ -241,7 +219,7 @@ func TestScheduleCacheConcurrent(t *testing.T) {
 // limit set, inserts evict the least-recently-used entry (a Get hit
 // counts as use), the eviction counter tracks every displacement, and
 // shrinking the limit evicts down immediately.  Eviction order is a
-// pure function of the Get/Put stream, which is what lets SPMD callers
+// pure function of the Get stream, which is what lets SPMD callers
 // run bounded caches without desynchronizing across ranks.
 func TestScheduleCacheLRUBound(t *testing.T) {
 	cache := NewScheduleCache()
@@ -271,8 +249,8 @@ func TestScheduleCacheLRUBound(t *testing.T) {
 	if ev := cache.Evictions(); ev != 2 {
 		t.Errorf("Evictions() = %d, want 2", ev)
 	}
-	if cache.Len() != 2 {
-		t.Errorf("Len() = %d, want 2", cache.Len())
+	if cacheLen(cache) != 2 {
+		t.Errorf("Len() = %d, want 2", cacheLen(cache))
 	}
 	hits, misses := cache.Counters()
 	if hits != 3 || misses != 4 {
@@ -281,8 +259,8 @@ func TestScheduleCacheLRUBound(t *testing.T) {
 
 	// Shrinking the limit evicts down to the new bound at once.
 	cache.SetLimit(1)
-	if cache.Len() != 1 || cache.Evictions() != 3 {
-		t.Errorf("after SetLimit(1): Len=%d Evictions=%d, want 1/3", cache.Len(), cache.Evictions())
+	if cacheLen(cache) != 1 || cache.Evictions() != 3 {
+		t.Errorf("after SetLimit(1): Len=%d Evictions=%d, want 1/3", cacheLen(cache), cache.Evictions())
 	}
 	// The survivor is the most recently used entry.
 	get("A")
@@ -295,8 +273,8 @@ func TestScheduleCacheLRUBound(t *testing.T) {
 	for _, k := range []string{"D", "E", "F", "G"} {
 		get(k)
 	}
-	if cache.Len() != 5 {
-		t.Errorf("unbounded Len() = %d, want 5", cache.Len())
+	if cacheLen(cache) != 5 {
+		t.Errorf("unbounded Len() = %d, want 5", cacheLen(cache))
 	}
 	if cache.Evictions() != 3 {
 		t.Errorf("unbounded inserts evicted: %d, want 3", cache.Evictions())
@@ -316,8 +294,8 @@ func TestScheduleCacheUnboundedByDefault(t *testing.T) {
 			t.Fatalf("Get(%q): %v", key, err)
 		}
 	}
-	if cache.Len() != 500 {
-		t.Errorf("Len() = %d, want 500", cache.Len())
+	if cacheLen(cache) != 500 {
+		t.Errorf("Len() = %d, want 500", cacheLen(cache))
 	}
 	if cache.Evictions() != 0 {
 		t.Errorf("Evictions() = %d, want 0", cache.Evictions())

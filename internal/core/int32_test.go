@@ -68,12 +68,5 @@ func TestInt32RangeRefused(t *testing.T) {
 				t.Errorf("%s: ComputeSchedule on world rank %d returned %v, want an error with %q", tc.name, r, err, tc.wantError)
 			}
 		}
-
-		mpsim.RunSPMD(mpsim.Ideal(), tc.srcProcs, func(p *mpsim.Proc) {
-			_, err := core.ComputeRoutes(core.SingleProgram(p.Comm()), srcSpec(p), srcSpec(p))
-			if err == nil || !strings.Contains(err.Error(), tc.wantError) {
-				t.Errorf("%s: ComputeRoutes returned %v, want an error with %q", tc.name, err, tc.wantError)
-			}
-		})
 	}
 }

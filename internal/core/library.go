@@ -84,10 +84,10 @@ func AppendLoc(runs []LocRun, pos, proc, off int32) []LocRun {
 //
 // Every answer is a list of LocRuns sorted by Pos, pairwise disjoint,
 // and covering exactly the positions asked for.  Runs need not be
-// maximal: schedules, route maps and wire bytes are the same however an
-// answer is cut into runs, so a library emits whatever its arithmetic
-// yields.  The virtual-time cost of an inquiry is charged per element,
-// not per run.
+// maximal: schedules and wire bytes are the same however an answer is
+// cut into runs, so a library emits whatever its arithmetic yields.
+// The virtual-time cost of an inquiry is charged per element, not per
+// run.
 //
 // DerefRange, DerefAt and OwnedPositions are collective over the
 // owning program: every process of Ctx.Comm must call them together
@@ -113,8 +113,8 @@ type Library interface {
 // LocalBounder is the optional extension by which a library reports,
 // from the descriptor alone, the largest number of elements (ghost
 // margins included) any one process stores for o.  Offsets are int32
-// end to end; ComputeSchedule and ComputeRoutes use the bound to refuse
-// an object whose offsets would wrap, descriptor-only views included.
+// end to end; ComputeSchedule uses the bound to refuse an object whose
+// offsets would wrap, descriptor-only views included.
 // Libraries without it are bounded by the caller's own LocalMem.
 type LocalBounder interface {
 	MaxLocalElems(o DistObject) int

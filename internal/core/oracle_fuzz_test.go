@@ -19,14 +19,13 @@ import (
 
 // The differential oracle for the run-granular inspector.  A case —
 // two sides of equal set size, a method, one program or two — comes
-// from a seed.  It is built twice, once through ComputeSchedule,
-// ComputeRoutes and the libraries' run answers, once through the
-// element-granular builders and libraries kept in oracle_test.go and
-// oracle_libs_test.go, and the two must agree on everything observable:
-// the libraries' answers position by position, each rank's send,
-// receive and local lists run for run, the route map, what a move
-// lands, every rank's traffic counters and every rank's final clock,
-// bit for bit.
+// from a seed.  It is built twice, once through ComputeSchedule and the
+// libraries' run answers, once through the element-granular builders
+// and libraries kept in oracle_test.go and oracle_libs_test.go, and the
+// two must agree on everything observable: the libraries' answers
+// position by position, each rank's send, receive and local lists run
+// for run, what a move lands, every rank's traffic counters and every
+// rank's final clock, bit for bit.
 
 var sideKinds = []string{"hpf", "mbparti", "lparx", "pcxx", "chaos"}
 
@@ -319,7 +318,6 @@ func newCase(seed int64, srcKind, dstKind string, method, twoProgs int) *oracleC
 type rankOutcome struct {
 	sends, recvs []core.PeerList
 	local        []core.LocalRun
-	routes       *core.RouteMap
 	landed       []float64
 	clock        float64
 	err          string
@@ -401,14 +399,6 @@ func (c *oracleCase) runWorld(reference bool) ([]rankOutcome, *mpsim.Stats) {
 			mem := dst.Obj.LocalMem()
 			for i := 0; i < mem.Units(); i++ {
 				res.landed = append(res.landed, mem.GetF(i))
-			}
-		}
-
-		if inSrc && inDst {
-			if reference {
-				res.routes = core.RefComputeRoutes(coupling, src, dst)
-			} else if res.routes, err = core.ComputeRoutes(coupling, src.Spec, dst.Spec); err != nil {
-				panic(err)
 			}
 		}
 		res.clock = p.Clock()
@@ -522,8 +512,6 @@ func (c *oracleCase) check(t *testing.T) {
 			t.Errorf("rank %d recvs:\n runs  %v\n elems %v", r, g.recvs, w.recvs)
 		case !reflect.DeepEqual(g.local, w.local):
 			t.Errorf("rank %d local:\n runs  %v\n elems %v", r, g.local, w.local)
-		case !reflect.DeepEqual(g.routes, w.routes):
-			t.Errorf("rank %d routes:\n runs  %v\n elems %v", r, g.routes, w.routes)
 		case !reflect.DeepEqual(g.landed, w.landed):
 			t.Errorf("rank %d: the move landed different data", r)
 		case g.clock != w.clock:

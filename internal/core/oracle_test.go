@@ -7,7 +7,7 @@ import (
 )
 
 // The element-granular schedule builder, kept as the differential
-// oracle for the run-granular one in schedule.go, routes.go and rle.go.
+// oracle for the run-granular one in schedule.go, runs.go and rle.go.
 // Everything here is the code that ran before inquiry functions
 // answered in runs: one Loc per element from the library, one encoder
 // step per element, one append per element.  FuzzScheduleRunsVsElements
@@ -277,20 +277,6 @@ func refBuildDuplication(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 		}
 		sched.Recvs = recvs.list
 	}
-}
-
-// RefComputeRoutes is ComputeRoutes one element at a time.
-func RefComputeRoutes(c *Coupling, src, dst *ElemSpec) *RouteMap {
-	n := src.Set.Size()
-	srcLocs := src.Ref.DerefRange(src.Ctx, src.Obj, src.Set, 0, n)
-	dstLocs := dst.Ref.DerefRange(dst.Ctx, dst.Obj, dst.Set, 0, n)
-	rm := &RouteMap{Elems: n}
-	for i := 0; i < n; i++ {
-		sw := int32(c.Union.WorldRank(c.SrcRanks[srcLocs[i].Proc]))
-		dw := int32(c.Union.WorldRank(c.DstRanks[dstLocs[i].Proc]))
-		rm.Runs = appendRouteRun(rm.Runs, int32(i), sw, srcLocs[i].Off, dw, dstLocs[i].Off)
-	}
-	return rm
 }
 
 // encodePairs writes the parallel arrays (as, bs) with run

@@ -131,6 +131,27 @@ func appendLocalRuns(runs []LocalRun, r LocalRun) []LocalRun {
 	return runs
 }
 
+// routeRun is one stretch of a join: Count consecutive positions come
+// from program rank SrcRank at offsets SrcOff, SrcOff+SrcStride, ...
+// and land on program rank DstRank at offsets DstOff, DstOff+DstStride,
+// ....
+type routeRun struct {
+	Count int32
+
+	SrcRank int32
+	DstRank int32
+
+	SrcOff    int32
+	SrcStride int32
+	DstOff    int32
+	DstStride int32
+}
+
+// offs returns the run's (source offset, destination offset) pairs.
+func (r *routeRun) offs() LocalRun {
+	return LocalRun{Src: r.SrcOff, Dst: r.DstOff, SrcStride: r.SrcStride, DstStride: r.DstStride, Count: r.Count}
+}
+
 // runCursor reads one inquiry answer in position order while the
 // caller walks the other side's answer over the same positions — the
 // join of a transfer's source and destination locations.
@@ -145,7 +166,7 @@ type runCursor struct {
 // it in seg (ranks are the answers' program ranks) and moves both s and
 // the cursor past it.  Answers that do not cover the same positions
 // break the Library contract and panic.
-func (c *runCursor) cut(s *LocRun, seg *RouteRun) {
+func (c *runCursor) cut(s *LocRun, seg *routeRun) {
 	if c.i == len(c.runs) {
 		panic(fmt.Sprintf("core: inquiry answers cover different positions: the destination side ends before %d", s.Pos))
 	}
@@ -157,8 +178,8 @@ func (c *runCursor) cut(s *LocRun, seg *RouteRun) {
 	if s.Count < n {
 		n = s.Count
 	}
-	*seg = RouteRun{
-		Pos: s.Pos, Count: n,
+	*seg = routeRun{
+		Count:   n,
 		SrcRank: s.Proc, SrcOff: s.Off, SrcStride: s.Stride,
 		DstRank: d.Proc, DstOff: d.Off + c.k*d.Stride, DstStride: d.Stride,
 	}

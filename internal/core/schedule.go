@@ -85,12 +85,6 @@ type Schedule struct {
 	Recvs []PeerList
 	Local []LocalRun
 
-	// routes, when non-nil, is the transfer's world-rank route map and
-	// makes the schedule repairable (see repair.go); myWorld is the
-	// world rank the lists are specialized to.
-	routes  *RouteMap
-	myWorld int
-
 	moveSeq int
 
 	// Executor scratch, cached across moves so a reused schedule packs,
@@ -357,7 +351,7 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 	if dst != nil {
 		dLo, dHi := chunk(n, nD, dst.Ctx.Comm.Rank())
 		dstRuns := runCursor{runs: dst.Lib.DerefRange(dst.Ctx, dst.Obj, dst.Set, dLo, dHi)}
-		var seg RouteRun
+		var seg routeRun
 		join := func(s LocRun) {
 			for s.Count > 0 {
 				dstRuns.cut(&s, &seg)
@@ -488,7 +482,7 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 		}
 	}
 	myUnion := c.Union.Rank()
-	var seg RouteRun
+	var seg routeRun
 
 	// Pass one: build send lists from the elements I own on the source
 	// side, joined run to run with where the destination keeps them.

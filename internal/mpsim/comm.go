@@ -86,12 +86,6 @@ func (c *Comm) Size() int { return len(c.ranks) }
 // WorldRank translates a communicator rank to a world rank.
 func (c *Comm) WorldRank(rank int) int { return c.ranks[rank] }
 
-// RankOf translates a world rank to this communicator's rank,
-// reporting false when the rank is not a member.  It is the inverse of
-// WorldRank; route maps keyed on world ranks use it to rebind to a
-// regrown or shrunken union.
-func (c *Comm) RankOf(worldRank int) (int, bool) { return c.rankOf(worldRank) }
-
 // Proc returns the process this communicator handle belongs to.
 func (c *Comm) Proc() *Proc { return c.p }
 

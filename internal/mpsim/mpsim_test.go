@@ -247,11 +247,11 @@ func TestSubCommunicator(t *testing.T) {
 	RunSPMD(Ideal(), 6, func(p *Proc) {
 		c := p.Comm()
 		evens := c.Sub([]int{0, 2, 4})
-		if r, ok := evens.RankOf(c.WorldRank(4)); !ok || r != 2 {
-			t.Errorf("RankOf(world rank of 4) = %d, %v; want 2, true", r, ok)
+		if r, ok := evens.rankOf(c.WorldRank(4)); !ok || r != 2 {
+			t.Errorf("rankOf(world rank of 4) = %d, %v; want 2, true", r, ok)
 		}
-		if _, ok := evens.RankOf(c.WorldRank(1)); ok {
-			t.Error("RankOf found a world rank outside the subcomm")
+		if _, ok := evens.rankOf(c.WorldRank(1)); ok {
+			t.Error("rankOf found a world rank outside the subcomm")
 		}
 		if c.Rank()%2 == 0 {
 			if evens.Rank() < 0 {

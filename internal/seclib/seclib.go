@@ -225,7 +225,7 @@ func (l *Lib) DecodeDescriptor(data []byte) (core.DistObject, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: decoding descriptor: %w", l.name, err)
 	}
-	return &View{dist: dist, halo: halo, et: et}, nil
+	return NewView(dist, halo, et), nil
 }
 
 // EncodeRegion serializes a section region.
@@ -249,9 +249,7 @@ func (l *Lib) DecodeRegion(data []byte) (core.Region, error) {
 
 // NewView builds a descriptor-only object over an existing
 // distribution: it dereferences exactly like a full array with that
-// distribution and ghost margin but holds no data.  The coupling
-// service uses views to compute route maps for descriptors it can
-// construct from a broadcast spec without materializing storage.
+// distribution and ghost margin but holds no data.
 func NewView(dist *distarray.Dist, halo int, et core.ElemType) *View {
 	return &View{dist: dist, halo: halo, et: et}
 }

@@ -281,8 +281,7 @@ func validatePair(src, dst *DistSpec) error {
 
 // PairKey is the cross-tenant schedule-cache key for a coupling: the
 // two canonical spec keys.  The full cache key the resident world uses
-// is PairKey + element type (ScheduleCache appends it) + the world's
-// group incarnation (ScheduleCache.SetIncarnation).
+// is PairKey + element type (ScheduleCache appends it).
 func PairKey(src, dst *DistSpec) string {
 	return src.Key() + ">" + dst.Key()
 }

@@ -533,16 +533,14 @@ func TestServeManyTenants(t *testing.T) {
 	}
 }
 
-// TestServeDonorRepairSharesSchedules pins the descriptor-level
-// sharing path: blockvec(4096) and rowblock(64×64) over the same
-// process count have identical linearized placement, so once the first
-// pair's open has registered a donor schedule with routes, the second
-// pair's route map diffs against it to a zero delta and the open is
-// served by patching the donor locally — no collective inspector —
-// while its moves stay bit-identical to a standalone cold build of the
-// same pair.
-func TestServeDonorRepairSharesSchedules(t *testing.T) {
-	srv, sock := startServer(t, Options{FlushWindow: -1})
+// TestServeSamePlacementDistinctPairOpensCold pins what the cache key
+// means: blockvec(4096) and rowblock(64×64) over the same process count
+// have identical linearized placement, but they are distinct pairs, so
+// the second open builds its own schedule (cold) rather than sharing the
+// first pair's, and its moves stay bit-identical to a standalone build
+// of the same pair.
+func TestServeSamePlacementDistinctPairOpensCold(t *testing.T) {
+	_, sock := startServer(t, Options{FlushWindow: -1})
 	c := dialT(t, sock, "alice")
 	defer c.Close()
 
@@ -560,18 +558,14 @@ func TestServeDonorRepairSharesSchedules(t *testing.T) {
 		}
 	}
 	if _, _, err := c.OpenCoupling(1, 1, 2); err != nil {
-		t.Fatalf("open donor pair: %v", err)
+		t.Fatalf("open blockvec pair: %v", err)
 	}
 	warm, _, err := c.OpenCoupling(2, 3, 4)
 	if err != nil {
-		t.Fatalf("open repaired pair: %v", err)
+		t.Fatalf("open rowblock pair: %v", err)
 	}
 	if warm {
 		t.Error("a distinct pair key should not report a cache hit")
-	}
-	st := srv.Stats()
-	if st["serve_open_repaired_total"] != 1 {
-		t.Errorf("repaired opens = %v, want 1", st["serve_open_repaired_total"])
 	}
 
 	ops := []ScriptOp{{Kind: OpMove, Seed: 3}, {Kind: OpMoveAdd, Seed: 5}, {Kind: OpMoveReverse, Seed: 7}}
@@ -585,7 +579,7 @@ func TestServeDonorRepairSharesSchedules(t *testing.T) {
 			t.Fatalf("move %d: %v", i, err)
 		}
 		if got.Hash != ref[i].Hash {
-			t.Errorf("move %d: repaired-schedule hash %016x != standalone %016x", i, got.Hash, ref[i].Hash)
+			t.Errorf("move %d: hash %016x != standalone %016x", i, got.Hash, ref[i].Hash)
 		}
 	}
 }

@@ -302,9 +302,6 @@ func (ss *session) openCoupling(payload []byte) (byte, []byte, error) {
 	if rep.warm {
 		ss.srv.count("serve_open_warm_total", 1)
 	}
-	if rep.repaired {
-		ss.srv.count("serve_open_repaired_total", 1)
-	}
 	ss.srv.noteEvict(run, rep.evict)
 	var w codec.Writer
 	warm := int32(0)

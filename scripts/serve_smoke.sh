@@ -1,14 +1,15 @@
 #!/bin/sh
 # Coupling-service smoke test: boot mcserved on a throwaway unix
-# socket, drive it with a pinned-seed mcload run that replays every
+# socket, drive it with a seeded mcload run that replays every
 # tenant's op sequence through serve.Standalone (bit-identical hashes
 # required), and assert the cross-tenant schedule cache actually got
-# hits.  Everything is pinned, so a failure reproduces locally with
-# exactly this script.
+# hits.  The seed pins the fill values and the chaos leg's faults, so a
+# failure reproduces locally with this script and the same seed.
 #
-# Usage: scripts/serve_smoke.sh
+# Usage: scripts/serve_smoke.sh [seed]   (default 20260809)
 set -eu
 cd "$(dirname "$0")/.."
+seed="${1:-20260809}"
 
 sock="$(mktemp -u /tmp/mcserved.smoke.XXXXXX.sock)"
 summary="$(mktemp /tmp/mcload.smoke.XXXXXX.json)"
@@ -34,14 +35,14 @@ for _ in $(seq 50); do [ -S "$sock" ] && break; sleep 0.1; done
 
 # Steady profile: tenants hold couplings open and stream moves.
 /tmp/mcload.smoke -network unix -addr "$sock" \
-	-tenants 4 -moves 32 -seed 20260809 -profile steady -check \
+	-tenants 4 -moves 32 -seed "$seed" -profile steady -check \
 	-json > "$summary"
 cat "$summary" >&2
 
 # Churn profile: couplings close and reopen per move, exercising warm
 # reopens and fresh-object semantics under the same verification.
 /tmp/mcload.smoke -network unix -addr "$sock" \
-	-tenants 3 -moves 18 -seed 20260809 -profile churn -check >&2
+	-tenants 3 -moves 18 -seed "$seed" -profile churn -check >&2
 
 # The steady run's summary must show verified hashes and real schedule
 # reuse: with 4 tenants declaring the same 3 catalog pairs, most opens
@@ -77,7 +78,7 @@ for _ in $(seq 50); do [ -S "$csock" ] && break; sleep 0.1; done
 [ -S "$csock" ] || { echo "serve_smoke: chaos daemon never came up" >&2; exit 1; }
 
 /tmp/mcload.smoke -network unix -addr "$csock" \
-	-tenants 3 -moves 16 -seed 20260809 -chaos 0.05 -chaos-seed 20260809 -check \
+	-tenants 3 -moves 16 -seed "$seed" -chaos 0.05 -chaos-seed "$seed" -check \
 	-json > "$csummary"
 cat "$csummary" >&2
 grep -q '"verified": true' "$csummary" || {
@@ -87,4 +88,4 @@ case "$rec" in
 ""|0) echo "serve_smoke: chaos run had $rec reconnects, want > 0" >&2; exit 1 ;;
 esac
 
-echo "serve_smoke: OK (cache hit rate $hit, hashes verified; chaos leg: $rec reconnects, hashes verified)" >&2
+echo "serve_smoke: OK (seed $seed, cache hit rate $hit, hashes verified; chaos leg: $rec reconnects, hashes verified)" >&2

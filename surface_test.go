@@ -19,8 +19,6 @@ var surfaceAllow = map[string]string{
 	"bufpool.Pool.LiveSegments": "leak assertion: tests check that a finished run hands every segment back",
 	"bufpool.Pool.LivePayloads": "leak assertion: tests check that a finished run releases every payload",
 	"core.Byte":                 "the fifth predeclared element type; the dtype sweeps move every kind",
-	"core.BlockRoutes":          "route-map generator for the repair tests and BenchmarkScheduleRepair",
-	"core.Schedule.Canonical":   "test oracle: lane-order-independent schedule equality in the repair tests",
 	"exp.Figure10Scale":         "BenchmarkFigure10Parallel's workload until it is rebuilt on the paper's schedules",
 	"gidx.Section.Contains":     "test oracle for section enumeration and intersection",
 	"mpsim.Trace.Timeline":      "test oracle: the serial-loop and shard-count fingerprints hash it",
@@ -31,7 +29,8 @@ var surfaceAllow = map[string]string{
 // internal/ whose name no non-test file of the repository (bench/,
 // cmd/, compat/, examples/ and the root package included) mentions,
 // unless surfaceAllow names it.  An identifier only tests reach is
-// either deleted or allow-listed with a reason.
+// either deleted or allow-listed with a reason; an allow-listed one that
+// no test mentions either is dead, and its entry fails as stale.
 //
 // The check is by name, not by type: a test-only method that shares its
 // name with a used identifier anywhere in the tree is not caught, but a
@@ -86,7 +85,8 @@ var stdlibMethods = map[string]bool{
 // unusedExports returns one problem per exported declaration under
 // internal/ that no non-test file mentions and allow does not name, as
 // "file:line: pkg.Name ..." or "file:line: pkg.Recv.Name ...", followed
-// by one per allow entry that names no such declaration.
+// by one per allow entry that names no such declaration or one that no
+// test file mentions either.
 func unusedExports(fset *token.FileSet, files []srcFile, allow map[string]string) []string {
 	type decl struct {
 		key string
@@ -94,9 +94,15 @@ func unusedExports(fset *token.FileSet, files []srcFile, allow map[string]string
 	}
 	var decls []decl
 	declared := map[*ast.Ident]bool{}
-	used := map[string]bool{}
+	used, tested := map[string]bool{}, map[string]bool{}
 	for _, sf := range files {
 		if strings.HasSuffix(sf.path, "_test.go") {
+			ast.Inspect(sf.f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					tested[id.Name] = true
+				}
+				return true
+			})
 			continue
 		}
 		surface := strings.HasPrefix(sf.path, "internal/")
@@ -148,6 +154,9 @@ func unusedExports(fset *token.FileSet, files []srcFile, allow map[string]string
 		}
 		if _, ok := allow[d.key]; ok {
 			hit[d.key] = true
+			if !tested[name] {
+				stale = append(stale, fmt.Sprintf("allow-list entry %s names code no file mentions, test files included", d.key))
+			}
 			continue
 		}
 		problems = append(problems, fmt.Sprintf("%s: %s has no non-test caller", fset.Position(d.pos), d.key))
@@ -199,21 +208,25 @@ func (h) Less(i, j int) bool { return false }
 func (h) Swap(i, j int)      {}
 `
 	srcs := map[string]string{
-		"internal/x/x.go":      lib,
 		"internal/x/x_test.go": "package x\n\nfunc plant() { Planted() }\n",
 		"cmd/y/main.go":        "package main\n\nimport \"x\"\n\nfunc main() { x.Used() }\n",
 	}
 	for _, tc := range []struct {
 		name  string
+		extra string // appended to lib
 		allow map[string]string
 		want  []string
 	}{
-		{"a func only a test calls is reported with its position", nil,
+		{"a func only a test calls is reported with its position", "", nil,
 			[]string{"internal/x/x.go:5:6: x.Planted has no non-test caller"}},
-		{"an allow-listed func is not", map[string]string{"x.Planted": "reason"}, nil},
-		{"a stale allow-list entry fails", map[string]string{"x.Planted": "reason", "x.Used": "reason"},
+		{"an allow-listed func is not", "", map[string]string{"x.Planted": "reason"}, nil},
+		{"a stale allow-list entry fails", "", map[string]string{"x.Planted": "reason", "x.Used": "reason"},
 			[]string{"allow-list entry x.Used names nothing unused"}},
+		{"an allow-listed func no test mentions either fails as stale", "\nfunc Dead() {}\n",
+			map[string]string{"x.Planted": "reason", "x.Dead": "reason"},
+			[]string{"allow-list entry x.Dead names code no file mentions, test files included"}},
 	} {
+		srcs["internal/x/x.go"] = lib + tc.extra
 		fset := token.NewFileSet()
 		var files []srcFile
 		for path, src := range srcs {
