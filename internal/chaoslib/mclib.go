@@ -42,7 +42,7 @@ func (Lib) region(set *core.SetOfRegions, i int) IndexRegion {
 // range.
 func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.LocRun {
 	at := []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}}
-	return locRuns(tableOf(o).Lookup(ctx, l.indices(set, at)), at)
+	return tableOf(o).lookupRuns(ctx, l.indices(set, at), at)
 }
 
 // DerefAt returns the locations of the positions in the given
@@ -50,7 +50,7 @@ func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions
 func (l Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
 	indices := l.indices(set, at)
 	ctx.P.ChargeMemOps(len(indices))
-	return locRuns(tableOf(o).Lookup(ctx, indices), at)
+	return tableOf(o).lookupRuns(ctx, indices, at)
 }
 
 // indices lists the global indices at the positions in at, in order.
@@ -61,21 +61,6 @@ func (l Lib) indices(set *core.SetOfRegions, at []core.PosRange) []int32 {
 			span := set.SpanAt(lo, hi)
 			out = append(out, l.region(set, span.Index)[span.Lo:span.Hi]...)
 			lo = span.Base + span.Hi
-		}
-	}
-	return out
-}
-
-// locRuns pairs the table entries of the positions in at, in order,
-// with those positions.  The table answers element by element; entries
-// fuse into runs only where the distribution happens to be regular.
-func locRuns(locs []Loc, at []core.PosRange) []core.LocRun {
-	out := make([]core.LocRun, 0, len(locs))
-	k := 0
-	for _, iv := range at {
-		for pos := iv.Lo; pos < iv.Hi; pos++ {
-			out = core.AppendLoc(out, pos, locs[k].Proc, locs[k].Off)
-			k++
 		}
 	}
 	return out

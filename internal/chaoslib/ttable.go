@@ -8,6 +8,7 @@
 package chaoslib
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"metachaos/internal/codec"
@@ -47,6 +48,8 @@ type TTable struct {
 
 	// Replicated form: all n entries; nil in the distributed form.
 	full []Loc
+
+	scratch lookupScratch
 }
 
 // BuildTTable constructs the distributed translation table for an
@@ -163,66 +166,133 @@ func (tt *TTable) pageCount(rank int) int {
 // an empty list), local in the replicated form.  The result is in
 // request order.
 func (tt *TTable) Lookup(ctx *core.Ctx, indices []int32) []Loc {
-	p := ctx.P
-	if tt.full != nil {
-		// Replicated tables answer with a direct array index, far
-		// cheaper than a distributed (hashed, remote) dereference.
-		out := make([]Loc, len(indices))
-		for i, g := range indices {
-			out[i] = tt.full[g]
-		}
-		p.ChargeMemOps(len(indices))
-		return out
+	tt.ask(ctx, indices)
+	out := make([]Loc, len(indices))
+	for i := range out {
+		out[i] = tt.answer(indices, i)
 	}
-	comm := ctx.Comm
-	// Group requests by page owner, remembering each request's output
-	// position.
-	reqs := make([]codec.Writer, comm.Size())
-	owners := make([]int, len(indices))
+	ctx.P.ChargeMemOps(len(indices))
+	return out
+}
+
+// lookupRuns is Lookup for the inquiry functions: the entries of
+// indices, which list the set's elements at the positions in at, paired
+// with those positions.  The table answers element by element; entries
+// fuse into runs only where the distribution happens to be regular.
+func (tt *TTable) lookupRuns(ctx *core.Ctx, indices []int32, at []core.PosRange) []core.LocRun {
+	tt.ask(ctx, indices)
+	out := make([]core.LocRun, 0, len(indices))
+	k := 0
+	for _, iv := range at {
+		for pos := iv.Lo; pos < iv.Hi; pos++ {
+			e := tt.answer(indices, k)
+			out = core.AppendLoc(out, pos, e.Proc, e.Off)
+			k++
+		}
+	}
+	ctx.P.ChargeMemOps(len(indices))
+	return out
+}
+
+// lookupScratch is the distributed form's working storage for a lookup
+// round, kept on the table so a round allocates only the transport's
+// copies and the caller's answer.  Reuse is safe because Alltoall
+// copies every buffer it is handed before it returns, and ask resets
+// the scratch when it starts.
+type lookupScratch struct {
+	owners  []int32  // each request's page owner
+	cur     []int32  // per owner: a cursor into its slab
+	req     []byte   // requests, grouped by owner
+	reply   []byte   // replies, grouped by asking process
+	bufs    [][]byte // the parts handed to each Alltoall
+	answers [][]byte // the round's replies, by owner
+}
+
+// ask runs the distributed form's lookup round for indices and leaves
+// the replies for answer to read; the replicated form needs no round.
+func (tt *TTable) ask(ctx *core.Ctx, indices []int32) {
+	if tt.full != nil {
+		return
+	}
+	p, comm := ctx.P, ctx.Comm
+	np := comm.Size()
+	s := &tt.scratch
+	if len(s.bufs) != np {
+		s.cur, s.bufs = make([]int32, np+1), make([][]byte, np)
+	}
+
+	// Group requests by page owner: count, then write each owner's
+	// requests into its own stretch of one slab.
+	s.owners = resize(s.owners, len(indices))
+	clear(s.cur)
 	for i, g := range indices {
 		if g < 0 || int(g) >= tt.n {
 			panic(fmt.Sprintf("chaoslib: lookup of index %d outside [0,%d)", g, tt.n))
 		}
 		o := tt.pageOwner(g)
-		owners[i] = o
-		reqs[o].PutInt32(g)
+		s.owners[i] = int32(o)
+		s.cur[o+1]++
+	}
+	for o := 0; o < np; o++ {
+		s.cur[o+1] += s.cur[o]
+	}
+	s.req = resize(s.req, 4*len(indices))
+	for i, g := range indices {
+		o := s.owners[i]
+		binary.LittleEndian.PutUint32(s.req[4*s.cur[o]:], uint32(g))
+		s.cur[o]++
+	}
+	lo := int32(0)
+	for o := 0; o < np; o++ { // cur[o] has moved to the end of o's stretch
+		s.bufs[o] = s.req[4*lo : 4*s.cur[o]]
+		lo = s.cur[o]
 	}
 	p.ChargeMemOps(len(indices))
-	outs := make([][]byte, comm.Size())
-	for r := range outs {
-		outs[r] = reqs[r].Bytes()
-	}
-	asked := comm.Alltoall(outs)
+	asked := comm.Alltoall(s.bufs)
 
 	// Serve: translate every request against my page.
-	replies := make([][]byte, comm.Size())
 	served := 0
+	for _, part := range asked {
+		served += len(part) / 4
+	}
+	s.reply = resize(s.reply, 8*served)
+	at := 0
 	for src, part := range asked {
-		r := codec.NewReader(part)
-		var w codec.Writer
-		for r.Remaining() > 0 {
-			g := r.Int32()
+		lo := at
+		for k := 0; k < len(part); k += 4 {
+			g := int32(binary.LittleEndian.Uint32(part[k:]))
 			e := tt.local[int(g)-tt.pageLo]
-			w.PutInt32(e.Proc)
-			w.PutInt32(e.Off)
-			served++
+			binary.LittleEndian.PutUint32(s.reply[at:], uint32(e.Proc))
+			binary.LittleEndian.PutUint32(s.reply[at+4:], uint32(e.Off))
+			at += 8
 		}
-		replies[src] = w.Bytes()
+		s.bufs[src] = s.reply[lo:at]
 	}
 	p.ChargeDeref(served)
-	answers := comm.Alltoall(replies)
+	s.answers = comm.Alltoall(s.bufs)
+	clear(s.cur)
+}
 
-	// Scatter replies back into request order.
-	readers := make([]*codec.Reader, comm.Size())
-	for r := range readers {
-		readers[r] = codec.NewReader(answers[r])
+// answer returns the entry of request i; after ask, requests must be
+// read in order.
+func (tt *TTable) answer(indices []int32, i int) Loc {
+	if tt.full != nil {
+		return tt.full[indices[i]]
 	}
-	out := make([]Loc, len(indices))
-	for i, o := range owners {
-		out[i] = Loc{Proc: readers[o].Int32(), Off: readers[o].Int32()}
+	s := &tt.scratch
+	o := s.owners[i]
+	b := s.answers[o][s.cur[o]:]
+	s.cur[o] += 8
+	return Loc{Proc: int32(binary.LittleEndian.Uint32(b)), Off: int32(binary.LittleEndian.Uint32(b[4:]))}
+}
+
+// resize returns b with length n, reusing its storage when it is large
+// enough.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
 	}
-	p.ChargeMemOps(len(indices))
-	return out
+	return b[:n]
 }
 
 // Replicate gathers the full table onto every process, collectively.

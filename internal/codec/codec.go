@@ -18,6 +18,12 @@ type Writer struct {
 // Bytes returns the encoded message.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// Reset empties the writer but keeps its buffer, so a writer reused
+// across messages stops allocating once it has grown to the largest.
+// Bytes returned before the Reset share that buffer and are
+// overwritten by what is written next.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 

@@ -11,10 +11,15 @@ import (
 // participating in a transfer: a union communicator spanning both, and
 // the union ranks of each program's processes indexed by program rank.
 // Every process of both programs must construct an identical coupling.
+//
+// Like a Schedule, a Coupling is per-process state: it keeps the
+// schedule builder's scratch (see buildScratch) between builds.
 type Coupling struct {
 	Union    *mpsim.Comm
 	SrcRanks []int
 	DstRanks []int
+
+	build *buildScratch
 }
 
 // SingleProgram builds the coupling for transfers inside one program:

@@ -1,14 +1,17 @@
 package core_test
 
 import (
+	"math/rand"
 	"testing"
 
+	"metachaos/internal/chaoslib"
 	"metachaos/internal/core"
 	"metachaos/internal/distarray"
 	"metachaos/internal/gidx"
 	"metachaos/internal/hpfrt"
 	"metachaos/internal/mbparti"
 	"metachaos/internal/mpsim"
+	"metachaos/internal/pcxxrt"
 )
 
 // steadyMoveAllocs runs warm-up collective steps (moves, for most
@@ -105,16 +108,15 @@ func TestMoveOverlapAllocFree(t *testing.T) {
 // both (BLOCK, BLOCK) over 4 processes, may allocate for the rows a
 // section has but never for its elements.  A 96×96 section has 16 times
 // the elements of a 24×24 one and 4 times the rows; with growing slices
-// that is a few more allocations, not a multiple.
+// that is a few more allocations, not a multiple.  The irregular rows
+// are inspect-irregular's shape, CHAOS index lists behind the paged
+// translation table: every element is a run of its own, so only scratch
+// kept across builds keeps 16 times the elements from costing more
+// allocations.
 func TestScheduleBuildAllocsFollowRuns(t *testing.T) {
-	build := func(method core.Method, edge int) float64 {
+	build := func(method core.Method, size int, sides buildSides) float64 {
 		return steadyMoveAllocs(mpsim.Ideal(), 4, 20, func(p *mpsim.Proc) func() {
-			ctx := core.NewCtx(p, p.Comm())
-			dist := distarray.MustBlock2D(edge+8, edge+8, 4)
-			src := &core.Spec{Lib: hpfrt.Library, Obj: hpfrt.NewArray(dist, p.Rank()), Ctx: ctx,
-				Set: core.NewSetOfRegions(gidx.NewSection([]int{1, 3}, []int{1 + edge, 3 + edge}))}
-			dst := &core.Spec{Lib: mbparti.Library, Obj: mbparti.MustNewArray(dist, p.Rank(), 1), Ctx: ctx,
-				Set: core.NewSetOfRegions(gidx.NewSection([]int{5, 0}, []int{5 + edge, edge}))}
+			src, dst := sides(p, core.NewCtx(p, p.Comm()), size)
 			coupling := core.SingleProgram(p.Comm())
 			return func() {
 				if _, err := core.ComputeSchedule(coupling, src, dst, method); err != nil {
@@ -123,11 +125,80 @@ func TestScheduleBuildAllocsFollowRuns(t *testing.T) {
 			}
 		})
 	}
-	for _, method := range []core.Method{core.Cooperation, core.Duplication} {
-		small, large := build(method, 24), build(method, 96)
-		t.Logf("%v: %.0f allocations per build at 24×24, %.0f at 96×96", method, small, large)
+	for _, row := range []struct {
+		name         string
+		method       core.Method
+		small, large int
+		sides        buildSides
+	}{
+		{"sections, cooperation", core.Cooperation, 24, 96, sectionSides},
+		{"sections, duplication", core.Duplication, 24, 96, sectionSides},
+		{"chaos to hpf block vector, cooperation", core.Cooperation, 1 << 11, 1 << 15, chaosToHPFSides},
+		{"pcxx round-robin to chaos, cooperation", core.Cooperation, 1 << 11, 1 << 15, pcxxToChaosSides},
+	} {
+		small, large := build(row.method, row.small, row.sides), build(row.method, row.large, row.sides)
+		t.Logf("%s: %.0f allocations per build at size %d, %.0f at %d", row.name, small, row.small, large, row.large)
 		if large > 1.5*small {
-			t.Errorf("%v: a 96×96 section build allocates %.0f times, a 24×24 one %.0f; want at most 1.5x", method, large, small)
+			t.Errorf("%s: a build at size %d allocates %.0f times, at %d %.0f; want at most 1.5x", row.name, row.large, large, row.small, small)
 		}
 	}
+}
+
+// buildSides makes a rank's two sides of a transfer whose size grows
+// with size.
+type buildSides func(p *mpsim.Proc, ctx *core.Ctx, size int) (src, dst *core.Spec)
+
+// sectionSides is an edge×edge section of an HPF array copied onto a
+// shifted one of a Multiblock Parti array, both (BLOCK, BLOCK).
+func sectionSides(p *mpsim.Proc, ctx *core.Ctx, edge int) (src, dst *core.Spec) {
+	dist := distarray.MustBlock2D(edge+8, edge+8, p.Comm().Size())
+	src = &core.Spec{Lib: hpfrt.Library, Obj: hpfrt.NewArray(dist, p.Rank()), Ctx: ctx,
+		Set: core.NewSetOfRegions(gidx.NewSection([]int{1, 3}, []int{1 + edge, 3 + edge}))}
+	dst = &core.Spec{Lib: mbparti.Library, Obj: mbparti.MustNewArray(dist, p.Rank(), 1), Ctx: ctx,
+		Set: core.NewSetOfRegions(gidx.NewSection([]int{5, 0}, []int{5 + edge, edge}))}
+	return src, dst
+}
+
+// chaosSide is rank's side of an n-element CHAOS array dealt by a
+// seeded permutation, linearized in the order of another.
+func chaosSide(p *mpsim.Proc, ctx *core.Ctx, n int) *core.Spec {
+	nprocs := p.Comm().Size()
+	rng := rand.New(rand.NewSource(int64(n)))
+	deal, order := rng.Perm(n), rng.Perm(n)
+	var mine []int32
+	for _, g := range deal[p.Rank()*n/nprocs : (p.Rank()+1)*n/nprocs] {
+		mine = append(mine, int32(g))
+	}
+	a, err := chaoslib.NewArray(ctx, mine)
+	if err != nil {
+		panic(err)
+	}
+	region := make(chaoslib.IndexRegion, n)
+	for k, g := range order {
+		region[k] = int32(g)
+	}
+	return &core.Spec{Lib: chaoslib.Library, Obj: a, Ctx: ctx, Set: core.NewSetOfRegions(region)}
+}
+
+// chaosToHPFSides is inspect-irregular's shape: a CHAOS index list
+// behind the paged translation table onto a whole HPF block vector.
+func chaosToHPFSides(p *mpsim.Proc, ctx *core.Ctx, n int) (src, dst *core.Spec) {
+	dist, err := distarray.NewDist(gidx.Shape{n}, []int{p.Comm().Size()}, []distarray.Kind{distarray.Block})
+	if err != nil {
+		panic(err)
+	}
+	return chaosSide(p, ctx, n), &core.Spec{Lib: hpfrt.Library, Obj: hpfrt.NewArray(dist, p.Rank()), Ctx: ctx,
+		Set: core.NewSetOfRegions(gidx.NewSection([]int{0}, []int{n}))}
+}
+
+// pcxxToChaosSides is a whole pC++ round-robin collection onto a CHAOS
+// index list.
+func pcxxToChaosSides(p *mpsim.Proc, ctx *core.Ctx, n int) (src, dst *core.Spec) {
+	c, err := pcxxrt.NewCollection(n, p.Comm().Size(), 1, p.Rank())
+	if err != nil {
+		panic(err)
+	}
+	src = &core.Spec{Lib: pcxxrt.Library, Obj: c, Ctx: ctx,
+		Set: core.NewSetOfRegions(pcxxrt.RangeRegion{Lo: 0, Hi: n, Step: 1})}
+	return src, chaosSide(p, ctx, n)
 }

@@ -40,6 +40,12 @@ type pairEncoder struct {
 	a0, b0, da, db, n int32
 }
 
+// reset empties the encoder for a new stream, keeping w's buffer.
+func (e *pairEncoder) reset() {
+	e.w.Reset()
+	*e = pairEncoder{w: e.w}
+}
+
 // begin starts the stream, after whatever w already holds.
 func (e *pairEncoder) begin() {
 	e.totalAt, e.litAt = e.w.Len(), -1

@@ -291,6 +291,7 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 	n := sched.elems
 	nS, nD := len(c.SrcRanks), len(c.DstRanks)
 	p := c.Union.Proc()
+	s := c.scratch()
 
 	// Phase 1: source processes dereference their chunk of positions.
 	sp := p.Span("sched.deref")
@@ -305,7 +306,7 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 	// Phase 2: route source locations to the destination processes
 	// responsible for each position chunk, slicing the runs by position.
 	sp = p.Span("sched.route")
-	bufs := make([][]byte, c.Union.Size())
+	bufs := s.bufs
 	if src != nil {
 		i := 0 // the first run that reaches into the current chunk
 		for j := 0; j < nD; j++ {
@@ -314,7 +315,8 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 			if a >= b {
 				continue
 			}
-			var e pairEncoder
+			e := &s.route[j]
+			e.reset()
 			e.w.PutInt64(int64(a))
 			e.begin()
 			for i < len(srcRuns) && int(srcRuns[i].Pos) < b {
@@ -341,12 +343,13 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 	// phase 4: the joined stretches go straight into the fragment
 	// streams of the processes that own their two ends.
 	sp = p.Span("sched.join")
-	frag := make([]*fragAccum, c.Union.Size())
+	frag := s.frag
 	fragOf := func(u int32) *fragAccum {
-		if frag[u] == nil {
-			frag[u] = newFragAccum()
+		f := &frag[u]
+		if !f.live {
+			f.begin()
 		}
-		return frag[u]
+		return f
 	}
 	if dst != nil {
 		dLo, dHi := chunk(n, nD, dst.Ctx.Comm.Rank())
@@ -395,15 +398,15 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 	// per-peer offset lists come out in linearization order without
 	// sorting.
 	sp = p.Span("sched.assemble")
-	fragBufs := make([][]byte, c.Union.Size())
-	for u, f := range frag {
-		if f != nil {
-			fragBufs[u] = f.bytes()
+	clear(bufs)
+	for u := range frag {
+		if f := &frag[u]; f.live {
+			bufs[u] = f.bytes()
 		}
 	}
-	mine := c.Union.Alltoall(fragBufs)
+	mine := c.Union.Alltoall(bufs)
 
-	var sends, recvs lanes
+	sends, recvs := &s.sends, &s.recvs
 	total := 0
 	for _, part := range mine {
 		if len(part) == 0 {
@@ -412,38 +415,89 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 		r := codec.NewReader(part)
 		total += decodeKeyedRuns(r, sends.add)
 		total += decodeKeyedRuns(r, recvs.add)
-		total += decodePairsRuns(r, func(t LocalRun) { sched.Local = appendLocalRuns(sched.Local, t) })
+		total += decodePairsRuns(r, func(t LocalRun) { s.local = appendLocalRuns(s.local, t) })
 	}
 	p.ChargeSectionOps(total)
-	sched.Sends, sched.Recvs = sends.list, recvs.list
+	s.take(sched)
 	sp.End(p.Clock())
+}
+
+// buildScratch is the schedule builders' working storage, kept on the
+// Coupling so a cold build allocates only what it returns: the
+// Schedule, the inquiry answers and the transport's copies.  Reuse is
+// safe because Alltoall copies every buffer it is handed before it
+// returns.  Each build resets the scratch when it starts, so one that
+// panicked part-way leaves nothing behind for the next.
+type buildScratch struct {
+	route        []pairEncoder // cooperation: source locations, per destination program rank
+	frag         []fragAccum   // cooperation: schedule fragments, per union rank
+	bufs         [][]byte      // cooperation: the parts handed to each Alltoall
+	sends, recvs lanes         // both methods
+	local        []LocalRun    // both methods
+}
+
+// scratch returns the coupling's build scratch, reset for a new build.
+func (c *Coupling) scratch() *buildScratch {
+	s := c.build
+	if s == nil {
+		n := c.Union.Size()
+		s = &buildScratch{
+			route: make([]pairEncoder, len(c.DstRanks)),
+			frag:  make([]fragAccum, n),
+			bufs:  make([][]byte, n),
+		}
+		c.build = s
+	}
+	clear(s.bufs)
+	for u := range s.frag {
+		s.frag[u].live = false
+	}
+	s.sends.reset()
+	s.recvs.reset()
+	s.local = s.local[:0]
+	return s
+}
+
+// take copies the built lists into sched at their exact size.
+func (s *buildScratch) take(sched *Schedule) {
+	sched.Sends, sched.Recvs = s.sends.take(), s.recvs.take()
+	if len(s.local) > 0 {
+		sched.Local = append(make([]LocalRun, 0, len(s.local)), s.local...)
+	}
 }
 
 // fragAccum is the schedule fragment one joining process holds for one
 // owning process, as three streams: (peer, offset) for the owner's
 // sends and for its receives, (source offset, destination offset) for
 // its local copies.
+// live marks a fragment begun in the current build; one never begun
+// ships as an empty part.
 type fragAccum struct {
 	send, recv, loc pairEncoder
+	cat             []byte // the three streams, one after another
+	live            bool
 }
 
-func newFragAccum() *fragAccum {
-	f := &fragAccum{}
-	f.send.begin()
-	f.recv.begin()
-	f.loc.begin()
-	return f
+// begin starts the three streams.
+func (f *fragAccum) begin() {
+	for _, e := range []*pairEncoder{&f.send, &f.recv, &f.loc} {
+		e.reset()
+		e.begin()
+	}
+	f.live = true
 }
 
 // bytes ends the three streams and returns them one after another.
 func (f *fragAccum) bytes() []byte {
-	out := f.send.finish()
-	out = append(out, f.recv.finish()...)
-	return append(out, f.loc.finish()...)
+	f.cat = append(f.cat[:0], f.send.finish()...)
+	f.cat = append(f.cat, f.recv.finish()...)
+	f.cat = append(f.cat, f.loc.finish()...)
+	return f.cat
 }
 
 // lanes assembles per-peer lists, kept in the order their peers first
-// appear.  The zero value is ready to use.
+// appear.  The zero value is ready to use; reset and take let one lanes
+// serve build after build, keeping its run lists' capacity.
 type lanes struct {
 	list []PeerList
 	at   []int32 // at[peer]-1 indexes list; 0 means no lane yet
@@ -455,11 +509,42 @@ func (l *lanes) add(peer int, r Run) {
 		l.at = append(l.at, make([]int32, peer+1-len(l.at))...)
 	}
 	if l.at[peer] == 0 {
-		l.list = append(l.list, PeerList{Peer: peer})
+		if n := len(l.list); n < cap(l.list) {
+			l.list = l.list[:n+1]
+			l.list[n] = PeerList{Peer: peer, Runs: l.list[n].Runs[:0]}
+		} else {
+			l.list = append(l.list, PeerList{Peer: peer})
+		}
 		l.at[peer] = int32(len(l.list))
 	}
 	pl := &l.list[l.at[peer]-1]
 	pl.Runs = appendOffsetRuns(pl.Runs, r)
+}
+
+// reset empties every lane.
+func (l *lanes) reset() {
+	clear(l.at)
+	l.list = l.list[:0]
+}
+
+// take copies the lanes out at their exact size: one backing run array,
+// each lane a capped slice of it.
+func (l *lanes) take() []PeerList {
+	if len(l.list) == 0 {
+		return nil
+	}
+	n := 0
+	for _, pl := range l.list {
+		n += len(pl.Runs)
+	}
+	runs := make([]Run, 0, n)
+	out := make([]PeerList, len(l.list))
+	for i, pl := range l.list {
+		lo := len(runs)
+		runs = append(runs, pl.Runs...)
+		out[i] = PeerList{Peer: pl.Peer, Runs: runs[lo:len(runs):len(runs)]}
+	}
+	return out
 }
 
 // buildDuplication implements the paper's duplication method: every
@@ -482,6 +567,7 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 		}
 	}
 	myUnion := c.Union.Rank()
+	s := c.scratch()
 	var seg routeRun
 
 	// Pass one: build send lists from the elements I own on the source
@@ -490,19 +576,17 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 	if !src.Obj.LocalMem().IsNil() {
 		owned := src.Lib.OwnedPositions(src.Ctx, src.Obj, src.Set)
 		dLocs := runCursor{runs: dst.Lib.DerefAt(dst.Ctx, dst.Obj, dst.Set, rangesOf(owned))}
-		var sends lanes
-		for _, s := range owned {
-			for s.Count > 0 {
-				dLocs.cut(&s, &seg)
+		for _, r := range owned {
+			for r.Count > 0 {
+				dLocs.cut(&r, &seg)
 				if dU := c.DstRanks[seg.DstRank]; dU == myUnion {
-					sched.Local = appendLocalRuns(sched.Local, seg.offs())
+					s.local = appendLocalRuns(s.local, seg.offs())
 				} else {
-					sends.add(dU, seg.offs().src())
+					s.sends.add(dU, seg.offs().src())
 				}
 			}
 		}
 		dLocs.done()
-		sched.Sends = sends.list
 	}
 	sp.End(p.Clock())
 
@@ -511,21 +595,20 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 	sp = p.Span("sched.deref")
 	if !dst.Obj.LocalMem().IsNil() {
 		owned := runCursor{runs: dst.Lib.OwnedPositions(dst.Ctx, dst.Obj, dst.Set)}
-		var recvs lanes
-		for _, s := range src.Lib.DerefAt(src.Ctx, src.Obj, src.Set, rangesOf(owned.runs)) {
-			for s.Count > 0 {
-				owned.cut(&s, &seg)
+		for _, r := range src.Lib.DerefAt(src.Ctx, src.Obj, src.Set, rangesOf(owned.runs)) {
+			for r.Count > 0 {
+				owned.cut(&r, &seg)
 				// Elements I also own on the source side are already
 				// recorded as local pairs in pass one.
 				if sU := c.SrcRanks[seg.SrcRank]; sU != myUnion {
-					recvs.add(sU, seg.offs().dst())
+					s.recvs.add(sU, seg.offs().dst())
 				}
 			}
 		}
 		owned.done()
-		sched.Recvs = recvs.list
 	}
 	sp.End(p.Clock())
+	s.take(sched)
 	return nil
 }
 

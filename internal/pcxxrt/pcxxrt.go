@@ -136,9 +136,10 @@ func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions
 }
 
 // DerefAt returns the locations of the positions in the given
-// intervals: pure round-robin arithmetic, one element at a time;
-// consecutive positions fuse into a run only where a range's step keeps
-// them on one process.
+// intervals: pure round-robin arithmetic.  A range whose step is a
+// multiple of the process count keeps every element on one process, one
+// strided run per span; any other step deals consecutive positions to
+// different processes, one singleton each.
 func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
 	c := coll(o)
 	n := core.RangesLen(at)
@@ -147,9 +148,15 @@ func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at 
 		for lo, hi := int(iv.Lo), int(iv.Hi); lo < hi; {
 			span := set.SpanAt(lo, hi)
 			r := reg(set, span.Index)
-			for k := span.Lo; k < span.Hi; k++ {
-				i := r.At(k)
-				out = core.AppendLoc(out, int32(span.Base+k), int32(c.Owner(i)), int32(c.Slot(i)))
+			if r.Step%c.nprocs == 0 {
+				i := r.At(span.Lo)
+				out = append(out, core.LocRun{Pos: int32(span.Base + span.Lo), Proc: int32(c.Owner(i)),
+					Off: int32(c.Slot(i)), Stride: int32(r.Step / c.nprocs), Count: int32(span.Hi - span.Lo)})
+			} else {
+				for k := span.Lo; k < span.Hi; k++ {
+					i := r.At(k)
+					out = append(out, core.LocRun{Pos: int32(span.Base + k), Proc: int32(c.Owner(i)), Off: int32(c.Slot(i)), Count: 1})
+				}
 			}
 			lo = span.Base + span.Hi
 		}
@@ -158,7 +165,9 @@ func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at 
 	return out
 }
 
-// OwnedPositions walks each range's residue class owned by the caller.
+// OwnedPositions walks each range's residue class owned by the caller:
+// a whole range when its step is a multiple of the process count,
+// otherwise positions no two of which are adjacent.
 func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.LocRun {
 	c := coll(o)
 	var out []core.LocRun
@@ -166,12 +175,19 @@ func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegio
 	for ri := 0; ri < set.Len(); ri++ {
 		r := reg(set, ri)
 		base := set.Base(ri)
-		for k := 0; k < r.Size(); k++ {
-			i := r.At(k)
-			if c.Owner(i) == c.rank {
-				out = core.AppendLoc(out, int32(base+k), int32(c.rank), int32(c.Slot(i)))
+		size := r.Size()
+		work += size
+		if r.Step%c.nprocs == 0 {
+			if size > 0 && c.Owner(r.Lo) == c.rank {
+				out = append(out, core.LocRun{Pos: int32(base), Proc: int32(c.rank),
+					Off: int32(c.Slot(r.Lo)), Stride: int32(r.Step / c.nprocs), Count: int32(size)})
 			}
-			work++
+			continue
+		}
+		for k := 0; k < size; k++ {
+			if i := r.At(k); c.Owner(i) == c.rank {
+				out = append(out, core.LocRun{Pos: int32(base + k), Proc: int32(c.rank), Off: int32(c.Slot(i)), Count: 1})
+			}
 		}
 	}
 	ctx.P.ChargeSectionOps(work)
