@@ -47,6 +47,12 @@ type ServeSummary struct {
 	// CacheHitRate is the daemon's schedule-cache hit rate over
 	// coupling opens: warm opens / total opens.
 	CacheHitRate float64 `json:"cache_hit_rate"`
+	// OpsPerBatch is the daemon's mean tenant ops per world broadcast.
+	OpsPerBatch float64 `json:"ops_per_batch"`
+	// WindowExpired counts batches the dispatcher's flush window closed
+	// because a member session had gone quiet; a complete batch ships
+	// without waiting.
+	WindowExpired int64 `json:"batch_window_expired"`
 	// Backpressure counts moves the daemon refused under admission
 	// control (mcload retries them).
 	Backpressure int64 `json:"backpressure"`
@@ -221,7 +227,7 @@ func main() {
 	}
 
 	// One extra session reads the daemon's stats.
-	hitRate, backpressure := fetchStats(*network, *addr)
+	stats := fetchStats(*network, *addr)
 
 	verified := false
 	if *check {
@@ -233,15 +239,19 @@ func main() {
 	}
 
 	sum := ServeSummary{
-		Tenants:      *tenants,
-		Couplings:    *couplings,
-		Moves:        total,
-		MovesPerSec:  float64(total) / elapsed.Seconds(),
-		CacheHitRate: hitRate,
-		Backpressure: backpressure,
-		Verified:     verified,
-		Reconnects:   reconnects,
-		OpRetries:    opRetries,
+		Tenants:       *tenants,
+		Couplings:     *couplings,
+		Moves:         total,
+		MovesPerSec:   float64(total) / elapsed.Seconds(),
+		CacheHitRate:  stats["serve_cache_hit_rate"],
+		Backpressure:  int64(stats["serve_backpressure_total"]),
+		WindowExpired: int64(stats["serve_batch_window_expired_total"]),
+		Verified:      verified,
+		Reconnects:    reconnects,
+		OpRetries:     opRetries,
+	}
+	if b := stats["serve_batches_total"]; b > 0 {
+		sum.OpsPerBatch = stats["serve_batched_ops_total"] / b
 	}
 	for t := range results {
 		sum.MoveLatency = append(sum.MoveLatency, tenantLatency(t, results[t].costs))
@@ -251,9 +261,9 @@ func main() {
 		enc.SetIndent("", "  ")
 		enc.Encode(&sum)
 	} else {
-		fmt.Printf("mcload: tenants=%d couplings=%d moves=%d moves/sec=%.1f cache_hit_rate=%.2f backpressure=%d reconnects=%d op_retries=%d verified=%v\n",
+		fmt.Printf("mcload: tenants=%d couplings=%d moves=%d moves/sec=%.1f cache_hit_rate=%.2f ops_per_batch=%.2f batch_window_expired=%d backpressure=%d reconnects=%d op_retries=%d verified=%v\n",
 			sum.Tenants, sum.Couplings, sum.Moves, sum.MovesPerSec, sum.CacheHitRate,
-			sum.Backpressure, sum.Reconnects, sum.OpRetries, sum.Verified)
+			sum.OpsPerBatch, sum.WindowExpired, sum.Backpressure, sum.Reconnects, sum.OpRetries, sum.Verified)
 		for _, tl := range sum.MoveLatency {
 			fmt.Printf("mcload: tenant %d move latency (vsec): p50=%.6f p95=%.6f p99=%.6f over %d moves\n",
 				tl.Tenant, tl.P50, tl.P95, tl.P99, tl.Moves)
@@ -402,16 +412,15 @@ func tenantLatency(t int, costs []float64) TenantMoveLatency {
 	return tl
 }
 
-// fetchStats reads the daemon's cache hit rate and backpressure count.
-func fetchStats(network, addr string) (hitRate float64, backpressure int64) {
+// fetchStats reads the daemon's counters; nil (every count zero) when
+// the daemon cannot be asked.
+func fetchStats(network, addr string) map[string]float64 {
 	c, err := serve.Dial(network, addr, "mcload-stats")
 	if err != nil {
-		return 0, 0
+		return nil
 	}
 	defer c.Close()
-	stats, err := c.Stats()
-	if err != nil {
-		return 0, 0
-	}
-	return stats["serve_cache_hit_rate"], int64(stats["serve_backpressure_total"])
+	// A failed read returns nil, which is the same "every count zero".
+	stats, _ := c.Stats()
+	return stats
 }

@@ -29,7 +29,7 @@ func main() {
 		sessions = flag.Int("max-sessions", 0, "max concurrent tenant sessions (0 = default)")
 		inflight = flag.Int("max-inflight", 0, "max moves in flight across all tenants (0 = default)")
 		batch    = flag.Int("max-batch", 0, "max ops per world broadcast (0 = default)")
-		flush    = flag.Duration("flush", 0, "batching window (0 = default, negative disables)")
+		flush    = flag.Duration("flush", 0, "longest a batch waits on a quiet tenant; one with an op from every tenant ships at once (0 = default, negative disables batching)")
 		procs    = flag.Int("max-procs", 0, "max processes per distribution side (0 = default)")
 		lease    = flag.Duration("lease", 0, "session lease TTL (0 = default, negative disables expiry)")
 		journal  = flag.Int("max-journal", 0, "per-coupling respawn journal bound (0 = default, negative disables)")

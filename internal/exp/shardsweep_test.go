@@ -39,7 +39,7 @@ func TestShardedDeterminismSweep(t *testing.T) {
 		// the perfect network a same-shard message is visible from its
 		// send and a cross-shard one from its arrival, so the move
 		// executor's Waitany can pick lanes in another order — ROADMAP
-		// item 6a's perfect-vs-netLayer fork.
+		// item 3's perfect-vs-netLayer fork.
 		shardTimed bool
 		run        func(shards int) sweepOutcome
 	}{

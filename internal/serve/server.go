@@ -40,9 +40,12 @@ type Options struct {
 	MaxInflight int
 	// MaxBatch caps tenant ops coalesced into one world broadcast.
 	MaxBatch int
-	// FlushWindow is how long the dispatcher holds a batch open for
-	// more ops.  Negative disables batching (every op ships alone);
-	// zero takes the default.
+	// FlushWindow bounds how long the dispatcher holds a batch open for
+	// a tenant session that has not submitted.  A batch holding one op
+	// from every session feeding its world ships at once; when the
+	// window closes a batch instead, the sessions missing from it stop
+	// being waited for until they submit again.  Negative disables
+	// batching (every op ships alone); zero takes the default.
 	FlushWindow time.Duration
 	// MaxFrame bounds a request frame's payload bytes.
 	MaxFrame int
@@ -364,9 +367,11 @@ func (s *Server) reclaim(st *tenantState, counter string) {
 		conn.Close()
 	}
 	// Handle order keeps the close stream deterministic for the worlds.
+	// The closes carry the leave mark, so no dispatcher waits out a
+	// flush window for the departed session.
 	sort.Slice(cpls, func(i, j int) bool { return cpls[i].handle < cpls[j].handle })
 	for _, lc := range cpls {
-		s.runnerOf(lc).do(&op{cmd: cmdClose, handle: lc.handle})
+		s.runnerOf(lc).do(&op{cmd: cmdClose, handle: lc.handle, from: st, leave: true})
 	}
 }
 
@@ -474,10 +479,15 @@ func (s *Server) startRunnerLocked(key worldKey) *runner {
 		panicAt:  panicAt,
 		cacheCap: s.opts.CacheEntries,
 	})
-	r.onBatch = func(ops int) {
+	r.onBatch = func(ops int, expired bool) {
 		s.mu.Lock()
 		s.metrics.Counter("serve_batches_total").Inc()
 		s.metrics.Counter("serve_batched_ops_total").Add(int64(ops))
+		// Created on the first batch, so Stats lists it at zero too.
+		closed := s.metrics.Counter("serve_batch_window_expired_total")
+		if expired {
+			closed.Inc()
+		}
 		s.mu.Unlock()
 	}
 	s.runners[key] = r

@@ -288,7 +288,7 @@ func (ss *session) openCoupling(payload []byte) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	o := &op{cmd: cmdOpen, handle: ss.srv.handle(), src: *src, dst: *dst}
+	o := &op{cmd: cmdOpen, handle: ss.srv.handle(), src: *src, dst: *dst, from: ss.st}
 	rep, err := run.do(o)
 	if err != nil {
 		return 0, nil, ss.retryableOr(key, err)
@@ -359,7 +359,7 @@ func (ss *session) move(payload []byte) (byte, []byte, error) {
 	run := ss.srv.runnerOf(lc)
 	rep, err := run.do(&op{
 		cmd: cmdMove, handle: lc.handle,
-		moveKind: kind, seed: seed, flags: flags, payload: values,
+		moveKind: kind, seed: seed, flags: flags, payload: values, from: ss.st,
 	})
 	if err != nil {
 		return 0, nil, ss.retryableOr(lc.key, err)
@@ -385,7 +385,7 @@ func (ss *session) closeCoupling(payload []byte) (byte, []byte, error) {
 	// never replays a coupling the tenant is discarding; a close on an
 	// already-dead world succeeds trivially (the handle died with it).
 	ss.srv.removeCoupling(ss.st, id)
-	if _, err := ss.srv.runnerOf(lc).do(&op{cmd: cmdClose, handle: lc.handle}); err != nil &&
+	if _, err := ss.srv.runnerOf(lc).do(&op{cmd: cmdClose, handle: lc.handle, from: ss.st}); err != nil &&
 		!errors.Is(err, ErrWorldFailed) && !errors.Is(err, ErrShuttingDown) {
 		return 0, nil, err
 	}

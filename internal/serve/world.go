@@ -63,6 +63,13 @@ type op struct {
 	// reply, buffered cap 1, is written once by the world's rank 0
 	// (leader); only ops submitted through runner.do carry one.
 	reply chan opReply
+
+	// from is the tenant session that submitted the op, nil for the
+	// daemon's own (revival replays, Standalone).  leave marks the
+	// closes of a departing session: its membership ends with them.
+	// The dispatcher reads both; they never enter the broadcast.
+	from  *tenantState
+	leave bool
 }
 
 // opReply is the leader's answer to one op.
@@ -81,7 +88,7 @@ type opReply struct {
 // runnerConfig parameterizes one resident-world incarnation.
 type runnerConfig struct {
 	key      worldKey
-	flush    time.Duration // batching window; 0 dispatches every op immediately
+	flush    time.Duration // bound on waiting for an idle member; 0 dispatches every op immediately
 	maxBatch int           // ops per broadcast
 	gen      int           // incarnation ordinal (0 = first world for this key)
 	panicAt  int           // >0: every rank panics at its panicAt'th batch (chaos hook)
@@ -102,8 +109,9 @@ type runner struct {
 	mu      sync.Mutex
 	failure error // set before done closes when the world panicked
 
-	// onBatch, when set, observes each dispatched batch size.
-	onBatch func(ops int)
+	// onBatch, when set, observes each dispatched batch: its size, and
+	// whether the flush window closed it.
+	onBatch func(ops int, expired bool)
 }
 
 // newRunner starts a resident world.
@@ -197,10 +205,14 @@ func (r *runner) stop() {
 	close(r.quit)
 }
 
-// dispatch coalesces submissions into batches: the first op opens a
-// flush window, further ops join until the window expires or the batch
-// is full.  Small moves from many tenants ride one broadcast.
+// dispatch coalesces submissions into batches.  A session is
+// sequential by protocol, so a batch holding one op from every member
+// session cannot grow, and ships at once.  The flush window bounds the
+// wait for a member that has not submitted (see members).  The daemon's
+// own ops (nil from) never complete a batch, so with no members they
+// ship alone at once; a lone tenant never waits either.
 func (r *runner) dispatch() {
+	m := members{last: make(map[*tenantState]int)}
 	for {
 		var first *op
 		select {
@@ -211,26 +223,15 @@ func (r *runner) dispatch() {
 			return
 		}
 		batch := []*op{first}
+		m.seq++
+		m.have = 0
+		expired := false
 		if first.cmd != cmdShutdown && r.cfg.flush > 0 {
-			timer := time.NewTimer(r.cfg.flush)
-		collect:
-			for len(batch) < r.cfg.maxBatch {
-				select {
-				case o := <-r.submit:
-					batch = append(batch, o)
-					if o.cmd == cmdShutdown {
-						break collect
-					}
-				case <-timer.C:
-					break collect
-				case <-r.done:
-					break collect
-				}
-			}
-			timer.Stop()
+			m.note(first)
+			batch, expired = r.collect(batch, &m)
 		}
 		if r.onBatch != nil {
-			r.onBatch(len(batch))
+			r.onBatch(len(batch), expired)
 		}
 		select {
 		case r.batches <- batch:
@@ -242,6 +243,72 @@ func (r *runner) dispatch() {
 				}
 			}
 			return
+		}
+	}
+}
+
+// collect grows a batch until every member has an op in it, it reaches
+// the batch limit, a shutdown joins it, or the flush window expires;
+// it reports whether the window closed the batch.
+func (r *runner) collect(batch []*op, m *members) (_ []*op, expired bool) {
+	if m.complete() || len(batch) >= r.cfg.maxBatch {
+		return batch, false
+	}
+	timer := time.NewTimer(r.cfg.flush)
+	defer timer.Stop()
+	for {
+		select {
+		case o := <-r.submit:
+			batch = append(batch, o)
+			if o.cmd == cmdShutdown {
+				return batch, false
+			}
+			m.note(o)
+			if m.complete() || len(batch) >= r.cfg.maxBatch {
+				return batch, false
+			}
+		case <-timer.C:
+			m.dropAbsent()
+			return batch, true
+		case <-r.done:
+			return batch, false
+		}
+	}
+}
+
+// members is the dispatcher's set of sessions feeding its world.  A
+// session joins with its first op and leaves with its reclaim closes
+// (op.leave), or when a flush window expires on a batch it has no op
+// in; it joins again with its next op.
+type members struct {
+	last map[*tenantState]int // member → the last batch it had an op in
+	seq  int                  // ordinal of the batch being collected
+	have int                  // members with an op in that batch
+}
+
+// note records that o joined the batch being collected.
+func (m *members) note(o *op) {
+	switch {
+	case o.from == nil:
+	case o.leave:
+		if m.last[o.from] == m.seq {
+			m.have--
+		}
+		delete(m.last, o.from)
+	case m.last[o.from] != m.seq:
+		m.last[o.from] = m.seq
+		m.have++
+	}
+}
+
+// complete reports whether every member has an op in the batch.
+func (m *members) complete() bool { return m.have == len(m.last) }
+
+// dropAbsent removes the members with no op in the batch.
+func (m *members) dropAbsent() {
+	for st, last := range m.last {
+		if last != m.seq {
+			delete(m.last, st)
 		}
 	}
 }
