@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"metachaos"
@@ -69,42 +70,6 @@ func BenchmarkFigure10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := exp.Figure10()
 		b.ReportMetric(t.Rows[4].Values[3], "total-vms@8procs")
-	}
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := exp.Figure11()
-		b.ReportMetric(t.Rows[4].Values[3], "total-vms@8procs")
-	}
-}
-
-func BenchmarkFigure12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := exp.Figure12()
-		b.ReportMetric(t.Rows[4].Values[3], "total-vms@8procs")
-	}
-}
-
-func BenchmarkFigure13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := exp.Figure13()
-		b.ReportMetric(t.Rows[4].Values[3], "total-vms@8procs-20vec")
-	}
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := exp.Figure14()
-		last := len(t.Rows[4].Values) - 1
-		b.ReportMetric(t.Rows[4].Values[last], "total-vms@20vec")
-	}
-}
-
-func BenchmarkFigure15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := exp.Figure15()
-		b.ReportMetric(t.Rows[0].Values[2], "breakeven-vecs@1client-8server")
 	}
 }
 
@@ -551,8 +516,8 @@ func BenchmarkFigure10Parallel(b *testing.B) {
 	run := func(b *testing.B, shards int) {
 		cfg := exp.Figure10ScaleConfig{
 			ClientProcs: 128, ServerProcs: 1024, Vectors: 8, Rows: 96, Band: 192,
-			Shards: shards,
 		}
+		b.Setenv("MPSIM_SHARDS", strconv.Itoa(shards))
 		for i := 0; i < b.N; i++ {
 			r := exp.Figure10Scale(cfg)
 			b.ReportMetric(r.Makespan*1e3, "makespan-vms@1024srv")

@@ -162,7 +162,7 @@ func main() {
 		network   = flag.String("network", "unix", "daemon network: unix or tcp")
 		addr      = flag.String("addr", "/tmp/mcserved.sock", "daemon address")
 		tenants   = flag.Int("tenants", 4, "concurrent tenant sessions")
-		couplings = flag.Int("couplings", len(catalog), "couplings per tenant (capped at the catalog size)")
+		couplings = flag.Int("couplings", 0, "couplings per tenant (0 = the whole catalog; capped at the catalog size)")
 		moves     = flag.Int("moves", 24, "moves per tenant")
 		seed      = flag.Int64("seed", 1, "base fill seed (pins the whole run)")
 		profile   = flag.String("profile", "steady", "session profile: steady (hold couplings) or churn (reopen per move)")
@@ -191,14 +191,7 @@ func main() {
 	}
 	var chaosCfg *serve.ChaosConfig
 	if *chaos > 0 {
-		chaosCfg = &serve.ChaosConfig{
-			Seed:          *chaosSeed,
-			DropRate:      *chaos,
-			TruncateRate:  *chaos,
-			ReadAbortRate: *chaos,
-			StallRate:     *chaos,
-			Stall:         time.Millisecond,
-		}
+		chaosCfg = &serve.ChaosConfig{Seed: *chaosSeed, Rate: *chaos}
 	}
 
 	start := time.Now()
@@ -279,7 +272,6 @@ func runTenant(t int, network, addr string, couplings, moves int, seed int64, pr
 		cfg := *chaos
 		cfg.Seed += uint64(t) * 0x1000
 		opts.Chaos = &cfg
-		opts.MaxAttempts = 16
 	}
 	c, err := serve.DialWith(opts)
 	if err != nil {

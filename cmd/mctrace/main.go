@@ -120,10 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if prof != nil {
 		inj = prof
 	}
-	var rel *mpsim.Reliability
-	if *reliable {
-		rel = &mpsim.Reliability{}
-	}
 	crashes := prof.HasCrashes()
 	var outcomes []string
 	runSPMD := func(body func(p *mpsim.Proc)) *mpsim.Stats {
@@ -146,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return mpsim.Run(mpsim.Config{
 			Machine:  mpsim.SP2(),
 			Fault:    inj,
-			Reliable: rel,
+			Reliable: *reliable,
 			Crash:    prof.CrashPlan(),
 			Obs:      tr,
 			Programs: []mpsim.ProgramSpec{{Name: "spmd", Procs: *procs, Body: body}},

@@ -60,7 +60,7 @@ func faultyRun(nprocs int, seed uint64, body func(p *mpsim.Proc)) *mpsim.Stats {
 	return mpsim.Run(mpsim.Config{
 		Machine:  mpsim.SP2(),
 		Fault:    &coreInjector{seed: seed, drop: 0.06, dup: 0.03, corrupt: 0.02, delay: 0.2, jitter: 2e-3, killFrom: -1, killTo: -1},
-		Reliable: &mpsim.Reliability{},
+		Reliable: true,
 		Programs: []mpsim.ProgramSpec{{Name: "spmd", Procs: nprocs, Body: body}},
 	})
 }
@@ -226,7 +226,7 @@ func TestMoveGracefulDegradation(t *testing.T) {
 	mpsim.Run(mpsim.Config{
 		Machine:  mpsim.SP2(),
 		Fault:    inj,
-		Reliable: &mpsim.Reliability{MaxRetries: 2},
+		Reliable: true,
 		Programs: []mpsim.ProgramSpec{{Name: "spmd", Procs: nprocs, Body: func(p *mpsim.Proc) {
 			ctx := NewCtx(p, p.Comm())
 			src := newTestObj(global, nprocs, 1, p.Rank())
@@ -379,7 +379,7 @@ func TestMoveChecksumMismatchPanics(t *testing.T) {
 			t.Errorf("move of a lane with a flipped bit: recovered %v, want an end-to-end checksum panic", r)
 		}
 	}()
-	laneWorld(t, mpsim.Config{Reliable: &mpsim.Reliability{}}, true, func(p *mpsim.Proc, wire []byte) *bufpool.Payload {
+	laneWorld(t, mpsim.Config{Reliable: true}, true, func(p *mpsim.Proc, wire []byte) *bufpool.Payload {
 		wire[3] ^= 0x10
 		return p.BufPool().OwnPayload(wire)
 	})

@@ -20,11 +20,12 @@ import (
 // Rank 0 counts while the other ranks keep step, so the figure covers
 // every rank's pack, ship and unpack.  AllocsPerRun pins GOMAXPROCS to 1
 // while it counts; one shard keeps the engine on the inline path
-// whatever MPSIM_SHARDS says.
-func steadyMoveAllocs(m *mpsim.Machine, nprocs, warmup int, build func(p *mpsim.Proc) (move func())) float64 {
+// whatever MPSIM_SHARDS said before.
+func steadyMoveAllocs(t testing.TB, m *mpsim.Machine, nprocs, warmup int, build func(p *mpsim.Proc) (move func())) float64 {
 	const runs = 50
 	var avg float64
-	mpsim.Run(mpsim.Config{Machine: m, Shards: 1, Programs: []mpsim.ProgramSpec{{
+	t.Setenv("MPSIM_SHARDS", "1")
+	mpsim.Run(mpsim.Config{Machine: m, Programs: []mpsim.ProgramSpec{{
 		Name: "move", Procs: nprocs, Body: func(p *mpsim.Proc) {
 			move := build(p)
 			// The barrier bounds how far a rank that only sends runs
@@ -51,7 +52,7 @@ func TestMovePackAllocFree(t *testing.T) {
 	// Message-struct freelists migrate from senders to receivers one
 	// struct per move and reach their steady population only after a
 	// few hundred moves.
-	avg := steadyMoveAllocs(mpsim.Ideal(), 4, 300, func(p *mpsim.Proc) func() {
+	avg := steadyMoveAllocs(t, mpsim.Ideal(), 4, 300, func(p *mpsim.Proc) func() {
 		ctx := core.NewCtx(p, p.Comm())
 		src := hpfrt.NewArray(distarray.MustBlock2D(256, 256, 4), p.Rank())
 		dst := hpfrt.NewArray(distarray.MustBlock2D(256, 256, 4), p.Rank())
@@ -76,7 +77,7 @@ func TestMovePackAllocFree(t *testing.T) {
 // which adds the strided staging path and timer-driven delivery.
 func TestMoveOverlapAllocFree(t *testing.T) {
 	const n = 1 << 15
-	avg := steadyMoveAllocs(mpsim.SP2(), 8, 300, func(p *mpsim.Proc) func() {
+	avg := steadyMoveAllocs(t, mpsim.SP2(), 8, 300, func(p *mpsim.Proc) func() {
 		ctx := core.NewCtx(p, p.Comm())
 		bdist, err := distarray.NewDist(gidx.Shape{n}, []int{8}, []distarray.Kind{distarray.Block})
 		if err != nil {
@@ -115,7 +116,7 @@ func TestMoveOverlapAllocFree(t *testing.T) {
 // allocations.
 func TestScheduleBuildAllocsFollowRuns(t *testing.T) {
 	build := func(method core.Method, size int, sides buildSides) float64 {
-		return steadyMoveAllocs(mpsim.Ideal(), 4, 20, func(p *mpsim.Proc) func() {
+		return steadyMoveAllocs(t, mpsim.Ideal(), 4, 20, func(p *mpsim.Proc) func() {
 			src, dst := sides(p, core.NewCtx(p, p.Comm()), size)
 			coupling := core.SingleProgram(p.Comm())
 			return func() {

@@ -101,8 +101,8 @@ func TestMovePlaneDrains(t *testing.T) {
 		cfg  mpsim.Config
 	}{
 		{"perfect", mpsim.Config{}},
-		{"duplicates", mpsim.Config{Fault: lateFaults{dup: true}, Reliable: &mpsim.Reliability{}}},
-		{"cancelled", mpsim.Config{Fault: lateFaults{cut: true}, Reliable: &mpsim.Reliability{MaxRetries: 2}}},
+		{"duplicates", mpsim.Config{Fault: lateFaults{dup: true}, Reliable: true}},
+		{"cancelled", mpsim.Config{Fault: lateFaults{cut: true}, Reliable: true}},
 	} {
 		const nprocs, global = 4, 256
 		var pool *bufpool.Pool

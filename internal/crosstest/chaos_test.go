@@ -54,7 +54,7 @@ func chaosRun(t *testing.T, srcKind, dstKind, op string, method core.Method, see
 	}
 	if inj != nil {
 		cfg.Fault = inj
-		cfg.Reliable = &mpsim.Reliability{}
+		cfg.Reliable = true
 	}
 	cfg.Programs[0].Body = func(p *mpsim.Proc) {
 		rng := rand.New(rand.NewSource(seed))

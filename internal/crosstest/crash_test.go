@@ -51,7 +51,7 @@ func crashRun(t *testing.T, srcKind, dstKind, op string, method core.Method, see
 	cfg := mpsim.Config{
 		Machine:  mpsim.SP2(),
 		Fault:    prof,
-		Reliable: &mpsim.Reliability{},
+		Reliable: true,
 		Crash:    prof.CrashPlan(),
 		Programs: []mpsim.ProgramSpec{{Name: "spmd", Procs: nprocs, Body: nil}},
 	}

@@ -349,7 +349,7 @@ func runChaosTyped(t *testing.T, srcKind, dstKind string, et core.ElemType, op s
 	}
 	if inj != nil {
 		cfg.Fault = inj
-		cfg.Reliable = &mpsim.Reliability{}
+		cfg.Reliable = true
 	}
 	cfg.Programs[0].Body = func(p *mpsim.Proc) {
 		rng := rand.New(rand.NewSource(seed))

@@ -107,9 +107,9 @@ func AblationReliability() *Table {
 	raw := make([]float64, len(procs))
 	reliable := make([]float64, len(procs))
 	// The row is the ten moves' total, not a per-move figure.
-	run := func(nprocs int, rel *mpsim.Reliability) float64 {
+	run := func(nprocs int, reliable bool) float64 {
 		cfg := sp2()
-		cfg.Reliable = rel
+		cfg.Reliable = reliable
 		v, _ := measure(cfg, nprocs, func(p *mpsim.Proc) []float64 {
 			sched, src, dst := halfCopy(p, core.Float64, core.Cooperation)
 			return []float64{timeIters(p, p.Comm(), executorIters, func() { sched.Move(src, dst) })}
@@ -117,8 +117,8 @@ func AblationReliability() *Table {
 		return ms(v[0])
 	}
 	for i, nprocs := range procs {
-		raw[i] = run(nprocs, nil)
-		reliable[i] = run(nprocs, &mpsim.Reliability{})
+		raw[i] = run(nprocs, false)
+		reliable[i] = run(nprocs, true)
 	}
 	return &Table{
 		ID:        "Ablation A5",

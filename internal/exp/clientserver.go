@@ -43,9 +43,6 @@ type CSConfig struct {
 	// Obs, when non-nil, records the run's spans and metrics on the
 	// virtual clock (see internal/obs); nil keeps observability off.
 	Obs *obs.Tracer
-	// Shards pins the simulator's scheduler shard count (see
-	// mpsim.Config.Shards); 0 keeps the default resolution.
-	Shards int
 }
 
 // CSBreakdown carries the stacked components of Figures 10-14, in
@@ -89,16 +86,11 @@ func runClientServer(cfg CSConfig) (CSBreakdown, *mpsim.Stats) {
 	matSec := gidx.FullSection(gidx.Shape{csN, csN})
 	vecSec := gidx.FullSection(gidx.Shape{csN})
 
-	var rel *mpsim.Reliability
-	if cfg.Reliable {
-		rel = &mpsim.Reliability{}
-	}
 	st := mpsim.Run(mpsim.Config{
 		Machine:  mpsim.AlphaFarmATM(),
 		Fault:    cfg.Fault,
-		Reliable: rel,
+		Reliable: cfg.Reliable,
 		Obs:      cfg.Obs,
-		Shards:   cfg.Shards,
 		Programs: []mpsim.ProgramSpec{
 			{Name: "client", Procs: cfg.ClientProcs, ProcsPerNode: 1, Body: func(p *mpsim.Proc) {
 				ctx := core.NewCtx(p, p.Comm())

@@ -45,7 +45,7 @@ const elasticN = 96
 const elasticSetup = 0.5
 
 // elasticSlot is the per-iteration slot width.  It dominates the
-// detector lag (3 ms by default) so a death in a slot's first half is
+// detector lag (3 ms) so a death in a slot's first half is
 // always visible at the next boundary, and it fits a whole recovery
 // (schedule recompute + matrix re-ship) when a boundary turns into a
 // recovery slot.
@@ -63,9 +63,6 @@ type ElasticConfig struct {
 	// Obs, when non-nil, records spans and metrics on the virtual
 	// clock.
 	Obs *obs.Tracer
-	// Shards pins the simulator's scheduler shard count (see
-	// mpsim.Config.Shards); 0 keeps the default resolution.
-	Shards int
 }
 
 // ElasticResult is one elastic run's outcome.
@@ -123,13 +120,12 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 	// The attempt budget ends two detector lags before the boundary,
 	// so a failed attempt never leaks past the slot whose boundary
 	// will judge it.
-	budget := elasticSlot - 2*mpsim.DefaultDetector().SuspectAfter - 2*mpsim.DefaultDetector().Period
+	budget := elasticSlot - 2*mpsim.SuspectAfter - 2*mpsim.HeartbeatPeriod
 
 	st := mpsim.Run(mpsim.Config{
 		Machine: mpsim.AlphaFarmATM(),
 		Crash:   plan,
 		Obs:     cfg.Obs,
-		Shards:  cfg.Shards,
 		Programs: []mpsim.ProgramSpec{
 			{Name: "client", Procs: 1, ProcsPerNode: 1, Body: func(p *mpsim.Proc) {
 				ctx := core.NewCtx(p, p.Comm())

@@ -23,9 +23,6 @@ type Figure10ScaleConfig struct {
 	// Rows and Band size each server's local band-matrix block; the
 	// per-round compute is Rows*Band multiply-adds per server.
 	Rows, Band int
-	// Shards pins the simulator's shard count; 0 keeps the default
-	// resolution (MPSIM_SHARDS, then auto for >=256-rank worlds).
-	Shards int
 }
 
 // Figure10ScaleResult carries the run's virtual time and a
@@ -55,7 +52,6 @@ func Figure10Scale(cfg Figure10ScaleConfig) Figure10ScaleResult {
 	var res Figure10ScaleResult
 	st := mpsim.Run(mpsim.Config{
 		Machine: mpsim.AlphaFarmATM(),
-		Shards:  cfg.Shards,
 		Programs: []mpsim.ProgramSpec{
 			{Name: "client", Procs: cfg.ClientProcs, ProcsPerNode: 1, Body: func(p *mpsim.Proc) {
 				union := p.World()

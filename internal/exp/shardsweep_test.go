@@ -2,6 +2,7 @@ package exp
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 
 	"metachaos/internal/faultsim"
@@ -16,7 +17,7 @@ import (
 // HPF vs HPF for the elastic crash workload), comparing ResultHash and
 // virtual makespan at four shards between GOMAXPROCS=1 and
 // GOMAXPROCS=4, across a replay, and against the same run as one
-// inline shard.
+// inline shard.  Shard counts are pinned through MPSIM_SHARDS.
 
 // withGOMAXPROCS runs f at the given host parallelism and restores it.
 func withGOMAXPROCS(n int, f func()) {
@@ -41,26 +42,26 @@ func TestShardedDeterminismSweep(t *testing.T) {
 		// executor's Waitany can pick lanes in another order — ROADMAP
 		// item 3's perfect-vs-netLayer fork.
 		shardTimed bool
-		run        func(shards int) sweepOutcome
+		run        func() sweepOutcome
 	}{
-		{"figure10/fault-free", true, func(shards int) sweepOutcome {
+		{"figure10/fault-free", true, func() sweepOutcome {
 			b, st := runClientServer(CSConfig{
 				ClientProcs: 2, ServerProcs: 8, Vectors: 4,
-				Fingerprint: true, Shards: shards,
+				Fingerprint: true,
 			})
 			return sweepOutcome{b.ResultHash, st.MakespanSeconds}
 		}},
-		{"figure10/lossy", false, func(shards int) sweepOutcome {
+		{"figure10/lossy", false, func() sweepOutcome {
 			b, st := runClientServer(CSConfig{
 				ClientProcs: 2, ServerProcs: 8, Vectors: 4,
-				Fingerprint: true, Shards: shards,
-				Fault:    mildCut(),
-				Reliable: true,
+				Fingerprint: true,
+				Fault:       mildCut(),
+				Reliable:    true,
 			})
 			return sweepOutcome{b.ResultHash, st.MakespanSeconds}
 		}},
-		{"elastic/crashy", false, func(shards int) sweepOutcome {
-			cfg := ElasticConfig{ServerProcs: 4, Iters: 6, Seed: 7, Shards: shards}
+		{"elastic/crashy", false, func() sweepOutcome {
+			cfg := ElasticConfig{ServerProcs: 4, Iters: 6, Seed: 7}
 			c := ElasticCrash(cfg.Seed, cfg.ServerProcs)
 			prof := (&faultsim.Profile{Seed: cfg.Seed}).WithCrash(c.Rank, c.At)
 			res := runElastic(cfg, prof.CrashPlan())
@@ -69,14 +70,16 @@ func TestShardedDeterminismSweep(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			one := tc.run(1)
+			t.Setenv("MPSIM_SHARDS", "1")
+			one := tc.run()
 			if one.hash == 0 {
 				t.Fatal("run produced a zero result hash; fingerprinting broken")
 			}
+			t.Setenv("MPSIM_SHARDS", strconv.Itoa(shards))
 			var narrow, wide, replay sweepOutcome
-			withGOMAXPROCS(1, func() { narrow = tc.run(shards) })
-			withGOMAXPROCS(4, func() { wide = tc.run(shards) })
-			withGOMAXPROCS(4, func() { replay = tc.run(shards) })
+			withGOMAXPROCS(1, func() { narrow = tc.run() })
+			withGOMAXPROCS(4, func() { wide = tc.run() })
+			withGOMAXPROCS(4, func() { replay = tc.run() })
 			if narrow != wide {
 				t.Errorf("GOMAXPROCS=1 vs 4 diverged: hash %#x vs %#x, makespan %v vs %v",
 					narrow.hash, wide.hash, narrow.makespan, wide.makespan)

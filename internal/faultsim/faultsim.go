@@ -35,9 +35,9 @@ type Rates struct {
 	Jitter float64
 }
 
-// Link identifies a directed (sender, receiver) world-rank pair.
-type Link struct {
-	From, To int
+// link identifies a directed (sender, receiver) world-rank pair.
+type link struct {
+	from, to int
 }
 
 // Partition is a transient network partition: during the virtual-time
@@ -75,16 +75,13 @@ type Crash struct {
 // Profile is a deterministic fault injector implementing
 // mpsim.FaultInjector (message faults) and, through CrashPlan,
 // mpsim.CrashPlan (fail-stop crash faults).  The zero value injects
-// nothing; populate Base, PerLink, Partitions and Crashes (or start
-// from a preset) and pass it as mpsim.Config.Fault and/or
-// Config.Crash.
+// nothing; populate Base, Partitions and Crashes (or start from a
+// preset) and pass it as mpsim.Config.Fault and/or Config.Crash.
 type Profile struct {
 	// Seed selects the pseudo-random fault pattern.
 	Seed uint64
-	// Base applies to every inter-node link without a PerLink override.
+	// Base applies to every inter-node link.
 	Base Rates
-	// PerLink overrides Base for specific directed links.
-	PerLink map[Link]Rates
 	// Partitions are transient cuts; a transmission crossing an active
 	// cut is dropped regardless of Rates.
 	Partitions []Partition
@@ -96,7 +93,7 @@ type Profile struct {
 	// calls counts decisions per link, the deterministic per-link
 	// stream position (retransmissions advance it too, so a retry's
 	// fate is independent of the original's).
-	calls map[Link]uint64
+	calls map[link]uint64
 }
 
 // Decide implements mpsim.FaultInjector.
@@ -109,28 +106,25 @@ func (f *Profile) Decide(from, to, attempt, bytes int, now float64) mpsim.FaultD
 			return d
 		}
 	}
-	link := Link{From: from, To: to}
+	l := link{from, to}
 	r := f.Base
-	if over, ok := f.PerLink[link]; ok {
-		r = over
-	}
 	if f.calls == nil {
-		f.calls = make(map[Link]uint64)
+		f.calls = make(map[link]uint64)
 	}
-	k := f.calls[link]
-	f.calls[link] = k + 1
-	if roll(f.Seed, link, k, 1) < r.Drop {
+	k := f.calls[l]
+	f.calls[l] = k + 1
+	if roll(f.Seed, l, k, 1) < r.Drop {
 		d.Drop = true
 		return d
 	}
 	if attempt >= 0 { // acks are never duplicated or corrupted
-		d.Duplicate = roll(f.Seed, link, k, 2) < r.Dup
-		if bytes > 0 && roll(f.Seed, link, k, 3) < r.Corrupt {
-			d.CorruptBit = int(mix(f.Seed^0xc0de, uint64(link.From)<<32|uint64(uint32(link.To)), k) % uint64(bytes*8))
+		d.Duplicate = roll(f.Seed, l, k, 2) < r.Dup
+		if bytes > 0 && roll(f.Seed, l, k, 3) < r.Corrupt {
+			d.CorruptBit = int(mix(f.Seed^0xc0de, uint64(l.from)<<32|uint64(uint32(l.to)), k) % uint64(bytes*8))
 		}
 	}
-	if roll(f.Seed, link, k, 4) < r.Reorder {
-		d.ExtraDelay = r.Jitter * roll(f.Seed, link, k, 5)
+	if roll(f.Seed, l, k, 4) < r.Reorder {
+		d.ExtraDelay = r.Jitter * roll(f.Seed, l, k, 5)
 	}
 	return d
 }
@@ -265,8 +259,8 @@ func unit(h uint64) float64 {
 }
 
 // roll is the deterministic per-(link, position, salt) probability.
-func roll(seed uint64, l Link, k, salt uint64) float64 {
-	return unit(mix(seed^salt*0x2545f4914f6cdd1d, uint64(l.From)<<32|uint64(uint32(l.To)), k))
+func roll(seed uint64, l link, k, salt uint64) float64 {
+	return unit(mix(seed^salt*0x2545f4914f6cdd1d, uint64(l.from)<<32|uint64(uint32(l.to)), k))
 }
 
 // Unit is the package's deterministic probability roll exposed for

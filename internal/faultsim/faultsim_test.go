@@ -115,23 +115,6 @@ func TestPartitionWindow(t *testing.T) {
 	}
 }
 
-// PerLink overrides replace Base for that link only.
-func TestPerLinkOverride(t *testing.T) {
-	f := &Profile{
-		Seed:    5,
-		Base:    Rates{},                                     // faultless by default
-		PerLink: map[Link]Rates{{From: 0, To: 1}: {Drop: 1}}, // always drop 0->1
-	}
-	for k := 0; k < 100; k++ {
-		if !f.Decide(0, 1, 0, 64, 0).Drop {
-			t.Fatal("override link did not drop")
-		}
-		if f.Decide(1, 0, 0, 64, 0).Drop {
-			t.Fatal("reverse link dropped despite faultless base")
-		}
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"none", "", "mild", "lossy", "random"} {
 		if _, err := ByName(name, 1); err != nil {

@@ -3,6 +3,7 @@ package faultsim_test
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"testing"
 
 	"metachaos/internal/faultsim"
@@ -57,13 +58,13 @@ func runProfile(t *testing.T, name string, seed uint64, shards int) shardRun {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Setenv("MPSIM_SHARDS", strconv.Itoa(shards))
 	st := mpsim.Run(mpsim.Config{
 		Machine:  mpsim.SP2(),
 		Fault:    prof,
-		Reliable: &mpsim.Reliability{},
+		Reliable: true,
 		Crash:    prof.CrashPlan(),
 		Trace:    true,
-		Shards:   shards,
 		Programs: []mpsim.ProgramSpec{{Name: "ring", Procs: 8, ProcsPerNode: 1, Body: slotRing}},
 	})
 	tl := fnv.New64a()

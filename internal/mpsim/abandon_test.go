@@ -75,10 +75,10 @@ func TestFailedRunUnwindsEveryRank(t *testing.T) {
 					released[i] = false
 				}
 				base := runtime.NumGoroutine()
+				pinShards(t, shards)
 				msg := runExpectingPanic(t, Config{
 					Machine:  SP2(),
 					Programs: []ProgramSpec{{Name: "ring", Procs: ranks, ProcsPerNode: 1, Body: body}},
-					Shards:   shards,
 				})
 				if want := strings.Fields(name)[0]; !strings.Contains(msg, want) {
 					t.Errorf("panic %q does not mention %q", msg, want)

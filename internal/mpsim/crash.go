@@ -58,20 +58,14 @@ type CrashPlan interface {
 	Crashes(worldSize int) []CrashEvent
 }
 
-// Detector configures the virtual-time heartbeat failure detector.
-type Detector struct {
-	// Period is the heartbeat interval in virtual seconds.
-	Period float64
-	// SuspectAfter is how long after a missed heartbeat a rank is
-	// declared dead.  Detection lag is bounded by Period+SuspectAfter.
-	SuspectAfter float64
-}
-
-// DefaultDetector is the detector installed when a crash plan is
-// configured without an explicit Config.Detect.
-func DefaultDetector() *Detector {
-	return &Detector{Period: 1e-3, SuspectAfter: 2e-3}
-}
+// The heartbeat failure detector's terms, in virtual seconds: a rank
+// beats every HeartbeatPeriod, and survivors declare it dead
+// SuspectAfter past the first beat it misses, so detection lags a crash
+// by at most HeartbeatPeriod+SuspectAfter.
+const (
+	HeartbeatPeriod = 1e-3
+	SuspectAfter    = 2e-3
+)
 
 // CrashRecord is one crash's observable history, reported in Stats.
 type CrashRecord struct {
@@ -96,7 +90,6 @@ type crashPanic struct{ rank int }
 // crashState is the per-world crash bookkeeping, allocated only when a
 // crash plan is configured.
 type crashState struct {
-	detect *Detector
 	// dead[r] is true while world rank r is crashed.
 	dead []bool
 	// restartPos[r] is the virtual time of rank r's latest restart.
@@ -117,16 +110,12 @@ type crashState struct {
 	bodies []func(p *Proc)
 }
 
-func (w *World) initCrash(plan CrashPlan, det *Detector, programs []ProgramSpec) {
+func (w *World) initCrash(plan CrashPlan, programs []ProgramSpec) {
 	evs := plan.Crashes(len(w.procs))
 	if len(evs) == 0 {
 		return
 	}
-	if det == nil {
-		det = DefaultDetector()
-	}
 	cs := &crashState{
-		detect:     det,
 		dead:       make([]bool, len(w.procs)),
 		restartPos: make([]float64, len(w.procs)),
 		detectedAt: make([]float64, len(w.procs)),
@@ -176,8 +165,8 @@ func (w *World) fireCrash(tm *timer) {
 	w.emit(Event{Time: tm.at, Rank: r, Kind: EvCrash, Peer: -1})
 	// Heartbeat model: the rank misses the first heartbeat after the
 	// crash; survivors suspect it SuspectAfter later.
-	beat := (float64(int(tm.at/cs.detect.Period)) + 1) * cs.detect.Period
-	w.addTimer(&timer{at: beat + cs.detect.SuspectAfter, rank: r, kind: tDetect, p: p})
+	beat := (float64(int(tm.at/HeartbeatPeriod)) + 1) * HeartbeatPeriod
+	w.addTimer(&timer{at: beat + SuspectAfter, rank: r, kind: tDetect, p: p})
 	if p.clock < tm.at {
 		p.clock = tm.at
 	}

@@ -68,7 +68,7 @@ func TestCrashKillDetectAndFailFast(t *testing.T) {
 	if rec.DetectedAt <= rec.At {
 		t.Errorf("DetectedAt = %g, want > crash time %g", rec.DetectedAt, rec.At)
 	}
-	lag := DefaultDetector().Period + DefaultDetector().SuspectAfter
+	lag := HeartbeatPeriod + SuspectAfter
 	if rec.DetectedAt > rec.At+lag+1e-9 {
 		t.Errorf("DetectedAt = %g, want within detection lag %g of %g", rec.DetectedAt, lag, rec.At)
 	}

@@ -67,7 +67,7 @@ var emitSinks = []struct {
 // ways a deadline expires (while parked, and already past when about to
 // park) and all three ways a send fails (link abandoned after its
 // retransmissions, link already abandoned, peer detected dead).
-func recoveryConfig(t *testing.T) func(shards int) Config {
+func recoveryConfig(t *testing.T) func() Config {
 	want := func(err, target error) {
 		if !errors.Is(err, target) {
 			t.Errorf("recovery workload: got %v, want %v", err, target)
@@ -78,7 +78,7 @@ func recoveryConfig(t *testing.T) func(shards int) Config {
 		switch p.Rank() {
 		case 0:
 			w.Send(1, 1, []byte("into the void"))
-			p.Sleep(1) // the link to rank 1 is abandoned, rank 3's crash detected
+			p.Sleep(200) // the link to rank 1 is abandoned (16 doubling timeouts, ~150 s), rank 3's crash detected
 			w.Send(1, 1, []byte("dropped at the source"))
 			want(p.WithTimeout(0, func() { w.Send(3, 1, nil) }), ErrPeerDead)
 		case 1:
@@ -90,15 +90,14 @@ func recoveryConfig(t *testing.T) func(shards int) Config {
 			idleUntilKilled(p)
 		}
 	}
-	return func(shards int) Config {
+	return func() Config {
 		return Config{
 			Machine:  SP2(),
 			Fault:    &seeded{deadFrom: 0, deadTo: 1, deadEnd: 1e18},
-			Reliable: &Reliability{MaxRetries: 2},
+			Reliable: true,
 			Crash:    testPlan{{Rank: 3, At: 1e-3}},
 			Programs: []ProgramSpec{{Name: "spmd", Procs: 4, ProcsPerNode: 1, Body: body}},
 			Trace:    true,
-			Shards:   shards,
 		}
 	}
 }
@@ -114,7 +113,7 @@ func TestEmitSinksAgree(t *testing.T) {
 	}
 	seen := make(map[EventKind]int64)
 	var acksLost int64
-	workloads := map[string]func(shards int) Config{"recovery": recoveryConfig(t)}
+	workloads := map[string]func() Config{"recovery": recoveryConfig(t)}
 	for name, mk := range goldenConfigs {
 		workloads[name] = mk
 	}
@@ -122,7 +121,8 @@ func TestEmitSinksAgree(t *testing.T) {
 		// A tracer pins the run to one shard, so the four-shard run
 		// checks Stats against the trace alone.
 		for _, shards := range []int{1, 4} {
-			cfg := mk(shards)
+			pinShards(t, shards)
+			cfg := mk()
 			acks := &ackDropCounter{inner: cfg.Fault, lost: make(map[PairKey]int64)}
 			if cfg.Fault != nil {
 				cfg.Fault = acks

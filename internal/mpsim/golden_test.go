@@ -105,30 +105,29 @@ func (f *perLink) Decide(from, to, attempt, bytes int, now float64) FaultDecisio
 
 func lossyReliable(cfg Config) Config {
 	cfg.Fault = &perLink{seed: 99, links: make(map[linkKey]*seeded)}
-	cfg.Reliable = &Reliability{}
+	cfg.Reliable = true
 	return cfg
 }
 
 // goldenConfigs are small runs the figure10_trace.json golden does not
 // reach.  Each call builds a fresh Config (fault injectors are
 // stateful).
-var goldenConfigs = map[string]func(shards int) Config{
+var goldenConfigs = map[string]func() Config{
 	"ring-sp2":           ringConfig,
-	"lossy-reliable-sp2": func(shards int) Config { return lossyReliable(ringConfig(shards)) },
+	"lossy-reliable-sp2": func() Config { return lossyReliable(ringConfig()) },
 	// Zero latency floor: no lookahead to shard on, and retransmit
 	// timers land arbitrarily close behind the process that armed them.
-	"lossy-reliable-ideal": func(shards int) Config {
-		cfg := ringConfig(shards)
+	"lossy-reliable-ideal": func() Config {
+		cfg := ringConfig()
 		cfg.Machine = Ideal()
 		return lossyReliable(cfg)
 	},
-	"crash-restart-sp2": func(shards int) Config {
+	"crash-restart-sp2": func() Config {
 		return Config{
 			Machine:  SP2(),
 			Crash:    testPlan{{Rank: 1, At: 0.005, RestartAt: 0.02}},
 			Programs: []ProgramSpec{{Name: "spmd", Procs: 4, ProcsPerNode: 1, Body: survivorRing}},
 			Trace:    true,
-			Shards:   shards,
 		}
 	},
 }
@@ -160,7 +159,8 @@ func TestSerialLoopFingerprints(t *testing.T) {
 			continue
 		}
 		for _, shards := range []int{1, 4} {
-			w, err := newWorld(mk(shards))
+			pinShards(t, shards)
+			w, err := newWorld(mk())
 			if err != nil {
 				t.Fatal(err)
 			}

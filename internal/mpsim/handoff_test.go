@@ -20,10 +20,10 @@ import (
 func TestKilledBeforeFirstResume(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		entered := make([]bool, 8)
+		pinShards(t, shards)
 		w, err := newWorld(Config{
 			Machine: SP2(),
 			Crash:   testPlan{{Rank: 6, At: 0}},
-			Shards:  shards,
 			Programs: []ProgramSpec{{Name: "spmd", Procs: 8, Body: func(p *Proc) {
 				entered[p.Rank()] = true
 				p.Sleep(1e-3)
@@ -68,8 +68,8 @@ func TestCompletedRunLeavesNoGoroutines(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				cfg.Machine, cfg.Shards = SP2(), shards
-				st := Run(cfg)
+				cfg.Machine = SP2()
+				st := runAt(t, shards, cfg)
 				if name == "crash+restart" && (len(st.Crashes) != 1 || st.Crashes[0].RestartAt != restartAt) {
 					t.Errorf("Crashes = %+v, want one restarted at %g", st.Crashes, restartAt)
 				}
@@ -88,9 +88,8 @@ func TestCoordinatorReapsAcrossShards(t *testing.T) {
 	const crashAt = 0.005
 	unwound := make([]bool, 16)
 	var gotErr error
-	st := Run(Config{
+	st := runAt(t, 4, Config{
 		Machine: SP2(),
-		Shards:  4,
 		Crash:   testPlan{{Rank: 9, At: crashAt}, {Rank: 14, At: crashAt}},
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 16, Body: func(p *Proc) {
 			defer func() { unwound[p.Rank()] = true }()
@@ -134,12 +133,12 @@ func TestGoexitInBodyEndsRunsCaller(t *testing.T) {
 			var returned, deferredRan bool
 			var recovered any
 			done := make(chan struct{})
+			pinShards(t, shards)
 			go func() {
 				defer close(done)
 				defer func() { deferredRan, recovered = true, recover() }()
 				Run(Config{
 					Machine: SP2(),
-					Shards:  shards,
 					Programs: []ProgramSpec{{Name: "ring", Procs: ranks, Body: func(p *Proc) {
 						defer func() { released[p.Rank()] = true }()
 						ringBody(2, 64)(p)

@@ -89,20 +89,14 @@ type FaultInjector interface {
 	Decide(from, to, attempt, bytes int, now float64) FaultDecision
 }
 
-// Reliability configures the opt-in reliable transport.  The zero
-// value picks sensible defaults for every field.
-type Reliability struct {
-	// RTO is the initial retransmission timeout in virtual seconds.
-	// Zero derives a per-packet default from the machine's latency and
-	// the packet's transmission time.
-	RTO float64
-	// Backoff multiplies the timeout after every retry (default 2).
-	Backoff float64
-	// MaxRetries bounds retransmissions per packet; when exceeded the
-	// link is declared dead and receivers observe ErrPeerUnreachable
-	// (default 16).
-	MaxRetries int
-}
+// The reliable transport's retransmission policy.  A packet's first
+// timeout is derived from the machine (see rtoFor) and doubles after
+// every retry; past maxRetries retransmissions the link is declared dead
+// and receivers observe ErrPeerUnreachable.
+const (
+	rtoBackoff = 2
+	maxRetries = 16
+)
 
 // timerKind labels a virtual-time event.
 type timerKind int
@@ -334,34 +328,18 @@ type netLayer struct {
 	// shard fires them itself, between its own sends).
 	mu sync.Mutex
 
-	rto        float64
-	backoff    float64
-	maxRetries int
-
 	links map[linkKey]*linkState
 	dead  map[linkKey]bool
 }
 
-func newNetLayer(w *World, inj FaultInjector, rel *Reliability) *netLayer {
-	n := &netLayer{
-		w:     w,
-		inj:   inj,
-		links: make(map[linkKey]*linkState),
-		dead:  make(map[linkKey]bool),
+func newNetLayer(w *World, inj FaultInjector, reliable bool) *netLayer {
+	return &netLayer{
+		w:        w,
+		inj:      inj,
+		reliable: reliable,
+		links:    make(map[linkKey]*linkState),
+		dead:     make(map[linkKey]bool),
 	}
-	if rel != nil {
-		n.reliable = true
-		n.rto = rel.RTO
-		n.backoff = rel.Backoff
-		if n.backoff <= 1 {
-			n.backoff = 2
-		}
-		n.maxRetries = rel.MaxRetries
-		if n.maxRetries <= 0 {
-			n.maxRetries = 16
-		}
-	}
-	return n
 }
 
 func (n *netLayer) link(k linkKey) *linkState {
@@ -373,13 +351,11 @@ func (n *netLayer) link(k linkKey) *linkState {
 	return ls
 }
 
-// rtoFor derives a packet's initial retransmission timeout: the
-// configured RTO, or roughly one round trip plus slack so an
-// undisturbed packet is never retransmitted.
+// rtoFor derives a packet's initial retransmission timeout: roughly
+// one round trip plus slack, so an undisturbed packet is never
+// retransmitted.  It always exceeds the wire latency, which is what
+// lets safeLookahead ignore retransmit timers.
 func (n *netLayer) rtoFor(xmit float64) float64 {
-	if n.rto > 0 {
-		return n.rto
-	}
 	return 3*(n.w.machine.Latency+xmit) + 1e-3
 }
 
@@ -551,12 +527,12 @@ func (n *netLayer) fireRetransmit(tm *timer) {
 		n.abandon(pkt, tm.at)
 		return
 	}
-	if pkt.retries >= n.maxRetries {
+	if pkt.retries >= maxRetries {
 		n.abandon(pkt, tm.at)
 		return
 	}
 	pkt.retries++
-	pkt.rto *= n.backoff
+	pkt.rto *= rtoBackoff
 	w.emit(Event{Time: tm.at, Rank: pkt.from, Kind: EvRetransmit, Peer: pkt.to, Bytes: pkt.pay.Len()})
 	// The retransmission occupies the sender node's outbound link like
 	// any other transmission.

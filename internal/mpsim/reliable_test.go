@@ -77,7 +77,7 @@ func TestReliableAllToAllUnderFaults(t *testing.T) {
 	const procs, msgs, size = 4, 30, 256
 	st := Run(Config{
 		Machine:  SP2(),
-		Reliable: &Reliability{},
+		Reliable: true,
 		Fault:    lossyInjector(1234),
 		Programs: []ProgramSpec{{Name: "spmd", Procs: procs, Body: func(p *Proc) {
 			me := p.Rank()
@@ -130,7 +130,7 @@ func TestReliableCollectivesUnderFaults(t *testing.T) {
 	const procs = 5
 	Run(Config{
 		Machine:  SP2(),
-		Reliable: &Reliability{},
+		Reliable: true,
 		Fault:    lossyInjector(99),
 		Programs: []ProgramSpec{{Name: "spmd", Procs: procs, Body: func(p *Proc) {
 			c := p.Comm()
@@ -155,7 +155,7 @@ func TestReliableDeterminism(t *testing.T) {
 	run := func(seed uint64) (float64, int64, int64) {
 		st := Run(Config{
 			Machine:  SP2(),
-			Reliable: &Reliability{},
+			Reliable: true,
 			Fault:    lossyInjector(seed),
 			Programs: []ProgramSpec{{Name: "spmd", Procs: 4, Body: func(p *Proc) {
 				c := p.Comm()
@@ -261,7 +261,7 @@ func TestPeerUnreachable(t *testing.T) {
 	st := Run(Config{
 		Machine:  SP2(),
 		Fault:    inj,
-		Reliable: &Reliability{MaxRetries: 3},
+		Reliable: true,
 		Trace:    true,
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 2, Body: func(p *Proc) {
 			if p.Rank() == 0 {
@@ -281,8 +281,8 @@ func TestPeerUnreachable(t *testing.T) {
 	if st.PerRank[0].FailedSends == 0 {
 		t.Error("sender recorded no failed sends")
 	}
-	if st.PerRank[0].Retransmits != 3 {
-		t.Errorf("sender retransmitted %d times, want exactly MaxRetries=3", st.PerRank[0].Retransmits)
+	if st.PerRank[0].Retransmits != maxRetries {
+		t.Errorf("sender retransmitted %d times, want exactly maxRetries=%d", st.PerRank[0].Retransmits, maxRetries)
 	}
 	// The abandonment is reported with the size of the message it gave up
 	// on, read before the packet's payload reference is dropped.
@@ -300,7 +300,7 @@ func TestTransientPartitionHeals(t *testing.T) {
 	st := Run(Config{
 		Machine:  SP2(),
 		Fault:    inj,
-		Reliable: &Reliability{},
+		Reliable: true,
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 2, Body: func(p *Proc) {
 			if p.Rank() == 0 {
 				for k := 0; k < 5; k++ {
@@ -389,7 +389,7 @@ func TestPairStatsAttribution(t *testing.T) {
 	st := Run(Config{
 		Machine:  SP2(),
 		Fault:    dropFirst,
-		Reliable: &Reliability{},
+		Reliable: true,
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 3, Body: func(p *Proc) {
 			if p.Rank() == 0 {
 				p.Send(1, 1, []byte("via lossy link"))
@@ -414,7 +414,7 @@ func TestPairStatsAttribution(t *testing.T) {
 func TestReliableNoFaultsIsClean(t *testing.T) {
 	st := Run(Config{
 		Machine:  SP2(),
-		Reliable: &Reliability{},
+		Reliable: true,
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 4, Body: func(p *Proc) {
 			c := p.Comm()
 			c.Barrier()
@@ -444,7 +444,7 @@ func TestFaultTraceEvents(t *testing.T) {
 		Machine:  SP2(),
 		Trace:    true,
 		Fault:    lossyInjector(31),
-		Reliable: &Reliability{},
+		Reliable: true,
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 3, Body: func(p *Proc) {
 			for k := 0; k < 20; k++ {
 				right := (p.Rank() + 1) % 3

@@ -71,8 +71,8 @@ import (
 //     the sending shard will never mutate again.  Same-shard
 //     deliveries stay zero-copy.
 
-// autoShardWorlds is the world size at which a run with Config.Shards
-// == 0 and no MPSIM_SHARDS override gets more than one shard.  Below
+// autoShardWorlds is the world size at which a run with no
+// MPSIM_SHARDS override gets more than one shard.  Below
 // it the window barriers cost more than the parallelism wins, and the
 // gated perf benchmarks pin the one-shard ns/op.
 const autoShardWorlds = 256
@@ -263,9 +263,9 @@ func shardBounds(w *World, n int) []int {
 	return bounds
 }
 
-// resolveShards picks the shard count for a run: Config.Shards, then
-// the MPSIM_SHARDS environment variable, then auto-sharding of large
-// worlds across min(GOMAXPROCS, nodes).  Returns 1 whenever more
+// resolveShards picks the shard count for a run: the MPSIM_SHARDS
+// environment variable, then auto-sharding of large worlds across
+// min(GOMAXPROCS, nodes).  Returns 1 whenever more
 // cannot preserve behavior: an observability tracer is attached
 // (obs.Tracer is single-threaded by design), or the machine has no
 // latency floor to derive lookahead from.
@@ -273,25 +273,18 @@ func (w *World) resolveShards(cfg Config) int {
 	// Validate the environment override before any early return: a
 	// typo'd MPSIM_SHARDS that was silently ignored would make every
 	// "why isn't it sharding" investigation start from a lie.
-	env, envSet := shardsFromEnv()
+	s := shardsFromEnv()
 	if cfg.Obs != nil {
 		return 1
 	}
 	if w.safeLookahead() <= 0 {
 		return 1
 	}
-	s := cfg.Shards
-	if s == 0 && envSet {
-		s = env
-	}
 	if s == 0 {
 		if len(w.procs) < autoShardWorlds {
 			return 1
 		}
 		s = runtime.GOMAXPROCS(0)
-	}
-	if s < 1 {
-		return 1
 	}
 	if s > len(w.nodes) {
 		s = len(w.nodes)
@@ -303,14 +296,14 @@ func (w *World) resolveShards(cfg Config) int {
 }
 
 // shardsFromEnv reads and validates the MPSIM_SHARDS override.  An
-// unset or empty variable reports envSet false; "0" explicitly
-// requests automatic resolution.  Anything that is not a non-negative
-// integer panics with a clear error — silently ignoring a typo would
-// leave the run on a shard count the operator did not ask for.
-func shardsFromEnv() (n int, envSet bool) {
+// unset or empty variable, like "0", requests automatic resolution.
+// Anything that is not a non-negative integer panics with a clear
+// error — silently ignoring a typo would leave the run on a shard count
+// the operator did not ask for.
+func shardsFromEnv() int {
 	env := os.Getenv("MPSIM_SHARDS")
 	if env == "" {
-		return 0, false
+		return 0
 	}
 	v, err := strconv.Atoi(env)
 	if err != nil {
@@ -319,23 +312,17 @@ func shardsFromEnv() (n int, envSet bool) {
 	if v < 0 {
 		panic(fmt.Sprintf("mpsim: invalid MPSIM_SHARDS=%q: negative shard count (use a non-negative value; 0 = automatic)", env))
 	}
-	return v, true
+	return v
 }
 
 // safeLookahead is the largest window the cost model guarantees: any
 // event a process schedules beyond its own shard while executing at
 // position t lands at or after t + SendOverhead + Latency (perfect
 // network and reliable-transport deliveries both pay the send overhead
-// and then the wire latency).  A reliable transport with an explicit
-// RTO shorter than the latency arms retransmit timers earlier than
-// deliveries, so the RTO becomes the binding floor.
+// and then the wire latency; retransmit timers land later still, see
+// rtoFor).
 func (w *World) safeLookahead() float64 {
-	m := w.machine
-	la := m.Latency
-	if w.net != nil && w.net.rto > 0 && w.net.rto < la {
-		la = w.net.rto
-	}
-	return m.SendOverhead + la
+	return w.machine.SendOverhead + w.machine.Latency
 }
 
 // partition splits the world into up to n shards and binds every

@@ -3,9 +3,22 @@ package mpsim
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// pinShards makes every run the test starts from here on ask for n
+// scheduler shards, through MPSIM_SHARDS.
+func pinShards(t testing.TB, n int) {
+	t.Setenv("MPSIM_SHARDS", strconv.Itoa(n))
+}
+
+// runAt runs cfg with n scheduler shards.
+func runAt(t testing.TB, n int, cfg Config) *Stats {
+	pinShards(t, n)
+	return Run(cfg)
+}
 
 // ringBody is a multi-round neighbor exchange: every rank sends a
 // payload around the ring each round and folds the received bytes into
@@ -29,14 +42,13 @@ func ringBody(rounds, bytes int) func(p *Proc) {
 	}
 }
 
-func ringConfig(shards int) Config {
+func ringConfig() Config {
 	return Config{
 		Machine: SP2(),
 		Programs: []ProgramSpec{
 			{Name: "ring", Procs: 16, ProcsPerNode: 1, Body: ringBody(20, 256)},
 		},
-		Trace:  true,
-		Shards: shards,
+		Trace: true,
 	}
 }
 
@@ -45,8 +57,8 @@ func ringConfig(shards int) Config {
 // windows produce the same virtual makespan and the same trace
 // timeline as one shard run inline.
 func TestShardCountInvariantRing(t *testing.T) {
-	one := Run(ringConfig(1))
-	four := Run(ringConfig(4))
+	one := runAt(t, 1, ringConfig())
+	four := runAt(t, 4, ringConfig())
 	if four.MakespanSeconds != one.MakespanSeconds {
 		t.Errorf("makespan: four shards %v, one shard %v", four.MakespanSeconds, one.MakespanSeconds)
 	}
@@ -65,7 +77,7 @@ func TestShardedGOMAXPROCSIndependent(t *testing.T) {
 	run := func(maxprocs int) (float64, string) {
 		old := runtime.GOMAXPROCS(maxprocs)
 		defer runtime.GOMAXPROCS(old)
-		st := Run(ringConfig(4))
+		st := runAt(t, 4, ringConfig())
 		return st.MakespanSeconds, st.Trace.Timeline()
 	}
 	m1, t1 := run(1)
@@ -79,8 +91,9 @@ func TestShardedGOMAXPROCSIndependent(t *testing.T) {
 // far below the machine's latency floor forces many tiny windows,
 // which must not change any result.
 func TestShardedTinyLookahead(t *testing.T) {
-	one := Run(ringConfig(1))
-	w, err := newWorld(ringConfig(4))
+	one := runAt(t, 1, ringConfig())
+	pinShards(t, 4)
+	w, err := newWorld(ringConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +115,7 @@ func TestShardedTinyLookahead(t *testing.T) {
 // each program into (at most) one shard, so every message should take
 // the immediate-enqueue path and match the one-shard run exactly.
 func TestIntraShardBypass(t *testing.T) {
-	mk := func(shards int) Config {
+	mk := func() Config {
 		progs := make([]ProgramSpec, 4)
 		for i := range progs {
 			progs[i] = ProgramSpec{
@@ -110,10 +123,10 @@ func TestIntraShardBypass(t *testing.T) {
 				Body: ringBody(10, 128),
 			}
 		}
-		return Config{Machine: SP2(), Programs: progs, Trace: true, Shards: shards}
+		return Config{Machine: SP2(), Programs: progs, Trace: true}
 	}
-	one := Run(mk(1))
-	four := Run(mk(4))
+	one := runAt(t, 1, mk())
+	four := runAt(t, 4, mk())
 	if four.MakespanSeconds != one.MakespanSeconds {
 		t.Errorf("makespan: four shards %v, one shard %v", four.MakespanSeconds, one.MakespanSeconds)
 	}
@@ -122,21 +135,16 @@ func TestIntraShardBypass(t *testing.T) {
 	}
 }
 
-// TestResolveShards covers the Config/env/auto resolution ladder.
+// TestResolveShards covers the env/auto resolution ladder.
 func TestResolveShards(t *testing.T) {
 	w := &World{nodes: make([]*node, 16), procs: make([]*Proc, 16), machine: SP2()}
-	if got := w.resolveShards(Config{Shards: -1}); got != 1 {
-		t.Errorf("negative Shards: got %d, want 1", got)
-	}
-	if got := w.resolveShards(Config{Shards: 8}); got != 8 {
-		t.Errorf("explicit Shards=8: got %d", got)
-	}
-	if got := w.resolveShards(Config{Shards: 64}); got != 16 {
-		t.Errorf("Shards beyond nodes: got %d, want clamp to 16", got)
-	}
 	t.Setenv("MPSIM_SHARDS", "3")
 	if got := w.resolveShards(Config{}); got != 3 {
 		t.Errorf("MPSIM_SHARDS=3: got %d", got)
+	}
+	t.Setenv("MPSIM_SHARDS", "64")
+	if got := w.resolveShards(Config{}); got != 16 {
+		t.Errorf("MPSIM_SHARDS=64 beyond nodes: got %d, want clamp to 16", got)
 	}
 	t.Setenv("MPSIM_SHARDS", "")
 	// Small world, no env: one shard.
@@ -178,22 +186,21 @@ func TestResolveShardsRejectsBadEnv(t *testing.T) {
 }
 
 // TestSafeLookaheadFloor ensures the derived window is the LogGP
-// latency floor plus the send overhead, that a reliable transport's
-// shorter RTO binds instead, and that a lone shard's window is
-// unbounded.
+// latency floor plus the send overhead, that no retransmit timeout is
+// shorter, and that a lone shard's window is unbounded.
 func TestSafeLookaheadFloor(t *testing.T) {
 	w := &World{machine: SP2()}
 	want := w.machine.SendOverhead + w.machine.Latency
 	if safe := w.safeLookahead(); safe != want {
 		t.Errorf("safeLookahead: got %v, want %v", safe, want)
 	}
-	rto := w.machine.Latency / 4
-	w.net = newNetLayer(w, nil, &Reliability{RTO: rto})
-	if safe, want := w.safeLookahead(), w.machine.SendOverhead+rto; safe != want {
-		t.Errorf("safeLookahead under a short RTO: got %v, want %v", safe, want)
+	w.net = newNetLayer(w, nil, true)
+	if rto := w.net.rtoFor(0); rto <= w.machine.Latency {
+		t.Errorf("a zero-byte packet's RTO %v does not exceed the latency %v", rto, w.machine.Latency)
 	}
 	for shards, bounded := range map[int]bool{1: false, 4: true} {
-		w, err := newWorld(ringConfig(shards))
+		pinShards(t, shards)
+		w, err := newWorld(ringConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

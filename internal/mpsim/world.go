@@ -37,10 +37,10 @@ type Config struct {
 	// Fault, when non-nil, routes every inter-node transmission through
 	// the fault injector (drops, duplicates, reordering, corruption).
 	Fault FaultInjector
-	// Reliable, when non-nil, enables the reliable transport (sequence
-	// numbers, acks, retransmission, dedup/reassembly) on inter-node
-	// links, restoring in-order exactly-once delivery under faults.
-	Reliable *Reliability
+	// Reliable enables the reliable transport (sequence numbers, acks,
+	// retransmission, dedup/reassembly) on inter-node links, restoring
+	// in-order exactly-once delivery under faults.
+	Reliable bool
 	// Obs, when non-nil, records virtual-time spans and metrics for
 	// every messaging operation (and, through the layers above, every
 	// data-move phase).  nil keeps the hot paths allocation-free.
@@ -49,18 +49,6 @@ type Config struct {
 	// at scheduled virtual times (and may restart).  See crash.go for
 	// the failure model.  nil keeps every crash hook off the hot paths.
 	Crash CrashPlan
-	// Detect configures the failure detector used with Crash; nil with
-	// a crash plan installs DefaultDetector().
-	Detect *Detector
-	// Shards is how many scheduler shards the run asks for: 1 (or
-	// negative) is one shard, run inline on the calling goroutine; N > 1
-	// requests N shards advancing in parallel (clamped to the node
-	// count); 0 (the default) consults the MPSIM_SHARDS environment
-	// variable and then gives worlds of >= 256 ranks min(GOMAXPROCS,
-	// nodes) shards and smaller ones a single shard.  A machine with no
-	// latency floor or an attached Obs tracer always gets one shard.
-	// Results are bit-identical at every shard count; see shard.go.
-	Shards int
 }
 
 // World is the simulated machine state for one run.  It owns every
@@ -241,7 +229,7 @@ func newWorld(cfg Config) (*World, error) {
 		w.obs = cfg.Obs
 		w.obsC.resolve(cfg.Obs.MetricsRegistry())
 	}
-	if cfg.Fault != nil || cfg.Reliable != nil {
+	if cfg.Fault != nil || cfg.Reliable {
 		w.net = newNetLayer(w, cfg.Fault, cfg.Reliable)
 	}
 	w.stats.Machine = cfg.Machine.Name
@@ -305,7 +293,7 @@ func newWorld(cfg Config) (*World, error) {
 	// every event — the crash plan included — by one rule.
 	w.partition(w.resolveShards(cfg))
 	if cfg.Crash != nil {
-		w.initCrash(cfg.Crash, cfg.Detect, cfg.Programs)
+		w.initCrash(cfg.Crash, cfg.Programs)
 	}
 	// Every process gets its coroutine, started by its shard's first
 	// resume.

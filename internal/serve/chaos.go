@@ -16,26 +16,26 @@ import (
 // hash of (seed, connection ordinal, I/O ordinal) via faultsim's
 // splitmix mixer, so a failing run replays exactly from its seed.
 
-// ChaosConfig tunes the fault mix.  Rates are per-I/O probabilities in
-// [0, 1]; the zero value injects nothing.
+// ChaosConfig tunes the fault mix; the zero value injects nothing.
+// Each I/O draws every fault that applies to it independently, at Rate:
+//
+//   - drop: a write closes the connection instead (the frame is never
+//     sent);
+//   - truncate: a write sends a strict prefix of the frame and then
+//     closes the connection (the peer sees a torn frame);
+//   - read abort: a read closes the connection instead — the request
+//     usually reached the server, so its reply is lost after the op
+//     applied;
+//   - stall: the I/O sleeps chaosStall (real time) before it proceeds.
 type ChaosConfig struct {
 	// Seed drives every decision deterministically.
 	Seed uint64
-	// DropRate closes the connection instead of writing (the frame is
-	// never sent).
-	DropRate float64
-	// TruncateRate writes a strict prefix of the frame and then closes
-	// the connection (the peer sees a torn frame).
-	TruncateRate float64
-	// ReadAbortRate closes the connection instead of reading — the
-	// request usually reached the server, so its reply is lost after
-	// the op applied.
-	ReadAbortRate float64
-	// StallRate sleeps Stall (real time) before the I/O proceeds.
-	StallRate float64
-	// Stall is the injected delay for StallRate hits.
-	Stall time.Duration
+	// Rate is each fault's per-I/O probability, in [0, 1].
+	Rate float64
 }
+
+// chaosStall is the injected delay of a stall.
+const chaosStall = time.Millisecond
 
 // errChaos is the injected fault surfaced to the caller; the client
 // treats it like any other connection failure (reconnect + retry).
@@ -72,15 +72,15 @@ func (c *chaosConn) roll(stream, k, salt uint64) float64 {
 func (c *chaosConn) Write(b []byte) (int, error) {
 	k := c.writes
 	c.writes++
-	if c.cfg.StallRate > 0 && c.roll(chaosStreamWrite, k, 101) < c.cfg.StallRate {
-		time.Sleep(c.cfg.Stall)
+	rate := c.cfg.Rate
+	if c.roll(chaosStreamWrite, k, 101) < rate {
+		time.Sleep(chaosStall)
 	}
-	if c.cfg.DropRate > 0 && c.roll(chaosStreamWrite, k, 211) < c.cfg.DropRate {
+	if c.roll(chaosStreamWrite, k, 211) < rate {
 		c.Conn.Close()
 		return 0, errChaos
 	}
-	if c.cfg.TruncateRate > 0 && len(b) > 1 &&
-		c.roll(chaosStreamWrite, k, 307) < c.cfg.TruncateRate {
+	if len(b) > 1 && c.roll(chaosStreamWrite, k, 307) < rate {
 		// A torn write must kill the connection: leaving it open would
 		// desynchronize framing for every later request.
 		cut := 1 + int(c.roll(chaosStreamWrite, k, 401)*float64(len(b)-1))
@@ -94,10 +94,11 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 func (c *chaosConn) Read(b []byte) (int, error) {
 	k := c.reads
 	c.reads++
-	if c.cfg.StallRate > 0 && c.roll(chaosStreamRead, k, 101) < c.cfg.StallRate {
-		time.Sleep(c.cfg.Stall)
+	rate := c.cfg.Rate
+	if c.roll(chaosStreamRead, k, 101) < rate {
+		time.Sleep(chaosStall)
 	}
-	if c.cfg.ReadAbortRate > 0 && c.roll(chaosStreamRead, k, 211) < c.cfg.ReadAbortRate {
+	if c.roll(chaosStreamRead, k, 211) < rate {
 		c.Conn.Close()
 		return 0, errChaos
 	}

@@ -39,55 +39,37 @@ type Client struct {
 	retries     int
 }
 
-// DialOptions configures DialWith; zero values take the defaults.
+// The client's retry policy: up to dialAttempts tries per operation
+// (first try included), the delay before the second dialBackoff and
+// doubling per attempt up to dialMaxBackoff, each scaled by a
+// deterministic jitter in [0.5, 1.5).
+const (
+	dialAttempts   = 16
+	dialBackoff    = 5 * time.Millisecond
+	dialMaxBackoff = 250 * time.Millisecond
+)
+
+// DialOptions configures DialWith.
 type DialOptions struct {
 	// Network ("tcp" or "unix") and Addr locate the daemon.
 	Network string
 	Addr    string
 	// Tenant is the session's tenant name.
 	Tenant string
-	// MaxAttempts bounds tries per operation (first try included);
-	// default 8.
-	MaxAttempts int
-	// Backoff is the delay before the second attempt, doubling per
-	// attempt up to MaxBackoff, each scaled by a deterministic jitter
-	// in [0.5, 1.5).  Defaults 5ms / 250ms.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// MaxFrame bounds a response frame's payload bytes.
-	MaxFrame int
 	// Chaos, when set, wraps every connection with seeded wire-fault
 	// injection (test harness; see ChaosConfig).
 	Chaos *ChaosConfig
 }
 
-func (o *DialOptions) withDefaults() DialOptions {
-	out := *o
-	if out.MaxAttempts <= 0 {
-		out.MaxAttempts = 8
-	}
-	if out.Backoff <= 0 {
-		out.Backoff = 5 * time.Millisecond
-	}
-	if out.MaxBackoff <= 0 {
-		out.MaxBackoff = 250 * time.Millisecond
-	}
-	if out.MaxFrame <= 0 {
-		out.MaxFrame = DefaultMaxFrame
-	}
-	return out
-}
-
 // Dial connects to a daemon on network ("tcp" or "unix") and address,
 // introduces the tenant, and verifies protocol agreement, with the
-// default reconnect/retry policy.
+// retry policy above.
 func Dial(network, addr, tenant string) (*Client, error) {
 	return DialWith(DialOptions{Network: network, Addr: addr, Tenant: tenant})
 }
 
-// DialWith is Dial with explicit fault-tolerance knobs.
-func DialWith(opts DialOptions) (*Client, error) {
-	o := opts.withDefaults()
+// DialWith is Dial with wire-fault injection.
+func DialWith(o DialOptions) (*Client, error) {
 	h := fnv.New64a()
 	h.Write([]byte(o.Tenant))
 	c := &Client{opts: o, nextID: 1, jitterSeed: h.Sum64()}
@@ -97,7 +79,7 @@ func DialWith(opts DialOptions) (*Client, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var lastErr error
-	for attempt := 0; attempt < o.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			c.backoff(attempt)
 		}
@@ -111,7 +93,7 @@ func DialWith(opts DialOptions) (*Client, error) {
 			return nil, err
 		}
 	}
-	return nil, fmt.Errorf("serve: dial gave up after %d attempts: %w", o.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("serve: dial gave up after %d attempts: %w", dialAttempts, lastErr)
 }
 
 // Lease returns the server-granted session lease (0 = no expiry).
@@ -140,9 +122,9 @@ func (c *Client) Retries() int {
 // backoff sleeps the jittered exponential delay before attempt
 // (attempt ≥ 1); the jitter is a pure hash so runs replay exactly.
 func (c *Client) backoff(attempt int) {
-	d := c.opts.Backoff << uint(attempt-1)
-	if d > c.opts.MaxBackoff || d <= 0 {
-		d = c.opts.MaxBackoff
+	d := dialBackoff << uint(attempt-1)
+	if d > dialMaxBackoff {
+		d = dialMaxBackoff
 	}
 	c.dials++ // advance the stream so rival attempts never share jitter
 	scale := 0.5 + faultsim.Unit(c.jitterSeed, 0, c.dials)
@@ -214,7 +196,7 @@ func (c *Client) exchange(typ byte, id uint32, payload []byte, want byte) (rp []
 	if err := writeFrame(c.conn, typ, id, payload); err != nil {
 		return nil, nil, err
 	}
-	rtyp, rid, rpayload, err := readFrame(c.conn, c.opts.MaxFrame)
+	rtyp, rid, rpayload, err := readFrame(c.conn, maxFrame)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -239,7 +221,7 @@ func (c *Client) do(typ byte, payload []byte, want byte) ([]byte, error) {
 	id := c.nextID
 	c.nextID++
 	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			c.backoff(attempt)
 		}
@@ -270,7 +252,7 @@ func (c *Client) do(typ byte, payload []byte, want byte) ([]byte, error) {
 		}
 		return rp, nil
 	}
-	return nil, fmt.Errorf("serve: giving up after %d attempts: %w", c.opts.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("serve: giving up after %d attempts: %w", dialAttempts, lastErr)
 }
 
 // RegisterDist declares a distribution under a client-chosen id.

@@ -131,15 +131,7 @@ func TestServeChaosEndToEnd(t *testing.T) {
 	for i := range clients {
 		c, err := DialWith(DialOptions{
 			Network: "unix", Addr: sock, Tenant: fmt.Sprintf("tenant-%d", i),
-			MaxAttempts: 16, Backoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond,
-			Chaos: &ChaosConfig{
-				Seed:          0xC0FFEE + uint64(i),
-				DropRate:      0.06,
-				TruncateRate:  0.05,
-				ReadAbortRate: 0.06,
-				StallRate:     0.05,
-				Stall:         time.Millisecond,
-			},
+			Chaos: &ChaosConfig{Seed: 0xC0FFEE + uint64(i), Rate: 0.05},
 		})
 		if err != nil {
 			t.Fatalf("dial tenant %d: %v", i, err)
@@ -323,7 +315,7 @@ func rawReq(t *testing.T, conn net.Conn, typ byte, id uint32, payload []byte) (b
 	if err := writeFrame(conn, typ, id, payload); err != nil {
 		t.Fatalf("write frame %d: %v", typ, err)
 	}
-	rtyp, rid, rp, err := readFrame(conn, DefaultMaxFrame)
+	rtyp, rid, rp, err := readFrame(conn, maxFrame)
 	if err != nil {
 		t.Fatalf("read reply to %d: %v", typ, err)
 	}
@@ -520,6 +512,63 @@ func TestServeCacheEviction(t *testing.T) {
 	stats := srv.Stats()
 	if stats["serve_cache_evictions"] < 1 {
 		t.Errorf("serve_cache_evictions = %v, want >= 1", stats["serve_cache_evictions"])
+	}
+}
+
+// TestServeEvictionsOutliveIncarnations: a world that dies and respawns
+// over and over leaves the daemon one eviction entry per live world —
+// not one per incarnation ever started, each pinning a dead runner —
+// while serve_cache_evictions keeps counting the evictions of every
+// incarnation, replaced ones included.
+func TestServeEvictionsOutliveIncarnations(t *testing.T) {
+	const deaths = 3
+	srv, sock := startServer(t, Options{FlushWindow: -1, CacheEntries: 1,
+		WorldPanic: func(_, _, inc int) int {
+			if inc < deaths {
+				return 6
+			}
+			return 0
+		}})
+	c := dialT(t, sock, "phoenix")
+	defer c.Close()
+	srcA, dstA := testSpecs()
+	srcB, dstB := srcA, dstA
+	srcB.Shape = []int{120}
+	dstB.Shape = []int{120}
+	for id, spec := range []DistSpec{srcA, dstA, srcB, dstB} {
+		if err := c.RegisterDist(id, spec); err != nil {
+			t.Fatalf("register %d: %v", id, err)
+		}
+	}
+	for round := 0; round < 8; round++ {
+		for pair := 0; pair < 2; pair++ {
+			if _, _, err := c.OpenCoupling(pair, 2*pair, 2*pair+1); err != nil {
+				t.Fatalf("round %d open %d: %v", round, pair, err)
+			}
+			if _, err := c.Move(pair, OpMove, int64(round)); err != nil {
+				t.Fatalf("round %d move %d: %v", round, pair, err)
+			}
+			if err := c.CloseCoupling(pair); err != nil {
+				t.Fatalf("round %d close %d: %v", round, pair, err)
+			}
+		}
+	}
+	stats := srv.Stats()
+	if got := stats["serve_world_respawns"]; got != deaths {
+		t.Fatalf("serve_world_respawns = %v, want %d", got, deaths)
+	}
+	srv.mu.Lock()
+	entries, worlds := len(srv.worldEvict), len(srv.runners)
+	current := 0
+	for _, r := range srv.runners {
+		current += srv.worldEvict[r]
+	}
+	srv.mu.Unlock()
+	if entries != worlds {
+		t.Errorf("%d eviction entries for %d live worlds", entries, worlds)
+	}
+	if total := stats["serve_cache_evictions"]; total <= float64(current) || current < 1 {
+		t.Errorf("serve_cache_evictions = %v, the live world's own %d: replaced incarnations' evictions are not counted", total, current)
 	}
 }
 

@@ -40,10 +40,6 @@ import (
 // frameOverhead is the non-payload byte count after the length field.
 const frameOverhead = 1 + 4 + 8
 
-// DefaultMaxFrame bounds a frame's payload unless Options overrides
-// it; oversized frames are a protocol error, not an allocation.
-const DefaultMaxFrame = 16 << 20
-
 // ErrProtocol reports a malformed, corrupted or oversized frame.  It
 // is returned (wrapped with detail) by both endpoints' readers.
 var ErrProtocol = errors.New("serve: protocol error")

@@ -17,7 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for i, p := range payloads {
-		typ, id, payload, err := readFrame(&buf, DefaultMaxFrame)
+		typ, id, payload, err := readFrame(&buf, maxFrame)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -25,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d: typ=%d id=%d len=%d", i, typ, id, len(payload))
 		}
 	}
-	if _, _, _, err := readFrame(&buf, DefaultMaxFrame); err != io.EOF {
+	if _, _, _, err := readFrame(&buf, maxFrame); err != io.EOF {
 		t.Errorf("empty stream: %v, want io.EOF", err)
 	}
 }
@@ -35,7 +35,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	writeFrame(&buf, 7, 1, []byte("hello coupling service"))
 	b := buf.Bytes()
 	b[9] ^= 0x40 // flip a payload bit; the checksum trailer must catch it
-	_, _, _, err := readFrame(bytes.NewReader(b), DefaultMaxFrame)
+	_, _, _, err := readFrame(bytes.NewReader(b), maxFrame)
 	if !errors.Is(err, ErrProtocol) {
 		t.Errorf("corrupted payload: %v, want ErrProtocol", err)
 	}
@@ -45,7 +45,7 @@ func TestFrameRejectsTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	writeFrame(&buf, 7, 1, []byte("truncated"))
 	b := buf.Bytes()[:buf.Len()-3]
-	_, _, _, err := readFrame(bytes.NewReader(b), DefaultMaxFrame)
+	_, _, _, err := readFrame(bytes.NewReader(b), maxFrame)
 	if !errors.Is(err, ErrProtocol) {
 		t.Errorf("truncated frame: %v, want ErrProtocol", err)
 	}
@@ -60,7 +60,7 @@ func TestFrameRejectsOversizeAndRunt(t *testing.T) {
 	// A frame shorter than its own fixed header is structurally broken.
 	var runt [4]byte
 	binary.LittleEndian.PutUint32(runt[:], uint32(frameOverhead-1))
-	if _, _, _, err := readFrame(bytes.NewReader(runt[:]), DefaultMaxFrame); !errors.Is(err, ErrProtocol) {
+	if _, _, _, err := readFrame(bytes.NewReader(runt[:]), maxFrame); !errors.Is(err, ErrProtocol) {
 		t.Errorf("runt frame: %v, want ErrProtocol", err)
 	}
 }

@@ -304,6 +304,39 @@ func TestServeSessionLimit(t *testing.T) {
 	}
 }
 
+// TestServeSessionBudgets pins the per-session registration budgets:
+// one session may hold maxDists distributions and maxCouplings open
+// couplings, and the next of either is refused with ErrLimit.
+func TestServeSessionBudgets(t *testing.T) {
+	_, sock := startServer(t, Options{FlushWindow: -1})
+	c := dialT(t, sock, "hoarder")
+	defer c.Close()
+	src, dst := testSpecs()
+	for id := 0; id < maxDists; id++ {
+		spec := src
+		if id == 1 {
+			spec = dst
+		}
+		if err := c.RegisterDist(id, spec); err != nil {
+			t.Fatalf("register %d: %v", id, err)
+		}
+	}
+	if err := c.RegisterDist(maxDists, src); !errors.Is(err, ErrLimit) {
+		t.Errorf("distribution %d: %v, want ErrLimit", maxDists+1, err)
+	}
+	if err := c.RegisterDist(0, src); err != nil {
+		t.Errorf("re-registering a held id: %v", err)
+	}
+	for id := 0; id < maxCouplings; id++ {
+		if _, _, err := c.OpenCoupling(id, 0, 1); err != nil {
+			t.Fatalf("open %d: %v", id, err)
+		}
+	}
+	if _, _, err := c.OpenCoupling(maxCouplings, 0, 1); !errors.Is(err, ErrLimit) {
+		t.Errorf("coupling %d: %v, want ErrLimit", maxCouplings+1, err)
+	}
+}
+
 // TestServeTypedErrors walks the request-validation surface.
 func TestServeTypedErrors(t *testing.T) {
 	_, sock := startServer(t, Options{MaxProcs: 4})

@@ -18,14 +18,19 @@ const (
 	defaultMaxBatch     = 16
 	defaultFlush        = 2 * time.Millisecond
 	defaultMaxProcs     = 8
-	defaultMaxDists     = 64
-	defaultMaxCpls      = 32
 	defaultLease        = 30 * time.Second
 	defaultMaxJournal   = 4096
 	defaultCacheEntries = 128
 	// maxElems bounds a single distribution's global element count so a
 	// tenant cannot make the resident world allocate unboundedly.
 	maxElems = 1 << 20
+	// maxFrame bounds a frame's payload bytes, on both ends of the wire;
+	// an oversized frame is a protocol error, not an allocation.
+	maxFrame = 16 << 20
+	// maxDists and maxCouplings are per-session registration budgets
+	// (ErrLimit).
+	maxDists     = 64
+	maxCouplings = 32
 )
 
 // Options configures a Server; zero values take the defaults above.
@@ -47,14 +52,9 @@ type Options struct {
 	// being waited for until they submit again.  Negative disables
 	// batching (every op ships alone); zero takes the default.
 	FlushWindow time.Duration
-	// MaxFrame bounds a request frame's payload bytes.
-	MaxFrame int
 	// MaxProcs caps the per-side process count of a registered
 	// distribution (and with it the size of resident worlds).
 	MaxProcs int
-	// MaxDists and MaxCouplings are per-session registration budgets.
-	MaxDists     int
-	MaxCouplings int
 	// Lease is the session TTL.  Any request — including the explicit
 	// msgPing — refreshes it; a session idle past the lease is
 	// reclaimed: its connection is closed, its couplings released, and
@@ -97,17 +97,8 @@ func (o *Options) withDefaults() Options {
 	if out.FlushWindow < 0 {
 		out.FlushWindow = 0
 	}
-	if out.MaxFrame <= 0 {
-		out.MaxFrame = DefaultMaxFrame
-	}
 	if out.MaxProcs == 0 {
 		out.MaxProcs = defaultMaxProcs
-	}
-	if out.MaxDists == 0 {
-		out.MaxDists = defaultMaxDists
-	}
-	if out.MaxCouplings == 0 {
-		out.MaxCouplings = defaultMaxCpls
 	}
 	if out.Lease == 0 {
 		out.Lease = defaultLease
@@ -142,7 +133,8 @@ type Server struct {
 	states     map[string]*tenantState // leased sessions by resume token
 	runners    map[worldKey]*runner    // current world per shape
 	worldGen   map[worldKey]int        // incarnations started per shape
-	worldEvict map[*runner]int         // last-seen cache evictions per incarnation
+	worldEvict map[*runner]int         // last-seen cache evictions per current world
+	evictGone  int                     // evictions of replaced incarnations
 	nextHandle int64
 	nextToken  int64
 	inflight   int
@@ -467,6 +459,12 @@ func (s *Server) Close() error {
 func (s *Server) startRunnerLocked(key worldKey) *runner {
 	gen := s.worldGen[key]
 	s.worldGen[key] = gen + 1
+	if old := s.runners[key]; old != nil {
+		// The replaced incarnation's evictions stay in the total; its
+		// entry (and with it the dead runner) goes.
+		s.evictGone += s.worldEvict[old]
+		delete(s.worldEvict, old)
+	}
 	panicAt := 0
 	if s.opts.WorldPanic != nil {
 		panicAt = s.opts.WorldPanic(key.srcProcs, key.dstProcs, gen)
@@ -664,15 +662,16 @@ func (s *Server) removeCoupling(st *tenantState, id int32) {
 }
 
 // noteEvict records the latest cumulative schedule-cache eviction count
-// a world incarnation reported; the gauge sums across incarnations.
+// a current world reported; the gauge sums across incarnations.  A note
+// from an incarnation already replaced is stale and ignored.
 func (s *Server) noteEvict(r *runner, evict int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.worldEvict[r] == evict {
+	if s.runners[r.key] != r || s.worldEvict[r] == evict {
 		return
 	}
 	s.worldEvict[r] = evict
-	total := 0
+	total := s.evictGone
 	for _, v := range s.worldEvict {
 		total += v
 	}

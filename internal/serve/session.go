@@ -104,7 +104,7 @@ func (ss *session) serve() {
 	defer ss.conn.Close()
 	defer ss.detach()
 	for {
-		typ, id, payload, err := readFrame(ss.conn, ss.srv.opts.MaxFrame)
+		typ, id, payload, err := readFrame(ss.conn, maxFrame)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				// Best-effort: a malformed frame gets one explanation
@@ -256,7 +256,7 @@ func (ss *session) registerDist(payload []byte) (byte, []byte, error) {
 	if spec.elems() > maxElems {
 		return 0, nil, fmt.Errorf("%w: %d elements exceeds the %d-element cap", ErrTooLarge, spec.elems(), maxElems)
 	}
-	if _, exists := ss.st.dists[id]; !exists && len(ss.st.dists) >= ss.srv.opts.MaxDists {
+	if _, exists := ss.st.dists[id]; !exists && len(ss.st.dists) >= maxDists {
 		return 0, nil, fmt.Errorf("%w: %d distributions registered", ErrLimit, len(ss.st.dists))
 	}
 	ss.st.dists[id] = &spec
@@ -280,7 +280,7 @@ func (ss *session) openCoupling(payload []byte) (byte, []byte, error) {
 	if _, exists := ss.st.cpls[id]; exists {
 		return 0, nil, fmt.Errorf("%w: coupling %d is already open", ErrBadSpec, id)
 	}
-	if len(ss.st.cpls) >= ss.srv.opts.MaxCouplings {
+	if len(ss.st.cpls) >= maxCouplings {
 		return 0, nil, fmt.Errorf("%w: %d couplings open", ErrLimit, len(ss.st.cpls))
 	}
 	key := worldKey{srcProcs: src.Procs, dstProcs: dst.Procs}

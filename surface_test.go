@@ -38,6 +38,16 @@ var surfaceAllow = map[string]string{
 // standard-library interface by name (sort.Interface, heap.Interface,
 // error, fmt.Stringer, errors.Unwrap) are skipped.
 func TestExportedSurfaceHasCallers(t *testing.T) {
+	fset, files := parseRepo(t)
+	for _, p := range unusedExports(fset, files, surfaceAllow) {
+		t.Error(p)
+	}
+}
+
+// parseRepo parses every Go file of the repository, testdata and dot
+// directories aside.
+func parseRepo(t *testing.T) (*token.FileSet, []srcFile) {
+	t.Helper()
 	fset := token.NewFileSet()
 	var files []srcFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -63,9 +73,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range unusedExports(fset, files, surfaceAllow) {
-		t.Error(p)
-	}
+	return fset, files
 }
 
 // srcFile is one parsed file and its slash-separated path from the
@@ -192,6 +200,22 @@ func recvName(d *ast.FuncDecl) string {
 	}
 }
 
+// parseSources parses in-memory sources keyed by path, for the checks'
+// self-tests.
+func parseSources(t *testing.T, srcs map[string]string) (*token.FileSet, []srcFile) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []srcFile
+	for path, src := range srcs {
+		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, srcFile{path, f})
+	}
+	return fset, files
+}
+
 // TestUnusedExportsSelfCheck runs the surface check on in-memory
 // sources, so a check that silently passes everything fails here.
 func TestUnusedExportsSelfCheck(t *testing.T) {
@@ -227,16 +251,210 @@ func (h) Swap(i, j int)      {}
 			[]string{"allow-list entry x.Dead names code no file mentions, test files included"}},
 	} {
 		srcs["internal/x/x.go"] = lib + tc.extra
-		fset := token.NewFileSet()
-		var files []srcFile
-		for path, src := range srcs {
-			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, srcFile{path, f})
-		}
+		fset, files := parseSources(t, srcs)
 		got := unusedExports(fset, files, tc.allow)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// configAllow names the exported config fields under internal/ that may
+// stay without a non-test setter, each with its reason.  A key names one
+// field ("pkg.Type.Field") or every field of a struct ("pkg.Type").
+var configAllow = map[string]string{
+	"mpsim.Config.Trace":       "test oracle: the shard-count and serial-loop fingerprint tests hash the trace it records",
+	"exp.CSConfig.Fingerprint": "adds a client allgather, so always on it would move Figure 10's goldens",
+	"exp.Figure10ScaleConfig":  "BenchmarkFigure10Parallel sizes it until it is rebuilt on the paper's schedules",
+}
+
+// TestConfigFieldsHaveSetters fails on any exported field of an
+// exported struct under internal/ whose name ends in Config or Options
+// that no non-test file sets, unless configAllow names it: a knob only
+// tests turn is a constant.  A field counts as set where it is a key of
+// a composite literal of its own type, or where a variable's field of
+// its name is assigned (v.Field = ...) — except inside a withDefaults
+// method, which fills zero values rather than choosing them.
+//
+// Literals are matched by type name, assignments by field name alone:
+// assigning a same-named field of another struct through a variable
+// counts, so the check can miss a field; one set only through a longer
+// chain (a.b.Field = ...) is reported, so it can also report one.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	fset, files := parseRepo(t)
+	for _, p := range unsetConfigFields(fset, files, configAllow) {
+		t.Error(p)
+	}
+}
+
+// unsetConfigFields returns one problem per exported config field under
+// internal/ that no non-test file sets and allow does not cover, as
+// "file:line: pkg.Type.Field has no non-test setter", followed by one
+// per allow entry that covers no such field.
+func unsetConfigFields(fset *token.FileSet, files []srcFile, allow map[string]string) []string {
+	type field struct {
+		key, typ string // "pkg.Type.Field", "pkg.Type"
+		pos      token.Pos
+	}
+	var fields []field
+	byName := map[string][]string{} // field name -> its keys
+	for _, sf := range files {
+		if strings.HasSuffix(sf.path, "_test.go") || !strings.HasPrefix(sf.path, "internal/") {
+			continue
+		}
+		pkg := sf.f.Name.Name
+		for _, d := range sf.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec) // a GenDecl of types holds only TypeSpecs
+				st, isStruct := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !isStruct || !ts.Name.IsExported() ||
+					!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+					continue
+				}
+				typ := pkg + "." + name
+				for _, fl := range st.Fields.List {
+					for _, n := range fl.Names {
+						if n.IsExported() {
+							key := typ + "." + n.Name
+							fields = append(fields, field{key, typ, n.Pos()})
+							byName[n.Name] = append(byName[n.Name], key)
+						}
+					}
+				}
+			}
+		}
+	}
+	set := map[string]bool{}
+	for _, sf := range files {
+		if strings.HasSuffix(sf.path, "_test.go") {
+			continue
+		}
+		pkg := sf.f.Name.Name
+		for _, d := range sf.f.Decls {
+			fd, isFunc := d.(*ast.FuncDecl)
+			defaults := isFunc && fd.Name.Name == "withDefaults"
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := ""
+					switch tx := n.Type.(type) {
+					case *ast.Ident:
+						typ = pkg + "." + tx.Name
+					case *ast.SelectorExpr:
+						if x, ok := tx.X.(*ast.Ident); ok {
+							typ = x.Name + "." + tx.Sel.Name
+						}
+					}
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if k, ok := kv.Key.(*ast.Ident); ok {
+								set[typ+"."+k.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					if defaults {
+						return true
+					}
+					for _, lhs := range n.Lhs {
+						sel, ok := lhs.(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						if _, onVar := sel.X.(*ast.Ident); onVar {
+							for _, key := range byName[sel.Sel.Name] {
+								set[key] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var problems, stale []string
+	hit := map[string]bool{}
+	for _, f := range fields {
+		if set[f.key] {
+			continue
+		}
+		if _, ok := allow[f.key]; ok {
+			hit[f.key] = true
+			continue
+		}
+		if _, ok := allow[f.typ]; ok {
+			hit[f.typ] = true
+			continue
+		}
+		problems = append(problems, fmt.Sprintf("%s: %s has no non-test setter", fset.Position(f.pos), f.key))
+	}
+	for key := range allow {
+		if !hit[key] {
+			stale = append(stale, fmt.Sprintf("allow-list entry %s names nothing unset", key))
+		}
+	}
+	sort.Strings(stale)
+	return append(problems, stale...)
+}
+
+// TestConfigFieldsSelfCheck runs the config-field check on in-memory
+// sources, so a check that silently passes everything fails here.
+func TestConfigFieldsSelfCheck(t *testing.T) {
+	lib := `package x
+
+type Options struct {
+	Set       int
+	Assigned  int
+	Planted   int
+	Defaulted int
+	hidden    int
+}
+
+type Plain struct{ Untouched int }
+
+func (o *Options) withDefaults() Options {
+	out := *o
+	out.Defaulted = 1
+	return out
+}
+`
+	srcs := map[string]string{
+		"internal/x/x.go":      lib,
+		"internal/x/x_test.go": "package x\n\nvar _ = Options{Planted: 1, Defaulted: 2}\n",
+		"cmd/y/main.go": `package main
+
+import "x"
+
+func main() {
+	o := x.Options{Set: 1}
+	o.Assigned = 2
+	var w struct{ stats struct{ Planted int } }
+	w.stats.Planted = 3
+}
+`,
+	}
+	fset, files := parseSources(t, srcs)
+	for _, tc := range []struct {
+		name  string
+		allow map[string]string
+		want  []string
+	}{
+		{"a field only a test sets, or only withDefaults, is reported with its position", nil, []string{
+			"internal/x/x.go:6:2: x.Options.Planted has no non-test setter",
+			"internal/x/x.go:7:2: x.Options.Defaulted has no non-test setter",
+		}},
+		{"an allow-listed field is not, nor one of an allow-listed struct",
+			map[string]string{"x.Options.Planted": "reason", "x.Options": "reason"}, nil},
+		{"a stale allow-list entry fails",
+			map[string]string{"x.Options.Planted": "reason", "x.Options.Defaulted": "reason", "x.Options.Set": "reason"},
+			[]string{"allow-list entry x.Options.Set names nothing unset"}},
+	} {
+		got := unsetConfigFields(fset, files, tc.allow)
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
 		}
