@@ -10,10 +10,10 @@ import (
 // of element storage; the one aliasing case the executor permits to
 // reach the kernels is in-place decode, where the payload bytes ARE the
 // destination's backing bytes.  These tests pin the kernels' behavior
-// under exact aliasing (identity for Into, element doubling for Add)
-// and forward overlap (memmove-down semantics: each element is read
-// before any write can clobber it, because the source sits ahead of the
-// destination), for every scalar kind.
+// under exact aliasing (identity for Into, the scalars themselves for
+// Scalars) and forward overlap (memmove-down semantics: each element is
+// read before any write can clobber it, because the source sits ahead
+// of the destination), for every scalar kind.
 //
 // The views only equal the wire encoding on a little-endian host, like
 // the executor's own view path; big-endian hosts skip.
@@ -55,25 +55,34 @@ func TestIntoKernelsAliasedIdentity(t *testing.T) {
 	aliasedIdentity(t, ramp[byte](5))
 }
 
-func aliasedDouble[T Scalar](t *testing.T, vs []T) {
+// aliasedScalars views the bytes of vs as scalars again: the view must
+// be vs itself, so accumulating through it doubles every element, as
+// the executor's add kernel does to a lane unpacked in place.
+func aliasedScalars[T Scalar](t *testing.T, vs []T) {
 	t.Helper()
 	want := slices.Clone(vs)
 	for i := range want {
 		want[i] += want[i]
 	}
-	Add(vs, View(vs))
+	view := Scalars[T](View(vs))
+	if len(view) != len(vs) || &view[0] != &vs[0] {
+		t.Fatalf("Scalars[%T] of a view of %d values is %d values elsewhere", want[0], len(vs), len(view))
+	}
+	for i, v := range view {
+		vs[i] += v
+	}
 	if !slices.Equal(vs, want) {
-		t.Errorf("aliased Add[%T] = %v, want doubled %v", want[0], vs, want)
+		t.Errorf("accumulating through Scalars[%T] = %v, want doubled %v", want[0], vs, want)
 	}
 }
 
-func TestAddKernelsAliasedDouble(t *testing.T) {
+func TestScalarsAliasedDouble(t *testing.T) {
 	requireLE(t)
-	aliasedDouble(t, ramp[float64](5))
-	aliasedDouble(t, ramp[float32](5))
-	aliasedDouble(t, ramp[int64](5))
-	aliasedDouble(t, ramp[int32](5))
-	aliasedDouble(t, ramp[byte](100)) // 3*i-5 passes 128: doubling wraps mod 256
+	aliasedScalars(t, ramp[float64](5))
+	aliasedScalars(t, ramp[float32](5))
+	aliasedScalars(t, ramp[int64](5))
+	aliasedScalars(t, ramp[int32](5))
+	aliasedScalars(t, ramp[byte](100)) // 3*i-5 passes 128: doubling wraps mod 256
 }
 
 // forwardShift decodes the bytes of vs[1:] into vs[:n-1]: the source

@@ -4,8 +4,9 @@
 // caller resolves the element kind once — by picking the typed slice —
 // and the loop it then runs is specialized to that type.  On a
 // little-endian host a scalar slice's own bytes already are its wire
-// encoding, so the bulk Append and Into are a memmove through View; the
-// portable per-scalar loop is the other branch of the same functions.
+// encoding, so the bulk Append and Into are a memmove through View, and
+// Scalars views wire bytes as the scalars themselves; the portable
+// per-scalar loop is the other branch of the same functions.
 
 package codec
 
@@ -39,6 +40,19 @@ func View[T Scalar](vs []T) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*int(unsafe.Sizeof(vs[0])))
+}
+
+// Scalars returns the len(b)/Sizeof(T) whole scalars at the front of
+// b's bytes as a []T, no copy: the inverse of View.  They are b's wire
+// encoding decoded only when HostLE is true.  b must start T-aligned,
+// as pooled segments and views of scalar storage do, and the caller
+// must not let the result outlive b.
+func Scalars[T Scalar](b []byte) []T {
+	var z T
+	if len(b) < int(unsafe.Sizeof(z)) {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(z)))
 }
 
 // Put stores v's wire encoding in the first Sizeof(v) bytes of b.  The
@@ -121,17 +135,6 @@ func Into[T Scalar](dst []T, b []byte) int {
 	}
 	for i := 0; i < n; i++ {
 		dst[i] = Get[T](b[i*size:])
-	}
-	return n
-}
-
-// Add decodes a bare payload and adds each value into dst, the fused
-// accumulate kernel (no staging buffer).  Always the ascending loop, so
-// a payload that is dst's own bytes doubles every element.
-func Add[T Scalar](dst []T, b []byte) int {
-	n, size := checkPayload(dst, b)
-	for i := 0; i < n; i++ {
-		dst[i] += Get[T](b[i*size:])
 	}
 	return n
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"metachaos/internal/bufpool"
@@ -24,11 +25,16 @@ import (
 // requests; local copies proceed while messages are in flight; and
 // incoming lanes are unpacked in arrival order (mpsim.Waitany) rather
 // than fixed peer order.  A lane's scalar kind is resolved once, into a
-// kernel generic over the typed storage slice (packRuns, unpackRuns),
-// and consecutive staged runs travel as one view of the staging
-// segment, so the receiver crosses a segment boundary per staged
-// stretch rather than per run.  Pack and unpack buffers are cached on
-// the Schedule, so a reused schedule moves data without allocating.
+// kernel generic over the typed storage slice (packRuns, unpackRuns)
+// that reaches the staging segment and each arrived segment through one
+// []T view, and consecutive staged runs travel as one view of the
+// staging segment, so the receiver crosses a segment boundary per
+// staged stretch rather than per run.  What does not depend on the data
+// — a lane's element count, staging size and offset extent — is
+// recorded when the schedule is built, so the wrong-object guard runs
+// once per lane per move, not once per run.  Pack and unpack buffers
+// are cached on the Schedule, so a reused schedule moves data without
+// allocating.
 
 // PeerNet is one peer's network-recovery accounting for a single move
 // on a reliable transport (all counters stay zero on a perfect
@@ -184,51 +190,51 @@ const tagMoveSpan = (1 << 21) - tagMoveBase
 // moveTag maps a move sequence number into the data-move tag space.
 func moveTag(seq int) int { return tagMoveBase + seq%tagMoveSpan }
 
-// checkElem panics when a schedule is executed against an object of
-// the wrong element type.  The full type is compared, not just the
-// width, so a schedule built for float64 elements can never silently
-// reinterpret a same-width int64 object's bytes.
-func (s *Schedule) checkElem(obj DistObject) {
+// checkObj is the wrong-object guard, run before a move posts a request
+// or moves a byte: obj must hold the schedule's full element type (not
+// just its width) and storage covering each lane's recorded extent.
+// The per-run kernels carry no guard of their own (Go's bounds checks
+// aside).  It returns obj's storage.
+func (s *Schedule) checkObj(obj DistObject, lanes []PeerList) Mem {
 	if obj.Elem() != s.elem {
 		panic(fmt.Sprintf("core: schedule built for %v elements used with %v object", s.elem, obj.Elem()))
 	}
-}
-
-// runInBounds reports whether every offset of run lies inside local
-// storage units scalar units long.  Small enough to inline into the
-// per-run loops; panicRunBounds is its cold half.
-func runInBounds(run Run, units, w int) bool {
-	lo, hi := run.Start, run.Last()
-	if hi < lo {
-		lo, hi = hi, lo
+	m := obj.LocalMem()
+	for i := range lanes {
+		lanes[i].check(m.Units(), s.elem.Words)
 	}
-	return lo >= 0 && int(hi)*w+w <= units
-}
-
-// panicRunBounds reports a run outside the object's local storage,
-// which means the wrong object was passed to Move.
-func panicRunBounds(run Run, units, w int) {
-	bad := min(run.Start, run.Last())
-	if bad >= 0 {
-		bad = max(run.Start, run.Last())
-	}
-	panic(fmt.Sprintf("core: schedule offset %d outside local storage of %d elements; wrong object passed to Move?", bad, units/max(w, 1)))
+	return m
 }
 
 func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveResult {
-	seq := s.moveSeq
-	s.moveSeq++
-	tag := moveTag(seq)
-	p := s.union.Proc()
 	w := s.elem.Words
-	var res MoveResult
-
 	sends, recvs := s.Sends, s.Recvs
 	packObj, unpackObj := srcObj, dstObj
 	if reverse {
 		sends, recvs = s.Recvs, s.Sends
 		packObj, unpackObj = dstObj, srcObj
 	}
+	var packMem, unpackMem Mem
+	if unpackObj != nil {
+		unpackMem = s.checkObj(unpackObj, recvs)
+	}
+	if packObj != nil {
+		packMem = s.checkObj(packObj, sends)
+	}
+	srcMem, dstMem := packMem, unpackMem
+	if reverse {
+		srcMem, dstMem = unpackMem, packMem
+	}
+	if srcObj != nil && dstObj != nil {
+		s.localSrc.check(srcMem.Units(), w)
+		s.localDst.check(dstMem.Units(), w)
+	}
+
+	seq := s.moveSeq
+	s.moveSeq++
+	tag := moveTag(seq)
+	p := s.union.Proc()
+	var res MoveResult
 
 	// Phase accounting: tMark walks the virtual clock from boundary to
 	// boundary, so every instant of the move lands in exactly one
@@ -260,7 +266,6 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 	// match pending requests immediately.
 	reqs := s.reqs[:0]
 	if unpackObj != nil {
-		s.checkElem(unpackObj)
 		for i := range recvs {
 			reqs = append(reqs, s.union.Irecv(recvs[i].Peer, tag))
 		}
@@ -271,18 +276,16 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 	tMark = now
 
 	if packObj != nil {
-		s.checkElem(packObj)
 		if s.pool == nil {
 			s.pool = p.BufPool()
 			s.lease = s.pool.NewLease()
 		}
-		local := packObj.LocalMem()
 		// Stride-1 runs go on the wire as views of the source storage —
 		// no pack copy — when the host's native byte order is the wire
 		// order and the unpack destination does not alias the pack
 		// source (in-place unpacking would mutate viewed bytes).
 		canView := codec.HostLE()
-		if canView && unpackObj != nil && memOverlaps(local, unpackObj.LocalMem()) {
+		if canView && unpackObj != nil && memOverlaps(packMem, unpackMem) {
 			canView = false
 		}
 		es := s.elem.Kind.Size()
@@ -292,12 +295,11 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			// Staging need: every strided run (every run when views are
 			// disabled) plus the checksum trailer, sized exactly so the
 			// leased segment never reallocates under the views into it.
-			staged := 0
-			for _, run := range pl.Runs {
-				if run.Stride != 1 || !canView {
-					staged += int(run.Count) * w * es
-				}
+			staged := pl.n
+			if canView {
+				staged = pl.strided
 			}
+			staged *= w * es
 			if rel {
 				staged += 8
 			}
@@ -308,7 +310,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 				pay.AttachSegment(seg)
 				stage = seg.Bytes()[:0]
 			}
-			stage = packLane(pay, stage, &local, pl.Runs, w, canView)
+			stage = packLane(pay, stage, &packMem, pl.Runs, w, canView)
 			p.ChargeMemOps(pl.Len())
 			if rel {
 				h := fnvOver(pay.Segments(), pay.Len())
@@ -349,7 +351,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 	// and no staging buffer, overlapped with the messages in flight.
 	if len(s.Local) > 0 && srcObj != nil && dstObj != nil {
 		sp := p.Span("move.local")
-		n := s.moveLocal(srcObj, dstObj, reverse, op)
+		n := s.moveLocal(&srcMem, &dstMem, reverse, op)
 		res.Elems += n
 		res.BytesCopied += s.elem.Bytes() * n
 		now = p.Clock()
@@ -359,7 +361,6 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 	}
 
 	if unpackObj != nil {
-		local := unpackObj.LocalMem()
 		for {
 			spw := p.Span("move.wait")
 			var i int
@@ -409,7 +410,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			if body != want {
 				panic(fmt.Sprintf("core: move message carries %d bytes, schedule expects %d", body, want))
 			}
-			unpackLane(&local, pay.Segments(), pl.Runs, w, op)
+			unpackLane(&unpackMem, pay.Segments(), pl.Runs, w, op)
 			pay.Release()
 			res.Elems += n
 			p.ChargeMemOps(n)
@@ -616,47 +617,62 @@ func packLane(pay *bufpool.Payload, stage []byte, m *Mem, runs []Run, w int, can
 	panic(fmt.Sprintf("core: packing unknown element kind %d", m.et.Kind))
 }
 
-// packRuns is the typed pack kernel.  A stride-1 run is a borrowed view
-// of vs when canView, else one bulk append to stage; a strided run of
-// one-scalar elements is a gather loop writing stage in place; wider
-// strided elements are a bulk append each.  Consecutive staged runs
-// form one stretch of stage and reach pay as one view, added before the
-// next borrowed view (and at the end) so the lane's bytes stay in run
-// order.  stage must have capacity for everything staged: views into it
-// are already out, so it may not move.
+// typedLanes says []T views of wire bytes are the scalars (HostLE).
+// Otherwise the same kernels re-encode a staged stretch in place with
+// codec.Put and decode an arrived segment with codec.Into.  A variable
+// so the in-package test runs that portable branch on any host.
+var typedLanes = codec.HostLE()
+
+// packRuns is the typed pack kernel.  The lane's staging segment is
+// viewed as []T once: a stride-1 run is one copy into it (or, when
+// canView, a borrowed view of vs instead), a strided run of one-scalar
+// elements gathers into it by index, a wider element is a copy each.
+// Consecutive staged runs form one stretch of stage and reach pay as
+// one view, added before the next borrowed view (and at the end) so the
+// lane's bytes stay in run order.  stage must have capacity for
+// everything staged: views into it are already out, so it may not move.
 func packRuns[T codec.Scalar](pay *bufpool.Payload, stage []byte, vs []T, runs []Run, w int, canView bool) []byte {
-	var z T
-	es := int(unsafe.Sizeof(z))
-	mark := len(stage) // start of the staged stretch not yet in pay
+	es := int(unsafe.Sizeof(*new(T)))
+	ts := codec.Scalars[T](stage[:cap(stage)])
+	at := len(stage) / es // the next unit to stage
+	mark := at            // start of the staged stretch not yet in pay
 	for _, run := range runs {
-		if !runInBounds(run, len(vs), w) {
-			panicRunBounds(run, len(vs), w)
-		}
 		o, n := int(run.Start)*w, int(run.Count)*w
 		switch {
 		case run.Stride == 1 && canView:
-			pay.AddView(stage[mark:])
-			mark = len(stage)
+			pay.AddView(wireOf(ts[mark:at]))
+			mark = at
 			pay.AddView(codec.View(vs[o : o+n]))
 		case run.Stride == 1:
-			stage = codec.Append(stage, vs[o:o+n])
+			at += copy(ts[at:at+n], vs[o:o+n])
 		case w == 1:
-			at := len(stage)
-			stage = stage[:at+n*es]
-			st := int(run.Stride)
-			for b := stage[at:]; len(b) > 0; b = b[es:] {
-				codec.Put(b, vs[o])
+			for k, st := at, int(run.Stride); k < at+n; k++ {
+				ts[k] = vs[o]
 				o += st
 			}
+			at += n
 		default:
 			for k := int32(0); k < run.Count; k++ {
 				o = int(run.At(k)) * w
-				stage = codec.Append(stage, vs[o:o+w])
+				at += copy(ts[at:at+w], vs[o:o+w])
 			}
 		}
 	}
-	pay.AddView(stage[mark:])
-	return stage
+	pay.AddView(wireOf(ts[mark:at]))
+	return stage[:at*es]
+}
+
+// wireOf returns the bytes of a staged stretch, which the pack kernel
+// wrote in host order, in wire encoding.
+func wireOf[T codec.Scalar](ts []T) []byte {
+	b := codec.View(ts)
+	if !typedLanes {
+		es := int(unsafe.Sizeof(ts[0]))
+		for k, v := range ts {
+			codec.Put(b[k*es:], v)
+		}
+	}
+	return b
 }
 
 // unpackLane scatters an arrived lane's segments into local storage
@@ -679,110 +695,106 @@ func unpackLane(m *Mem, segs [][]byte, runs []Run, w, op int) {
 	}
 }
 
-// segCursor reads a payload's segment list front to back in whole
-// scalar units; the payload is never flattened.
-type segCursor struct {
+// unitCursor hands the unpack kernel a payload's segments front to
+// back, each viewed as []T once; the payload is never flattened.
+type unitCursor[T codec.Scalar] struct {
 	segs [][]byte // segments not yet started
-	rest []byte   // unread remainder of the current one
+	buf  []T      // the current segment decoded, off the typed branch
 }
 
-// chunk returns the next unread bytes of the current segment: whole
-// es-byte units, at most n of them, at least one.  Segment boundaries
+// next returns the units of the next segment.  Segment boundaries
 // always fall on unit boundaries (views are whole runs of units, staged
-// stretches are whole units), so a segment with a partial unit left is
-// a protocol bug.
-func (c *segCursor) chunk(n, es int) []byte {
-	for len(c.rest) == 0 {
-		c.rest, c.segs = c.segs[0], c.segs[1:]
-	}
-	k := min(len(c.rest)/es, n)
-	if k == 0 {
+// stretches are whole units), so a segment with a partial unit is a
+// protocol bug.
+func (c *unitCursor[T]) next() []T {
+	seg := c.segs[0]
+	c.segs = c.segs[1:]
+	es := int(unsafe.Sizeof(*new(T)))
+	if len(seg)%es != 0 {
 		panic("core: move payload segment not aligned to scalar units")
 	}
-	b := c.rest[:k*es]
-	c.rest = c.rest[k*es:]
-	return b
+	if typedLanes {
+		return codec.Scalars[T](seg)
+	}
+	c.buf = slices.Grow(c.buf[:0], len(seg)/es)[:len(seg)/es]
+	codec.Into(c.buf, seg)
+	return c.buf
 }
 
-// unpackRuns is the typed unpack kernel: it decodes each piece straight
-// from its segment into vs (no staging buffer), with bulk decodes — or
-// the fused decode-and-add — on stride-1 runs and wide elements, and a
-// scatter loop per chunk on strided runs of one-scalar elements.  Bytes
-// beyond the runs' (a checksum trailer) are never consumed.
+// unpackRuns is the typed unpack kernel: it reads each run straight
+// from the arrived segments into vs (no staging buffer), a stride-1 run
+// or a wide element as one copy or add per segment it spans, a strided
+// run of one-scalar elements by index.  Bytes beyond the runs' (a
+// checksum trailer) are never read.
 func unpackRuns[T codec.Scalar](vs []T, segs [][]byte, runs []Run, w, op int) {
-	var z T
-	es := int(unsafe.Sizeof(z))
-	c := segCursor{segs: segs}
+	c := unitCursor[T]{segs: segs}
+	var cur []T // unread units of the current segment
 	for _, run := range runs {
-		if !runInBounds(run, len(vs), w) {
-			panicRunBounds(run, len(vs), w)
-		}
+		o := int(run.Start) * w
 		switch {
 		case run.Stride == 1:
-			unpackUnits(vs[int(run.Start)*w:], &c, int(run.Count)*w, op)
+			cur = c.fill(vs[o:o+int(run.Count)*w], cur, op)
 		case w == 1:
-			o, st := int(run.Start), int(run.Stride)
-			for n := int(run.Count); n > 0; {
-				b := c.chunk(n, es)
-				n -= len(b) / es
-				if op == opAdd {
-					for ; len(b) > 0; b = b[es:] {
-						vs[o] += codec.Get[T](b)
-						o += st
-					}
-				} else {
-					for ; len(b) > 0; b = b[es:] {
-						vs[o] = codec.Get[T](b)
-						o += st
-					}
+			for n := run.Count; n > 0; n-- {
+				for len(cur) == 0 {
+					cur = c.next()
 				}
+				if op == opAdd {
+					vs[o] += cur[0]
+				} else {
+					vs[o] = cur[0]
+				}
+				cur = cur[1:]
+				o += int(run.Stride)
 			}
 		default:
 			for k := int32(0); k < run.Count; k++ {
-				unpackUnits(vs[int(run.At(k))*w:], &c, w, op)
+				o = int(run.At(k)) * w
+				cur = c.fill(vs[o:o+w], cur, op)
 			}
 		}
 	}
 }
 
-// unpackUnits decodes the next n contiguous units into the front of dst.
-func unpackUnits[T codec.Scalar](dst []T, c *segCursor, n, op int) {
-	var z T
-	es := int(unsafe.Sizeof(z))
-	for n > 0 {
-		b := c.chunk(n, es)
-		k := len(b) / es
-		if op == opAdd {
-			codec.Add(dst[:k], b)
-		} else {
-			codec.Into(dst[:k], b)
+// fill reads len(dst) units into dst, overwriting or accumulating, from
+// cur, the current segment's unread units, and the segments after it,
+// and returns what is left of the segment it ends in.
+func (c *unitCursor[T]) fill(dst, cur []T, op int) []T {
+	for len(dst) > 0 {
+		for len(cur) == 0 {
+			cur = c.next()
 		}
-		dst = dst[k:]
-		n -= k
+		k := min(len(dst), len(cur))
+		if op == opAdd {
+			addTo(dst[:k], cur[:k])
+		} else {
+			copy(dst, cur[:k])
+		}
+		dst, cur = dst[k:], cur[k:]
 	}
+	return cur
 }
 
 // moveLocal executes the same-process runs, with bulk copies when both
 // sides are contiguous, returning the element count.
-func (s *Schedule) moveLocal(srcObj, dstObj DistObject, reverse bool, op int) int {
+func (s *Schedule) moveLocal(from, to *Mem, reverse bool, op int) int {
 	p := s.union.Proc()
 	w := s.elem.Words
-	from, to := srcObj.LocalMem(), dstObj.LocalMem()
-	var elems int
 	switch s.elem.Kind {
 	case KindFloat64:
-		elems = localRuns(from.f64, to.f64, s.Local, w, reverse, op)
+		localRuns(from.f64, to.f64, s.Local, w, reverse, op)
 	case KindFloat32:
-		elems = localRuns(from.f32, to.f32, s.Local, w, reverse, op)
+		localRuns(from.f32, to.f32, s.Local, w, reverse, op)
 	case KindInt64:
-		elems = localRuns(from.i64, to.i64, s.Local, w, reverse, op)
+		localRuns(from.i64, to.i64, s.Local, w, reverse, op)
 	case KindInt32:
-		elems = localRuns(from.i32, to.i32, s.Local, w, reverse, op)
+		localRuns(from.i32, to.i32, s.Local, w, reverse, op)
 	case KindByte:
-		elems = localRuns(from.by, to.by, s.Local, w, reverse, op)
+		localRuns(from.by, to.by, s.Local, w, reverse, op)
 	default:
 		panic(fmt.Sprintf("core: local copy of unknown element kind %d", s.elem.Kind))
 	}
+	elems := s.localSrc.n
 	p.ChargeMemOps(2 * elems)
 	p.ChargeCopy(s.elem.Bytes() * elems)
 	if op == opAdd {
@@ -791,40 +803,39 @@ func (s *Schedule) moveLocal(srcObj, dstObj DistObject, reverse bool, op int) in
 	return elems
 }
 
-// localRuns is the typed local-copy kernel behind moveLocal.
-func localRuns[T codec.Scalar](from, to []T, local []LocalRun, w int, reverse bool, op int) int {
-	elems := 0
+// localRuns is the typed local-copy kernel behind moveLocal: a run
+// contiguous on both sides is one bulk copy or add, any other run goes
+// unit by unit, by index.
+func localRuns[T codec.Scalar](from, to []T, local []LocalRun, w int, reverse bool, op int) {
 	for _, lr := range local {
-		elems += int(lr.Count)
-		if lr.SrcStride == 1 && lr.DstStride == 1 {
-			a, b, n := int(lr.Src)*w, int(lr.Dst)*w, int(lr.Count)*w
-			switch {
-			case op == opAdd:
-				dst, src := to[b:b+n], from[a:a+n]
-				for k := range dst {
-					dst[k] += src[k]
-				}
-			case reverse:
-				copy(from[a:a+n], to[b:b+n])
-			default:
-				copy(to[b:b+n], from[a:a+n])
-			}
-			continue
+		// (src, s, ds) is the side read, (dst, d, dd) the side written.
+		src, s, ds := from, int(lr.Src)*w, int(lr.SrcStride)*w
+		dst, d, dd := to, int(lr.Dst)*w, int(lr.DstStride)*w
+		if reverse {
+			src, s, ds, dst, d, dd = dst, d, dd, src, s, ds
 		}
-		for k := int32(0); k < lr.Count; k++ {
-			a := int(lr.Src+k*lr.SrcStride) * w
-			b := int(lr.Dst+k*lr.DstStride) * w
-			switch {
-			case op == opAdd:
-				for j := 0; j < w; j++ {
-					to[b+j] += from[a+j]
+		switch n := int(lr.Count); {
+		case lr.SrcStride == 1 && lr.DstStride == 1 && op == opAdd:
+			addTo(dst[d:d+n*w], src[s:s+n*w])
+		case lr.SrcStride == 1 && lr.DstStride == 1:
+			copy(dst[d:d+n*w], src[s:s+n*w])
+		default:
+			for ; n > 0; n, s, d = n-1, s+ds, d+dd {
+				for j := range w {
+					if op == opAdd {
+						dst[d+j] += src[s+j]
+					} else {
+						dst[d+j] = src[s+j]
+					}
 				}
-			case reverse:
-				copy(from[a:a+w], to[b:b+w])
-			default:
-				copy(to[b:b+w], from[a:a+w])
 			}
 		}
 	}
-	return elems
+}
+
+// addTo adds src into dst element by element.
+func addTo[T codec.Scalar](dst, src []T) {
+	for k, v := range src {
+		dst[k] += v
+	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"metachaos/internal/mpsim"
@@ -68,26 +70,64 @@ func TestMergeSchedulesSingleMessageRound(t *testing.T) {
 }
 
 func TestMoveWrongObjectPanics(t *testing.T) {
-	// A too-small object must trip bounds protection, not corrupt
-	// memory silently.  Single process: the failure stays local.
-	mpsim.RunSPMD(mpsim.Ideal(), 1, func(p *mpsim.Proc) {
+	// An object too small for the schedule dies with core's message
+	// before any byte moves, whichever part of the schedule it fails:
+	// a send lane, a receive lane or a local run.  Each of the two
+	// ranks packs offsets 0-4 for the other, unpacks the other's into
+	// 5-9 and copies its own 5-9 onto 0-4, so an object of 5 elements
+	// fits both lanes but not the local runs' source side.
+	cat := func(parts ...[]int32) testRegion {
+		var r testRegion
+		for _, p := range parts {
+			r = append(r, p...)
+		}
+		return r
+	}
+	srcSet := NewSetOfRegions(cat(seqIdx(0, 5, 1), seqIdx(10, 5, 1), seqIdx(5, 5, 1), seqIdx(15, 5, 1)))
+	dstSet := NewSetOfRegions(cat(seqIdx(15, 5, 1), seqIdx(5, 5, 1), seqIdx(0, 5, 1), seqIdx(10, 5, 1)))
+	mpsim.RunSPMD(mpsim.Ideal(), 2, func(p *mpsim.Proc) {
 		ctx := NewCtx(p, p.Comm())
-		src := newTestObj(10, 1, 1, 0)
-		dst := newTestObj(10, 1, 1, 0)
+		src := newTestObj(20, 2, 1, p.Rank())
+		dst := newTestObj(20, 2, 1, p.Rank())
 		sched, err := ComputeSchedule(SingleProgram(p.Comm()),
-			&Spec{Lib: testLib{}, Obj: src, Set: NewSetOfRegions(testRegion(seqIdx(0, 5, 1))), Ctx: ctx},
-			&Spec{Lib: testLib{}, Obj: dst, Set: NewSetOfRegions(testRegion(seqIdx(5, 5, 1))), Ctx: ctx},
+			&Spec{Lib: testLib{}, Obj: src, Set: srcSet, Ctx: ctx},
+			&Spec{Lib: testLib{}, Obj: dst, Set: dstSet, Ctx: ctx},
 			Duplication)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tiny := newTestObj(2, 1, 1, 0)
-		defer func() {
-			if recover() == nil {
-				t.Error("move with wrong object did not panic")
+		tiny := newTestObj(4, 2, 1, p.Rank())  // 2 elements per rank
+		half := newTestObj(10, 2, 1, p.Rank()) // 5 elements per rank
+		for _, c := range []struct {
+			name     string
+			src, dst *testObj
+		}{
+			{"send lane", tiny, dst},
+			{"receive lane", src, tiny},
+			{"local run", half, dst},
+		} {
+			sent := p.LocalStats().MsgsSent
+			func() {
+				defer func() {
+					if r := recover(); !strings.Contains(fmt.Sprint(r), "wrong object passed to Move?") {
+						t.Errorf("rank %d, %s: move with wrong object panicked with %v", p.Rank(), c.name, r)
+					}
+				}()
+				sched.Move(c.src, c.dst)
+			}()
+			if got := p.LocalStats().MsgsSent - sent; got != 0 {
+				t.Errorf("rank %d, %s: %d messages left before the panic", p.Rank(), c.name, got)
 			}
-		}()
-		sched.Move(tiny, dst)
+		}
+		// Nothing was posted either: the schedule still moves.
+		src.fillDistinct(0)
+		sched.Move(src, dst)
+		srcAll, dstAll := gatherObj(p.Comm(), src), gatherObj(p.Comm(), dst)
+		for k, g := range srcSet.Region(0).(testRegion) {
+			if d := dstSet.Region(0).(testRegion)[k]; dstAll[d] != srcAll[g] {
+				t.Errorf("after the panics, dst[%d] = %g, want %g", d, dstAll[d], srcAll[g])
+			}
+		}
 	})
 }
 

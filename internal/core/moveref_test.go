@@ -135,39 +135,20 @@ func (o *memObj) clone() *memObj {
 func buildSchedFromPerm(comm *mpsim.Comm, slotsPer int, elem ElemType, perm []int) *Schedule {
 	rank := comm.Rank()
 	s := &Schedule{union: comm, elems: len(perm), elem: elem}
-	sendMap := map[int]*PeerList{}
-	recvMap := map[int]*PeerList{}
-	var sendOrder, recvOrder []int
+	var b buildScratch
 	for i, d := range perm {
 		sp, so := i/slotsPer, int32(i%slotsPer)
 		dp, do := d/slotsPer, int32(d%slotsPer)
 		switch {
 		case sp == rank && dp == rank:
-			s.Local = appendLocalRun(s.Local, so, do)
+			b.local = appendLocalRun(b.local, so, do)
 		case sp == rank:
-			pl := sendMap[dp]
-			if pl == nil {
-				pl = &PeerList{Peer: dp}
-				sendMap[dp] = pl
-				sendOrder = append(sendOrder, dp)
-			}
-			pl.Runs = appendOffsetRun(pl.Runs, so)
+			b.sends.add(dp, Run{Start: so, Count: 1})
 		case dp == rank:
-			pl := recvMap[sp]
-			if pl == nil {
-				pl = &PeerList{Peer: sp}
-				recvMap[sp] = pl
-				recvOrder = append(recvOrder, sp)
-			}
-			pl.Runs = appendOffsetRun(pl.Runs, do)
+			b.recvs.add(sp, Run{Start: do, Count: 1})
 		}
 	}
-	for _, peer := range sendOrder {
-		s.Sends = append(s.Sends, *sendMap[peer])
-	}
-	for _, peer := range recvOrder {
-		s.Recvs = append(s.Recvs, *recvMap[peer])
-	}
+	b.take(s)
 	return s
 }
 

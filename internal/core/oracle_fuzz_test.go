@@ -321,6 +321,7 @@ type rankOutcome struct {
 	landed       []float64
 	clock        float64
 	err          string
+	facts        error // LaneFactsErr of the schedule built
 }
 
 // runWorld builds the case in a fresh world, through the run-granular
@@ -386,6 +387,7 @@ func (c *oracleCase) runWorld(reference bool) ([]rankOutcome, *mpsim.Stats) {
 			panic(err)
 		}
 		res.sends, res.recvs, res.local = sched.Sends, sched.Recvs, sched.Local
+		res.facts = core.LaneFactsErr(sched)
 
 		switch {
 		case inSrc && inDst:
@@ -506,6 +508,8 @@ func (c *oracleCase) check(t *testing.T) {
 		switch {
 		case g.err != "" || w.err != "":
 			t.Errorf("rank %d: runs panicked with %q, elements with %q", r, g.err, w.err)
+		case g.facts != nil || w.facts != nil:
+			t.Errorf("rank %d lane facts: runs %v, elements %v", r, g.facts, w.facts)
 		case !reflect.DeepEqual(g.sends, w.sends):
 			t.Errorf("rank %d sends:\n runs  %v\n elems %v", r, g.sends, w.sends)
 		case !reflect.DeepEqual(g.recvs, w.recvs):

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"metachaos/internal/codec"
 )
@@ -96,6 +97,46 @@ func RefComputeSchedule(c *Coupling, src, dst *ElemSpec, method Method, refOf fu
 	}
 	refBuildDuplication(c, src, dst, sched)
 	return sched, nil
+}
+
+// LaneFactsErr recomputes, element by element, every fact a build
+// records on s: the element count, count in runs of stride other than 1
+// and offset extent of each lane and of both sides of the local list.
+// It describes the first recorded fact that differs from its
+// recomputation, or returns nil.
+func LaneFactsErr(s *Schedule) error {
+	of := func(runs []Run) runFacts {
+		f := runFacts{lo: math.MaxInt32, hi: math.MinInt32}
+		for _, r := range runs {
+			for k := int32(0); k < r.Count; k++ {
+				off := r.Start + k*r.Stride
+				f.n++
+				if r.Stride != 1 {
+					f.strided++
+				}
+				f.lo, f.hi = min(f.lo, off), max(f.hi, off)
+			}
+		}
+		return f
+	}
+	for _, side := range []struct {
+		name  string
+		lanes []PeerList
+	}{{"send", s.Sends}, {"recv", s.Recvs}} {
+		for _, pl := range side.lanes {
+			if want := of(pl.Runs); pl.runFacts != want {
+				return fmt.Errorf("%s lane to %d records %+v, its runs give %+v", side.name, pl.Peer, pl.runFacts, want)
+			}
+		}
+	}
+	var src, dst []Run
+	for _, lr := range s.Local {
+		src, dst = append(src, lr.src()), append(dst, lr.dst())
+	}
+	if fs, fd := of(src), of(dst); s.localSrc != fs || s.localDst != fd {
+		return fmt.Errorf("local runs record %+v onto %+v, they give %+v onto %+v", s.localSrc, s.localDst, fs, fd)
+	}
+	return nil
 }
 
 func refBuildCooperation(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
@@ -209,8 +250,8 @@ func refBuildCooperation(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 
 	// One offset, one pair at a time: a list is a function of its
 	// element sequence, so this must leave what production's run-wise
-	// appends leave.
-	var sends, recvs lanes
+	// appends leave, and production's take records the lists' facts.
+	var b buildScratch
 	total := 0
 	lane := func(l *lanes) func(peer, off int32) {
 		return func(peer, off int32) {
@@ -223,19 +264,20 @@ func refBuildCooperation(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 			continue
 		}
 		r := codec.NewReader(part)
-		decodePairs(r, lane(&sends))
-		decodePairs(r, lane(&recvs))
+		decodePairs(r, lane(&b.sends))
+		decodePairs(r, lane(&b.recvs))
 		decodePairs(r, func(so, do int32) {
-			sched.Local = appendLocalRun(sched.Local, so, do)
+			b.local = appendLocalRun(b.local, so, do)
 			total++
 		})
 	}
 	c.Union.Proc().ChargeSectionOps(total)
-	sched.Sends, sched.Recvs = sends.list, recvs.list
+	b.take(sched)
 }
 
 func refBuildDuplication(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 	myUnion := c.Union.Rank()
+	var b buildScratch
 
 	// Pass one: build send lists from the elements I own on the source
 	// side.
@@ -246,16 +288,14 @@ func refBuildDuplication(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 			positions[i] = pl.Pos
 		}
 		dLocs := dst.Ref.DerefAt(dst.Ctx, dst.Obj, dst.Set, positions)
-		var sends lanes
 		for i, pl := range owned {
 			dU := c.DstRanks[dLocs[i].Proc]
 			if dU == myUnion {
-				sched.Local = appendLocalRun(sched.Local, pl.Off, dLocs[i].Off)
+				b.local = appendLocalRun(b.local, pl.Off, dLocs[i].Off)
 				continue
 			}
-			sends.add(dU, Run{Start: pl.Off, Count: 1})
+			b.sends.add(dU, Run{Start: pl.Off, Count: 1})
 		}
-		sched.Sends = sends.list
 	}
 
 	// Pass two: build receive lists from the elements I own on the
@@ -267,16 +307,15 @@ func refBuildDuplication(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 			positions[i] = pl.Pos
 		}
 		sLocs := src.Ref.DerefAt(src.Ctx, src.Obj, src.Set, positions)
-		var recvs lanes
 		for i, pl := range owned {
 			sU := c.SrcRanks[sLocs[i].Proc]
 			if sU == myUnion {
 				continue // already recorded as a local pair in pass one
 			}
-			recvs.add(sU, Run{Start: pl.Off, Count: 1})
+			b.recvs.add(sU, Run{Start: pl.Off, Count: 1})
 		}
-		sched.Recvs = recvs.list
 	}
+	b.take(sched)
 }
 
 // encodePairs writes the parallel arrays (as, bs) with run

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Arithmetic-run representation of schedule element lists.  The
 // cooperation wire format (rle.go) already compresses offset lists into
@@ -72,13 +75,38 @@ func appendOffsetRuns(runs []Run, r Run) []Run {
 	return runs
 }
 
-// runsLen sums the element counts of a run list.
-func runsLen(runs []Run) int {
-	n := 0
-	for _, r := range runs {
-		n += int(r.Count)
+// runFacts are what a move needs of a run list beyond the data,
+// recorded once at build (a schedule is immutable after): the element
+// count, the count in runs of stride other than 1 (the ones a pack
+// always stages) and the lowest and highest offset.
+type runFacts struct {
+	n, strided int
+	lo, hi     int32
+}
+
+// noRuns is the facts of an empty list, whose extent fits any storage.
+var noRuns = runFacts{lo: math.MaxInt32, hi: math.MinInt32}
+
+// add records r.
+func (f *runFacts) add(r Run) {
+	f.n += int(r.Count)
+	if r.Stride != 1 {
+		f.strided += int(r.Count)
 	}
-	return n
+	f.lo, f.hi = min(f.lo, r.Start, r.Last()), max(f.hi, r.Start, r.Last())
+}
+
+// check panics unless every offset lies inside local storage units
+// scalar units long: otherwise the schedule is being executed on an
+// object it was not built for.
+func (f *runFacts) check(units, w int) {
+	if f.lo < 0 || int(f.hi)*w+w > units {
+		bad := f.lo
+		if bad >= 0 {
+			bad = f.hi
+		}
+		panic(fmt.Sprintf("core: schedule offset %d outside local storage of %d elements; wrong object passed to Move?", bad, units/max(w, 1)))
+	}
 }
 
 // LocalRun is a run of same-process element copies: the k-th pair is

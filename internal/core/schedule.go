@@ -56,12 +56,13 @@ type Spec struct {
 // same position sequence, which is what makes the packed buffers line
 // up.
 type PeerList struct {
-	Peer int
-	Runs []Run
+	Peer     int
+	Runs     []Run
+	runFacts // of Runs, recorded by lanes.take
 }
 
 // Len returns the number of elements in the lane.
-func (pl *PeerList) Len() int { return runsLen(pl.Runs) }
+func (pl *PeerList) Len() int { return pl.n }
 
 // Each calls f for every offset of the lane in packing order.
 func (pl *PeerList) Each(f func(off int32)) {
@@ -84,6 +85,8 @@ type Schedule struct {
 	Sends []PeerList
 	Recvs []PeerList
 	Local []LocalRun
+
+	localSrc, localDst runFacts // of Local's two sides, by buildScratch.take
 
 	moveSeq int
 
@@ -144,13 +147,7 @@ func (s *Schedule) ElemWords() int { return s.elem.Words }
 
 // LocalCount returns the number of elements this process copies
 // locally.
-func (s *Schedule) LocalCount() int {
-	n := 0
-	for _, lr := range s.Local {
-		n += int(lr.Count)
-	}
-	return n
-}
+func (s *Schedule) LocalCount() int { return s.localSrc.n }
 
 // tagMoveBase is the tag space data-move messages use; kept below
 // mpsim's user tag cap and away from library-internal tags.
@@ -458,12 +455,18 @@ func (c *Coupling) scratch() *buildScratch {
 	return s
 }
 
-// take copies the built lists into sched at their exact size.
+// take copies the built lists into sched, exact-size, with their facts.
 func (s *buildScratch) take(sched *Schedule) {
 	sched.Sends, sched.Recvs = s.sends.take(), s.recvs.take()
 	if len(s.local) > 0 {
 		sched.Local = append(make([]LocalRun, 0, len(s.local)), s.local...)
 	}
+	src, dst := noRuns, noRuns
+	for _, lr := range s.local {
+		src.add(lr.src())
+		dst.add(lr.dst())
+	}
+	sched.localSrc, sched.localDst = src, dst
 }
 
 // fragAccum is the schedule fragment one joining process holds for one
@@ -527,8 +530,8 @@ func (l *lanes) reset() {
 	l.list = l.list[:0]
 }
 
-// take copies the lanes out at their exact size: one backing run array,
-// each lane a capped slice of it.
+// take copies the lanes out at their exact size, one backing run array
+// with each lane a capped slice of it, and records each lane's facts.
 func (l *lanes) take() []PeerList {
 	if len(l.list) == 0 {
 		return nil
@@ -542,7 +545,11 @@ func (l *lanes) take() []PeerList {
 	for i, pl := range l.list {
 		lo := len(runs)
 		runs = append(runs, pl.Runs...)
-		out[i] = PeerList{Peer: pl.Peer, Runs: runs[lo:len(runs):len(runs)]}
+		f := noRuns
+		for _, r := range pl.Runs {
+			f.add(r)
+		}
+		out[i] = PeerList{Peer: pl.Peer, Runs: runs[lo:len(runs):len(runs)], runFacts: f}
 	}
 	return out
 }
