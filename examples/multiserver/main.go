@@ -36,7 +36,7 @@ func server(name string, procs int, weight float64) metachaos.ProgramSpec {
 		// Each server contributes weight at every pixel it "has data
 		// for" (here: all pixels, scaled, so the result is checkable).
 		partial.FillGlobal(func(c []int) float64 {
-			return weight * float64(c[0]*cols+c[1])
+			return weight * float64(metachaos.Shape{rows, cols}.Linear(c))
 		})
 		coupling, err := metachaos.CoupleByName(p, name, "client")
 		if err != nil {

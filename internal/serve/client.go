@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -28,6 +29,7 @@ type Client struct {
 	opts DialOptions
 
 	conn       net.Conn
+	rd         *bufio.Reader // conn's reader, made afresh with every dial
 	nextID     uint32
 	token      string
 	leaseMs    int64
@@ -154,7 +156,7 @@ func (c *Client) reconnectLocked() (err error, fatal bool) {
 	if err != nil {
 		return err, false
 	}
-	c.conn = conn
+	c.conn, c.rd = conn, bufio.NewReader(conn)
 	var w codec.Writer
 	w.PutString(c.opts.Tenant)
 	w.PutInt32(protoVersion)
@@ -196,7 +198,7 @@ func (c *Client) exchange(typ byte, id uint32, payload []byte, want byte) (rp []
 	if err := writeFrame(c.conn, typ, id, payload); err != nil {
 		return nil, nil, err
 	}
-	rtyp, rid, rpayload, err := readFrame(c.conn, maxFrame)
+	rtyp, rid, rpayload, err := readFrame(c.rd, maxFrame)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -287,6 +289,9 @@ func (c *Client) Move(id, kind int, seed int64) (MoveStats, error) {
 }
 
 func (c *Client) move(id, kind int, seed int64, values []float64, wantData bool) (MoveStats, error) {
+	if moveReqFixed+8*len(values) > maxFrame {
+		return MoveStats{}, fmt.Errorf("%w: %d payload values overflow a frame", ErrTooLarge, len(values))
+	}
 	flags := 0
 	if wantData {
 		flags |= flagWantData

@@ -44,21 +44,15 @@ const frameOverhead = 1 + 4 + 8
 // is returned (wrapped with detail) by both endpoints' readers.
 var ErrProtocol = errors.New("serve: protocol error")
 
-// writeFrame encodes and writes one frame.
+// writeFrame encodes one frame and writes it in one call.
 func writeFrame(w io.Writer, typ byte, id uint32, payload []byte) error {
-	hdr := make([]byte, 4+1+4)
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(frameOverhead+len(payload)))
-	hdr[4] = typ
-	binary.LittleEndian.PutUint32(hdr[5:], id)
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], fnv64a(payload))
-	_, err := w.Write(sum[:])
+	buf := make([]byte, 4+frameOverhead+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(frameOverhead+len(payload)))
+	buf[4] = typ
+	binary.LittleEndian.PutUint32(buf[5:], id)
+	copy(buf[9:], payload)
+	binary.LittleEndian.PutUint64(buf[len(buf)-8:], fnv64a(payload))
+	_, err := w.Write(buf)
 	return err
 }
 

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
+
+	"metachaos/internal/codec"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -62,5 +66,128 @@ func TestFrameRejectsOversizeAndRunt(t *testing.T) {
 	binary.LittleEndian.PutUint32(runt[:], uint32(frameOverhead-1))
 	if _, _, _, err := readFrame(bytes.NewReader(runt[:]), maxFrame); !errors.Is(err, ErrProtocol) {
 		t.Errorf("runt frame: %v, want ErrProtocol", err)
+	}
+}
+
+// countingWriter counts Write calls and keeps what they wrote.
+type countingWriter struct {
+	calls int
+	bytes.Buffer
+}
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.calls++
+	return w.Buffer.Write(b)
+}
+
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	for _, n := range []int{0, 1, 4096, 1 << 16} {
+		var w countingWriter
+		if err := writeFrame(&w, msgMoveDone, 9, bytes.Repeat([]byte{0x5A}, n)); err != nil {
+			t.Fatal(err)
+		}
+		if w.calls != 1 || w.Len() != 4+frameOverhead+n {
+			t.Errorf("%d-byte payload: %d writes of %d bytes, want 1 of %d", n, w.calls, w.Len(), 4+frameOverhead+n)
+		}
+	}
+}
+
+// TestFrameWireBytesGolden pins the wire format: length, type, id,
+// payload and FNV-1a trailer, little-endian.
+func TestFrameWireBytesGolden(t *testing.T) {
+	want := []byte{
+		0x15, 0x00, 0x00, 0x00, // 21 bytes follow
+		0x07,                   // msgMove
+		0x04, 0x03, 0x02, 0x01, // id 0x01020304
+		'c', 'o', 'u', 'p', 'l', 'i', 'n', 'g',
+		0x06, 0x46, 0xfe, 0x5a, 0x1a, 0x66, 0xc1, 0xd6, // FNV-1a("coupling")
+	}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, msgMove, 0x01020304, []byte("coupling")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("wire bytes\n got % x\nwant % x", buf.Bytes(), want)
+	}
+}
+
+// TestFramesReadBackThroughOneBufferedReader writes frames back to back
+// and reads them through one bufio.Reader over a source that hands out
+// one byte, or half the asked-for bytes, per call.
+func TestFramesReadBackThroughOneBufferedReader(t *testing.T) {
+	payloads := [][]byte{nil, {1}, bytes.Repeat([]byte{0xC3}, 5000), []byte("tail"), {}}
+	var wire bytes.Buffer
+	for i, p := range payloads {
+		if err := writeFrame(&wire, byte(i+1), uint32(7*i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+	} {
+		rd := bufio.NewReader(wrap(bytes.NewReader(wire.Bytes())))
+		for i, p := range payloads {
+			typ, id, got, err := readFrame(rd, maxFrame)
+			if err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			if typ != byte(i+1) || id != uint32(7*i) || !bytes.Equal(got, p) {
+				t.Errorf("%s: frame %d: typ=%d id=%d len=%d", name, i, typ, id, len(got))
+			}
+		}
+		if _, _, _, err := readFrame(rd, maxFrame); err != io.EOF {
+			t.Errorf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+	}
+}
+
+// TestReconnectDropsBufferedBytes leaves a complete, well-formed
+// welcome frame buffered in the client's reader when its connection
+// dies, carrying the id the resuming hello will use and a foreign
+// token.  The reconnect must read the new connection only: the session
+// resumes under its own token, the move lands, and nothing is retried.
+func TestReconnectDropsBufferedBytes(t *testing.T) {
+	_, sock := startServer(t, Options{FlushWindow: -1})
+	c := dialT(t, sock, "stale")
+	defer c.Close()
+	setupCoupling(t, c)
+
+	c.mu.Lock()
+	token := c.token
+	var w codec.Writer
+	w.PutInt32(protoVersion)
+	w.PutString("mcserved")
+	w.PutString("sp2")
+	w.PutString("stale-token")
+	w.PutInt64(0)
+	var stale bytes.Buffer
+	writeFrame(&stale, msgWelcome, c.nextID+1, w.Bytes()) // do takes nextID, the hello the one after
+	c.rd = bufio.NewReader(io.MultiReader(&stale, c.conn))
+	if _, err := c.rd.Peek(stale.Len()); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Unlock()
+	dropWire(c)
+
+	st, err := c.Move(1, OpMove, 3)
+	if err != nil {
+		t.Fatalf("move after reconnect: %v", err)
+	}
+	src, dst := testSpecs()
+	want, err := Standalone(src, dst, []ScriptOp{{Kind: OpMove, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Hash != want[0].Hash {
+		t.Errorf("hash %#x, standalone %#x", st.Hash, want[0].Hash)
+	}
+	c.mu.Lock()
+	if c.token != token {
+		t.Errorf("session token %q after reconnect, want %q", c.token, token)
+	}
+	c.mu.Unlock()
+	if c.Reconnects() != 1 || c.Retries() != 0 {
+		t.Errorf("reconnects=%d retries=%d, want 1 and 0", c.Reconnects(), c.Retries())
 	}
 }

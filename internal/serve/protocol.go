@@ -46,6 +46,11 @@ const (
 	flagHasPayload = 2 // explicit source values follow (else seed-derived fill)
 )
 
+// The bytes ahead of the float64 list that ends a msgMove payload
+// (coupling id, kind, seed, flags, count) and a msgMoveDone one (hash,
+// elems, cost, count): with 8 per value, what must fit in maxFrame.
+const moveReqFixed, moveReplyFixed = 4 + 4 + 8 + 4 + 4, 8 + 8 + 8 + 4
+
 // Error codes carried in msgError, mapped to the typed sentinels below
 // so clients can errors.Is against them.
 const (

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -103,8 +104,9 @@ func (ss *session) serve() {
 	defer ss.srv.dropConn(ss)
 	defer ss.conn.Close()
 	defer ss.detach()
+	rd := bufio.NewReader(ss.conn)
 	for {
-		typ, id, payload, err := readFrame(ss.conn, maxFrame)
+		typ, id, payload, err := readFrame(rd, maxFrame)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				// Best-effort: a malformed frame gets one explanation
@@ -351,6 +353,11 @@ func (ss *session) move(payload []byte) (byte, []byte, error) {
 	if values != nil && len(values) != lc.elems*lc.words {
 		return 0, nil, fmt.Errorf("%w: payload has %d values, coupling moves %d",
 			ErrBadSpec, len(values), lc.elems*lc.words)
+	}
+	if flags&flagWantData != 0 && moveReplyFixed+8*lc.elems*lc.words > maxFrame {
+		// Refused before it runs: the dedup cache would resend a reply
+		// the client cannot read.
+		return 0, nil, fmt.Errorf("%w: %d landed values overflow a frame", ErrBadSpec, lc.elems*lc.words)
 	}
 	if !ss.srv.tryAcquire() {
 		return 0, nil, fmt.Errorf("%w: %d moves in flight", ErrBackpressure, ss.srv.opts.MaxInflight)

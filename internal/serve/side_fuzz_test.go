@@ -1,0 +1,158 @@
+package serve
+
+import (
+	"bytes"
+	"slices"
+	"sort"
+	"testing"
+
+	"metachaos/internal/codec"
+	"metachaos/internal/core"
+	"metachaos/internal/gidx"
+	"metachaos/internal/hpfrt"
+	"metachaos/internal/mbparti"
+	"metachaos/internal/mpsim"
+	"metachaos/internal/pcxxrt"
+)
+
+// FuzzSideRuns checks the daemon's run-based fill and readback (sweep
+// over the library's OwnedPositions runs) against an element-by-element
+// reference that knows only the layouts: distarray's EachOwned with
+// shape.Linear and coordinate Set for the section libraries, pcxxrt's
+// Owner and Slot for collections.  After a fill every rank's storage
+// must equal the reference's, and the readback bytes must equal the
+// reference's elements encoded in ascending position order.
+func FuzzSideRuns(f *testing.F) {
+	f.Add(uint8(0), uint8(10), uint8(0), uint8(2), uint8(0), int64(1), false)
+	f.Add(uint8(1), uint8(61), uint8(0), uint8(7), uint8(0), int64(2), true)
+	f.Add(uint8(2), uint8(6), uint8(4), uint8(3), uint8(0), int64(3), false)
+	f.Add(uint8(3), uint8(8), uint8(6), uint8(5), uint8(0), int64(4), true)
+	f.Add(uint8(4), uint8(36), uint8(0), uint8(4), uint8(2), int64(5), false)
+	f.Add(uint8(4), uint8(12), uint8(0), uint8(0), uint8(1), int64(6), true)
+	f.Fuzz(func(t *testing.T, layout, n0, n1, procs, words uint8, seed int64, payload bool) {
+		spec := fuzzSideSpec(layout, n0, n1, procs, words)
+		if spec.validate(0) != nil {
+			t.Skip()
+		}
+		o := &op{seed: seed}
+		value := func(pos, wd int) float64 { return fillValue(seed, pos, wd) }
+		if payload {
+			w := spec.words()
+			o.flags = flagHasPayload
+			o.payload = make([]float64, spec.elems()*w)
+			for i := range o.payload {
+				o.payload[i] = fillValue(^seed, i, 0) + 0.5
+			}
+			value = func(pos, wd int) float64 { return o.payload[pos*w+wd] }
+		}
+		type result struct {
+			mem []float64
+			out []byte
+		}
+		got := make([]result, spec.Procs)
+		mpsim.Run(mpsim.Config{Machine: mpsim.SP2(), Programs: []mpsim.ProgramSpec{{
+			Name: "side", Procs: spec.Procs, Body: func(p *mpsim.Proc) {
+				sd, err := buildSide(core.NewCtx(p, p.Comm()), &spec)
+				if err != nil {
+					panic(err)
+				}
+				sd.sweep(o, nil)
+				var w codec.Writer
+				sd.sweep(o, &w)
+				got[p.Rank()] = result{slices.Clone(sd.obj.LocalMem().Float64s()), w.Bytes()}
+			},
+		}}})
+		for rank, g := range got {
+			mem, out := sideReference(&spec, rank, value)
+			if !slices.Equal(g.mem, mem) {
+				t.Fatalf("%s rank %d: storage after the fill\n got %v\nwant %v", spec.Key(), rank, g.mem, mem)
+			}
+			if !bytes.Equal(g.out, out) {
+				t.Fatalf("%s rank %d: readback of %d bytes differs from the reference's %d", spec.Key(), rank, len(g.out), len(out))
+			}
+		}
+	})
+}
+
+// fuzzSideSpec maps fuzz bytes onto the daemon's vocabulary: every
+// library and layout, extents that rarely divide by the 1 to 8 procs,
+// and 1 to 3 words per pcxxrt element.
+func fuzzSideSpec(layout, n0, n1, procs, words uint8) DistSpec {
+	spec := DistSpec{Procs: 1 + int(procs)%8}
+	vec, rows, cols := 1+int(n0)%64, 1+int(n0)%12, 1+int(n1)%12
+	switch layout % 5 {
+	case 0:
+		spec.Library, spec.Layout, spec.Shape = "hpfrt", "blockvec", []int{vec}
+	case 1:
+		spec.Library, spec.Layout, spec.Shape = "mbparti", "blockvec", []int{vec}
+	case 2:
+		spec.Library, spec.Layout, spec.Shape = "hpfrt", "rowblock", []int{rows, cols}
+	case 3:
+		spec.Library, spec.Layout, spec.Shape = "mbparti", "block2d", []int{rows, cols}
+	default:
+		spec.Library, spec.Layout, spec.Shape = "pcxxrt", "roundrobin", []int{vec}
+		spec.ElemWords = 1 + int(words)%3
+	}
+	return spec
+}
+
+// sideReference fills rank's share of spec element by element with
+// value(position, word) and returns its storage and the readback bytes
+// its elements encode to in ascending position order.
+func sideReference(spec *DistSpec, rank int, value func(pos, wd int) float64) ([]float64, []byte) {
+	type elem struct {
+		pos  int
+		vals []float64
+	}
+	var elems []elem
+	var mem []float64
+	if spec.Library == "pcxxrt" {
+		words := spec.words()
+		c, err := pcxxrt.NewCollection(spec.Shape[0], spec.Procs, words, rank)
+		if err != nil {
+			panic(err)
+		}
+		mem = make([]float64, len(c.LocalMem().Float64s()))
+		for i := 0; i < spec.Shape[0]; i++ {
+			if c.Owner(i) != rank {
+				continue
+			}
+			at := c.Slot(i) * words
+			for wd := 0; wd < words; wd++ {
+				mem[at+wd] = value(i, wd)
+			}
+			elems = append(elems, elem{i, mem[at : at+words]})
+		}
+	} else {
+		dist, err := distFor(spec)
+		if err != nil {
+			panic(err)
+		}
+		var get func([]int) float64
+		var set func([]int, float64)
+		var local core.Mem
+		if spec.Library == "hpfrt" {
+			a := hpfrt.NewArray(dist, rank)
+			get, set, local = a.Get, a.Set, a.LocalMem()
+		} else {
+			a := mbparti.MustNewArray(dist, rank, 0)
+			get, set, local = a.Get, a.Set, a.LocalMem()
+		}
+		shape := gidx.Shape(spec.Shape)
+		dist.EachOwned(rank, func(_, coords []int) {
+			pos := shape.Linear(coords)
+			set(coords, value(pos, 0))
+			elems = append(elems, elem{pos, []float64{get(coords)}})
+		})
+		mem = local.Float64s()
+	}
+	sort.Slice(elems, func(i, j int) bool { return elems[i].pos < elems[j].pos })
+	var w codec.Writer
+	for _, e := range elems {
+		w.PutInt32(int32(e.pos))
+		for _, v := range e.vals {
+			w.PutFloat64(v)
+		}
+	}
+	return mem, w.Bytes()
+}

@@ -361,6 +361,7 @@ type resident struct {
 	isSrc bool
 	side  side
 	sched *core.Schedule
+	out   codec.Writer // readback, reset per move (Gather copies it)
 }
 
 // body is the SPMD function every rank of the resident world runs: a
@@ -438,7 +439,7 @@ func execOpen(p *mpsim.Proc, ctx *core.Ctx, coupling *core.Coupling,
 	if !isSrc {
 		spec = &o.dst
 	}
-	sd, err := buildSide(spec, p.Rank())
+	sd, err := buildSide(ctx, spec)
 	if err != nil {
 		return opReply{err: err}
 	}
@@ -466,19 +467,12 @@ func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, 
 	if !ok {
 		return opReply{err: fmt.Errorf("%w: handle %d", ErrUnknownCoupling, o.handle)}
 	}
-	sd, sched := res.side, res.sched
+	sd, sched := &res.side, res.sched
 	words := sd.spec.words()
-	fill := func() {
-		if o.flags&flagHasPayload != 0 {
-			sd.fill(func(pos, wd int) float64 { return o.payload[pos*words+wd] })
-		} else {
-			sd.fill(func(pos, wd int) float64 { return fillValue(o.seed, pos, wd) })
-		}
-	}
 	switch o.moveKind {
 	case OpMove, OpMoveAdd:
 		if res.isSrc {
-			fill()
+			sd.sweep(o, nil)
 			if o.moveKind == OpMove {
 				sched.MoveSend(sd.obj)
 			} else {
@@ -493,7 +487,7 @@ func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, 
 		if res.isSrc {
 			sched.MoveReverseRecv(sd.obj)
 		} else {
-			fill()
+			sd.sweep(o, nil)
 			sched.MoveReverseSend(sd.obj)
 		}
 	default:
@@ -501,17 +495,11 @@ func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, 
 	}
 
 	// The landing side is the destination, except for reverse moves.
-	landing := res.isSrc == (o.moveKind == OpMoveReverse)
-	var w codec.Writer
-	if landing {
-		sd.read(func(pos int, vals []float64) {
-			w.PutInt32(int32(pos))
-			for _, v := range vals {
-				w.PutFloat64(v)
-			}
-		})
+	res.out.Reset()
+	if res.isSrc == (o.moveKind == OpMoveReverse) {
+		sd.sweep(o, &res.out)
 	}
-	parts := coupling.Union.Gather(0, w.Bytes())
+	parts := coupling.Union.Gather(0, res.out.Bytes())
 	rep := opReply{elems: sched.Elems()}
 	if coupling.Union.Rank() == 0 {
 		h := fnv.New64a()
@@ -536,75 +524,75 @@ func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, 
 	return rep
 }
 
-// side is one rank's object on one side of a coupling, plus the
-// layout-specific accessors the executor needs: deterministic owned
-// iteration by global linearization position.
+// side is one rank's object on one side of a coupling, and where its
+// elements live: the library's OwnedPositions runs, in ascending
+// position order, taken at open.
 type side struct {
-	spec DistSpec
-	lib  core.Library
-	obj  core.DistObject
-	set  *core.SetOfRegions
-	// fill sets every owned element: word wd of the element at global
-	// position pos gets v(pos, wd).
-	fill func(v func(pos, wd int) float64)
-	// read visits every owned element in ascending position order.
-	read func(f func(pos int, vals []float64))
+	spec  DistSpec
+	lib   core.Library
+	obj   core.DistObject
+	set   *core.SetOfRegions
+	owned []core.LocRun
 }
 
-// buildSide constructs rank's portion of the object a spec declares.
-func buildSide(spec *DistSpec, rank int) (side, error) {
+// sweep walks the owned elements in ascending position order; element
+// k of a run is at offset Off + k·Stride.  With w nil it fills them,
+// from the op's payload when it carries one, else from its seed.
+// Otherwise it appends each to w as (int32 position, words × float64).
+func (sd *side) sweep(o *op, w *codec.Writer) {
+	mem, words := sd.obj.LocalMem().Float64s(), sd.spec.words()
+	for _, r := range sd.owned {
+		for k := int32(0); k < r.Count; k++ {
+			pos, at := int(r.Pos+k), int(r.Off+k*r.Stride)*words
+			elem := mem[at : at+words]
+			switch {
+			case w != nil:
+				w.PutInt32(int32(pos))
+				for _, v := range elem {
+					w.PutFloat64(v)
+				}
+			case o.flags&flagHasPayload != 0:
+				copy(elem, o.payload[pos*words:])
+			default:
+				for wd := range elem {
+					elem[wd] = fillValue(o.seed, pos, wd)
+				}
+			}
+		}
+	}
+}
+
+// buildSide constructs the calling rank's portion of the object a spec
+// declares, and asks its library where the rank's elements live.  The
+// inquiry is collective over the side's program; every move fills and
+// reads back through its runs.
+func buildSide(ctx *core.Ctx, spec *DistSpec) (side, error) {
 	sd := side{spec: *spec}
+	rank := ctx.Comm.Rank()
 	switch spec.Library {
 	case "pcxxrt":
 		c, err := pcxxrt.NewCollection(spec.Shape[0], spec.Procs, spec.words(), rank)
 		if err != nil {
 			return side{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}
-		sd.lib = pcxxrt.Library
-		sd.obj = c
+		sd.lib, sd.obj = pcxxrt.Library, c
 		sd.set = core.NewSetOfRegions(pcxxrt.RangeRegion{Lo: 0, Hi: spec.Shape[0], Step: 1})
-		sd.fill = func(v func(pos, wd int) float64) {
-			c.ForEachOwned(func(i int, elem []float64) {
-				for wd := range elem {
-					elem[wd] = v(i, wd)
-				}
-			})
-		}
-		sd.read = func(f func(pos int, vals []float64)) {
-			c.ForEachOwned(f)
-		}
-		return sd, nil
 	case "hpfrt", "mbparti":
 		dist, err := distFor(spec)
 		if err != nil {
 			return side{}, err
 		}
-		var get func(coords []int) float64
-		var set func(coords []int, v float64)
 		if spec.Library == "hpfrt" {
-			a := hpfrt.NewArray(dist, rank)
-			sd.lib, sd.obj, get, set = hpfrt.Library, a, a.Get, a.Set
+			sd.lib, sd.obj = hpfrt.Library, hpfrt.NewArray(dist, rank)
 		} else {
-			a := mbparti.MustNewArray(dist, rank, 0)
-			sd.lib, sd.obj, get, set = mbparti.Library, a, a.Get, a.Set
+			sd.lib, sd.obj = mbparti.Library, mbparti.MustNewArray(dist, rank, 0)
 		}
-		shape := gidx.Shape(spec.Shape)
-		sd.set = core.NewSetOfRegions(gidx.FullSection(shape))
-		sd.fill = func(v func(pos, wd int) float64) {
-			dist.EachOwned(rank, func(_, coords []int) {
-				set(coords, v(shape.Linear(coords), 0))
-			})
-		}
-		sd.read = func(f func(pos int, vals []float64)) {
-			var one [1]float64
-			dist.EachOwned(rank, func(_, coords []int) {
-				one[0] = get(coords)
-				f(shape.Linear(coords), one[:])
-			})
-		}
-		return sd, nil
+		sd.set = core.NewSetOfRegions(gidx.FullSection(gidx.Shape(spec.Shape)))
+	default:
+		return side{}, fmt.Errorf("%w: unknown library %q", ErrBadSpec, spec.Library)
 	}
-	return side{}, fmt.Errorf("%w: unknown library %q", ErrBadSpec, spec.Library)
+	sd.owned = sd.lib.OwnedPositions(ctx, sd.obj, sd.set)
+	return sd, nil
 }
 
 // distFor maps a spec's layout to its distribution descriptor.
