@@ -358,8 +358,8 @@ func TestOwnedPositionsConsistency(t *testing.T) {
 	mpsim.RunSPMD(mpsim.Ideal(), nprocs, func(p *mpsim.Proc) {
 		ctx := core.NewCtx(p, p.Comm())
 		a, _ := NewArray(ctx, splitPerm(11, n, nprocs, p.Rank()))
-		locs := expand(Library.DerefRange(ctx, a, set, 0, set.Size()))
-		owned := expandOwned(Library.OwnedPositions(ctx, a, set))
+		locs := expand(Library.DerefRange(ctx, a, set, 0, set.Size(), nil))
+		owned := expandOwned(Library.OwnedPositions(ctx, a, set, nil))
 		seen := map[int32]int32{}
 		last := int32(-1)
 		for _, pl := range owned {
@@ -398,8 +398,8 @@ func TestDescriptorRoundTrip(t *testing.T) {
 			t.Fatalf("DecodeDescriptor: %v", err)
 		}
 		set := core.NewSetOfRegions(IndexRegion{0, 7, 13, 29})
-		want := Library.DerefRange(ctx, a, set, 0, 4)
-		got := Library.DerefRange(ctx, v, set, 0, 4)
+		want := Library.DerefRange(ctx, a, set, 0, 4, nil)
+		got := Library.DerefRange(ctx, v, set, 0, 4, nil)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Errorf("view deref(%d)=%+v want %+v", i, got[i], want[i])

@@ -37,20 +37,20 @@ func (Lib) region(set *core.SetOfRegions, i int) IndexRegion {
 	return r
 }
 
-// DerefRange returns the locations of set positions [lo, hi).
+// DerefRange appends the locations of set positions [lo, hi).
 // Collective: a single translation-table lookup round serves the whole
 // range.
-func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.LocRun {
+func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int, out []core.LocRun) []core.LocRun {
 	at := []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}}
-	return tableOf(o).lookupRuns(ctx, l.indices(set, at), at)
+	return tableOf(o).lookupRuns(ctx, l.indices(set, at), at, out)
 }
 
-// DerefAt returns the locations of the positions in the given
+// DerefAt appends the locations of the positions in the given
 // intervals.
-func (l Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
+func (l Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange, out []core.LocRun) []core.LocRun {
 	indices := l.indices(set, at)
 	ctx.P.ChargeMemOps(len(indices))
-	return tableOf(o).lookupRuns(ctx, indices, at)
+	return tableOf(o).lookupRuns(ctx, indices, at, out)
 }
 
 // indices lists the global indices at the positions in at, in order.
@@ -70,7 +70,7 @@ func (l Lib) indices(set *core.SetOfRegions, at []core.PosRange) []int32 {
 // each chunk up, and routes every (position, offset) pair to its
 // owner: cost one lookup round plus one all-to-all, the same pattern
 // the original library used to invert a distribution.
-func (l Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.LocRun {
+func (l Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, out []core.LocRun) []core.LocRun {
 	comm := ctx.Comm
 	p := ctx.P
 	n := set.Size()
@@ -79,7 +79,7 @@ func (l Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfReg
 	lo, hi := me*n/nP, (me+1)*n/nP
 
 	bufs := make([]codec.Writer, nP)
-	for _, run := range l.DerefRange(ctx, o, set, lo, hi) {
+	for _, run := range l.DerefRange(ctx, o, set, lo, hi, nil) {
 		w := &bufs[run.Proc]
 		for k := int32(0); k < run.Count; k++ {
 			w.PutInt32(run.Pos + k)
@@ -92,19 +92,19 @@ func (l Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfReg
 		outs[r] = bufs[r].Bytes()
 	}
 	parts := comm.Alltoall(outs)
-	var out []core.LocRun
+	ans := out[len(out):] // nothing fuses into out's own runs
 	owned := 0
 	// Chunks arrive in increasing producer rank, and produce increasing
 	// positions, so concatenation keeps the list sorted by position.
 	for _, part := range parts {
 		r := codec.NewReader(part)
 		for r.Remaining() > 0 {
-			out = core.AppendLoc(out, r.Int32(), int32(me), r.Int32())
+			ans = core.AppendLoc(ans, r.Int32(), int32(me), r.Int32())
 			owned++
 		}
 	}
 	p.ChargeMemOps(owned)
-	return out
+	return append(out, ans...)
 }
 
 // EncodeDescriptor serializes the full translation table, collectively

@@ -175,23 +175,23 @@ func (tt *TTable) Lookup(ctx *core.Ctx, indices []int32) []Loc {
 	return out
 }
 
-// lookupRuns is Lookup for the inquiry functions: the entries of
-// indices, which list the set's elements at the positions in at, paired
+// lookupRuns is Lookup for the inquiry functions: it appends to out the
+// entries of indices (the set's elements at the positions in at) paired
 // with those positions.  The table answers element by element; entries
 // fuse into runs only where the distribution happens to be regular.
-func (tt *TTable) lookupRuns(ctx *core.Ctx, indices []int32, at []core.PosRange) []core.LocRun {
+func (tt *TTable) lookupRuns(ctx *core.Ctx, indices []int32, at []core.PosRange, out []core.LocRun) []core.LocRun {
 	tt.ask(ctx, indices)
-	out := make([]core.LocRun, 0, len(indices))
+	ans := out[len(out):] // nothing fuses into out's own runs
 	k := 0
 	for _, iv := range at {
 		for pos := iv.Lo; pos < iv.Hi; pos++ {
 			e := tt.answer(indices, k)
-			out = core.AppendLoc(out, pos, e.Proc, e.Off)
+			ans = core.AppendLoc(ans, pos, e.Proc, e.Off)
 			k++
 		}
 	}
 	ctx.P.ChargeMemOps(len(indices))
-	return out
+	return append(out, ans...)
 }
 
 // lookupScratch is the distributed form's working storage for a lookup

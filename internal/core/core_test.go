@@ -70,53 +70,55 @@ func (o *testObj) locate(g int32) (proc, off int32) {
 	return g / b, g % b
 }
 
-func (testLib) DerefRange(ctx *Ctx, obj DistObject, set *SetOfRegions, lo, hi int) []LocRun {
+// testLib's answers fuse runs with AppendLoc in a tail of out, so
+// nothing fuses into out's own runs.
+func (testLib) DerefRange(ctx *Ctx, obj DistObject, set *SetOfRegions, lo, hi int, out []LocRun) []LocRun {
 	o := obj.(*testObj)
-	var out []LocRun
+	ans := out[len(out):]
 	for at := lo; at < hi; {
 		span := set.SpanAt(at, hi)
 		at = span.Base + span.Hi
 		r := set.Region(span.Index).(testRegion)
 		for k := span.Lo; k < span.Hi; k++ {
 			proc, off := o.locate(r[k])
-			out = AppendLoc(out, int32(span.Base+k), proc, off)
+			ans = AppendLoc(ans, int32(span.Base+k), proc, off)
 		}
 	}
 	ctx.P.ChargeDeref(hi - lo)
-	return out
+	return append(out, ans...)
 }
 
-func (testLib) DerefAt(ctx *Ctx, obj DistObject, set *SetOfRegions, at []PosRange) []LocRun {
+func (testLib) DerefAt(ctx *Ctx, obj DistObject, set *SetOfRegions, at []PosRange, out []LocRun) []LocRun {
 	o := obj.(*testObj)
-	var out []LocRun
+	ans := out[len(out):]
 	n := 0
 	for _, iv := range at {
 		for pos := iv.Lo; pos < iv.Hi; pos++ {
 			ri, inner := set.RegionOf(int(pos))
 			proc, off := o.locate(set.Region(ri).(testRegion)[inner])
-			out = AppendLoc(out, pos, proc, off)
+			ans = AppendLoc(ans, pos, proc, off)
 			n++
 		}
 	}
 	ctx.P.ChargeDeref(n)
-	return out
+	return append(out, ans...)
 }
 
-func (testLib) OwnedPositions(ctx *Ctx, obj DistObject, set *SetOfRegions) []LocRun {
+func (testLib) OwnedPositions(ctx *Ctx, obj DistObject, set *SetOfRegions, out []LocRun) []LocRun {
 	o := obj.(*testObj)
-	var out []LocRun
+	ans := out[len(out):]
 	pos := 0
 	for i := 0; i < set.Len(); i++ {
 		r := set.Region(i).(testRegion)
 		for _, g := range r {
 			if proc, off := o.locate(g); int(proc) == o.rank {
-				out = AppendLoc(out, int32(pos), proc, off)
+				ans = AppendLoc(ans, int32(pos), proc, off)
 			}
 			pos++
 		}
 	}
 	ctx.P.ChargeDeref(pos)
-	return out
+	return append(out, ans...)
 }
 
 func (testLib) EncodeDescriptor(ctx *Ctx, obj DistObject) ([]byte, bool) {
@@ -147,14 +149,14 @@ func (testLib) DecodeRegion(data []byte) (Region, error) {
 type noCodecLib struct{}
 
 func (noCodecLib) Name() string { return "testlib-nocodec" }
-func (noCodecLib) DerefRange(ctx *Ctx, o DistObject, set *SetOfRegions, lo, hi int) []LocRun {
-	return testLib{}.DerefRange(ctx, o, set, lo, hi)
+func (noCodecLib) DerefRange(ctx *Ctx, o DistObject, set *SetOfRegions, lo, hi int, out []LocRun) []LocRun {
+	return testLib{}.DerefRange(ctx, o, set, lo, hi, out)
 }
-func (noCodecLib) DerefAt(ctx *Ctx, o DistObject, set *SetOfRegions, at []PosRange) []LocRun {
-	return testLib{}.DerefAt(ctx, o, set, at)
+func (noCodecLib) DerefAt(ctx *Ctx, o DistObject, set *SetOfRegions, at []PosRange, out []LocRun) []LocRun {
+	return testLib{}.DerefAt(ctx, o, set, at, out)
 }
-func (noCodecLib) OwnedPositions(ctx *Ctx, o DistObject, set *SetOfRegions) []LocRun {
-	return testLib{}.OwnedPositions(ctx, o, set)
+func (noCodecLib) OwnedPositions(ctx *Ctx, o DistObject, set *SetOfRegions, out []LocRun) []LocRun {
+	return testLib{}.OwnedPositions(ctx, o, set, out)
 }
 
 func init() {

@@ -13,13 +13,15 @@ import (
 // Every process of both programs must construct an identical coupling.
 //
 // Like a Schedule, a Coupling is per-process state: it keeps the
-// schedule builder's scratch (see buildScratch) between builds.
+// schedule builder's scratch (see buildScratch) and the duplication
+// method's decoded peer side (see peerSide) between builds.
 type Coupling struct {
 	Union    *mpsim.Comm
 	SrcRanks []int
 	DstRanks []int
 
 	build *buildScratch
+	peer  peerSide // duplication between programs: see exchangeDescriptors
 }
 
 // SingleProgram builds the coupling for transfers inside one program:

@@ -56,7 +56,9 @@ func RangesLen(at []PosRange) int {
 // and continues the run's offset progression, so libraries that
 // dereference element by element (a translation table, a round-robin
 // deal) still hand over runs wherever their data happens to be
-// regular, and pay one struct store where it is not.
+// regular, and pay one struct store where it is not.  A library
+// appending to a caller's out passes out[len(out):] so that nothing
+// fuses into the caller's own runs.
 func AppendLoc(runs []LocRun, pos, proc, off int32) []LocRun {
 	if n := len(runs); n > 0 {
 		last := &runs[n-1]
@@ -93,21 +95,27 @@ func AppendLoc(runs []LocRun, pos, proc, off int32) []LocRun {
 // owning program: every process of Ctx.Comm must call them together
 // (each with its own arguments), because a library's distribution
 // descriptor may itself be distributed.
+//
+// Each appends its answer to out and returns the extended slice, as
+// append does.  The caller owns out: the library leaves out's existing
+// elements as they are, keeps no reference to it after returning, and
+// allocates only when out lacks the capacity.  The schedule builders
+// keep their answer buffers on the Coupling, so a rebuild reuses them.
 type Library interface {
 	// Name returns the library's registry name.
 	Name() string
 
-	// DerefRange returns the locations of set positions [lo, hi).
-	DerefRange(ctx *Ctx, o DistObject, set *SetOfRegions, lo, hi int) []LocRun
+	// DerefRange appends the locations of set positions [lo, hi).
+	DerefRange(ctx *Ctx, o DistObject, set *SetOfRegions, lo, hi int, out []LocRun) []LocRun
 
-	// DerefAt returns the locations of the positions in the given
+	// DerefAt appends the locations of the positions in the given
 	// intervals, which must be sorted ascending and disjoint.
-	DerefAt(ctx *Ctx, o DistObject, set *SetOfRegions, at []PosRange) []LocRun
+	DerefAt(ctx *Ctx, o DistObject, set *SetOfRegions, at []PosRange, out []LocRun) []LocRun
 
-	// OwnedPositions returns the locations of every position of the set
+	// OwnedPositions appends the locations of every position of the set
 	// whose element the calling process owns (Proc is the caller's rank
 	// throughout).
-	OwnedPositions(ctx *Ctx, o DistObject, set *SetOfRegions) []LocRun
+	OwnedPositions(ctx *Ctx, o DistObject, set *SetOfRegions, out []LocRun) []LocRun
 }
 
 // LocalBounder is the optional extension by which a library reports,

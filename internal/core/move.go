@@ -206,6 +206,15 @@ func (s *Schedule) checkObj(obj DistObject, lanes []PeerList) Mem {
 	return m
 }
 
+// elemTag is the move span's element label, formatted on the first
+// move: String allocates for a multi-word type.
+func (s *Schedule) elemTag() string {
+	if s.tag == "" {
+		s.tag = s.elem.String()
+	}
+	return s.tag
+}
+
 func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveResult {
 	w := s.elem.Words
 	sends, recvs := s.Sends, s.Recvs
@@ -243,7 +252,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 	// when a tracer is attached (p.Span is a no-op otherwise).
 	tMark := p.Clock()
 	mv := p.Span("move")
-	mv.SetElem(s.elem.String())
+	mv.SetElem(s.elemTag())
 
 	// End-to-end robustness on a reliable transport: each lane's
 	// payload carries a trailing checksum verified at unpack time, the
@@ -263,9 +272,13 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 	guarded := rel || crashAware
 
 	// Post every receive before the first send so arriving messages
-	// match pending requests immediately.
+	// match pending requests immediately.  The request and in-flight
+	// lists are sized from the lane counts on a schedule's first move.
 	reqs := s.reqs[:0]
 	if unpackObj != nil {
+		if cap(reqs) < len(recvs) {
+			reqs = make([]*mpsim.Request, 0, len(recvs))
+		}
 		for i := range recvs {
 			reqs = append(reqs, s.union.Irecv(recvs[i].Peer, tag))
 		}
@@ -276,6 +289,9 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 	tMark = now
 
 	if packObj != nil {
+		if cap(s.sent) < len(sends) {
+			s.sent = make([]*bufpool.Payload, 0, len(sends))
+		}
 		if s.pool == nil {
 			s.pool = p.BufPool()
 			s.lease = s.pool.NewLease()

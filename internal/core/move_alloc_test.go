@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,53 +23,121 @@ import (
 // while it counts; one shard keeps the engine on the inline path
 // whatever MPSIM_SHARDS said before.
 func steadyMoveAllocs(t testing.TB, m *mpsim.Machine, nprocs, warmup int, build func(p *mpsim.Proc) (move func())) float64 {
+	return steadyAllocs(t, m, warmup, build, nprocs)
+}
+
+// steadyAllocs is steadyMoveAllocs in a world of one program per entry
+// of procs: world rank 0 counts, and a barrier over the world keeps
+// every rank in step.
+func steadyAllocs(t testing.TB, m *mpsim.Machine, warmup int, build func(p *mpsim.Proc) (step func()), procs ...int) float64 {
 	const runs = 50
 	var avg float64
 	t.Setenv("MPSIM_SHARDS", "1")
-	mpsim.Run(mpsim.Config{Machine: m, Programs: []mpsim.ProgramSpec{{
-		Name: "move", Procs: nprocs, Body: func(p *mpsim.Proc) {
-			move := build(p)
-			// The barrier bounds how far a rank that only sends runs
-			// ahead of its receivers, so segments recycle.
-			step := func() { move(); p.Comm().Barrier() }
-			for i := 0; i < warmup; i++ {
-				step()
-			}
-			if p.Rank() == 0 {
-				avg = testing.AllocsPerRun(runs, step)
-				return
-			}
-			for i := 0; i < runs+1; i++ { // AllocsPerRun's own warm-up call, then the runs
-				step()
-			}
-		}}}})
+	mpsim.Run(mpsim.Config{Machine: m, Programs: programs(func(p *mpsim.Proc) {
+		move := build(p)
+		// The barrier bounds how far a rank that only sends runs
+		// ahead of its receivers, so segments recycle.
+		step := func() { move(); p.World().Barrier() }
+		for i := 0; i < warmup; i++ {
+			step()
+		}
+		if p.WorldRank() == 0 {
+			avg = testing.AllocsPerRun(runs, step)
+			return
+		}
+		for i := 0; i < runs+1; i++ { // AllocsPerRun's own warm-up call, then the runs
+			step()
+		}
+	}, procs...)})
 	return avg
+}
+
+// programs lays body out as one program per entry of procs, of that
+// many processes, named p0, p1, ...
+func programs(body func(p *mpsim.Proc), procs ...int) []mpsim.ProgramSpec {
+	specs := make([]mpsim.ProgramSpec, len(procs))
+	for i, n := range procs {
+		specs[i] = mpsim.ProgramSpec{Name: fmt.Sprintf("p%d", i), Procs: n, Body: body}
+	}
+	return specs
+}
+
+// layout is a test transfer's world: one program of four processes
+// holding both sides, or a program of four for each side, coupled with
+// NewCoupling (the only case that exchanges descriptors).
+type layout int
+
+const (
+	oneProgram layout = iota
+	twoPrograms
+)
+
+func (l layout) procs() []int {
+	if l == twoPrograms {
+		return []int{4, 4}
+	}
+	return []int{4}
+}
+
+// coupling returns a rank's coupling and its sides, the one its program
+// does not hold set to nil.
+func (l layout) coupling(p *mpsim.Proc, src, dst *core.Spec) (*core.Coupling, *core.Spec, *core.Spec) {
+	if l == oneProgram {
+		return core.SingleProgram(p.Comm()), src, dst
+	}
+	c, err := core.NewCoupling(p, []int{0, 1, 2, 3}, []int{4, 5, 6, 7})
+	if err != nil {
+		panic(err)
+	}
+	if p.WorldRank() < 4 {
+		return c, src, nil
+	}
+	return c, nil, dst
 }
 
 // TestMovePackAllocFree is BenchmarkMovePack's shape: a half-array
 // section copy between two HPF arrays over 4 processes on the ideal
 // machine.  The pooled data plane's steady state allocates nothing.
+// The same holds for the daemon's 2-word pcxxrt collections, whose
+// element type's label (ElemType.String formats it) must not be built
+// per move.
 func TestMovePackAllocFree(t *testing.T) {
-	// Message-struct freelists migrate from senders to receivers one
-	// struct per move and reach their steady population only after a
-	// few hundred moves.
-	avg := steadyMoveAllocs(t, mpsim.Ideal(), 4, 300, func(p *mpsim.Proc) func() {
-		ctx := core.NewCtx(p, p.Comm())
-		src := hpfrt.NewArray(distarray.MustBlock2D(256, 256, 4), p.Rank())
-		dst := hpfrt.NewArray(distarray.MustBlock2D(256, 256, 4), p.Rank())
-		sched, err := core.ComputeSchedule(core.SingleProgram(p.Comm()),
-			&core.Spec{Lib: hpfrt.Library, Obj: src,
-				Set: core.NewSetOfRegions(gidx.NewSection([]int{0, 0}, []int{128, 256})), Ctx: ctx},
-			&core.Spec{Lib: hpfrt.Library, Obj: dst,
-				Set: core.NewSetOfRegions(gidx.NewSection([]int{128, 0}, []int{256, 256})), Ctx: ctx},
-			core.Duplication)
-		if err != nil {
-			panic(err)
+	for _, row := range []struct {
+		name  string
+		sides func(p *mpsim.Proc, ctx *core.Ctx) (src, dst *core.Spec)
+	}{
+		{"hpf sections", func(p *mpsim.Proc, ctx *core.Ctx) (src, dst *core.Spec) {
+			return &core.Spec{Lib: hpfrt.Library, Obj: hpfrt.NewArray(distarray.MustBlock2D(256, 256, 4), p.Rank()),
+					Set: core.NewSetOfRegions(gidx.NewSection([]int{0, 0}, []int{128, 256})), Ctx: ctx},
+				&core.Spec{Lib: hpfrt.Library, Obj: hpfrt.NewArray(distarray.MustBlock2D(256, 256, 4), p.Rank()),
+					Set: core.NewSetOfRegions(gidx.NewSection([]int{128, 0}, []int{256, 256})), Ctx: ctx}
+		}},
+		{"2-word pcxx collections", func(p *mpsim.Proc, ctx *core.Ctx) (src, dst *core.Spec) {
+			side := func(lo int) *core.Spec {
+				c, err := pcxxrt.NewCollection(1<<12, 4, 2, p.Rank())
+				if err != nil {
+					panic(err)
+				}
+				return &core.Spec{Lib: pcxxrt.Library, Obj: c, Ctx: ctx,
+					Set: core.NewSetOfRegions(pcxxrt.RangeRegion{Lo: lo, Hi: lo + 1<<11, Step: 1})}
+			}
+			return side(0), side(1 << 11)
+		}},
+	} {
+		// Message-struct freelists migrate from senders to receivers one
+		// struct per move and reach their steady population only after a
+		// few hundred moves.
+		avg := steadyMoveAllocs(t, mpsim.Ideal(), 4, 300, func(p *mpsim.Proc) func() {
+			src, dst := row.sides(p, core.NewCtx(p, p.Comm()))
+			sched, err := core.ComputeSchedule(core.SingleProgram(p.Comm()), src, dst, core.Duplication)
+			if err != nil {
+				panic(err)
+			}
+			return func() { sched.Move(src.Obj, dst.Obj) }
+		})
+		if avg != 0 {
+			t.Errorf("%s: steady-state moves average %v allocations; want 0", row.name, avg)
 		}
-		return func() { sched.Move(src, dst) }
-	})
-	if avg != 0 {
-		t.Errorf("steady-state section moves average %v allocations; want 0", avg)
 	}
 }
 
@@ -108,38 +177,49 @@ func TestMoveOverlapAllocFree(t *testing.T) {
 // cold ComputeSchedule between an HPF and a Multiblock Parti array,
 // both (BLOCK, BLOCK) over 4 processes, may allocate for the rows a
 // section has but never for its elements.  A 96×96 section has 16 times
-// the elements of a 24×24 one and 4 times the rows; with growing slices
-// that is a few more allocations, not a multiple.  The irregular rows
+// the elements of a 24×24 one and 4 times the rows; with the inquiry
+// answers appended to buffers the Coupling keeps, both sizes allocate
+// the same: the returned lists, the Schedule and the transport's
+// copies.  The row between two programs exchanges descriptors on every
+// build; an unchanged peer is not decoded again.  The irregular rows
 // are inspect-irregular's shape, CHAOS index lists behind the paged
 // translation table: every element is a run of its own, so only scratch
 // kept across builds keeps 16 times the elements from costing more
 // allocations.
 func TestScheduleBuildAllocsFollowRuns(t *testing.T) {
-	build := func(method core.Method, size int, sides buildSides) float64 {
-		return steadyMoveAllocs(t, mpsim.Ideal(), 4, 20, func(p *mpsim.Proc) func() {
+	build := func(l layout, method core.Method, size int, sides buildSides) float64 {
+		return steadyAllocs(t, mpsim.Ideal(), 20, func(p *mpsim.Proc) func() {
 			src, dst := sides(p, core.NewCtx(p, p.Comm()), size)
-			coupling := core.SingleProgram(p.Comm())
+			coupling, src, dst := l.coupling(p, src, dst)
 			return func() {
 				if _, err := core.ComputeSchedule(coupling, src, dst, method); err != nil {
 					panic(err)
 				}
 			}
-		})
+		}, l.procs()...)
 	}
 	for _, row := range []struct {
 		name         string
+		layout       layout
 		method       core.Method
 		small, large int
 		sides        buildSides
+		// same asks for equal counts at both sizes: every list of a
+		// section transfer has a run count independent of its size.
+		same bool
 	}{
-		{"sections, cooperation", core.Cooperation, 24, 96, sectionSides},
-		{"sections, duplication", core.Duplication, 24, 96, sectionSides},
-		{"chaos to hpf block vector, cooperation", core.Cooperation, 1 << 11, 1 << 15, chaosToHPFSides},
-		{"pcxx round-robin to chaos, cooperation", core.Cooperation, 1 << 11, 1 << 15, pcxxToChaosSides},
+		{"sections, cooperation", oneProgram, core.Cooperation, 24, 96, sectionSides, true},
+		{"sections, duplication", oneProgram, core.Duplication, 24, 96, sectionSides, true},
+		{"sections between programs, duplication", twoPrograms, core.Duplication, 24, 96, sectionSides, true},
+		{"chaos to hpf block vector, cooperation", oneProgram, core.Cooperation, 1 << 11, 1 << 15, chaosToHPFSides, false},
+		{"pcxx round-robin to chaos, cooperation", oneProgram, core.Cooperation, 1 << 11, 1 << 15, pcxxToChaosSides, false},
 	} {
-		small, large := build(row.method, row.small, row.sides), build(row.method, row.large, row.sides)
+		small, large := build(row.layout, row.method, row.small, row.sides), build(row.layout, row.method, row.large, row.sides)
 		t.Logf("%s: %.0f allocations per build at size %d, %.0f at %d", row.name, small, row.small, large, row.large)
-		if large > 1.5*small {
+		switch {
+		case row.same && large != small:
+			t.Errorf("%s: a build at size %d allocates %.0f times, at %d %.0f; want the same", row.name, row.large, large, row.small, small)
+		case large > 1.5*small:
 			t.Errorf("%s: a build at size %d allocates %.0f times, at %d %.0f; want at most 1.5x", row.name, row.large, large, row.small, small)
 		}
 	}

@@ -138,26 +138,32 @@ func TestMoveSpanTotalsMatchPhases(t *testing.T) {
 // attached, repeated schedule reuse moves allocate nothing.  A
 // single-process world makes the move a pure pack-free local copy with
 // no scheduler hand-offs, so the count isolates the move path itself.
+// The 2-word row is the one a multi-word type's label (ElemType.String
+// formats it) would make allocate.  This is package core's own test,
+// which cannot import pcxxrt; TestMovePackAllocFree moves 2-word pcxxrt
+// collections.
 func TestMoveObsOffAllocFree(t *testing.T) {
-	mpsim.RunSPMD(mpsim.Ideal(), 1, func(p *mpsim.Proc) {
-		ctx := NewCtx(p, p.Comm())
-		const global = 512
-		src := newTestObj(global, 1, 1, 0)
-		dst := newTestObj(global, 1, 1, 0)
-		src.fillDistinct(1000)
-		sched, err := ComputeSchedule(SingleProgram(p.Comm()),
-			&Spec{Lib: testLib{}, Obj: src, Set: NewSetOfRegions(regions(seqIdx(0, 300, 1), 3)...), Ctx: ctx},
-			&Spec{Lib: testLib{}, Obj: dst, Set: NewSetOfRegions(regions(seqIdx(100, 300, 1), 2)...), Ctx: ctx},
-			Cooperation)
-		if err != nil {
-			t.Errorf("ComputeSchedule: %v", err)
-			return
-		}
-		// AllocsPerRun makes its own warm-up call (growing the schedule's
-		// reusable buffers) and pins GOMAXPROCS to 1 while it counts, so
-		// other goroutines' allocations stay out of the figure.
-		if avg := testing.AllocsPerRun(50, func() { sched.Move(src, dst) }); avg != 0 {
-			t.Errorf("obs-off reuse moves average %v allocations; want 0", avg)
-		}
-	})
+	for _, words := range []int{1, 2} {
+		mpsim.RunSPMD(mpsim.Ideal(), 1, func(p *mpsim.Proc) {
+			ctx := NewCtx(p, p.Comm())
+			const global = 512
+			src := newTestObj(global, 1, words, 0)
+			dst := newTestObj(global, 1, words, 0)
+			src.fillDistinct(1000)
+			sched, err := ComputeSchedule(SingleProgram(p.Comm()),
+				&Spec{Lib: testLib{}, Obj: src, Set: NewSetOfRegions(regions(seqIdx(0, 300, 1), 3)...), Ctx: ctx},
+				&Spec{Lib: testLib{}, Obj: dst, Set: NewSetOfRegions(regions(seqIdx(100, 300, 1), 2)...), Ctx: ctx},
+				Cooperation)
+			if err != nil {
+				t.Errorf("ComputeSchedule: %v", err)
+				return
+			}
+			// AllocsPerRun makes its own warm-up call (growing the schedule's
+			// reusable buffers) and pins GOMAXPROCS to 1 while it counts, so
+			// other goroutines' allocations stay out of the figure.
+			if avg := testing.AllocsPerRun(50, func() { sched.Move(src, dst) }); avg != 0 {
+				t.Errorf("obs-off reuse moves of %d-word elements average %v allocations; want 0", words, avg)
+			}
+		})
+	}
 }

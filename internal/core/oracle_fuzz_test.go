@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"metachaos/internal/chaoslib"
@@ -436,7 +437,8 @@ func expandAnswer(runs []core.LocRun) answer {
 
 // checkAnswers puts every inquiry function of both sides' libraries
 // beside its element-granular reference: the whole range, a random
-// sub-range, random sorted intervals, and the owned positions.
+// sub-range, random sorted intervals, and the owned positions; and
+// checks that each appends its answer to the caller's buffer.
 func (c *oracleCase) checkAnswers(t *testing.T) {
 	for _, side := range []*sideDef{c.src, c.dst} {
 		side := side
@@ -478,11 +480,11 @@ func (c *oracleCase) checkAnswers(t *testing.T) {
 				}
 				return out
 			}
-			check("DerefRange(all)", expandAnswer(lib.DerefRange(ctx, obj, set, 0, m)), span(0, m), ref.DerefRange(ctx, obj, set, 0, m))
-			check("DerefRange(part)", expandAnswer(lib.DerefRange(ctx, obj, set, lo, hi)), span(lo, hi), ref.DerefRange(ctx, obj, set, lo, hi))
-			check("DerefAt", expandAnswer(lib.DerefAt(ctx, obj, set, at)), positions, ref.DerefAt(ctx, obj, set, positions))
+			check("DerefRange(all)", expandAnswer(lib.DerefRange(ctx, obj, set, 0, m, nil)), span(0, m), ref.DerefRange(ctx, obj, set, 0, m))
+			check("DerefRange(part)", expandAnswer(lib.DerefRange(ctx, obj, set, lo, hi, nil)), span(lo, hi), ref.DerefRange(ctx, obj, set, lo, hi))
+			check("DerefAt", expandAnswer(lib.DerefAt(ctx, obj, set, at, nil)), positions, ref.DerefAt(ctx, obj, set, positions))
 
-			got := expandAnswer(lib.OwnedPositions(ctx, obj, set))
+			got := expandAnswer(lib.OwnedPositions(ctx, obj, set, nil))
 			var wantPos []int32
 			var want []core.Loc
 			for _, pl := range ref.OwnedPositions(ctx, obj, set) {
@@ -490,6 +492,31 @@ func (c *oracleCase) checkAnswers(t *testing.T) {
 				want = append(want, core.Loc{Proc: int32(p.Rank()), Off: pl.Off})
 			}
 			check("OwnedPositions", got, wantPos, want)
+
+			// The append form: an answer appended after a prefix leaves
+			// the prefix as it was and equals, run for run, the answer
+			// appended to nil, whether it lands in the prefix's spare
+			// capacity or in a new array.  The prefix ends just before
+			// the answer's first run, on the same process, so a library
+			// that fused its first run into the caller's would show.
+			appended := func(what string, ask func(out []core.LocRun) []core.LocRun) {
+				fresh := ask(nil)
+				prefix := []core.LocRun{{Pos: -9, Proc: -1, Off: -9, Count: 1}}
+				if len(fresh) > 0 {
+					r := fresh[0]
+					prefix = append(prefix, core.LocRun{Pos: r.Pos - 1, Proc: r.Proc, Off: r.Off - 1, Stride: 1, Count: 1})
+				}
+				for _, room := range []int{0, len(fresh) + 8} {
+					out := ask(append(make([]core.LocRun, 0, len(prefix)+room), prefix...))
+					if len(out) < len(prefix) || !slices.Equal(out[:len(prefix)], prefix) || !slices.Equal(out[len(prefix):], fresh) {
+						t.Errorf("%s rank %d: %s appended with room for %d more:\n got  %v\n want %v then %v", side.kind, p.Rank(), what, room, out, prefix, fresh)
+					}
+				}
+			}
+			appended("DerefRange(all)", func(out []core.LocRun) []core.LocRun { return lib.DerefRange(ctx, obj, set, 0, m, out) })
+			appended("DerefRange(part)", func(out []core.LocRun) []core.LocRun { return lib.DerefRange(ctx, obj, set, lo, hi, out) })
+			appended("DerefAt", func(out []core.LocRun) []core.LocRun { return lib.DerefAt(ctx, obj, set, at, out) })
+			appended("OwnedPositions", func(out []core.LocRun) []core.LocRun { return lib.OwnedPositions(ctx, obj, set, out) })
 		})
 	}
 }

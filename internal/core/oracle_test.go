@@ -67,10 +67,10 @@ func (e *ElemSpec) spec() *Spec {
 func RefComputeSchedule(c *Coupling, src, dst *ElemSpec, method Method, refOf func(*Spec) ElemLibrary) (*Schedule, error) {
 	var mySrcMeta, myDstMeta []byte
 	if src != nil && src.Ctx.Comm.Rank() == 0 {
-		mySrcMeta = encodeMeta(src.Spec)
+		mySrcMeta = encodeMeta(new(codec.Writer), src.Spec)
 	}
 	if dst != nil && dst.Ctx.Comm.Rank() == 0 {
-		myDstMeta = encodeMeta(dst.Spec)
+		myDstMeta = encodeMeta(new(codec.Writer), dst.Spec)
 	}
 	sr := codec.NewReader(c.Union.Bcast(c.SrcRanks[0], mySrcMeta))
 	dr := codec.NewReader(c.Union.Bcast(c.DstRanks[0], myDstMeta))

@@ -224,10 +224,9 @@ func (c *runCursor) done() {
 	}
 }
 
-// rangesOf returns the position intervals runs cover, adjacent runs
-// merged.
-func rangesOf(runs []LocRun) []PosRange {
-	var out []PosRange
+// appendRanges appends the position intervals runs cover, adjacent
+// runs merged.
+func appendRanges(out []PosRange, runs []LocRun) []PosRange {
 	for _, r := range runs {
 		if n := len(out); n > 0 && out[n-1].Hi == r.Pos {
 			out[n-1].Hi = r.End()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -81,6 +82,7 @@ type Schedule struct {
 	union *mpsim.Comm
 	elems int
 	elem  ElemType
+	tag   string // elem's label on move spans (elemTag)
 
 	Sends []PeerList
 	Recvs []PeerList
@@ -188,13 +190,14 @@ func computeSchedule(c *Coupling, src, dst *Spec, method Method, p *mpsim.Proc) 
 	// The element type rides in the int32 slot that used to carry the
 	// bare word count (packElem), so float64 metadata — and therefore
 	// the coupling's virtual-time message traffic — is unchanged.
+	s := c.scratch()
 	msp := p.Span("sched.meta")
 	var mySrcMeta, myDstMeta []byte
 	if src != nil && src.Ctx.Comm.Rank() == 0 {
-		mySrcMeta = encodeMeta(src)
+		mySrcMeta = encodeMeta(&s.meta[0], src)
 	}
 	if dst != nil && dst.Ctx.Comm.Rank() == 0 {
-		myDstMeta = encodeMeta(dst)
+		myDstMeta = encodeMeta(&s.meta[1], dst)
 	}
 	srcMeta := c.Union.Bcast(c.SrcRanks[0], mySrcMeta)
 	dstMeta := c.Union.Bcast(c.DstRanks[0], myDstMeta)
@@ -213,10 +216,10 @@ func computeSchedule(c *Coupling, src, dst *Spec, method Method, p *mpsim.Proc) 
 	sched := &Schedule{union: c.Union, elems: n, elem: eSrc}
 	switch method {
 	case Cooperation:
-		buildCooperation(c, src, dst, sched)
+		buildCooperation(c, s, src, dst, sched)
 		return sched, nil
 	case Duplication:
-		if err := buildDuplication(c, src, dst, sched); err != nil {
+		if err := buildDuplication(c, s, src, dst, sched); err != nil {
 			return nil, err
 		}
 		return sched, nil
@@ -260,10 +263,10 @@ func transferSize(nSrc, nDst int64) (int, error) {
 	return int(nSrc), nil
 }
 
-// encodeMeta is the announcement a program's root broadcasts in
-// sched.meta.
-func encodeMeta(sp *Spec) []byte {
-	var w codec.Writer
+// encodeMeta writes into w the announcement a program's root
+// broadcasts in sched.meta.
+func encodeMeta(w *codec.Writer, sp *Spec) []byte {
+	w.Reset()
 	w.PutInt64(sizeInt32(sp))
 	w.PutInt32(PackElem(sp.Obj.Elem()))
 	return w.Bytes()
@@ -284,11 +287,10 @@ func chunk(n, parts, i int) (lo, hi int) {
 // per-element lists between dereference and execution, and the wire
 // formats are run-length compressed (see rle.go), so it ships a
 // handful of arithmetic runs rather than per-element records.
-func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
+func buildCooperation(c *Coupling, s *buildScratch, src, dst *Spec, sched *Schedule) {
 	n := sched.elems
 	nS, nD := len(c.SrcRanks), len(c.DstRanks)
 	p := c.Union.Proc()
-	s := c.scratch()
 
 	// Phase 1: source processes dereference their chunk of positions.
 	sp := p.Span("sched.deref")
@@ -296,7 +298,8 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 	var srcLo, srcHi int
 	if src != nil {
 		srcLo, srcHi = chunk(n, nS, src.Ctx.Comm.Rank())
-		srcRuns = src.Lib.DerefRange(src.Ctx, src.Obj, src.Set, srcLo, srcHi)
+		srcRuns = src.Lib.DerefRange(src.Ctx, src.Obj, src.Set, srcLo, srcHi, s.first[:0])
+		s.first = srcRuns
 	}
 	sp.End(p.Clock())
 
@@ -350,7 +353,8 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 	}
 	if dst != nil {
 		dLo, dHi := chunk(n, nD, dst.Ctx.Comm.Rank())
-		dstRuns := runCursor{runs: dst.Lib.DerefRange(dst.Ctx, dst.Obj, dst.Set, dLo, dHi)}
+		dstRuns := runCursor{runs: dst.Lib.DerefRange(dst.Ctx, dst.Obj, dst.Set, dLo, dHi, s.second[:0])}
+		s.second = dstRuns.runs
 		var seg routeRun
 		join := func(s LocRun) {
 			for s.Count > 0 {
@@ -421,16 +425,20 @@ func buildCooperation(c *Coupling, src, dst *Spec, sched *Schedule) {
 
 // buildScratch is the schedule builders' working storage, kept on the
 // Coupling so a cold build allocates only what it returns: the
-// Schedule, the inquiry answers and the transport's copies.  Reuse is
-// safe because Alltoall copies every buffer it is handed before it
-// returns.  Each build resets the scratch when it starts, so one that
-// panicked part-way leaves nothing behind for the next.
+// Schedule and the transport's copies.  Reuse is safe because Bcast
+// and Alltoall copy every buffer they are handed before they return,
+// and the libraries append their answers to the buffers they are
+// given (see Library).  Each build resets the scratch when it starts,
+// so one that panicked part-way leaves nothing behind for the next.
 type buildScratch struct {
-	route        []pairEncoder // cooperation: source locations, per destination program rank
-	frag         []fragAccum   // cooperation: schedule fragments, per union rank
-	bufs         [][]byte      // cooperation: the parts handed to each Alltoall
-	sends, recvs lanes         // both methods
-	local        []LocalRun    // both methods
+	meta          [2]codec.Writer // both methods: the two sides' announcements
+	route         []pairEncoder   // cooperation: source locations, per destination program rank
+	frag          []fragAccum     // cooperation: schedule fragments, per union rank
+	bufs          [][]byte        // cooperation: the parts handed to each Alltoall
+	first, second []LocRun        // both methods: the two inquiry answers a pass joins
+	ranges        []PosRange      // duplication: the positions first covers
+	sends, recvs  lanes           // both methods
+	local         []LocalRun      // both methods
 }
 
 // scratch returns the coupling's build scratch, reset for a new build.
@@ -561,7 +569,7 @@ func (l *lanes) take() []PeerList {
 // fragments.  Between separate programs the descriptors and regions
 // are exchanged first, which requires both libraries to implement
 // DescriptorCodec and RegionCodec.
-func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
+func buildDuplication(c *Coupling, s *buildScratch, src, dst *Spec, sched *Schedule) error {
 	p := c.Union.Proc()
 	singleProgram := src != nil && dst != nil
 	if !singleProgram {
@@ -574,15 +582,16 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 		}
 	}
 	myUnion := c.Union.Rank()
-	s := c.scratch()
 	var seg routeRun
 
 	// Pass one: build send lists from the elements I own on the source
 	// side, joined run to run with where the destination keeps them.
 	sp := p.Span("sched.deref")
 	if !src.Obj.LocalMem().IsNil() {
-		owned := src.Lib.OwnedPositions(src.Ctx, src.Obj, src.Set)
-		dLocs := runCursor{runs: dst.Lib.DerefAt(dst.Ctx, dst.Obj, dst.Set, rangesOf(owned))}
+		owned := src.Lib.OwnedPositions(src.Ctx, src.Obj, src.Set, s.first[:0])
+		s.first, s.ranges = owned, appendRanges(s.ranges[:0], owned)
+		dLocs := runCursor{runs: dst.Lib.DerefAt(dst.Ctx, dst.Obj, dst.Set, s.ranges, s.second[:0])}
+		s.second = dLocs.runs
 		for _, r := range owned {
 			for r.Count > 0 {
 				dLocs.cut(&r, &seg)
@@ -601,8 +610,10 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 	// destination side.
 	sp = p.Span("sched.deref")
 	if !dst.Obj.LocalMem().IsNil() {
-		owned := runCursor{runs: dst.Lib.OwnedPositions(dst.Ctx, dst.Obj, dst.Set)}
-		for _, r := range src.Lib.DerefAt(src.Ctx, src.Obj, src.Set, rangesOf(owned.runs)) {
+		owned := runCursor{runs: dst.Lib.OwnedPositions(dst.Ctx, dst.Obj, dst.Set, s.first[:0])}
+		s.first, s.ranges = owned.runs, appendRanges(s.ranges[:0], owned.runs)
+		s.second = src.Lib.DerefAt(src.Ctx, src.Obj, src.Set, s.ranges, s.second[:0])
+		for _, r := range s.second {
 			for r.Count > 0 {
 				owned.cut(&r, &seg)
 				// Elements I also own on the source side are already
@@ -623,106 +634,112 @@ func buildDuplication(c *Coupling, src, dst *Spec, sched *Schedule) error {
 // lets two separate programs run the duplication method.  Each
 // program's root broadcasts its library name, encoded descriptor and
 // encoded regions over the union; the peer program decodes a
-// descriptor-only remote view.
+// descriptor-only remote view.  A process is in exactly one of the two
+// programs, so it encodes one side and decodes the other.
 func exchangeDescriptors(c *Coupling, src, dst *Spec) (*Spec, *Spec, error) {
-	encodeSide := func(sp *Spec) ([]byte, error) {
-		codecLib, ok := sp.Lib.(DescriptorCodec)
-		if !ok {
-			return nil, fmt.Errorf("core: library %q does not support descriptor exchange; use the cooperation method", sp.Lib.Name())
-		}
-		rcodec, ok := sp.Lib.(RegionCodec)
-		if !ok {
-			return nil, fmt.Errorf("core: library %q does not support region exchange; use the cooperation method", sp.Lib.Name())
-		}
-		desc, _ := codecLib.EncodeDescriptor(sp.Ctx, sp.Obj)
-		var w codec.Writer
-		w.PutInt32(0) // status: ok
-		w.PutString(sp.Lib.Name())
-		w.PutBytes(desc)
-		w.PutInt32(int32(sp.Set.Len()))
-		for i := 0; i < sp.Set.Len(); i++ {
-			w.PutBytes(rcodec.EncodeRegion(sp.Set.Region(i)))
-		}
-		return w.Bytes(), nil
-	}
-	decodeSide := func(r *codec.Reader, progComm ctxComm) (*Spec, error) {
-		name := r.String()
-		lib, err := LookupLibrary(name)
-		if err != nil {
-			return nil, err
-		}
-		dcodec, ok := lib.(DescriptorCodec)
-		if !ok {
-			return nil, fmt.Errorf("core: library %q cannot decode descriptors", name)
-		}
-		rcodec := lib.(RegionCodec)
-		view, err := dcodec.DecodeDescriptor(r.Bytes())
-		if err != nil {
-			return nil, err
-		}
-		set := NewSetOfRegions()
-		nr := int(r.Int32())
-		for i := 0; i < nr; i++ {
-			reg, err := rcodec.DecodeRegion(r.Bytes())
-			if err != nil {
-				return nil, err
-			}
-			set.Add(reg)
-		}
-		return &Spec{Lib: lib, Obj: view, Set: set, Ctx: NewCtx(progComm.p, progComm.comm)}, nil
-	}
-
 	var mySrcBlob, myDstBlob []byte
-	var err error
 	if src != nil {
-		// Collective over the source program: every process helps
-		// assemble the (possibly distributed) descriptor; rank 0's blob
-		// feeds the broadcast.
-		blob, encErr := encodeSide(src)
-		if src.Ctx.Comm.Rank() == 0 {
-			mySrcBlob = blob
-			if encErr != nil {
-				mySrcBlob = encodeError(encErr)
-			}
-		}
+		mySrcBlob = c.peer.encode(src)
 	}
 	if dst != nil {
-		blob, encErr := encodeSide(dst)
-		if dst.Ctx.Comm.Rank() == 0 {
-			myDstBlob = blob
-			if encErr != nil {
-				myDstBlob = encodeError(encErr)
-			}
-		}
+		myDstBlob = c.peer.encode(dst)
 	}
 	srcBlob := c.Union.Bcast(c.SrcRanks[0], mySrcBlob)
 	dstBlob := c.Union.Bcast(c.DstRanks[0], myDstBlob)
-	srcReader, err := checkBlob(srcBlob)
-	if err != nil {
+	if err := checkBlob(srcBlob); err != nil {
 		return nil, nil, err
 	}
-	dstReader, err := checkBlob(dstBlob)
-	if err != nil {
+	if err := checkBlob(dstBlob); err != nil {
 		return nil, nil, err
 	}
+	var err error
 	if src == nil {
-		cc := ctxComm{p: dst.Ctx.P, comm: dst.Ctx.Comm}
-		if src, err = decodeSide(srcReader, cc); err != nil {
-			return nil, nil, err
-		}
+		src, err = c.peer.decode(srcBlob, dst.Ctx)
+	} else {
+		dst, err = c.peer.decode(dstBlob, src.Ctx)
 	}
-	if dst == nil {
-		cc := ctxComm{p: src.Ctx.P, comm: src.Ctx.Comm}
-		if dst, err = decodeSide(dstReader, cc); err != nil {
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 	return src, dst, nil
 }
 
-type ctxComm struct {
-	p    *mpsim.Proc
-	comm *mpsim.Comm
+// peerSide is what a process of a two-program coupling keeps of the
+// descriptor exchange between duplication builds: the writer its own
+// side's blob is encoded in, and the other side's last blob with the
+// Spec decoded from it.  A rebuild against an unchanged peer finds the
+// same bytes and skips the decode; the blob is still broadcast, so the
+// exchange's messages and virtual time are the same either way.
+type peerSide struct {
+	w    codec.Writer
+	blob []byte
+	spec *Spec
+}
+
+// encode returns sp's blob on its program's root and nil elsewhere.
+// Collective over sp's program: every process helps assemble a
+// (possibly distributed) descriptor.
+func (ps *peerSide) encode(sp *Spec) []byte {
+	codecLib, okDesc := sp.Lib.(DescriptorCodec)
+	rcodec, okRegion := sp.Lib.(RegionCodec)
+	var desc []byte
+	if okDesc && okRegion {
+		desc, _ = codecLib.EncodeDescriptor(sp.Ctx, sp.Obj)
+	}
+	switch {
+	case sp.Ctx.Comm.Rank() != 0:
+		return nil
+	case !okDesc:
+		return encodeError(fmt.Errorf("core: library %q does not support descriptor exchange; use the cooperation method", sp.Lib.Name()))
+	case !okRegion:
+		return encodeError(fmt.Errorf("core: library %q does not support region exchange; use the cooperation method", sp.Lib.Name()))
+	}
+	w := &ps.w
+	w.Reset()
+	w.PutInt32(0) // status: ok
+	w.PutString(sp.Lib.Name())
+	w.PutBytes(desc)
+	w.PutInt32(int32(sp.Set.Len()))
+	for i := 0; i < sp.Set.Len(); i++ {
+		w.PutBytes(rcodec.EncodeRegion(sp.Set.Region(i)))
+	}
+	return w.Bytes()
+}
+
+// decode returns the Spec blob describes, the one kept from the last
+// decode when the bytes, and the program the view is built for, are
+// the same.  mine is the calling process's own side's context.
+func (ps *peerSide) decode(blob []byte, mine *Ctx) (*Spec, error) {
+	if sp := ps.spec; sp != nil && sp.Ctx.P == mine.P && sp.Ctx.Comm == mine.Comm && bytes.Equal(ps.blob, blob) {
+		return sp, nil
+	}
+	r := codec.NewReader(blob)
+	r.Int32() // status, checked
+	name := r.String()
+	lib, err := LookupLibrary(name)
+	if err != nil {
+		return nil, err
+	}
+	dcodec, ok := lib.(DescriptorCodec)
+	if !ok {
+		return nil, fmt.Errorf("core: library %q cannot decode descriptors", name)
+	}
+	rcodec := lib.(RegionCodec)
+	view, err := dcodec.DecodeDescriptor(r.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	set := NewSetOfRegions()
+	nr := int(r.Int32())
+	for i := 0; i < nr; i++ {
+		reg, err := rcodec.DecodeRegion(r.Bytes())
+		if err != nil {
+			return nil, err
+		}
+		set.Add(reg)
+	}
+	ps.blob, ps.spec = blob, &Spec{Lib: lib, Obj: view, Set: set, Ctx: NewCtx(mine.P, mine.Comm)}
+	return ps.spec, nil
 }
 
 // Descriptor blobs start with a status word so an encode failure on one
@@ -734,12 +751,12 @@ func encodeError(err error) []byte {
 	return w.Bytes()
 }
 
-func checkBlob(blob []byte) (*codec.Reader, error) {
+func checkBlob(blob []byte) error {
 	r := codec.NewReader(blob)
 	if r.Int32() == 1 {
-		return nil, fmt.Errorf("core: descriptor exchange failed: %s", r.String())
+		return fmt.Errorf("core: descriptor exchange failed: %s", r.String())
 	}
-	return r, nil
+	return nil
 }
 
 // RegionCodec is the optional extension that serializes a library's

@@ -171,7 +171,7 @@ func buildTypedSide(t *testing.T, rng *rand.Rand, kind string, ctx *core.Ctx, p 
 	if s.mem.Elem() != et {
 		t.Fatalf("%s object carries %v, want %v", kind, s.mem.Elem(), et)
 	}
-	for _, r := range s.lib.OwnedPositions(ctx, s.obj, full) {
+	for _, r := range s.lib.OwnedPositions(ctx, s.obj, full, nil) {
 		for k := int32(0); k < r.Count; k++ {
 			s.owned = append(s.owned, posLoc{Pos: r.Pos + k, Off: r.Off + k*r.Stride})
 		}

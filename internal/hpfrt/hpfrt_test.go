@@ -225,8 +225,8 @@ func TestBlockCyclicDescriptorRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		set := core.NewSetOfRegions(gidx.FullSection(gidx.Shape{20}))
-		want := Library.DerefRange(ctx, a, set, 0, 20)
-		got := Library.DerefRange(ctx, v, set, 0, 20)
+		want := Library.DerefRange(ctx, a, set, 0, 20, nil)
+		got := Library.DerefRange(ctx, v, set, 0, 20, nil)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("view deref(%d)=%+v want %+v", i, got[i], want[i])

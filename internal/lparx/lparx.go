@@ -270,21 +270,20 @@ func region(set *core.SetOfRegions, i int) BoxRegion {
 	return r
 }
 
-// DerefRange returns the locations of set positions [lo, hi).
-func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.LocRun {
-	return l.DerefAt(ctx, o, set, []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}})
+// DerefRange appends the locations of set positions [lo, hi).
+func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int, out []core.LocRun) []core.LocRun {
+	return l.DerefAt(ctx, o, set, []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}}, out)
 }
 
-// DerefAt returns the locations of the positions in the given
+// DerefAt appends the locations of the positions in the given
 // intervals: a patch lookup against the replicated decomposition,
 // charged per point.  A row of a box crosses patches one after another,
 // and inside a patch the storage is contiguous along the row, so every
 // crossing is one run.
-func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
+func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange, out []core.LocRun) []core.LocRun {
 	dec := decOf(o)
 	last := dec.rank - 1
 	coords := make([]int, dec.rank)
-	var out []core.LocRun
 	// Consecutive intervals mostly fall in one region; its section is
 	// built once.
 	cur, sec := -1, gidx.Section{}
@@ -318,14 +317,13 @@ func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at 
 	return out
 }
 
-// OwnedPositions intersects each row of each region box with the
-// caller's patches.
-func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.LocRun {
+// OwnedPositions appends the intersections of each row of each region
+// box with the caller's patches.
+func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, out []core.LocRun) []core.LocRun {
 	dec := decOf(o)
 	me := ctx.Comm.Rank()
 	last := dec.rank - 1
 	coords := make([]int, dec.rank)
-	var out []core.LocRun
 	work := 0
 	for ri := 0; ri < set.Len(); ri++ {
 		sec := region(set, ri).section()

@@ -114,7 +114,7 @@ func TestDerefConsistency(t *testing.T) {
 		ctx := core.NewCtx(p, p.Comm())
 		g := NewGrid(dec, p.Rank())
 		n := set.Size()
-		locs := expand(Library.DerefRange(ctx, g, set, 0, n))
+		locs := expand(Library.DerefRange(ctx, g, set, 0, n, nil))
 		if len(locs) != n {
 			t.Fatalf("deref returned %d locs", len(locs))
 		}
@@ -122,13 +122,13 @@ func TestDerefConsistency(t *testing.T) {
 		for i := range positions {
 			positions[i] = int32(i)
 		}
-		at := expand(Library.DerefAt(ctx, g, set, points(positions)))
+		at := expand(Library.DerefAt(ctx, g, set, points(positions), nil))
 		for i := range locs {
 			if locs[i] != at[i] {
 				t.Fatalf("DerefRange/DerefAt disagree at %d", i)
 			}
 		}
-		owned := expandOwned(Library.OwnedPositions(ctx, g, set))
+		owned := expandOwned(Library.OwnedPositions(ctx, g, set, nil))
 		last := int32(-1)
 		count := 0
 		for _, pl := range owned {
@@ -165,7 +165,7 @@ func TestDerefUncoveredPanics(t *testing.T) {
 				t.Errorf("want coverage panic, got %v", r)
 			}
 		}()
-		Library.DerefRange(ctx, g, set, 0, set.Size())
+		Library.DerefRange(ctx, g, set, 0, set.Size(), nil)
 	})
 }
 
@@ -288,8 +288,8 @@ func TestDescriptorAndRegionCodecs(t *testing.T) {
 			t.Fatal(err)
 		}
 		set := core.NewSetOfRegions(BoxRegion{Lo: []int{2, 2}, Hi: []int{12, 6}})
-		want := Library.DerefRange(ctx, g, set, 0, set.Size())
-		have := Library.DerefRange(ctx, v, set, 0, set.Size())
+		want := Library.DerefRange(ctx, g, set, 0, set.Size(), nil)
+		have := Library.DerefRange(ctx, v, set, 0, set.Size(), nil)
 		for i := range want {
 			if want[i] != have[i] {
 				t.Fatalf("view deref %d: %+v vs %+v", i, have[i], want[i])

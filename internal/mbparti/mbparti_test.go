@@ -341,7 +341,7 @@ func TestSeclibDerefConsistency(t *testing.T) {
 		a := MustNewArray(d, p.Rank(), 1)
 		ctx := core.NewCtx(p, p.Comm())
 		n := set.Size()
-		locs := expand(Library.DerefRange(ctx, a, set, 0, n))
+		locs := expand(Library.DerefRange(ctx, a, set, 0, n, nil))
 		if len(locs) != n {
 			t.Fatalf("DerefRange returned %d locs, want %d", len(locs), n)
 		}
@@ -349,13 +349,13 @@ func TestSeclibDerefConsistency(t *testing.T) {
 		for i := range positions {
 			positions[i] = int32(i)
 		}
-		locsAt := expand(Library.DerefAt(ctx, a, set, points(positions)))
+		locsAt := expand(Library.DerefAt(ctx, a, set, points(positions), nil))
 		for i := range locs {
 			if locs[i] != locsAt[i] {
 				t.Fatalf("DerefRange and DerefAt disagree at %d: %v vs %v", i, locs[i], locsAt[i])
 			}
 		}
-		owned := expandOwned(Library.OwnedPositions(ctx, a, set))
+		owned := expandOwned(Library.OwnedPositions(ctx, a, set, nil))
 		seen := map[int32]int32{}
 		for _, pl := range owned {
 			seen[pl.Pos] = pl.Off
@@ -402,8 +402,8 @@ func TestSeclibDescriptorRoundTrip(t *testing.T) {
 		}
 		set := core.NewSetOfRegions(gidx.FullSection(gidx.Shape{12, 8}))
 		ctx := core.NewCtx(p, p.Comm())
-		want := Library.DerefRange(ctx, a, set, 0, set.Size())
-		got := Library.DerefRange(ctx, view, set, 0, set.Size())
+		want := Library.DerefRange(ctx, a, set, 0, set.Size(), nil)
+		got := Library.DerefRange(ctx, view, set, 0, set.Size(), nil)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("view deref differs at %d: %v vs %v", i, got[i], want[i])

@@ -1,7 +1,6 @@
 package mpsim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -183,7 +182,7 @@ func (w *World) reap(p *Proc) {
 	s := p.shard
 	if p.heapIdx >= 0 {
 		// Runnable: pull it out of its run queue first.
-		heap.Remove(&s.runq, p.heapIdx)
+		s.runq.remove(p.heapIdx)
 	}
 	p.state = stateRunnable // never stateBlocked while running: the unwind may send to itself
 	p.next()

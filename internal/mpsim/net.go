@@ -136,27 +136,35 @@ type timer struct {
 	free *timer // timerCache freelist link
 }
 
+// timerHeap is a binary min-heap of timers on timerKey, a strict total
+// order, so the pop sequence depends only on the timers pushed.
 type timerHeap []*timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *timerHeap) push(tm *timer) {
+	*h = append(*h, tm)
+	q := *h
+	for j := len(q) - 1; j > 0 && timerKey(q[j]).less(timerKey(q[(j-1)/2])); j = (j - 1) / 2 {
+		q[j], q[(j-1)/2] = q[(j-1)/2], q[j]
 	}
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
-	}
-	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+
+func (h *timerHeap) pop() *timer {
+	q := *h
+	n := len(q) - 1
+	tm := q[0]
+	q[0], q[n] = q[n], nil
+	q = q[:n]
+	*h = q
+	for i, j := 0, 1; j < n; i, j = j, 2*j+1 {
+		if j+1 < n && timerKey(q[j+1]).less(timerKey(q[j])) {
+			j++
+		}
+		if !timerKey(q[j]).less(timerKey(q[i])) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+	}
+	return tm
 }
 
 // timerCache recycles timer structs so the per-message delivery events

@@ -1,7 +1,6 @@
 package mpsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"os"
@@ -167,7 +166,7 @@ func (s *shard) nextKey() evKey {
 	if len(s.timers) > 0 {
 		k = timerKey(s.timers[0])
 	}
-	if s.runq.Len() > 0 {
+	if len(s.runq) > 0 {
 		if pk := procKey(s.runq[0]); pk.less(k) {
 			k = pk
 		}
@@ -191,13 +190,13 @@ func (s *shard) runWindow(limit evKey) {
 	w := s.w
 	for {
 		for len(s.timers) > 0 && timerKey(s.timers[0]).less(limit) &&
-			(s.runq.Len() == 0 || s.timers[0].at <= s.runq[0].clock) {
-			w.fireTimer(heap.Pop(&s.timers).(*timer), &s.tc)
+			(len(s.runq) == 0 || s.timers[0].at <= s.runq[0].clock) {
+			w.fireTimer(s.timers.pop(), &s.tc)
 		}
-		if s.runq.Len() == 0 || !procKey(s.runq[0]).less(limit) {
+		if len(s.runq) == 0 || !procKey(s.runq[0]).less(limit) {
 			return
 		}
-		p := heap.Pop(&s.runq).(*Proc)
+		p := s.runq.remove(0)
 		p.next()
 		switch p.state {
 		case stateDone:
@@ -209,7 +208,7 @@ func (s *shard) runWindow(limit evKey) {
 				return
 			}
 		case stateRunnable:
-			heap.Push(&s.runq, p)
+			s.runq.push(p)
 		case stateBlocked:
 			// Parked until a matching message arrives; the sender moves
 			// it back to the run queue.
@@ -230,17 +229,17 @@ func (w *World) route(tm *timer) {
 	src := w.procs[tm.rank].shard
 	switch {
 	case len(w.shards) == 1:
-		heap.Push(&src.timers, tm)
+		src.timers.push(tm)
 	case tm.kind == tMsg:
 		if dst := w.procs[tm.dst].shard; dst == src {
-			heap.Push(&dst.timers, tm)
+			dst.timers.push(tm)
 		} else {
 			src.out = append(src.out, tm)
 		}
 	case tm.kind == tWake:
-		heap.Push(&tm.p.shard.timers, tm)
+		tm.p.shard.timers.push(tm)
 	default:
-		heap.Push(&w.timers, tm)
+		w.timers.push(tm)
 	}
 }
 
@@ -386,7 +385,7 @@ func (w *World) coordinate() *runFailure {
 		// fire may wake processes or create new timers, so recompute per
 		// iteration.
 		if len(w.timers) > 0 && timerKey(w.timers[0]).less(minKey) {
-			w.fireTimer(heap.Pop(&w.timers).(*timer), &w.tc)
+			w.fireTimer(w.timers.pop(), &w.tc)
 			continue
 		}
 		if math.IsInf(minKey.t, 1) {
@@ -411,7 +410,7 @@ func (w *World) coordinate() *runFailure {
 		}
 		for _, s := range w.shards {
 			for _, tm := range s.out {
-				heap.Push(&w.procs[tm.dst].shard.timers, tm)
+				w.procs[tm.dst].shard.timers.push(tm)
 			}
 			s.out = s.out[:0]
 		}

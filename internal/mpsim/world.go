@@ -1,7 +1,6 @@
 package mpsim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -299,7 +298,7 @@ func newWorld(cfg Config) (*World, error) {
 	// resume.
 	for _, p := range w.procs {
 		w.launchProc(p, cfg.Programs[p.progIndex].Body)
-		heap.Push(&p.shard.runq, p)
+		p.shard.runq.push(p)
 	}
 	return w, nil
 }
@@ -379,37 +378,61 @@ func (w *World) panicDeadlock() {
 // wake moves a blocked process back to its shard's run queue.
 func (w *World) wake(p *Proc) {
 	p.state = stateRunnable
-	heap.Push(&p.shard.runq, p)
+	p.shard.runq.push(p)
 }
 
-// procHeap orders runnable processes by (clock, worldRank).  It keeps
-// each element's heapIdx current so the crash machinery can remove a
-// specific process (heap.Remove) without draining the queue.
+// procHeap is a binary min-heap of runnable processes on procKey, a
+// strict total order.  It keeps each element's heapIdx current so the
+// crash machinery can remove a specific process without draining the
+// queue.
 type procHeap []*Proc
 
-func (h procHeap) Len() int { return len(h) }
-func (h procHeap) Less(i, j int) bool {
-	if h[i].clock != h[j].clock {
-		return h[i].clock < h[j].clock
-	}
-	return h[i].worldRank < h[j].worldRank
-}
-func (h procHeap) Swap(i, j int) {
+func (h procHeap) less(i, j int) bool { return procKey(h[i]).less(procKey(h[j])) }
+
+func (h procHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+	h[i].heapIdx, h[j].heapIdx = i, j
 }
-func (h *procHeap) Push(x any) {
-	p := x.(*Proc)
+
+func (h procHeap) up(j int) {
+	for ; j > 0 && h.less(j, (j-1)/2); j = (j - 1) / 2 {
+		h.swap(j, (j-1)/2)
+	}
+}
+
+// down sifts element i toward the leaves and reports whether it moved.
+func (h procHeap) down(i int) bool {
+	i0 := i
+	for j := 2*i + 1; j < len(h); i, j = j, 2*j+1 {
+		if j+1 < len(h) && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+	}
+	return i > i0
+}
+
+func (h *procHeap) push(p *Proc) {
 	p.heapIdx = len(*h)
 	*h = append(*h, p)
+	h.up(p.heapIdx)
 }
-func (h *procHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
+
+// remove takes out the element at index i; remove(0) pops the minimum.
+func (h *procHeap) remove(i int) *Proc {
+	q := *h
+	n := len(q) - 1
+	p := q[i]
+	q.swap(i, n)
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if i < n && !q.down(i) {
+		q.up(i)
+	}
 	p.heapIdx = -1
-	*h = old[:n-1]
 	return p
 }

@@ -130,20 +130,18 @@ func reg(set *core.SetOfRegions, i int) RangeRegion {
 	return r
 }
 
-// DerefRange returns the locations of set positions [lo, hi).
-func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.LocRun {
-	return l.DerefAt(ctx, o, set, []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}})
+// DerefRange appends the locations of set positions [lo, hi).
+func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int, out []core.LocRun) []core.LocRun {
+	return l.DerefAt(ctx, o, set, []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}}, out)
 }
 
-// DerefAt returns the locations of the positions in the given
+// DerefAt appends the locations of the positions in the given
 // intervals: pure round-robin arithmetic.  A range whose step is a
 // multiple of the process count keeps every element on one process, one
 // strided run per span; any other step deals consecutive positions to
 // different processes, one singleton each.
-func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
+func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange, out []core.LocRun) []core.LocRun {
 	c := coll(o)
-	n := core.RangesLen(at)
-	out := make([]core.LocRun, 0, n)
 	for _, iv := range at {
 		for lo, hi := int(iv.Lo), int(iv.Hi); lo < hi; {
 			span := set.SpanAt(lo, hi)
@@ -161,16 +159,15 @@ func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at 
 			lo = span.Base + span.Hi
 		}
 	}
-	ctx.P.ChargeSectionOps(n)
+	ctx.P.ChargeSectionOps(core.RangesLen(at))
 	return out
 }
 
 // OwnedPositions walks each range's residue class owned by the caller:
 // a whole range when its step is a multiple of the process count,
 // otherwise positions no two of which are adjacent.
-func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.LocRun {
+func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, out []core.LocRun) []core.LocRun {
 	c := coll(o)
-	var out []core.LocRun
 	work := 0
 	for ri := 0; ri < set.Len(); ri++ {
 		r := reg(set, ri)

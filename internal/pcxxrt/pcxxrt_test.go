@@ -70,18 +70,18 @@ func TestDerefConsistency(t *testing.T) {
 	mpsim.RunSPMD(mpsim.Ideal(), nprocs, func(p *mpsim.Proc) {
 		ctx := core.NewCtx(p, p.Comm())
 		c, _ := NewCollection(n, nprocs, 3, p.Rank())
-		locs := expand(Library.DerefRange(ctx, c, set, 0, set.Size()))
+		locs := expand(Library.DerefRange(ctx, c, set, 0, set.Size(), nil))
 		positions := make([]int32, set.Size())
 		for i := range positions {
 			positions[i] = int32(i)
 		}
-		at := expand(Library.DerefAt(ctx, c, set, points(positions)))
+		at := expand(Library.DerefAt(ctx, c, set, points(positions), nil))
 		for i := range locs {
 			if locs[i] != at[i] {
 				t.Fatalf("DerefRange/DerefAt disagree at %d", i)
 			}
 		}
-		owned := expandOwned(Library.OwnedPositions(ctx, c, set))
+		owned := expandOwned(Library.OwnedPositions(ctx, c, set, nil))
 		for _, pl := range owned {
 			if locs[pl.Pos].Proc != int32(p.Rank()) || locs[pl.Pos].Off != pl.Off {
 				t.Fatalf("owned position %d inconsistent", pl.Pos)

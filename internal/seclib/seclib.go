@@ -9,6 +9,7 @@ package seclib
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"metachaos/internal/codec"
 	"metachaos/internal/core"
@@ -60,32 +61,33 @@ func (l *Lib) section(set *core.SetOfRegions, i int) gidx.Section {
 // a section crosses the distribution's chunks (see distarray.Chunk) one
 // after another, and within a chunk the owner is fixed and the local
 // index advances with the section's step, so every chunk crossing is
-// one run.  Nothing is computed or allocated per element.
+// one run.  Nothing is computed or allocated per element or per row.
 type walker struct {
 	dist *distarray.Dist
 	halo int
 	// only restricts the answer to one rank's elements; -1 keeps all.
-	only   int
-	coords []int
-	out    []core.LocRun
-	elems  int // how many elements out covers
-}
-
-func (l *Lib) walker(o core.DistObject, only int) *walker {
-	so := l.object(o)
-	dist := so.SecDist()
-	return &walker{dist: dist, halo: so.Halo(), only: only, coords: make([]int, len(dist.Shape()))}
+	only  int
+	out   []core.LocRun
+	elems int // how many elements the walk has appended to out
 }
 
 // span appends the runs of positions [lo, hi) of sec, whose first
 // position in the set is base.
 func (w *walker) span(sec gidx.Section, base, lo, hi int) {
+	if lo >= hi {
+		return
+	}
 	dist, halo, grid := w.dist, w.halo, w.dist.Grid()
 	last := len(grid) - 1
 	step := sec.Step[last]
+	var fixed [8]int // up to 8 dimensions, the coordinates stay on the stack
+	coords := fixed[:]
+	if len(grid) > len(fixed) {
+		coords = make([]int, len(grid))
+	}
+	coords = sec.PointAt(lo, coords[:len(grid)])
 	for pos := lo; pos < hi; {
-		// One row fragment: from the point at pos to the row's end, or hi.
-		coords := sec.PointAt(pos, w.coords)
+		// One row fragment: from coords to the row's end, or hi.
 		c := coords[last]
 		n := min(hi-pos, (sec.Hi[last]-c+step-1)/step)
 		// The leading dimensions fix the row's owners and the leading
@@ -98,8 +100,7 @@ func (w *walker) span(sec gidx.Section, base, lo, hi int) {
 		}
 		rank *= grid[last]
 		if w.only >= 0 && rank != w.only-w.only%grid[last] {
-			pos += n
-			continue
+			pos, n = pos+n, 0
 		}
 		for n > 0 {
 			g, local, end := dist.Chunk(last, c)
@@ -116,19 +117,27 @@ func (w *walker) span(sec gidx.Section, base, lo, hi int) {
 			}
 			pos, c, n = pos+count, c+count*step, n-count
 		}
+		// The next row starts at the leading dimensions' next point.
+		for d := last; d >= 0; d-- {
+			if coords[d] += sec.Step[d]; d < last && coords[d] < sec.Hi[d] {
+				break
+			}
+			coords[d] = sec.Lo[d]
+		}
 	}
 }
 
-// DerefRange returns the locations of set positions [lo, hi).  Pure
+// DerefRange appends the locations of set positions [lo, hi).  Pure
 // arithmetic: regular distributions dereference without communication.
-func (l *Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int) []core.LocRun {
-	return l.DerefAt(ctx, o, set, []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}})
+func (l *Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int, out []core.LocRun) []core.LocRun {
+	return l.DerefAt(ctx, o, set, []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}}, out)
 }
 
-// DerefAt returns the locations of the positions in the given
+// DerefAt appends the locations of the positions in the given
 // intervals.
-func (l *Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange) []core.LocRun {
-	w := l.walker(o, -1)
+func (l *Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange, out []core.LocRun) []core.LocRun {
+	so := l.object(o)
+	w := walker{dist: so.SecDist(), halo: so.Halo(), only: -1, out: out}
 	for _, iv := range at {
 		for lo, hi := int(iv.Lo), int(iv.Hi); lo < hi; {
 			span := set.SpanAt(lo, hi)
@@ -140,26 +149,24 @@ func (l *Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, 
 	return w.out
 }
 
-// OwnedPositions returns the caller's share of every section.  Where
+// OwnedPositions appends the caller's share of every section.  Where
 // every dimension is BLOCK the original library intersected each
 // section with the caller's tile box, at a cost proportional to the
 // elements owned; with a cyclic dimension there is no box and it
 // scanned the set.  The charges keep to that.
-func (l *Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions) []core.LocRun {
-	w := l.walker(o, ctx.Comm.Rank())
-	_, _, haveBox := w.dist.LocalBox(w.only)
+func (l *Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, out []core.LocRun) []core.LocRun {
+	so := l.object(o)
+	w := walker{dist: so.SecDist(), halo: so.Halo(), only: ctx.Comm.Rank(), out: out}
+	haveBox := !slices.ContainsFunc(w.dist.Kinds(), func(k distarray.Kind) bool { return k != distarray.Block })
 	work := 0
 	for i := 0; i < set.Len(); i++ {
 		sec := l.section(set, i)
 		before := w.elems
 		w.span(sec, set.Base(i), 0, sec.Size())
-		switch owned := w.elems - before; {
-		case !haveBox:
+		if haveBox {
+			work += max(w.elems-before, 1)
+		} else {
 			work += sec.Size()
-		case owned == 0:
-			work++
-		default:
-			work += owned
 		}
 	}
 	ctx.P.ChargeSectionOps(work)
@@ -195,12 +202,10 @@ func (l *Lib) EncodeDescriptor(ctx *core.Ctx, o core.DistObject) ([]byte, bool) 
 	var w codec.Writer
 	w.PutInts(dist.Shape())
 	w.PutInts(dist.Grid())
-	kinds := dist.Kinds()
-	ki := make([]int, len(kinds))
-	for i, k := range kinds {
-		ki[i] = int(k)
+	w.PutInt32(int32(len(dist.Kinds()))) // the kinds, as PutInts would
+	for _, k := range dist.Kinds() {
+		w.PutInt32(int32(k))
 	}
-	w.PutInts(ki)
 	w.PutInts(dist.Params())
 	w.PutInt32(int32(so.Halo()))
 	w.PutInt32(core.PackElem(so.Elem()))
@@ -213,10 +218,9 @@ func (l *Lib) DecodeDescriptor(data []byte) (core.DistObject, error) {
 	r := codec.NewReader(data)
 	shape := gidx.Shape(r.Ints())
 	grid := r.Ints()
-	ki := r.Ints()
-	kinds := make([]distarray.Kind, len(ki))
-	for i, k := range ki {
-		kinds[i] = distarray.Kind(k)
+	kinds := make([]distarray.Kind, r.Int32()) // as PutInts wrote them
+	for i := range kinds {
+		kinds[i] = distarray.Kind(r.Int32())
 	}
 	params := r.Ints()
 	halo := int(r.Int32())

@@ -1,6 +1,7 @@
 package seclib
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,7 +48,7 @@ func TestHaloOffsetsStayInsidePaddedTile(t *testing.T) {
 			[]distarray.Kind{distarray.Block, distarray.Block}, p.Rank(), 2, 1)
 		ctx := core.NewCtx(p, p.Comm())
 		set := core.NewSetOfRegions(gidx.FullSection(gidx.Shape{10, 10}))
-		locs := expand(testLib.DerefRange(ctx, o, set, 0, set.Size()))
+		locs := expand(testLib.DerefRange(ctx, o, set, 0, set.Size(), nil))
 		counts := o.dist.LocalCounts(p.Rank())
 		padded := (counts[0] + 4) * (counts[1] + 4)
 		for i, loc := range locs {
@@ -69,8 +70,8 @@ func TestCyclicDistributionFallsBackToScan(t *testing.T) {
 			[]distarray.Kind{distarray.Cyclic}, p.Rank(), 0, 1)
 		ctx := core.NewCtx(p, p.Comm())
 		set := core.NewSetOfRegions(gidx.Section{Lo: []int{1}, Hi: []int{17}, Step: []int{2}})
-		locs := expand(testLib.DerefRange(ctx, o, set, 0, set.Size()))
-		owned := expandOwned(testLib.OwnedPositions(ctx, o, set))
+		locs := expand(testLib.DerefRange(ctx, o, set, 0, set.Size(), nil))
+		owned := expandOwned(testLib.OwnedPositions(ctx, o, set, nil))
 		count := 0
 		for i, loc := range locs {
 			if int(loc.Proc) == p.Rank() {
@@ -97,7 +98,7 @@ func TestWrongRegionTypePanics(t *testing.T) {
 				t.Errorf("want descriptive panic, got %v", r)
 			}
 		}()
-		testLib.DerefRange(ctx, o, set, 0, 1)
+		testLib.DerefRange(ctx, o, set, 0, 1, nil)
 	})
 }
 
@@ -114,7 +115,7 @@ func TestWrongObjectTypePanics(t *testing.T) {
 				t.Error("want panic for non-section object")
 			}
 		}()
-		testLib.DerefRange(ctx, badObject{}, set, 0, 1)
+		testLib.DerefRange(ctx, badObject{}, set, 0, 1, nil)
 	})
 }
 
@@ -162,8 +163,8 @@ func TestQuickDerefRangeConsistent(t *testing.T) {
 			total := set.Size()
 			lo := int(lo8) % total
 			hi := lo + int(n8)%(total-lo+1)
-			full := expand(testLib.DerefRange(ctx, o, set, 0, total))
-			part := expand(testLib.DerefRange(ctx, o, set, lo, hi))
+			full := expand(testLib.DerefRange(ctx, o, set, 0, total, nil))
+			part := expand(testLib.DerefRange(ctx, o, set, lo, hi, nil))
 			for i := range part {
 				if part[i] != full[lo+i] {
 					ok = false
@@ -186,9 +187,9 @@ func TestDerefAtMatchesRange(t *testing.T) {
 			gidx.NewSection([]int{0, 0}, []int{4, 4}),
 			gidx.NewSection([]int{5, 1}, []int{9, 3}),
 		)
-		full := expand(testLib.DerefRange(ctx, o, set, 0, set.Size()))
+		full := expand(testLib.DerefRange(ctx, o, set, 0, set.Size(), nil))
 		positions := []int32{0, 3, 7, 15, int32(set.Size() - 1)}
-		at := expand(testLib.DerefAt(ctx, o, set, points(positions)))
+		at := expand(testLib.DerefAt(ctx, o, set, points(positions), nil))
 		for i, pos := range positions {
 			if at[i] != full[pos] {
 				t.Fatalf("DerefAt(%d)=%+v want %+v", pos, at[i], full[pos])
@@ -241,7 +242,7 @@ func TestOwnedPositionsEmptyIntersection(t *testing.T) {
 		o := newTestObject(t, gidx.Shape{8}, []int{2}, []distarray.Kind{distarray.Block}, p.Rank(), 0, 1)
 		ctx := core.NewCtx(p, p.Comm())
 		set := core.NewSetOfRegions(gidx.NewSection([]int{0}, []int{4})) // rank 0 only
-		owned := expandOwned(testLib.OwnedPositions(ctx, o, set))
+		owned := expandOwned(testLib.OwnedPositions(ctx, o, set, nil))
 		if p.Rank() == 0 && len(owned) != 4 {
 			t.Errorf("rank 0 owns %d", len(owned))
 		}
@@ -249,4 +250,45 @@ func TestOwnedPositionsEmptyIntersection(t *testing.T) {
 			t.Errorf("rank 1 owns %d", len(owned))
 		}
 	})
+}
+
+// TestWalkPastStackRank walks a stepped section of a 9-dimensional
+// array, one dimension more than a walk keeps on the stack, and a
+// 3-dimensional one through the same check: every position must land
+// where distarray.Locate puts its element (no halo), and
+// OwnedPositions must list exactly the caller's.  The walk steps its
+// coordinates from row to row across every leading dimension.
+func TestWalkPastStackRank(t *testing.T) {
+	for _, c := range []struct {
+		shape gidx.Shape
+		grid  []int
+		sec   gidx.Section
+	}{
+		{gidx.Shape{5, 1, 1, 1, 1, 1, 1, 3, 7}, []int{2, 1, 1, 1, 1, 1, 1, 1, 2},
+			gidx.Section{Lo: []int{0, 0, 0, 0, 0, 0, 0, 1, 1}, Hi: []int{5, 1, 1, 1, 1, 1, 1, 3, 7}, Step: []int{2, 1, 1, 1, 1, 1, 1, 1, 3}}},
+		{gidx.Shape{6, 5, 7}, []int{2, 2, 1},
+			gidx.Section{Lo: []int{1, 0, 2}, Hi: []int{6, 5, 7}, Step: []int{2, 3, 2}}},
+	} {
+		kinds := make([]distarray.Kind, len(c.shape))
+		mpsim.RunSPMD(mpsim.Ideal(), 4, func(p *mpsim.Proc) {
+			o := newTestObject(t, c.shape, c.grid, kinds, p.Rank(), 0, 1)
+			ctx := core.NewCtx(p, p.Comm())
+			set := core.NewSetOfRegions(c.sec)
+			locs := expand(testLib.DerefRange(ctx, o, set, 0, set.Size(), nil))
+			owned := expandOwned(testLib.OwnedPositions(ctx, o, set, nil))
+			var mine []posLoc
+			for k := 0; k < set.Size(); k++ {
+				rank, off := o.dist.Locate(c.sec.PointAt(k, nil))
+				if locs[k] != (loc{Proc: int32(rank), Off: int32(off)}) {
+					t.Fatalf("rank %d of %v: position %d at %+v, want rank %d offset %d", p.Rank(), c.shape, k, locs[k], rank, off)
+				}
+				if rank == p.Rank() {
+					mine = append(mine, posLoc{Pos: int32(k), Off: int32(off)})
+				}
+			}
+			if !reflect.DeepEqual(owned, mine) {
+				t.Fatalf("rank %d of %v: owns %v, want %v", p.Rank(), c.shape, owned, mine)
+			}
+		})
+	}
 }

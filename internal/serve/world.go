@@ -591,7 +591,7 @@ func buildSide(ctx *core.Ctx, spec *DistSpec) (side, error) {
 	default:
 		return side{}, fmt.Errorf("%w: unknown library %q", ErrBadSpec, spec.Library)
 	}
-	sd.owned = sd.lib.OwnedPositions(ctx, sd.obj, sd.set)
+	sd.owned = sd.lib.OwnedPositions(ctx, sd.obj, sd.set, nil)
 	return sd, nil
 }
 
