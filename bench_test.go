@@ -490,7 +490,7 @@ func BenchmarkAlltoall(b *testing.B) {
 				bufs[j] = make([]byte, 4096)
 			}
 			for r := 0; r < 10; r++ {
-				p.Comm().Alltoall(bufs)
+				p.Comm().Alltoall(bufs, nil)
 			}
 		})
 	}

@@ -10,7 +10,8 @@
 // Ownership rules (see DESIGN.md, "Zero-copy data plane"):
 //
 //   - A Segment or Payload starts with one reference, owned by the
-//     caller of GetSegment/GetPayload/OwnPayload.  Retain adds a reference,
+//     caller of GetSegment/GetPayload/OwnPayload/CopyPayload.  Retain adds
+//     a reference,
 //     Release drops one; the last Release returns the object to the
 //     pool for reuse.  Releasing below zero panics.
 //   - Bytes added with AddView are borrowed: whoever adds the view
@@ -156,9 +157,6 @@ func (s *Segment) Release() {
 	p.mu.Unlock()
 }
 
-// refs exposes the current count to the lease's idle check.
-func (s *Segment) refCount() int32 { return s.refs.Load() }
-
 // Payload is a refcounted scatter-gather byte sequence: an ordered
 // list of segments, each either a borrowed view of caller storage or a
 // slice of a pooled segment the payload holds a reference on.  It is
@@ -210,6 +208,22 @@ func (p *Pool) GetPayload() *Payload {
 func (p *Pool) OwnPayload(b []byte) *Payload {
 	pl := p.GetPayload()
 	pl.AddView(b)
+	pl.materialized = true
+	return pl
+}
+
+// CopyPayload returns a payload holding a copy of b in a pooled
+// segment, with one reference owned by the caller.  Like OwnPayload's,
+// it is born materialized; unlike it, its storage goes back to the pool
+// when the last reference drops, so a message that is copied in and
+// read out again costs no allocation.
+func (p *Pool) CopyPayload(b []byte) *Payload {
+	pl := p.GetPayload()
+	if len(b) > 0 {
+		seg := p.GetSegment(len(b))
+		pl.AttachSegment(seg)
+		pl.AddView(seg.buf[:copy(seg.buf, b)])
+	}
 	pl.materialized = true
 	return pl
 }
@@ -319,47 +333,4 @@ func (pl *Payload) Materialize() int {
 	pl.segs = append(pl.segs[:0], buf)
 	pl.materialized = true
 	return pl.n
-}
-
-// Lease is a per-owner cache of pooled segments for staging buffers
-// that are refilled on every use (a schedule's strided-run pack
-// staging and checksum trailers).  Acquire prefers a cached idle
-// segment — one only the lease still references — so steady-state
-// staging allocates nothing and takes no pool lock.  A lease belongs
-// to one goroutine (one simulated rank); it is not safe for concurrent
-// use.
-type Lease struct {
-	pool *Pool
-	segs []*Segment
-}
-
-// NewLease returns an empty lease on the pool.
-func (p *Pool) NewLease() *Lease { return &Lease{pool: p} }
-
-// Acquire returns a segment with at least n bytes of capacity and one
-// new reference owned by the caller (typically handed to a payload
-// with AttachSegment).  The lease keeps its own reference so the
-// segment is reused once the caller's side releases.
-func (l *Lease) Acquire(n int) *Segment {
-	for _, s := range l.segs {
-		if s.refCount() == 1 && cap(s.buf) >= n {
-			s.Retain()
-			return s
-		}
-	}
-	s := l.pool.GetSegment(n) // the lease's reference
-	s.Retain()                // the caller's reference
-	l.segs = append(l.segs, s)
-	return s
-}
-
-// Close drops the lease's cached references.  Segments still
-// referenced by in-flight payloads return to the pool when those
-// payloads release them; the lease stays usable and refills on the
-// next Acquire.
-func (l *Lease) Close() {
-	for _, s := range l.segs {
-		s.Release()
-	}
-	l.segs = l.segs[:0]
 }

@@ -147,35 +147,30 @@ func TestMaterializeSeversViews(t *testing.T) {
 	checkNoLeaks(t, p)
 }
 
-func TestLeaseReuse(t *testing.T) {
+// TestCopyPayloadRecycles: a copied payload is materialized at birth,
+// independent of its source, and its segment goes back to the pool with
+// the last reference, so the next copy of that size reuses it.
+func TestCopyPayloadRecycles(t *testing.T) {
 	p := New()
-	l := p.NewLease()
-
-	s1 := l.Acquire(100)
-	s1.Release() // caller done; lease still holds it
-	s2 := l.Acquire(50)
-	if s2 != s1 {
-		t.Error("idle leased segment was not reused")
+	src := []byte("copied in")
+	pl := p.CopyPayload(src)
+	src[0] = 'X'
+	if !pl.Materialized() || pl.Materialize() != 0 || !bytes.Equal(pl.AppendTo(nil), []byte("copied in")) {
+		t.Fatalf("copied payload: materialized %v, bytes %q", pl.Materialized(), pl.AppendTo(nil))
 	}
-	// While s2 is busy (caller holds a reference), Acquire must hand
-	// out a different segment.
-	s3 := l.Acquire(50)
-	if s3 == s2 {
-		t.Error("busy leased segment was handed out twice")
-	}
-	s2.Release()
-	s3.Release()
-
-	// Close drops the lease's references; a segment still held by a
-	// payload survives until that payload releases.
-	pl := p.GetPayload()
-	s4 := l.Acquire(10)
-	pl.AttachSegment(s4)
-	l.Close()
-	if p.LiveSegments() != 1 {
-		t.Fatalf("live segments after Close = %d, want 1 (payload-held)", p.LiveSegments())
-	}
+	seg := &pl.Segments()[0][0]
 	pl.Release()
+	again := p.CopyPayload(src)
+	if &again.Segments()[0][0] != seg {
+		t.Error("a released copy's segment was not reused")
+	}
+	again.Release()
+
+	empty := p.CopyPayload(nil)
+	if !empty.Materialized() || empty.Len() != 0 || p.LiveSegments() != 0 {
+		t.Fatalf("empty copy: materialized %v, len %d, %d segments live", empty.Materialized(), empty.Len(), p.LiveSegments())
+	}
+	empty.Release()
 	checkNoLeaks(t, p)
 }
 

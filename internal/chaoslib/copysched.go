@@ -75,7 +75,7 @@ func BuildCopySchedule(ctx *core.Ctx, srcTT, dstTT *TTable, srcIndices, dstIndic
 	for r := range bufs {
 		bufs[r] = frag[r].Bytes()
 	}
-	parts := comm.Alltoall(bufs)
+	parts := comm.Alltoall(bufs, nil)
 
 	cs := &CopySchedule{ctx: ctx}
 	sendMap := map[int]*lane{}

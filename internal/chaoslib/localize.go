@@ -99,7 +99,7 @@ func Localize(ctx *core.Ctx, a *Array, indices []int32) *Localized {
 		bufs[owner] = w.Bytes()
 		lz.inLanes = append(lz.inLanes, lane{peer: int(owner), offsets: slots})
 	}
-	parts := ctx.Comm.Alltoall(bufs)
+	parts := ctx.Comm.Alltoall(bufs, nil)
 	for src, part := range parts {
 		if len(part) == 0 {
 			continue

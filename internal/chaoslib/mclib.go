@@ -41,21 +41,25 @@ func (Lib) region(set *core.SetOfRegions, i int) IndexRegion {
 // Collective: a single translation-table lookup round serves the whole
 // range.
 func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, lo, hi int, out []core.LocRun) []core.LocRun {
+	tt := tableOf(o)
 	at := []core.PosRange{{Lo: int32(lo), Hi: int32(hi)}}
-	return tableOf(o).lookupRuns(ctx, l.indices(set, at), at, out)
+	return tt.lookupRuns(ctx, l.indices(tt, set, at), at, out)
 }
 
 // DerefAt appends the locations of the positions in the given
 // intervals.
 func (l Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange, out []core.LocRun) []core.LocRun {
-	indices := l.indices(set, at)
+	tt := tableOf(o)
+	indices := l.indices(tt, set, at)
 	ctx.P.ChargeMemOps(len(indices))
-	return tableOf(o).lookupRuns(ctx, indices, at, out)
+	return tt.lookupRuns(ctx, indices, at, out)
 }
 
-// indices lists the global indices at the positions in at, in order.
-func (l Lib) indices(set *core.SetOfRegions, at []core.PosRange) []int32 {
-	out := make([]int32, 0, core.RangesLen(at))
+// indices lists the global indices at the positions in at, in order, in
+// tt's lookup scratch: they are read only by the lookup round that
+// follows.
+func (l Lib) indices(tt *TTable, set *core.SetOfRegions, at []core.PosRange) []int32 {
+	out := tt.scratch.indices[:0]
 	for _, iv := range at {
 		for lo, hi := int(iv.Lo), int(iv.Hi); lo < hi; {
 			span := set.SpanAt(lo, hi)
@@ -63,6 +67,7 @@ func (l Lib) indices(set *core.SetOfRegions, at []core.PosRange) []int32 {
 			lo = span.Base + span.Hi
 		}
 	}
+	tt.scratch.indices = out
 	return out
 }
 
@@ -91,7 +96,7 @@ func (l Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfReg
 	for r := range outs {
 		outs[r] = bufs[r].Bytes()
 	}
-	parts := comm.Alltoall(outs)
+	parts := comm.Alltoall(outs, nil)
 	ans := out[len(out):] // nothing fuses into out's own runs
 	owned := 0
 	// Chunks arrive in increasing producer rank, and produce increasing

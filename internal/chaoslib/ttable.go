@@ -109,7 +109,7 @@ func BuildTTable(ctx *core.Ctx, indices []int32, offsets []int32) (*TTable, erro
 		outs[r] = bufs[r].Bytes()
 	}
 	p.ChargeMemOps(len(indices))
-	parts := comm.Alltoall(outs)
+	parts := comm.Alltoall(outs, nil)
 	duplicates := 0
 	for src, part := range parts {
 		r := codec.NewReader(part)
@@ -194,17 +194,20 @@ func (tt *TTable) lookupRuns(ctx *core.Ctx, indices []int32, at []core.PosRange,
 	return append(out, ans...)
 }
 
-// lookupScratch is the distributed form's working storage for a lookup
-// round, kept on the table so a round allocates only the transport's
-// copies and the caller's answer.  Reuse is safe because Alltoall
-// copies every buffer it is handed before it returns, and ask resets
-// the scratch when it starts.
+// lookupScratch is a lookup round's working storage, kept on the table
+// so a round allocates only the caller's answer once the buffers have
+// grown to the round's size.  Reuse is safe because Alltoall copies
+// every buffer it is handed before it returns and lands what it
+// receives in the slots it is given, and ask resets the scratch when it
+// starts.
 type lookupScratch struct {
+	indices []int32  // the global indices an inquiry asks about (Lib.indices)
 	owners  []int32  // each request's page owner
 	cur     []int32  // per owner: a cursor into its slab
 	req     []byte   // requests, grouped by owner
 	reply   []byte   // replies, grouped by asking process
 	bufs    [][]byte // the parts handed to each Alltoall
+	asked   [][]byte // the round's requests, by asking process
 	answers [][]byte // the round's replies, by owner
 }
 
@@ -219,6 +222,7 @@ func (tt *TTable) ask(ctx *core.Ctx, indices []int32) {
 	s := &tt.scratch
 	if len(s.bufs) != np {
 		s.cur, s.bufs = make([]int32, np+1), make([][]byte, np)
+		s.asked, s.answers = make([][]byte, np), make([][]byte, np)
 	}
 
 	// Group requests by page owner: count, then write each owner's
@@ -248,7 +252,7 @@ func (tt *TTable) ask(ctx *core.Ctx, indices []int32) {
 		lo = s.cur[o]
 	}
 	p.ChargeMemOps(len(indices))
-	asked := comm.Alltoall(s.bufs)
+	asked := comm.Alltoall(s.bufs, s.asked)
 
 	// Serve: translate every request against my page.
 	served := 0
@@ -269,7 +273,7 @@ func (tt *TTable) ask(ctx *core.Ctx, indices []int32) {
 		s.bufs[src] = s.reply[lo:at]
 	}
 	p.ChargeDeref(served)
-	s.answers = comm.Alltoall(s.bufs)
+	comm.Alltoall(s.bufs, s.answers)
 	clear(s.cur)
 }
 

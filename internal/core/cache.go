@@ -129,7 +129,6 @@ func (c *ScheduleCache) evictDownToLocked(n int) {
 				oldest = k
 			}
 		}
-		c.entries[oldest].s.releaseScratch()
 		delete(c.entries, oldest)
 		c.evictions++
 	}
@@ -168,9 +167,6 @@ func (c *ScheduleCache) SetIncarnation(n int) {
 	defer c.mu.Unlock()
 	if n != c.incarnation {
 		c.incarnation = n
-		for _, e := range c.entries {
-			e.s.releaseScratch()
-		}
 		c.entries = nil
 	}
 }

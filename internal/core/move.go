@@ -294,7 +294,6 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 		}
 		if s.pool == nil {
 			s.pool = p.BufPool()
-			s.lease = s.pool.NewLease()
 		}
 		// Stride-1 runs go on the wire as views of the source storage —
 		// no pack copy — when the host's native byte order is the wire
@@ -310,7 +309,9 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			sp := p.Span("move.pack")
 			// Staging need: every strided run (every run when views are
 			// disabled) plus the checksum trailer, sized exactly so the
-			// leased segment never reallocates under the views into it.
+			// pooled segment never reallocates under the views into it.
+			// The segment rides on the payload and goes back to the pool
+			// with its last reference.
 			staged := pl.n
 			if canView {
 				staged = pl.strided
@@ -322,7 +323,7 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 			pay := s.pool.GetPayload()
 			var stage []byte
 			if staged > 0 {
-				seg := s.lease.Acquire(staged)
+				seg := s.pool.GetSegment(staged)
 				pay.AttachSegment(seg)
 				stage = seg.Bytes()[:0]
 			}

@@ -179,13 +179,14 @@ func TestMoveOverlapAllocFree(t *testing.T) {
 // section has but never for its elements.  A 96×96 section has 16 times
 // the elements of a 24×24 one and 4 times the rows; with the inquiry
 // answers appended to buffers the Coupling keeps, both sizes allocate
-// the same: the returned lists, the Schedule and the transport's
-// copies.  The row between two programs exchanges descriptors on every
-// build; an unchanged peer is not decoded again.  The irregular rows
-// are inspect-irregular's shape, CHAOS index lists behind the paged
+// the same: the returned lists, the Schedule and the broadcasts'
+// copies; the all-to-all exchanges land in slots the Coupling keeps.
+// The row between two programs exchanges descriptors on every build; an
+// unchanged peer is not decoded again.  The irregular rows are
+// inspect-irregular's shape, CHAOS index lists behind the paged
 // translation table: every element is a run of its own, so only scratch
-// kept across builds keeps 16 times the elements from costing more
-// allocations.
+// kept across builds (the translation table's lookup slots among it)
+// keeps 16 times the elements from costing more allocations.
 func TestScheduleBuildAllocsFollowRuns(t *testing.T) {
 	build := func(l layout, method core.Method, size int, sides buildSides) float64 {
 		return steadyAllocs(t, mpsim.Ideal(), 20, func(p *mpsim.Proc) func() {
@@ -205,14 +206,17 @@ func TestScheduleBuildAllocsFollowRuns(t *testing.T) {
 		small, large int
 		sides        buildSides
 		// same asks for equal counts at both sizes: every list of a
-		// section transfer has a run count independent of its size.
+		// section transfer has a run count independent of its size, and
+		// an element-granular one grows only scratch kept across builds.
 		same bool
+		// ceiling bounds the count at either size.
+		ceiling float64
 	}{
-		{"sections, cooperation", oneProgram, core.Cooperation, 24, 96, sectionSides, true},
-		{"sections, duplication", oneProgram, core.Duplication, 24, 96, sectionSides, true},
-		{"sections between programs, duplication", twoPrograms, core.Duplication, 24, 96, sectionSides, true},
-		{"chaos to hpf block vector, cooperation", oneProgram, core.Cooperation, 1 << 11, 1 << 15, chaosToHPFSides, false},
-		{"pcxx round-robin to chaos, cooperation", oneProgram, core.Cooperation, 1 << 11, 1 << 15, pcxxToChaosSides, false},
+		{"sections, cooperation", oneProgram, core.Cooperation, 24, 96, sectionSides, true, 28},
+		{"sections, duplication", oneProgram, core.Duplication, 24, 96, sectionSides, true, 28},
+		{"sections between programs, duplication", twoPrograms, core.Duplication, 24, 96, sectionSides, true, 67},
+		{"chaos to hpf block vector, cooperation", oneProgram, core.Cooperation, 1 << 11, 1 << 15, chaosToHPFSides, true, 32},
+		{"pcxx round-robin to chaos, cooperation", oneProgram, core.Cooperation, 1 << 11, 1 << 15, pcxxToChaosSides, true, 32},
 	} {
 		small, large := build(row.layout, row.method, row.small, row.sides), build(row.layout, row.method, row.large, row.sides)
 		t.Logf("%s: %.0f allocations per build at size %d, %.0f at %d", row.name, small, row.small, large, row.large)
@@ -221,6 +225,9 @@ func TestScheduleBuildAllocsFollowRuns(t *testing.T) {
 			t.Errorf("%s: a build at size %d allocates %.0f times, at %d %.0f; want the same", row.name, row.large, large, row.small, small)
 		case large > 1.5*small:
 			t.Errorf("%s: a build at size %d allocates %.0f times, at %d %.0f; want at most 1.5x", row.name, row.large, large, row.small, small)
+		}
+		if max(small, large) > row.ceiling {
+			t.Errorf("%s: a build allocates %.0f times; want at most %.0f", row.name, max(small, large), row.ceiling)
 		}
 	}
 }

@@ -321,7 +321,7 @@ func (l refChaos) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.Set
 	for r := range outs {
 		outs[r] = bufs[r].Bytes()
 	}
-	parts := comm.Alltoall(outs)
+	parts := comm.Alltoall(outs, nil)
 	var out []core.PosLoc
 	for _, part := range parts {
 		r := codec.NewReader(part)

@@ -173,7 +173,7 @@ func refBuildCooperation(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 			bufs[c.DstRanks[j]] = w.Bytes()
 		}
 	}
-	parts := c.Union.Alltoall(bufs)
+	parts := c.Union.Alltoall(bufs, nil)
 
 	// Phase 3: destination processes dereference their chunk and join
 	// it with the received source locations; phase 4: accumulate the
@@ -246,7 +246,7 @@ func refBuildCooperation(c *Coupling, src, dst *ElemSpec, sched *Schedule) {
 			fragBufs[u] = w.Bytes()
 		}
 	}
-	mine := c.Union.Alltoall(fragBufs)
+	mine := c.Union.Alltoall(fragBufs, nil)
 
 	// One offset, one pair at a time: a list is a function of its
 	// element sequence, so this must leave what production's run-wise

@@ -1,6 +1,10 @@
 package core
 
-import "metachaos/internal/codec"
+import (
+	"encoding/binary"
+
+	"metachaos/internal/codec"
+)
 
 // Run-length encoding for schedule wire formats.  The cooperation
 // method ships location and offset lists between processes; for
@@ -129,42 +133,81 @@ func (e *pairEncoder) finish() []byte {
 	return e.w.Bytes()
 }
 
-// decodePairsRuns reads one stream, calling run once per token — a
-// literal pair is a run of one — and returns the stream's pair count.
-// Consumers append through the bulk appenders (runs.go), so what they
-// build depends on the pairs alone, not on how the encoder cut them.
-func decodePairsRuns(r *codec.Reader, run func(LocalRun)) int {
-	total := r.Int32()
-	for seen := int32(0); seen < total; {
-		h := r.Int32()
-		if h < 0 {
-			t := LocalRun{Count: -h}
-			t.Src, t.SrcStride = r.Int32(), r.Int32()
-			t.Dst, t.DstStride = r.Int32(), r.Int32()
-			run(t)
-			seen += t.Count
-			continue
-		}
-		for k := int32(0); k < h; k++ {
-			run(LocalRun{Src: r.Int32(), Dst: r.Int32(), Count: 1})
-		}
-		seen += h
-	}
-	return int(total)
+// pairStream walks one stream token by token, straight off its bytes.
+// A token is a run, or a literal block handed over as its raw bytes (8
+// a pair: a, then b), so consumers read literals in a plain loop with
+// no call per pair.  What they build goes through the appenders
+// (runs.go), so it depends on the pairs alone, not on how the encoder
+// cut them.
+type pairStream struct {
+	b    []byte // from the next token on
+	left int32  // pairs not yet walked
 }
 
-// decodeKeyedRuns reads a stream whose pairs are (key, offset) — a
-// process or peer rank and an offset there — calling run for every
-// stretch of offsets under one key and returning the pair count.  A
-// token whose key moves is as many stretches of one.
-func decodeKeyedRuns(r *codec.Reader, run func(key int, offs Run)) int {
-	return decodePairsRuns(r, func(t LocalRun) {
-		if t.SrcStride == 0 {
-			run(int(t.Src), t.dst())
-			return
+// openStream starts walking the stream at the front of b.
+func openStream(b []byte) pairStream {
+	return pairStream{b: b[4:], left: le32(b)}
+}
+
+// next returns the next token, while left > 0: a run with lits nil, or
+// a literal block's bytes.
+func (s *pairStream) next() (t LocalRun, lits []byte) {
+	h := le32(s.b)
+	if h < 0 {
+		t = LocalRun{Count: -h, Src: le32(s.b[4:]), SrcStride: le32(s.b[8:]), Dst: le32(s.b[12:]), DstStride: le32(s.b[16:])}
+		s.b, s.left = s.b[20:], s.left-t.Count
+		return t, nil
+	}
+	end := 4 + 8*int(h)
+	lits, s.b, s.left = s.b[4:end:end], s.b[end:], s.left-h
+	return t, lits
+}
+
+// le32 reads the little-endian int32 at the front of b.
+func le32(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }
+
+// addStream appends the stream at the front of b, whose pairs are
+// (peer, offset), to the lanes, and returns the bytes after it and its
+// pair count.  A run whose peer moves is as many single offsets.
+func (l *lanes) addStream(b []byte) ([]byte, int) {
+	st := openStream(b)
+	n := int(st.left)
+	for st.left > 0 {
+		t, lits := st.next()
+		switch {
+		case lits != nil:
+			for ; len(lits) > 0; lits = lits[8:] {
+				pl := l.lane(int(le32(lits)))
+				pl.Runs = appendOffsetRun(pl.Runs, le32(lits[4:]))
+			}
+		case t.SrcStride == 0:
+			pl := l.lane(int(t.Src))
+			pl.Runs = appendOffsetRuns(pl.Runs, t.dst())
+		default:
+			for k := int32(0); k < t.Count; k++ {
+				pl := l.lane(int(t.Src + k*t.SrcStride))
+				pl.Runs = appendOffsetRun(pl.Runs, t.Dst+k*t.DstStride)
+			}
 		}
-		for k := int32(0); k < t.Count; k++ {
-			run(int(t.Src+k*t.SrcStride), Run{Start: t.Dst + k*t.DstStride, Count: 1})
+	}
+	return st.b, n
+}
+
+// appendLocalStream appends the stream at the front of b, whose pairs
+// are (source offset, destination offset), to runs, and returns the
+// list, the bytes after the stream and its pair count.
+func appendLocalStream(runs []LocalRun, b []byte) ([]LocalRun, []byte, int) {
+	st := openStream(b)
+	n := int(st.left)
+	for st.left > 0 {
+		t, lits := st.next()
+		if lits == nil {
+			runs = appendLocalRuns(runs, t)
+			continue
 		}
-	})
+		for ; len(lits) > 0; lits = lits[8:] {
+			runs = appendLocalRun(runs, le32(lits), le32(lits[4:]))
+		}
+	}
+	return runs, st.b, n
 }

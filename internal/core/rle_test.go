@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -222,5 +223,73 @@ func TestQuickRLERunFedByteIdentical(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("iteration %d", i)
 		}
+	}
+}
+
+// TestStreamWalkerMatchesElementwise encodes random pair sequences, cut
+// at random into putRun calls, and decodes each stream into lanes and
+// into a local list: both must equal the lists the one-element
+// appenders build from the pairs, and the walk must stop exactly at the
+// stream's end.  Across the draws the streams hold literal blocks, run
+// tokens and run tokens whose key moves.
+func TestStreamWalkerMatchesElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var lits, runs, moving int
+	for i := 0; i < 5000; i++ {
+		var drawn []pairRun
+		for n := rng.Intn(8); n > 0; n-- {
+			r := pairRun{int32(rng.Intn(6)), int32(rng.Intn(2)), int32(rng.Intn(40)), int32(rng.Intn(7) - 3), int32(1 + rng.Intn(9))}
+			if rng.Intn(3) == 0 {
+				r.da = -1
+				r.a0 += r.count - 1
+			}
+			drawn = append(drawn, r)
+		}
+		var e pairEncoder
+		e.begin()
+		for _, r := range drawn {
+			for r.count > 0 {
+				n := 1 + int32(rng.Intn(int(r.count)))
+				e.putRun(LocalRun{Src: r.a0, SrcStride: r.da, Dst: r.b0, DstStride: r.db, Count: n})
+				r.a0, r.b0, r.count = r.a0+n*r.da, r.b0+n*r.db, r.count-n
+			}
+		}
+		stream := append(e.finish(), 0xee) // a byte after the stream
+		as, bs := expandPairRuns(drawn)
+
+		for st := openStream(stream); st.left > 0; {
+			tok, l := st.next()
+			switch {
+			case l != nil:
+				lits++
+			case tok.SrcStride == 0:
+				runs++
+			default:
+				moving++
+			}
+		}
+
+		var got, want lanes
+		var gotLocal, wantLocal []LocalRun
+		rest, n := got.addStream(stream)
+		gotLocal, restLocal, nLocal := appendLocalStream(nil, stream)
+		for k := range as {
+			pl := want.lane(int(as[k]))
+			pl.Runs = appendOffsetRun(pl.Runs, bs[k])
+			wantLocal = appendLocalRun(wantLocal, as[k], bs[k])
+		}
+		switch {
+		case n != len(as) || nLocal != len(as):
+			t.Fatalf("draw %d: walked %d and %d pairs, want %d", i, n, nLocal, len(as))
+		case len(rest) != 1 || len(restLocal) != 1:
+			t.Fatalf("draw %d: walk stopped %d and %d bytes before the end, want 1", i, len(rest), len(restLocal))
+		case !reflect.DeepEqual(got.list, want.list):
+			t.Fatalf("draw %d: pairs a=%v b=%v\n lanes %v\n want  %v", i, as, bs, got.list, want.list)
+		case !reflect.DeepEqual(gotLocal, wantLocal):
+			t.Fatalf("draw %d: pairs a=%v b=%v\n local %v\n want  %v", i, as, bs, gotLocal, wantLocal)
+		}
+	}
+	if lits == 0 || runs == 0 || moving == 0 {
+		t.Errorf("streams held %d literal blocks, %d run tokens and %d moving-key run tokens; want some of each", lits, runs, moving)
 	}
 }

@@ -195,13 +195,10 @@ type runCursor struct {
 // the cursor past it.  Answers that do not cover the same positions
 // break the Library contract and panic.
 func (c *runCursor) cut(s *LocRun, seg *routeRun) {
-	if c.i == len(c.runs) {
-		panic(fmt.Sprintf("core: inquiry answers cover different positions: the destination side ends before %d", s.Pos))
+	if c.i == len(c.runs) || c.runs[c.i].Pos+c.k != s.Pos {
+		c.mismatch(s.Pos)
 	}
 	d := &c.runs[c.i]
-	if d.Pos+c.k != s.Pos {
-		panic(fmt.Sprintf("core: inquiry answers cover different positions: %d on the source side, %d on the destination side", s.Pos, d.Pos+c.k))
-	}
 	n := d.Count - c.k
 	if s.Count < n {
 		n = s.Count
@@ -215,6 +212,29 @@ func (c *runCursor) cut(s *LocRun, seg *routeRun) {
 	if c.k += n; c.k == d.Count {
 		c.i, c.k = c.i+1, 0
 	}
+}
+
+// cutOne is cut for a source-side stretch of the one position pos: it
+// returns the destination side's program rank and offset there.
+func (c *runCursor) cutOne(pos int32) (proc, off int32) {
+	if c.i == len(c.runs) || c.runs[c.i].Pos+c.k != pos {
+		c.mismatch(pos)
+	}
+	d := &c.runs[c.i]
+	proc, off = d.Proc, d.Off+c.k*d.Stride
+	if c.k++; c.k == d.Count {
+		c.i, c.k = c.i+1, 0
+	}
+	return proc, off
+}
+
+// mismatch panics because the source side's next position, pos, is not
+// where the cursor stands.
+func (c *runCursor) mismatch(pos int32) {
+	if c.i == len(c.runs) {
+		panic(fmt.Sprintf("core: inquiry answers cover different positions: the destination side ends before %d", pos))
+	}
+	panic(fmt.Sprintf("core: inquiry answers cover different positions: %d on the source side, %d on the destination side", pos, c.runs[c.i].Pos+c.k))
 }
 
 // done checks that the walk used the cursor's answer up.

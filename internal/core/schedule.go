@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -96,14 +97,14 @@ type Schedule struct {
 	// ships and unpacks without allocating (see move.go).  A Schedule is
 	// per-process state and moves are collective, so no locking.
 	//
-	// pool/lease back the zero-copy pack path: each move's staging
-	// segments (strided runs, checksum trailers) come from the lease,
-	// which recycles them once the transport's references drain.  sent
-	// tracks the move's in-flight payloads until the move settles them.
-	pool  *bufpool.Pool
-	lease *bufpool.Lease
-	sent  []*bufpool.Payload
-	reqs  []*mpsim.Request
+	// pool backs the zero-copy pack path: each move's staging segments
+	// (strided runs, checksum trailers) come from it and return to it
+	// when the payloads carrying them are released, so a schedule holds
+	// no pooled storage between moves.  sent tracks the move's in-flight
+	// payloads until the move settles them.
+	pool *bufpool.Pool
+	sent []*bufpool.Payload
+	reqs []*mpsim.Request
 
 	// copiedC is the resolved "move.bytes_copied" counter when a tracer
 	// is attached, cached so moves never hit the registry map.
@@ -113,17 +114,6 @@ type Schedule struct {
 	// reliable): per-peer network-counter snapshots around a move.
 	netBefore []mpsim.PairStats
 	perPeer   []PeerNet
-}
-
-// releaseScratch returns the schedule's pooled staging segments to the
-// buffer pool.  The schedule cache calls it when it evicts an entry;
-// segments still referenced by in-flight payloads survive until those
-// payloads release, and the schedule stays usable (the lease refills on
-// the next move).
-func (s *Schedule) releaseScratch() {
-	if s.lease != nil {
-		s.lease.Close()
-	}
 }
 
 // EachLocal calls f for every same-process (src, dst) element pair in
@@ -335,7 +325,7 @@ func buildCooperation(c *Coupling, s *buildScratch, src, dst *Spec, sched *Sched
 			bufs[c.DstRanks[j]] = e.finish()
 		}
 	}
-	parts := c.Union.Alltoall(bufs)
+	parts := c.Union.Alltoall(bufs, s.parts)
 	sp.End(p.Clock())
 
 	// Phase 3: destination processes dereference their chunk and join
@@ -343,45 +333,19 @@ func buildCooperation(c *Coupling, s *buildScratch, src, dst *Spec, sched *Sched
 	// phase 4: the joined stretches go straight into the fragment
 	// streams of the processes that own their two ends.
 	sp = p.Span("sched.join")
-	frag := s.frag
-	fragOf := func(u int32) *fragAccum {
-		f := &frag[u]
-		if !f.live {
-			f.begin()
-		}
-		return f
-	}
 	if dst != nil {
 		dLo, dHi := chunk(n, nD, dst.Ctx.Comm.Rank())
 		dstRuns := runCursor{runs: dst.Lib.DerefRange(dst.Ctx, dst.Obj, dst.Set, dLo, dHi, s.second[:0])}
 		s.second = dstRuns.runs
-		var seg routeRun
-		join := func(s LocRun) {
-			for s.Count > 0 {
-				dstRuns.cut(&s, &seg)
-				sU := int32(c.SrcRanks[seg.SrcRank])
-				dU := int32(c.DstRanks[seg.DstRank])
-				if sU == dU {
-					fragOf(sU).loc.putRun(seg.offs())
-				} else {
-					fragOf(sU).send.putRun(LocalRun{Src: dU, Dst: seg.SrcOff, DstStride: seg.SrcStride, Count: seg.Count})
-					fragOf(dU).recv.putRun(LocalRun{Src: sU, Dst: seg.DstOff, DstStride: seg.DstStride, Count: seg.Count})
-				}
-			}
-		}
 		// Source chunks ascend with source rank, so taking the parts in
 		// that order reads the chunk's source locations in position order.
 		pos := int32(dLo)
 		for _, u := range c.SrcRanks {
-			r := codec.NewReader(parts[u])
-			for r.Remaining() > 0 {
-				if a := r.Int64(); a != int64(pos) {
+			for b := parts[u]; len(b) > 0; {
+				if a := int64(binary.LittleEndian.Uint64(b)); a != int64(pos) {
 					panic(fmt.Sprintf("core: cooperation join received source locations from position %d, expected %d", a, pos))
 				}
-				decodeKeyedRuns(r, func(proc int, offs Run) {
-					join(LocRun{Pos: pos, Proc: int32(proc), Off: offs.Start, Stride: offs.Stride, Count: offs.Count})
-					pos += offs.Count
-				})
+				b, pos = s.join(c, &dstRuns, b[8:], pos)
 			}
 		}
 		if filled := int(pos) - dLo; filled != dHi-dLo {
@@ -400,23 +364,25 @@ func buildCooperation(c *Coupling, s *buildScratch, src, dst *Spec, sched *Sched
 	// sorting.
 	sp = p.Span("sched.assemble")
 	clear(bufs)
-	for u := range frag {
-		if f := &frag[u]; f.live {
+	for u := range s.frag {
+		if f := &s.frag[u]; f.live {
 			bufs[u] = f.bytes()
 		}
 	}
-	mine := c.Union.Alltoall(bufs)
+	mine := c.Union.Alltoall(bufs, s.mine)
 
-	sends, recvs := &s.sends, &s.recvs
 	total := 0
-	for _, part := range mine {
-		if len(part) == 0 {
+	for _, b := range mine {
+		if len(b) == 0 {
 			continue
 		}
-		r := codec.NewReader(part)
-		total += decodeKeyedRuns(r, sends.add)
-		total += decodeKeyedRuns(r, recvs.add)
-		total += decodePairsRuns(r, func(t LocalRun) { s.local = appendLocalRuns(s.local, t) })
+		var n int
+		b, n = s.sends.addStream(b)
+		total += n
+		b, n = s.recvs.addStream(b)
+		total += n
+		s.local, _, n = appendLocalStream(s.local, b)
+		total += n
 	}
 	p.ChargeSectionOps(total)
 	s.take(sched)
@@ -424,17 +390,20 @@ func buildCooperation(c *Coupling, s *buildScratch, src, dst *Spec, sched *Sched
 }
 
 // buildScratch is the schedule builders' working storage, kept on the
-// Coupling so a cold build allocates only what it returns: the
-// Schedule and the transport's copies.  Reuse is safe because Bcast
-// and Alltoall copy every buffer they are handed before they return,
-// and the libraries append their answers to the buffers they are
-// given (see Library).  Each build resets the scratch when it starts,
-// so one that panicked part-way leaves nothing behind for the next.
+// Coupling so a cold build allocates only what it returns, the
+// Schedule and its lists, once the buffers have grown to the build's
+// size.  Reuse is safe because Bcast and Alltoall copy every buffer
+// they are handed before they return, Alltoall lands what it receives
+// in the slots it is given, and the libraries append their answers to
+// the buffers they are given (see Library).  Each build resets the
+// scratch when it starts, so one that panicked part-way leaves nothing
+// behind for the next.
 type buildScratch struct {
 	meta          [2]codec.Writer // both methods: the two sides' announcements
 	route         []pairEncoder   // cooperation: source locations, per destination program rank
 	frag          []fragAccum     // cooperation: schedule fragments, per union rank
 	bufs          [][]byte        // cooperation: the parts handed to each Alltoall
+	parts, mine   [][]byte        // cooperation: the slots the two Alltoalls land in
 	first, second []LocRun        // both methods: the two inquiry answers a pass joins
 	ranges        []PosRange      // duplication: the positions first covers
 	sends, recvs  lanes           // both methods
@@ -450,6 +419,8 @@ func (c *Coupling) scratch() *buildScratch {
 			route: make([]pairEncoder, len(c.DstRanks)),
 			frag:  make([]fragAccum, n),
 			bufs:  make([][]byte, n),
+			parts: make([][]byte, n),
+			mine:  make([][]byte, n),
 		}
 		c.build = s
 	}
@@ -475,6 +446,69 @@ func (s *buildScratch) take(sched *Schedule) {
 		dst.add(lr.dst())
 	}
 	sched.localSrc, sched.localDst = src, dst
+}
+
+// join reads the stream at the front of b — the (program rank, offset)
+// source locations of the positions from pos on — matches it with the
+// destination side's answer under d, and feeds every joined stretch
+// into the fragment streams of the processes owning its two ends.  It
+// returns the bytes after the stream and the position after its last
+// pair.  A literal pair is cut against d inline and put as one pair; a
+// run token whose rank moves is as many literals.
+func (s *buildScratch) join(c *Coupling, d *runCursor, b []byte, pos int32) ([]byte, int32) {
+	st := openStream(b)
+	for st.left > 0 {
+		t, lits := st.next()
+		switch {
+		case lits != nil:
+			for ; len(lits) > 0; lits = lits[8:] {
+				s.joinOne(c, d, pos, le32(lits), le32(lits[4:]))
+				pos++
+			}
+		case t.SrcStride == 0:
+			var seg routeRun
+			r := LocRun{Pos: pos, Proc: t.Src, Off: t.Dst, Stride: t.DstStride, Count: t.Count}
+			for r.Count > 0 {
+				d.cut(&r, &seg)
+				sU, dU := int32(c.SrcRanks[seg.SrcRank]), int32(c.DstRanks[seg.DstRank])
+				if sU == dU {
+					s.fragOf(sU).loc.putRun(seg.offs())
+				} else {
+					s.fragOf(sU).send.putRun(LocalRun{Src: dU, Dst: seg.SrcOff, DstStride: seg.SrcStride, Count: seg.Count})
+					s.fragOf(dU).recv.putRun(LocalRun{Src: sU, Dst: seg.DstOff, DstStride: seg.DstStride, Count: seg.Count})
+				}
+			}
+			pos = r.Pos
+		default:
+			for k := int32(0); k < t.Count; k++ {
+				s.joinOne(c, d, pos, t.Src+k*t.SrcStride, t.Dst+k*t.DstStride)
+				pos++
+			}
+		}
+	}
+	return st.b, pos
+}
+
+// joinOne is join for the one position pos, whose source location is
+// offset off on source program rank proc.
+func (s *buildScratch) joinOne(c *Coupling, d *runCursor, pos, proc, off int32) {
+	dProc, dOff := d.cutOne(pos)
+	sU, dU := int32(c.SrcRanks[proc]), int32(c.DstRanks[dProc])
+	if sU == dU {
+		s.fragOf(sU).loc.put(off, dOff)
+		return
+	}
+	s.fragOf(sU).send.put(dU, off)
+	s.fragOf(dU).recv.put(sU, dOff)
+}
+
+// fragOf returns union rank u's fragment, begun in this build.
+func (s *buildScratch) fragOf(u int32) *fragAccum {
+	f := &s.frag[u]
+	if !f.live {
+		f.begin()
+	}
+	return f
 }
 
 // fragAccum is the schedule fragment one joining process holds for one
@@ -516,6 +550,12 @@ type lanes struct {
 
 // add appends the offsets of r to the lane of union rank peer.
 func (l *lanes) add(peer int, r Run) {
+	pl := l.lane(peer)
+	pl.Runs = appendOffsetRuns(pl.Runs, r)
+}
+
+// lane returns the lane of union rank peer, opening it if it is new.
+func (l *lanes) lane(peer int) *PeerList {
 	if peer >= len(l.at) {
 		l.at = append(l.at, make([]int32, peer+1-len(l.at))...)
 	}
@@ -528,8 +568,7 @@ func (l *lanes) add(peer int, r Run) {
 		}
 		l.at[peer] = int32(len(l.list))
 	}
-	pl := &l.list[l.at[peer]-1]
-	pl.Runs = appendOffsetRuns(pl.Runs, r)
+	return &l.list[l.at[peer]-1]
 }
 
 // reset empties every lane.

@@ -90,11 +90,10 @@ func (f lateFaults) Decide(from, to, attempt, bytes int, now float64) mpsim.Faul
 }
 
 // TestMovePlaneDrains holds the executor to the data plane's reference
-// discipline: after a Move / MoveAdd / MoveReverse round and
-// releaseScratch, every payload and pooled segment the round took is
-// back in the pool — on a perfect network, when the transport discards
-// duplicate deliveries, and when a lane's receive is cancelled because
-// its peer became unreachable.
+// discipline: after a Move / MoveAdd / MoveReverse round, every payload
+// and pooled segment the round took is back in the pool — on a perfect
+// network, when the transport discards duplicate deliveries, and when a
+// lane's receive is cancelled because its peer became unreachable.
 func TestMovePlaneDrains(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -114,7 +113,7 @@ func TestMovePlaneDrains(t *testing.T) {
 			src := newTestObj(global, nprocs, 1, p.Rank())
 			dst := newTestObj(global, nprocs, 1, p.Rank())
 			src.fillDistinct(1000)
-			// A strided source stages its runs in leased pool segments.
+			// A strided source stages its runs in pooled segments.
 			sched, err := ComputeSchedule(SingleProgram(p.Comm()),
 				&Spec{Lib: testLib{}, Obj: src, Set: NewSetOfRegions(testRegion(seqIdx(5, 120, 2))), Ctx: ctx},
 				&Spec{Lib: testLib{}, Obj: dst, Set: NewSetOfRegions(testRegion(seqIdx(40, 120, 1))), Ctx: ctx},
@@ -128,7 +127,6 @@ func TestMovePlaneDrains(t *testing.T) {
 				r := move(src, dst)
 				failed.Add(int64(len(r.FailedPeers)))
 			}
-			sched.releaseScratch()
 			if p.Rank() == 0 {
 				pool = p.BufPool()
 			}
@@ -147,6 +145,44 @@ func TestMovePlaneDrains(t *testing.T) {
 		if (tc.name == "cancelled") != (failed.Load() > 0) {
 			t.Errorf("%s: moves reported %d failed lanes", tc.name, failed.Load())
 		}
+	}
+}
+
+// TestDroppedSchedulesDrain builds, moves and drops cold cooperation
+// schedules one after another, each with strided lanes, and never
+// touches them again: no cache evicts them and nothing releases them,
+// so every staging segment their moves took must go back to the pool
+// with the payload that carried it.
+func TestDroppedSchedulesDrain(t *testing.T) {
+	const nprocs, global, schedules = 4, 512, 6
+	var pool *bufpool.Pool
+	mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
+		ctx := NewCtx(p, p.Comm())
+		src := newTestObj(global, nprocs, 1, p.Rank())
+		dst := newTestObj(global, nprocs, 1, p.Rank())
+		src.fillDistinct(1000)
+		for i := 0; i < schedules; i++ {
+			sched, err := ComputeSchedule(SingleProgram(p.Comm()),
+				&Spec{Lib: testLib{}, Obj: src, Set: NewSetOfRegions(testRegion(seqIdx(i, 100, 2+i%3))), Ctx: ctx},
+				&Spec{Lib: testLib{}, Obj: dst, Set: NewSetOfRegions(testRegion(seqIdx(200-i, 100, 1+i%2))), Ctx: ctx},
+				Cooperation)
+			if err != nil {
+				t.Errorf("schedule %d: %v", i, err)
+				return
+			}
+			if p.Rank() == 0 && len(sched.Sends) == 0 {
+				t.Errorf("schedule %d has no lanes to stage", i)
+			}
+			sched.Move(src, dst)
+			sched.MoveAdd(src, dst)
+			sched.MoveReverse(src, dst)
+		}
+		if p.Rank() == 0 {
+			pool = p.BufPool()
+		}
+	})
+	if lp, ls := pool.LivePayloads(), pool.LiveSegments(); lp != 0 || ls != 0 {
+		t.Errorf("dropped schedules left %d payloads and %d segments live", lp, ls)
 	}
 }
 

@@ -123,8 +123,10 @@ func NewDistParams(shape gidx.Shape, grid []int, kinds []Kind, params []int) (*D
 }
 
 // Params returns the per-dimension distribution parameters (CYCLIC(k)
-// block sizes; meaningful only for BlockCyclic dimensions).
-func (d *Dist) Params() []int { return append([]int(nil), d.blockSize...) }
+// block sizes; meaningful only for BlockCyclic dimensions).  Like Shape
+// and Grid, it returns the descriptor's own slice: callers must not
+// modify it.
+func (d *Dist) Params() []int { return d.blockSize }
 
 // MustBlock2D is a convenience constructor for the common case in the
 // paper's experiments: a 2-D array distributed (BLOCK, BLOCK) over a

@@ -13,6 +13,7 @@ package lparx
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"metachaos/internal/codec"
@@ -245,11 +246,33 @@ type BoxRegion struct {
 }
 
 // Size returns the number of points in the box.
-func (r BoxRegion) Size() int {
-	return gidx.NewSection(r.Lo, r.Hi).Size()
+func (r BoxRegion) Size() int { return r.section().Size() }
+
+// maxStackDims is the rank up to which a box's section shares
+// unitSteps and the inquiry functions keep coordinates on the stack.
+const maxStackDims = 8
+
+// unitSteps is the Step of every box's section of up to maxStackDims
+// dimensions; sections only read it.
+var unitSteps = [maxStackDims]int{1, 1, 1, 1, 1, 1, 1, 1}
+
+// section returns the box as a unit-step section over its own bounds,
+// which the caller only reads.
+func (r BoxRegion) section() gidx.Section {
+	if len(r.Lo) > len(unitSteps) {
+		return gidx.NewSection(r.Lo, r.Hi)
+	}
+	return gidx.Section{Lo: r.Lo, Hi: r.Hi, Step: unitSteps[:len(r.Lo)]}
 }
 
-func (r BoxRegion) section() gidx.Section { return gidx.NewSection(r.Lo, r.Hi) }
+// coordsIn returns a coordinate slice of rank dimensions in fixed, or
+// on the heap above maxStackDims.
+func coordsIn(fixed *[maxStackDims]int, rank int) []int {
+	if rank > len(fixed) {
+		return make([]int, rank)
+	}
+	return fixed[:rank]
+}
 
 // Lib implements the Meta-Chaos inquiry interface for LPARX grids.
 type Lib struct{}
@@ -283,7 +306,8 @@ func (l Lib) DerefRange(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions
 func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at []core.PosRange, out []core.LocRun) []core.LocRun {
 	dec := decOf(o)
 	last := dec.rank - 1
-	coords := make([]int, dec.rank)
+	var fixed [maxStackDims]int
+	coords := coordsIn(&fixed, dec.rank)
 	// Consecutive intervals mostly fall in one region; its section is
 	// built once.
 	cur, sec := -1, gidx.Section{}
@@ -297,7 +321,7 @@ func (Lib) DerefAt(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegions, at 
 				sec.PointAt(pos, coords)
 				i := dec.patchAt(coords)
 				if i < 0 {
-					panic(fmt.Sprintf("lparx: region point %v not covered by any patch", coords))
+					panic(fmt.Sprintf("lparx: region point %v not covered by any patch", slices.Clone(coords)))
 				}
 				// To the end of the patch, of the box's row, or of the span.
 				n := min(span.Hi-pos, min(dec.patches[i].Hi[last], sec.Hi[last])-coords[last])
@@ -323,7 +347,8 @@ func (Lib) OwnedPositions(ctx *core.Ctx, o core.DistObject, set *core.SetOfRegio
 	dec := decOf(o)
 	me := ctx.Comm.Rank()
 	last := dec.rank - 1
-	coords := make([]int, dec.rank)
+	var fixed [maxStackDims]int
+	coords := coordsIn(&fixed, dec.rank)
 	work := 0
 	for ri := 0; ri < set.Len(); ri++ {
 		sec := region(set, ri).section()

@@ -189,36 +189,43 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	return out
 }
 
-// Alltoall exchanges bufs[i] with member i for all i, returning the
-// slices received, indexed by source rank.  bufs must have one entry per
-// member; the entry for the caller itself is copied locally.  Empty
-// slices still cost a (header-sized) message, matching the paper's
-// all-to-all schedule exchanges.
-func (c *Comm) Alltoall(bufs [][]byte) [][]byte {
+// Alltoall exchanges bufs[i] with member i for all i and returns into,
+// whose entry i now holds the part received from member i: each part is
+// appended to into[i][:0], so slots a caller keeps from one exchange to
+// the next are reused and the exchange allocates nothing once they are
+// large enough.  A nil into gets fresh slots.  bufs and into must both
+// have one entry per member and must not share storage; the caller's
+// own part is copied locally.  Outgoing parts travel in pooled segments
+// that go back to the pool as soon as their receiver has copied them
+// out.  Empty slices still cost a (header-sized) message, matching the
+// paper's all-to-all schedule exchanges.
+func (c *Comm) Alltoall(bufs, into [][]byte) [][]byte {
 	c.require()
 	n := c.Size()
-	if len(bufs) != n {
-		panic(fmt.Sprintf("mpsim: Alltoall needs %d buffers, got %d", n, len(bufs)))
+	if into == nil {
+		into = make([][]byte, n)
+	}
+	if len(bufs) != n || len(into) != n {
+		panic(fmt.Sprintf("mpsim: Alltoall needs %d buffers and slots, got %d and %d", n, len(bufs), len(into)))
 	}
 	sp := c.p.beginSpan("coll.alltoall")
 	seq := c.nextSeq()
 	wire := c.collWire(seq, phExchange)
-	out := make([][]byte, n)
+	pool := c.p.world.pool
 	// Stagger destinations so every process does not hammer rank 0 first.
 	for off := 1; off < n; off++ {
 		dst := (c.myRank + off) % n
-		c.p.send(c.ranks[dst], wire, bufs[dst])
+		c.p.sendRef(c.ranks[dst], wire, pool.CopyPayload(bufs[dst]))
 	}
-	own := make([]byte, len(bufs[c.myRank]))
-	copy(own, bufs[c.myRank])
-	out[c.myRank] = own
+	into[c.myRank] = append(into[c.myRank][:0], bufs[c.myRank]...)
 	for off := 1; off < n; off++ {
 		src := (c.myRank - off + n) % n
-		buf, _ := c.p.recv(c.ranks[src], wire)
-		out[src] = buf
+		pay, _ := c.p.recvMsg(c.ranks[src], wire)
+		into[src] = pay.AppendTo(into[src][:0])
+		pay.Release()
 	}
 	sp.End(c.p.clock)
-	return out
+	return into
 }
 
 // ReduceOp selects the combining operation for reductions.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"metachaos/internal/bufpool"
 )
 
 func TestPingPong(t *testing.T) {
@@ -209,20 +211,39 @@ func TestGatherAndAllgather(t *testing.T) {
 	})
 }
 
+// TestAlltoall runs two exchanges, the second into the slots the first
+// returned: each lands its parts in the kept storage, and every pooled
+// segment the exchanges sent is back in the pool after the run.
 func TestAlltoall(t *testing.T) {
+	var pool *bufpool.Pool
 	RunSPMD(Ideal(), 4, func(p *Proc) {
 		c := p.Comm()
 		bufs := make([][]byte, 4)
 		for i := range bufs {
-			bufs[i] = []byte{byte(c.Rank()), byte(i)}
+			bufs[i] = []byte{byte(c.Rank()), byte(i), 0}
 		}
-		got := c.Alltoall(bufs)
+		slots := c.Alltoall(bufs, nil)
+		kept := make([]*byte, len(slots))
+		for i := range slots {
+			kept[i] = &slots[i][0]
+			bufs[i] = bufs[i][:2]
+		}
+		got := c.Alltoall(bufs, slots)
 		for i, buf := range got {
 			if len(buf) != 2 || int(buf[0]) != i || int(buf[1]) != c.Rank() {
 				t.Errorf("rank %d from %d: %v", c.Rank(), i, buf)
 			}
+			if &buf[0] != kept[i] {
+				t.Errorf("rank %d from %d: the part did not land in the kept slot", c.Rank(), i)
+			}
+		}
+		if p.Rank() == 0 {
+			pool = p.BufPool()
 		}
 	})
+	if lp, ls := pool.LivePayloads(), pool.LiveSegments(); lp != 0 || ls != 0 {
+		t.Errorf("after the run %d payloads and %d segments are live", lp, ls)
+	}
 }
 
 func TestAllreduce(t *testing.T) {
@@ -298,7 +319,7 @@ func TestDeterministicVirtualTime(t *testing.T) {
 		st := RunSPMD(SP2(), 8, func(p *Proc) {
 			c := p.Comm()
 			data := make([]byte, 1024*(p.Rank()+1))
-			all := c.Alltoall(makeBufs(c.Size(), data))
+			all := c.Alltoall(makeBufs(c.Size(), data), nil)
 			_ = all
 			c.Barrier()
 			p.ChargeFlops(1000 * p.Rank())

@@ -7,6 +7,7 @@
 package seclib
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -195,21 +196,30 @@ func (l *Lib) MaxLocalElems(o core.DistObject) int {
 // kinds, halo, element type); regular descriptors are compact.  The
 // element type packs into the int32 slot that used to carry a bare
 // float64 word count, so float64 descriptors are byte-identical to the
-// legacy format.
+// legacy format.  The bytes are codec's, written into one buffer of
+// their exact size.
 func (l *Lib) EncodeDescriptor(ctx *core.Ctx, o core.DistObject) ([]byte, bool) {
 	so := l.object(o)
 	dist := so.SecDist()
-	var w codec.Writer
-	w.PutInts(dist.Shape())
-	w.PutInts(dist.Grid())
-	w.PutInt32(int32(len(dist.Kinds()))) // the kinds, as PutInts would
-	for _, k := range dist.Kinds() {
-		w.PutInt32(int32(k))
+	shape, grid, kinds, params := dist.Shape(), dist.Grid(), dist.Kinds(), dist.Params()
+	b := make([]byte, 0, 4*(6+len(shape)+len(grid)+len(kinds)+len(params)))
+	b = appendInts(b, shape)
+	b = appendInts(b, grid)
+	b = appendInts(b, kinds)
+	b = appendInts(b, params)
+	b = binary.LittleEndian.AppendUint32(b, uint32(so.Halo()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(core.PackElem(so.Elem())))
+	return b, true
+}
+
+// appendInts appends vs to b as codec.Writer.PutInts writes them: a
+// length, then one int32 each.
+func appendInts[T ~int](b []byte, vs []T) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(vs)))
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
-	w.PutInts(dist.Params())
-	w.PutInt32(int32(so.Halo()))
-	w.PutInt32(core.PackElem(so.Elem()))
-	return w.Bytes(), true
+	return b
 }
 
 // DecodeDescriptor rebuilds a descriptor-only view able to dereference
@@ -232,17 +242,17 @@ func (l *Lib) DecodeDescriptor(data []byte) (core.DistObject, error) {
 	return NewView(dist, halo, et), nil
 }
 
-// EncodeRegion serializes a section region.
+// EncodeRegion serializes a section region, as EncodeDescriptor does
+// its descriptor.
 func (l *Lib) EncodeRegion(r core.Region) []byte {
 	sec, ok := r.(gidx.Section)
 	if !ok {
 		panic(fmt.Sprintf("%s: encoding region of type %T", l.name, r))
 	}
-	var w codec.Writer
-	w.PutInts(sec.Lo)
-	w.PutInts(sec.Hi)
-	w.PutInts(sec.Step)
-	return w.Bytes()
+	b := make([]byte, 0, 4*(3+len(sec.Lo)+len(sec.Hi)+len(sec.Step)))
+	b = appendInts(b, sec.Lo)
+	b = appendInts(b, sec.Hi)
+	return appendInts(b, sec.Step)
 }
 
 // DecodeRegion deserializes a section region.
