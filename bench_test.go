@@ -94,13 +94,6 @@ func BenchmarkAblationScheduleReuse(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationRLE(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := exp.AblationRLE()
-		b.ReportMetric(t.Rows[1].Values[0], "regular-wire-bytes")
-	}
-}
-
 func BenchmarkAblationReliability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := exp.AblationReliability()
@@ -117,49 +110,6 @@ func BenchmarkAblationDtype(b *testing.B) {
 }
 
 // Substrate microbenchmarks: host-side cost of the core machinery.
-
-func BenchmarkScheduleBuildRegular(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		metachaos.RunSPMD(metachaos.Ideal(), 4, func(p *metachaos.Proc) {
-			ctx := metachaos.NewCtx(p, p.Comm())
-			src := metachaos.NewHPFArray(metachaos.Block2D(256, 256, 4), p.Rank())
-			dst := metachaos.NewHPFArray(metachaos.Block2D(256, 256, 4), p.Rank())
-			_, err := metachaos.ComputeSchedule(metachaos.SingleProgram(p.Comm()),
-				&metachaos.Spec{Lib: metachaos.HPF, Obj: src,
-					Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{0, 0}, []int{128, 256})), Ctx: ctx},
-				&metachaos.Spec{Lib: metachaos.HPF, Obj: dst,
-					Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{128, 0}, []int{256, 256})), Ctx: ctx},
-				metachaos.Cooperation)
-			if err != nil {
-				panic(err)
-			}
-		})
-	}
-}
-
-func BenchmarkMoveThroughput(b *testing.B) {
-	// Host cost per moved element across a 4-process exchange.
-	const elems = 128 * 256
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		metachaos.RunSPMD(metachaos.Ideal(), 4, func(p *metachaos.Proc) {
-			ctx := metachaos.NewCtx(p, p.Comm())
-			src := metachaos.NewHPFArray(metachaos.Block2D(256, 256, 4), p.Rank())
-			dst := metachaos.NewHPFArray(metachaos.Block2D(256, 256, 4), p.Rank())
-			sched, err := metachaos.ComputeSchedule(metachaos.SingleProgram(p.Comm()),
-				&metachaos.Spec{Lib: metachaos.HPF, Obj: src,
-					Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{0, 0}, []int{128, 256})), Ctx: ctx},
-				&metachaos.Spec{Lib: metachaos.HPF, Obj: dst,
-					Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{128, 0}, []int{256, 256})), Ctx: ctx},
-				metachaos.Duplication)
-			if err != nil {
-				panic(err)
-			}
-			sched.Move(src, dst)
-		})
-	}
-	b.ReportMetric(float64(elems), "elems/move")
-}
 
 func BenchmarkMovePack(b *testing.B) {
 	// The executor hot path in isolation: world and schedule are built
@@ -460,49 +410,6 @@ func BenchmarkChaosLookup(b *testing.B) {
 			b.StopTimer()
 		}
 	})
-}
-
-func BenchmarkGhostExchange(b *testing.B) {
-	// Host cost of a 256x256 halo exchange over 4 processes, 10 steps.
-	for i := 0; i < b.N; i++ {
-		metachaos.RunSPMD(metachaos.Ideal(), 4, func(p *metachaos.Proc) {
-			a, err := metachaos.NewMBPartiArray(metachaos.Block2D(256, 256, 4), p.Rank(), 1)
-			if err != nil {
-				panic(err)
-			}
-			gs, err := buildGhost(p, a)
-			if err != nil {
-				panic(err)
-			}
-			for s := 0; s < 10; s++ {
-				gs.Exchange(p, a)
-			}
-		})
-	}
-}
-
-func BenchmarkAlltoall(b *testing.B) {
-	// Host cost of an 8-way alltoall of 4KB buffers, 10 rounds.
-	for i := 0; i < b.N; i++ {
-		metachaos.RunSPMD(metachaos.Ideal(), 8, func(p *metachaos.Proc) {
-			bufs := make([][]byte, 8)
-			for j := range bufs {
-				bufs[j] = make([]byte, 4096)
-			}
-			for r := 0; r < 10; r++ {
-				p.Comm().Alltoall(bufs, nil)
-			}
-		})
-	}
-}
-
-func BenchmarkExtensionMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sched, copyT := exp.ExtensionMatrix()
-		// Headline: chaos-involving schedule vs pure-regular schedule.
-		b.ReportMetric(sched.Rows[2].Values[0], "chaos-to-mbparti-sched-vms")
-		b.ReportMetric(copyT.Rows[0].Values[1], "mbparti-to-hpf-copy-vms")
-	}
 }
 
 // BenchmarkFigure10Parallel is the sharded-scheduler scaling

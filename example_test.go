@@ -66,7 +66,7 @@ func ExampleSchedule_MoveReverse() {
 				Set: metachaos.NewSetOfRegions(metachaos.NewSection([]int{3}, []int{6})), Ctx: ctx},
 			metachaos.Duplication)
 		sched.Move(a, b)        // b[3:6] = a[0:3]
-		b.Set([]int{4}, 99)     // change one element
+		b.Local()[4] = 99       // change one element (one process: local = global)
 		sched.MoveReverse(a, b) // a[0:3] = b[3:6]
 		fmt.Println(a.Get([]int{0}), a.Get([]int{1}), a.Get([]int{2}))
 	})

@@ -10,10 +10,10 @@
 // Ownership rules (see DESIGN.md, "Zero-copy data plane"):
 //
 //   - A Segment or Payload starts with one reference, owned by the
-//     caller of GetSegment/GetPayload/OwnPayload/CopyPayload.  Retain adds
-//     a reference,
-//     Release drops one; the last Release returns the object to the
-//     pool for reuse.  Releasing below zero panics.
+//     caller of GetSegment/GetPayload/OwnPayload/CopyPayload.  A
+//     Payload's Retain adds a reference, Release drops one; the last
+//     Release returns the object to the pool for reuse.  Releasing
+//     below zero panics.
 //   - Bytes added with AddView are borrowed: whoever adds the view
 //     guarantees they stay valid and immutable until the payload's
 //     last reference is released or the payload is materialized.
@@ -131,9 +131,6 @@ func (p *Pool) GetSegment(n int) *Segment {
 
 // Bytes returns the segment's full backing array.
 func (s *Segment) Bytes() []byte { return s.buf }
-
-// Retain adds a reference.
-func (s *Segment) Retain() { s.refs.Add(1) }
 
 // Release drops a reference; the last one returns the segment to its
 // pool.

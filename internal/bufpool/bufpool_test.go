@@ -35,10 +35,8 @@ func TestSegmentRecycle(t *testing.T) {
 	if cap(s.Bytes()) < 100 {
 		t.Fatalf("segment capacity %d < requested 100", cap(s.Bytes()))
 	}
-	s.Retain()
-	s.Release()
 	if n := p.LiveSegments(); n != 1 {
-		t.Fatalf("live segments = %d before final release, want 1", n)
+		t.Fatalf("live segments = %d before release, want 1", n)
 	}
 	s.Release()
 	s2 := p.GetSegment(100)
@@ -201,12 +199,10 @@ func TestConcurrentRefs(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				s := p.GetSegment(64 + j%512)
-				s.Retain()
 				pl := p.GetPayload()
-				pl.AttachSegment(s) // takes over one reference
+				pl.AttachSegment(s) // takes over the reference
 				pl.AddView(s.Bytes()[:1])
 				pl.Release()
-				s.Release()
 			}
 			shared.Release()
 		}()

@@ -48,8 +48,7 @@ type key struct {
 // integer tags (an iteration number, a phase counter).  The zero
 // value is ready to use.
 type Store struct {
-	snaps           map[key]snapshot
-	saves, restores int
+	snaps map[key]snapshot
 }
 
 // NewStore returns an empty checkpoint store.
@@ -77,7 +76,6 @@ func (st *Store) Save(p *mpsim.Proc, version int, objs ...Named) {
 		st.snaps[key{o.Name, version}] = snap
 		total += len(snap.wire)
 	}
-	st.saves++
 	p.ChargeCopy(total)
 	sp.SetBytes(total).End(p.Clock())
 }
@@ -112,27 +110,10 @@ func (st *Store) Restore(p *mpsim.Proc, version int, objs ...Named) error {
 		m.SetFromWire(snap.wire)
 		total += len(snap.wire)
 	}
-	st.restores++
 	p.ChargeCopy(total)
 	sp.SetBytes(total)
 	return nil
 }
-
-// Drop removes every object's snapshot at version, bounding the
-// store's memory in long checkpoint loops.
-func (st *Store) Drop(version int) {
-	for k := range st.snaps {
-		if k.version == version {
-			delete(st.snaps, k)
-		}
-	}
-}
-
-// Counters returns how many Save and Restore operations completed.
-func (st *Store) Counters() (saves, restores int) { return st.saves, st.restores }
-
-// Len returns the number of stored snapshots across all versions.
-func (st *Store) Len() int { return len(st.snaps) }
 
 // fnv64a is the FNV-1a checksum guarding snapshots against bit rot.
 func fnv64a(b []byte) uint64 {

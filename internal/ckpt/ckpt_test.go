@@ -104,22 +104,15 @@ func TestRestoreErrors(t *testing.T) {
 	}
 }
 
-func TestVersionsAndDrop(t *testing.T) {
+func TestVersions(t *testing.T) {
 	withProc(func(p *mpsim.Proc) {
 		m := core.MakeMem(core.Int32, 4)
 		st := NewStore()
 		obj := Named{Name: "x", Obj: memObj{m}}
 		st.Save(p, 3, obj)
 		st.Save(p, 7, obj)
-		if st.Len() != 2 || st.Restore(p, 3, obj) != nil || st.Restore(p, 4, obj) == nil {
+		if st.Restore(p, 3, obj) != nil || st.Restore(p, 4, obj) == nil || st.Restore(p, 7, obj) != nil {
 			panic("versions wrong")
-		}
-		st.Drop(3)
-		if st.Restore(p, 3, obj) == nil || st.Restore(p, 7, obj) != nil || st.Len() != 1 {
-			panic("Drop wrong")
-		}
-		if s, r := st.Counters(); s != 2 || r != 2 {
-			panic("Counters wrong")
 		}
 	})
 }

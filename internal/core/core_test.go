@@ -622,8 +622,8 @@ func TestMethodStringAndAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sched.ElemWords() != 2 {
-			t.Errorf("ElemWords=%d", sched.ElemWords())
+		if sched.Elem().Words != 2 {
+			t.Errorf("Elem().Words=%d", sched.Elem().Words)
 		}
 	})
 }

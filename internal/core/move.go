@@ -77,11 +77,6 @@ type MovePhases struct {
 	Unpack float64
 }
 
-// Total returns the move's virtual-time cost on this process.
-func (ph *MovePhases) Total() float64 {
-	return ph.Pack + ph.Ship + ph.Local + ph.Wait + ph.Unpack
-}
-
 // MoveResult reports what a move accomplished and what the network
 // cost to accomplish it.  On a perfect network (or with reliability
 // disabled) it is all zeros with nil slices — the fast path allocates

@@ -140,7 +140,7 @@ func boxSection(r core.Region) gidx.Section {
 
 func (l refLparx) DerefRange(ctx *core.Ctx, _ core.DistObject, set *core.SetOfRegions, lo, hi int) []core.Loc {
 	out := make([]core.Loc, 0, hi-lo)
-	coords := make([]int, l.dec.Rank())
+	coords := make([]int, len(l.dec.Patch(0).Lo))
 	for at := lo; at < hi; {
 		span := set.SpanAt(at, hi)
 		at = span.Base + span.Hi
@@ -160,7 +160,7 @@ func (l refLparx) DerefRange(ctx *core.Ctx, _ core.DistObject, set *core.SetOfRe
 
 func (l refLparx) DerefAt(ctx *core.Ctx, _ core.DistObject, set *core.SetOfRegions, positions []int32) []core.Loc {
 	out := make([]core.Loc, len(positions))
-	coords := make([]int, l.dec.Rank())
+	coords := make([]int, len(l.dec.Patch(0).Lo))
 	for i, pos := range positions {
 		ri, inner := set.RegionOf(int(pos))
 		boxSection(set.Region(ri)).PointAt(inner, coords)

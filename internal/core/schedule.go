@@ -133,10 +133,6 @@ func (s *Schedule) Elems() int { return s.elems }
 // Elem returns the element type the schedule was built for.
 func (s *Schedule) Elem() ElemType { return s.elem }
 
-// ElemWords returns the per-element scalar count the schedule was
-// built for.
-func (s *Schedule) ElemWords() int { return s.elem.Words }
-
 // LocalCount returns the number of elements this process copies
 // locally.
 func (s *Schedule) LocalCount() int { return s.localSrc.n }

@@ -76,7 +76,7 @@ func crashRun(t *testing.T, srcKind, dstKind, op string, method core.Method, see
 				// Pace the iterations so the workload spans the profile's
 				// 2–8ms crash window on every pairing (some transfers
 				// would otherwise finish before the crash fires).
-				p.Sleep(1e-3)
+				p.SleepUntil(p.Clock() + 1e-3)
 				var r core.MoveResult
 				switch op {
 				case "add":

@@ -78,7 +78,7 @@ func buildTypedSide(t *testing.T, rng *rand.Rand, kind string, ctx *core.Ctx, p 
 			dist = hpfrt.BlockVector(n, nprocs)
 		}
 		if kind == "hpf" {
-			s.obj = hpfrt.NewArrayTyped(dist, p.Rank(), et)
+			s.obj = &hpfrt.Array{Array: distarray.NewArrayTyped(dist, p.Rank(), et)}
 		} else {
 			halo := rng.Intn(2)
 			if _, _, boxed := dist.LocalBox(p.Rank()); !boxed {
@@ -325,7 +325,7 @@ func TestDtypeWrongTypePanics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wrong := hpfrt.NewArrayTyped(dist, p.Rank(), core.Int64)
+		wrong := &hpfrt.Array{Array: distarray.NewArrayTyped(dist, p.Rank(), core.Int64)}
 		defer func() {
 			if recover() == nil {
 				t.Error("float64 schedule accepted an int64 object")

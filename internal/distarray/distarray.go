@@ -390,9 +390,6 @@ func NewArrayTyped(dist *Dist, rank int, et core.ElemType) *Array {
 // Dist returns the distribution descriptor.
 func (a *Array) Dist() *Dist { return a.dist }
 
-// Rank returns the owning process rank the tile belongs to.
-func (a *Array) Rank() int { return a.rank }
-
 // Elem returns the array's element type.
 func (a *Array) Elem() core.ElemType { return a.mem.Elem() }
 
@@ -417,12 +414,6 @@ func (a *Array) unitOf(coords []int) int {
 // to float64), which must be owned locally.
 func (a *Array) Get(coords []int) float64 {
 	return a.mem.GetF(a.unitOf(coords))
-}
-
-// Set writes the element at global coords (its first scalar, converted
-// from float64), which must be owned locally.
-func (a *Array) Set(coords []int, v float64) {
-	a.mem.SetF(a.unitOf(coords), v)
 }
 
 // FillGlobal sets every locally owned element to f(globalCoords),

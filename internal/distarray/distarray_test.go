@@ -158,12 +158,7 @@ func TestArrayGetSet(t *testing.T) {
 	arrays := make([]*Array, 4)
 	for r := range arrays {
 		arrays[r] = NewArray(d, r)
-	}
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			r := d.OwnerOf([]int{i, j})
-			arrays[r].Set([]int{i, j}, float64(10*i+j))
-		}
+		arrays[r].FillGlobal(func(c []int) float64 { return float64(10*c[0] + c[1]) })
 	}
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
@@ -265,7 +260,7 @@ func TestAccessorsAndStrings(t *testing.T) {
 		t.Error("params length")
 	}
 	a := NewArray(d, 0)
-	if a.Dist() != d || a.Rank() != 0 {
+	if a.Dist() != d {
 		t.Error("array accessors")
 	}
 	func() {

@@ -32,13 +32,6 @@ func NewArray(dist *distarray.Dist, rank int) *Array {
 	return &Array{Array: distarray.NewArray(dist, rank)}
 }
 
-// NewArrayTyped allocates rank's tile of an array with element type
-// et; non-float64 arrays move through Meta-Chaos schedules but are not
-// usable with the float64-native MatVec.
-func NewArrayTyped(dist *distarray.Dist, rank int, et core.ElemType) *Array {
-	return &Array{Array: distarray.NewArrayTyped(dist, rank, et)}
-}
-
 // SecDist exposes the distribution for seclib.
 func (a *Array) SecDist() *distarray.Dist { return a.Dist() }
 

@@ -113,9 +113,6 @@ func overlap(a, b Patch) bool {
 	return true
 }
 
-// Rank returns the decomposition's dimensionality.
-func (d *Decomposition) Rank() int { return d.rank }
-
 // NumPatches returns the patch count.
 func (d *Decomposition) NumPatches() int { return len(d.patches) }
 
@@ -193,10 +190,6 @@ func (g *Grid) unitOf(coords []int) int {
 // Get reads a locally owned point (its first scalar, converted to
 // float64) by global coordinates.
 func (g *Grid) Get(coords []int) float64 { return g.mem.GetF(g.unitOf(coords)) }
-
-// Set writes a locally owned point (its first scalar, converted from
-// float64) by global coordinates.
-func (g *Grid) Set(coords []int, v float64) { g.mem.SetF(g.unitOf(coords), v) }
 
 // FillGlobal sets every locally owned point to f(coords); multi-word
 // elements have every scalar set.

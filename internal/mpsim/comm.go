@@ -3,7 +3,6 @@ package mpsim
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"metachaos/internal/bufpool"
 )
@@ -165,51 +164,4 @@ func (c *Comm) Recv(from, tag int) ([]byte, int) {
 		panic("mpsim: received message from outside the communicator group")
 	}
 	return data, crank
-}
-
-// Split partitions the communicator by color, MPI_Comm_split style:
-// members passing the same non-negative color form a new communicator,
-// ordered by (key, rank); a negative color opts out and receives a
-// non-member communicator.  Collective.
-func (c *Comm) Split(color, key int) *Comm {
-	c.require()
-	// Exchange (color, key) so every member derives the same groups.
-	var w [12]byte
-	putInt32 := func(b []byte, v int32) {
-		b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	}
-	getInt32 := func(b []byte) int32 {
-		return int32(b[0]) | int32(b[1])<<8 | int32(b[2])<<16 | int32(b[3])<<24
-	}
-	putInt32(w[0:], int32(color))
-	putInt32(w[4:], int32(key))
-	putInt32(w[8:], int32(c.myRank))
-	parts := c.Allgather(w[:])
-
-	type member struct{ color, key, rank int }
-	var mine []member
-	for _, part := range parts {
-		m := member{
-			color: int(getInt32(part[0:])),
-			key:   int(getInt32(part[4:])),
-			rank:  int(getInt32(part[8:])),
-		}
-		if m.color == color && color >= 0 {
-			mine = append(mine, m)
-		}
-	}
-	if color < 0 {
-		return newComm(c.p, nil, 15) // non-member handle
-	}
-	sort.Slice(mine, func(a, b int) bool {
-		if mine[a].key != mine[b].key {
-			return mine[a].key < mine[b].key
-		}
-		return mine[a].rank < mine[b].rank
-	})
-	ranks := make([]int, len(mine))
-	for i, m := range mine {
-		ranks[i] = m.rank
-	}
-	return c.Sub(ranks)
 }

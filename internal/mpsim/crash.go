@@ -2,7 +2,6 @@ package mpsim
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 )
 
@@ -366,17 +365,6 @@ func (p *Proc) GroupIncarnation() int {
 		}
 	}
 	return n
-}
-
-// Sleep advances the process's clock by d seconds and yields, so other
-// processes (and virtual-time events, including crash detections) run
-// in the meantime.
-func (p *Proc) Sleep(d float64) {
-	if d < 0 {
-		panic(fmt.Sprintf("mpsim: rank %d sleeps negative time %g", p.worldRank, d))
-	}
-	p.clock += d
-	p.yield()
 }
 
 // SleepUntil advances the process's clock to virtual time t (a no-op

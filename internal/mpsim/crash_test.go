@@ -23,14 +23,14 @@ func recvTimeout(c *Comm, from, tag int, timeout float64) (data []byte, err erro
 
 func idleUntilKilled(p *Proc) {
 	for {
-		p.Sleep(1e-3)
+		p.SleepUntil(p.Clock() + 1e-3)
 	}
 }
 
 // awaitDead polls until the failure detector declares rank dead.
 func awaitDead(p *Proc, rank int) {
 	for !slices.Contains(p.DeadRanks(), rank) {
-		p.Sleep(1e-3)
+		p.SleepUntil(p.Clock() + 1e-3)
 	}
 }
 
@@ -250,7 +250,7 @@ func TestCrashRestartIncarnation(t *testing.T) {
 				}
 				// The peer is down; poll until its restart heals the
 				// detector state and the retry succeeds.
-				p.Sleep(5e-3)
+				p.SleepUntil(p.Clock() + 5e-3)
 			}
 		}}},
 	})

@@ -78,7 +78,7 @@ func recoveryConfig(t *testing.T) func() Config {
 		switch p.Rank() {
 		case 0:
 			w.Send(1, 1, []byte("into the void"))
-			p.Sleep(200) // the link to rank 1 is abandoned (16 doubling timeouts, ~150 s), rank 3's crash detected
+			p.SleepUntil(p.Clock() + 200) // the link to rank 1 is abandoned (16 doubling timeouts, ~150 s), rank 3's crash detected
 			w.Send(1, 1, []byte("dropped at the source"))
 			want(p.WithTimeout(0, func() { w.Send(3, 1, nil) }), ErrPeerDead)
 		case 1:

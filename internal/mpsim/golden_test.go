@@ -71,7 +71,7 @@ func survivorRing(p *Proc) {
 		w.Send(ring[(me+1)%3], round, buf)
 		got, _ := w.Recv(ring[(me+2)%3], round)
 		p.ChargeMemOps(len(got))
-		p.Sleep(2e-3)
+		p.SleepUntil(p.Clock() + 2e-3)
 	}
 	for p.Rank() == 0 {
 		_, err := recvTimeout(w, 1, 7, 0)
@@ -81,7 +81,7 @@ func survivorRing(p *Proc) {
 		if !errors.Is(err, ErrPeerDead) {
 			panic(err)
 		}
-		p.Sleep(5e-3)
+		p.SleepUntil(p.Clock() + 5e-3)
 	}
 }
 

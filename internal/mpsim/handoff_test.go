@@ -26,7 +26,7 @@ func TestKilledBeforeFirstResume(t *testing.T) {
 			Crash:   testPlan{{Rank: 6, At: 0}},
 			Programs: []ProgramSpec{{Name: "spmd", Procs: 8, Body: func(p *Proc) {
 				entered[p.Rank()] = true
-				p.Sleep(1e-3)
+				p.SleepUntil(p.Clock() + 1e-3)
 			}}},
 		})
 		if err != nil {
@@ -102,7 +102,7 @@ func TestCoordinatorReapsAcrossShards(t *testing.T) {
 				_, gotErr = recvTimeout(p.World(), 14, 5, 0)
 			default: // keep every shard's windows busy around the crash
 				for i := 0; i < 20; i++ {
-					p.Sleep(float64(p.Rank()+1) * 1e-4)
+					p.SleepUntil(p.Clock() + float64(p.Rank()+1)*1e-4)
 				}
 			}
 		}}},

@@ -542,51 +542,6 @@ func TestMergedComm(t *testing.T) {
 	})
 }
 
-func TestCommSplit(t *testing.T) {
-	RunSPMD(Ideal(), 6, func(p *Proc) {
-		c := p.Comm()
-		// Even/odd split, reverse ordering within each half via key.
-		sub := c.Split(c.Rank()%2, -c.Rank())
-		if sub.Size() != 3 {
-			t.Fatalf("split size %d", sub.Size())
-		}
-		// Keys are negatives of rank: largest rank gets sub-rank 0.
-		wantRank := map[int]int{4: 0, 2: 1, 0: 2, 5: 0, 3: 1, 1: 2}
-		if sub.Rank() != wantRank[c.Rank()] {
-			t.Errorf("rank %d got sub-rank %d want %d", c.Rank(), sub.Rank(), wantRank[c.Rank()])
-		}
-		sum := sub.AllreduceInt64(OpSum, int64(c.Rank()))
-		want := int64(0 + 2 + 4)
-		if c.Rank()%2 == 1 {
-			want = 1 + 3 + 5
-		}
-		if sum != want {
-			t.Errorf("rank %d: group sum %d want %d", c.Rank(), sum, want)
-		}
-	})
-}
-
-func TestCommSplitOptOut(t *testing.T) {
-	RunSPMD(Ideal(), 4, func(p *Proc) {
-		c := p.Comm()
-		color := 0
-		if c.Rank() == 3 {
-			color = -1 // opt out
-		}
-		sub := c.Split(color, c.Rank())
-		if c.Rank() == 3 {
-			if sub.Rank() >= 0 {
-				t.Error("opted-out rank is a member")
-			}
-			return
-		}
-		if sub.Size() != 3 || sub.Rank() < 0 {
-			t.Errorf("rank %d: size=%d rank=%d", c.Rank(), sub.Size(), sub.Rank())
-		}
-		sub.Barrier()
-	})
-}
-
 func TestMachineValidateBranches(t *testing.T) {
 	good := Ideal()
 	bad := []func(m *Machine){
@@ -616,9 +571,6 @@ func TestProcAccessors(t *testing.T) {
 				}
 				if p.Comm().Proc() != p {
 					t.Error("Comm().Proc() mismatch")
-				}
-				if got := p.Programs(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-					t.Errorf("Programs()=%v", got)
 				}
 				if p.ProgramRanks("nope") != nil {
 					t.Error("unknown program returned ranks")

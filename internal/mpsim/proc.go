@@ -143,12 +143,6 @@ func (p *Proc) World() *Comm { return p.worldComm }
 // Machine returns the cost model of the simulated machine.
 func (p *Proc) Machine() *Machine { return p.world.machine }
 
-// Programs returns the names of every program in the world, in
-// configuration order.
-func (p *Proc) Programs() []string {
-	return append([]string(nil), p.world.progNames...)
-}
-
 // ProgramRanks returns the world ranks of the named program's
 // processes in program-rank order, or nil if no such program exists.
 // The world layout is static, so this models each program knowing

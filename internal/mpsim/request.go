@@ -4,7 +4,7 @@ import "metachaos/internal/bufpool"
 
 // Nonblocking receives, in the style of MPI_Irecv / MPI_Wait.  Sends in
 // this simulator are always buffered and never block, so only a
-// receive needs a handle: Irecv posts one that Wait or Waitany
+// receive needs a handle: Irecv posts one that TakePayload or Waitany
 // completes later, letting a process issue all its receives before
 // blocking — the pattern the original libraries' executors used to
 // overlap communication.
@@ -14,11 +14,10 @@ type Request struct {
 	p    *Proc
 	done bool
 	// pay holds a completed receive's contents; the request owns one
-	// reference until Wait flattens it into data, TakePayload hands it
-	// off, or Free/Cancel releases it.
-	pay  *bufpool.Payload
-	data []byte // Wait's cached flattened result
-	src  int
+	// reference until TakePayload hands it off or Free/Cancel releases
+	// it.
+	pay *bufpool.Payload
+	src int
 
 	// Pending receive matcher.
 	wantSrc int
@@ -54,8 +53,8 @@ func (r *Request) Free() {
 }
 
 // Irecv posts a receive for (from, tag).  The message is claimed when
-// Wait is called; posting order among outstanding Irecvs with
-// overlapping matchers determines claim order at Wait time.
+// the request is completed; posting order among outstanding Irecvs with
+// overlapping matchers determines claim order at that time.
 func (c *Comm) Irecv(from, tag int) *Request {
 	c.require()
 	wsrc := AnySource
@@ -81,22 +80,9 @@ func (r *Request) complete() {
 	r.done = true
 }
 
-// Wait blocks until the request completes and returns the received
-// bytes and the source's world rank.  Waiting again returns the cached
-// result.
-func (r *Request) Wait() ([]byte, int) {
-	r.complete()
-	if r.pay != nil {
-		r.data = r.pay.Flatten()
-		r.pay.Release()
-		r.pay = nil
-	}
-	return r.data, r.src
-}
-
 // TakePayload returns a completed receive's contents without
 // flattening; the payload's reference now belongs to the caller
-// (Release it after reading).  It completes the request like Wait if
+// (Release it after reading).  It completes the request if
 // necessary, and transfers the payload only once: a second call or a
 // cancelled receive returns nil.
 func (r *Request) TakePayload() (*bufpool.Payload, int) {

@@ -2,6 +2,15 @@ package mpsim
 
 import "testing"
 
+// wait completes r and returns its bytes, flattened, and the source's
+// world rank.
+func wait(r *Request) ([]byte, int) {
+	pay, src := r.TakePayload()
+	data := pay.Flatten()
+	pay.Release()
+	return data, src
+}
+
 func TestIrecvWait(t *testing.T) {
 	RunSPMD(Ideal(), 2, func(p *Proc) {
 		c := p.Comm()
@@ -9,15 +18,10 @@ func TestIrecvWait(t *testing.T) {
 			// Post receives before the data exists, then wait.
 			r1 := c.Irecv(1, 5)
 			r2 := c.Irecv(1, 6)
-			d2, _ := r2.Wait()
-			d1, _ := r1.Wait()
+			d2, _ := wait(r2)
+			d1, _ := wait(r1)
 			if string(d1) != "one" || string(d2) != "two" {
 				t.Errorf("got %q/%q", d1, d2)
-			}
-			// Waiting again returns the cached payload.
-			again, _ := r1.Wait()
-			if string(again) != "one" {
-				t.Errorf("re-wait got %q", again)
 			}
 		} else {
 			c.Send(0, 5, []byte("one"))
@@ -57,7 +61,7 @@ func TestRequestTest(t *testing.T) {
 			}
 			c.Send(1, 1, nil) // release the peer
 			// Wait for the message to arrive.
-			data, _ := r.Wait()
+			data, _ := wait(r)
 			if string(data) != "now" {
 				t.Errorf("got %q", data)
 			}
@@ -80,8 +84,8 @@ func TestWaitAll(t *testing.T) {
 			reqs := []*Request{c.Irecv(1, 3), c.Irecv(2, 3)}
 			for Waitany(reqs) >= 0 {
 			}
-			d1, _ := reqs[0].Wait()
-			d2, _ := reqs[1].Wait()
+			d1, _ := wait(reqs[0])
+			d2, _ := wait(reqs[1])
 			if string(d1) != "a" || string(d2) != "b" {
 				t.Errorf("got %q/%q", d1, d2)
 			}
@@ -109,7 +113,7 @@ func TestWaitanyArrivalOrder(t *testing.T) {
 			if first != 1 {
 				t.Errorf("first completion was request %d, want 1 (earliest arrival)", first)
 			}
-			d, src := reqs[first].Wait()
+			d, src := wait(reqs[first])
 			if string(d) != "late-posted" || src != 2 {
 				t.Errorf("first payload %q from %d", d, src)
 			}
@@ -143,7 +147,7 @@ func TestWaitallSliceForm(t *testing.T) {
 			}
 			sum := 0
 			for _, r := range reqs {
-				d, _ := r.Wait()
+				d, _ := wait(r)
 				sum += int(d[0])
 			}
 			if sum != 1+2+3 {
@@ -164,7 +168,7 @@ func TestWaitanySendCompletesImmediately(t *testing.T) {
 		c := p.Comm()
 		if c.Rank() == 0 {
 			reqs := []*Request{c.Irecv(1, 9), c.Irecv(1, 10)}
-			reqs[1].Wait()
+			wait(reqs[1])
 			if i := Waitany(reqs); i != 0 {
 				t.Errorf("Waitany picked %d, want the pending receive (0)", i)
 			}
@@ -197,7 +201,7 @@ func TestIrecvOverlapPattern(t *testing.T) {
 		}
 		seen := 0
 		for _, r := range reqs {
-			data, _ := r.Wait()
+			data, _ := wait(r)
 			seen += int(data[0])
 		}
 		want := 6 - c.Rank() // 0+1+2+3 minus self

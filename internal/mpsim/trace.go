@@ -120,17 +120,6 @@ func (t *Trace) Timeline() string {
 	return b.String()
 }
 
-// Sends counts the send events.
-func (t *Trace) Sends() int {
-	n := 0
-	for _, e := range t.Events {
-		if e.Kind == EvSend {
-			n++
-		}
-	}
-	return n
-}
-
 // emit books one occurrence, and is the only place anything is booked:
 // call sites say what happened once, and Stats, the trace and the
 // observability layer are its three sinks.

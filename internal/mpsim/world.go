@@ -59,7 +59,6 @@ type World struct {
 	nodes     []*node
 	stats     Stats
 	trace     *Trace
-	progNames []string
 	progRanks map[string][]int
 
 	// shards partition the ranks among schedulers; always at least one.
@@ -110,10 +109,9 @@ type runFailure struct {
 }
 
 type node struct {
-	id         int
-	outFreeAt  float64
-	inFreeAt   float64
-	procsOnOut int
+	id        int
+	outFreeAt float64
+	inFreeAt  float64
 }
 
 // procState tracks where a simulated process is in its lifecycle.
@@ -260,7 +258,6 @@ func newWorld(cfg Config) (*World, error) {
 				state:     stateRunnable,
 				heapIdx:   -1,
 			}
-			w.nodes[nid].procsOnOut++
 			w.procs = append(w.procs, p)
 			progRanks[r] = worldRank
 			if w.obs != nil {
@@ -275,7 +272,6 @@ func newWorld(cfg Config) (*World, error) {
 		if _, dup := w.progRanks[spec.Name]; dup {
 			return nil, fmt.Errorf("mpsim: two programs named %q", spec.Name)
 		}
-		w.progNames = append(w.progNames, spec.Name)
 		w.progRanks[spec.Name] = progRanks
 	}
 	allRanks := make([]int, len(w.procs))

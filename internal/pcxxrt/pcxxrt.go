@@ -52,14 +52,8 @@ func NewCollectionTyped(n, nprocs int, et core.ElemType, rank int) (*Collection,
 	return c, nil
 }
 
-// N returns the collection's global element count.
-func (c *Collection) N() int { return c.n }
-
 // Elem returns the collection's element type.
 func (c *Collection) Elem() core.ElemType { return c.mem.Elem() }
-
-// ElemWords returns the per-element scalar count.
-func (c *Collection) ElemWords() int { return c.mem.Elem().Words }
 
 // LocalMem returns the local element storage.
 func (c *Collection) LocalMem() core.Mem { return c.mem }

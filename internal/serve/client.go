@@ -32,7 +32,6 @@ type Client struct {
 	rd         *bufio.Reader // conn's reader, made afresh with every dial
 	nextID     uint32
 	token      string
-	leaseMs    int64
 	jitterSeed uint64
 
 	established bool   // first hello completed (reconnects count after it)
@@ -96,13 +95,6 @@ func DialWith(o DialOptions) (*Client, error) {
 		}
 	}
 	return nil, fmt.Errorf("serve: dial gave up after %d attempts: %w", dialAttempts, lastErr)
-}
-
-// Lease returns the server-granted session lease (0 = no expiry).
-func (c *Client) Lease() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Duration(c.leaseMs) * time.Millisecond
 }
 
 // Reconnects returns how many times the client re-established its
@@ -183,7 +175,7 @@ func (c *Client) reconnectLocked() (err error, fatal bool) {
 	_ = r.String() // server name
 	_ = r.String() // machine name
 	c.token = r.String()
-	c.leaseMs = r.Int64()
+	_ = r.Int64() // session lease, ms
 	if c.established {
 		c.reconnects++
 	}

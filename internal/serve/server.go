@@ -210,16 +210,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Addr returns the listener address once Serve is running.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 // track registers a new connection handler unless the server is closing.
 func (s *Server) track(conn net.Conn) (*session, bool) {
 	s.mu.Lock()

@@ -128,20 +128,21 @@ func sideReference(spec *DistSpec, rank int, value func(pos, wd int) float64) ([
 		if err != nil {
 			panic(err)
 		}
+		shape := gidx.Shape(spec.Shape)
+		fill := func(coords []int) float64 { return value(shape.Linear(coords), 0) }
 		var get func([]int) float64
-		var set func([]int, float64)
 		var local core.Mem
 		if spec.Library == "hpfrt" {
 			a := hpfrt.NewArray(dist, rank)
-			get, set, local = a.Get, a.Set, a.LocalMem()
+			a.FillGlobal(fill)
+			get, local = a.Get, a.LocalMem()
 		} else {
 			a := mbparti.MustNewArray(dist, rank, 0)
-			get, set, local = a.Get, a.Set, a.LocalMem()
+			a.FillGlobal(fill)
+			get, local = a.Get, a.LocalMem()
 		}
-		shape := gidx.Shape(spec.Shape)
 		dist.EachOwned(rank, func(_, coords []int) {
 			pos := shape.Linear(coords)
-			set(coords, value(pos, 0))
 			elems = append(elems, elem{pos, []float64{get(coords)}})
 		})
 		mem = local.Float64s()

@@ -80,8 +80,6 @@ type opReply struct {
 	elems int
 	cost  float64 // virtual seconds the op took on the leader
 	data  []float64
-	hits  int // leader-rank cumulative schedule-cache counters
-	miss  int
 	evict int // leader-rank cumulative schedule-cache evictions
 }
 
@@ -420,7 +418,6 @@ func (r *runner) body(p *mpsim.Proc) {
 			}
 			if leader && o.reply != nil {
 				rep.cost = p.Clock() - t0
-				rep.hits, rep.miss = cache.Counters()
 				rep.evict = cache.Evictions()
 				o.reply <- rep
 			}

@@ -146,8 +146,8 @@ func TestPublicAPIScheduleIntrospection(t *testing.T) {
 			t.Errorf("%v", err)
 			return
 		}
-		if sched.Elems() != 5 || sched.ElemWords() != 1 {
-			t.Errorf("Elems=%d ElemWords=%d", sched.Elems(), sched.ElemWords())
+		if sched.Elems() != 5 || sched.Elem().Words != 1 {
+			t.Errorf("Elems=%d Elem().Words=%d", sched.Elems(), sched.Elem().Words)
 		}
 		// Rank 0 owns sources 0-4, rank 1 owns destinations 5-9: one
 		// lane each way.

@@ -3,226 +3,375 @@ package metachaos_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // surfaceAllow names the exported identifiers under internal/ that may
 // stay without a non-test caller, each with its reason.  Keep it short:
-// an entry is a decision, not a parking place.
+// an entry is a decision, not a parking place, and its reason names the
+// tests that rely on it.
 var surfaceAllow = map[string]string{
-	"bufpool.Pool.LiveSegments": "leak assertion: tests check that a finished run hands every segment back",
-	"bufpool.Pool.LivePayloads": "leak assertion: tests check that a finished run releases every payload",
-	"core.Byte":                 "the fifth predeclared element type; the dtype sweeps move every kind",
+	"bufpool.Pool.LiveSegments": "leak assertion: bufpool's checkNoLeaks, core's TestMovePlaneDrains and TestDroppedSchedulesDrain, and mpsim's TestAlltoall and TestSerialLoopFingerprints check that a run hands every segment back",
+	"bufpool.Pool.LivePayloads": "leak assertion: the same tests as LiveSegments check that a run releases every payload",
+	"core.Byte":                 "the fifth predeclared element type: ckpt's TestSaveRestoreAllKinds and crosstest's TestChaosDtypeSweep move every kind",
+	"core.Schedule.Elem":        "test oracle: crosstest's dtype sweeps check that each schedule carries its element type, TestPublicAPIScheduleIntrospection and TestMethodStringAndAccessors its width",
 	"exp.Figure10Scale":         "BenchmarkFigure10Parallel's workload until it is rebuilt on the paper's schedules",
-	"gidx.Section.Contains":     "test oracle for section enumeration and intersection",
-	"mpsim.Trace.Timeline":      "test oracle: the serial-loop and shard-count fingerprints hash it",
+	"gidx.Section.Contains":     "test oracle: gidx's TestSectionContains, TestSectionForEachOrderMatchesPointAt and TestQuickSectionEnumeration check enumeration against it",
+	"mpsim.Trace.Timeline":      "test oracle: mpsim's TestSerialLoopFingerprints and shard-count tests, and faultsim's shard tests, hash it",
 }
 
-// TestExportedSurfaceHasCallers fails on any exported top-level func,
-// method, type, var or const declared in a non-test file under
-// internal/ whose name no non-test file of the repository (bench/,
-// cmd/, compat/, examples/ and the root package included) mentions,
-// unless surfaceAllow names it.  An identifier only tests reach is
-// either deleted or allow-listed with a reason; an allow-listed one that
-// no test mentions either is dead, and its entry fails as stale.
-//
-// The check is by name, not by type: a test-only method that shares its
-// name with a used identifier anywhere in the tree is not caught, but a
-// name that really is used is never reported.  Methods that satisfy a
-// standard-library interface by name (sort.Interface, heap.Interface,
-// error, fmt.Stringer, errors.Unwrap) are skipped.
+// configAllow names the exported config fields under internal/ that may
+// stay without a non-test setter, each with its reason.  A key names one
+// field ("pkg.Type.Field") or every field of a struct ("pkg.Type").
+var configAllow = map[string]string{
+	"mpsim.Config.Trace":       "test oracle: the tests that hash Trace.Timeline (see surfaceAllow) turn it on",
+	"exp.CSConfig.Fingerprint": "adds a client allgather, so always on it would move Figure 10's goldens",
+	"exp.Figure10ScaleConfig":  "BenchmarkFigure10Parallel sizes it until it is rebuilt on the paper's schedules",
+}
+
+// TestExportedSurfaceHasCallers fails on any exported top-level
+// declaration or exported method in a non-test file under internal/
+// that no non-test code of the repository (bench/ included) resolves to,
+// unless surfaceAllow names it; an allow-listed one that no test file
+// names either is dead, and its entry fails as stale.  Uses resolve to
+// objects (go/types), so a test-only method is caught even where its
+// name is used elsewhere.  A method also counts as used when its type
+// implements an interface whose method of its name non-test code calls,
+// or the standard library does (runtimeCalls).
 func TestExportedSurfaceHasCallers(t *testing.T) {
-	fset, files := parseRepo(t)
-	for _, p := range unusedExports(fset, files, surfaceAllow) {
+	for _, p := range unusedExports(loadRepo(t), surfaceAllow) {
 		t.Error(p)
 	}
 }
 
-// parseRepo parses every Go file of the repository, testdata and dot
-// directories aside.
-func parseRepo(t *testing.T) (*token.FileSet, []srcFile) {
+// TestConfigFieldsHaveSetters fails on any exported field of an
+// exported struct under internal/ whose name ends in Config or Options
+// that no non-test code sets, unless configAllow names it: a knob only
+// tests turn is a constant.  A field counts as set where a composite
+// literal's key or an assignment's target resolves to it, outside
+// withDefaults methods, which fill zero values rather than choose them.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	for _, p := range unsetConfigFields(loadRepo(t), configAllow) {
+		t.Error(p)
+	}
+}
+
+// checked is a type-checked source tree: its non-test packages (in path
+// order and by import path) and the names its test files mention.
+type checked struct {
+	fset   *token.FileSet
+	pkgs   []*srcPkg
+	byPath map[string]*srcPkg
+	tested map[string]bool
+}
+
+// srcPkg is one directory's non-test files and their type information.
+type srcPkg struct {
+	path  string // "metachaos/<dir>"
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// std resolves standard-library imports from the export data in the
+// local build cache (go list -export), shared by every load.
+var std = importer.ForCompiler(token.NewFileSet(), "gc", nil)
+
+// loadRepo type-checks the repository once per test binary, bench/
+// included, testdata and dot directories aside.
+func loadRepo(t *testing.T) *checked {
 	t.Helper()
-	fset := token.NewFileSet()
-	var files []srcFile
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, srcFile{filepath.ToSlash(path), f})
-		return nil
-	})
+	c, err := repo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fset, files
+	return c
 }
 
-// srcFile is one parsed file and its slash-separated path from the
-// repository root.
-type srcFile struct {
-	path string
-	f    *ast.File
-}
-
-// stdlibMethods are method names a type implements for a
-// standard-library interface, so callers reach them without naming them.
-var stdlibMethods = map[string]bool{
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"Error": true, "Unwrap": true, "String": true,
-}
-
-// unusedExports returns one problem per exported declaration under
-// internal/ that no non-test file mentions and allow does not name, as
-// "file:line: pkg.Name ..." or "file:line: pkg.Recv.Name ...", followed
-// by one per allow entry that names no such declaration or one that no
-// test file mentions either.
-func unusedExports(fset *token.FileSet, files []srcFile, allow map[string]string) []string {
-	type decl struct {
-		key string
-		pos token.Pos
+var repo = sync.OnceValues(func() (*checked, error) {
+	srcs := map[string]string{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir():
+			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+		case strings.HasSuffix(p, ".go"):
+			if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+				return err
+			}
+			srcs[filepath.ToSlash(p)] = ""
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var decls []decl
-	declared := map[*ast.Ident]bool{}
-	used, tested := map[string]bool{}, map[string]bool{}
-	for _, sf := range files {
-		if strings.HasSuffix(sf.path, "_test.go") {
-			ast.Inspect(sf.f, func(n ast.Node) bool {
+	return load(srcs)
+})
+
+// load parses the files named by srcs (a source of "" is read from
+// disk), and runtimeCalls, in path order, and type-checks each
+// directory's non-test files as the package "metachaos/<dir>", which is
+// also the import path of every package of bench/'s module.
+func load(srcs map[string]string) (*checked, error) {
+	c := &checked{fset: token.NewFileSet(), byPath: map[string]*srcPkg{}, tested: map[string]bool{}}
+	srcs[".runtimecalls/calls.go"] = runtimeCalls
+	paths := make([]string, 0, len(srcs))
+	for p := range srcs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		var src any
+		if srcs[p] != "" {
+			src = srcs[p]
+		}
+		f, err := parser.ParseFile(c.fset, p, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		if strings.HasSuffix(p, "_test.go") {
+			ast.Inspect(f, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
-					tested[id.Name] = true
+					c.tested[id.Name] = true
 				}
 				return true
 			})
 			continue
 		}
-		surface := strings.HasPrefix(sf.path, "internal/")
-		pkg := sf.f.Name.Name
-		add := func(id *ast.Ident, recv string) {
-			declared[id] = true
-			if !surface || !id.IsExported() {
-				return
-			}
-			key := pkg + "." + id.Name
-			if recv != "" {
-				if stdlibMethods[id.Name] {
-					return
-				}
-				key = pkg + "." + recv + "." + id.Name
-			}
-			decls = append(decls, decl{key, id.Pos()})
+		ip := path.Join("metachaos", path.Dir(p))
+		if c.byPath[ip] == nil {
+			c.byPath[ip] = &srcPkg{path: ip}
+			c.pkgs = append(c.pkgs, c.byPath[ip])
 		}
-		for _, d := range sf.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				add(d.Name, recvName(d))
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name, "")
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							add(n, "")
-						}
-					}
-				}
-			}
-		}
-		ast.Inspect(sf.f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
+		c.byPath[ip].files = append(c.byPath[ip].files, f)
 	}
-	var problems, stale []string
-	hit := map[string]bool{}
-	for _, d := range decls {
-		name := d.key[strings.LastIndexByte(d.key, '.')+1:]
-		if used[name] {
+	for _, p := range c.pkgs {
+		if _, err := c.Import(p.path); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// Import type-checks a package of the tree on first use, and leaves any
+// other to std.
+func (c *checked) Import(ip string) (*types.Package, error) {
+	p := c.byPath[ip]
+	if p == nil {
+		return std.Import(ip)
+	}
+	if p.types == nil {
+		p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}} // a selector's Sel included
+		var err error
+		if p.types, err = (&types.Config{Importer: c}).Check(ip, c.fset, p.files, p.info); err != nil {
+			return nil, err
+		}
+	}
+	return p.types, nil
+}
+
+// runtimeCalls stands for the standard library's calls into this
+// repository's types: errors, fmt, sort and container/heap reach a
+// method that implements one of these without the repository naming it.
+const runtimeCalls = `package runtimecalls
+
+import ("container/heap"; "fmt")
+
+func _(e error, w interface{ Unwrap() error }, s fmt.Stringer, h heap.Interface) {
+	_, _, _, _, _ = e.Error(), w.Unwrap(), s.String(), h.Len(), h.Less(0, 0)
+	h.Swap(0, 0); h.Push(h.Pop())
+}
+`
+
+// origin maps an instantiated generic func, method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// unusedExports returns one problem per exported declaration under
+// internal/ that no non-test code uses and allow does not name, then
+// one per allow entry that names none, or one no test file names.
+func unusedExports(c *checked, allow map[string]string) []string {
+	used := map[types.Object]bool{}
+	var called []*types.Func // interface methods non-test code calls
+	mark := func(obj types.Object) {
+		obj = origin(obj)
+		if f, ok := obj.(*types.Func); ok && !used[f] {
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called = append(called, f)
+			}
+		}
+		used[obj] = true
+	}
+	for _, p := range c.pkgs {
+		for _, obj := range p.info.Uses {
+			mark(obj)
+		}
+	}
+	reached := func(m *types.Func, named *types.Named) bool {
+		if used[m] {
+			return true
+		}
+		for _, im := range called {
+			iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if im.Name() == m.Name() &&
+				(types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+				return true
+			}
+		}
+		return false
+	}
+	type decl struct {
+		key string
+		obj types.Object
+	}
+	var unused []decl
+	for _, p := range c.pkgs {
+		if !strings.HasPrefix(p.path, "metachaos/internal/") {
 			continue
 		}
+		pkg := p.types.Name()
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() && !used[obj] {
+				unused = append(unused, decl{pkg + "." + name, obj})
+			}
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok || types.IsInterface(named) {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() && !reached(m, named) {
+					unused = append(unused, decl{pkg + "." + name + "." + m.Name(), m})
+				}
+			}
+		}
+	}
+	sort.Slice(unused, func(i, j int) bool { return unused[i].obj.Pos() < unused[j].obj.Pos() })
+	var problems, stale []string
+	hit := map[string]bool{}
+	for _, d := range unused {
 		if _, ok := allow[d.key]; ok {
 			hit[d.key] = true
-			if !tested[name] {
+			if !c.tested[d.obj.Name()] {
 				stale = append(stale, fmt.Sprintf("allow-list entry %s names code no file mentions, test files included", d.key))
 			}
 			continue
 		}
-		problems = append(problems, fmt.Sprintf("%s: %s has no non-test caller", fset.Position(d.pos), d.key))
+		problems = append(problems, fmt.Sprintf("%s: %s has no non-test caller", c.fset.Position(d.obj.Pos()), d.key))
 	}
+	return withStale(problems, stale, allow, hit, "unused")
+}
+
+// unsetConfigFields returns one problem per exported config field under
+// internal/ that no non-test code sets and allow does not cover, then
+// one per allow entry that covers none.
+func unsetConfigFields(c *checked, allow map[string]string) []string {
+	set := map[types.Object]bool{}
+	for _, p := range c.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					return n.Name.Name != "withDefaults"
+				case *ast.KeyValueExpr:
+					if k, ok := n.Key.(*ast.Ident); ok {
+						set[origin(p.info.Uses[k])] = true
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							set[origin(p.info.Uses[sel.Sel])] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var problems []string
+	hit := map[string]bool{}
+	for _, p := range c.pkgs {
+		if !strings.HasPrefix(p.path, "metachaos/internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			st, isStruct := scope.Lookup(name).Type().Underlying().(*types.Struct)
+			if _, isType := scope.Lookup(name).(*types.TypeName); !isType || !isStruct || !token.IsExported(name) ||
+				!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			typ := p.types.Name() + "." + name
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				key := typ + "." + f.Name()
+				switch {
+				case !f.Exported() || f.Embedded() || set[f]:
+				case allow[key] != "":
+					hit[key] = true
+				case allow[typ] != "":
+					hit[typ] = true
+				default:
+					problems = append(problems, fmt.Sprintf("%s: %s has no non-test setter", c.fset.Position(f.Pos()), key))
+				}
+			}
+		}
+	}
+	return withStale(problems, nil, allow, hit, "unset")
+}
+
+// withStale appends to problems the stale lines, plus one per allow
+// entry that hit does not hold, in key order.
+func withStale(problems, stale []string, allow map[string]string, hit map[string]bool, what string) []string {
 	for key := range allow {
 		if !hit[key] {
-			stale = append(stale, fmt.Sprintf("allow-list entry %s names nothing unused", key))
+			stale = append(stale, fmt.Sprintf("allow-list entry %s names nothing %s", key, what))
 		}
 	}
 	sort.Strings(stale)
 	return append(problems, stale...)
 }
 
-// recvName is the receiver's type name of a method, or "" for a func.
-func recvName(d *ast.FuncDecl) string {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return ""
-	}
-	t := d.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
+// selfCheckCase is one row of a surface-check self-test: the files it
+// adds to selfCheckBase, the allow-list it passes and the problems the
+// check must report.
+type selfCheckCase struct {
+	name  string
+	files map[string]string
+	allow map[string]string
+	want  []string
 }
 
-// parseSources parses in-memory sources keyed by path, for the checks'
-// self-tests.
-func parseSources(t *testing.T, srcs map[string]string) (*token.FileSet, []srcFile) {
-	t.Helper()
-	fset := token.NewFileSet()
-	var files []srcFile
-	for path, src := range srcs {
-		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, srcFile{path, f})
-	}
-	return fset, files
-}
+// selfCheckBase is the in-memory repo every self-check row starts from.
+var selfCheckBase = map[string]string{
+	"internal/x/x.go": `package x
 
-// TestUnusedExportsSelfCheck runs the surface check on in-memory
-// sources, so a check that silently passes everything fails here.
-func TestUnusedExportsSelfCheck(t *testing.T) {
-	lib := `package x
-
-func Used() {}
-
+func Used()    {}
 func Planted() {}
 
 type h []int
@@ -230,233 +379,102 @@ type h []int
 func (h) Len() int           { return 0 }
 func (h) Less(i, j int) bool { return false }
 func (h) Swap(i, j int)      {}
-`
-	srcs := map[string]string{
-		"internal/x/x_test.go": "package x\n\nfunc plant() { Planted() }\n",
-		"cmd/y/main.go":        "package main\n\nimport \"x\"\n\nfunc main() { x.Used() }\n",
-	}
-	for _, tc := range []struct {
-		name  string
-		extra string // appended to lib
-		allow map[string]string
-		want  []string
-	}{
-		{"a func only a test calls is reported with its position", "", nil,
-			[]string{"internal/x/x.go:5:6: x.Planted has no non-test caller"}},
-		{"an allow-listed func is not", "", map[string]string{"x.Planted": "reason"}, nil},
-		{"a stale allow-list entry fails", "", map[string]string{"x.Planted": "reason", "x.Used": "reason"},
-			[]string{"allow-list entry x.Used names nothing unused"}},
-		{"an allow-listed func no test mentions either fails as stale", "\nfunc Dead() {}\n",
-			map[string]string{"x.Planted": "reason", "x.Dead": "reason"},
-			[]string{"allow-list entry x.Dead names code no file mentions, test files included"}},
-	} {
-		srcs["internal/x/x.go"] = lib + tc.extra
-		fset, files := parseSources(t, srcs)
-		got := unusedExports(fset, files, tc.allow)
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
 
-// configAllow names the exported config fields under internal/ that may
-// stay without a non-test setter, each with its reason.  A key names one
-// field ("pkg.Type.Field") or every field of a struct ("pkg.Type").
-var configAllow = map[string]string{
-	"mpsim.Config.Trace":       "test oracle: the shard-count and serial-loop fingerprint tests hash the trace it records",
-	"exp.CSConfig.Fingerprint": "adds a client allgather, so always on it would move Figure 10's goldens",
-	"exp.Figure10ScaleConfig":  "BenchmarkFigure10Parallel sizes it until it is rebuilt on the paper's schedules",
-}
-
-// TestConfigFieldsHaveSetters fails on any exported field of an
-// exported struct under internal/ whose name ends in Config or Options
-// that no non-test file sets, unless configAllow names it: a knob only
-// tests turn is a constant.  A field counts as set where it is a key of
-// a composite literal of its own type, or where a variable's field of
-// its name is assigned (v.Field = ...) — except inside a withDefaults
-// method, which fills zero values rather than choosing them.
-//
-// Literals are matched by type name, assignments by field name alone:
-// assigning a same-named field of another struct through a variable
-// counts, so the check can miss a field; one set only through a longer
-// chain (a.b.Field = ...) is reported, so it can also report one.
-func TestConfigFieldsHaveSetters(t *testing.T) {
-	fset, files := parseRepo(t)
-	for _, p := range unsetConfigFields(fset, files, configAllow) {
-		t.Error(p)
-	}
-}
-
-// unsetConfigFields returns one problem per exported config field under
-// internal/ that no non-test file sets and allow does not cover, as
-// "file:line: pkg.Type.Field has no non-test setter", followed by one
-// per allow entry that covers no such field.
-func unsetConfigFields(fset *token.FileSet, files []srcFile, allow map[string]string) []string {
-	type field struct {
-		key, typ string // "pkg.Type.Field", "pkg.Type"
-		pos      token.Pos
-	}
-	var fields []field
-	byName := map[string][]string{} // field name -> its keys
-	for _, sf := range files {
-		if strings.HasSuffix(sf.path, "_test.go") || !strings.HasPrefix(sf.path, "internal/") {
-			continue
-		}
-		pkg := sf.f.Name.Name
-		for _, d := range sf.f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts := spec.(*ast.TypeSpec) // a GenDecl of types holds only TypeSpecs
-				st, isStruct := ts.Type.(*ast.StructType)
-				name := ts.Name.Name
-				if !isStruct || !ts.Name.IsExported() ||
-					!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
-					continue
-				}
-				typ := pkg + "." + name
-				for _, fl := range st.Fields.List {
-					for _, n := range fl.Names {
-						if n.IsExported() {
-							key := typ + "." + n.Name
-							fields = append(fields, field{key, typ, n.Pos()})
-							byName[n.Name] = append(byName[n.Name], key)
-						}
-					}
-				}
-			}
-		}
-	}
-	set := map[string]bool{}
-	for _, sf := range files {
-		if strings.HasSuffix(sf.path, "_test.go") {
-			continue
-		}
-		pkg := sf.f.Name.Name
-		for _, d := range sf.f.Decls {
-			fd, isFunc := d.(*ast.FuncDecl)
-			defaults := isFunc && fd.Name.Name == "withDefaults"
-			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					typ := ""
-					switch tx := n.Type.(type) {
-					case *ast.Ident:
-						typ = pkg + "." + tx.Name
-					case *ast.SelectorExpr:
-						if x, ok := tx.X.(*ast.Ident); ok {
-							typ = x.Name + "." + tx.Sel.Name
-						}
-					}
-					for _, e := range n.Elts {
-						if kv, ok := e.(*ast.KeyValueExpr); ok {
-							if k, ok := kv.Key.(*ast.Ident); ok {
-								set[typ+"."+k.Name] = true
-							}
-						}
-					}
-				case *ast.AssignStmt:
-					if defaults {
-						return true
-					}
-					for _, lhs := range n.Lhs {
-						sel, ok := lhs.(*ast.SelectorExpr)
-						if !ok {
-							continue
-						}
-						if _, onVar := sel.X.(*ast.Ident); onVar {
-							for _, key := range byName[sel.Sel.Name] {
-								set[key] = true
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	var problems, stale []string
-	hit := map[string]bool{}
-	for _, f := range fields {
-		if set[f.key] {
-			continue
-		}
-		if _, ok := allow[f.key]; ok {
-			hit[f.key] = true
-			continue
-		}
-		if _, ok := allow[f.typ]; ok {
-			hit[f.typ] = true
-			continue
-		}
-		problems = append(problems, fmt.Sprintf("%s: %s has no non-test setter", fset.Position(f.pos), f.key))
-	}
-	for key := range allow {
-		if !hit[key] {
-			stale = append(stale, fmt.Sprintf("allow-list entry %s names nothing unset", key))
-		}
-	}
-	sort.Strings(stale)
-	return append(problems, stale...)
-}
-
-// TestConfigFieldsSelfCheck runs the config-field check on in-memory
-// sources, so a check that silently passes everything fails here.
-func TestConfigFieldsSelfCheck(t *testing.T) {
-	lib := `package x
-
-type Options struct {
-	Set       int
-	Assigned  int
-	Planted   int
-	Defaulted int
-	hidden    int
-}
+type Options struct{ Set, Assigned, Planted, Defaulted, hidden int }
 
 type Plain struct{ Untouched int }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	out.Defaulted = 1
-	return out
-}
-`
-	srcs := map[string]string{
-		"internal/x/x.go":      lib,
-		"internal/x/x_test.go": "package x\n\nvar _ = Options{Planted: 1, Defaulted: 2}\n",
-		"cmd/y/main.go": `package main
+func (o *Options) withDefaults() { o.Defaulted = 1 }
+`,
+	"internal/x/x_test.go": "package x\n\nvar _ = Options{Planted: 1, Defaulted: 2}\n\nfunc plant() { Planted() }\n",
+	"cmd/y/main.go": `package main
 
-import "x"
+import "metachaos/internal/x"
+
+var _ x.Plain
 
 func main() {
+	x.Used()
 	o := x.Options{Set: 1}
 	o.Assigned = 2
 	var w struct{ stats struct{ Planted int } }
 	w.stats.Planted = 3
 }
 `,
-	}
-	fset, files := parseSources(t, srcs)
-	for _, tc := range []struct {
-		name  string
-		allow map[string]string
-		want  []string
-	}{
-		{"a field only a test sets, or only withDefaults, is reported with its position", nil, []string{
-			"internal/x/x.go:6:2: x.Options.Planted has no non-test setter",
-			"internal/x/x.go:7:2: x.Options.Defaulted has no non-test setter",
-		}},
-		{"an allow-listed field is not, nor one of an allow-listed struct",
-			map[string]string{"x.Options.Planted": "reason", "x.Options": "reason"}, nil},
-		{"a stale allow-list entry fails",
-			map[string]string{"x.Options.Planted": "reason", "x.Options.Defaulted": "reason", "x.Options.Set": "reason"},
-			[]string{"allow-list entry x.Options.Set names nothing unset"}},
-	} {
-		got := unsetConfigFields(fset, files, tc.allow)
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+}
+
+// runSelfCheck runs check on selfCheckBase plus each row's files, so a
+// check that silently passes everything, or matches by name where it
+// should resolve by object, fails here.
+func runSelfCheck(t *testing.T, check func(*checked, map[string]string) []string, cases []selfCheckCase) {
+	t.Helper()
+	for _, tc := range cases {
+		srcs := maps.Clone(selfCheckBase)
+		maps.Copy(srcs, tc.files)
+		c, err := load(srcs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := check(c, tc.allow); fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestUnusedExportsSelfCheck runs the surface check on in-memory
+// packages.
+func TestUnusedExportsSelfCheck(t *testing.T) {
+	planted := map[string]string{"x.Planted": "reason"}
+	runSelfCheck(t, unusedExports, []selfCheckCase{
+		{"a func only a test calls is reported with its position", nil, nil,
+			[]string{"internal/x/x.go:4:6: x.Planted has no non-test caller"}},
+		{"an allow-listed func is not", nil, planted, nil},
+		{"a stale allow-list entry fails", nil, map[string]string{"x.Planted": "reason", "x.Used": "reason"},
+			[]string{"allow-list entry x.Used names nothing unused"}},
+		{"an allow-listed func no test mentions either fails as stale",
+			map[string]string{"internal/x/dead.go": "package x\n\nfunc Dead() {}\n"},
+			map[string]string{"x.Planted": "reason", "x.Dead": "reason"},
+			[]string{"allow-list entry x.Dead names code no file mentions, test files included"}},
+		{"a test-only method is reported though another package's method of its name is used",
+			map[string]string{
+				"internal/x/t.go": "package x\n\ntype T struct{}\n\nfunc (T) Close() {}\n",
+				"internal/z/z.go": "package z\n\ntype C struct{}\n\nfunc (C) Close() {}\n",
+				"cmd/y/c.go":      "package main\n\nimport (\n\t\"metachaos/internal/x\"\n\t\"metachaos/internal/z\"\n)\n\nvar _ x.T\n\nfunc init() { z.C{}.Close() }\n",
+			}, planted,
+			[]string{"internal/x/t.go:5:10: x.T.Close has no non-test caller"}},
+		{"a method reached only through a repo interface its type implements is not",
+			map[string]string{
+				"internal/x/shape.go": "package x\n\ntype Shape interface{ Area() int }\n\ntype Sq struct{}\n\nfunc (Sq) Area() int { return 1 }\n\nfunc Total(s Shape) int { return s.Area() }\n",
+				"cmd/y/shape.go":      "package main\n\nimport \"metachaos/internal/x\"\n\nvar _ = x.Total(x.Sq{})\n",
+			}, planted, nil},
+		{"a test-only Addr on a type that is no net.Listener is reported",
+			map[string]string{
+				"internal/x/srv.go": "package x\n\ntype Srv struct{}\n\nfunc (Srv) Addr() string { return \"\" }\n",
+				"cmd/y/ln.go":       "package main\n\nimport (\n\t\"net\"\n\n\t\"metachaos/internal/x\"\n)\n\nvar _ x.Srv\n\nfunc addr(ln net.Listener) string { return ln.Addr().String() }\n",
+			}, planted,
+			[]string{"internal/x/srv.go:5:12: x.Srv.Addr has no non-test caller"}},
+	})
+}
+
+// TestConfigFieldsSelfCheck runs the config-field check on in-memory
+// packages.
+func TestConfigFieldsSelfCheck(t *testing.T) {
+	runSelfCheck(t, unsetConfigFields, []selfCheckCase{
+		{"a field only a test sets, or only withDefaults, is reported with its position", nil, nil, []string{
+			"internal/x/x.go:12:37: x.Options.Planted has no non-test setter",
+			"internal/x/x.go:12:46: x.Options.Defaulted has no non-test setter",
+		}},
+		{"an allow-listed field is not, nor one of an allow-listed struct", nil,
+			map[string]string{"x.Options.Planted": "reason", "x.Options": "reason"}, nil},
+		{"a stale config allow-list entry fails", nil,
+			map[string]string{"x.Options.Planted": "reason", "x.Options.Defaulted": "reason", "x.Options.Set": "reason"},
+			[]string{"allow-list entry x.Options.Set names nothing unset"}},
+		{"a field only a test assigns is reported though non-test code assigns another of its name",
+			map[string]string{
+				"internal/x/link.go":      "package x\n\ntype LinkConfig struct{ Delay int }\n",
+				"internal/x/link_test.go": "package x\n\nfunc init() {\n\tvar c LinkConfig\n\tc.Delay = 1\n}\n",
+				"cmd/y/link.go":           "package main\n\nimport \"metachaos/internal/x\"\n\nvar _ x.LinkConfig\n\nfunc init() {\n\tvar s struct{ Delay int }\n\ts.Delay = 2\n}\n",
+			}, map[string]string{"x.Options": "reason"},
+			[]string{"internal/x/link.go:3:25: x.LinkConfig.Delay has no non-test setter"}},
+	})
 }
