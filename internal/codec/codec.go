@@ -65,14 +65,6 @@ func (w *Writer) PutInts(vs []int) {
 	}
 }
 
-// PutFloat64s appends a length-prefixed float64 slice.
-func (w *Writer) PutFloat64s(vs []float64) {
-	w.PutInt32(int32(len(vs)))
-	for _, v := range vs {
-		w.PutFloat64(v)
-	}
-}
-
 // PutString appends a length-prefixed string.
 func (w *Writer) PutString(s string) {
 	w.PutInt32(int32(len(s)))
@@ -139,16 +131,6 @@ func (r *Reader) Ints() []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = int(r.Int32())
-	}
-	return out
-}
-
-// Float64s decodes a length-prefixed float64 slice.
-func (r *Reader) Float64s() []float64 {
-	n := int(r.Int32())
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.Float64()
 	}
 	return out
 }

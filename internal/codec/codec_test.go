@@ -14,7 +14,6 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	w.PutFloat64(3.14159)
 	w.PutInt32s([]int32{1, -2, 3})
 	w.PutInts([]int{7, 8, 9})
-	w.PutFloat64s([]float64{0.5, -0.25})
 	w.PutString("meta-chaos")
 	w.PutBytes([]byte{0xde, 0xad})
 
@@ -34,9 +33,6 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if got := r.Ints(); !reflect.DeepEqual(got, []int{7, 8, 9}) {
 		t.Errorf("Ints=%v", got)
 	}
-	if got := r.Float64s(); !reflect.DeepEqual(got, []float64{0.5, -0.25}) {
-		t.Errorf("Float64s=%v", got)
-	}
 	if got := r.String(); got != "meta-chaos" {
 		t.Errorf("String=%q", got)
 	}
@@ -51,14 +47,10 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 func TestEmptySlices(t *testing.T) {
 	var w Writer
 	w.PutInt32s(nil)
-	w.PutFloat64s(nil)
 	w.PutString("")
 	r := NewReader(w.Bytes())
 	if got := r.Int32s(); len(got) != 0 {
 		t.Errorf("Int32s=%v", got)
-	}
-	if got := r.Float64s(); len(got) != 0 {
-		t.Errorf("Float64s=%v", got)
 	}
 	if got := r.String(); got != "" {
 		t.Errorf("String=%q", got)
@@ -222,7 +214,9 @@ func TestQuickCompositeRoundTrip(t *testing.T) {
 		w.PutInt32(a)
 		w.PutInt32s(b)
 		w.PutString(s)
-		w.PutFloat64s(fs)
+		for _, v := range fs {
+			w.PutFloat64(v)
+		}
 		r := NewReader(w.Bytes())
 		if r.Int32() != a {
 			return false
@@ -239,12 +233,8 @@ func TestQuickCompositeRoundTrip(t *testing.T) {
 		if r.String() != s {
 			return false
 		}
-		gf := r.Float64s()
-		if len(gf) != len(fs) {
-			return false
-		}
-		for i := range fs {
-			if math.Float64bits(gf[i]) != math.Float64bits(fs[i]) {
+		for _, v := range fs {
+			if math.Float64bits(r.Float64()) != math.Float64bits(v) {
 				return false
 			}
 		}

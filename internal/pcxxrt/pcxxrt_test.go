@@ -172,14 +172,17 @@ func TestMultiWordCollectionCopy(t *testing.T) {
 				var w codec.Writer
 				c.ForEachOwned(func(i int, elem []float64) {
 					w.PutInt32(int32(i))
-					w.PutFloat64s(elem)
+					for _, v := range elem {
+						w.PutFloat64(v)
+					}
 				})
 				for _, part := range p.Comm().Allgather(w.Bytes()) {
 					r := codec.NewReader(part)
 					for r.Remaining() > 0 {
 						i := r.Int32()
-						vals := r.Float64s()
-						copy(got[i][:], vals)
+						for w := range got[i] {
+							got[i][w] = r.Float64()
+						}
 					}
 				}
 			}},

@@ -277,42 +277,16 @@ func (c *Client) OpenCoupling(id, srcID, dstID int) (warm bool, elems int, err e
 
 // Move executes one seed-filled move on an open coupling.
 func (c *Client) Move(id, kind int, seed int64) (MoveStats, error) {
-	return c.move(id, kind, seed, nil, false)
-}
-
-func (c *Client) move(id, kind int, seed int64, values []float64, wantData bool) (MoveStats, error) {
-	if moveReqFixed+8*len(values) > maxFrame {
-		return MoveStats{}, fmt.Errorf("%w: %d payload values overflow a frame", ErrTooLarge, len(values))
-	}
-	flags := 0
-	if wantData {
-		flags |= flagWantData
-	}
-	if values != nil {
-		flags |= flagHasPayload
-	}
 	var w codec.Writer
 	w.PutInt32(int32(id))
 	w.PutInt32(int32(kind))
 	w.PutInt64(seed)
-	w.PutInt32(int32(flags))
-	if values != nil {
-		w.PutFloat64s(values)
-	}
 	payload, err := c.do(msgMove, w.Bytes(), msgMoveDone)
 	if err != nil {
 		return MoveStats{}, err
 	}
 	r := codec.NewReader(payload)
-	st := MoveStats{
-		Hash:  uint64(r.Int64()),
-		Elems: int(r.Int64()),
-		Cost:  r.Float64(),
-	}
-	if data := r.Float64s(); len(data) > 0 {
-		st.Data = data
-	}
-	return st, nil
+	return MoveStats{Hash: uint64(r.Int64()), Cost: r.Float64()}, nil
 }
 
 // CloseCoupling releases an open coupling (the daemon keeps its

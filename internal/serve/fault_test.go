@@ -363,7 +363,6 @@ func TestServeRetryDedup(t *testing.T) {
 		w.PutInt32(1)
 		w.PutInt32(int32(OpMoveAdd))
 		w.PutInt64(42)
-		w.PutInt32(0)
 		return w.Bytes()
 	}
 	rtyp, first := rawReq(t, conn, msgMove, 5, movePayload())

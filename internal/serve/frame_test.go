@@ -6,6 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
+	"slices"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -108,6 +111,94 @@ func TestFrameWireBytesGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("wire bytes\n got % x\nwant % x", buf.Bytes(), want)
+	}
+}
+
+// TestMoveWireBytesGolden pins a move's two payloads, 16 bytes each,
+// little-endian: the request (i32 coupling id, i32 kind, i64 seed) and
+// the reply (u64 hash, f64 cost).  The client writes and reads exactly
+// these bytes.  The daemon answers the golden request with Standalone's
+// hash, and refuses it with bytes left over (the flags word protocol 2
+// sent) before it runs.
+func TestMoveWireBytesGolden(t *testing.T) {
+	const seed = 0x0102030405060708
+	req := []byte{
+		0x01, 0x00, 0x00, 0x00, // coupling 1
+		0x02, 0x00, 0x00, 0x00, // OpMoveReverse
+		0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // seed
+	}
+	reply := []byte{
+		0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // hash 0x1122334455667788
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // cost 0.5
+	}
+	a, b := net.Pipe()
+	defer a.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		defer b.Close()
+		_, id, p, err := readFrame(b, maxFrame)
+		got <- p
+		if err == nil {
+			writeFrame(b, msgMoveDone, id, reply)
+		}
+	}()
+	c := &Client{conn: a, rd: bufio.NewReader(a), nextID: 1}
+	st, err := c.Move(1, OpMoveReverse, seed)
+	if err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	if p := <-got; !bytes.Equal(p, req) {
+		t.Errorf("request payload\n got % x\nwant % x", p, req)
+	}
+	if st != (MoveStats{Hash: 0x1122334455667788, Cost: 0.5}) {
+		t.Errorf("reply decoded to %+v", st)
+	}
+
+	srv, sock := startServer(t, Options{FlushWindow: -1})
+	d := dialT(t, sock, "golden")
+	defer d.Close()
+	setupCoupling(t, d)
+	rp, err := d.do(msgMove, req, msgMoveDone)
+	if err != nil {
+		t.Fatalf("golden request: %v", err)
+	}
+	src, dst := testSpecs()
+	ref, err := Standalone(src, dst, []ScriptOp{{Kind: OpMoveReverse, Seed: seed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rp) != 16 || binary.LittleEndian.Uint64(rp) != ref[0].Hash {
+		t.Errorf("reply payload % x, want 16 bytes led by standalone's hash %016x", rp, ref[0].Hash)
+	}
+	if _, err := d.do(msgMove, append(slices.Clone(req), 0, 0, 0, 0), msgMoveDone); err == nil ||
+		!strings.Contains(err.Error(), ErrProtocol.Error()) {
+		t.Errorf("request with 4 bytes left over: %v, want a refusal carrying ErrProtocol", err)
+	}
+	if n := srv.Stats()["serve_moves_total"]; n != 1 {
+		t.Errorf("serve_moves_total = %v, want 1: the refused move ran", n)
+	}
+}
+
+// TestHelloRefusesOldProtocol: a hello speaking protocol 2, whose
+// moves carried a flags word and a value list, is refused with
+// ErrProtocol, and the daemon closes the connection.
+func TestHelloRefusesOldProtocol(t *testing.T) {
+	_, sock := startServer(t, Options{FlushWindow: -1})
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var w codec.Writer
+	w.PutString("old")
+	w.PutInt32(2)
+	w.PutString("")
+	rtyp, rp := rawReq(t, conn, msgHello, 1, w.Bytes())
+	if rtyp != msgError || !strings.Contains(decodeError(rp).Error(), ErrProtocol.Error()) {
+		t.Fatalf("protocol-2 hello answered %d: %v, want a refusal carrying ErrProtocol", rtyp, decodeError(rp))
+	}
+	if _, _, _, err := readFrame(conn, maxFrame); err != io.EOF {
+		t.Errorf("after the refusal: %v, want the connection closed", err)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 
 // protoVersion is the wire protocol generation; Hello/Welcome agree on
 // it before anything else flows.  Version 2 added session resume
-// tokens, leases, ping, and the retryable error class.
-const protoVersion = 2
+// tokens, leases, ping, and the retryable error class; version 3 made
+// a move fixed-size: a seed in, a hash and a cost out.
+const protoVersion = 3
 
 // Message types.  Requests flow client → server; every request is
 // answered by exactly one response frame carrying the same request id
@@ -23,8 +24,8 @@ const (
 	msgOK            byte = 4  // s→c: generic ack
 	msgOpenCoupling  byte = 5  // c→s: coupling id, src dist id, dst dist id
 	msgCouplingReady byte = 6  // s→c: warm flag, element count
-	msgMove          byte = 7  // c→s: coupling id, kind, seed, flags, [values]
-	msgMoveDone      byte = 8  // s→c: result hash, elems, virtual cost, [values]
+	msgMove          byte = 7  // c→s: coupling id, kind, seed
+	msgMoveDone      byte = 8  // s→c: result hash, virtual cost
 	msgCloseCoupling byte = 9  // c→s: coupling id
 	msgStats         byte = 10 // c→s: empty
 	msgStatsReply    byte = 11 // s→c: name/value pairs
@@ -39,17 +40,6 @@ const (
 	OpMoveAdd     = 1 // accumulate source into destination
 	OpMoveReverse = 2 // copy destination → source through the same schedule
 )
-
-// msgMove flags.
-const (
-	flagWantData   = 1 // return the moved side's global values in msgMoveDone
-	flagHasPayload = 2 // explicit source values follow (else seed-derived fill)
-)
-
-// The bytes ahead of the float64 list that ends a msgMove payload
-// (coupling id, kind, seed, flags, count) and a msgMoveDone one (hash,
-// elems, cost, count): with 8 per value, what must fit in maxFrame.
-const moveReqFixed, moveReplyFixed = 4 + 4 + 8 + 4 + 4, 8 + 8 + 8 + 4
 
 // Error codes carried in msgError, mapped to the typed sentinels below
 // so clients can errors.Is against them.
@@ -84,7 +74,8 @@ var (
 	ErrUnknownCoupling = errors.New("serve: unknown coupling")
 	// ErrBadSpec rejects an invalid or unsupported distribution pair.
 	ErrBadSpec = errors.New("serve: invalid distribution spec")
-	// ErrTooLarge rejects a payload or world beyond the configured caps.
+	// ErrTooLarge rejects a distribution or world beyond the configured
+	// caps.
 	ErrTooLarge = errors.New("serve: request exceeds configured limits")
 	// ErrShuttingDown reports a request racing server shutdown.
 	ErrShuttingDown = errors.New("serve: server is shutting down")
@@ -297,14 +288,9 @@ type MoveStats struct {
 	// over every owned element in rank order) — comparable bit-for-bit
 	// against a Standalone run of the same coupling sequence.
 	Hash uint64
-	// Elems is the schedule's global element count.
-	Elems int
 	// Cost is the virtual-time seconds the move took on the resident
 	// world's rank 0 (schedule reuse makes later moves cheaper).
 	Cost float64
-	// Data holds the moved side's global values when the move asked for
-	// them (WantData), scalar-major: element i's word w at i*words+w.
-	Data []float64
 }
 
 // decodeError turns a msgError payload into a typed, detailed error.

@@ -558,10 +558,7 @@ func (s *Server) revive(key worldKey) (*runner, error) {
 		replayed++
 		bad := false
 		for i, mr := range it.ops {
-			rep, err := r.do(&op{
-				cmd: cmdMove, handle: lc.handle,
-				moveKind: mr.kind, seed: mr.seed, flags: mr.flags &^ flagWantData, payload: mr.payload,
-			})
+			rep, err := r.do(&op{cmd: cmdMove, handle: lc.handle, moveKind: mr.kind, seed: mr.seed})
 			if err != nil {
 				s.breakCoupling(lc, fmt.Errorf("replaying move %d: %w", i, err))
 				bad = true

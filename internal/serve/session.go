@@ -64,8 +64,6 @@ type replyCache struct {
 // liveCoupling is one open coupling of a leased session.
 type liveCoupling struct {
 	handle int64
-	elems  int
-	words  int
 	key    worldKey
 	src    DistSpec
 	dst    DistSpec
@@ -82,11 +80,9 @@ type liveCoupling struct {
 // plus the hash the original execution produced so replay is verified,
 // not assumed.
 type moveRec struct {
-	kind    int
-	seed    int64
-	flags   int
-	payload []float64
-	hash    uint64
+	kind int
+	seed int64
+	hash uint64
 }
 
 // mutatingReq reports whether a request type changes session or world
@@ -295,10 +291,7 @@ func (ss *session) openCoupling(payload []byte) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, ss.retryableOr(key, err)
 	}
-	lc := &liveCoupling{
-		r: run, handle: o.handle, elems: rep.elems, words: src.words(),
-		key: key, src: *src, dst: *dst,
-	}
+	lc := &liveCoupling{r: run, handle: o.handle, key: key, src: *src, dst: *dst}
 	ss.srv.addCoupling(ss.st, id, lc)
 	ss.srv.count("serve_opens_total", 1)
 	if rep.warm {
@@ -335,10 +328,8 @@ func (ss *session) move(payload []byte) (byte, []byte, error) {
 	id := r.Int32()
 	kind := int(r.Int32())
 	seed := r.Int64()
-	flags := int(r.Int32())
-	var values []float64
-	if flags&flagHasPayload != 0 {
-		values = r.Float64s()
+	if r.Remaining() != 0 {
+		return 0, nil, fmt.Errorf("%w: move request carries %d bytes past its fixed 16", ErrProtocol, r.Remaining())
 	}
 	lc, ok := ss.st.cpls[id]
 	if !ok {
@@ -350,35 +341,21 @@ func (ss *session) move(payload []byte) (byte, []byte, error) {
 	if kind != OpMove && kind != OpMoveAdd && kind != OpMoveReverse {
 		return 0, nil, fmt.Errorf("%w: move kind %d", ErrBadSpec, kind)
 	}
-	if values != nil && len(values) != lc.elems*lc.words {
-		return 0, nil, fmt.Errorf("%w: payload has %d values, coupling moves %d",
-			ErrBadSpec, len(values), lc.elems*lc.words)
-	}
-	if flags&flagWantData != 0 && moveReplyFixed+8*lc.elems*lc.words > maxFrame {
-		// Refused before it runs: the dedup cache would resend a reply
-		// the client cannot read.
-		return 0, nil, fmt.Errorf("%w: %d landed values overflow a frame", ErrBadSpec, lc.elems*lc.words)
-	}
 	if !ss.srv.tryAcquire() {
 		return 0, nil, fmt.Errorf("%w: %d moves in flight", ErrBackpressure, ss.srv.opts.MaxInflight)
 	}
 	defer ss.srv.release()
 	run := ss.srv.runnerOf(lc)
-	rep, err := run.do(&op{
-		cmd: cmdMove, handle: lc.handle,
-		moveKind: kind, seed: seed, flags: flags, payload: values, from: ss.st,
-	})
+	rep, err := run.do(&op{cmd: cmdMove, handle: lc.handle, moveKind: kind, seed: seed, from: ss.st})
 	if err != nil {
 		return 0, nil, ss.retryableOr(lc.key, err)
 	}
-	ss.srv.journal(lc, moveRec{kind: kind, seed: seed, flags: flags, payload: values, hash: rep.hash})
+	ss.srv.journal(lc, moveRec{kind: kind, seed: seed, hash: rep.hash})
 	ss.srv.count("serve_moves_total", 1)
 	ss.srv.noteEvict(run, rep.evict)
 	var w codec.Writer
 	w.PutInt64(int64(rep.hash))
-	w.PutInt64(int64(rep.elems))
 	w.PutFloat64(rep.cost)
-	w.PutFloat64s(rep.data)
 	return msgMoveDone, w.Bytes(), nil
 }
 

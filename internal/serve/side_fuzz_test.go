@@ -23,28 +23,18 @@ import (
 // must equal the reference's, and the readback bytes must equal the
 // reference's elements encoded in ascending position order.
 func FuzzSideRuns(f *testing.F) {
-	f.Add(uint8(0), uint8(10), uint8(0), uint8(2), uint8(0), int64(1), false)
-	f.Add(uint8(1), uint8(61), uint8(0), uint8(7), uint8(0), int64(2), true)
-	f.Add(uint8(2), uint8(6), uint8(4), uint8(3), uint8(0), int64(3), false)
-	f.Add(uint8(3), uint8(8), uint8(6), uint8(5), uint8(0), int64(4), true)
-	f.Add(uint8(4), uint8(36), uint8(0), uint8(4), uint8(2), int64(5), false)
-	f.Add(uint8(4), uint8(12), uint8(0), uint8(0), uint8(1), int64(6), true)
-	f.Fuzz(func(t *testing.T, layout, n0, n1, procs, words uint8, seed int64, payload bool) {
+	f.Add(uint8(0), uint8(10), uint8(0), uint8(2), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(61), uint8(0), uint8(7), uint8(0), int64(2))
+	f.Add(uint8(2), uint8(6), uint8(4), uint8(3), uint8(0), int64(3))
+	f.Add(uint8(3), uint8(8), uint8(6), uint8(5), uint8(0), int64(4))
+	f.Add(uint8(4), uint8(36), uint8(0), uint8(4), uint8(2), int64(5))
+	f.Add(uint8(4), uint8(12), uint8(0), uint8(0), uint8(1), int64(6))
+	f.Fuzz(func(t *testing.T, layout, n0, n1, procs, words uint8, seed int64) {
 		spec := fuzzSideSpec(layout, n0, n1, procs, words)
 		if spec.validate(0) != nil {
 			t.Skip()
 		}
-		o := &op{seed: seed}
 		value := func(pos, wd int) float64 { return fillValue(seed, pos, wd) }
-		if payload {
-			w := spec.words()
-			o.flags = flagHasPayload
-			o.payload = make([]float64, spec.elems()*w)
-			for i := range o.payload {
-				o.payload[i] = fillValue(^seed, i, 0) + 0.5
-			}
-			value = func(pos, wd int) float64 { return o.payload[pos*w+wd] }
-		}
 		type result struct {
 			mem []float64
 			out []byte
@@ -56,9 +46,9 @@ func FuzzSideRuns(f *testing.F) {
 				if err != nil {
 					panic(err)
 				}
-				sd.sweep(o, nil)
+				sd.sweep(seed, nil)
 				var w codec.Writer
-				sd.sweep(o, &w)
+				sd.sweep(seed, &w)
 				got[p.Rank()] = result{slices.Clone(sd.obj.LocalMem().Float64s()), w.Bytes()}
 			},
 		}}})

@@ -6,14 +6,8 @@ import "fmt"
 type ScriptOp struct {
 	// Kind is OpMove, OpMoveAdd or OpMoveReverse.
 	Kind int
-	// Seed drives the deterministic fill of the sending side (ignored
-	// when Payload is set).
+	// Seed drives the deterministic fill of the sending side.
 	Seed int64
-	// Payload, when non-nil, fills the sending side with explicit
-	// global values (length elems × words, position-major).
-	Payload []float64
-	// WantData returns the landing side's global values in the result.
-	WantData bool
 }
 
 // Standalone executes one tenant's coupling script on a private,
@@ -22,7 +16,10 @@ type ScriptOp struct {
 // per op.  Because daemon execution broadcasts the identical command
 // stream into an identically shaped world, the hashes here are the
 // bit-identical reference for what a tenant must observe through
-// mcserved, whatever multiplexing happened around it.
+// mcserved, whatever multiplexing happened around it.  It runs the
+// daemon's own execMove, so it checks the multiplexing, not the
+// result path: the serve tests check what lands against a
+// position-indexed model that shares none of that code.
 func Standalone(src, dst DistSpec, ops []ScriptOp) ([]MoveStats, error) {
 	if err := src.validate(0); err != nil {
 		return nil, fmt.Errorf("source: %w", err)
@@ -41,21 +38,11 @@ func Standalone(src, dst DistSpec, ops []ScriptOp) ([]MoveStats, error) {
 	}
 	out := make([]MoveStats, 0, len(ops))
 	for _, so := range ops {
-		flags := 0
-		if so.WantData {
-			flags |= flagWantData
-		}
-		if so.Payload != nil {
-			flags |= flagHasPayload
-		}
-		rep, err := r.do(&op{
-			cmd: cmdMove, handle: handle,
-			moveKind: so.Kind, seed: so.Seed, flags: flags, payload: so.Payload,
-		})
+		rep, err := r.do(&op{cmd: cmdMove, handle: handle, moveKind: so.Kind, seed: so.Seed})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, MoveStats{Hash: rep.hash, Elems: rep.elems, Cost: rep.cost, Data: rep.data})
+		out = append(out, MoveStats{Hash: rep.hash, Cost: rep.cost})
 	}
 	if _, err := r.do(&op{cmd: cmdClose, handle: handle}); err != nil {
 		return nil, err

@@ -57,8 +57,6 @@ type op struct {
 	// cmdMove
 	moveKind int
 	seed     int64
-	flags    int
-	payload  []float64
 
 	// reply, buffered cap 1, is written once by the world's rank 0
 	// (leader); only ops submitted through runner.do carry one.
@@ -77,10 +75,9 @@ type opReply struct {
 	err   error
 	warm  bool // cmdOpen: the schedule came out of the shared cache
 	hash  uint64
-	elems int
+	elems int     // cmdOpen: the schedule's global element count
 	cost  float64 // virtual seconds the op took on the leader
-	data  []float64
-	evict int // leader-rank cumulative schedule-cache evictions
+	evict int     // leader-rank cumulative schedule-cache evictions
 }
 
 // runnerConfig parameterizes one resident-world incarnation.
@@ -325,8 +322,6 @@ func encodeBatch(batch []*op) []byte {
 		case cmdMove:
 			w.PutInt32(int32(o.moveKind))
 			w.PutInt64(o.seed)
-			w.PutInt32(int32(o.flags))
-			w.PutFloat64s(o.payload)
 		}
 	}
 	return w.Bytes()
@@ -346,8 +341,6 @@ func decodeBatch(enc []byte) []*op {
 		case cmdMove:
 			o.moveKind = int(r.Int32())
 			o.seed = r.Int64()
-			o.flags = int(r.Int32())
-			o.payload = r.Float64s()
 		}
 		batch[i] = o
 	}
@@ -457,19 +450,18 @@ func execOpen(p *mpsim.Proc, ctx *core.Ctx, coupling *core.Coupling,
 }
 
 // execMove runs one data move on an open handle: fill the sending
-// side, execute the schedule, then gather the landing side's contents
-// to the leader for fingerprinting (and, when asked, the data itself).
+// side from the op's seed, execute the schedule, then gather the
+// landing side's contents to the leader for fingerprinting.
 func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, o *op) opReply {
 	res, ok := open[o.handle]
 	if !ok {
 		return opReply{err: fmt.Errorf("%w: handle %d", ErrUnknownCoupling, o.handle)}
 	}
 	sd, sched := &res.side, res.sched
-	words := sd.spec.words()
 	switch o.moveKind {
 	case OpMove, OpMoveAdd:
 		if res.isSrc {
-			sd.sweep(o, nil)
+			sd.sweep(o.seed, nil)
 			if o.moveKind == OpMove {
 				sched.MoveSend(sd.obj)
 			} else {
@@ -484,7 +476,7 @@ func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, 
 		if res.isSrc {
 			sched.MoveReverseRecv(sd.obj)
 		} else {
-			sd.sweep(o, nil)
+			sd.sweep(o.seed, nil)
 			sched.MoveReverseSend(sd.obj)
 		}
 	default:
@@ -494,29 +486,16 @@ func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, 
 	// The landing side is the destination, except for reverse moves.
 	res.out.Reset()
 	if res.isSrc == (o.moveKind == OpMoveReverse) {
-		sd.sweep(o, &res.out)
+		sd.sweep(o.seed, &res.out)
 	}
 	parts := coupling.Union.Gather(0, res.out.Bytes())
-	rep := opReply{elems: sched.Elems()}
+	var rep opReply
 	if coupling.Union.Rank() == 0 {
 		h := fnv.New64a()
 		for _, part := range parts {
 			h.Write(part)
 		}
 		rep.hash = h.Sum64()
-		if o.flags&flagWantData != 0 {
-			data := make([]float64, sched.Elems()*words)
-			for _, part := range parts {
-				rd := codec.NewReader(part)
-				for rd.Remaining() > 0 {
-					pos := int(rd.Int32())
-					for wd := 0; wd < words; wd++ {
-						data[pos*words+wd] = rd.Float64()
-					}
-				}
-			}
-			rep.data = data
-		}
 	}
 	return rep
 }
@@ -533,27 +512,24 @@ type side struct {
 }
 
 // sweep walks the owned elements in ascending position order; element
-// k of a run is at offset Off + k·Stride.  With w nil it fills them,
-// from the op's payload when it carries one, else from its seed.
-// Otherwise it appends each to w as (int32 position, words × float64).
-func (sd *side) sweep(o *op, w *codec.Writer) {
+// k of a run is at offset Off + k·Stride.  With w nil it fills them
+// from seed.  Otherwise it appends each to w as (int32 position,
+// words × float64).
+func (sd *side) sweep(seed int64, w *codec.Writer) {
 	mem, words := sd.obj.LocalMem().Float64s(), sd.spec.words()
 	for _, r := range sd.owned {
 		for k := int32(0); k < r.Count; k++ {
 			pos, at := int(r.Pos+k), int(r.Off+k*r.Stride)*words
 			elem := mem[at : at+words]
-			switch {
-			case w != nil:
-				w.PutInt32(int32(pos))
-				for _, v := range elem {
-					w.PutFloat64(v)
-				}
-			case o.flags&flagHasPayload != 0:
-				copy(elem, o.payload[pos*words:])
-			default:
+			if w == nil {
 				for wd := range elem {
-					elem[wd] = fillValue(o.seed, pos, wd)
+					elem[wd] = fillValue(seed, pos, wd)
 				}
+				continue
+			}
+			w.PutInt32(int32(pos))
+			for _, v := range elem {
+				w.PutFloat64(v)
 			}
 		}
 	}
