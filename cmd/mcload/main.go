@@ -3,9 +3,9 @@
 // steady or churning session profile.  Couplings are drawn from a
 // fixed catalog shared by every tenant, so the daemon's cross-tenant
 // schedule cache gets real reuse; with -check each tenant replays its
-// op sequences through serve.Standalone and demands bit-identical
-// result hashes — the multiplexed daemon must be indistinguishable
-// from running alone.
+// op sequences through serve.Model and demands bit-identical result
+// hashes — what the multiplexed daemon lands must be what the
+// linearization definition says lands.
 //
 //	mcload -network unix -addr /tmp/mcserved.sock -tenants 4 -moves 32 -check
 //
@@ -57,7 +57,7 @@ type ServeSummary struct {
 	// control (mcload retries them).
 	Backpressure int64 `json:"backpressure"`
 	// Verified is true when every tenant's result hashes matched a
-	// standalone replay of its coupling scripts.
+	// serve.Model replay of its coupling scripts.
 	Verified bool `json:"verified"`
 	// Reconnects and OpRetries count client-side fault recovery during
 	// the run: sessions re-established after a lost connection, and ops
@@ -118,7 +118,7 @@ var stdCatalog = []pair{
 // bigCatalog is the soak-scale mix: both pairs stand up 256-union-rank
 // resident worlds, which crosses the scheduler's auto-sharding
 // threshold — the nightly soak drives it to prove the sharded daemon
-// path stays bit-identical to Standalone.
+// path lands what serve.Model predicts.
 var bigCatalog = []pair{
 	{
 		name: "vec-hpf-parti-256",
@@ -166,7 +166,7 @@ func main() {
 		moves     = flag.Int("moves", 24, "moves per tenant")
 		seed      = flag.Int64("seed", 1, "base fill seed (pins the whole run)")
 		profile   = flag.String("profile", "steady", "session profile: steady (hold couplings) or churn (reopen per move)")
-		check     = flag.Bool("check", false, "replay every tenant's ops via serve.Standalone and compare hashes")
+		check     = flag.Bool("check", false, "replay every tenant's ops through serve.Model and compare hashes")
 		catName   = flag.String("catalog", "std", "coupling catalog: std or big (soak-scale 256-rank sharded worlds)")
 		chaos     = flag.Float64("chaos", 0, "wire-chaos fault rate per I/O (drops, torn writes, lost replies, stalls)")
 		chaosSeed = flag.Uint64("chaos-seed", 1, "base seed for deterministic chaos (per-tenant streams derive from it)")
@@ -349,34 +349,21 @@ func runTenant(t int, network, addr string, couplings, moves int, seed int64, pr
 	return res
 }
 
-// verify replays every coupling instance standalone and compares
-// hashes move by move.  Identical (pair, op-sequence) instances — the
-// common case when tenants run the same profile — replay once.
+// verify replays every coupling instance through serve.Model, the
+// position-indexed reference that shares none of the daemon's result
+// code, and compares hashes move by move.
 func verify(results []tenantResult) error {
-	done := make(map[string][]uint64)
 	for t := range results {
 		for _, inst := range results[t].instances {
-			key := fmt.Sprintf("%d/%+v", inst.pair, inst.ops)
-			standalone, ok := done[key]
-			if !ok {
-				stats, err := serve.Standalone(catalog[inst.pair].src, catalog[inst.pair].dst, inst.ops)
-				if err != nil {
-					return fmt.Errorf("standalone replay of %s: %w", catalog[inst.pair].name, err)
-				}
-				standalone = make([]uint64, len(stats))
-				for i := range stats {
-					standalone[i] = stats[i].Hash
-				}
-				done[key] = standalone
+			p := catalog[inst.pair]
+			m, err := serve.NewModel(p.src, p.dst)
+			if err != nil {
+				return fmt.Errorf("model of %s: %w", p.name, err)
 			}
-			if len(standalone) != len(inst.hashes) {
-				return fmt.Errorf("tenant %d %s: %d standalone hashes vs %d served",
-					t, catalog[inst.pair].name, len(standalone), len(inst.hashes))
-			}
-			for i := range inst.hashes {
-				if inst.hashes[i] != standalone[i] {
-					return fmt.Errorf("tenant %d %s move %d: served hash %016x != standalone %016x",
-						t, catalog[inst.pair].name, i, inst.hashes[i], standalone[i])
+			for i, so := range inst.ops {
+				if want := m.Move(so.Kind, so.Seed); inst.hashes[i] != want {
+					return fmt.Errorf("tenant %d %s move %d: served hash %016x != model %016x",
+						t, p.name, i, inst.hashes[i], want)
 				}
 			}
 		}

@@ -83,7 +83,7 @@ type CrashRecord struct {
 // deadline scope — only by the coroutine's top-level wrapper
 // (launchProc), which treats it as a clean exit rather than a run
 // failure.
-type crashPanic struct{ rank int }
+type crashPanic struct{}
 
 // crashState is the per-world crash bookkeeping, allocated only when a
 // crash plan is configured.
@@ -325,7 +325,7 @@ func (w *World) deadDetected(r int, now float64) bool {
 // process executes nothing after it.
 func (p *Proc) checkKilled() {
 	if p.killed {
-		panic(crashPanic{rank: p.worldRank})
+		panic(crashPanic{})
 	}
 }
 

@@ -141,8 +141,8 @@ func (c *Client) dialRaw() (net.Conn, error) {
 
 // reconnectLocked dials and performs the hello handshake, resuming the
 // leased session when a token is held.  fatal reports a typed refusal
-// (session limit, unknown session, protocol mismatch) that retrying
-// cannot fix.
+// that retrying cannot fix: ErrSessionLimit, ErrUnknownSession, or
+// ErrProtocol for a protocol mismatch on either side.
 func (c *Client) reconnectLocked() (err error, fatal bool) {
 	conn, err := c.dialRaw()
 	if err != nil {

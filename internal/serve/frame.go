@@ -40,8 +40,10 @@ import (
 // frameOverhead is the non-payload byte count after the length field.
 const frameOverhead = 1 + 4 + 8
 
-// ErrProtocol reports a malformed, corrupted or oversized frame.  It
-// is returned (wrapped with detail) by both endpoints' readers.
+// ErrProtocol reports a malformed, corrupted or oversized frame, or a
+// request out of protocol (a wrong version, a request before hello).
+// It is returned (wrapped with detail) by both endpoints' readers, and
+// a daemon refusal carrying it decodes as ErrProtocol on the client.
 var ErrProtocol = errors.New("serve: protocol error")
 
 // writeFrame encodes one frame and writes it in one call.

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"slices"
-	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -170,8 +169,7 @@ func TestMoveWireBytesGolden(t *testing.T) {
 	if len(rp) != 16 || binary.LittleEndian.Uint64(rp) != ref[0].Hash {
 		t.Errorf("reply payload % x, want 16 bytes led by standalone's hash %016x", rp, ref[0].Hash)
 	}
-	if _, err := d.do(msgMove, append(slices.Clone(req), 0, 0, 0, 0), msgMoveDone); err == nil ||
-		!strings.Contains(err.Error(), ErrProtocol.Error()) {
+	if _, err := d.do(msgMove, append(slices.Clone(req), 0, 0, 0, 0), msgMoveDone); !errors.Is(err, ErrProtocol) {
 		t.Errorf("request with 4 bytes left over: %v, want a refusal carrying ErrProtocol", err)
 	}
 	if n := srv.Stats()["serve_moves_total"]; n != 1 {
@@ -194,7 +192,7 @@ func TestHelloRefusesOldProtocol(t *testing.T) {
 	w.PutInt32(2)
 	w.PutString("")
 	rtyp, rp := rawReq(t, conn, msgHello, 1, w.Bytes())
-	if rtyp != msgError || !strings.Contains(decodeError(rp).Error(), ErrProtocol.Error()) {
+	if rtyp != msgError || !errors.Is(decodeError(rp), ErrProtocol) {
 		t.Fatalf("protocol-2 hello answered %d: %v, want a refusal carrying ErrProtocol", rtyp, decodeError(rp))
 	}
 	if _, _, _, err := readFrame(conn, maxFrame); err != io.EOF {

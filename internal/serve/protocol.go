@@ -55,6 +55,7 @@ const (
 	codeLimit        = 9
 	codeRetryable    = 10
 	codeUnknownSess  = 11
+	codeProtocol     = 12
 )
 
 // Typed service errors.  The server picks the code; Client.do wraps
@@ -111,6 +112,7 @@ var codeToErr = map[int32]error{
 	codeLimit:        ErrLimit,
 	codeRetryable:    ErrRetryable,
 	codeUnknownSess:  ErrUnknownSession,
+	codeProtocol:     ErrProtocol,
 }
 
 var errToCode = map[error]int32{
@@ -125,6 +127,7 @@ var errToCode = map[error]int32{
 	ErrLimit:           codeLimit,
 	ErrRetryable:       codeRetryable,
 	ErrUnknownSession:  codeUnknownSess,
+	ErrProtocol:        codeProtocol,
 }
 
 // sentinelOf maps a server-side error to its wire code, defaulting to
@@ -284,9 +287,11 @@ func PairKey(src, dst *DistSpec) string {
 
 // MoveStats is what one executed move reports back to the client.
 type MoveStats struct {
-	// Hash fingerprints the moved side's post-move contents (FNV-1a
-	// over every owned element in rank order) — comparable bit-for-bit
-	// against a Standalone run of the same coupling sequence.
+	// Hash is the landing side's post-move content digest,
+	// Σ W(position·words + word) · value mod 2^64 (model.go): each
+	// landing rank digests its own share and the leader sums them.  It
+	// is comparable bit for bit against a Model or a Standalone run of
+	// the same coupling sequence.
 	Hash uint64
 	// Cost is the virtual-time seconds the move took on the resident
 	// world's rank 0 (schedule reuse makes later moves cheaper).

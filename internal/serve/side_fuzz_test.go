@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"slices"
-	"sort"
 	"testing"
 
-	"metachaos/internal/codec"
 	"metachaos/internal/core"
 	"metachaos/internal/gidx"
 	"metachaos/internal/hpfrt"
@@ -15,13 +12,13 @@ import (
 	"metachaos/internal/pcxxrt"
 )
 
-// FuzzSideRuns checks the daemon's run-based fill and readback (sweep
-// over the library's OwnedPositions runs) against an element-by-element
+// FuzzSideRuns checks the daemon's run-based fill and digest (over the
+// library's OwnedPositions runs) against an element-by-element
 // reference that knows only the layouts: distarray's EachOwned with
 // shape.Linear and coordinate Set for the section libraries, pcxxrt's
 // Owner and Slot for collections.  After a fill every rank's storage
-// must equal the reference's, and the readback bytes must equal the
-// reference's elements encoded in ascending position order.
+// must equal the reference's, and its digest the one the reference
+// computes from the same elements.
 func FuzzSideRuns(f *testing.F) {
 	f.Add(uint8(0), uint8(10), uint8(0), uint8(2), uint8(0), int64(1))
 	f.Add(uint8(1), uint8(61), uint8(0), uint8(7), uint8(0), int64(2))
@@ -36,8 +33,8 @@ func FuzzSideRuns(f *testing.F) {
 		}
 		value := func(pos, wd int) float64 { return fillValue(seed, pos, wd) }
 		type result struct {
-			mem []float64
-			out []byte
+			mem    []float64
+			digest uint64
 		}
 		got := make([]result, spec.Procs)
 		mpsim.Run(mpsim.Config{Machine: mpsim.SP2(), Programs: []mpsim.ProgramSpec{{
@@ -46,19 +43,17 @@ func FuzzSideRuns(f *testing.F) {
 				if err != nil {
 					panic(err)
 				}
-				sd.sweep(seed, nil)
-				var w codec.Writer
-				sd.sweep(seed, &w)
-				got[p.Rank()] = result{slices.Clone(sd.obj.LocalMem().Float64s()), w.Bytes()}
+				sd.fill(seed)
+				got[p.Rank()] = result{slices.Clone(sd.obj.LocalMem().Float64s()), sd.digest()}
 			},
 		}}})
 		for rank, g := range got {
-			mem, out := sideReference(&spec, rank, value)
+			mem, digest := sideReference(&spec, rank, value)
 			if !slices.Equal(g.mem, mem) {
 				t.Fatalf("%s rank %d: storage after the fill\n got %v\nwant %v", spec.Key(), rank, g.mem, mem)
 			}
-			if !bytes.Equal(g.out, out) {
-				t.Fatalf("%s rank %d: readback of %d bytes differs from the reference's %d", spec.Key(), rank, len(g.out), len(out))
+			if g.digest != digest {
+				t.Fatalf("%s rank %d: digest %016x, the reference's %016x", spec.Key(), rank, g.digest, digest)
 			}
 		}
 	})
@@ -87,22 +82,18 @@ func fuzzSideSpec(layout, n0, n1, procs, words uint8) DistSpec {
 }
 
 // sideReference fills rank's share of spec element by element with
-// value(position, word) and returns its storage and the readback bytes
-// its elements encode to in ascending position order.
-func sideReference(spec *DistSpec, rank int, value func(pos, wd int) float64) ([]float64, []byte) {
-	type elem struct {
-		pos  int
-		vals []float64
-	}
-	var elems []elem
-	var mem []float64
+// value(position, word) and returns its storage and the share's digest:
+// Σ W(position·words + word) · value over the elements the rank owns.
+func sideReference(spec *DistSpec, rank int, value func(pos, wd int) float64) ([]float64, uint64) {
+	var digest uint64
+	add := func(pos, wd int, v float64) { digest += weight(pos*spec.words()+wd) * uint64(int64(v)) }
 	if spec.Library == "pcxxrt" {
 		words := spec.words()
 		c, err := pcxxrt.NewCollection(spec.Shape[0], spec.Procs, words, rank)
 		if err != nil {
 			panic(err)
 		}
-		mem = make([]float64, len(c.LocalMem().Float64s()))
+		mem := make([]float64, len(c.LocalMem().Float64s()))
 		for i := 0; i < spec.Shape[0]; i++ {
 			if c.Owner(i) != rank {
 				continue
@@ -110,40 +101,28 @@ func sideReference(spec *DistSpec, rank int, value func(pos, wd int) float64) ([
 			at := c.Slot(i) * words
 			for wd := 0; wd < words; wd++ {
 				mem[at+wd] = value(i, wd)
+				add(i, wd, mem[at+wd])
 			}
-			elems = append(elems, elem{i, mem[at : at+words]})
 		}
+		return mem, digest
+	}
+	dist, err := distFor(spec)
+	if err != nil {
+		panic(err)
+	}
+	shape := gidx.Shape(spec.Shape)
+	fill := func(coords []int) float64 { return value(shape.Linear(coords), 0) }
+	var get func([]int) float64
+	var local core.Mem
+	if spec.Library == "hpfrt" {
+		a := hpfrt.NewArray(dist, rank)
+		a.FillGlobal(fill)
+		get, local = a.Get, a.LocalMem()
 	} else {
-		dist, err := distFor(spec)
-		if err != nil {
-			panic(err)
-		}
-		shape := gidx.Shape(spec.Shape)
-		fill := func(coords []int) float64 { return value(shape.Linear(coords), 0) }
-		var get func([]int) float64
-		var local core.Mem
-		if spec.Library == "hpfrt" {
-			a := hpfrt.NewArray(dist, rank)
-			a.FillGlobal(fill)
-			get, local = a.Get, a.LocalMem()
-		} else {
-			a := mbparti.MustNewArray(dist, rank, 0)
-			a.FillGlobal(fill)
-			get, local = a.Get, a.LocalMem()
-		}
-		dist.EachOwned(rank, func(_, coords []int) {
-			pos := shape.Linear(coords)
-			elems = append(elems, elem{pos, []float64{get(coords)}})
-		})
-		mem = local.Float64s()
+		a := mbparti.MustNewArray(dist, rank, 0)
+		a.FillGlobal(fill)
+		get, local = a.Get, a.LocalMem()
 	}
-	sort.Slice(elems, func(i, j int) bool { return elems[i].pos < elems[j].pos })
-	var w codec.Writer
-	for _, e := range elems {
-		w.PutInt32(int32(e.pos))
-		for _, v := range e.vals {
-			w.PutFloat64(v)
-		}
-	}
-	return mem, w.Bytes()
+	dist.EachOwned(rank, func(_, coords []int) { add(shape.Linear(coords), 0, get(coords)) })
+	return local.Float64s(), digest
 }

@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -352,7 +352,7 @@ type resident struct {
 	isSrc bool
 	side  side
 	sched *core.Schedule
-	out   codec.Writer // readback, reset per move (Gather copies it)
+	part  [8]byte // the landing share's digest, sent to the leader each move
 }
 
 // body is the SPMD function every rank of the resident world runs: a
@@ -450,8 +450,9 @@ func execOpen(p *mpsim.Proc, ctx *core.Ctx, coupling *core.Coupling,
 }
 
 // execMove runs one data move on an open handle: fill the sending
-// side from the op's seed, execute the schedule, then gather the
-// landing side's contents to the leader for fingerprinting.
+// side from the op's seed, execute the schedule, then digest each rank's
+// share of the landing side where it lies and sum the partials on the
+// leader.  A rank with no landing share sends an empty part.
 func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, o *op) opReply {
 	res, ok := open[o.handle]
 	if !ok {
@@ -461,7 +462,7 @@ func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, 
 	switch o.moveKind {
 	case OpMove, OpMoveAdd:
 		if res.isSrc {
-			sd.sweep(o.seed, nil)
+			sd.fill(o.seed)
 			if o.moveKind == OpMove {
 				sched.MoveSend(sd.obj)
 			} else {
@@ -476,7 +477,7 @@ func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, 
 		if res.isSrc {
 			sched.MoveReverseRecv(sd.obj)
 		} else {
-			sd.sweep(o.seed, nil)
+			sd.fill(o.seed)
 			sched.MoveReverseSend(sd.obj)
 		}
 	default:
@@ -484,18 +485,16 @@ func execMove(p *mpsim.Proc, coupling *core.Coupling, open map[int64]*resident, 
 	}
 
 	// The landing side is the destination, except for reverse moves.
-	res.out.Reset()
+	part := res.part[:0]
 	if res.isSrc == (o.moveKind == OpMoveReverse) {
-		sd.sweep(o.seed, &res.out)
+		part = binary.LittleEndian.AppendUint64(part, sd.digest())
 	}
-	parts := coupling.Union.Gather(0, res.out.Bytes())
+	parts := coupling.Union.Gather(0, part)
 	var rep opReply
-	if coupling.Union.Rank() == 0 {
-		h := fnv.New64a()
-		for _, part := range parts {
-			h.Write(part)
+	for _, part := range parts {
+		if len(part) == 8 {
+			rep.hash += binary.LittleEndian.Uint64(part)
 		}
-		rep.hash = h.Sum64()
 	}
 	return rep
 }
@@ -511,34 +510,41 @@ type side struct {
 	owned []core.LocRun
 }
 
-// sweep walks the owned elements in ascending position order; element
-// k of a run is at offset Off + k·Stride.  With w nil it fills them
-// from seed.  Otherwise it appends each to w as (int32 position,
-// words × float64).
-func (sd *side) sweep(seed int64, w *codec.Writer) {
+// fill sets every owned element from seed.  Element k of a run is at
+// offset Off + k·Stride, its words from that offset × words.
+func (sd *side) fill(seed int64) {
 	mem, words := sd.obj.LocalMem().Float64s(), sd.spec.words()
 	for _, r := range sd.owned {
 		for k := int32(0); k < r.Count; k++ {
 			pos, at := int(r.Pos+k), int(r.Off+k*r.Stride)*words
 			elem := mem[at : at+words]
-			if w == nil {
-				for wd := range elem {
-					elem[wd] = fillValue(seed, pos, wd)
-				}
-				continue
-			}
-			w.PutInt32(int32(pos))
-			for _, v := range elem {
-				w.PutFloat64(v)
+			for wd := range elem {
+				elem[wd] = fillValue(seed, pos, wd)
 			}
 		}
 	}
 }
 
+// digest is this rank's share of the side's content digest (model.go),
+// read straight from storage through the owned runs.
+func (sd *side) digest() uint64 {
+	mem, words := sd.obj.LocalMem().Float64s(), sd.spec.words()
+	var h uint64
+	for _, r := range sd.owned {
+		for k := int32(0); k < r.Count; k++ {
+			pos, at := int(r.Pos+k), int(r.Off+k*r.Stride)*words
+			for wd, v := range mem[at : at+words] {
+				h += weight(pos*words+wd) * uint64(int64(v))
+			}
+		}
+	}
+	return h
+}
+
 // buildSide constructs the calling rank's portion of the object a spec
 // declares, and asks its library where the rank's elements live.  The
 // inquiry is collective over the side's program; every move fills and
-// reads back through its runs.
+// digests through its runs.
 func buildSide(ctx *core.Ctx, spec *DistSpec) (side, error) {
 	sd := side{spec: *spec}
 	rank := ctx.Comm.Rank()
@@ -586,10 +592,9 @@ func distFor(spec *DistSpec) (*distarray.Dist, error) {
 	return nil, fmt.Errorf("%w: layout %q", ErrBadSpec, spec.Layout)
 }
 
-// fillValue is the deterministic element generator clients and the
-// Standalone reference share: a splitmix-style hash of (seed,
-// position, word) folded to a small integer, so MoveAdd accumulation
-// is exact in float64.
+// fillValue is the deterministic element generator the daemon and the
+// Model share: a splitmix-style hash of (seed, position, word) folded
+// to a small integer, so MoveAdd accumulation is exact in float64.
 func fillValue(seed int64, pos, wd int) float64 {
 	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(pos)*0xbf58476d1ce4e5b9 + uint64(wd+1)*0x94d049bb133111eb
 	x ^= x >> 31

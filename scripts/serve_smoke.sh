@@ -1,7 +1,7 @@
 #!/bin/sh
 # Coupling-service smoke test: boot mcserved on a throwaway unix
 # socket, drive it with a seeded mcload run that replays every
-# tenant's op sequence through serve.Standalone (bit-identical hashes
+# tenant's op sequence through serve.Model (bit-identical hashes
 # required), and assert the cross-tenant schedule cache actually got
 # hits.  The seed pins the fill values and the chaos leg's faults, so a
 # failure reproduces locally with this script and the same seed.

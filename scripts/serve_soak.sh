@@ -5,7 +5,7 @@
 # Two legs:
 #
 #   1. fault-free: steady + churn profiles on the big catalog, -check
-#      demanding bit-identical hashes vs serve.Standalone;
+#      demanding bit-identical hashes vs serve.Model;
 #   2. chaos: a fresh daemon whose first world incarnation is rigged to
 #      panic, under seeded wire faults — respawn, journal replay,
 #      reconnect and dedup all cross the sharded path, still verified.
