@@ -413,21 +413,25 @@ func BenchmarkChaosLookup(b *testing.B) {
 }
 
 // BenchmarkFigure10Parallel is the sharded-scheduler scaling
-// benchmark: a 1152-rank (128-client, 1024-server) Figure-10-style
-// coupled matvec, run with one shard and then with one shard per P at
-// the same GOMAXPROCS, so the two differ only in the engine's shard
-// count.  The second reports the ratio as speedup@P; run it at -cpu 2,4
-// on a host with that many CPUs.
+// benchmark: the paper's client/server program (a Multiblock Parti
+// client driving an HPF matrix-vector server through two Meta-Chaos
+// schedules) at 128 clients and 1024 servers, 1152 ranks, run with one
+// shard and then with one shard per P at the same GOMAXPROCS, so the
+// two differ only in the engine's shard count.  The second reports the
+// ratio as speedup@P; run it at -cpu 2,4 on a host with that many CPUs.
+// Every run's result hash must equal a 2+8-process run's: the product
+// does not depend on process or shard counts.
 func BenchmarkFigure10Parallel(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
+	want := exp.RunClientServer(exp.CSConfig{ClientProcs: 2, ServerProcs: 8, Vectors: 8, Fingerprint: true}).ResultHash
 	run := func(b *testing.B, shards int) {
-		cfg := exp.Figure10ScaleConfig{
-			ClientProcs: 128, ServerProcs: 1024, Vectors: 8, Rows: 96, Band: 192,
-		}
 		b.Setenv("MPSIM_SHARDS", strconv.Itoa(shards))
 		for i := 0; i < b.N; i++ {
-			r := exp.Figure10Scale(cfg)
-			b.ReportMetric(r.Makespan*1e3, "makespan-vms@1024srv")
+			r := exp.RunClientServer(exp.CSConfig{ClientProcs: 128, ServerProcs: 1024, Vectors: 8, Fingerprint: true})
+			if r.ResultHash != want {
+				b.Fatalf("%d shards: result hash %#x, the 2+8 run's is %#x", shards, r.ResultHash, want)
+			}
+			b.ReportMetric(r.Total()*1e3, "total-vms")
 		}
 	}
 	var oneShard float64 // ns/op of the last shards=1 run

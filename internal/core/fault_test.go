@@ -72,7 +72,7 @@ func TestMoveUnderFaultsBitIdentical(t *testing.T) {
 	srcIdx := seqIdx(4, 50, 2)
 	dstIdx := seqIdx(60, 50, 1)
 
-	runOnce := func(faulty bool) ([]float64, MoveResult) {
+	runOnce := func(faulty bool) ([]float64, MoveResult, *mpsim.Stats) {
 		var dstAll []float64
 		var res MoveResult
 		body := func(p *mpsim.Proc) {
@@ -97,16 +97,17 @@ func TestMoveUnderFaultsBitIdentical(t *testing.T) {
 				dstAll = all
 			}
 		}
+		var st *mpsim.Stats
 		if faulty {
-			faultyRun(nprocs, 20260806, body)
+			st = faultyRun(nprocs, 20260806, body)
 		} else {
-			mpsim.RunSPMD(mpsim.SP2(), nprocs, body)
+			st = mpsim.RunSPMD(mpsim.SP2(), nprocs, body)
 		}
-		return dstAll, res
+		return dstAll, res, st
 	}
 
-	clean, cleanRes := runOnce(false)
-	faulted, faultRes := runOnce(true)
+	clean, cleanRes, _ := runOnce(false)
+	faulted, faultRes, faultSt := runOnce(true)
 	if len(clean) == 0 || len(clean) != len(faulted) {
 		t.Fatalf("gather sizes: clean %d, faulted %d", len(clean), len(faulted))
 	}
@@ -115,14 +116,14 @@ func TestMoveUnderFaultsBitIdentical(t *testing.T) {
 			t.Fatalf("word %d differs under faults: %g vs %g", i, clean[i], faulted[i])
 		}
 	}
-	if !cleanRes.OK() || cleanRes.Retransmits != 0 || cleanRes.PerPeer != nil {
-		t.Errorf("clean run's MoveResult not pristine: %+v", cleanRes)
+	if !cleanRes.OK() {
+		t.Errorf("clean run degraded: failed peers %v", cleanRes.FailedPeers)
 	}
 	if !faultRes.OK() {
 		t.Errorf("faulty run degraded unexpectedly: failed peers %v", faultRes.FailedPeers)
 	}
-	if faultRes.PerPeer == nil {
-		t.Error("faulty reliable run reported no per-peer accounting")
+	if faultSt.TotalRetransmits() == 0 {
+		t.Error("faulty reliable run recovered nothing: no retransmits")
 	}
 }
 

@@ -36,23 +36,6 @@ import (
 // are cached on the Schedule, so a reused schedule moves data without
 // allocating.
 
-// PeerNet is one peer's network-recovery accounting for a single move
-// on a reliable transport (all counters stay zero on a perfect
-// network).
-type PeerNet struct {
-	// Peer is the peer's union-communicator rank.
-	Peer int
-	// Sent is true for a send lane, false for a receive lane.
-	Sent bool
-	// Retransmits is how many transport retransmissions the lane's
-	// link accrued during the move.  Send-side acks are asynchronous,
-	// so a send lane's count is a lower bound at return time.
-	Retransmits int64
-	// Dups is how many duplicate deliveries the receiving transport
-	// discarded on the lane's link during the move.
-	Dups int64
-}
-
 // MovePhases breaks one move's virtual-time cost on this process into
 // contiguous phases.  The executor stamps the virtual clock at every
 // phase boundary, so the five fields telescope: their sum is exactly
@@ -77,14 +60,13 @@ type MovePhases struct {
 	Unpack float64
 }
 
-// MoveResult reports what a move accomplished and what the network
-// cost to accomplish it.  On a perfect network (or with reliability
-// disabled) it is all zeros with nil slices — the fast path allocates
-// nothing.  FailedPeers is non-empty only when the reliable transport
-// declared peers unreachable, the failure detector declared them dead,
-// or a deadline the caller opened with WithTimeout expired: the move
-// completed every other lane, and the caller decides how to
-// degrade (the elements of failed lanes keep their previous values).
+// MoveResult reports what a move accomplished and what it cost this
+// process; the fast path allocates nothing for it.  FailedPeers is
+// non-empty only when the reliable transport declared peers
+// unreachable, the failure detector declared them dead, or a deadline
+// the caller opened with WithTimeout expired: the move completed every
+// other lane, and the caller decides how to degrade (the elements of
+// failed lanes keep their previous values).
 type MoveResult struct {
 	// Elems is the number of elements this process unpacked or copied
 	// locally.
@@ -100,13 +82,8 @@ type MoveResult struct {
 	BytesCopied int
 	// Phases is this process's per-phase virtual-time breakdown.
 	Phases MovePhases
-	// Retransmits and DupsDiscarded total the PerPeer counters.
-	Retransmits   int64
-	DupsDiscarded int64
 	// FailedPeers lists union ranks whose lanes did not complete.
 	FailedPeers []int
-	// PerPeer has one entry per remote lane (reliable transport only).
-	PerPeer []PeerNet
 }
 
 // OK reports whether every lane completed.
@@ -252,12 +229,8 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 	// End-to-end robustness on a reliable transport: each lane's
 	// payload carries a trailing checksum verified at unpack time, the
 	// application-level guard behind the transport's own per-packet
-	// checksums, and per-peer network counters are snapshotted around
-	// the move for the result's recovery accounting.
+	// checksums.
 	rel := p.ReliableTransport()
-	if rel {
-		s.snapshotNet(sends, recvs, packObj != nil, unpackObj != nil)
-	}
 	// Crash-fault runs route every blocking lane through the guarded
 	// (abortable) paths so a peer dying mid-move surfaces as
 	// FailedPeers instead of unwinding the process.  crashAware is
@@ -453,9 +426,6 @@ func (s *Schedule) moveOp(srcObj, dstObj DistObject, reverse bool, op int) MoveR
 	}
 	s.reqs = reqs[:0]
 
-	if rel {
-		s.collectNet(&res, sends, recvs, packObj != nil, unpackObj != nil)
-	}
 	now = p.Clock()
 	res.Phases.Wait += now - tMark
 	mv.SetBytes(s.elem.Bytes() * res.Elems).End(now)
@@ -497,73 +467,6 @@ func (s *Schedule) cancelFailed(res *MoveResult, reqs []*mpsim.Request, recvs []
 		}
 	}
 	return false
-}
-
-// snapshotNet records the per-peer network counters before a move, in
-// schedule-cached scratch, so collectNet can report the deltas.
-func (s *Schedule) snapshotNet(sends, recvs []PeerList, packing, unpacking bool) {
-	p := s.union.Proc()
-	me := p.WorldRank()
-	lanes := 0
-	if packing {
-		lanes += len(sends)
-	}
-	if unpacking {
-		lanes += len(recvs)
-	}
-	if cap(s.netBefore) < lanes {
-		s.netBefore = make([]mpsim.PairStats, lanes)
-		s.perPeer = make([]PeerNet, lanes)
-	}
-	s.netBefore = s.netBefore[:0]
-	if packing {
-		for i := range sends {
-			s.netBefore = append(s.netBefore, p.NetPairStats(me, s.union.WorldRank(sends[i].Peer)))
-		}
-	}
-	if unpacking {
-		for i := range recvs {
-			s.netBefore = append(s.netBefore, p.NetPairStats(s.union.WorldRank(recvs[i].Peer), me))
-		}
-	}
-}
-
-// collectNet fills the result's per-peer recovery accounting from the
-// counter deltas since snapshotNet.
-func (s *Schedule) collectNet(res *MoveResult, sends, recvs []PeerList, packing, unpacking bool) {
-	p := s.union.Proc()
-	me := p.WorldRank()
-	out := s.perPeer[:0]
-	k := 0
-	if packing {
-		for i := range sends {
-			after := p.NetPairStats(me, s.union.WorldRank(sends[i].Peer))
-			out = append(out, PeerNet{
-				Peer:        sends[i].Peer,
-				Sent:        true,
-				Retransmits: after.Retransmits - s.netBefore[k].Retransmits,
-				Dups:        after.DupsDiscarded - s.netBefore[k].DupsDiscarded,
-			})
-			k++
-		}
-	}
-	if unpacking {
-		for i := range recvs {
-			after := p.NetPairStats(s.union.WorldRank(recvs[i].Peer), me)
-			out = append(out, PeerNet{
-				Peer:        recvs[i].Peer,
-				Retransmits: after.Retransmits - s.netBefore[k].Retransmits,
-				Dups:        after.DupsDiscarded - s.netBefore[k].DupsDiscarded,
-			})
-			k++
-		}
-	}
-	s.perPeer = out
-	res.PerPeer = out
-	for i := range out {
-		res.Retransmits += out[i].Retransmits
-		res.DupsDiscarded += out[i].Dups
-	}
 }
 
 // fnvOver is FNV-1a over the first n bytes of a segment list — how a

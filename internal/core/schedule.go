@@ -109,11 +109,6 @@ type Schedule struct {
 	// copiedC is the resolved "move.bytes_copied" counter when a tracer
 	// is attached, cached so moves never hit the registry map.
 	copiedC *obs.Counter
-
-	// Reliability-path scratch (untouched when the transport is not
-	// reliable): per-peer network-counter snapshots around a move.
-	netBefore []mpsim.PairStats
-	perPeer   []PeerNet
 }
 
 // EachLocal calls f for every same-process (src, dst) element pair in

@@ -17,7 +17,9 @@ import (
 // HPF vs HPF for the elastic crash workload), comparing ResultHash and
 // virtual makespan at four shards between GOMAXPROCS=1 and
 // GOMAXPROCS=4, across a replay, and against the same run as one
-// inline shard.  Shard counts are pinned through MPSIM_SHARDS.
+// inline shard.  Shard counts are pinned through MPSIM_SHARDS.  The
+// Figure-10 product does not depend on process counts either: its
+// 8+64-process row must hash as its 2+8 one does.
 
 // withGOMAXPROCS runs f at the given host parallelism and restores it.
 func withGOMAXPROCS(n int, f func()) {
@@ -33,24 +35,29 @@ type sweepOutcome struct {
 
 func TestShardedDeterminismSweep(t *testing.T) {
 	const shards = 4
-	cases := []struct {
-		name string
-		// shardTimed marks the run whose makespan depends on the shard
-		// count (0.30661 s at one, 0.30298 s at four, same hash): on
-		// the perfect network a same-shard message is visible from its
-		// send and a cross-shard one from its arrival, so the move
-		// executor's Waitany can pick lanes in another order — ROADMAP
-		// item 3's perfect-vs-netLayer fork.
-		shardTimed bool
-		run        func() sweepOutcome
-	}{
-		{"figure10/fault-free", true, func() sweepOutcome {
+	faultFree := func(clients, servers int) func() sweepOutcome {
+		return func() sweepOutcome {
 			b, st := runClientServer(CSConfig{
-				ClientProcs: 2, ServerProcs: 8, Vectors: 4,
+				ClientProcs: clients, ServerProcs: servers, Vectors: 4,
 				Fingerprint: true,
 			})
 			return sweepOutcome{b.ResultHash, st.MakespanSeconds}
-		}},
+		}
+	}
+	cases := []struct {
+		name string
+		// shardTimed marks the runs whose makespan depends on the shard
+		// count (2+8: 0.30661 s at one, 0.30298 s at four; 8+64:
+		// 0.45150 s at one, 0.45139 s at four; same hash): on the
+		// perfect network a same-shard message is visible from its send
+		// and a cross-shard one from its arrival, so the move executor's
+		// Waitany can pick lanes in another order — ROADMAP item 3's
+		// perfect-vs-netLayer fork.
+		shardTimed bool
+		run        func() sweepOutcome
+	}{
+		{"figure10/fault-free", true, faultFree(2, 8)},
+		{"figure10/8x64", true, faultFree(8, 64)},
 		{"figure10/lossy", false, func() sweepOutcome {
 			b, st := runClientServer(CSConfig{
 				ClientProcs: 2, ServerProcs: 8, Vectors: 4,
@@ -68,6 +75,7 @@ func TestShardedDeterminismSweep(t *testing.T) {
 			return sweepOutcome{res.ResultHash, res.Makespan}
 		}},
 	}
+	hashes := map[string]uint64{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Setenv("MPSIM_SHARDS", "1")
@@ -75,6 +83,7 @@ func TestShardedDeterminismSweep(t *testing.T) {
 			if one.hash == 0 {
 				t.Fatal("run produced a zero result hash; fingerprinting broken")
 			}
+			hashes[tc.name] = one.hash
 			t.Setenv("MPSIM_SHARDS", strconv.Itoa(shards))
 			var narrow, wide, replay sweepOutcome
 			withGOMAXPROCS(1, func() { narrow = tc.run() })
@@ -97,6 +106,9 @@ func TestShardedDeterminismSweep(t *testing.T) {
 					shards, wide.hash, one.hash, wide.makespan, one.makespan)
 			}
 		})
+	}
+	if a, b := hashes["figure10/fault-free"], hashes["figure10/8x64"]; a != b {
+		t.Errorf("Figure 10's product depends on process counts: 2+8 hashes %#x, 8+64 %#x", a, b)
 	}
 }
 

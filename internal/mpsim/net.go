@@ -326,7 +326,7 @@ type netLayer struct {
 	inj      FaultInjector
 	reliable bool
 
-	// mu serializes shard-side entry points (send, NetPairStats): two
+	// mu serializes the shard-side entry point (send): two
 	// shards sending on different links concurrently would otherwise
 	// race on the links map, the injector's internal state and the pair
 	// counters.  Per-link behavior stays deterministic because each

@@ -529,42 +529,10 @@ func (p *Proc) WithTimeout(d float64, f func()) (err error) {
 }
 
 // ReliableTransport reports whether this run's network uses the
-// reliable transport (Config.Reliable), which is what makes per-peer
-// checksums and retransmit accounting meaningful to higher layers.
+// reliable transport (Config.Reliable), which is what makes per-lane
+// checksums meaningful to higher layers.
 func (p *Proc) ReliableTransport() bool {
 	return p.world.net != nil && p.world.net.reliable
-}
-
-// NetPairStats returns a copy of the directed (from -> to) pair
-// counters accumulated so far, letting higher layers snapshot per-peer
-// retransmit and duplicate counts around a data move.
-func (p *Proc) NetPairStats(from, to int) PairStats {
-	w := p.world
-	k := PairKey{From: from, To: to}
-	var out PairStats
-	if n := w.net; n != nil {
-		// The transport counters live in the world's map; shard-side
-		// writers (send-path drops) hold mu, coordinator writers only
-		// run while shards are quiesced, and the window bound never
-		// outruns a pending transport event — so a mid-run read sees the
-		// same values at every shard count.
-		n.mu.Lock()
-		if ps := w.stats.Pairs[k]; ps != nil {
-			out = *ps
-		}
-		n.mu.Unlock()
-	}
-	// Payload Msgs/Bytes live in the sending rank's shard; only a
-	// same-shard read is race-free (and a mid-window cross-shard value
-	// would depend on the shard count anyway).  Mid-run consumers (move
-	// recovery accounting) diff only the transport counters above; full
-	// pair totals are merged into Stats.Pairs when the run completes.
-	if s := w.procs[from].shard; s == p.shard {
-		if ps := s.pairs[k]; ps != nil {
-			out.Msgs, out.Bytes = ps.Msgs, ps.Bytes
-		}
-	}
-	return out
 }
 
 // deliver applies receive-side costs: inbound link occupancy on the

@@ -128,8 +128,7 @@ func (t *Trace) Timeline() string {
 // link's Msgs/Bytes live in the sending rank's shard (pair), merged
 // after the run; its fault counters live in Stats.Pairs itself, which
 // shard-side emitters reach only under netLayer.mu and the coordinator
-// only while every shard is quiesced — so the values a mid-run
-// NetPairStats reader sees do not depend on the shard count.
+// only while every shard is quiesced.
 //
 // Trace (Config.Trace): the acting rank's shard-local buffer.
 // Coordinator contexts append there too, which is safe for the same

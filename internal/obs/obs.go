@@ -30,7 +30,6 @@ type span struct {
 	name       string
 	rank       int32
 	parent     int32 // index into Tracer.spans, -1 for a root span
-	depth      int32
 	peer       int32 // tagged peer rank, -1 when untagged
 	bytes      int64 // tagged payload size, -1 when untagged
 	elem       string
@@ -89,7 +88,6 @@ func (t *Tracer) Begin(rank int, name string, now float64) Span {
 		name:   name,
 		rank:   int32(rank),
 		parent: parent,
-		depth:  int32(len(stack)),
 		peer:   -1,
 		bytes:  -1,
 		start:  now,
@@ -255,12 +253,8 @@ func (t *Tracer) OpenSpans() int {
 type SpanView struct {
 	Name    string
 	Rank    int
-	Peer    int // -1 when untagged
-	Bytes   int64
-	Elem    string
 	Start   float64
 	End     float64
-	Depth   int
 	Instant bool
 }
 
@@ -279,12 +273,8 @@ func (t *Tracer) Spans() []SpanView {
 		out[i] = SpanView{
 			Name:    rec.name,
 			Rank:    int(rec.rank),
-			Peer:    int(rec.peer),
-			Bytes:   rec.bytes,
-			Elem:    rec.elem,
 			Start:   rec.start,
 			End:     rec.end,
-			Depth:   int(rec.depth),
 			Instant: rec.instant,
 		}
 	}

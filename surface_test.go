@@ -27,7 +27,6 @@ var surfaceAllow = map[string]string{
 	"bufpool.Pool.LivePayloads": "leak assertion: the same tests as LiveSegments check that a run releases every payload",
 	"core.Byte":                 "the fifth predeclared element type: ckpt's TestSaveRestoreAllKinds and crosstest's TestChaosDtypeSweep move every kind",
 	"core.Schedule.Elem":        "test oracle: crosstest's dtype sweeps check that each schedule carries its element type, TestPublicAPIScheduleIntrospection and TestMethodStringAndAccessors its width",
-	"exp.Figure10Scale":         "BenchmarkFigure10Parallel's workload until it is rebuilt on the paper's schedules",
 	"gidx.Section.Contains":     "test oracle: gidx's TestSectionContains, TestSectionForEachOrderMatchesPointAt and TestQuickSectionEnumeration check enumeration against it",
 	"mpsim.Trace.Timeline":      "test oracle: mpsim's TestSerialLoopFingerprints and shard-count tests, and faultsim's shard tests, hash it",
 }
@@ -38,7 +37,14 @@ var surfaceAllow = map[string]string{
 var configAllow = map[string]string{
 	"mpsim.Config.Trace":       "test oracle: the tests that hash Trace.Timeline (see surfaceAllow) turn it on",
 	"exp.CSConfig.Fingerprint": "adds a client allgather, so always on it would move Figure 10's goldens",
-	"exp.Figure10ScaleConfig":  "BenchmarkFigure10Parallel sizes it until it is rebuilt on the paper's schedules",
+}
+
+// fieldAllow names the exported fields under internal/ that may stay
+// without a non-test read, each with its reason naming the tests that
+// rely on it.
+var fieldAllow = map[string]string{
+	"exp.CSBreakdown.ResultHash": "test oracle: exp's TestShardedDeterminismSweep and TestChaosFigure10Workload and BenchmarkFigure10Parallel compare it; CSConfig.Fingerprint (configAllow) fills it",
+	"mpsim.Stats.Trace":          "test oracle: the tests that hash Trace.Timeline (see surfaceAllow) read it",
 }
 
 // TestExportedSurfaceHasCallers fails on any exported top-level
@@ -64,6 +70,19 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 // withDefaults methods, which fill zero values rather than choose them.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	for _, p := range unsetConfigFields(loadRepo(t), configAllow) {
+		t.Error(p)
+	}
+}
+
+// TestExportedFieldsAreRead fails on any exported field of an exported
+// struct under internal/ that no non-test code reads, unless fieldAllow
+// names it: a field only tests read is a test's oracle, and one nobody
+// reads is dead.  A selector that is only an assignment's target, an
+// increment's operand or a composite literal's key writes the field
+// rather than reads it; a field with a struct tag counts as read, since
+// reflection reads it.
+func TestExportedFieldsAreRead(t *testing.T) {
+	for _, p := range unreadFields(loadRepo(t), fieldAllow) {
 		t.Error(p)
 	}
 }
@@ -315,6 +334,30 @@ func unsetConfigFields(c *checked, allow map[string]string) []string {
 	}
 	var problems []string
 	hit := map[string]bool{}
+	internalStructs(c, func(typ string, st *types.Struct) {
+		if !strings.HasSuffix(typ, "Config") && !strings.HasSuffix(typ, "Options") {
+			return
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			key := typ + "." + f.Name()
+			switch {
+			case !f.Exported() || f.Embedded() || set[f]:
+			case allow[key] != "":
+				hit[key] = true
+			case allow[typ] != "":
+				hit[typ] = true
+			default:
+				problems = append(problems, fmt.Sprintf("%s: %s has no non-test setter", c.fset.Position(f.Pos()), key))
+			}
+		}
+	})
+	return withStale(problems, nil, allow, hit, "unset")
+}
+
+// internalStructs calls f with the "pkg.Type" key of every exported
+// struct type declared under internal/.
+func internalStructs(c *checked, f func(typ string, st *types.Struct)) {
 	for _, p := range c.pkgs {
 		if !strings.HasPrefix(p.path, "metachaos/internal/") {
 			continue
@@ -322,27 +365,64 @@ func unsetConfigFields(c *checked, allow map[string]string) []string {
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
 			st, isStruct := scope.Lookup(name).Type().Underlying().(*types.Struct)
-			if _, isType := scope.Lookup(name).(*types.TypeName); !isType || !isStruct || !token.IsExported(name) ||
-				!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
-				continue
-			}
-			typ := p.types.Name() + "." + name
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				key := typ + "." + f.Name()
-				switch {
-				case !f.Exported() || f.Embedded() || set[f]:
-				case allow[key] != "":
-					hit[key] = true
-				case allow[typ] != "":
-					hit[typ] = true
-				default:
-					problems = append(problems, fmt.Sprintf("%s: %s has no non-test setter", c.fset.Position(f.Pos()), key))
-				}
+			if _, isType := scope.Lookup(name).(*types.TypeName); isType && isStruct && token.IsExported(name) {
+				f(p.types.Name()+"."+name, st)
 			}
 		}
 	}
-	return withStale(problems, nil, allow, hit, "unset")
+}
+
+// unreadFields returns one problem per exported field of an exported
+// struct under internal/ that no non-test code reads and allow does not
+// name, then one per allow entry that names none.
+func unreadFields(c *checked, allow map[string]string) []string {
+	read := map[types.Object]bool{}
+	for _, p := range c.pkgs {
+		writes := map[*ast.Ident]bool{}
+		target := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				writes[sel.Sel] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if k, ok := n.Key.(*ast.Ident); ok {
+						writes[k] = true
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				read[origin(v)] = true
+			}
+		}
+	}
+	var problems []string
+	hit := map[string]bool{}
+	internalStructs(c, func(typ string, st *types.Struct) {
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			key := typ + "." + f.Name()
+			switch {
+			case !f.Exported() || f.Embedded() || read[f] || st.Tag(i) != "":
+			case allow[key] != "":
+				hit[key] = true
+			default:
+				problems = append(problems, fmt.Sprintf("%s: %s is never read by non-test code", c.fset.Position(f.Pos()), key))
+			}
+		}
+	})
+	return withStale(problems, nil, allow, hit, "unread")
 }
 
 // withStale appends to problems the stale lines, plus one per allow
@@ -476,5 +556,42 @@ func TestConfigFieldsSelfCheck(t *testing.T) {
 				"cmd/y/link.go":           "package main\n\nimport \"metachaos/internal/x\"\n\nvar _ x.LinkConfig\n\nfunc init() {\n\tvar s struct{ Delay int }\n\ts.Delay = 2\n}\n",
 			}, map[string]string{"x.Options": "reason"},
 			[]string{"internal/x/link.go:3:25: x.LinkConfig.Delay has no non-test setter"}},
+	})
+}
+
+// TestFieldReadsSelfCheck runs the field-read check on in-memory
+// packages.  selfCheckBase's exported fields are only ever written, so
+// every row but the one that shows it allow-lists them.
+func TestFieldReadsSelfCheck(t *testing.T) {
+	written := map[string]string{
+		"x.Options.Set": "reason", "x.Options.Assigned": "reason", "x.Options.Planted": "reason",
+		"x.Options.Defaulted": "reason", "x.Plain.Untouched": "reason",
+	}
+	with := func(keys ...string) map[string]string {
+		m := maps.Clone(written)
+		for _, k := range keys {
+			m[k] = "reason"
+		}
+		return m
+	}
+	rd := map[string]string{
+		"internal/x/rd.go":      "package x\n\ntype Rd struct {\n\tByTest, ByPtr int\n\tTagged  int `json:\"t\"`\n}\n",
+		"internal/x/rd_test.go": "package x\n\nfunc read(r Rd) int { return r.ByTest }\n",
+		"cmd/y/rd.go": "package main\n\nimport \"metachaos/internal/x\"\n\n" +
+			"func rd(r *x.Rd) int {\n\tr.ByTest = 1\n\tr.ByTest++\n\tr.ByTest += 2\n\treturn r.ByPtr\n}\n",
+	}
+	runSelfCheck(t, unreadFields, []selfCheckCase{
+		{"a field only written, by key, assignment or withDefaults, or never touched, is reported", nil, nil, []string{
+			"internal/x/x.go:12:22: x.Options.Set is never read by non-test code",
+			"internal/x/x.go:12:27: x.Options.Assigned is never read by non-test code",
+			"internal/x/x.go:12:37: x.Options.Planted is never read by non-test code",
+			"internal/x/x.go:12:46: x.Options.Defaulted is never read by non-test code",
+			"internal/x/x.go:14:20: x.Plain.Untouched is never read by non-test code",
+		}},
+		{"a field only a test reads is reported with its position, not one non-test code reads through a pointer, nor a tagged one",
+			rd, written, []string{"internal/x/rd.go:4:2: x.Rd.ByTest is never read by non-test code"}},
+		{"an allow-listed field is not", rd, with("x.Rd.ByTest"), nil},
+		{"a stale field allow-list entry fails", rd, with("x.Rd.ByTest", "x.Rd.ByPtr"),
+			[]string{"allow-list entry x.Rd.ByPtr names nothing unread"}},
 	})
 }
