@@ -10,10 +10,11 @@
 // the crash and crashdetect instants and the ckpt.save/ckpt.restore
 // spans of the recovery path beside its schedule and move phases.
 //
-// Formats: traffic is what the schedule put on the wire — the
-// process-pair message matrix, per-rank traffic, the virtual makespan
-// and, under -fault / -crash, the reliability counters, detection lags
-// and each survivor's outcome.  phases is the per-phase virtual-time
+// Formats: traffic is what the schedule put on the wire — per-rank
+// traffic, the virtual makespan and, under -fault / -crash, the
+// reliability counters, detection lags and each survivor's outcome,
+// then the process-pair message matrix, read off the tracer's send
+// spans and fault instants.  phases is the per-phase virtual-time
 // breakdown (schedule build, pack, ship, wait, unpack, ...) with
 // counters and histograms; chrome is trace-event JSON for
 // chrome://tracing / Perfetto / speedscope; collapsed is collapsed
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"metachaos"
@@ -52,8 +52,9 @@ const (
 	formatNames   = "traffic, phases, chrome, collapsed"
 )
 
-// views are the formats that render a tracer; traffic renders the
-// run's statistics instead and attaches none.
+// views are the formats that render the tracer alone; traffic (nil)
+// renders the run's statistics beside the message matrix it folds from
+// the tracer's spans.
 var views = map[string]func(*obs.Tracer, io.Writer) error{
 	"traffic":   nil,
 	"phases":    (*obs.Tracer).WriteReport,
@@ -91,10 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return usage("no -format %q (have %s)", *format, formatNames)
 	}
-	var tr *obs.Tracer
-	if view != nil {
-		tr = obs.NewTracer()
-	}
+	tr := obs.NewTracer()
 
 	prof, err := faultsim.ByName(*fault, *seed)
 	if err != nil {
@@ -196,7 +194,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if view != nil {
 		err = view(tr, bw)
 	} else {
-		report(bw, stats)
+		report(bw, stats, tr)
 		reportCrashes(bw, stats, outcomes)
 	}
 	if ferr := bw.Flush(); err == nil {
@@ -243,7 +241,7 @@ func remap(p *mpsim.Proc) {
 }
 
 // report prints the traffic view.
-func report(w io.Writer, st *metachaos.Stats) {
+func report(w io.Writer, st *metachaos.Stats, tr *obs.Tracer) {
 	fmt.Fprintf(w, "machine: %s\n", st.Machine)
 	fmt.Fprintf(w, "virtual makespan: %.3f ms\n", st.MakespanSeconds*1000)
 	fmt.Fprintf(w, "total: %d messages, %d bytes\n\n", st.TotalMsgs(), st.TotalBytes())
@@ -270,25 +268,43 @@ func report(w io.Writer, st *metachaos.Stats) {
 	}
 
 	fmt.Fprintln(w, "\nmessage matrix (from -> to: msgs/bytes):")
-	keys := make([]metachaos.PairKey, 0, len(st.Pairs))
-	for k := range st.Pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].From != keys[b].From {
-			return keys[a].From < keys[b].From
-		}
-		return keys[a].To < keys[b].To
-	})
-	for _, k := range keys {
-		ps := st.Pairs[k]
-		if ps.Drops+ps.Retransmits+ps.DupsDiscarded > 0 {
+	n := len(st.PerRank)
+	for i, l := range matrix(tr, n) {
+		switch {
+		case l.drops+l.rexmits+l.dupDiscards > 0:
 			fmt.Fprintf(w, "  %2d -> %2d: %4d msgs %8d B   (drops %d, rexmit %d, dup-disc %d)\n",
-				k.From, k.To, ps.Msgs, ps.Bytes, ps.Drops, ps.Retransmits, ps.DupsDiscarded)
-			continue
+				i/n, i%n, l.msgs, l.bytes, l.drops, l.rexmits, l.dupDiscards)
+		case l.msgs > 0:
+			fmt.Fprintf(w, "  %2d -> %2d: %4d msgs %8d B\n", i/n, i%n, l.msgs, l.bytes)
 		}
-		fmt.Fprintf(w, "  %2d -> %2d: %4d msgs %8d B\n", k.From, k.To, ps.Msgs, ps.Bytes)
 	}
+}
+
+// linkTraffic is one directed link's entry in the message matrix.
+type linkTraffic struct{ msgs, bytes, drops, rexmits, dupDiscards int64 }
+
+// matrix folds the tracer's spans into the n-rank world's links, row
+// major by (from, to).  A send span, a drop and a rexmit instant run
+// rank -> peer (a lost ack is its acker's drop, on the acker -> sender
+// link); a dupdisc instant runs peer -> the discarding rank.  So every
+// column adds up to the per-rank counter of the rank it is charged to.
+func matrix(tr *obs.Tracer, n int) []linkTraffic {
+	links := make([]linkTraffic, n*n)
+	for _, sp := range tr.Spans() {
+		switch sp.Name {
+		case "send":
+			l := &links[sp.Rank*n+sp.Peer]
+			l.msgs++
+			l.bytes += sp.Bytes
+		case "drop":
+			links[sp.Rank*n+sp.Peer].drops++
+		case "rexmit":
+			links[sp.Rank*n+sp.Peer].rexmits++
+		case "dupdisc":
+			links[sp.Peer*n+sp.Rank].dupDiscards++
+		}
+	}
+	return links
 }
 
 // reportCrashes prints the run's fail-stop history: who died and when,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,5 +108,72 @@ func TestOutputFile(t *testing.T) {
 		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "mctrace: ") {
 			t.Errorf("-o %s: stdout %q stderr %q", path, stdout.String(), stderr.String())
 		}
+	}
+}
+
+// TestMatrixAddsUpToPerRank reads a lossy reliable run's traffic view
+// back: the message matrix is folded from the tracer's spans and the
+// per-rank block from the run's statistics, so each matrix column must
+// add up to the counter of the rank it is charged to — drops and
+// rexmits to the sender (a lost ack to its acker), dup-discs to the
+// receiver.  The run loses one ack, so the drop column also covers a
+// drop no data packet accounts for.
+func TestMatrixAddsUpToPerRank(t *testing.T) {
+	args := []string{"-workload", "section", "-fault", "lossy", "-seed", "7", "-reliable"}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	type faults struct{ drops, rexmits, dupDiscards int64 }
+	perRank := map[int]faults{}
+	columns := map[int]faults{}
+	var links int
+	var total, matrixDrops int64
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		var r, from, to int
+		var f faults
+		var corrupt, timeouts, failed, msgs, size int64
+		if _, err := fmt.Sscanf(line, "  rank %d: drops %d rexmit %d dup-disc %d corrupt-disc %d timeouts %d failed-sends %d",
+			&r, &f.drops, &f.rexmits, &f.dupDiscards, &corrupt, &timeouts, &failed); err == nil {
+			perRank[r] = f
+			continue
+		}
+		if _, err := fmt.Sscanf(line, "  total: %d drops", &total); err == nil {
+			continue
+		}
+		if _, err := fmt.Sscanf(line, "  %d -> %d: %d msgs %d B (drops %d, rexmit %d, dup-disc %d)",
+			&from, &to, &msgs, &size, &f.drops, &f.rexmits, &f.dupDiscards); err == nil {
+			links++
+			matrixDrops += f.drops
+			c := columns[from]
+			c.drops += f.drops
+			c.rexmits += f.rexmits
+			columns[from] = c
+			c = columns[to]
+			c.dupDiscards += f.dupDiscards
+			columns[to] = c
+		}
+	}
+	if len(perRank) != 4 || links == 0 {
+		t.Fatalf("read %d per-rank fault rows and %d faulty links from:\n%s", len(perRank), links, stdout.String())
+	}
+	for r, want := range perRank {
+		if got := columns[r]; got != want {
+			t.Errorf("rank %d: the matrix charges it %+v, the per-rank block %+v", r, got, want)
+		}
+	}
+	if total != 6 || matrixDrops != total {
+		t.Errorf("drops: the matrix adds up to %d, the per-rank block's total is %d, want 6 for both", matrixDrops, total)
+	}
+
+	path := filepath.Join(t.TempDir(), "lossy.traffic")
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(append(args, "-format", "traffic", "-o", path), &stdout, &stderr); code != 0 {
+		t.Fatalf("-o: exit %d: %s", code, stderr.String())
+	}
+	var spans int
+	if _, err := fmt.Sscanf(stderr.String(), "mctrace: wrote "+path+" (%d spans)", &spans); err != nil || spans == 0 {
+		t.Errorf("-o reported %q, want a nonzero span count", stderr.String())
 	}
 }

@@ -398,7 +398,7 @@ func TestNodeLinkContention(t *testing.T) {
 }
 
 func TestStatsCountMessages(t *testing.T) {
-	st := RunSPMD(Ideal(), 3, func(p *Proc) {
+	st := Run(Config{Machine: Ideal(), Trace: true, Programs: []ProgramSpec{{Name: "spmd", Procs: 3, Body: func(p *Proc) {
 		c := p.Comm()
 		if c.Rank() == 0 {
 			c.Send(1, 1, make([]byte, 100))
@@ -406,14 +406,20 @@ func TestStatsCountMessages(t *testing.T) {
 		} else {
 			c.Recv(0, 1)
 		}
-	})
+	}}}})
 	if st.TotalMsgs() != 2 {
 		t.Errorf("TotalMsgs=%d want 2", st.TotalMsgs())
 	}
 	if st.TotalBytes() != 150 {
 		t.Errorf("TotalBytes=%d want 150", st.TotalBytes())
 	}
-	if got := st.Pairs[PairKey{0, 1}].Bytes; got != 100 {
+	var got int
+	for _, e := range st.Trace.Events {
+		if e.Kind == EvSend && e.Rank == 0 && e.Peer == 1 {
+			got += e.Bytes
+		}
+	}
+	if got != 100 {
 		t.Errorf("pair 0->1 bytes=%d want 100", got)
 	}
 }

@@ -500,7 +500,7 @@ func (n *netLayer) sendAck(pkt *packet, now float64) {
 	if n.inj != nil {
 		d := n.inj.Decide(pkt.to, pkt.from, -1, 0, now)
 		if d.Drop {
-			n.w.emit(Event{Time: now, Rank: pkt.to, Kind: evAckDrop, Peer: pkt.from})
+			n.w.emit(Event{Time: now, Rank: pkt.to, Kind: EvDrop, Peer: pkt.from})
 			return
 		}
 		delay = d.ExtraDelay

@@ -380,8 +380,9 @@ func TestLoopbackBypassesFaults(t *testing.T) {
 	})
 }
 
-// Per-pair stats must attribute retransmissions to the faulty link.
-func TestPairStatsAttribution(t *testing.T) {
+// The trace must attribute drops and retransmissions to the faulty
+// link.
+func TestLinkFaultAttribution(t *testing.T) {
 	dropFirst := injector(func(from, to, attempt, bytes int, now float64) FaultDecision {
 		// Drop every first attempt on 0->1 only; retries succeed.
 		return FaultDecision{Drop: from == 0 && to == 1 && attempt == 0, CorruptBit: -1}
@@ -390,6 +391,7 @@ func TestPairStatsAttribution(t *testing.T) {
 		Machine:  SP2(),
 		Fault:    dropFirst,
 		Reliable: true,
+		Trace:    true,
 		Programs: []ProgramSpec{{Name: "spmd", Procs: 3, Body: func(p *Proc) {
 			if p.Rank() == 0 {
 				p.Send(1, 1, []byte("via lossy link"))
@@ -399,13 +401,19 @@ func TestPairStatsAttribution(t *testing.T) {
 			}
 		}}},
 	})
-	lossy := st.Pairs[PairKey{From: 0, To: 1}]
-	clean := st.Pairs[PairKey{From: 0, To: 2}]
-	if lossy == nil || lossy.Retransmits == 0 || lossy.Drops == 0 {
-		t.Errorf("lossy pair counters missing: %+v", lossy)
+	// Drops and retransmissions per (from, to) link.
+	drops, rexmits := map[[2]int]int{}, map[[2]int]int{}
+	for _, e := range st.Trace.Events {
+		switch e.Kind {
+		case EvDrop:
+			drops[[2]int{e.Rank, e.Peer}]++
+		case EvRetransmit:
+			rexmits[[2]int{e.Rank, e.Peer}]++
+		}
 	}
-	if clean != nil && (clean.Retransmits != 0 || clean.Drops != 0) {
-		t.Errorf("clean pair charged with faults: %+v", clean)
+	lossy := [2]int{0, 1}
+	if drops[lossy] == 0 || rexmits[lossy] == 0 || len(drops) != 1 || len(rexmits) != 1 {
+		t.Errorf("want drops and retransmissions on 0->1 only; the trace has drops %v, retransmissions %v", drops, rexmits)
 	}
 }
 

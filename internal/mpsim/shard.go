@@ -46,9 +46,9 @@ import (
 // Context discipline (what makes the -race run clean):
 //
 //   - Shard state (runq, local timers, proc queues/clocks, per-shard
-//     trace buffer and pair map) is touched only by the goroutine
-//     running the shard's window, or by the coordinator while every
-//     shard is quiesced at a window barrier (the cmd/done channels give
+//     trace buffer) is touched only by the goroutine running the
+//     shard's window, or by the coordinator while every shard is
+//     quiesced at a window barrier (the cmd/done channels give
 //     happens-before).
 //   - A process is a coroutine (launchProc), not a goroutine of its
 //     own: p.next() runs it on the caller's thread until its next park,
@@ -121,9 +121,6 @@ type shard struct {
 	// events buffers this shard's ranks' trace events; merged after
 	// the run.
 	events []Event
-	// pairs buffers this shard's senders' payload pair counters;
-	// merged after the run.
-	pairs map[PairKey]*PairStats
 
 	// out stages cross-shard perfect-network deliveries created during
 	// a window; the coordinator moves them to their destination shards
@@ -136,18 +133,6 @@ type shard struct {
 	// cmd hands a worker its next window bound (nil for shard 0, which
 	// has none).
 	cmd chan evKey
-}
-
-// pair returns this shard's Msgs/Bytes counters for the directed (from,
-// to) link, creating them on first use.
-func (s *shard) pair(from, to int) *PairStats {
-	k := PairKey{From: from, To: to}
-	ps := s.pairs[k]
-	if ps == nil {
-		ps = &PairStats{}
-		s.pairs[k] = ps
-	}
-	return ps
 }
 
 // noteDone settles a finished (or unwound) process in its shard: live
@@ -334,9 +319,8 @@ func (w *World) partition(n int) {
 			hi = bounds[i+1]
 		}
 		s := &shard{
-			w:     w,
-			pairs: make(map[PairKey]*PairStats),
-			live:  hi - lo,
+			w:    w,
+			live: hi - lo,
 		}
 		for _, p := range w.procs[lo:hi] {
 			p.shard = s
@@ -441,20 +425,6 @@ func (w *World) mergeStats() {
 	for _, s := range w.shards {
 		if s.makespan > w.stats.MakespanSeconds {
 			w.stats.MakespanSeconds = s.makespan
-		}
-		// A directed pair's payload counters live in its sender's shard
-		// alone, so the shard maps are disjoint: adopt them, and fold in
-		// only where the transport already counted faults on the link.
-		if w.stats.Pairs == nil {
-			w.stats.Pairs = s.pairs
-			continue
-		}
-		for k, ps := range s.pairs {
-			if t := w.stats.Pairs[k]; t != nil {
-				t.Msgs, t.Bytes = ps.Msgs, ps.Bytes
-			} else {
-				w.stats.Pairs[k] = ps
-			}
 		}
 	}
 	if w.trace == nil {

@@ -22,8 +22,9 @@ const (
 	EvSend EventKind = iota
 	// EvRecv is recorded when a process consumes a message.
 	EvRecv
-	// EvDrop is recorded when fault injection loses a transmission (the
-	// acting rank is the sender; for a lost ack, the receiver).
+	// EvDrop is recorded when fault injection loses a transmission: the
+	// acting rank is the one that sent it (for a lost ack, the acker)
+	// and Peer the one it was bound for.
 	EvDrop
 	// EvRetransmit is recorded when the reliable transport re-launches
 	// an unacked packet.
@@ -51,11 +52,6 @@ const (
 	// incarnation.
 	EvRestart
 )
-
-// evAckDrop is EvDrop for a lost acknowledgement, a kind only emit sees:
-// the drop is charged to the acking (receiving) rank and to no link's
-// pair counters, and is traced and counted as an ordinary EvDrop.
-const evAckDrop EventKind = -1
 
 // kinds gives every EventKind its trace name and the obs counter it
 // feeds; what a kind adds to Stats is emit's switch.
@@ -124,46 +120,35 @@ func (t *Trace) Timeline() string {
 // call sites say what happened once, and Stats, the trace and the
 // observability layer are its three sinks.
 //
-// Stats: the acting rank's counters, and the directed link's.  A
-// link's Msgs/Bytes live in the sending rank's shard (pair), merged
-// after the run; its fault counters live in Stats.Pairs itself, which
-// shard-side emitters reach only under netLayer.mu and the coordinator
-// only while every shard is quiesced.
+// Stats: the acting rank's counters, nothing else.  What passed over
+// one link is read off the trace or the tracer's spans, not booked.
 //
 // Trace (Config.Trace): the acting rank's shard-local buffer.
-// Coordinator contexts append there too, which is safe for the same
-// reason; the buffers are merged when the run completes.
+// Coordinator contexts append there too, which is safe because they
+// run only while every shard is quiesced; the buffers are merged when
+// the run completes.
 //
 // Obs (Config.Obs): the kind's counter; traffic also feeds the byte
 // totals and the size histogram (its spans are opened at the call
 // sites, where the before-clock is known), and every other kind —
 // things that happen inside scheduler timers rather than on a process's
 // own instruction stream — surfaces as an instant on the acting rank's
-// timeline.
+// timeline, tagged with the peer.
 func (w *World) emit(e Event) {
 	rs := &w.stats.PerRank[e.Rank]
 	switch e.Kind {
 	case EvSend:
 		rs.MsgsSent++
 		rs.BytesSent += int64(e.Bytes)
-		ps := w.procs[e.Rank].shard.pair(e.Rank, e.Peer)
-		ps.Msgs++
-		ps.Bytes += int64(e.Bytes)
 	case EvRecv:
 		rs.MsgsRecv++
 		rs.BytesRecv += int64(e.Bytes)
 	case EvDrop:
 		rs.Drops++
-		w.stats.pair(e.Rank, e.Peer).Drops++
-	case evAckDrop:
-		rs.Drops++
-		e.Kind = EvDrop
 	case EvRetransmit:
 		rs.Retransmits++
-		w.stats.pair(e.Rank, e.Peer).Retransmits++
 	case EvDupDiscard:
 		rs.DupsDiscarded++
-		w.stats.pair(e.Peer, e.Rank).DupsDiscarded++ // the link runs sender -> discarding receiver
 	case EvCorruptDiscard:
 		rs.CorruptDiscarded++
 	case EvTimeout:

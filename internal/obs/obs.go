@@ -253,6 +253,8 @@ func (t *Tracer) OpenSpans() int {
 type SpanView struct {
 	Name    string
 	Rank    int
+	Peer    int   // -1 when untagged
+	Bytes   int64 // -1 when untagged
 	Start   float64
 	End     float64
 	Instant bool
@@ -273,6 +275,8 @@ func (t *Tracer) Spans() []SpanView {
 		out[i] = SpanView{
 			Name:    rec.name,
 			Rank:    int(rec.rank),
+			Peer:    int(rec.peer),
+			Bytes:   rec.bytes,
 			Start:   rec.start,
 			End:     rec.end,
 			Instant: rec.instant,

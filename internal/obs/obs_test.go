@@ -52,6 +52,9 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 	if views[0].Name != "outer" || views[1].Name != "inner" || views[2].Name != "tick" {
 		t.Errorf("spans not in begin order: %+v", views[:3])
 	}
+	if views[1].Peer != 1 || views[1].Bytes != 64 || views[0].Peer != -1 || views[0].Bytes != -1 {
+		t.Errorf("tags not recorded, or untagged not -1: %+v %+v", views[0], views[1])
+	}
 	if !views[2].Instant || views[2].Duration() != 0 {
 		t.Errorf("instant not zero-duration: %+v", views[2])
 	}

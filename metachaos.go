@@ -62,8 +62,6 @@ type (
 	Stats = mpsim.Stats
 	// RankStats counts one process's traffic.
 	RankStats = mpsim.RankStats
-	// PairKey identifies an ordered (sender, receiver) pair.
-	PairKey = mpsim.PairKey
 	// Config describes a multi-program run.
 	Config = mpsim.Config
 	// ProgramSpec describes one program of a run.
